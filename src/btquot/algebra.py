@@ -26,6 +26,8 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
+import numpy as np
+
 #: Defining polynomials (constant first) for the supported prime-power
 #: fields, each the first monic irreducible of its degree in canonical
 #: order.  Callers may override via GF(q, modulus=...).
@@ -86,6 +88,19 @@ class GF:
             if not self._modulus_irreducible():
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self._tables = None
+        # coordinate-array kernels: digits[a] is the coordinate row of
+        # the code a, place the weights that turn coordinates back into
+        # a code, and column k of the (e, 2e-1) matrix fold holds the
+        # coordinates of x^k modulo the defining polynomial (for e = 1,
+        # all three are trivial)
+        self.digits = np.array([self.coords(a) for a in range(q)],
+                               dtype=np.int64).reshape(q, e)
+        self.place = p ** np.arange(e, dtype=np.int64)
+        powers = [1]
+        for _ in range(2 * e - 2):
+            powers.append(self.mul(powers[-1], p))  # p codes x itself
+        self.fold = np.array([self.coords(c) for c in powers],
+                             dtype=np.int64).T
 
     # -- element coding ------------------------------------------------
 
@@ -213,15 +228,32 @@ class GF:
                 return a
         raise RuntimeError("no primitive root found")  # unreachable
 
+    def conv(self, a, b):
+        """Product of two polynomials over F_q given as nonempty int64
+        code arrays, lowest degree first.
+
+        Each factor is split into its e coordinate planes over F_p; the
+        product is e^2 integer convolutions, folded back by the defining
+        polynomial and reduced mod p.  For prime q this is a single
+        convolution mod p.
+        """
+        A = self.digits[a]
+        B = self.digits[b]
+        e = self.e
+        planes = np.zeros((2 * e - 1, len(a) + len(b) - 1), dtype=np.int64)
+        for i in range(e):
+            for j in range(e):
+                planes[i + j] += np.convolve(A[:, i], B[:, j])
+        return self.place @ (self.fold @ planes % self.p)
+
     def tables(self):
         """(add, mul, neg, inv) lookup tables as numpy arrays.
 
-        inv[0] is set to 0 as a harmless placeholder.  Useful for
-        vectorized linear algebra when e > 1; prime fields are usually
-        handled with plain mod-p numpy arithmetic instead.
+        inv[0] is set to 0 as a harmless placeholder.  These back the
+        elementwise series arithmetic and the linear algebra of the hom
+        solver for every q.
         """
         if self._tables is None:
-            import numpy as np
             q = self.q
             add = np.zeros((q, q), dtype=np.int64)
             mul = np.zeros((q, q), dtype=np.int64)

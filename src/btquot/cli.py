@@ -7,8 +7,10 @@ hom (print a basis of the hom space between two vertices), verify
 (run the structural checks), export (re-emit a cached graph in another
 format).
 
-Exit codes: 0 success, 1 verification failure, 2 user error, 70
-internal assertion failure.  Output is deterministic: repeated runs
+Exit codes: 0 success, 1 verification failure, 2 user error, 3 the
+series precision reached --precision-cap (or its default) before the
+answer was determined, 70 internal assertion failure.  Each failure
+prints one line on stderr.  Output is deterministic: repeated runs
 with the same arguments produce identical bytes, and computed graphs
 are cached on disk keyed by the field, the ramified primes, and the
 serialization format version.
@@ -26,6 +28,7 @@ from pathlib import Path
 from . import tree
 from .algebra import GF, field, format_poly, parse_poly
 from .homspace import hom
+from .laurent import InsufficientPrecisionError
 from .quaternion import build_algebra, format_quat, parse_quat
 from .quotient import (QuotientGraph, compute_quotient, express_in_generators,
                        presentation, reduce, transport, verify_structure)
@@ -36,6 +39,7 @@ from .tree import format_vertex, parse_vertex
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USER = 2
+EXIT_PRECISION = 3
 EXIT_INTERNAL = 70
 
 
@@ -50,7 +54,6 @@ class JobConfig:
     verify: bool = True
     degree_bound: bool = True
     precision_cap: int | None = None
-    threads: int = 1
     cache_dir: str | None = None
     use_cache: bool = True
     extra: list[str] = dataclass_field(default_factory=list)
@@ -60,9 +63,23 @@ class JobConfig:
         return field(self.q)
 
 
+def _split_primes(text: str) -> list[str]:
+    """Split at the commas outside [...], so that coordinate vectors like
+    T+[0,1] stay whole."""
+    parts, depth, cur = [], 0, ""
+    for ch in text:
+        depth += (ch == "[") - (ch == "]")
+        if ch == "," and depth == 0:
+            parts.append(cur)
+            cur = ""
+        else:
+            cur += ch
+    return [t for t in parts + [cur] if t.strip()]
+
+
 def _parse_config(args) -> JobConfig:
     F = field(args.q)
-    raw = [t for t in (args.primes or "").split(",") if t.strip()]
+    raw = _split_primes(args.primes or "")
     if not raw:
         raise ValueError("--primes must list at least two polynomials")
     primes = []
@@ -74,7 +91,7 @@ def _parse_config(args) -> JobConfig:
     return JobConfig(
         q=args.q, primes=primes, fmt=args.format, output=args.output,
         verify=not args.no_verify, degree_bound=not args.no_degree_bound,
-        precision_cap=args.precision_cap, threads=args.threads,
+        precision_cap=args.precision_cap,
         cache_dir=args.cache_dir, use_cache=not args.no_cache,
         extra=getattr(args, "args", []))
 
@@ -95,7 +112,7 @@ def _build_graph(cfg: JobConfig) -> QuotientGraph:
     if cfg.use_cache and path.is_file():
         return graph_from_json(path.read_text())
     alg = build_algebra(cfg.F, cfg.primes, enforce_bound=cfg.degree_bound)
-    G = compute_quotient(alg, threads=cfg.threads)
+    G = compute_quotient(alg)
     if cfg.use_cache:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".tmp")
@@ -241,8 +258,6 @@ def _make_parser() -> argparse.ArgumentParser:
                             "alpha search")
         p.add_argument("--precision-cap", type=int,
                        help="cap for the adaptive series precision")
-        p.add_argument("--threads", type=int, default=1,
-                       help="thread pool size for hom solves")
         p.add_argument("--cache-dir", help="graph cache directory")
         p.add_argument("--no-cache", action="store_true",
                        help="neither read nor write the graph cache")
@@ -265,6 +280,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
+    except InsufficientPrecisionError as exc:
+        print(f"error: precision cap {tree.DEFAULT_PRECISION_CAP} reached "
+              f"({exc}); raise --precision-cap", file=sys.stderr)
+        return EXIT_PRECISION
     except (AssertionError, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .algebra import GF
 
 INF = math.inf
@@ -31,30 +33,37 @@ class InsufficientPrecisionError(Exception):
 
 
 class Laurent:
-    """An element of F_q((pi)) known modulo pi^prec."""
+    """An element of F_q((pi)) known modulo pi^prec.
 
-    __slots__ = ("F", "val", "coeffs", "prec")
+    ``coeffs`` is the tuple of known coefficient codes; the same codes
+    are kept as an int64 array for the array kernels of GF.  Exactness is
+    a value test (prec == INF), never an identity test, since infinities
+    computed by the precision rules are new float objects.
+    """
+
+    __slots__ = ("F", "val", "coeffs", "prec", "_arr")
 
     def __init__(self, F: GF, val, coeffs, prec):
-        coeffs = list(coeffs)
+        arr = np.asarray(coeffs, dtype=np.int64)
         # drop coefficients at or beyond the precision bound
-        if prec is not INF:
-            keep = max(0, min(len(coeffs), int(prec) - val))
-            coeffs = coeffs[:keep]
-        # advance past leading zeros
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            val += 1
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
+        if prec != INF and len(arr) > prec - val:
+            arr = arr[:max(0, prec - val)]
+        # advance past leading zeros, drop trailing ones
+        nz = arr.nonzero()[0]
+        if len(nz):
+            first = int(nz[0])
+            arr = arr[first:int(nz[-1]) + 1]
+            val += first
+        else:
+            arr = arr[:0]
             val = prec
         if val > prec:
             raise ValueError("valuation above precision bound")
         self.F = F
         self.val = val
-        self.coeffs = tuple(coeffs)
+        self.coeffs = tuple(arr.tolist())
         self.prec = prec
+        self._arr = arr
 
     # -- constructors ----------------------------------------------------
 
@@ -90,7 +99,7 @@ class Laurent:
 
     @property
     def is_exact_zero(self) -> bool:
-        return self.prec is INF and not self.coeffs
+        return self.prec == INF and not self.coeffs
 
     @property
     def is_zero_at_prec(self) -> bool:
@@ -108,7 +117,7 @@ class Laurent:
 
     def coeff(self, k: int) -> int:
         """Coefficient of pi^k; raises beyond the precision bound."""
-        if self.prec is not INF and k >= self.prec:
+        if k >= self.prec:
             raise InsufficientPrecisionError(
                 f"coefficient of pi^{k} at precision O(pi^{self.prec})")
         if not self.coeffs or k < self.val:
@@ -133,18 +142,25 @@ class Laurent:
             return other
         if other.is_exact_zero:
             return self
-        lo = min(self.val, other.val)
-        if lo >= prec:
+        terms = [x for x in (self, other) if x.coeffs]
+        lo = min((x.val for x in terms), default=prec)
+        hi = min(prec, max((x.val + len(x.coeffs) for x in terms),
+                           default=prec))
+        if lo >= hi:
             return Laurent.zero_at(self.F, prec)
-        hi = prec if prec is not INF else max(
-            self.val + len(self.coeffs), other.val + len(other.coeffs))
-        F = self.F
-        out = [F.add(self.coeff(k), other.coeff(k)) for k in range(lo, hi)]
-        return Laurent(F, lo, out, prec)
+        padded = []
+        for x in (self, other):
+            buf = np.zeros(hi - lo, dtype=np.int64)
+            if x.coeffs and x.val < hi:
+                part = x._arr[:hi - x.val]
+                buf[x.val - lo:x.val - lo + len(part)] = part
+            padded.append(buf)
+        return Laurent(self.F, lo, self.F.tables()[0][padded[0], padded[1]],
+                       prec)
 
     def __neg__(self) -> "Laurent":
-        F = self.F
-        return Laurent(F, self.val, [F.neg(c) for c in self.coeffs], self.prec)
+        return Laurent(self.F, self.val, self.F.tables()[2][self._arr],
+                       self.prec)
 
     def __sub__(self, other: "Laurent") -> "Laurent":
         return self + (-other)
@@ -154,55 +170,46 @@ class Laurent:
         if self.is_exact_zero or other.is_exact_zero:
             return Laurent.zero(self.F)
         prec = min(self.prec + other.val, other.prec + self.val)
-        if not self.coeffs or not other.coeffs:
-            if prec is INF:
+        val = self.val + other.val
+        if not self.coeffs or not other.coeffs or val >= prec:
+            if prec == INF:
                 return Laurent.zero(self.F)
             return Laurent.zero_at(self.F, prec)
-        F = self.F
-        n1, n2 = len(self.coeffs), len(other.coeffs)
-        out = [0] * (n1 + n2 - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    if y:
-                        out[i + j] = F.add(out[i + j], F.mul(x, y))
-        return Laurent(F, self.val + other.val, out, prec)
+        a, b = self._arr, other._arr
+        if prec != INF:
+            # only product digits below prec are kept
+            a, b = a[:prec - val], b[:prec - val]
+        return Laurent(self.F, val, self.F.conv(a, b), prec)
 
     def scale(self, c: int) -> "Laurent":
         """Multiply by the field element c (exact)."""
         F = self.F
         if c == 0:
             return Laurent.zero(F)
-        return Laurent(F, self.val, [F.mul(c, x) for x in self.coeffs],
-                       self.prec)
-
-    def shift(self, k: int) -> "Laurent":
-        """Multiply by pi^k (exact)."""
-        if self.is_exact_zero:
-            return self
-        return Laurent(self.F, self.val + k, self.coeffs, self.prec)
+        return Laurent(F, self.val, F.tables()[1][c][self._arr], self.prec)
 
     def inv(self) -> "Laurent":
-        """Inverse, to the same relative precision."""
+        """Inverse, to the same relative precision.
+
+        Exact monomials invert exactly.  An exact series with more than
+        one term has no finite inverse, so it raises ValueError; callers
+        that need one must give the series a finite precision.
+        """
         if self.is_exact_zero:
             raise ZeroDivisionError("inverse of exact zero")
         if not self.coeffs:
             raise InsufficientPrecisionError(
                 "inverting a value indistinguishable from zero")
         F = self.F
-        rel = (self.prec - self.val if self.prec is not INF
-               else len(self.coeffs))
-        rel = max(rel, len(self.coeffs))
-        c = list(self.coeffs) + [0] * (rel - len(self.coeffs))
-        b = [0] * rel
-        b[0] = F.inv(c[0])
-        for k in range(1, rel):
-            acc = 0
-            for j in range(1, min(k, len(self.coeffs) - 1) + 1):
-                acc = F.add(acc, F.mul(c[j], b[k - j]))
-            b[k] = F.neg(F.mul(acc, b[0]))
-        prec = (INF if self.prec is INF else self.prec - 2 * self.val)
-        return Laurent(F, -self.val, b, prec)
+        if self.prec == INF:
+            if len(self.coeffs) > 1:
+                raise ValueError(
+                    "an exact series with several terms has no exact "
+                    "inverse; give it a finite precision")
+            return Laurent(F, -self.val, (F.inv(self.coeffs[0]),), INF)
+        return Laurent(F, -self.val,
+                       _series_inverse(F, self._arr, self.prec - self.val),
+                       self.prec - 2 * self.val)
 
     def truncate(self, prec: int) -> "Laurent":
         if prec >= self.prec:
@@ -229,6 +236,91 @@ class Laurent:
         return " + ".join(parts)
 
 
+def _series_inverse(F: GF, a, n: int):
+    """The first n coefficients of 1/a for a unit power series a (code
+    array, a[0] != 0), by Newton doubling: if a*b = 1 + pi^k*d modulo
+    pi^(2k), then b - pi^k*b*d is the inverse modulo pi^(2k) (Brent and
+    Kung, J. ACM 1978).  O(M(n)) field work instead of the O(n^2) of
+    the term-by-term recursion."""
+    neg, inv = F.tables()[2], F.tables()[3]
+    a = np.concatenate([a[:n], np.zeros(max(0, n - len(a)), dtype=np.int64)])
+    b = inv[a[:1]]
+    k = 1
+    while k < n:
+        k2 = min(2 * k, n)
+        d = F.conv(a[:k2], b)[k:k2]
+        b = np.concatenate([b, neg[F.conv(b[:k2 - k], d)[:k2 - k]]])
+        k = k2
+    return b
+
+
+class SeriesStack:
+    """A matrix S[x][k] of Laurent series held as one coefficient array,
+    for products G * S by matrices G of exact finite series.
+
+    codes[x, k, i] is the code of the pi^(val + i) coefficient of
+    S[x][k], zero at and beyond that entry's precision; prec[x, k] is the
+    precision (INF for an exact zero).  The product runs as one float64
+    matrix product against the Toeplitz expansion of S in F_p
+    coordinates (exact: every partial sum is an integer far below
+    2^53), built once per width of G and kept.
+    """
+
+    def __init__(self, F: GF, rows):
+        self.F = F
+        known = [x for row in rows for x in row if x.coeffs]
+        self.val = min((x.val for x in known), default=0)
+        end = max((x.val + len(x.coeffs) for x in known), default=self.val)
+        self.codes = np.zeros((len(rows), len(rows[0]),
+                               max(1, end - self.val)), dtype=np.int64)
+        for i, row in enumerate(rows):
+            for k, x in enumerate(row):
+                if x.coeffs:
+                    off = x.val - self.val
+                    self.codes[i, k, off:off + len(x.coeffs)] = x._arr
+        self.prec = np.array([[float(x.prec) for x in row] for row in rows])
+        self._width = 0
+        self._toeplitz = None
+
+    def _expansion(self, width: int):
+        """Rows (tau, x, v), columns (k, w, j): coordinate w of
+        theta^v * S[x][k] at index j - tau, with theta the generator of
+        F_q over F_p; tau < width, j < N + width - 1."""
+        if width > self._width:
+            F, e = self.F, self.F.e
+            X, K, N = self.codes.shape
+            # theta^v * sum_u s_u theta^u has coordinates
+            # sum_u fold[w, v + u] * s_u
+            twist = np.stack([F.fold[:, v:v + e] for v in range(e)])
+            sv = np.einsum("vwu,xknu->xvkwn", twist,
+                           F.digits[self.codes]) % F.p
+            T = np.zeros((width, X, e, K, e, N + width - 1))
+            for tau in range(width):
+                T[tau, ..., tau:tau + N] = sv
+            self._toeplitz = T.reshape(width * X * e, -1)
+            self._width = width
+        return self._toeplitz
+
+    def left_mul(self, G, base: int, vals):
+        """Y = G * S for exact series G[r][x] = pi^base * sum_i G[r, x, i] pi^i
+        (codes) with valuations vals[r, x] (INF for zero entries).
+
+        Returns (codes, val, prec): codes[r, k, i] is the pi^(val + i)
+        coefficient of Y[r][k], correct below prec[r, k], which follows
+        the Laurent rule prec(g * s) = prec(s) + v(g), minimum over terms.
+        """
+        F = self.F
+        R, X, M = G.shape
+        T = self._expansion(M)
+        rows = M * X * F.e
+        Gd = F.digits[G].transpose(0, 2, 1, 3).reshape(R, rows)
+        Y = (Gd @ T[:rows]).astype(np.int64) % F.p
+        Y = Y.reshape(R, self.codes.shape[1], F.e, -1)
+        codes = np.einsum("rkwj,w->rkj", Y, F.place)
+        prec = (vals[:, :, None] + self.prec[None]).min(axis=1)
+        return codes, base + self.val, prec
+
+
 def poly_to_laurent(F: GF, f, prec: int) -> Laurent:
     """Embed the polynomial f into K_infinity at the given precision."""
     return Laurent.from_poly(F, f, prec)
@@ -240,8 +332,9 @@ def newton_sqrt(F: GF, f, prec: int) -> Laurent:
     Returns s = pi^(-m) * (1 + ...) with s^2 = f + O(pi^prec), where
     deg f = 2m.  Digit-by-digit Newton lifting on the 1-unit pi^(2m) f,
     starting from u = 1: at step k the pi^k digit of u^2 - pi^(2m) f is
-    halved and subtracted from u.  Each step recomputes the square, so
-    the total cost is O(prec^3) field operations.
+    halved and subtracted from u.  Step k recomputes only the pi^k digit
+    of the square, a sum of k + 1 products, so the total cost is
+    O(prec^2) field operations.
 
     The result carries m guard digits beyond the requested precision so
     that re-squaring it is still checkable at precision prec.
@@ -263,7 +356,7 @@ def newton_sqrt(F: GF, f, prec: int) -> Laurent:
     u = [0] * digits
     u[0] = 1
     for k in range(1, digits):
-        # pi^k digit of u^2 - a, recomputing the square in full
+        # pi^k digit of u^2 - a
         sq = 0
         for i in range(k + 1):
             if u[i]:

@@ -25,7 +25,6 @@ s = sqrt(alpha) (1-unit branch), j to [[0, 1], [r, 0]], and khat to
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .algebra import (
@@ -47,7 +46,7 @@ from .algebra import (
     poly_sub,
     sqrt_mod_irreducible,
 )
-from .laurent import Laurent, Mat2, newton_sqrt
+from .laurent import INF, Laurent, Mat2, SeriesStack, newton_sqrt
 
 
 @dataclass(frozen=True)
@@ -162,8 +161,10 @@ def parse_quat(F: GF, text: str) -> QuatElem:
 class AlgebraData:
     """The algebra (alpha, r / K) with its maximal order and embedding.
 
-    Immutable after construction; the sqrt(alpha) value is memoized at
-    the highest precision requested so far (lock-protected).
+    Immutable after construction.  The sqrt(alpha) value is memoized at
+    the highest precision requested so far, and the embedded order basis
+    (with 1/sqrt(alpha) inside it) once per precision.  The memos are
+    plain dicts: the package runs single-threaded.
     """
 
     def __init__(self, F: GF, primes, enforce_bound: bool = True,
@@ -179,8 +180,9 @@ class AlgebraData:
         if rem:
             raise AssertionError("epsilon^2 - r is not divisible by alpha")
         self._tensor = self._derive_structure_constants()
-        self._sqrt_lock = threading.Lock()
         self._sqrt_cache = None
+        self._basis = {}
+        self._stacks = {}
         if verify:
             self._verify_ramification()
             self._verify_reduced_discriminant()
@@ -349,33 +351,65 @@ class AlgebraData:
 
     def sqrt_alpha(self, prec: int) -> Laurent:
         """sqrt(alpha) on the 1-unit branch, memoized by precision."""
-        with self._sqrt_lock:
-            if self._sqrt_cache is None or self._sqrt_cache.prec < prec:
-                self._sqrt_cache = newton_sqrt(self.F, self.alpha, prec)
-            return self._sqrt_cache.truncate(prec)
+        if self._sqrt_cache is None or self._sqrt_cache.prec < prec:
+            self._sqrt_cache = newton_sqrt(self.F, self.alpha, prec)
+        return self._sqrt_cache.truncate(prec)
+
+    def basis_embedding(self, prec: int) -> tuple:
+        """(iota(1), iota(i), iota(j), iota(khat)), every entry at
+        precision >= prec; memoized per precision.
+
+        sqrt(alpha) and its inverse are taken at the working precision
+        prec + 2m + deg(r) + 4, and the polynomial constants are lifted
+        at it, so every nonzero entry has finite precision.
+        """
+        B = self._basis.get(prec)
+        if B is None:
+            F = self.F
+            work = prec + 2 * self.m + poly_deg(self.r) + 4
+            s = self.sqrt_alpha(work)
+            si = s.inv()
+            one = Laurent.from_poly(F, ONE_POLY, work)
+            r = Laurent.from_poly(F, self.r, work)
+            zero = Laurent.zero(F)
+            es = Laurent.from_poly(F, self.epsilon, work) * si
+            rs = r * si
+            B = (Mat2(one, zero, zero, one), Mat2(s, zero, zero, -s),
+                 Mat2(zero, one, r, zero), Mat2(es, si, -rs, -es))
+            self._basis[prec] = B
+        return B
+
+    def basis_stack(self, prec: int) -> SeriesStack:
+        """basis_embedding(prec) as one SeriesStack: row x is the matrix
+        entry (a, b, c, d), column k the basis element."""
+        S = self._stacks.get(prec)
+        if S is None:
+            B = self.basis_embedding(prec)
+            S = SeriesStack(self.F, [[M.entries()[x] for M in B]
+                                     for x in range(4)])
+            self._stacks[prec] = S
+        return S
 
     def embed(self, x: QuatElem, prec: int) -> Mat2:
-        """iota(x) in M_2(K_infinity), entries at precision >= prec."""
+        """iota(x) in M_2(K_infinity), entries at precision >= prec.
+
+        iota(x) = sum_k lam_k * iota(b_k) over the memoized basis images;
+        a coordinate of degree D costs D digits, so the basis is taken at
+        precision prec + max deg(lam_k), rounded up to a multiple of 16
+        so that a long session memoizes only a few of them.
+        """
         F = self.F
         maxdeg = max((poly_deg(c) for c in x.lam), default=0)
-        pad = 2 * self.m + max(0, maxdeg) + poly_deg(self.r) + 4
-        work = prec + pad
-        s = self.sqrt_alpha(work)
-        si = s.inv()
-
-        def lift(f):
+        B = self.basis_embedding(-(-(prec + max(0, maxdeg)) // 16) * 16)
+        entries = [Laurent.zero(F)] * 4
+        for f, Bk in zip(x.lam, B):
             if not f:
-                return Laurent.zero(F)
-            return Laurent.from_poly(F, f, work)
-
-        l1, l2, l3, l4 = (lift(c) for c in x.lam)
-        eps = lift(self.epsilon)
-        r = lift(self.r)
-        a = l1 + l2 * s + l4 * eps * si
-        b = l3 + l4 * si
-        c = l3 * r - l4 * r * si
-        d = l1 - l2 * s - l4 * eps * si
-        M = Mat2(a, b, c, d)
+                continue
+            lam = Laurent.from_poly(F, f, INF)
+            for i, e in enumerate(Bk.entries()):
+                if not e.is_exact_zero:
+                    entries[i] = entries[i] + lam * e
+        M = Mat2(*entries)
         for entry in M.entries():
             if not entry.is_exact_zero and entry.prec < prec:
                 raise AssertionError(

@@ -185,26 +185,8 @@ def _two_vertex_quotient(alg: AlgebraData, first, second) -> QuotientGraph:
     return G
 
 
-def compute_quotient(alg: AlgebraData, threads: int = 1) -> QuotientGraph:
-    """Breadth-first construction of the enhanced fundamental domain.
-
-    With ``threads`` > 1 the hom solves against the earlier candidates
-    of a level run on a thread pool; the results are consumed strictly
-    in candidate order, so the output graph is independent of the
-    schedule (and of ``threads``).
-    """
-    executor = None
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        executor = ThreadPoolExecutor(max_workers=threads)
-    try:
-        return _compute_quotient(alg, executor)
-    finally:
-        if executor is not None:
-            executor.shutdown()
-
-
-def _compute_quotient(alg: AlgebraData, executor) -> QuotientGraph:
+def compute_quotient(alg: AlgebraData) -> QuotientGraph:
+    """Breadth-first construction of the enhanced fundamental domain."""
     F = alg.F
     q = F.q
     v0 = BASE_VERTEX
@@ -239,16 +221,13 @@ def _compute_quotient(alg: AlgebraData, executor) -> QuotientGraph:
                 alive[i] = None
                 continue
 
-            earlier = [j for j in range(i) if alive[j] is not None]
-            if executor is not None:
-                futures = {j: executor.submit(hom, alg, cand, alive[j][1])
-                           for j in earlier}
             matched = False
-            for j in earlier:
+            for j in range(i):
+                if alive[j] is None:
+                    continue
                 _, wprime = alive[j]
                 wp_id = G.vid[wprime]
-                hs = futures[j].result() if executor is not None \
-                    else hom(alg, cand, wprime)
+                hs = hom(alg, cand, wprime)
                 if hs.dim == 0:
                     continue
                 assert hs.dim == 1, "hom space between one-dimensional " \

@@ -67,17 +67,13 @@ class Vertex:
     def g_is_zero(self) -> bool:
         return not self.gcoeffs
 
-    def g_laurent(self, F: GF, prec: int) -> Laurent:
-        if not self.gcoeffs:
-            return Laurent.zero(F)
-        return Laurent(F, self.gval, self.gcoeffs, prec)
-
-    def matrix(self, F: GF, prec: int) -> Mat2:
-        """The normal-form representative [[pi^n, g], [0, 1]]."""
-        return Mat2(Laurent.pi_power(F, self.n, prec),
-                    self.g_laurent(F, prec),
-                    Laurent.zero(F),
-                    Laurent.constant(F, 1, prec))
+    def matrix(self, F: GF, prec=INF) -> Mat2:
+        """The normal-form representative [[pi^n, g], [0, 1]], exact
+        unless a finite prec is given (then every entry is O(pi^prec))."""
+        g = (Laurent(F, self.gval, self.gcoeffs, prec) if self.gcoeffs
+             else Laurent.zero(F))
+        return Mat2(Laurent.pi_power(F, self.n, prec), g,
+                    Laurent.zero(F), Laurent.constant(F, 1, prec))
 
     def degn(self) -> int:
         """deg_n(g) = max(0, n - v(g)), with deg_n(0) = 0."""
@@ -169,12 +165,9 @@ def vnf(M: Mat2) -> Vertex:
 
 
 def act(A: Mat2, v: Vertex) -> Vertex:
-    """The action on lattice classes: vnf(A * matrix(v))."""
-    F = A.a.F
-    finite = [int(x.prec) for x in A.entries() if x.prec != INF]
-    prec = max(finite) if finite else 8
-    span = abs(v.n) + (v.n - v.gval if v.gcoeffs else 0)
-    return vnf(A * v.matrix(F, prec + span + 4))
+    """The action on lattice classes: vnf(A * matrix(v)), with the exact
+    vertex matrix, so A alone bounds the precision."""
+    return vnf(A * v.matrix(A.a.F))
 
 
 # ---------------------------------------------------------------------
@@ -222,20 +215,12 @@ def geodesic_to_base(v: Vertex) -> list[Vertex]:
     return path
 
 
-def distance_at(F: GF, v: Vertex, w: Vertex, prec: int) -> int:
-    """Tree distance at a fixed working precision (may raise)."""
+def distance(F: GF, v: Vertex, w: Vertex) -> int:
+    """Tree distance: the distance of Mv^(-1) Mw's class to the base.
+    The vertex matrices are exact, so no precision is involved."""
     if v == w:
         return 0
-    rel = vnf(v.matrix(F, prec).inv() * w.matrix(F, prec))
-    return rel.dist_to_base()
-
-
-def distance(F: GF, v: Vertex, w: Vertex) -> int:
-    """Tree distance, retrying at doubled precision as needed."""
-    start = (abs(v.n) + abs(w.n)
-             + (v.n - v.gval if v.gcoeffs else 0)
-             + (w.n - w.gval if w.gcoeffs else 0) + 8)
-    return retry_with_precision(lambda p: distance_at(F, v, w, p), start)
+    return vnf(v.matrix(F).inv() * w.matrix(F)).dist_to_base()
 
 
 # ---------------------------------------------------------------------

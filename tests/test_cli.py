@@ -8,8 +8,11 @@ import json
 
 import pytest
 
-from btquot.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_USER, EXIT_VERIFY,
-                        JobConfig, main)
+from btquot import cli
+from btquot.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PRECISION, EXIT_USER,
+                        EXIT_VERIFY, JobConfig, _make_parser, _parse_config,
+                        main)
+from btquot.laurent import InsufficientPrecisionError
 
 Q5 = ["--q", "5", "--primes", "T,T+1,T+2,T+3"]
 Q3 = ["--q", "3", "--primes", "T,T+1"]
@@ -85,15 +88,6 @@ class TestCompute:
                                     "--format", "json"])
         assert code == EXIT_OK
         assert out == cached[0].read_text()
-
-    def test_threads_do_not_change_output(self, capsys, tmp_path):
-        code1, out1, _ = run(capsys, ["compute", *Q5, "--no-cache",
-                                      "--format", "json", "--no-verify"])
-        code2, out2, _ = run(capsys, ["compute", *Q5, "--no-cache",
-                                      "--format", "json", "--no-verify",
-                                      "--threads", "3"])
-        assert code1 == code2 == EXIT_OK
-        assert out1 == out2
 
     def test_dot_output(self, capsys, cache):
         code, out, _ = run(capsys, ["compute", *Q5, *cache,
@@ -183,4 +177,38 @@ class TestJobConfig:
         cfg = JobConfig(q=5, primes=[(0, 1), (1, 1)])
         assert cfg.F.q == 5
         assert cfg.verify and cfg.degree_bound and cfg.use_cache
-        assert cfg.threads == 1
+
+
+class TestPrimesArgument:
+    Q9 = ["--q", "9", "--primes", "T,T+1,T+2,T+[0,1]"]
+
+    def test_commas_inside_brackets_do_not_split(self):
+        args = _make_parser().parse_args(["hom", *self.Q9, "(0; 0)",
+                                          "(0; 0)"])
+        cfg = _parse_config(args)
+        assert len(cfg.primes) == 4
+        assert cfg.primes[3] == (cfg.F.from_coords([0, 1]), 1)
+
+    def test_hom_over_q9_with_bracketed_prime(self, capsys, cache):
+        code, out, err = run(capsys, ["hom", *self.Q9, *cache,
+                                      "(0; 0)", "(0; 0)"])
+        assert code == EXIT_OK, err
+        assert out.startswith("dim = ")
+
+
+class TestPrecisionExhaustion:
+    def test_exit_code_and_one_line_message(self, capsys, cache,
+                                            monkeypatch):
+        def exhausted(alg, v, w):
+            raise InsufficientPrecisionError("forced for the test")
+
+        monkeypatch.setattr(cli, "hom", exhausted)
+        code, out, err = run(capsys, ["hom", *Q5, *cache,
+                                      "(2; 0)", "(2; 4@1)"])
+        assert code == EXIT_PRECISION
+        assert out == ""
+        assert err.startswith("error: precision cap ")
+        assert "forced for the test" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert EXIT_PRECISION not in (EXIT_OK, EXIT_VERIFY, EXIT_USER,
+                                      EXIT_INTERNAL)

@@ -9,10 +9,19 @@ those sets exactly.
 
 import functools
 import itertools
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btquot.algebra import field, poly_add, poly_mul, poly_scale, poly_trim
-from btquot.homspace import HomSet, end_and_classify, hom
+from btquot.homspace import (HomSet, _kernel_basis, _system_matrix,
+                             end_and_classify, hom)
+from btquot.laurent import InsufficientPrecisionError
 from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra
+from btquot.quotient import transport
 from btquot.tree import BASE_VERTEX, Vertex, act, neighbors, retry_with_precision
 
 ALG3 = build_algebra(field(3), [(0, 1), (1, 1)])
@@ -234,3 +243,107 @@ class TestHomProperties:
                     distance(F, w, BASE_VERTEX))
             for b in hom(ALG5, v, w).basis:
                 assert height(b) <= n + ALG5.m
+
+
+# ---------------------------------------------------------------------------
+# the one elimination against brute-force kernel enumeration
+# ---------------------------------------------------------------------------
+
+def brute_kernel(F, rows, ncols):
+    """Every x in F_q^ncols with rows . x = 0, by enumeration."""
+    out = set()
+    for x in itertools.product(range(F.q), repeat=ncols):
+        if all(_dot(F, row, x) == 0 for row in rows):
+            out.add(x)
+    return out
+
+
+def _dot(F, row, x):
+    acc = 0
+    for a, b in zip(row, x):
+        acc = F.add(acc, F.mul(a, b))
+    return acc
+
+
+def span(F, basis, ncols):
+    out = set()
+    for cs in itertools.product(range(F.q), repeat=len(basis)):
+        vec = [0] * ncols
+        for c, b in zip(cs, basis):
+            vec = [F.add(v, F.mul(c, x)) for v, x in zip(vec, b)]
+        out.add(tuple(vec))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([3, 7, 9, 25, 27]))
+def test_kernel_matches_enumeration(data, q):
+    F = field(q)
+    ncols = data.draw(st.integers(1, 4 if q <= 9 else 3))
+    nrows = data.draw(st.integers(0, 4))
+    # few distinct values, so that dependent and zero rows are common
+    values = data.draw(st.lists(st.integers(0, q - 1), min_size=1,
+                                max_size=3))
+    rows = [[data.draw(st.sampled_from(values)) for _ in range(ncols)]
+            for _ in range(nrows)]
+    A = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+    basis = _kernel_basis(F, A, ncols)
+    assert span(F, basis, ncols) == brute_kernel(F, rows, ncols)
+    assert len(span(F, basis, ncols)) == q ** len(basis)
+    for b in basis:
+        assert next(c for c in b if c) == 1
+    # the reduced echelon basis ignores row order and repeated rows
+    rng = random.Random(q * 101 + nrows)
+    shuffled = rows + rows[:1]
+    rng.shuffle(shuffled)
+    B = np.array(shuffled, dtype=np.int64).reshape(len(shuffled), ncols)
+    assert _kernel_basis(F, B, ncols) == basis
+
+
+# ---------------------------------------------------------------------------
+# the precision-retry path, started below what the kernels need
+# ---------------------------------------------------------------------------
+
+def counting(fn):
+    """fn, plus a list of the precisions at which it raised."""
+    raised = []
+
+    def wrapped(prec):
+        try:
+            return fn(prec)
+        except InsufficientPrecisionError:
+            raised.append(prec)
+            raise
+    return wrapped, raised
+
+
+class TestPrecisionRetry:
+    V = Vertex.make(12, 1, (1, 0, 3, 2))
+    W = Vertex.make(12, 0, (2, 1, 4))
+    FAR = Vertex.make(20, -6, (1, 0, 3, 2))
+
+    def test_act_of_embedding_retries_then_agrees(self):
+        g = hom(ALG5, Vertex.make(2, 0, ()), Vertex.make(2, 1, (4,))).basis[0]
+        attempt, raised = counting(
+            lambda prec: act(ALG5.embed(g, prec), self.FAR))
+        got = retry_with_precision(attempt, 1)
+        assert raised, "the low start never ran out of precision"
+        assert got == transport(ALG5, g, self.FAR)
+        assert got == act(ALG5.embed(g, 256), self.FAR)
+
+    def test_hom_system_retries_then_agrees(self):
+        v, w = self.V, self.W
+        nm = max(v.dist_to_base(), w.dist_to_base()) + ALG5.m
+        attempt, raised = counting(
+            lambda prec: _system_matrix(ALG5, v, w, nm, prec))
+        low = retry_with_precision(attempt, 1)
+        assert raised, "the low start never ran out of precision"
+        high = _system_matrix(ALG5, v, w, nm, 256)
+        assert np.array_equal(low, high)
+        ncols = 4 * (nm + 1)
+        assert _kernel_basis(ALG5.F, low, ncols) == \
+            _kernel_basis(ALG5.F, high, ncols)
+
+    def test_system_below_needed_precision_raises(self):
+        with pytest.raises(InsufficientPrecisionError):
+            _system_matrix(ALG5, self.V, self.W, 13, 4)

@@ -227,3 +227,129 @@ def test_mat2_min_val():
              Laurent.zero(F5), Laurent.constant(F5, 1, 4))
     with pytest.raises(InsufficientPrecisionError):
         B.min_val()
+
+
+# ---------------------------------------------------------------------
+# exact values: infinity is compared by value, inverses stay honest
+# ---------------------------------------------------------------------
+
+def test_computed_infinity_is_exact():
+    z = Laurent(F5, 0, (), math.inf + 0)
+    assert z.is_exact_zero
+    x = Laurent(F5, 1, (1,), math.inf + 0)
+    assert x.coeff(50) == 0
+
+
+def test_exact_product_of_exact_series():
+    x = Laurent(F5, 1, (1,), math.inf)
+    y = Laurent(F5, 0, (1, 2), math.inf)
+    prod = x * y
+    assert prod == Laurent(F5, 1, (1, 2), math.inf)
+    assert prod.prec == math.inf
+    assert (prod + y).prec == math.inf
+
+
+def test_exact_monomial_inverse_is_exact():
+    x = Laurent(F5, 2, (3,), math.inf)
+    assert x.inv() == Laurent(F5, -2, (2,), math.inf)
+    assert x.inv().inv() == x
+
+
+def test_exact_multi_term_inverse_raises():
+    one_plus_pi = Laurent(F5, 0, (1, 1), math.inf)
+    with pytest.raises(ValueError):
+        one_plus_pi.inv()
+    # at a finite precision the inverse exists: 1 - pi + pi^2 - ...
+    assert one_plus_pi.truncate(6).inv() == \
+        Laurent(F5, 0, (1, 4, 1, 4, 1, 4), 6)
+
+
+# ---------------------------------------------------------------------
+# array kernels against schoolbook references
+# ---------------------------------------------------------------------
+
+KERNEL_FIELDS = [3, 7, 9, 25, 27]
+
+
+def school_mul(x, y):
+    """x * y by the coefficient double loop and the precision rule."""
+    F = x.F
+    if x.is_exact_zero or y.is_exact_zero:
+        return Laurent.zero(F)
+    prec = min(x.prec + y.val, y.prec + x.val)
+    if not x.coeffs or not y.coeffs:
+        return Laurent.zero(F) if prec == math.inf else \
+            Laurent.zero_at(F, prec)
+    out = [0] * (len(x.coeffs) + len(y.coeffs) - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            out[i + j] = F.add(out[i + j], F.mul(a, b))
+    return Laurent(F, x.val + y.val, out, prec)
+
+
+def school_add(x, y):
+    F = x.F
+    prec = min(x.prec, y.prec)
+    if x.is_exact_zero:
+        return y
+    if y.is_exact_zero:
+        return x
+    ends = [z.val + len(z.coeffs) for z in (x, y) if z.coeffs]
+    lo = min(x.val, y.val)
+    hi = min(prec, max(ends, default=prec))
+    if lo >= hi:
+        return Laurent.zero_at(F, prec)
+    return Laurent(F, lo, [F.add(x.coeff(k), y.coeff(k))
+                           for k in range(lo, hi)], prec)
+
+
+def school_inv(x):
+    """1/x term by term: b_k = -b_0 * sum_{j>=1} c_j b_{k-j}."""
+    F = x.F
+    c = x.coeffs
+    rel = x.prec - x.val
+    b = [F.inv(c[0])]
+    for k in range(1, rel):
+        acc = 0
+        for j in range(1, min(k, len(c) - 1) + 1):
+            acc = F.add(acc, F.mul(c[j], b[k - j]))
+        b.append(F.neg(F.mul(acc, b[0])))
+    return Laurent(F, -x.val, b, x.prec - 2 * x.val)
+
+
+@st.composite
+def series(draw, q, exact=None, unit=False):
+    """A Laurent value over GF(q): exact or not, possibly zero at its
+    precision or the exact zero."""
+    F = field(q)
+    val = draw(st.integers(-3, 3))
+    coeffs = draw(st.lists(st.integers(0, q - 1), max_size=8))
+    if unit:
+        coeffs = [draw(st.integers(1, q - 1))] + coeffs
+    is_exact = draw(st.booleans()) if exact is None else exact
+    if is_exact:
+        if not any(coeffs):
+            return Laurent.zero(F)
+        return Laurent(F, val, coeffs, math.inf)
+    prec = val + draw(st.integers(0 if not unit else 1, 10))
+    return Laurent(F, val, coeffs, prec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(KERNEL_FIELDS))
+def test_array_mul_and_add_match_schoolbook(data, q):
+    x = data.draw(series(q))
+    y = data.draw(series(q))
+    assert x * y == school_mul(x, y)
+    assert y * x == school_mul(x, y)
+    assert x + y == school_add(x, y)
+    assert x - x == school_add(x, -x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(KERNEL_FIELDS))
+def test_newton_inverse_matches_schoolbook(data, q):
+    x = data.draw(series(q, exact=False, unit=True))
+    assert x.inv() == school_inv(x)
+    one = x * x.inv() - Laurent.constant(x.F, 1, math.inf)
+    assert one.is_zero_at_prec

@@ -23,7 +23,6 @@ from btquot.tree import (
     act,
     deg_n,
     distance,
-    distance_at,
     down_neighbors,
     format_vertex,
     geodesic_to_base,
