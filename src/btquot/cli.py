@@ -13,15 +13,19 @@ answer was determined, 70 internal assertion failure.  Each failure
 prints one line on stderr.  Output is deterministic: repeated runs
 with the same arguments produce identical bytes, and computed graphs
 are cached on disk keyed by the field, the ramified primes, and the
-serialization format version.
+serialization format version; a cached file that does not parse is
+recomputed.  --precision-cap travels with the algebra of the call
+(AlgebraData.precision_cap), never through a module global.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -107,17 +111,41 @@ def _cache_path(cfg: JobConfig) -> Path:
     return root / f"graph-{name}.json"
 
 
+def _algebra(cfg: JobConfig):
+    return build_algebra(cfg.F, cfg.primes, enforce_bound=cfg.degree_bound,
+                         precision_cap=cfg.precision_cap)
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    """Replace path by a file holding text, through a temporary file of
+    its own in the same directory, so that concurrent writers never
+    interleave and a reader sees the old or the new file, whole."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def _build_graph(cfg: JobConfig) -> QuotientGraph:
+    """The graph from the cache, or computed (and cached).  A cached file
+    that does not parse is a cache miss, and is overwritten."""
     path = _cache_path(cfg)
     if cfg.use_cache and path.is_file():
-        return graph_from_json(path.read_text())
-    alg = build_algebra(cfg.F, cfg.primes, enforce_bound=cfg.degree_bound)
-    G = compute_quotient(alg)
+        try:
+            return graph_from_json(path.read_text(encoding="utf-8"),
+                                   precision_cap=cfg.precision_cap)
+        except (ValueError, KeyError, TypeError):
+            pass
+    G = compute_quotient(_algebra(cfg))
     if cfg.use_cache:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(graph_to_json(G))
-        tmp.replace(path)
+        _write_atomically(path, graph_to_json(G))
     return G
 
 
@@ -208,8 +236,7 @@ def cmd_hom(cfg: JobConfig) -> int:
         raise ValueError("hom takes exactly two vertex arguments")
     v = parse_vertex(cfg.F, cfg.extra[0])
     w = parse_vertex(cfg.F, cfg.extra[1])
-    alg = build_algebra(cfg.F, cfg.primes, enforce_bound=cfg.degree_bound)
-    hs = hom(alg, v, w)
+    hs = hom(_algebra(cfg), v, w)
     print(f"dim = {hs.dim}, cardinality = {hs.cardinality}")
     for b in hs.basis:
         print(f"  {format_quat(cfg.F, b)}")
@@ -272,16 +299,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = _parse_config(args)
-        if cfg.precision_cap is not None:
-            if cfg.precision_cap < 4:
-                raise ValueError("--precision-cap must be at least 4")
-            tree.DEFAULT_PRECISION_CAP = cfg.precision_cap
+        if cfg.precision_cap is not None and cfg.precision_cap < 4:
+            raise ValueError("--precision-cap must be at least 4")
         return _COMMANDS[args.command](cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except InsufficientPrecisionError as exc:
-        print(f"error: precision cap {tree.DEFAULT_PRECISION_CAP} reached "
+        cap = args.precision_cap or tree.DEFAULT_PRECISION_CAP
+        print(f"error: precision cap {cap} reached "
               f"({exc}); raise --precision-cap", file=sys.stderr)
         return EXIT_PRECISION
     except (AssertionError, RuntimeError) as exc:

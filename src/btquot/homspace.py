@@ -11,28 +11,39 @@ condition gamma.v = w is equivalent to
 
 where Mv = [[pi^n_v, g_v], [0, 1]] and Mw are the exact vertex matrices.
 The map is linear in gamma, so the condition is a linear system over
-F_q in the 4(nm + 1) polynomial coefficients, built from arrays:
+F_q in the 4(nm + 1) polynomial coefficients.
+
+The solver works on stacks: one source v against a list of targets w
+(hom_stack).  The quotient search asks, for each candidate, for End(v)
+and Hom(v, w') for every live earlier candidate w' of its level, and
+takes the first nonzero one in candidate order as its pairing, so one
+stack serves the whole candidate.  Targets of the other parity are
+empty; the rest share nm and the start precision when they share n, and
+each such group is built and solved at once, from arrays:
 
 * columns: the images Y_k of the four basis elements.  Each entry of
   Y_k is a short exact series in g_v, g_w and powers of pi times an
-  entry of iota(b_k) (see _system_factors), so all sixteen are one
-  matrix product against the memoized basis embedding
-  (AlgebraData.basis_stack), with the Laurent precision rule carried
-  alongside.  A column known below pi^nm only raises
-  InsufficientPrecisionError, and the solve is retried at doubled
+  entry of iota(b_k) (see _system_factors), so all sixteen, for every
+  target of the group, are one matrix product against the memoized
+  basis embedding (AlgebraData.basis_stack), with the Laurent precision
+  rule carried alongside.  A column known below pi^nm only raises
+  InsufficientPrecisionError, and the whole group is retried at doubled
   precision;
 * equations: row (entry, t), column (k, j) holds the pi^(j - t)
   coefficient of Y_k, for every t >= 1 (the T^j coefficient of lam_k
-  must not push that entry below O_infinity), read off in one Toeplitz
-  gather;
-* kernel: one Gauss-Jordan elimination by F_q table lookups, the same
-  for prime and non-prime q.  Its reduced echelon basis is unique, so
-  the answer does not depend on how the rows were assembled.
+  must not push that entry below O_infinity), read off for every
+  target in one Toeplitz gather;
+* kernel: one Gauss-Jordan elimination by F_q table lookups over the
+  stack, the same for prime and non-prime q.  Each system's reduced
+  echelon basis is unique, so the answer depends neither on how the
+  rows were assembled nor on the other systems of the stack.
 
 Solutions automatically have reduced norm in F_q^* and map v to w (the
 determinant argument fixes the norm's valuation, and a unit of the order
-with the right action is forced); both facts are asserted, never used
-as filters.
+with the right action is forced); both facts are asserted (verified),
+never used as filters: on every basis hom returns, and in the quotient
+search on End(v) and on the pairing it takes.  A dimension above 2 is
+asserted against on every system of every stack.
 """
 
 from __future__ import annotations
@@ -95,7 +106,7 @@ def _system_factors(F: GF, v: Vertex, w: Vertex):
         Y21 = pi^(nv + s) c
         Y22 = pi^s (g_v c + d),           s = (nw - nv) / 2.
 
-    Returns (codes, base, vals) in the form SeriesStack.left_mul takes.
+    Returns {(rho, x): (valuation, codes)} for the nonzero entries.
     """
     neg = F.tables()[2]
     s = (w.n - v.n) // 2
@@ -110,84 +121,100 @@ def _system_factors(F: GF, v: Vertex, w: Vertex):
              (2, 2): one,
              (3, 2): gv, (3, 3): one}
     shifts = (v.n - w.n + s, s - w.n, v.n + s, s)
-    placed = {(rho, x): (t[0] + shifts[rho], t[1])
-              for (rho, x), t in terms.items() if t is not None}
-    base = min(start for start, _ in placed.values())
-    width = max(start + len(c) for start, c in placed.values()) - base
-    codes = np.zeros((4, 4, width), dtype=np.int64)
-    vals = np.full((4, 4), INF)
-    for (rho, x), (start, c) in placed.items():
-        codes[rho, x, start - base:start - base + len(c)] = c
-        vals[rho, x] = start
-    return codes, base, vals
+    return {(rho, x): (t[0] + shifts[rho], t[1])
+            for (rho, x), t in terms.items() if t is not None}
 
 
-def _system_matrix(alg: AlgebraData, v: Vertex, w: Vertex, nm: int,
-                   prec: int):
-    """The F_q-linear equations forcing every pi^(-t), t >= 1,
-    coefficient of pi^shift * Mw^(-1) iota(lambda) Mv to vanish, where
-    lambda_k = sum_j lam[k][j] T^j, deg <= nm, over the order basis.
+def _system_stack(alg: AlgebraData, v: Vertex, ws, nm: int, prec: int):
+    """The F_q-linear equations of Hom(v, w) for every w in ws, as one
+    (len(ws), rows, 4(nm + 1)) stack.  System i forces every pi^(-t),
+    t >= 1, coefficient of pi^shift * Mw^(-1) iota(lambda) Mv to vanish,
+    where lambda_k = sum_j lam[k][j] T^j, deg <= nm, over the order
+    basis.
 
-    Row (rho, t), column (k, j) holds the pi^(j - t) coefficient of
-    Y[rho][k] = (pi^shift * Mw^(-1) iota(b_k) Mv)[rho]: one Toeplitz
-    gather from the closed-form columns.  Raises
-    InsufficientPrecisionError when a column is known below pi^nm only.
+    Row (rho, t), column (k, j) of a system holds the pi^(j - t)
+    coefficient of Y[rho][k] = (pi^shift * Mw^(-1) iota(b_k) Mv)[rho]:
+    the factors of every w, placed on one common exponent grid, make one
+    product against the basis embedding, then one Toeplitz gather reads
+    all systems.  A row index t past one system's own range reads
+    exponents below that system's first nonzero coefficient, and rows
+    zero in every system are dropped; zero rows never change a kernel.
+    Raises InsufficientPrecisionError when a column of any system is
+    known below pi^nm only.
     """
+    factors = [_system_factors(alg.F, v, w) for w in ws]
+    base = min(start for f in factors for start, _ in f.values())
+    width = max(start + len(c) for f in factors
+                for start, c in f.values()) - base
+    G = np.zeros((len(ws), 4, 4, width), dtype=np.int64)
+    vals = np.full((len(ws), 4, 4), INF)
+    for i, f in enumerate(factors):
+        for (rho, x), (start, c) in f.items():
+            G[i, rho, x, start - base:start - base + len(c)] = c
+            vals[i, rho, x] = start
     Y, yval, yprec = alg.basis_stack(prec).left_mul(
-        *_system_factors(alg.F, v, w))
+        G.reshape(-1, 4, width), base, vals.reshape(-1, 4))
     if (yprec < nm).any():
         raise InsufficientPrecisionError(
             "system matrix below required precision")
-    nonzero = Y.any(axis=(0, 1)).nonzero()[0]
+    Y = Y.reshape(len(ws), 4, 4, -1)
+    nonzero = Y.any(axis=(0, 1, 2)).nonzero()[0]
     vmin = min(0, yval + int(nonzero[0])) if len(nonzero) else 0
     tmax = nm - vmin
     # exponents j - t run over [-tmax, nm); pad Y onto that window
-    window = np.zeros((4, 4, nm + tmax), dtype=np.int64)
-    lo, hi = max(-tmax, yval), min(nm, yval + Y.shape[2])
+    window = np.zeros((len(ws), 4, 4, nm + tmax), dtype=np.int64)
+    lo, hi = max(-tmax, yval), min(nm, yval + Y.shape[3])
     if lo < hi:
-        window[:, :, lo + tmax:hi + tmax] = Y[:, :, lo - yval:hi - yval]
+        window[..., lo + tmax:hi + tmax] = Y[..., lo - yval:hi - yval]
     t = np.arange(1, tmax + 1)[:, None]
     j = np.arange(nm + 1)[None, :]
-    A = window[:, :, j - t + tmax].transpose(0, 2, 1, 3)
-    A = A.reshape(4 * tmax, 4 * (nm + 1))
-    return A[A.any(axis=1)]
+    A = window[..., j - t + tmax].transpose(0, 1, 3, 2, 4)
+    A = A.reshape(len(ws), 4 * tmax, 4 * (nm + 1))
+    return A[:, A.any(axis=(0, 2))]
 
 
 def _kernel_basis(F: GF, A, ncols: int):
-    """Basis of the kernel of the code matrix A over F_q: one vector per
-    free column of the reduced echelon form, in column order, each
-    scaled so its first nonzero entry is 1.  The reduced echelon form is
-    unique, so neither the row order nor redundant rows can change the
-    result.  One elimination for every q, by table lookups: a step
-    replaces each row by row - A[i, c] * pivot row in a single gather
-    from the table of a - f*b."""
+    """Kernel bases of a stack of code matrices A[b] over F_q, one list
+    per system: one vector per free column of the system's reduced
+    echelon form, in column order, each scaled so its first nonzero
+    entry is 1.  The reduced echelon form is unique, so neither the row
+    order, nor redundant or zero rows, nor the other systems of the
+    stack can change a system's result.
+
+    One Gauss-Jordan elimination by F_q table lookups, the same for
+    prime and non-prime q, runs over the whole stack, column by column.
+    In every system the column takes a nonzero row of A as its pivot,
+    and one gather from the table of a - f*b clears the column in every
+    other row of every system; that zeroes the pivot row in A, so no row
+    is chosen twice, and its normalized copy goes to the column's slot
+    below A.  A system without a pivot picks the zero row put above A,
+    which changes nothing.  Once its column is cleared, a column never
+    changes again, so it is kept aside and the working matrix drops it.
+    """
     _, mul, neg, inv = F.tables()
     q = F.q
     step = _step_table(F)
-    A = A.copy()
-    pivots = []
-    r = 0
+    B, R, _ = A.shape
+    W = np.zeros((B, 1 + R + ncols, ncols), dtype=np.int64)
+    W[:, 1:R + 1] = A
+    slots = np.empty((B, ncols, ncols), dtype=np.int64)
+    systems = np.arange(B)
     for c in range(ncols):
-        if r == len(A):
-            break
-        nz = A[r:, c].nonzero()[0]
-        if not len(nz):
-            continue
-        i = r + nz[0]
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        row = mul[inv[A[r, c]]][A[r]]
-        A = step[A * (q * q) + (A[:, c] * q)[:, None] + row]
-        A[r] = row
-        pivots.append(c)
-        r += 1
-    out = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        vec = np.zeros(ncols, dtype=np.int64)
-        vec[f] = 1
-        vec[pivots] = neg[A[:len(pivots), f]]
-        lead = vec[vec.nonzero()[0][0]]
-        out.append(tuple(mul[inv[lead]][vec].tolist()))
+        # codes are >= 0: argmax finds a nonzero entry, else the zero row
+        prow = W[systems, W[:, :R + 1, 0].argmax(axis=1)]
+        row = mul[inv[prow[:, 0]][:, None], prow]
+        W = step[W * (q * q) + W[:, :, :1] * q + row[:, None, :]]
+        W[:, R + 1 + c] = row
+        slots[:, :, c] = W[:, R + 1:, 0]
+        W = W[:, :, 1:]
+    out = [[] for _ in range(B)]
+    diag = slots[:, np.arange(ncols), np.arange(ncols)]
+    for b in (diag == 0).any(axis=1).nonzero()[0]:
+        for f in (diag[b] == 0).nonzero()[0]:
+            vec = neg[slots[b, :, f]]
+            vec[f] = 1
+            lead = vec[vec.nonzero()[0][0]]
+            out[b].append(tuple(mul[inv[lead]][vec].tolist()))
     return out
 
 
@@ -207,7 +234,8 @@ def _vector_to_quat(vec, nm: int) -> QuatElem:
 
 
 def _assert_solution(alg: AlgebraData, gamma: QuatElem, v: Vertex,
-                     w: Vertex, nm: int) -> None:
+                     w: Vertex) -> None:
+    nm = max(v.dist_to_base(), w.dist_to_base()) + alg.m
     if not alg.is_unit(gamma):
         raise AssertionError("hom solution is not a unit of the order")
     if height(gamma) > nm:
@@ -216,39 +244,68 @@ def _assert_solution(alg: AlgebraData, gamma: QuatElem, v: Vertex,
     def run(prec):
         return act(alg.embed(gamma, prec), v)
 
-    if retry_with_precision(run, 4 * (nm + alg.m + 1) + 8) != w:
+    if retry_with_precision(run, 4 * (nm + alg.m + 1) + 8,
+                            alg.precision_cap) != w:
         raise AssertionError("hom solution does not map source to target")
+
+
+def hom_stack(alg: AlgebraData, v: Vertex, targets) -> list[HomSet]:
+    """Hom(v, w) for every w in targets, in order, bases not yet checked
+    (see verified).
+
+    Targets of the other parity get the empty set.  The rest are grouped
+    by n, which fixes nm and the start precision; each group is one
+    stacked system build, retried as a whole at doubled precision while
+    any of its systems runs short, and one elimination.
+    """
+    F = alg.F
+    groups: dict[int, list[int]] = {}
+    for i, w in enumerate(targets):
+        if (v.n - w.n) % 2 == 0:
+            n = max(v.dist_to_base(), w.dist_to_base())
+            groups.setdefault(n, []).append(i)
+    bases = [()] * len(targets)
+    d = max(alg.ram.d, alg.m)
+    for n, idx in groups.items():
+        nm = n + alg.m
+        ws = [targets[i] for i in idx]
+        A = retry_with_precision(
+            lambda prec: _system_stack(alg, v, ws, nm, prec),
+            2 * n + d + alg.m + 1, alg.precision_cap)
+        for i, vecs in zip(idx, _kernel_basis(F, A, 4 * (nm + 1))):
+            if len(vecs) > 2:
+                raise AssertionError(
+                    f"hom space has impossible dimension {len(vecs)}")
+            bases[i] = tuple(_vector_to_quat(vec, nm) for vec in vecs)
+    return [HomSet(F, v, w, b) for w, b in zip(targets, bases)]
+
+
+def verified(alg: AlgebraData, hs: HomSet) -> HomSet:
+    """hs, once every basis element is asserted to be a unit of the
+    order within the height bound that maps hs.source to hs.target."""
+    for gamma in hs.basis:
+        _assert_solution(alg, gamma, hs.source, hs.target)
+    return hs
 
 
 def hom(alg: AlgebraData, v: Vertex, w: Vertex) -> HomSet:
     """The set {gamma in Gamma : gamma.v = w} as a HomSet."""
-    F = alg.F
-    if (v.n - w.n) % 2 != 0:
-        return HomSet(F, v, w, ())
-    n = max(v.dist_to_base(), w.dist_to_base())
-    d = max(alg.ram.d, alg.m)
-    nm = n + alg.m
-    base_prec = 2 * n + d + alg.m + 1
-    A = retry_with_precision(
-        lambda prec: _system_matrix(alg, v, w, nm, prec), base_prec)
-    vecs = _kernel_basis(F, A, 4 * (nm + 1))
-    basis = tuple(_vector_to_quat(vec, nm) for vec in vecs)
-    if len(basis) > 2:
-        raise AssertionError(
-            f"hom space has impossible dimension {len(basis)}")
-    for gamma in basis:
-        _assert_solution(alg, gamma, v, w, nm)
-    return HomSet(F, v, w, basis)
+    return verified(alg, hom_stack(alg, v, [w])[0])
+
+
+def stability(ends: HomSet) -> str:
+    """Stable iff the endomorphisms are just the scalars (dim 1),
+    unstable iff they form a quadratic field (dim 2)."""
+    if ends.dim == 1:
+        return "stable"
+    if ends.dim == 2:
+        return "unstable"
+    raise AssertionError(
+        f"endomorphism algebra of {ends.source!r} has impossible "
+        f"dimension {ends.dim}")
 
 
 def end_and_classify(alg: AlgebraData, v: Vertex):
-    """(End(v), stability): stable iff the endomorphisms are just the
-    scalars (dim 1), unstable iff they form a quadratic field (dim 2)."""
+    """(End(v), stability)."""
     ends = hom(alg, v, v)
-    if ends.dim == 1:
-        return ends, "stable"
-    if ends.dim == 2:
-        return ends, "unstable"
-    raise AssertionError(
-        f"endomorphism algebra of {v!r} has impossible dimension "
-        f"{ends.dim}")
+    return ends, stability(ends)

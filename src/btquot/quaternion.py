@@ -161,15 +161,18 @@ def parse_quat(F: GF, text: str) -> QuatElem:
 class AlgebraData:
     """The algebra (alpha, r / K) with its maximal order and embedding.
 
-    Immutable after construction.  The sqrt(alpha) value is memoized at
+    Immutable after construction.  precision_cap bounds the precision
+    retries of every computation on the algebra (None: the default cap
+    of retry_with_precision).  The sqrt(alpha) value is memoized at
     the highest precision requested so far, and the embedded order basis
     (with 1/sqrt(alpha) inside it) once per precision.  The memos are
     plain dicts: the package runs single-threaded.
     """
 
     def __init__(self, F: GF, primes, enforce_bound: bool = True,
-                 verify: bool = True):
+                 verify: bool = True, precision_cap: int | None = None):
         self.F = F
+        self.precision_cap = precision_cap
         self.ram = RamificationSet.make(F, primes)
         self.r = self.ram.r
         self.alpha = find_alpha(F, self.ram, enforce_bound)
@@ -418,9 +421,13 @@ class AlgebraData:
 
 
 def build_algebra(F: GF, primes, enforce_bound: bool = True,
-                  verify: bool = True) -> AlgebraData:
-    """Construct the algebra ramified exactly at the given primes."""
-    return AlgebraData(F, primes, enforce_bound=enforce_bound, verify=verify)
+                  verify: bool = True,
+                  precision_cap: int | None = None) -> AlgebraData:
+    """Construct the algebra ramified exactly at the given primes.
+    precision_cap bounds every precision retry on it (None: the default
+    cap of retry_with_precision)."""
+    return AlgebraData(F, primes, enforce_bound=enforce_bound, verify=verify,
+                       precision_cap=precision_cap)
 
 
 def height(x: QuatElem) -> int:

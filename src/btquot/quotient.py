@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import poly_deg
-from .homspace import HomSet, end_and_classify, hom
+from .homspace import (HomSet, end_and_classify, hom_stack, stability,
+                       verified)
 from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
 from .tree import (BASE_VERTEX, Vertex, act, distance, geodesic_to_base,
                    neighbors, retry_with_precision)
@@ -47,7 +48,8 @@ from .tree import (BASE_VERTEX, Vertex, act, distance, geodesic_to_base,
 def transport(alg: AlgebraData, g: QuatElem, v: Vertex) -> Vertex:
     """The vertex g . v, retrying the embedding at higher precision."""
     start = 4 * (height(g) + alg.m + abs(v.n) + 4)
-    return retry_with_precision(lambda p: act(alg.embed(g, p), v), start)
+    return retry_with_precision(lambda p: act(alg.embed(g, p), v), start,
+                                alg.precision_cap)
 
 
 # ---------------------------------------------------------------------
@@ -212,7 +214,12 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
                 continue
             src_id, cand = alive[i]
             src_v = G.vertices[src_id]
-            ends, kind = end_and_classify(alg, cand)
+            # one stacked solve: End(cand), then every live earlier
+            # candidate of the level, in order
+            live = [j for j in range(i) if alive[j] is not None]
+            homs = hom_stack(alg, cand, [cand, *(alive[j][1] for j in live)])
+            ends = verified(alg, homs[0])
+            kind = stability(ends)
 
             if kind == "unstable":
                 new_id = G._add_vertex(cand, stable=False,
@@ -222,17 +229,13 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
                 continue
 
             matched = False
-            for j in range(i):
-                if alive[j] is None:
-                    continue
-                _, wprime = alive[j]
-                wp_id = G.vid[wprime]
-                hs = hom(alg, cand, wprime)
+            for j, hs in zip(live, homs[1:]):
                 if hs.dim == 0:
                     continue
                 assert hs.dim == 1, "hom space between one-dimensional " \
                     "vertices must be a line"
-                g = hs.basis[0]
+                wp_id = G.vid[hs.target]
+                g = verified(alg, hs).basis[0]
                 back = transport(alg, g, src_v)
                 G._add_pairing(src_id, wp_id, cand, g, back)
                 alive[i] = None

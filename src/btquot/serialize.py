@@ -69,15 +69,17 @@ def graph_to_json(G: QuotientGraph) -> str:
     return json.dumps(graph_to_json_dict(G), indent=2) + "\n"
 
 
-def graph_from_json(text: str) -> QuotientGraph:
-    """Rebuild a graph from its JSON form (also rebuilding the algebra;
-    the stored alpha/epsilon/nu must match the derived ones)."""
+def graph_from_json(text: str,
+                    precision_cap: int | None = None) -> QuotientGraph:
+    """Rebuild a graph from its JSON form (also rebuilding the algebra,
+    with the given precision cap; the stored alpha/epsilon/nu must match
+    the derived ones)."""
     data = json.loads(text)
     if data.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {data.get('format')}")
     F = field(data["q"])
     primes = [parse_poly(F, t) for t in data["primes"]]
-    alg = build_algebra(F, primes)
+    alg = build_algebra(F, primes, precision_cap=precision_cap)
     for key, val in (("alpha", alg.alpha), ("epsilon", alg.epsilon),
                      ("nu", alg.nu)):
         if parse_poly(F, data[key]) != val:

@@ -5,10 +5,11 @@ checking output, exit codes, and byte-level determinism.
 """
 
 import json
+import os
 
 import pytest
 
-from btquot import cli
+from btquot import cli, homspace, quotient, tree
 from btquot.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PRECISION, EXIT_USER,
                         EXIT_VERIFY, JobConfig, _make_parser, _parse_config,
                         main)
@@ -88,6 +89,26 @@ class TestCompute:
                                     "--format", "json"])
         assert code == EXIT_OK
         assert out == cached[0].read_text()
+
+    def test_no_temp_file_left_behind(self, capsys, cache, tmp_path):
+        assert run(capsys, ["compute", *Q3, *cache, "--no-verify"])[0] \
+            == EXIT_OK
+        assert len(list(tmp_path.glob("graph-*.json"))) == 1
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_corrupt_cache_is_a_miss_and_is_overwritten(self, capsys, cache,
+                                                        tmp_path):
+        args = ["compute", *Q5, *cache, "--format", "json", "--no-verify"]
+        assert run(capsys, args)[0] == EXIT_OK
+        (path,) = tmp_path.glob("graph-*.json")
+        path.write_text("{ not json at all")
+        code, out, err = run(capsys, args)
+        assert code == EXIT_OK, err
+        code, fresh, _ = run(capsys, ["export", *Q5, "--no-cache",
+                                      "--format", "json"])
+        assert code == EXIT_OK
+        assert out == fresh
+        assert path.read_bytes() == fresh.encode()
 
     def test_dot_output(self, capsys, cache):
         code, out, _ = run(capsys, ["compute", *Q5, *cache,
@@ -170,6 +191,59 @@ class TestHomAndVerify:
         code, _, err = run(capsys, ["verify", *Q3, *cache,
                                     "--precision-cap", "2"])
         assert code == EXIT_USER
+
+
+class TestCacheWrite:
+    def test_writers_get_distinct_temp_files(self, tmp_path, monkeypatch):
+        sources = []
+        real_replace = os.replace
+
+        def recording(src, dst):
+            sources.append(src)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", recording)
+        path = tmp_path / "graph-x.json"
+        cli._write_atomically(path, "first")
+        cli._write_atomically(path, "second")
+        assert len(set(sources)) == 2
+        assert all(os.path.dirname(s) == str(tmp_path) for s in sources)
+        assert path.read_text() == "second"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failed_write_removes_its_temp_file(self, tmp_path, monkeypatch):
+        def failing(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", failing)
+        path = tmp_path / "graph-x.json"
+        with pytest.raises(OSError):
+            cli._write_atomically(path, "text")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestPrecisionCap:
+    def test_cap_does_not_outlive_the_call(self, capsys, cache):
+        main(["compute", *Q5, *cache, "--no-verify", "--precision-cap", "8"])
+        assert tree.DEFAULT_PRECISION_CAP == 1 << 14
+        code, _, err = run(capsys, ["compute", *Q5, *cache, "--no-verify"])
+        assert code == EXIT_OK, err
+        assert tree.DEFAULT_PRECISION_CAP == 1 << 14
+
+    def test_cap_reaches_every_retry(self, capsys, cache, monkeypatch):
+        caps = []
+        real_retry = tree.retry_with_precision
+
+        def recording(fn, start, cap=None):
+            caps.append(cap)
+            return real_retry(fn, start, cap)
+
+        for mod in (homspace, quotient):
+            monkeypatch.setattr(mod, "retry_with_precision", recording)
+        code, _, err = run(capsys, ["compute", *Q5, *cache, "--no-cache",
+                                    "--no-verify", "--precision-cap", "512"])
+        assert code == EXIT_OK, err
+        assert caps and set(caps) == {512}
 
 
 class TestJobConfig:

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btquot.algebra import field, poly_add, poly_mul, poly_scale, poly_trim
-from btquot.homspace import (HomSet, _kernel_basis, _system_matrix,
-                             end_and_classify, hom)
+from btquot.homspace import (HomSet, _kernel_basis, _system_stack,
+                             end_and_classify, hom, hom_stack)
 from btquot.laurent import InsufficientPrecisionError
 from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra
 from btquot.quotient import transport
@@ -275,6 +275,12 @@ def span(F, basis, ncols):
     return out
 
 
+def kernel_of_one(F, A, ncols):
+    """The kernel basis of the single matrix A, as a stack of one."""
+    (basis,) = _kernel_basis(F, A[None], ncols)
+    return basis
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.sampled_from([3, 7, 9, 25, 27]))
 def test_kernel_matches_enumeration(data, q):
@@ -287,7 +293,7 @@ def test_kernel_matches_enumeration(data, q):
     rows = [[data.draw(st.sampled_from(values)) for _ in range(ncols)]
             for _ in range(nrows)]
     A = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
-    basis = _kernel_basis(F, A, ncols)
+    basis = kernel_of_one(F, A, ncols)
     assert span(F, basis, ncols) == brute_kernel(F, rows, ncols)
     assert len(span(F, basis, ncols)) == q ** len(basis)
     for b in basis:
@@ -297,7 +303,95 @@ def test_kernel_matches_enumeration(data, q):
     shuffled = rows + rows[:1]
     rng.shuffle(shuffled)
     B = np.array(shuffled, dtype=np.int64).reshape(len(shuffled), ncols)
-    assert _kernel_basis(F, B, ncols) == basis
+    assert kernel_of_one(F, B, ncols) == basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([3, 7, 9, 25, 27]))
+def test_stacked_kernels_match_single_and_enumeration(data, q):
+    """Each system of a stack, padded with zero rows to the stack's row
+    count, has the basis it has alone, and that basis spans the kernel."""
+    F = field(q)
+    ncols = data.draw(st.integers(1, 4 if q <= 9 else 3))
+    values = data.draw(st.lists(st.integers(0, q - 1), min_size=1,
+                                max_size=3))
+    systems = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        nrows = data.draw(st.integers(0, 4))
+        systems.append([[data.draw(st.sampled_from(values))
+                         for _ in range(ncols)] for _ in range(nrows)])
+    height = max(len(rows) for rows in systems) + data.draw(st.integers(0, 2))
+    stack = np.zeros((len(systems), height, ncols), dtype=np.int64)
+    for b, rows in enumerate(systems):
+        if rows:
+            stack[b, :len(rows)] = rows
+    got = _kernel_basis(F, stack, ncols)
+    assert len(got) == len(systems)
+    for basis, rows in zip(got, systems):
+        A = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+        assert basis == kernel_of_one(F, A, ncols)
+        assert span(F, basis, ncols) == brute_kernel(F, rows, ncols)
+
+
+@functools.lru_cache(maxsize=None)
+def q5_spheres():
+    """The spheres of radius 0..3 around the base vertex, for q = 5."""
+    spheres = [[BASE_VERTEX]]
+    seen = {BASE_VERTEX}
+    for _ in range(3):
+        shell = [u for v in spheres[-1] for u in neighbors(ALG5.F, v)
+                 if u not in seen]
+        seen.update(shell)
+        spheres.append(shell)
+    return spheres
+
+
+def test_stacked_systems_hold_their_own_equations():
+    """Every system of a stack has, among its nonzero rows and in order,
+    exactly the equations of its stack of one, also where other systems
+    of the stack need rows it does not."""
+    extra = 0
+    for sphere in q5_spheres()[2:]:
+        for v in sphere[:4]:
+            ws = [v] + [w for w in sphere[:12]
+                        if w != v and (w.n - v.n) % 2 == 0]
+            nm = max(u.dist_to_base() for u in ws) + ALG5.m
+            stack = _system_stack(ALG5, v, ws, nm, 128)
+            assert len(stack) == len(ws)
+            for A, w in zip(stack, ws):
+                (alone,) = _system_stack(ALG5, v, [w], nm, 128)
+                assert np.array_equal(A[A.any(axis=1)],
+                                      alone[alone.any(axis=1)])
+                extra += (A.any(axis=1) & ~stack[0].any(axis=1)).any()
+    assert extra, "no system needed a row the first system lacks"
+
+
+def test_candidate_stack_matches_sequential_hom():
+    """The stacked solve of a candidate against End and a list of targets
+    of mixed parity and mixed height bound gives the End basis and the
+    first nonzero target (index and basis) that sequential hom calls in
+    candidate order give."""
+    lvl2, lvl3 = q5_spheres()[2:]
+    pool = lvl2[:10] + lvl3[:6]
+    assert {v.n % 2 for v in pool} == {0, 1}
+    assert len({v.dist_to_base() for v in pool}) == 2
+    hits = 0
+    for k, cand in enumerate(lvl2[:6] + lvl3[:2]):
+        targets = [w for w in pool if w != cand][k:k + 9]
+        stacked = hom_stack(ALG5, cand, [cand, *targets])
+        assert [hs.target for hs in stacked] == [cand, *targets]
+        assert stacked[0].basis == hom(ALG5, cand, cand).basis
+        first = next(((j, hs.basis) for j, hs in enumerate(stacked[1:])
+                      if hs.dim), None)
+        expected = None
+        for j, w in enumerate(targets):
+            hs = hom(ALG5, cand, w)
+            if hs.dim:
+                expected = (j, hs.basis)
+                break
+        assert first == expected, cand
+        hits += first is not None
+    assert hits, "no candidate met a target in its orbit"
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +429,35 @@ class TestPrecisionRetry:
         v, w = self.V, self.W
         nm = max(v.dist_to_base(), w.dist_to_base()) + ALG5.m
         attempt, raised = counting(
-            lambda prec: _system_matrix(ALG5, v, w, nm, prec))
+            lambda prec: _system_stack(ALG5, v, [w], nm, prec))
         low = retry_with_precision(attempt, 1)
         assert raised, "the low start never ran out of precision"
-        high = _system_matrix(ALG5, v, w, nm, 256)
+        high = _system_stack(ALG5, v, [w], nm, 256)
         assert np.array_equal(low, high)
         ncols = 4 * (nm + 1)
         assert _kernel_basis(ALG5.F, low, ncols) == \
             _kernel_basis(ALG5.F, high, ncols)
 
+    def test_stacked_system_retries_then_agrees(self):
+        # End(V) and targets of one height bound, built as one stack
+        v = self.V
+        ws = [v, self.W, Vertex.make(12, 1, (3, 0, 3, 2)),
+              Vertex.make(10, 0, (1, 1))]
+        nm = max(u.dist_to_base() for u in ws) + ALG5.m
+        assert all(max(v.dist_to_base(), u.dist_to_base()) + ALG5.m == nm
+                   for u in ws)
+        attempt, raised = counting(
+            lambda prec: _system_stack(ALG5, v, ws, nm, prec))
+        low = retry_with_precision(attempt, 1)
+        assert raised, "the low start never ran out of precision"
+        high = _system_stack(ALG5, v, ws, nm, 256)
+        assert np.array_equal(low, high)
+        ncols = 4 * (nm + 1)
+        bases = _kernel_basis(ALG5.F, low, ncols)
+        assert bases == _kernel_basis(ALG5.F, high, ncols)
+        assert [len(b) for b in bases] == \
+            [hom(ALG5, v, u).dim for u in ws]
+
     def test_system_below_needed_precision_raises(self):
         with pytest.raises(InsufficientPrecisionError):
-            _system_matrix(ALG5, self.V, self.W, 13, 4)
+            _system_stack(ALG5, self.V, [self.W], 13, 4)
