@@ -180,7 +180,7 @@ class GF:
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             return self.pow(self.inv(a), -n)
-        result = 1 if self.e == 1 else self.from_coords([1])
+        result = 1
         base = a
         while n:
             if n & 1:
@@ -196,35 +196,12 @@ class GF:
             return pow(a, self.p - 2, self.p)
         return self.pow(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    @property
-    def one(self) -> int:
-        return 1
-
-    @property
-    def zero(self) -> int:
-        return 0
-
     def primitive_root(self) -> int:
         """First generator of F_q^* in canonical element order."""
         n = self.q - 1
-        prime_divs = []
-        m = n
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                prime_divs.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            prime_divs.append(m)
+        divs = _prime_divisors(n)
         for a in self.elements():
-            if a == 0:
-                continue
-            if all(self.pow(a, n // ell) != 1 for ell in prime_divs):
+            if a and all(self.pow(a, n // ell) != 1 for ell in divs):
                 return a
         raise RuntimeError("no primitive root found")  # unreachable
 
@@ -335,17 +312,6 @@ def poly_mul(F: GF, f, g):
             for j, y in enumerate(g):
                 prod[i + j] = F.add(prod[i + j], F.mul(x, y))
     return poly_trim(prod)
-
-
-def poly_pow(F: GF, f, n: int):
-    result = ONE_POLY
-    base = f
-    while n:
-        if n & 1:
-            result = poly_mul(F, result, base)
-        base = poly_mul(F, base, base)
-        n >>= 1
-    return result
 
 
 def poly_eval(F: GF, f, x: int) -> int:
@@ -694,7 +660,7 @@ def parse_poly(F: GF, text: str):
         if exp_s is not None and tvar is None:
             raise ValueError(f"exponent without T in term {term!r}")
         if coeff_s is None:
-            coeff = F.one
+            coeff = 1
         elif coeff_s.startswith("["):
             parts = coeff_s[1:-1].split(",")
             cs = [int(x) for x in parts if x.strip() != ""]

@@ -35,7 +35,7 @@ from .homspace import hom
 from .laurent import InsufficientPrecisionError
 from .quaternion import build_algebra, format_quat, parse_quat
 from .quotient import (QuotientGraph, compute_quotient, express_in_generators,
-                       presentation, reduce, transport, verify_structure)
+                       presentation, reduce, verify_structure)
 from .serialize import (FORMAT_VERSION, graph_from_json, graph_to_dot,
                         graph_to_json, graph_to_text)
 from .tree import format_vertex, parse_vertex
@@ -56,7 +56,6 @@ class JobConfig:
     fmt: str = "text"
     output: str | None = None
     verify: bool = True
-    degree_bound: bool = True
     precision_cap: int | None = None
     cache_dir: str | None = None
     use_cache: bool = True
@@ -94,8 +93,7 @@ def _parse_config(args) -> JobConfig:
             raise ValueError(f"bad prime {tok.strip()!r}: {exc}") from None
     return JobConfig(
         q=args.q, primes=primes, fmt=args.format, output=args.output,
-        verify=not args.no_verify, degree_bound=not args.no_degree_bound,
-        precision_cap=args.precision_cap,
+        verify=not args.no_verify, precision_cap=args.precision_cap,
         cache_dir=args.cache_dir, use_cache=not args.no_cache,
         extra=getattr(args, "args", []))
 
@@ -112,8 +110,7 @@ def _cache_path(cfg: JobConfig) -> Path:
 
 
 def _algebra(cfg: JobConfig):
-    return build_algebra(cfg.F, cfg.primes, enforce_bound=cfg.degree_bound,
-                         precision_cap=cfg.precision_cap)
+    return build_algebra(cfg.F, cfg.primes, precision_cap=cfg.precision_cap)
 
 
 def _write_atomically(path: Path, text: str) -> None:
@@ -280,9 +277,6 @@ def _make_parser() -> argparse.ArgumentParser:
                                         "instead of stdout")
         p.add_argument("--no-verify", action="store_true",
                        help="skip the structural checks after compute")
-        p.add_argument("--no-degree-bound", action="store_true",
-                       help="do not enforce the degree bound in the "
-                            "alpha search")
         p.add_argument("--precision-cap", type=int,
                        help="cap for the adaptive series precision")
         p.add_argument("--cache-dir", help="graph cache directory")

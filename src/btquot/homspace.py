@@ -303,9 +303,3 @@ def stability(ends: HomSet) -> str:
     raise AssertionError(
         f"endomorphism algebra of {ends.source!r} has impossible "
         f"dimension {ends.dim}")
-
-
-def end_and_classify(alg: AlgebraData, v: Vertex):
-    """(End(v), stability)."""
-    ends = hom(alg, v, v)
-    return ends, stability(ends)

@@ -321,11 +321,6 @@ class SeriesStack:
         return codes, base + self.val, prec
 
 
-def poly_to_laurent(F: GF, f, prec: int) -> Laurent:
-    """Embed the polynomial f into K_infinity at the given precision."""
-    return Laurent.from_poly(F, f, prec)
-
-
 def newton_sqrt(F: GF, f, prec: int) -> Laurent:
     """Square root of a monic even-degree polynomial, 1-unit branch.
 
@@ -455,14 +450,3 @@ class Mat2:
         return (f"[[{self.a!r}, {self.b!r}],\n"
                 f" [{self.c!r}, {self.d!r}]]")
 
-
-def mat2_mul(A: Mat2, B: Mat2) -> Mat2:
-    return A * B
-
-
-def mat2_det(A: Mat2) -> Laurent:
-    return A.det()
-
-
-def mat2_inv(A: Mat2) -> Mat2:
-    return A.inv()

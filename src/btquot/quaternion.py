@@ -92,20 +92,17 @@ def alpha_degree_bound(q: int, num_primes: int, d: int) -> int:
     return d + 3 if l == 2 else d + 1
 
 
-def find_alpha(F: GF, ram: RamificationSet, enforce_bound: bool = True):
+def find_alpha(F: GF, ram: RamificationSet):
     """First monic irreducible of even degree that is a non-square at
-    every ramified place, searching degrees 2, 4, ... in canonical order."""
+    every ramified place, searching degrees 2, 4, ... in canonical order
+    up to alpha_degree_bound."""
     bound = alpha_degree_bound(F.q, len(ram.primes), ram.d)
-    degree = 2
-    while True:
-        if enforce_bound and degree > bound:
-            raise RuntimeError(
-                f"alpha search exceeded the degree bound {bound}; "
-                "this indicates an arithmetic bug")
+    for degree in range(2, bound + 1, 2):
         for cand in enumerate_monic_irreducibles(F, degree):
             if all(legendre(F, cand, p) == -1 for p in ram.primes):
                 return cand
-        degree += 2
+    raise RuntimeError(f"alpha search exceeded the degree bound {bound}; "
+                       "this indicates an arithmetic bug")
 
 
 @dataclass(frozen=True)
@@ -121,7 +118,6 @@ class QuatElem:
         return all(not c for c in self.lam)
 
 
-QUAT_ZERO = QuatElem((ZERO_POLY,) * 4)
 QUAT_ONE = QuatElem((ONE_POLY, ZERO_POLY, ZERO_POLY, ZERO_POLY))
 
 
@@ -169,13 +165,12 @@ class AlgebraData:
     plain dicts: the package runs single-threaded.
     """
 
-    def __init__(self, F: GF, primes, enforce_bound: bool = True,
-                 verify: bool = True, precision_cap: int | None = None):
+    def __init__(self, F: GF, primes, precision_cap: int | None = None):
         self.F = F
         self.precision_cap = precision_cap
         self.ram = RamificationSet.make(F, primes)
         self.r = self.ram.r
-        self.alpha = find_alpha(F, self.ram, enforce_bound)
+        self.alpha = find_alpha(F, self.ram)
         self.m = poly_deg(self.alpha) // 2
         self.epsilon = sqrt_mod_irreducible(F, self.r, self.alpha)
         diff = poly_sub(F, poly_mul(F, self.epsilon, self.epsilon), self.r)
@@ -186,9 +181,8 @@ class AlgebraData:
         self._sqrt_cache = None
         self._basis = {}
         self._stacks = {}
-        if verify:
-            self._verify_ramification()
-            self._verify_reduced_discriminant()
+        self._verify_ramification()
+        self._verify_reduced_discriminant()
 
     # -- construction-time derivations ---------------------------------
 
@@ -420,14 +414,12 @@ class AlgebraData:
         return M
 
 
-def build_algebra(F: GF, primes, enforce_bound: bool = True,
-                  verify: bool = True,
+def build_algebra(F: GF, primes,
                   precision_cap: int | None = None) -> AlgebraData:
     """Construct the algebra ramified exactly at the given primes.
     precision_cap bounds every precision retry on it (None: the default
     cap of retry_with_precision)."""
-    return AlgebraData(F, primes, enforce_bound=enforce_bound, verify=verify,
-                       precision_cap=precision_cap)
+    return AlgebraData(F, primes, precision_cap=precision_cap)
 
 
 def height(x: QuatElem) -> int:

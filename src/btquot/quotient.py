@@ -37,9 +37,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import poly_deg
-from .homspace import (HomSet, end_and_classify, hom_stack, stability,
-                       verified)
+from .algebra import _prime_divisors, poly_deg
+from .homspace import HomSet, hom, hom_stack, stability, verified
 from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
 from .tree import (BASE_VERTEX, Vertex, act, distance, geodesic_to_base,
                    neighbors, retry_with_precision)
@@ -103,7 +102,6 @@ class QuotientGraph:
     vertices: list[Vertex] = field(default_factory=list)
     vid: dict[Vertex, int] = field(default_factory=dict)
     stable: list[bool] = field(default_factory=list)
-    level: list[int] = field(default_factory=list)
     end_basis: dict[int, tuple[QuatElem, ...]] = field(default_factory=dict)
     edges: list[QuotientEdge] = field(default_factory=list)
     out_edges: dict[int, list[int]] = field(default_factory=dict)
@@ -135,22 +133,20 @@ class QuotientGraph:
 
     # -- construction helpers ------------------------------------------
 
-    def _add_vertex(self, v: Vertex, stable: bool, basis, level: int) -> int:
+    def _add_vertex(self, v: Vertex, stable: bool, basis) -> int:
         i = len(self.vertices)
         self.vertices.append(v)
         self.vid[v] = i
         self.stable.append(stable)
-        self.level.append(level)
         self.out_edges[i] = []
         if basis is not None:
             self.end_basis[i] = tuple(basis)
         return i
 
     def _next_index(self, a: int, b: int) -> int:
-        lo, hi = min(a, b), max(a, b)
-        return sum(1 for e in self.edges
-                   if e.kind in ("tree", "pairing")
-                   and (min(e.src, e.dst), max(e.src, e.dst)) == (lo, hi))
+        """The number of undirected a-b edges so far: each has exactly
+        one directed edge a -> b (there are no loops)."""
+        return sum(self.edges[k].dst == b for k in self.out_edges[a])
 
     def _add_edge(self, e: QuotientEdge) -> int:
         k = len(self.edges)
@@ -179,8 +175,8 @@ def _two_vertex_quotient(alg: AlgebraData, first, second) -> QuotientGraph:
     """The degenerate domain: two adjacent terminal vertices."""
     G = QuotientGraph(alg)
     (v0, ends0), (v1, ends1) = first, second
-    G._add_vertex(v0, stable=False, basis=ends0.basis, level=0)
-    G._add_vertex(v1, stable=False, basis=ends1.basis, level=1)
+    G._add_vertex(v0, stable=False, basis=ends0.basis)
+    G._add_vertex(v1, stable=False, basis=ends1.basis)
     G._add_tree_pair(0, 1)
     G.initial = 0
     G.levels = 1
@@ -192,16 +188,16 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
     F = alg.F
     q = F.q
     v0 = BASE_VERTEX
-    ends0, kind0 = end_and_classify(alg, v0)
-    if kind0 == "unstable":
+    ends0 = hom(alg, v0, v0)
+    if stability(ends0) == "unstable":
         v1 = Vertex.make(1, 0, ())
-        ends1, kind1 = end_and_classify(alg, v1)
-        if kind1 == "unstable":
+        ends1 = hom(alg, v1, v1)
+        if stability(ends1) == "unstable":
             return _two_vertex_quotient(alg, (v0, ends0), (v1, ends1))
         v0, ends0 = v1, ends1
 
     G = QuotientGraph(alg)
-    G._add_vertex(v0, stable=True, basis=None, level=0)
+    G._add_vertex(v0, stable=True, basis=None)
     G.initial = 0
     frontier = [(0, u) for u in neighbors(F, v0)]
 
@@ -222,8 +218,7 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
             kind = stability(ends)
 
             if kind == "unstable":
-                new_id = G._add_vertex(cand, stable=False,
-                                       basis=ends.basis, level=G.levels)
+                new_id = G._add_vertex(cand, stable=False, basis=ends.basis)
                 G._add_tree_pair(src_id, new_id)
                 alive[i] = None
                 continue
@@ -251,8 +246,7 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
                 break
 
             if not matched:
-                new_id = G._add_vertex(cand, stable=True, basis=None,
-                                       level=G.levels)
+                new_id = G._add_vertex(cand, stable=True, basis=None)
                 G._add_tree_pair(src_id, new_id)
                 nxt.extend((new_id, u) for u in neighbors(F, cand)
                            if u != src_v)
@@ -336,20 +330,9 @@ def reduce(G: QuotientGraph, v: Vertex) -> tuple[Vertex, QuatElem]:
 # ---------------------------------------------------------------------
 
 def _multiplicative_order_is(alg: AlgebraData, x: QuatElem, n: int) -> bool:
-    if alg.power(x, n) != QUAT_ONE:
-        return False
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            if alg.power(x, n // d) == QUAT_ONE:
-                return False
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1 and alg.power(x, n // m) == QUAT_ONE:
-        return False
-    return True
+    return (alg.power(x, n) == QUAT_ONE
+            and all(alg.power(x, n // d) != QUAT_ONE
+                    for d in _prime_divisors(n)))
 
 
 @dataclass(frozen=True)
@@ -610,7 +593,6 @@ class StructureReport:
     diameter_upper: float
     max_label_height: int
     two_cycle_pairs: int
-    two_cycle_rotations: int
     checks: tuple[CheckResult, ...]
 
     @property
@@ -703,11 +685,10 @@ def verify_structure(alg: AlgebraData, G: QuotientGraph) -> StructureReport:
         f"max height {max_h}, global bound {global_bound:.3f}"
         if not bad_h else f"violations: {bad_h}"))
 
-    pairs, rotations = two_cycle_counts(G)
+    pairs, _ = two_cycle_counts(G)
 
     return StructureReport(
         q=q, deg_r=deg_r, vertex_count=nver, undirected_edge_count=nedg,
         terminal_count=nterm, internal_count=nint, paired_count=npair,
         predicted=pred, diameter=diam, diameter_upper=bound,
-        max_label_height=max_h, two_cycle_pairs=pairs,
-        two_cycle_rotations=rotations, checks=tuple(checks))
+        max_label_height=max_h, two_cycle_pairs=pairs, checks=tuple(checks))

@@ -73,7 +73,8 @@ def graph_from_json(text: str,
                     precision_cap: int | None = None) -> QuotientGraph:
     """Rebuild a graph from its JSON form (also rebuilding the algebra,
     with the given precision cap; the stored alpha/epsilon/nu must match
-    the derived ones)."""
+    the derived ones, and every stored pairing unit and endomorphism
+    basis element must be a unit of the order)."""
     data = json.loads(text)
     if data.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {data.get('format')}")
@@ -85,46 +86,51 @@ def graph_from_json(text: str,
         if parse_poly(F, data[key]) != val:
             raise ValueError(f"stored {key} does not match the derived one")
 
+    def unit(text: str):
+        x = parse_quat(F, text)
+        if not alg.is_unit(x):
+            raise ValueError(f"stored element {text!r} is not a unit")
+        return x
+
     G = QuotientGraph(alg)
     for entry in sorted(data["vertices"], key=lambda d: d["id"]):
         v = parse_vertex(F, entry["nf"])
         basis = None
         if "end_basis" in entry:
-            basis = tuple(parse_quat(F, t) for t in entry["end_basis"])
-        i = G._add_vertex(v, stable=entry["stable"], basis=basis, level=0)
+            basis = tuple(unit(t) for t in entry["end_basis"])
+        i = G._add_vertex(v, stable=entry["stable"], basis=basis)
         if i != entry["id"]:
             raise ValueError("vertex ids must be dense and sorted")
     init = parse_vertex(F, data["initial_vertex"])
     if init not in G.vid:
         raise ValueError("initial vertex is not among the vertices")
     G.initial = G.vid[init]
-    G.level = [distance(F, init, v) for v in G.vertices]
-    G.levels = max(G.level, default=0)
+    G.levels = max((distance(F, init, v) for v in G.vertices), default=0)
 
+    # the unit of every pairing edge, by (src, dst, index)
     primary = {}
     for entry in data["edges"]:
         if isinstance(entry["label"], dict):
             key = (entry["src"], entry["dst"], entry["index"])
-            primary[key] = entry["label"]
+            primary[key] = unit(entry["label"]["pairing"])
     for entry in data["edges"]:
         src, dst, index = entry["src"], entry["dst"], entry["index"]
         label = entry["label"]
         if label == "tree":
             e = QuotientEdge(src, dst, index, "tree", G.vertices[dst])
         elif isinstance(label, dict):
-            elem = parse_quat(F, label["pairing"])
+            elem = primary[src, dst, index]
             cand = parse_vertex(F, label["tree_edge"][1])
             if parse_vertex(F, label["tree_edge"][0]) != G.vertices[src]:
                 raise ValueError("pairing tree edge must start at the "
                                  "source vertex label")
             e = QuotientEdge(src, dst, index, "pairing", cand, elem)
         elif label == "opposite":
-            partner = primary.get((dst, src, index))
-            if partner is None:
+            elem = primary.get((dst, src, index))
+            if elem is None:
                 e = QuotientEdge(src, dst, index, "opposite",
                                  G.vertices[dst])
             else:
-                elem = parse_quat(F, partner["pairing"])
                 e = QuotientEdge(src, dst, index, "pairing_opposite",
                                  transport(alg, elem, G.vertices[dst]),
                                  elem)

@@ -93,16 +93,6 @@ class Vertex:
 BASE_VERTEX = Vertex(0, 0, ())
 
 
-def deg_n(g: Laurent, n: int) -> int:
-    """min { i >= 0 : g in pi^(n-i) O_infinity } for g reduced mod pi^n."""
-    if g.coeffs:
-        return max(0, n - g.val)
-    if g.is_exact_zero or g.prec >= n:
-        return 0
-    raise InsufficientPrecisionError(
-        f"residue not determined modulo pi^{n}")
-
-
 # ---------------------------------------------------------------------
 # normal form
 # ---------------------------------------------------------------------

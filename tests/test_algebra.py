@@ -20,6 +20,7 @@ from btquot.algebra import (
     ONE_POLY,
     T_POLY,
     ZERO_POLY,
+    _prime_divisors,
     crt,
     enumerate_monic_irreducibles,
     enumerate_monic_polys,
@@ -207,6 +208,12 @@ def test_primitive_root_matches_bruteforce(q, root):
         x = F.mul(x, g)
         seen.add(x)
     assert len(seen) == q - 1
+
+
+def test_prime_divisors_match_bruteforce():
+    primes = [p for p in range(2, 2001) if all(p % k for k in range(2, p))]
+    for n in range(1, 2001):
+        assert _prime_divisors(n) == [p for p in primes if n % p == 0]
 
 
 def test_primitive_root_extension_field():

@@ -110,6 +110,31 @@ class TestCompute:
         assert out == fresh
         assert path.read_bytes() == fresh.encode()
 
+    @pytest.mark.parametrize("where", ["pairing", "end_basis"])
+    def test_stored_non_unit_is_a_miss_and_is_overwritten(
+            self, capsys, cache, tmp_path, where):
+        args = ["compute", *Q5, *cache, "--format", "json", "--no-verify"]
+        assert run(capsys, args)[0] == EXIT_OK
+        (path,) = tmp_path.glob("graph-*.json")
+        data = json.loads(path.read_text())
+        non_unit = "T + (0)*i + (0)*j + (0)*k"
+        if where == "pairing":
+            label = next(e["label"] for e in data["edges"]
+                         if isinstance(e["label"], dict))
+            label["pairing"] = non_unit
+        else:
+            entry = next(v for v in data["vertices"] if "end_basis" in v)
+            entry["end_basis"][0] = non_unit
+        path.write_text(json.dumps(data, indent=2) + "\n")
+        code, out, err = run(capsys, args)
+        assert code == EXIT_OK, err
+        code, fresh, _ = run(capsys, ["export", *Q5, "--no-cache",
+                                      "--format", "json"])
+        assert code == EXIT_OK
+        assert non_unit not in out
+        assert out == fresh
+        assert path.read_bytes() == fresh.encode()
+
     def test_dot_output(self, capsys, cache):
         code, out, _ = run(capsys, ["compute", *Q5, *cache,
                                     "--format", "dot", "--no-verify"])
@@ -250,7 +275,7 @@ class TestJobConfig:
     def test_fields(self):
         cfg = JobConfig(q=5, primes=[(0, 1), (1, 1)])
         assert cfg.F.q == 5
-        assert cfg.verify and cfg.degree_bound and cfg.use_cache
+        assert cfg.verify and cfg.use_cache
 
 
 class TestPrimesArgument:

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btquot.algebra import field, poly_add, poly_mul, poly_scale, poly_trim
-from btquot.homspace import (HomSet, _kernel_basis, _system_stack,
-                             end_and_classify, hom, hom_stack)
+from btquot.homspace import (HomSet, _kernel_basis, _system_stack, hom,
+                             hom_stack, stability)
 from btquot.laurent import InsufficientPrecisionError
 from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra
 from btquot.quotient import transport
@@ -131,22 +131,24 @@ class TestEndomorphisms:
             assert ends.dim >= 1
 
     def test_q3_both_candidate_base_vertices_unstable(self):
-        _, s0 = end_and_classify(ALG3, BASE_VERTEX)
-        _, s1 = end_and_classify(ALG3, Vertex.make(1, 0, ()))
+        v1 = Vertex.make(1, 0, ())
+        s0 = stability(hom(ALG3, BASE_VERTEX, BASE_VERTEX))
+        s1 = stability(hom(ALG3, v1, v1))
         assert s0 == "unstable"
         assert s1 == "unstable"
 
     def test_q5_base_unstable_shifted_stable(self):
-        E0, s0 = end_and_classify(ALG5, BASE_VERTEX)
-        E1, s1 = end_and_classify(ALG5, Vertex.make(1, 0, ()))
-        assert (s0, s1) == ("unstable", "stable")
+        v1 = Vertex.make(1, 0, ())
+        E0 = hom(ALG5, BASE_VERTEX, BASE_VERTEX)
+        E1 = hom(ALG5, v1, v1)
+        assert (stability(E0), stability(E1)) == ("unstable", "stable")
         assert E0.cardinality == 24  # q^2 - 1
         assert E1.cardinality == 4   # q - 1
 
     def test_q5_level_two_has_one_unstable(self):
         lvl2 = [Vertex.make(2, 0, ())] + [Vertex.make(2, 1, (a,))
                                           for a in range(1, 5)]
-        kinds = [end_and_classify(ALG5, v)[1] for v in lvl2]
+        kinds = [stability(hom(ALG5, v, v)) for v in lvl2]
         assert kinds.count("unstable") == 1
 
     def test_stability_invariant_under_pairing_transport(self):
@@ -154,8 +156,8 @@ class TestEndomorphisms:
                                           for a in range(1, 5)]
         for v, w in itertools.combinations(lvl2, 2):
             if hom(ALG5, v, w).dim:
-                assert (end_and_classify(ALG5, v)[1]
-                        == end_and_classify(ALG5, w)[1])
+                assert (stability(hom(ALG5, v, v))
+                        == stability(hom(ALG5, w, w)))
 
 
 class TestWorkedExamplePairings:
@@ -163,7 +165,7 @@ class TestWorkedExamplePairings:
         lvl2 = [Vertex.make(2, 0, ())] + [Vertex.make(2, 1, (a,))
                                           for a in range(1, 5)]
         stable = [v for v in lvl2
-                  if end_and_classify(ALG5, v)[1] == "stable"]
+                  if stability(hom(ALG5, v, v)) == "stable"]
         assert len(stable) == 4
         paired = [(v, w) for v, w in itertools.combinations(stable, 2)
                   if hom(ALG5, v, w).dim]
@@ -198,7 +200,7 @@ class TestHomProperties:
         lvl2 = [Vertex.make(2, 0, ())] + [Vertex.make(2, 1, (a,))
                                           for a in range(1, 5)]
         stable = [v for v in lvl2
-                  if end_and_classify(ALG5, v)[1] == "stable"]
+                  if stability(hom(ALG5, v, v)) == "stable"]
         pairs = [(v, w) for v, w in itertools.product(stable, repeat=2)
                  if v != w and hom(ALG5, v, w).dim]
         v, w = pairs[0]

@@ -19,11 +19,7 @@ from btquot.laurent import (
     InsufficientPrecisionError,
     Laurent,
     Mat2,
-    mat2_det,
-    mat2_inv,
-    mat2_mul,
     newton_sqrt,
-    poly_to_laurent,
 )
 
 F3 = field(3)
@@ -36,19 +32,19 @@ def P(F, s):
 
 
 def test_from_poly_examples():
-    z = poly_to_laurent(F3, (), 7)
+    z = Laurent.from_poly(F3, (), 7)
     assert z.is_exact_zero and z.val == math.inf
-    t = poly_to_laurent(F3, P(F3, "T"), 5)
+    t = Laurent.from_poly(F3, P(F3, "T"), 5)
     assert (t.val, t.coeffs, t.prec) == (-1, (1,), 5)
-    f = poly_to_laurent(F5, P(F5, "T^2+1"), 3)
+    f = Laurent.from_poly(F5, P(F5, "T^2+1"), 3)
     assert f.val == -2
     assert f.window(-2, 3) == [1, 0, 1, 0, 0]
     with pytest.raises(ValueError):
-        poly_to_laurent(F5, P(F5, "T^2"), -2)
+        Laurent.from_poly(F5, P(F5, "T^2"), -2)
 
 
 def test_coeff_access_and_precision_wall():
-    x = poly_to_laurent(F5, P(F5, "T+2"), 4)
+    x = Laurent.from_poly(F5, P(F5, "T+2"), 4)
     assert x.coeff(-1) == 1
     assert x.coeff(0) == 2
     assert x.coeff(3) == 0
@@ -83,8 +79,8 @@ def test_mul_valuation_additive(fc, gc):
     f, g = poly_trim(fc), poly_trim(gc)
     if not f or not g:
         return
-    x = poly_to_laurent(F5, f, 6)
-    y = poly_to_laurent(F5, g, 6)
+    x = Laurent.from_poly(F5, f, 6)
+    y = Laurent.from_poly(F5, g, 6)
     assert (x * y).valuation() == x.valuation() + y.valuation()
     s = x + y
     if not s.is_zero_at_prec:
@@ -92,7 +88,7 @@ def test_mul_valuation_additive(fc, gc):
 
 
 def test_inverse_roundtrip_and_precision():
-    x = poly_to_laurent(F5, P(F5, "T^2+2*T+3"), 6)
+    x = Laurent.from_poly(F5, P(F5, "T^2+2*T+3"), 6)
     xi = x.inv()
     assert xi.val == 2
     assert xi.prec == 6 - 2 * (-2)
@@ -111,8 +107,8 @@ def test_truncation_honesty(fc):
     f = poly_trim(fc)
     if not f:
         return
-    lo = poly_to_laurent(F3, f, 4)
-    hi = poly_to_laurent(F3, f, 9)
+    lo = Laurent.from_poly(F3, f, 4)
+    hi = Laurent.from_poly(F3, f, 9)
     assert hi.truncate(4) == lo
     assert (hi * hi).truncate((lo * lo).prec) == lo * lo
     assert hi.inv().truncate(lo.inv().prec) == lo.inv()
@@ -143,7 +139,7 @@ def test_newton_sqrt_example_digits():
     f = P(F5, "T^2+2*T+3")
     s = newton_sqrt(F5, f, 8)
     assert s.val == -1 and s.coeffs[0] == 1
-    diff = s * s - poly_to_laurent(F5, f, 8)
+    diff = s * s - Laurent.from_poly(F5, f, 8)
     assert diff.is_zero_at_prec
     assert diff.prec >= 8
 
@@ -162,7 +158,7 @@ def test_newton_sqrt_resquare(q, text, prec):
     m = (len(f) - 1) // 2
     s = newton_sqrt(F, f, prec)
     assert s.val == -m and s.coeffs[0] == 1
-    diff = s * s - poly_to_laurent(F, f, prec)
+    diff = s * s - Laurent.from_poly(F, f, prec)
     assert diff.is_zero_at_prec and diff.prec >= prec
 
 
@@ -186,10 +182,10 @@ def _vertex_style_matrix(F, n, gpoly, prec):
 
 def test_mat2_det_and_identity():
     A = _vertex_style_matrix(F5, 3, (), 8)
-    dt = mat2_det(A)
+    dt = A.det()
     assert (dt.val, dt.coeffs) == (3, (1,))
     I = Mat2.identity(F5, 8)
-    assert mat2_mul(A, I) == A
+    assert A * I == A
 
 
 def _assert_identityish(M):
@@ -204,9 +200,9 @@ def _assert_identityish(M):
 def test_mat2_inverse_roundtrip():
     A = Mat2(Laurent.pi_power(F5, 1, 9), Laurent.zero(F5),
              Laurent(F5, 0, (2, 0, 3), 9), Laurent.constant(F5, 1, 9))
-    B = mat2_inv(A)
-    _assert_identityish(mat2_mul(A, B))
-    _assert_identityish(mat2_mul(B, A))
+    B = A.inv()
+    _assert_identityish(A * B)
+    _assert_identityish(B * A)
 
 
 def test_mat2_inv_precision_failure_is_recoverable():

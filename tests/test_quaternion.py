@@ -299,8 +299,8 @@ class TestBuildAlgebra:
             GF(2)
 
     def test_verification_runs_clean(self):
-        # constructing with verify=True exercises the ramification and
-        # discriminant self-checks; both must pass silently
+        # construction runs the ramification and discriminant
+        # self-checks; both must pass silently
         build_algebra(field(7), [lin(0), lin(1)])
 
 

@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btquot.algebra import field, parse_poly
-from btquot.homspace import hom
+from btquot.homspace import HomSet, hom
 from btquot.quaternion import QUAT_ONE, build_algebra, height
 from btquot.quotient import (EdgePairing, Presentation, QuotientGraph, Word,
-                             compute_quotient, diameter_bound, evaluate_word,
+                             _multiplicative_order_is, compute_quotient, diameter_bound, evaluate_word,
                              express_in_generators, graph_diameter,
                              predicted_invariants, presentation, reduce,
                              transport, two_cycle_counts, verify_structure)
@@ -309,6 +309,19 @@ class TestPresentation:
                 acc = ALG5.mul(acc, gv)
                 seen.add(acc)
             assert len(seen) == q * q - 1
+
+    def test_order_test_matches_bruteforce_orders(self):
+        for i in G5.terminal_ids():
+            v = G5.vertices[i]
+            ends = list(HomSet(F5, v, v, G5.end_basis[i]).elements())
+            assert len(ends) == 24
+            for x in ends:
+                order, acc = 1, x
+                while acc != QUAT_ONE:
+                    acc = ALG5.mul(acc, x)
+                    order += 1
+                assert _multiplicative_order_is(ALG5, x, 24) == (order == 24)
+                assert _multiplicative_order_is(ALG5, x, order)
 
     def test_worked_example_shape(self):
         names = [n for n, _ in PRES5.generator_items()]

@@ -21,7 +21,6 @@ from btquot.tree import (
     BASE_VERTEX,
     Vertex,
     act,
-    deg_n,
     distance,
     down_neighbors,
     format_vertex,
@@ -124,15 +123,6 @@ def test_vertex_text_form():
         parse_vertex(F3, "(2; 1@5)")  # exponent reaches n
     with pytest.raises(ValueError):
         parse_vertex(F3, "nonsense")
-
-
-def test_deg_n_examples():
-    assert deg_n(Laurent.zero(F5), 4) == 0
-    assert deg_n(Laurent.pi_power(F5, 1, 8), 2) == 1
-    g = Laurent(F5, -2, (1, 1), 8)
-    assert deg_n(g, 1) == 3
-    with pytest.raises(InsufficientPrecisionError):
-        deg_n(Laurent.zero_at(F5, 2), 5)
 
 
 # ---------------------------------------------------------------------
