@@ -5,7 +5,9 @@ Element representation.  An element of F_q with coordinate vector
 modulo the defining polynomial of the field) is coded as the integer
 c_0 + c_1*p + ... + c_{e-1}*p^{e-1}.  For prime q the code is just the
 residue itself.  All arithmetic on codes goes through a GF instance,
-which knows p, e and the defining modulus.
+which knows p, e and the defining modulus.  Every F_q operation is a
+lookup in the (add, mul, neg, inv) tables that the instance builds once,
+from its coordinate kernels, when it is created.
 
 Polynomials over F_q are tuples of element codes, constant coefficient
 first, with no trailing zeros; the zero polynomial is the empty tuple.
@@ -23,6 +25,7 @@ label picks in the quotient graph) refers back to these two orders.
 
 from __future__ import annotations
 
+import itertools
 import re
 from functools import lru_cache
 
@@ -63,7 +66,9 @@ class GF:
 
     Elements are ints in range(q), coded as described in the module
     docstring.  The instance carries the arithmetic; elements carry no
-    reference back to their field.
+    reference back to their field.  The constructor builds the
+    coordinate kernels (digits, place, fold) and from them the (add,
+    mul, neg, inv) tables; every operation is a lookup in those tables.
     """
 
     def __init__(self, q: int, modulus: tuple[int, ...] | None = None):
@@ -87,30 +92,40 @@ class GF:
             self.modulus = modulus
             if not self._modulus_irreducible():
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
-        self._tables = None
         # coordinate-array kernels: digits[a] is the coordinate row of
         # the code a, place the weights that turn coordinates back into
         # a code, and column k of the (e, 2e-1) matrix fold holds the
-        # coordinates of x^k modulo the defining polynomial (for e = 1,
-        # all three are trivial)
-        self.digits = np.array([self.coords(a) for a in range(q)],
-                               dtype=np.int64).reshape(q, e)
+        # coordinates of x^k modulo the defining polynomial (x^(k-1)
+        # shifted up by one place, its overflow reduced by the modulus)
         self.place = p ** np.arange(e, dtype=np.int64)
-        powers = [1]
+        self.digits = np.arange(q, dtype=np.int64)[:, None] // self.place % p
+        col = [1] + [0] * (e - 1)
+        cols = [col]
         for _ in range(2 * e - 2):
-            powers.append(self.mul(powers[-1], p))  # p codes x itself
-        self.fold = np.array([self.coords(c) for c in powers],
-                             dtype=np.int64).T
+            col = [(c - col[-1] * m) % p
+                   for c, m in zip([0] + col[:-1], self.modulus)]
+            cols.append(col)
+        self.fold = np.array(cols, dtype=np.int64).T
+        # (add, mul, neg, inv) tables: mul folds the outer product of the
+        # coordinate rows (x^i * x^j lands in column i + j of fold), and
+        # inv[0] = 0 is a placeholder
+        d = self.digits
+        add = (d[:, None] + d[None]) % p @ self.place
+        mul = np.einsum("ai,bj,kij->abk", d, d,
+                        self.fold[:, np.add.outer(range(e), range(e))]
+                        ) % p @ self.place
+        neg = (-d % p) @ self.place
+        inv = np.argmax(mul == 1, axis=1)
+        self._tables = (add, mul, neg, inv)
+        self._add, self._mul, self._neg, self._inv = (
+            t.tolist() for t in self._tables)
+        self._coords = [tuple(row) for row in d.tolist()]
 
     # -- element coding ------------------------------------------------
 
     def coords(self, a: int) -> tuple[int, ...]:
         """Coordinate vector (c_0, ..., c_{e-1}) over F_p of the code a."""
-        cs = []
-        for _ in range(self.e):
-            cs.append(a % self.p)
-            a //= self.p
-        return tuple(cs)
+        return self._coords[a]
 
     def from_coords(self, cs) -> int:
         code = 0
@@ -124,7 +139,7 @@ class GF:
 
     def sort_key(self, a: int) -> tuple[int, ...]:
         """Key realizing the canonical element order."""
-        return self.coords(a)
+        return self._coords[a]
 
     def elements(self) -> list[int]:
         """All element codes in canonical order."""
@@ -133,49 +148,16 @@ class GF:
     # -- arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        p = self.p
-        code, mult = 0, 1
-        for _ in range(self.e):
-            code += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return code
+        return self._add[a][b]
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        p = self.p
-        code, mult = 0, 1
-        for _ in range(self.e):
-            code += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return code
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._add[a][self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
-        ca, cb = self.coords(a), self.coords(b)
-        prod = [0] * (2 * self.e - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce modulo the defining polynomial
-        for k in range(len(prod) - 1, self.e - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j in range(self.e):
-                    prod[k - self.e + j] = (
-                        prod[k - self.e + j] - c * self.modulus[j]) % self.p
-        return self.from_coords(prod[:self.e])
+        return self._mul[a][b]
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -192,9 +174,7 @@ class GF:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in F_q")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+        return self._inv[a]
 
     def primitive_root(self) -> int:
         """First generator of F_q^* in canonical element order."""
@@ -224,26 +204,9 @@ class GF:
         return self.place @ (self.fold @ planes % self.p)
 
     def tables(self):
-        """(add, mul, neg, inv) lookup tables as numpy arrays.
-
-        inv[0] is set to 0 as a harmless placeholder.  These back the
-        elementwise series arithmetic and the linear algebra of the hom
-        solver for every q.
-        """
-        if self._tables is None:
-            q = self.q
-            add = np.zeros((q, q), dtype=np.int64)
-            mul = np.zeros((q, q), dtype=np.int64)
-            neg = np.zeros(q, dtype=np.int64)
-            inv = np.zeros(q, dtype=np.int64)
-            for a in range(q):
-                neg[a] = self.neg(a)
-                if a:
-                    inv[a] = self.inv(a)
-                for b in range(q):
-                    add[a, b] = self.add(a, b)
-                    mul[a, b] = self.mul(a, b)
-            self._tables = (add, mul, neg, inv)
+        """The (add, mul, neg, inv) tables as numpy arrays, with inv[0]
+        set to 0.  They back the elementwise series arithmetic and the
+        linear algebra of the hom solver for every q."""
         return self._tables
 
     def _modulus_irreducible(self) -> bool:
@@ -355,24 +318,6 @@ def poly_gcd(F: GF, f, g):
     return poly_monic(F, f)
 
 
-def poly_xgcd(F: GF, f, g):
-    """(d, s, t) with d = s*f + t*g monic (or zero)."""
-    r0, r1 = f, g
-    s0, s1 = ONE_POLY, ZERO_POLY
-    t0, t1 = ZERO_POLY, ONE_POLY
-    while r1:
-        q, r = poly_divmod(F, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(F, s0, poly_mul(F, q, s1))
-        t0, t1 = t1, poly_sub(F, t0, poly_mul(F, q, t1))
-    if r0:
-        c = F.inv(r0[-1])
-        r0 = poly_scale(F, c, r0)
-        s0 = poly_scale(F, c, s0)
-        t0 = poly_scale(F, c, t0)
-    return r0, s0, t0
-
-
 def poly_pow_mod(F: GF, f, n: int, m):
     result = poly_mod(F, ONE_POLY, m)
     base = poly_mod(F, f, m)
@@ -443,19 +388,8 @@ def is_irreducible(F: GF, f) -> bool:
 
 def enumerate_monic_polys(F: GF, degree: int):
     """All monic polynomials of exactly the given degree, canonical order."""
-    elems = F.elements()
-
-    def rec(prefix, k):
-        if k == degree:
-            yield tuple(prefix) + (1,)
-            return
-        for c in elems:
-            yield from rec(prefix + [c], k + 1)
-
-    if degree == 0:
-        yield ONE_POLY
-        return
-    yield from rec([], 0)
+    for coeffs in itertools.product(F.elements(), repeat=degree):
+        yield coeffs + (1,)
 
 
 def enumerate_monic_irreducibles(F: GF, degree: int):
@@ -517,28 +451,6 @@ def hilbert_symbol(F: GF, a, b, varpi) -> int:
     return result
 
 
-def crt(F: GF, residues, moduli):
-    """Solve x = residues[i] mod moduli[i]; result reduced mod the product."""
-    if len(residues) != len(moduli):
-        raise ValueError("residues and moduli must have equal length")
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            if poly_deg(poly_gcd(F, moduli[i], moduli[j])) != 0:
-                raise ValueError("moduli are not pairwise coprime")
-    x = ZERO_POLY
-    prod = ONE_POLY
-    for r, m in zip(residues, moduli):
-        # combine x mod prod with r mod m
-        _, s, t = poly_xgcd(F, prod, m)
-        # s*prod = 1 mod m, t*m = 1 mod prod
-        new_mod = poly_mul(F, prod, m)
-        term1 = poly_mul(F, poly_mul(F, r, s), prod)
-        term2 = poly_mul(F, poly_mul(F, x, t), m)
-        x = poly_mod(F, poly_add(F, term1, term2), new_mod)
-        prod = new_mod
-    return x
-
-
 def sqrt_mod_irreducible(F: GF, a, f):
     """A square root of a modulo the monic irreducible f (Tonelli-Shanks).
 
@@ -565,23 +477,8 @@ def sqrt_mod_irreducible(F: GF, a, f):
         t //= 2
         s += 1
     # first quadratic non-residue of the residue field, canonical order
-    z = None
-    elems = F.elements()
-
-    def residues_in_order(k, prefix):
-        if k == d:
-            yield poly_trim(prefix)
-            return
-        for c in elems:
-            yield from residues_in_order(k + 1, prefix + [c])
-
-    for cand in residues_in_order(0, []):
-        if not cand:
-            continue
-        if rpow(cand, (Q - 1) // 2) != ONE_POLY:
-            z = cand
-            break
-    assert z is not None
+    residues = map(poly_trim, itertools.product(F.elements(), repeat=d))
+    z = next(r for r in residues if r and rpow(r, (Q - 1) // 2) != ONE_POLY)
     m = s
     c = rpow(z, t)
     x = rpow(am, (t + 1) // 2)

@@ -46,9 +46,19 @@ from .tree import (BASE_VERTEX, Vertex, act, distance, geodesic_to_base,
 
 def transport(alg: AlgebraData, g: QuatElem, v: Vertex) -> Vertex:
     """The vertex g . v, retrying the embedding at higher precision."""
-    start = 4 * (height(g) + alg.m + abs(v.n) + 4)
-    return retry_with_precision(lambda p: act(alg.embed(g, p), v), start,
-                                alg.precision_cap)
+    return transport_all(alg, g, (v,))[0]
+
+
+def transport_all(alg: AlgebraData, g: QuatElem, vs) -> list[Vertex]:
+    """The vertices g . v for v in vs, from one embedding of g per
+    precision tried."""
+    start = 4 * (height(g) + alg.m + max(abs(v.n) for v in vs) + 4)
+
+    def images(prec):
+        M = alg.embed(g, prec)
+        return [act(M, v) for v in vs]
+
+    return retry_with_precision(images, start, alg.precision_cap)
 
 
 # ---------------------------------------------------------------------
@@ -73,19 +83,6 @@ class QuotientEdge:
     kind: str  # "tree" | "opposite" | "pairing" | "pairing_opposite"
     direction: Vertex
     elem: QuatElem | None = None
-
-
-@dataclass(frozen=True)
-class EdgePairing:
-    """A paired edge: the unit ``elem`` maps ``candidate`` to the label
-    of vertex ``target``; the tree edge runs from ``source``'s label to
-    ``candidate``."""
-
-    edge_index: int
-    source: int
-    target: int
-    candidate: Vertex
-    elem: QuatElem
 
 
 @dataclass
@@ -118,10 +115,6 @@ class QuotientGraph:
 
     def terminal_ids(self) -> list[int]:
         return [i for i, s in enumerate(self.stable) if not s]
-
-    def edge_pairings(self) -> list[EdgePairing]:
-        return [EdgePairing(k, e.src, e.dst, e.direction, e.elem)
-                for k in self.pairings for e in [self.edges[k]]]
 
     def undirected_multiplicities(self) -> Counter:
         """Number of undirected edges per unordered vertex pair."""

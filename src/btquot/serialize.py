@@ -20,7 +20,7 @@ import json
 
 from .algebra import field, format_poly, parse_poly
 from .quaternion import build_algebra, format_quat, parse_quat
-from .quotient import QuotientEdge, QuotientGraph, transport
+from .quotient import QuotientEdge, QuotientGraph, transport_all
 from .tree import distance, format_vertex, parse_vertex
 
 FORMAT_VERSION = 1
@@ -73,8 +73,9 @@ def graph_from_json(text: str,
                     precision_cap: int | None = None) -> QuotientGraph:
     """Rebuild a graph from its JSON form (also rebuilding the algebra,
     with the given precision cap; the stored alpha/epsilon/nu must match
-    the derived ones, and every stored pairing unit and endomorphism
-    basis element must be a unit of the order)."""
+    the derived ones, every stored pairing unit and endomorphism basis
+    element must be a unit of the order, and every pairing unit must map
+    its candidate to the label of the edge's target)."""
     data = json.loads(text)
     if data.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {data.get('format')}")
@@ -107,33 +108,40 @@ def graph_from_json(text: str,
     G.initial = G.vid[init]
     G.levels = max((distance(F, init, v) for v in G.vertices), default=0)
 
-    # the unit of every pairing edge, by (src, dst, index)
-    primary = {}
+    # every pairing edge by (src, dst, index): its unit, which must map
+    # its candidate to the target label, the candidate, and the image of
+    # the source label (the direction of the reversed edge)
+    paired = {}
     for entry in data["edges"]:
-        if isinstance(entry["label"], dict):
-            key = (entry["src"], entry["dst"], entry["index"])
-            primary[key] = unit(entry["label"]["pairing"])
+        label = entry["label"]
+        if isinstance(label, dict):
+            src, dst = entry["src"], entry["dst"]
+            elem = unit(label["pairing"])
+            if parse_vertex(F, label["tree_edge"][0]) != G.vertices[src]:
+                raise ValueError("pairing tree edge must start at the "
+                                 "source vertex label")
+            cand = parse_vertex(F, label["tree_edge"][1])
+            image, back = transport_all(alg, elem, (cand, G.vertices[src]))
+            if image != G.vertices[dst]:
+                raise ValueError("pairing unit does not map its candidate "
+                                 "to the target vertex label")
+            paired[src, dst, entry["index"]] = elem, cand, back
     for entry in data["edges"]:
         src, dst, index = entry["src"], entry["dst"], entry["index"]
         label = entry["label"]
         if label == "tree":
             e = QuotientEdge(src, dst, index, "tree", G.vertices[dst])
         elif isinstance(label, dict):
-            elem = primary[src, dst, index]
-            cand = parse_vertex(F, label["tree_edge"][1])
-            if parse_vertex(F, label["tree_edge"][0]) != G.vertices[src]:
-                raise ValueError("pairing tree edge must start at the "
-                                 "source vertex label")
+            elem, cand, _ = paired[src, dst, index]
             e = QuotientEdge(src, dst, index, "pairing", cand, elem)
         elif label == "opposite":
-            elem = primary.get((dst, src, index))
-            if elem is None:
+            if (dst, src, index) in paired:
+                elem, _, back = paired[dst, src, index]
+                e = QuotientEdge(src, dst, index, "pairing_opposite", back,
+                                 elem)
+            else:
                 e = QuotientEdge(src, dst, index, "opposite",
                                  G.vertices[dst])
-            else:
-                e = QuotientEdge(src, dst, index, "pairing_opposite",
-                                 transport(alg, elem, G.vertices[dst]),
-                                 elem)
         else:
             raise ValueError(f"unknown edge label {label!r}")
         G._add_edge(e)

@@ -21,7 +21,6 @@ from btquot.algebra import (
     T_POLY,
     ZERO_POLY,
     _prime_divisors,
-    crt,
     enumerate_monic_irreducibles,
     enumerate_monic_polys,
     field,
@@ -33,7 +32,6 @@ from btquot.algebra import (
     poly_add,
     poly_deg,
     poly_divmod,
-    poly_eval,
     poly_gcd,
     poly_mod,
     poly_mul,
@@ -120,6 +118,31 @@ def irreducible_oracle(F, f):
     return True
 
 
+def schoolbook_add(F, a, b):
+    """Coordinatewise sum of two codes over F_p."""
+    return F.from_coords([x + y for x, y in zip(F.coords(a), F.coords(b))])
+
+
+def schoolbook_neg(F, a):
+    return F.from_coords([-x for x in F.coords(a)])
+
+
+def schoolbook_mul(F, a, b):
+    """Product of the coordinate polynomials, reduced term by term from
+    the top by the defining polynomial F.modulus."""
+    ca, cb = F.coords(a), F.coords(b)
+    prod = [0] * (2 * F.e - 1)
+    for i, x in enumerate(ca):
+        for j, y in enumerate(cb):
+            prod[i + j] = (prod[i + j] + x * y) % F.p
+    for k in range(len(prod) - 1, F.e - 1, -1):
+        c = prod[k]
+        prod[k] = 0
+        for j in range(F.e):
+            prod[k - F.e + j] = (prod[k - F.e + j] - c * F.modulus[j]) % F.p
+    return F.from_coords(prod[:F.e])
+
+
 def monic_irreducible_count(q, d):
     """Gauss necklace count (1/d) sum_{k | d} mu(k) q^(d/k)."""
     def mu(n):
@@ -195,6 +218,28 @@ def test_coords_roundtrip_and_order():
     # canonical order is lexicographic on (c0, c1)
     els = F.elements()
     assert [F.coords(a) for a in els] == sorted(F.coords(a) for a in range(9))
+
+
+@pytest.mark.parametrize("F", [GF(q) for q in (3, 5, 7, 9, 25, 27, 49)]
+                         + [GF(9, modulus=(2, 2, 1))],
+                         ids=lambda F: f"{F.q}-{F.modulus}")
+def test_field_codes_match_schoolbook_reference(F):
+    els = range(F.q)
+    for a in els:
+        assert F.neg(a) == schoolbook_neg(F, a)
+        for b in els:
+            assert F.add(a, b) == schoolbook_add(F, a, b)
+            assert F.sub(a, b) == schoolbook_add(F, a, schoolbook_neg(F, b))
+            assert F.mul(a, b) == schoolbook_mul(F, a, b)
+        if a:
+            assert schoolbook_mul(F, a, F.inv(a)) == 1
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+    # column k of fold holds the coordinates of x^k (x has the code p)
+    powers = [1]
+    for _ in range(2 * F.e - 2):
+        powers.append(schoolbook_mul(F, powers[-1], F.p))
+    assert F.fold.T.tolist() == [list(F.coords(c)) for c in powers]
 
 
 @pytest.mark.parametrize("q,root", [(3, 2), (5, 2), (7, 3)])
@@ -339,6 +384,15 @@ def test_enumeration_order_is_canonical():
     assert len(polys) == 10
 
 
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_monic_enumeration_follows_poly_sort_key_q9(d):
+    F = GF(9)
+    polys = list(enumerate_monic_polys(F, d))
+    assert len(set(polys)) == len(polys) == 9 ** d
+    assert all(poly_deg(f) == d and f[-1] == 1 for f in polys)
+    assert polys == sorted(polys, key=lambda f: poly_sort_key(F, f))
+
+
 # ---------------------------------------------------------------------
 # legendre / hilbert
 # ---------------------------------------------------------------------
@@ -468,36 +522,8 @@ def test_hilbert_product_formula(q, data):
 
 
 # ---------------------------------------------------------------------
-# crt / sqrt
+# sqrt
 # ---------------------------------------------------------------------
-
-def test_crt_examples():
-    a, m = P(F3, "T^2+T+1"), P(F3, "T+1")
-    assert crt(F3, [a], [m]) == poly_mod(F3, a, m)
-    assert crt(F3, [ZERO_POLY, ZERO_POLY], [T_POLY, P(F3, "T+1")]) == ZERO_POLY
-    x = crt(F3, [ONE_POLY, P(F3, "2")], [T_POLY, P(F3, "T+1")])
-    # both congruences, checked by evaluation at 0 and -1
-    assert poly_eval(F3, x, 0) == 1
-    assert poly_eval(F3, x, F3.neg(1)) == 2
-    assert poly_deg(x) < 2
-    assert x == P(F3, "2*T+1")
-
-
-def test_crt_rejects_non_coprime():
-    with pytest.raises(ValueError):
-        crt(F3, [ONE_POLY, ONE_POLY], [T_POLY, T_POLY])
-
-
-@settings(max_examples=60)
-@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
-def test_crt_three_moduli(r0, r1, r2):
-    moduli = [T_POLY, P(F5, "T+1"), P(F5, "T^2+2*T+3")]
-    residues = [poly_trim([r0]), poly_trim([r1]), poly_trim([r2])]
-    x = crt(F5, residues, moduli)
-    for r, m in zip(residues, moduli):
-        assert poly_mod(F5, x, m) == poly_mod(F5, r, m)
-    assert poly_deg(x) < sum(poly_deg(m) for m in moduli)
-
 
 def test_sqrt_examples():
     assert sqrt_mod_irreducible(F5, ONE_POLY, P(F5, "T+2")) == ONE_POLY

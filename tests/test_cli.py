@@ -6,6 +6,7 @@ checking output, exit codes, and byte-level determinism.
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +135,25 @@ class TestCompute:
         assert non_unit not in out
         assert out == fresh
         assert path.read_bytes() == fresh.encode()
+
+    def test_stored_wrong_pairing_unit_is_a_miss_and_is_overwritten(
+            self, capsys, cache, tmp_path):
+        # a unit of the order that does not map the candidate to the
+        # target label passes the unit check but not the transport check
+        args = ["compute", *Q5, *cache, "--format", "json", "--no-verify"]
+        assert run(capsys, args)[0] == EXIT_OK
+        (path,) = tmp_path.glob("graph-*.json")
+        data = json.loads(path.read_text())
+        label = next(e["label"] for e in data["edges"]
+                     if isinstance(e["label"], dict))
+        label["pairing"] = "2 + (0)*i + (0)*j + (0)*k"
+        path.write_text(json.dumps(data, indent=2) + "\n")
+        code, out, err = run(capsys, args)
+        assert code == EXIT_OK, err
+        golden = (Path(__file__).resolve().parent / "golden"
+                  / "q5-worked.json").read_text()
+        assert out == golden
+        assert path.read_text() == golden
 
     def test_dot_output(self, capsys, cache):
         code, out, _ = run(capsys, ["compute", *Q5, *cache,

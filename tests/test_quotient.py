@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from btquot.algebra import field, parse_poly
 from btquot.homspace import HomSet, hom
 from btquot.quaternion import QUAT_ONE, build_algebra, height
-from btquot.quotient import (EdgePairing, Presentation, QuotientGraph, Word,
+from btquot.quotient import (Presentation, QuotientGraph, Word,
                              _multiplicative_order_is, compute_quotient, diameter_bound, evaluate_word,
                              express_in_generators, graph_diameter,
                              predicted_invariants, presentation, reduce,
@@ -202,13 +202,13 @@ class TestGraphWellFormedness:
     def test_pairing_labels_transport_correctly(self, G):
         alg = G.alg
         F = alg.F
-        for ep in G.edge_pairings():
-            assert alg.is_unit(ep.elem)
+        for k in G.pairings:
+            e = G.edges[k]
+            assert alg.is_unit(e.elem)
             # the candidate hangs off the source vertex
-            assert distance(F, G.vertices[ep.source], ep.candidate) == 1
-            assert ep.candidate not in G.vid
-            assert transport(alg, ep.elem, ep.candidate) == \
-                G.vertices[ep.target]
+            assert distance(F, G.vertices[e.src], e.direction) == 1
+            assert e.direction not in G.vid
+            assert transport(alg, e.elem, e.direction) == G.vertices[e.dst]
 
     @pytest.mark.parametrize("G", [G3B, G5], ids=["g3b", "g5"])
     def test_directions_exhaust_tree_neighbors(self, G):
