@@ -4,7 +4,11 @@ The files under tests/golden/ were written by the command-line front end
 before the series and hom-system layers were moved to coefficient
 arrays; any later change to the arithmetic must reproduce them exactly.
 The q5-r5 case (10 pairs of parallel edges) and the reduce and word
-files were added before the graph's edge indexing was rewritten.
+files were added before the graph's edge indexing was rewritten.  The
+q7-r5, q7-deg4 and q9-deg4 cases, and the reduce and word files of the
+last two (8 terminal vertices each; q=9 has a stabilizer F_81 over a
+non-prime F_9), were added before stabilizer elements were found by
+F_{q^2} table lookup instead of by enumeration.
 
 Regenerate (only when an output change is intended) with
 
@@ -28,6 +32,9 @@ CASES = {
     "q5-worked": ["--q", "5", "--primes", "T,T+1,T+2,T+3"],
     "q3-deg3": ["--q", "3", "--primes", "T,T^2+1"],
     "q5-r5": ["--q", "5", "--primes", "T^2+2,T,T+1,T+2"],
+    "q7-r5": ["--q", "7", "--primes", "T^2+1,T,T+1,T+2"],
+    "q7-deg4": ["--q", "7", "--primes", "T,T+1,T+2,T+3"],
+    "q9-deg4": ["--q", "9", "--primes", "T,T+1,T+2,T+[0,1]"],
 }
 
 # artifact suffix -> subcommand arguments (before the case arguments)
@@ -60,6 +67,62 @@ PER_ARGUMENT = {
         " + (T^3+3*T^2+4*T+3)*k",
         "T^5+2*T^4+2*T^3+2*T^2+T + (4*T^4+3*T^3+4*T^2+2)*i + (2*T^3+4)*j"
         " + (2*T^5+4*T^4+T^3+3*T^2+3*T+3)*k"]),
+    ("q7-deg4", "reduce.txt"): ("reduce", [
+        "(0; 0)", "(3; 0)", "(5; 1,1,3,2,4,4@-1)", "(5; 1,0,1,6,5,0@-1)",
+        "(10; 2,2,4,1,5,1,1,3,0,2,4@-1)", "(4; 1,0,1,2,4@-1)",
+        "(9; 4,4,6,4,2,6,5,5,0,3@-1)",
+        "(15; 1,5,0,0,5,2,6,0,1,1,6,3,1,2,5,6@-1)"]),
+    ("q7-deg4", "word.txt"): ("word", [
+        "1",
+        "3 + (0)*i + (0)*j + (0)*k",
+        "4*T^2+T+1 + (T+2)*i + (3*T^2+5*T+5)*j + (3*T^3+6*T^2+6)*k",
+        "5*T^4+2*T^3+T+5 + (4*T^3+5*T^2+1)*i"
+        " + (T^4+4*T^3+3*T^2+6*T+4)*j + (T^5+2*T^4+6*T^3+3*T^2+2*T+2)*k",
+        "4*T^3+5*T^2+5 + (T^4+T^3+2*T^2+T+2)*i"
+        " + (6*T^5+5*T^4+T^3+4*T^2+4)*j + (6*T^6+T^4+5)*k",
+        "6*T^8+6*T^7+3*T^6+4*T^5+5*T^4+4*T^3+6*T+6"
+        " + (2*T^8+6*T^7+3*T^6+5*T^5+4*T^4+2*T^3+4*T^2+2*T+6)*i"
+        " + (5*T^9+T^8+4*T^7+5*T^6+6*T^5+5*T^4+T^3+3*T^2+3*T+2)*j"
+        " + (5*T^10+5*T^9+T^8+6*T^7+4*T^6+T^5+2*T^4+T^3+5*T^2+2*T+1)*k",
+        "3*T+1 + (4)*i + (T+5)*j + (T^2+3*T+1)*k",
+        "5*T^4+4*T^3+5*T^2+T+3 + (3*T^3+4*T^2+5*T+1)*i"
+        " + (2*T^4+2*T^3+3*T^2+2*T)*j + (2*T^5+5*T^4+6*T^2+5*T+6)*k",
+        "5*T^4+4*T^3+2*T^2+5*T+5 + (3*T^3+3*T+1)*i"
+        " + (2*T^4+T^3+3*T^2+6)*j + (2*T^5+4*T^4+2*T^3+4)*k"]),
+    ("q9-deg4", "reduce.txt"): ("reduce", [
+        "(0; 0)", "(3; 0)", "(5; 3,0,0,8,5,0@-1)", "(7; 1,3,8,5,5,2,8,0@-1)",
+        "(12; 6,7,6,2,6,2,4,6,2,3,4,8,2@-1)", "(4; 1,3,8,6,1@-1)",
+        "(7; 3,0,1,7,3,7,2,7@-1)", "(11; 4,4,2,4,6,8,8,4,4,1,7@0)"]),
+    ("q9-deg4", "word.txt"): ("word", [
+        "1",
+        "[1,1] + (0)*i + (0)*j + (0)*k",
+        "2*T^2+[2,2]*T+1 + ([0,2]*T^2+[0,2]*T+2)*i"
+        " + ([2,1]*T^2+[2,2]*T+[1,1])*j + ([2,1]*T^3+T^2+2*T+2)*k",
+        "[1,2]*T^4+2*T^3+[2,2]*T^2+[2,2]*T+[2,2] + (T^4+2*T+1)*i"
+        " + ([2,2]*T^4+[2,1]*T^3+[2,1]*T^2+[1,2])*j"
+        " + ([2,2]*T^5+T^4+[1,1]*T^3+[1,2]*T^2+[0,2]*T+1)*k",
+        "[1,1]*T^7+[0,1]*T^6+[1,2]*T^5+[1,1]*T^4+[1,2]*T^2+T+[2,1]"
+        " + ([0,2]*T^7+[1,2]*T^6+2*T^5+[1,1]*T^4+[0,2]*T^3+2*T^2+[1,1]*T)*i"
+        " + ([2,1]*T^7+2*T^6+[1,2]*T^5+[2,1]*T^4+2*T^3+[1,2]*T^2+2*T)*j"
+        " + ([2,1]*T^8+[1,1]*T^7+[2,2]*T^6+[2,1]*T^5+[1,1]*T^4+[2,2]*T^3"
+        "+T^2+[1,1]*T+[1,2])*k",
+        "[1,2]*T^7+T^6+2*T^5+[0,2]*T^3+[2,1]*T^2+T+1"
+        " + ([1,2]*T^9+T^8+[2,1]*T^7+[1,1]*T^6+[0,2]*T^5+[0,1]*T^4+T^3"
+        "+[1,1]*T^2+2*T+[1,2])*i"
+        " + (T^9+[2,1]*T^8+[2,2]*T^6+[0,2]*T^5+[2,2]*T^4+[0,2]*T^3+T^2"
+        "+2*T)*j"
+        " + (T^10+[0,1]*T^9+T^8+2*T^7+[0,2]*T^6+[2,2]*T^5+[2,2]*T^4"
+        "+[1,1]*T^3+2*T^2+[2,1]*T+[2,1])*k",
+        "[0,2]*T^2+[1,2]*T+[0,2] + ([1,2]*T^2+T+[2,2])*i + (T^2+[0,1])*j"
+        " + (T^3+T^2+2*T+[1,2])*k",
+        "[1,1]*T^5+[1,1]*T^4+[1,2]*T^3+[2,1]*T^2+[2,1]*T+[0,2]"
+        " + ([1,1]*T^5+[2,1]*T^4+[1,1]*T^3+[2,2]*T^2+2*T+[1,1])*i"
+        " + ([0,1]*T^5+[2,1]*T^4+[0,1]*T^3+[2,2]*T^2+[1,2]*T+[1,2])*j"
+        " + ([0,1]*T^6+[2,2]*T^5+[0,1]*T^4+[0,1]*T^3+[1,2]*T^2+[1,2]*T+2)*k",
+        "T^5+[2,2]*T^4+[0,2]*T^3+[1,2]*T^2+[2,2]*T+1"
+        " + ([0,2]*T^5+[0,1]*T^4+[2,2]*T^3+[1,2]*T^2+2*T+[1,2])*i"
+        " + ([2,1]*T^5+[0,2]*T^4+[1,1]*T^3+[0,2]*T^2+[2,1]*T+[2,2])*j"
+        " + ([2,1]*T^6+2*T^5+[1,1]*T^3+[0,1]*T^2+[0,1]*T+1)*k"]),
 }
 
 
