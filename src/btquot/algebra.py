@@ -31,6 +31,11 @@ from functools import lru_cache
 
 import numpy as np
 
+#: Largest field size GF accepts.  A field holds O(q^2) table entries
+#: and the hom solver's elimination table q^3 (16 MB at q = 127); a
+#: quotient computation at q = 127 peaks near 51 MB of RSS.
+MAX_Q = 127
+
 #: Defining polynomials (constant first) for the supported prime-power
 #: fields, each the first monic irreducible of its degree in canonical
 #: order.  Callers may override via GF(q, modulus=...).
@@ -72,6 +77,9 @@ class GF:
     """
 
     def __init__(self, q: int, modulus: tuple[int, ...] | None = None):
+        if q > MAX_Q:
+            raise ValueError(f"q={q} is above the supported maximum "
+                             f"{MAX_Q}")
         p, e = _factor_prime_power(q)
         if p == 2:
             raise ValueError("characteristic 2 is not supported")

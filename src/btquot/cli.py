@@ -7,9 +7,10 @@ hom (print a basis of the hom space between two vertices), verify
 (run the structural checks), export (re-emit a cached graph in another
 format).
 
-Exit codes: 0 success, 1 verification failure, 2 user error, 3 the
-series precision reached --precision-cap (or its default) before the
-answer was determined, 70 internal assertion failure.  Each failure
+Exit codes: 0 success, 1 verification failure, 2 user error (a bad
+argument, including --q above algebra.MAX_Q = 127), 3 the series
+precision reached --precision-cap (or its default) before the answer
+was determined, 70 internal assertion failure.  Each failure
 prints one line on stderr.  Output is deterministic: repeated runs
 with the same arguments produce identical bytes, and computed graphs
 are cached on disk keyed by the field, the ramified primes, and the
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 from . import tree
-from .algebra import GF, field, format_poly, parse_poly
+from .algebra import GF, MAX_Q, field, format_poly, parse_poly
 from .homspace import hom
 from .laurent import InsufficientPrecisionError
 from .quaternion import build_algebra, format_quat, parse_quat
@@ -267,7 +268,7 @@ def _make_parser() -> argparse.ArgumentParser:
             ("export", "re-emit the (cached) graph in a format")]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--q", type=int, required=True,
-                       help="field size (odd prime power)")
+                       help=f"field size (odd prime power, at most {MAX_Q})")
         p.add_argument("--primes", required=True,
                        help="comma-separated monic irreducibles, "
                             "e.g. T,T+1,T+2,T+3")

@@ -44,6 +44,11 @@ with the right action is forced); both facts are asserted (verified),
 never used as filters: on every basis hom returns, and in the quotient
 search on End(v) and on the pairing it takes.  A dimension above 2 is
 asserted against on every system of every stack.
+
+For an unstable vertex, End(v) plus zero is a field with q^2 elements;
+StabilizerField tabulates it on coordinates over the End basis, so that
+its generator, discrete logarithms and rotations of the neighbours are
+lookups instead of enumerations of End(v).
 """
 
 from __future__ import annotations
@@ -54,10 +59,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import GF, ZERO_POLY, poly_add, poly_scale, poly_trim
+from .algebra import (GF, ZERO_POLY, _prime_divisors, poly_add, poly_scale,
+                      poly_trim)
 from .laurent import INF, InsufficientPrecisionError
-from .quaternion import AlgebraData, QuatElem, height
-from .tree import Vertex, act, retry_with_precision
+from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
+from .tree import Vertex, act, neighbors, retry_with_precision
 
 
 @dataclass(frozen=True)
@@ -81,20 +87,141 @@ class HomSet:
     def cardinality(self) -> int:
         return self.field.q ** self.dim - 1
 
-    def elements(self):
-        """All nonzero F_q-combinations of the basis."""
+    def combination(self, coeffs) -> QuatElem:
+        """The F_q-combination sum c_i * b_i of the basis."""
         F = self.field
-        for coeffs in itertools.product(F.elements(), repeat=self.dim):
-            if all(c == 0 for c in coeffs):
-                continue
-            lam = [ZERO_POLY] * 4
-            for c, b in zip(coeffs, self.basis):
-                if c == 0:
-                    continue
+        lam = [ZERO_POLY] * 4
+        for c, b in zip(coeffs, self.basis):
+            if c:
                 for k in range(4):
                     lam[k] = poly_add(F, lam[k],
                                       poly_scale(F, c, b.lam[k]))
-            yield QuatElem(tuple(lam))
+        return QuatElem(tuple(lam))
+
+    def elements(self):
+        """All nonzero F_q-combinations of the basis, coefficient
+        vectors in lexicographic F.elements() order."""
+        for coeffs in itertools.product(self.field.elements(),
+                                        repeat=self.dim):
+            if any(coeffs):
+                yield self.combination(coeffs)
+
+
+class StabilizerField:
+    """End(v) = Hom(v, v) plus zero, for an unstable vertex v, as the
+    field F_{q^2}, with its action on the q+1 tree neighbours of v.
+
+    The element c1*b1 + c2*b2 of the basis (b1, b2) of ends is coded by
+    (c1, c2), read off any element at the echelon pivots of the basis
+    (where one basis element has coefficient 1 and the other 0).  A
+    quaternion whose pivot coefficients do not recombine to it is not
+    in End(v).  The table is built once, from four products and one
+    action, act_all(g, vertices) -> [g . u for u in vertices]:
+
+    * the multiplication constants, the codes of b_s * b_t;
+    * gen, the first element in HomSet.elements() order with
+      multiplicative order q^2 - 1 and with (q+1)-st power the scalar
+      F.primitive_root(), both tested on codes;
+    * the code of gen^s for every s, and its inverse, the discrete log;
+    * the cycle that gen induces on the neighbours of v.  The scalars
+      fix every vertex, and End(v)^*/F_q^* (cyclic of order q+1) acts
+      simply transitively on the neighbours, so the cycle has length
+      q+1, and gen^s maps the neighbour t to u exactly for the s in one
+      class modulo q+1: a coset c * gen^s0, c in F_q^*.
+    """
+
+    def __init__(self, alg: AlgebraData, ends: HomSet, act_all):
+        F = alg.F
+        q = F.q
+        n = q * q - 1
+        self.field = F
+        self.ends = ends
+        b1, b2 = ({(k, j): c for k, f in enumerate(b.lam)
+                   for j, c in enumerate(f) if c} for b in ends.basis)
+        self._pivots = [next(p for p, c in x.items() if c == 1 and p not in y)
+                        for x, y in ((b1, b2), (b2, b1))]
+        codes = [self._code(x) for x in (*(alg.mul(x, y) for x in ends.basis
+                                           for y in ends.basis), QUAT_ONE)]
+        if None in codes:
+            raise AssertionError("End(v) must be a ring containing 1")
+        *self._consts, one = codes
+        self._one = one
+        central = tuple(F.mul(F.primitive_root(), c) for c in one)
+        gen = next((c for c in itertools.product(F.elements(), repeat=2)
+                    if self._pow(c, q + 1) == central
+                    and self._pow(c, n) == one
+                    and all(self._pow(c, n // d) != one
+                            for d in _prime_divisors(n))), None)
+        if gen is None:
+            raise RuntimeError(
+                "no stabilizer generator with the prescribed central "
+                "power; this indicates an arithmetic bug")
+        self._powers = [one]
+        for _ in range(n - 1):
+            self._powers.append(self._mul(self._powers[-1], gen))
+        self._log = {c: s for s, c in enumerate(self._powers)}
+        self.gen = ends.combination(gen)
+
+        nbrs = neighbors(F, ends.source)
+        image = dict(zip(nbrs, act_all(self.gen, nbrs)))
+        cycle = [nbrs[0]]
+        for _ in range(q):
+            cycle.append(image.get(cycle[-1]))
+        if image.get(cycle[-1]) != nbrs[0] or set(cycle) != set(nbrs):
+            raise AssertionError("the stabilizer generator must permute "
+                                 "the neighbours in one (q+1)-cycle")
+        self._position = {u: k for k, u in enumerate(cycle)}
+        rank = {a: r for r, a in enumerate(F.elements())}
+        self._first = [
+            min(range(s0, n, q + 1),
+                key=lambda s: [rank[c] for c in self._powers[s]])
+            for s0 in range(q + 1)]
+
+    def _code(self, x: QuatElem):
+        """(c1, c2) with x = c1*b1 + c2*b2, or None if x is not in End(v)."""
+        c = tuple(x.lam[k][j] if j < len(x.lam[k]) else 0
+                  for k, j in self._pivots)
+        return c if self.ends.combination(c) == x else None
+
+    def _mul(self, a, b):
+        F = self.field
+        out = (0, 0)
+        for (s, t), (k1, k2) in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
+                                    self._consts):
+            w = F.mul(a[s], b[t])
+            out = (F.add(out[0], F.mul(w, k1)), F.add(out[1], F.mul(w, k2)))
+        return out
+
+    def _pow(self, a, k: int):
+        acc = self._one
+        while k:
+            if k & 1:
+                acc = self._mul(acc, a)
+            a = self._mul(a, a)
+            k >>= 1
+        return acc
+
+    def power(self, s: int) -> QuatElem:
+        """gen^s, for 0 <= s < q^2 - 1."""
+        return self.ends.combination(self._powers[s])
+
+    def log(self, x: QuatElem) -> int:
+        """The exponent s with gen^s = x, 0 <= s < q^2 - 1."""
+        s = self._log.get(self._code(x))
+        if s is None:
+            raise AssertionError(
+                "element is not a power of the stabilizer generator")
+        return s
+
+    def rotation(self, t: Vertex, u: Vertex) -> int:
+        """The exponent s of the first element gen^s in HomSet.elements()
+        order that maps the neighbour t onto the neighbour u."""
+        if t not in self._position or u not in self._position:
+            raise AssertionError(
+                "stabilizer acts transitively on directions, but no "
+                "rotation onto the parent was found")
+        s0 = (self._position[u] - self._position[t]) % len(self._position)
+        return self._first[s0]
 
 
 def _system_factors(F: GF, v: Vertex, w: Vertex):

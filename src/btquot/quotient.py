@@ -28,6 +28,15 @@ tree (their endpoints are adjacent in the tree itself), ``opposite``
 edges are their reversals, ``pairing`` edges carry a unit that maps an
 unrealized candidate vertex onto an existing one, and
 ``pairing_opposite`` edges are the reversals of those.
+
+Reduction walks a vertex toward the domain along its geodesic to the
+base vertex: at an internal vertex a step applies the pairing unit of
+the edge covering the direction, at a terminal vertex it rotates the
+direction onto the parent by a stabilizer element.  That stabilizer is
+F_{q^2}^*, tabulated once per terminal vertex on first use
+(homspace.StabilizerField), so the rotation, the stabilizer letters of
+a word and the presentation's vertex generators are lookups.  Each is
+the first element in HomSet.elements() order with its property.
 """
 
 from __future__ import annotations
@@ -36,9 +45,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
-from .algebra import _prime_divisors, poly_deg
-from .homspace import HomSet, hom, hom_stack, stability, verified
+from .algebra import poly_deg
+from .homspace import (HomSet, StabilizerField, hom, hom_stack, stability,
+                       verified)
 from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
 from .tree import (BASE_VERTEX, Vertex, act, distance, geodesic_to_base,
                    neighbors, retry_with_precision)
@@ -105,6 +116,8 @@ class QuotientGraph:
     pairings: list[int] = field(default_factory=list)
     initial: int = 0
     levels: int = 0
+    _stabilizers: dict[int, StabilizerField] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def q(self) -> int:
@@ -115,6 +128,15 @@ class QuotientGraph:
 
     def terminal_ids(self) -> list[int]:
         return [i for i, s in enumerate(self.stable) if not s]
+
+    def stabilizer(self, i: int) -> StabilizerField:
+        """End of the terminal vertex i as F_{q^2}, built on first use."""
+        if i not in self._stabilizers:
+            v = self.vertices[i]
+            self._stabilizers[i] = StabilizerField(
+                self.alg, HomSet(self.alg.F, v, v, self.end_basis[i]),
+                partial(transport_all, self.alg))
+        return self._stabilizers[i]
 
     def undirected_multiplicities(self) -> Counter:
         """Number of undirected edges per unordered vertex pair."""
@@ -256,12 +278,12 @@ def _reduction_walk(G: QuotientGraph, v: Vertex):
 
     Returns (w, steps) where w is the vertex label reached and steps is
     the list of (unit, letter) applied, earliest first; the letter is
-    ("pairing", edge_index, sign) or ("stab", vertex_id, unit) and
-    records how each step reads in the generators.  The product of the
-    units (latest leftmost) maps v to w.
+    ("pairing", edge_index, sign) or ("stab", vertex_id, s) for the unit
+    gen^s of G.stabilizer(vertex_id), and records how each step reads
+    in the generators.  The product of the units (latest leftmost) maps
+    v to w.
     """
     alg = G.alg
-    F = alg.F
     cur = v
     steps = []
     prev_hit = None
@@ -293,16 +315,10 @@ def _reduction_walk(G: QuotientGraph, v: Vertex):
                 "no edge of the domain covers the required direction"
         else:
             parent = G.edges[G.out_edges[vi_id][0]].direction
-            ends = HomSet(F, vi, vi, G.end_basis[vi_id])
-            step = None
-            for cand in ends.elements():
-                if transport(alg, cand, target) == parent:
-                    step = cand
-                    steps.append((step, ("stab", vi_id, cand)))
-                    break
-            assert step is not None, \
-                "stabilizer acts transitively on directions, but no " \
-                "rotation onto the parent was found"
+            stab = G.stabilizer(vi_id)
+            s = stab.rotation(target, parent)
+            step = stab.power(s)
+            steps.append((step, ("stab", vi_id, s)))
         cur = transport(alg, step, cur)
 
 
@@ -322,12 +338,6 @@ def reduce(G: QuotientGraph, v: Vertex) -> tuple[Vertex, QuatElem]:
 # presentation
 # ---------------------------------------------------------------------
 
-def _multiplicative_order_is(alg: AlgebraData, x: QuatElem, n: int) -> bool:
-    return (alg.power(x, n) == QUAT_ONE
-            and all(alg.power(x, n // d) != QUAT_ONE
-                    for d in _prime_divisors(n)))
-
-
 @dataclass(frozen=True)
 class Presentation:
     """Generators and relations of the unit group.
@@ -335,7 +345,8 @@ class Presentation:
     The central generator g0 is the canonical primitive scalar; each
     terminal vertex contributes a stabilizer generator gv{i} of
     multiplicative order q^2 - 1 whose (q+1)-st power is exactly g0;
-    each paired edge contributes its pairing unit g{k}.  The defining
+    each paired edge contributes its pairing unit g{k}.  The vertex
+    generators are those of QuotientGraph.stabilizer.  The defining
     relations are g0^(q-1) = 1, gv{i}^(q+1) = g0 and [g{k}, g0] = 1,
     and they are verified by exact arithmetic on construction.
     """
@@ -370,24 +381,7 @@ def presentation(G: QuotientGraph) -> Presentation:
     F = alg.F
     q = F.q
     g0 = QuatElem(((F.primitive_root(),), (), (), ()))
-
-    vertex_gens = []
-    for i in G.terminal_ids():
-        v = G.vertices[i]
-        ends = HomSet(F, v, v, G.end_basis[i])
-        chosen = None
-        for cand in ends.elements():
-            if not _multiplicative_order_is(alg, cand, q * q - 1):
-                continue
-            if alg.power(cand, q + 1) == g0:
-                chosen = cand
-                break
-        if chosen is None:
-            raise RuntimeError(
-                "no stabilizer generator with the prescribed central "
-                "power; this indicates an arithmetic bug")
-        vertex_gens.append((i, chosen))
-
+    vertex_gens = [(i, G.stabilizer(i).gen) for i in G.terminal_ids()]
     edge_gens = [(k, G.edges[k].elem) for k in G.pairings]
 
     assert alg.power(g0, q - 1) == QUAT_ONE
@@ -425,16 +419,6 @@ def evaluate_word(alg: AlgebraData, pres: Presentation, word: Word) -> QuatElem:
     return out
 
 
-def _stab_log(alg: AlgebraData, gen: QuatElem, x: QuatElem, order: int) -> int:
-    """The exponent s with gen^s = x, 0 <= s < order."""
-    acc = QUAT_ONE
-    for s in range(order):
-        if acc == x:
-            return s
-        acc = alg.mul(acc, gen)
-    raise AssertionError("element is not a power of the stabilizer generator")
-
-
 def express_in_generators(G: QuotientGraph, gamma: QuatElem,
                           pres: Presentation | None = None) -> Word:
     """gamma as a word in the presentation's generators, exactly.
@@ -458,7 +442,6 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
         partner[(e.dst, e.src, e.index)] = k
     vertex_name = {i: f"gv{t + 1}"
                    for t, (i, _) in enumerate(pres.vertex_gens)}
-    vertex_gen = dict(pres.vertex_gens)
 
     base = G.vertices[G.initial]
     w, steps = _reduction_walk(G, transport(alg, gamma, base))
@@ -476,20 +459,24 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
                 k = partner[(e.src, e.dst, e.index)]
             letters.append((pairing_name[k], -sign))
         else:
-            _, vi_id, elem = info
-            gen = vertex_gen[vi_id]
-            s = _stab_log(alg, gen, elem, q * q - 1)
+            _, vi_id, s = info
             assert s != 0
             letters.append((vertex_name[vi_id], (q * q - 1 - s)))
 
     residual = alg.mul(total, gamma)
     if G.stable[G.initial]:
-        t = _stab_log(alg, pres.g0, residual, q - 1)
+        # End(v0) is F_q, so the residual is a power of the scalar g0
+        g0 = pres.g0.lam[0][0]
+        logs = {QuatElem(((alg.F.pow(g0, s),), (), (), ())): s
+                for s in range(q - 1)}
+        t = logs.get(residual)
+        if t is None:
+            raise AssertionError(
+                "element is not a power of the stabilizer generator")
         if t:
             letters.append(("g0", t))
     else:
-        gen = vertex_gen[G.initial]
-        s = _stab_log(alg, gen, residual, q * q - 1)
+        s = G.stabilizer(G.initial).log(residual)
         if s:
             letters.append((vertex_name[G.initial], s))
 

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btquot import algebra
 from btquot.algebra import (
     DEFAULT_MODULI,
     GF,
+    MAX_Q,
     ONE_POLY,
     T_POLY,
     ZERO_POLY,
@@ -273,6 +275,21 @@ def test_primitive_root_extension_field():
         if a == 0:
             continue
         assert len({F.pow(a, k) for k in range(8)}) < 8
+
+
+def test_field_above_max_q_rejected_before_any_work(monkeypatch):
+    # the size check comes first, so no large field is ever factored or
+    # tabulated here
+    def refuse(q):
+        raise AssertionError(f"GF({q}) got past the size check")
+    monkeypatch.setattr(algebra, "_factor_prime_power", refuse)
+    for q in (MAX_Q + 4, 3 ** 5, 10 ** 9 + 7):
+        with pytest.raises(ValueError, match="supported maximum"):
+            GF(q)
+
+
+def test_max_q_is_an_accepted_odd_prime():
+    assert GF(MAX_Q).q == MAX_Q
 
 
 def test_bad_field_specs_rejected():

@@ -14,6 +14,7 @@ from btquot import cli, homspace, quotient, tree
 from btquot.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PRECISION, EXIT_USER,
                         EXIT_VERIFY, JobConfig, _make_parser, _parse_config,
                         main)
+from btquot.algebra import MAX_Q
 from btquot.laurent import InsufficientPrecisionError
 
 Q5 = ["--q", "5", "--primes", "T,T+1,T+2,T+3"]
@@ -72,6 +73,14 @@ class TestCompute:
         code, _, err = run(capsys, ["compute", "--q", "4",
                                     "--primes", "T,T+1", *cache])
         assert code == EXIT_USER
+
+    def test_q_above_maximum_rejected(self, capsys, cache):
+        code, out, err = run(capsys, ["compute", "--q", str(MAX_Q + 4),
+                                      "--primes", "T,T+1", *cache])
+        assert code == EXIT_USER
+        assert out == ""
+        assert err == f"error: q={MAX_Q + 4} is above the supported " \
+            f"maximum {MAX_Q}\n"
 
     def test_byte_identical_runs(self, capsys, cache, tmp_path):
         a = tmp_path / "a.json"

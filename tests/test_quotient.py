@@ -12,14 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btquot.algebra import field, parse_poly
+from btquot.algebra import _prime_divisors, field, parse_poly
 from btquot.homspace import HomSet, hom
-from btquot.quaternion import QUAT_ONE, build_algebra, height
+from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra, height
 from btquot.quotient import (Presentation, QuotientGraph, Word,
-                             _multiplicative_order_is, compute_quotient, diameter_bound, evaluate_word,
+                             compute_quotient, diameter_bound, evaluate_word,
                              express_in_generators, graph_diameter,
                              predicted_invariants, presentation, reduce,
-                             transport, two_cycle_counts, verify_structure)
+                             transport, transport_all, two_cycle_counts,
+                             verify_structure)
 from btquot.tree import BASE_VERTEX, Vertex, distance, neighbors, parse_vertex
 
 F3 = field(3)
@@ -37,6 +38,18 @@ G5 = compute_quotient(ALG5)
 PRES3 = presentation(G3)
 PRES3B = presentation(G3B)
 PRES5 = presentation(G5)
+
+# eight terminal vertices each; q=9 puts F_81 over a non-prime F_9
+G7 = compute_quotient(build_algebra(F7, [(0, 1), (1, 1), (2, 1), (3, 1)]))
+F9 = field(9)
+G9 = compute_quotient(build_algebra(
+    F9, [parse_poly(F9, t) for t in ("T", "T+1", "T+2", "T+[0,1]")]))
+
+
+def _multiplicative_order_is(alg, x, n):
+    return (alg.power(x, n) == QUAT_ONE
+            and all(alg.power(x, n // d) != QUAT_ONE
+                    for d in _prime_divisors(n)))
 
 
 def random_unit(alg, pres, rng, max_letters=6):
@@ -337,6 +350,75 @@ class TestPresentation:
         for (k, g), kk in zip(PRES5.edge_gens, G5.pairings):
             assert k == kk
             assert g == G5.edges[kk].elem
+
+
+class TestStabilizerField:
+    """QuotientGraph.stabilizer against the enumeration of End(v) that
+    presentation and the reduction walk used before: every terminal
+    vertex of the degenerate q=3 domain, of q5-worked and of the q=7 and
+    q=9 graphs on four linear primes (q3-deg3, R={T, T^2+1}, has no
+    terminal vertex)."""
+
+    GRAPHS = pytest.mark.parametrize("G", [G3, G5, G7, G9],
+                                     ids=["g3", "g5", "g7", "g9"])
+
+    @GRAPHS
+    def test_generator_is_first_in_enumeration(self, G):
+        alg, q = G.alg, G.q
+        g0 = QuatElem(((alg.F.primitive_root(),), (), (), ()))
+        for i in G.terminal_ids():
+            v = G.vertices[i]
+            expected = next(
+                x for x in HomSet(alg.F, v, v, G.end_basis[i]).elements()
+                if _multiplicative_order_is(alg, x, q * q - 1)
+                and alg.power(x, q + 1) == g0)
+            assert G.stabilizer(i).gen == expected
+
+    @GRAPHS
+    def test_log_matches_bruteforce_powers(self, G):
+        alg, q = G.alg, G.q
+        for i in G.terminal_ids():
+            stab = G.stabilizer(i)
+            acc = QUAT_ONE
+            for s in range(q * q - 1):
+                assert stab.log(acc) == s
+                assert stab.power(s) == acc
+                acc = alg.mul(acc, stab.gen)
+            assert acc == QUAT_ONE
+
+    @GRAPHS
+    def test_rotation_is_first_element_onto_parent(self, G):
+        alg = G.alg
+        for i in G.terminal_ids():
+            v = G.vertices[i]
+            parent = G.edges[G.out_edges[i][0]].direction
+            targets = [t for t in neighbors(alg.F, v) if t != parent]
+            first = {}
+            for x in HomSet(alg.F, v, v, G.end_basis[i]).elements():
+                for t, image in zip(targets, transport_all(alg, x, targets)):
+                    if image == parent:
+                        first.setdefault(t, x)
+                if len(first) == len(targets):
+                    break
+            stab = G.stabilizer(i)
+            for t in targets:
+                assert stab.power(stab.rotation(t, parent)) == first[t]
+
+    def test_misses_raise_assertion_error(self):
+        i = G5.terminal_ids()[0]
+        stab = G5.stabilizer(i)
+        far = Vertex.make(G5.vertices[i].n + 2, 0, ())
+        parent = G5.edges[G5.out_edges[i][0]].direction
+        with pytest.raises(AssertionError, match="no rotation onto"):
+            stab.rotation(far, parent)
+        for x in (QuatElem(((), (), (), ())), G5.edges[G5.pairings[0]].elem,
+                  QuatElem(((0, 1), (), (), ()))):
+            with pytest.raises(AssertionError, match="not a power"):
+                stab.log(x)
+
+    def test_built_once_per_vertex(self):
+        i = G5.terminal_ids()[0]
+        assert G5.stabilizer(i) is G5.stabilizer(i)
 
 
 class TestWordProblem:
