@@ -102,14 +102,14 @@ class GF:
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         # coordinate-array kernels: digits[a] is the coordinate row of
         # the code a, place the weights that turn coordinates back into
-        # a code, and column k of the (e, 2e-1) matrix fold holds the
-        # coordinates of x^k modulo the defining polynomial (x^(k-1)
-        # shifted up by one place, its overflow reduced by the modulus)
+        # a code, and column k of the (e, 3e-2) matrix fold (enough for
+        # three factors) holds the coordinates of x^k modulo the defining
+        # polynomial (x^(k-1) shifted up by one place, overflow reduced)
         self.place = p ** np.arange(e, dtype=np.int64)
         self.digits = np.arange(q, dtype=np.int64)[:, None] // self.place % p
         col = [1] + [0] * (e - 1)
         cols = [col]
-        for _ in range(2 * e - 2):
+        for _ in range(3 * e - 3):
             col = [(c - col[-1] * m) % p
                    for c, m in zip([0] + col[:-1], self.modulus)]
             cols.append(col)
@@ -209,7 +209,7 @@ class GF:
         for i in range(e):
             for j in range(e):
                 planes[i + j] += np.convolve(A[:, i], B[:, j])
-        return self.place @ (self.fold @ planes % self.p)
+        return self.place @ (self.fold[:, :2 * e - 1] @ planes % self.p)
 
     def tables(self):
         """The (add, mul, neg, inv) tables as numpy arrays, with inv[0]
@@ -283,13 +283,6 @@ def poly_mul(F: GF, f, g):
             for j, y in enumerate(g):
                 prod[i + j] = F.add(prod[i + j], F.mul(x, y))
     return poly_trim(prod)
-
-
-def poly_eval(F: GF, f, x: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
 
 
 def poly_divmod(F: GF, f, g):

@@ -106,15 +106,6 @@ class Laurent:
         """No nonzero coefficient is known (true valuation >= prec)."""
         return not self.coeffs
 
-    def valuation(self) -> int:
-        """Exact valuation; raises if only a lower bound is known."""
-        if self.coeffs:
-            return self.val
-        if self.is_exact_zero:
-            return INF
-        raise InsufficientPrecisionError(
-            f"valuation only bounded below by {self.prec}")
-
     def coeff(self, k: int) -> int:
         """Coefficient of pi^k; raises beyond the precision bound."""
         if k >= self.prec:
@@ -124,10 +115,6 @@ class Laurent:
             return 0
         i = k - self.val
         return self.coeffs[i] if i < len(self.coeffs) else 0
-
-    def window(self, lo: int, hi: int) -> list[int]:
-        """Coefficients of pi^lo .. pi^(hi-1)."""
-        return [self.coeff(k) for k in range(lo, hi)]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -180,13 +167,6 @@ class Laurent:
             # only product digits below prec are kept
             a, b = a[:prec - val], b[:prec - val]
         return Laurent(self.F, val, self.F.conv(a, b), prec)
-
-    def scale(self, c: int) -> "Laurent":
-        """Multiply by the field element c (exact)."""
-        F = self.F
-        if c == 0:
-            return Laurent.zero(F)
-        return Laurent(F, self.val, F.tables()[1][c][self._arr], self.prec)
 
     def inv(self) -> "Laurent":
         """Inverse, to the same relative precision.
@@ -374,20 +354,6 @@ class Mat2:
     def __init__(self, a: Laurent, b: Laurent, c: Laurent, d: Laurent):
         self.a, self.b, self.c, self.d = a, b, c, d
 
-    @classmethod
-    def identity(cls, F: GF, prec: int) -> "Mat2":
-        one = Laurent.constant(F, 1, prec)
-        zero = Laurent.zero(F)
-        return cls(one, zero, zero, one)
-
-    @classmethod
-    def from_polys(cls, F: GF, rows, prec: int) -> "Mat2":
-        (fa, fb), (fc, fd) = rows
-        return cls(Laurent.from_poly(F, fa, prec) if fa else Laurent.zero(F),
-                   Laurent.from_poly(F, fb, prec) if fb else Laurent.zero(F),
-                   Laurent.from_poly(F, fc, prec) if fc else Laurent.zero(F),
-                   Laurent.from_poly(F, fd, prec) if fd else Laurent.zero(F))
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
@@ -396,10 +362,6 @@ class Mat2:
                     self.a * other.b + self.b * other.d,
                     self.c * other.a + self.d * other.c,
                     self.c * other.b + self.d * other.d)
-
-    def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a + other.a, self.b + other.b,
-                    self.c + other.c, self.d + other.d)
 
     def det(self) -> Laurent:
         return self.a * self.d - self.b * self.c
@@ -414,30 +376,6 @@ class Mat2:
         di = dt.inv()
         return Mat2(self.d * di, -(self.b * di),
                     -(self.c * di), self.a * di)
-
-    def scale(self, s: Laurent) -> "Mat2":
-        return Mat2(self.a * s, self.b * s, self.c * s, self.d * s)
-
-    def min_val(self) -> int:
-        """v_infinity of the matrix: minimum of the entry valuations."""
-        exact, bounds = [], []
-        for x in self.entries():
-            if x.is_exact_zero:
-                continue
-            if x.coeffs:
-                exact.append(x.val)
-            else:
-                bounds.append(x.prec)
-        if not exact:
-            if not bounds:
-                return INF
-            raise InsufficientPrecisionError(
-                "no entry has a determined valuation")
-        m = min(exact)
-        if bounds and min(bounds) < m:
-            raise InsufficientPrecisionError(
-                "an undetermined entry may have smaller valuation")
-        return m
 
     def __eq__(self, other):
         return (isinstance(other, Mat2)

@@ -14,6 +14,13 @@ constants derived symbolically at construction time by expanding in the
 (1, i, j, ij) basis and converting back; the conversions must divide
 exactly by alpha, which is asserted.
 
+The product and the embedding run on one packed-integer kernel
+(Kronecker substitution): coefficient arrays become Python ints with a
+fixed-width slot per F_p digit, are multiplied and added as big
+integers, and are unpacked once per output, mod p and folded by the
+modulus of F_q.  The slot width follows from a stated bound on every
+slot sum; a bound beyond 64 bits raises instead of letting slots carry.
+
 The unit group Gamma consists of the elements whose reduced norm lies
 in F_q^*; the reduced norm itself is computed as x * conj(x), never
 from a closed formula.
@@ -27,11 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import (
     GF,
     ONE_POLY,
     ZERO_POLY,
-    enumerate_monic_irreducibles,
+    enumerate_monic_polys,
     format_poly,
     hilbert_symbol,
     is_irreducible,
@@ -44,6 +53,7 @@ from .algebra import (
     poly_neg,
     poly_scale,
     poly_sub,
+    poly_trim,
     sqrt_mod_irreducible,
 )
 from .laurent import INF, Laurent, Mat2, SeriesStack, newton_sqrt
@@ -94,12 +104,13 @@ def alpha_degree_bound(q: int, num_primes: int, d: int) -> int:
 
 def find_alpha(F: GF, ram: RamificationSet):
     """First monic irreducible of even degree that is a non-square at
-    every ramified place, searching degrees 2, 4, ... in canonical order
-    up to alpha_degree_bound."""
+    every ramified place (tested first, being cheaper), searching degrees
+    2, 4, ... in canonical order up to alpha_degree_bound."""
     bound = alpha_degree_bound(F.q, len(ram.primes), ram.d)
     for degree in range(2, bound + 1, 2):
-        for cand in enumerate_monic_irreducibles(F, degree):
-            if all(legendre(F, cand, p) == -1 for p in ram.primes):
+        for cand in enumerate_monic_polys(F, degree):
+            if (all(legendre(F, cand, p) == -1 for p in ram.primes)
+                    and is_irreducible(F, cand)):
                 return cand
     raise RuntimeError(f"alpha search exceeded the degree bound {bound}; "
                        "this indicates an arithmetic bug")
@@ -160,9 +171,10 @@ class AlgebraData:
     Immutable after construction.  precision_cap bounds the precision
     retries of every computation on the algebra (None: the default cap
     of retry_with_precision).  The sqrt(alpha) value is memoized at
-    the highest precision requested so far, and the embedded order basis
-    (with 1/sqrt(alpha) inside it) once per precision.  The memos are
-    plain dicts: the package runs single-threaded.
+    the highest precision requested so far, the embedded order basis
+    (with 1/sqrt(alpha) inside it) once per precision, and their packed
+    forms on first use.  The memos are plain dicts: the package runs
+    single-threaded.
     """
 
     def __init__(self, F: GF, primes, precision_cap: int | None = None):
@@ -178,9 +190,14 @@ class AlgebraData:
         if rem:
             raise AssertionError("epsilon^2 - r is not divisible by alpha")
         self._tensor = self._derive_structure_constants()
+        self._tensor_len = max(len(w) for row in self._tensor
+                               for ws in row for w in ws)
+        # byte translations code -> coordinate u, for packing
+        self._planes = [bytes(F.digits[:, u].tolist() + [0] * (256 - F.q))
+                        for u in range(F.e)]
         self._sqrt_cache = None
-        self._basis = {}
-        self._stacks = {}
+        self._basis, self._stacks = {}, {}
+        self._packed_tensor, self._packed_basis = {}, {}
         self._verify_ramification()
         self._verify_reduced_discriminant()
 
@@ -222,16 +239,12 @@ class AlgebraData:
         def mul_ij(x, y):
             out = [Z, Z, Z, Z]
             for s in range(4):
-                if not x[s]:
-                    continue
                 for t in range(4):
-                    if not y[t]:
-                        continue
-                    c = poly_mul(F, x[s], y[t])
-                    for k, w in enumerate(ij_table[(s, t)]):
-                        if w:
-                            out[k] = poly_add(F, out[k],
-                                              poly_mul(F, c, w))
+                    if x[s] and y[t]:
+                        c = poly_mul(F, x[s], y[t])
+                        for k, w in enumerate(ij_table[(s, t)]):
+                            if w:
+                                out[k] = poly_add(F, out[k], poly_mul(F, c, w))
             return tuple(out)
 
         def to_lambda(x, denom_exp):
@@ -248,13 +261,8 @@ class AlgebraData:
                     lam[k] = q
             return tuple(lam)
 
-        tensor = [[None] * 4 for _ in range(4)]
-        for s in range(4):
-            xs, es = basis[s]
-            for t in range(4):
-                yt, et = basis[t]
-                tensor[s][t] = to_lambda(mul_ij(xs, yt), es + et)
-        return tensor
+        return [[to_lambda(mul_ij(xs, yt), es + et) for yt, et in basis]
+                for xs, es in basis]
 
     def _verify_ramification(self):
         """hilbert_symbol(alpha, r, p) = -1 exactly for p in R."""
@@ -270,40 +278,71 @@ class AlgebraData:
         F = self.F
         gram = [[poly_scale(F, F.from_int(2), self._tensor[s][t][0])
                  for t in range(4)] for s in range(4)]
-        det = _poly_det4(F, gram)
+        det = _poly_det(F, gram)
         r2 = poly_mul(F, self.r, self.r)
         q, rem = poly_divmod(F, det, r2)
         if rem or poly_deg(q) != 0:
             raise AssertionError(
                 "reduced discriminant of the order basis is not (r)")
 
+    # -- the packed-integer kernel ----------------------------------------
+
+    def _pack(self, polys, w: int) -> list[int]:
+        """Each code sequence f (codes fit a byte: q <= 127) as one int:
+        digit u of f[i] in slot i*E + u, w bytes per slot, E = 3e-2 slots
+        per coefficient (room for the digit sums of three factors)."""
+        E = self.F.fold.shape[1]
+        raw = b"".join(map(bytes, polys))
+        buf = bytearray(len(raw) * E * w)
+        for u, plane in enumerate(self._planes):
+            buf[u * w::E * w] = raw.translate(plane)
+        view, out, i = memoryview(buf), [], 0
+        for f in polys:
+            out.append(int.from_bytes(view[i:i + len(f) * E * w], "little"))
+            i += len(f) * E * w
+        return out
+
+    def _unpack(self, packed, n: int, w: int) -> list:
+        """The first n coefficients of each packed sum as codes: slots
+        reduced mod p, each coefficient's slots folded by the modulus."""
+        F = self.F
+        E = F.fold.shape[1]
+        raw = b"".join(v.to_bytes(n * E * w, "little") for v in packed)
+        slots = np.frombuffer(raw, dtype=f"<u{w}").reshape(-1, E) % F.p
+        return (slots.astype(np.int64) @ F.fold.T % F.p @ F.place
+                ).reshape(len(packed), n).tolist()
+
     # -- arithmetic in Lambda -------------------------------------------
 
     def mul(self, x: QuatElem, y: QuatElem) -> QuatElem:
+        """x * y = sum_{s,t,k} x_s y_t W_stk b_k: at most 16 + 64 packed
+        products.  A slot sums at most 16 e^2 L_W min(L_x, L_y) products
+        of three digits, each below p^3 (L: coefficient counts, L_W that
+        of the longest structure constant W_stk)."""
+        lx, ly = max(map(len, x.lam)), max(map(len, y.lam))
+        if not lx or not ly:
+            return QuatElem((ZERO_POLY,) * 4)
         F = self.F
-        out = [ZERO_POLY] * 4
-        for s in range(4):
-            if not x.lam[s]:
-                continue
-            for t in range(4):
-                if not y.lam[t]:
-                    continue
-                c = poly_mul(F, x.lam[s], y.lam[t])
-                for k, w in enumerate(self._tensor[s][t]):
-                    if w:
-                        out[k] = poly_add(F, out[k], poly_mul(F, c, w))
-        return QuatElem(tuple(out))
-
-    def add(self, x: QuatElem, y: QuatElem) -> QuatElem:
-        F = self.F
-        return QuatElem(tuple(poly_add(F, a, b)
-                              for a, b in zip(x.lam, y.lam)))
+        w = _slot_bytes(16 * F.e ** 2 * (F.p - 1) ** 3 * self._tensor_len
+                        * min(lx, ly))
+        W = self._packed_tensor.get(w)
+        if W is None:
+            W = self._packed_tensor[w] = [
+                (s, t, [(k, c) for k, c in
+                        enumerate(self._pack(self._tensor[s][t], w)) if c])
+                for s in range(4) for t in range(4)]
+        X, Y = self._pack(x.lam, w), self._pack(y.lam, w)
+        out = [0] * 4
+        for s, t, terms in W:
+            c = X[s] * Y[t]
+            if c:
+                for k, wk in terms:
+                    out[k] += c * wk
+        n = lx + ly + self._tensor_len - 2
+        return QuatElem(tuple(map(poly_trim, self._unpack(out, n, w))))
 
     def scale(self, c: int, x: QuatElem) -> QuatElem:
         return QuatElem(tuple(poly_scale(self.F, c, a) for a in x.lam))
-
-    def neg(self, x: QuatElem) -> QuatElem:
-        return QuatElem(tuple(poly_neg(self.F, a) for a in x.lam))
 
     def conj(self, x: QuatElem) -> QuatElem:
         F = self.F
@@ -317,9 +356,6 @@ class AlgebraData:
         if any(prod.lam[k] for k in (1, 2, 3)):
             raise AssertionError("x * conj(x) is not scalar")
         return prod.lam[0]
-
-    def trd(self, x: QuatElem):
-        return poly_scale(self.F, self.F.from_int(2), x.lam[0])
 
     def is_unit(self, x: QuatElem) -> bool:
         """Membership in Gamma: reduced norm in F_q^*."""
@@ -392,26 +428,46 @@ class AlgebraData:
 
         iota(x) = sum_k lam_k * iota(b_k) over the memoized basis images;
         a coordinate of degree D costs D digits, so the basis is taken at
-        precision prec + max deg(lam_k), rounded up to a multiple of 16
-        so that a long session memoizes only a few of them.
+        precision P = prec + max deg(lam_k), rounded up to a multiple of
+        16 so that a long session memoizes only a few of them.  Those are
+        packed once per P, each row shifted to its lowest valuation, so
+        an entry of iota(x) is at most four big-int products, with the
+        valuation and precision of the Laurent sum.  A slot sums at most
+        4 e N products of two digits, each below p^2 (N: longest entry).
         """
         F = self.F
-        maxdeg = max((poly_deg(c) for c in x.lam), default=0)
-        B = self.basis_embedding(-(-(prec + max(0, maxdeg)) // 16) * 16)
-        entries = [Laurent.zero(F)] * 4
-        for f, Bk in zip(x.lam, B):
-            if not f:
-                continue
-            lam = Laurent.from_poly(F, f, INF)
-            for i, e in enumerate(Bk.entries()):
-                if not e.is_exact_zero:
-                    entries[i] = entries[i] + lam * e
-        M = Mat2(*entries)
-        for entry in M.entries():
-            if not entry.is_exact_zero and entry.prec < prec:
+        D = max(map(len, x.lam)) - 1
+        P = -(-(prec + max(0, D)) // 16) * 16
+        if P not in self._packed_basis:
+            B = self.basis_embedding(P)
+            n = max(len(e.coeffs) for M in B for e in M.entries())
+            w = _slot_bytes(4 * F.e * (F.p - 1) ** 2 * n)
+            rows = []
+            for entries in zip(*(M.entries() for M in B)):
+                vb = min((e.val for e in entries if e.coeffs), default=0)
+                packed = self._pack([(0,) * (e.val - vb) + e.coeffs
+                                     if e.coeffs else () for e in entries], w)
+                rows.append((vb, list(zip((e.prec for e in entries),
+                                          packed))))
+            self._packed_basis[P] = w, rows
+        w, rows = self._packed_basis[P]
+        bits = 8 * w * F.fold.shape[1]
+        # pi^D lam_k as a series in pi, all four starting at pi^0
+        lam = self._pack([(0,) * (D + 1 - len(f)) + f[::-1]
+                          for f in x.lam], w)
+        precs, sums = [], []
+        for vb, row in rows:
+            # an exact zero (all terms 0 at precision INF) stays exact
+            terms = [(pr - len(f) + 1, c * b)
+                     for f, c, (pr, b) in zip(x.lam, lam, row) if c]
+            precs.append(min(terms, default=(INF,))[0])
+            if precs[-1] < prec:
                 raise AssertionError(
                     "embedding lost more precision than budgeted")
-        return M
+            sums.append(sum(t[1] for t in terms))
+        n = max(-(-a.bit_length() // bits) for a in sums)
+        return Mat2(*(Laurent(F, vb - D, codes, pr) for (vb, _), codes, pr
+                      in zip(rows, self._unpack(sums, n, w), precs)))
 
 
 def build_algebra(F: GF, primes,
@@ -422,6 +478,15 @@ def build_algebra(F: GF, primes,
     return AlgebraData(F, primes, precision_cap=precision_cap)
 
 
+def _slot_bytes(bound: int) -> int:
+    """Bytes per packed slot: the least of 1, 2, 4, 8 that holds bound, a
+    bound on every slot sum; beyond 8 it raises rather than wrap."""
+    for w in (1, 2, 4, 8):
+        if bound >> (8 * w) == 0:
+            return w
+    raise AssertionError(f"packed slot bound {bound} exceeds 64 bits")
+
+
 def height(x: QuatElem) -> int:
     """max_i deg(lam_i); raises on the zero element."""
     if x.is_zero():
@@ -429,24 +494,14 @@ def height(x: QuatElem) -> int:
     return max(poly_deg(c) for c in x.lam if c)
 
 
-def _poly_det4(F: GF, m):
-    """Determinant of a 4x4 polynomial matrix by Laplace expansion."""
-
-    def det2(a, b, c, d):
-        return poly_sub(F, poly_mul(F, a, d), poly_mul(F, b, c))
-
-    def det3(rows):
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        t1 = poly_mul(F, a, det2(e, f, h, i))
-        t2 = poly_mul(F, b, det2(d, f, g, i))
-        t3 = poly_mul(F, c, det2(d, e, g, h))
-        return poly_add(F, poly_sub(F, t1, t2), t3)
-
+def _poly_det(F: GF, m):
+    """Determinant of a square polynomial matrix, by Laplace expansion
+    along the first row."""
+    if len(m) == 1:
+        return m[0][0]
     total = ZERO_POLY
-    for col in range(4):
-        minor = [[m[r][c] for c in range(4) if c != col]
-                 for r in range(1, 4)]
-        term = poly_mul(F, m[0][col], det3(minor))
-        total = (poly_add(F, total, term) if col % 2 == 0
-                 else poly_sub(F, total, term))
+    for col, a in enumerate(m[0]):
+        term = poly_mul(F, a, _poly_det(F, [row[:col] + row[col + 1:]
+                                            for row in m[1:]]))
+        total = poly_add(F, total, poly_neg(F, term) if col % 2 else term)
     return total

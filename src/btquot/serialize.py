@@ -71,11 +71,12 @@ def graph_to_json(G: QuotientGraph) -> str:
 
 def graph_from_json(text: str,
                     precision_cap: int | None = None) -> QuotientGraph:
-    """Rebuild a graph from its JSON form (also rebuilding the algebra,
-    with the given precision cap; the stored alpha/epsilon/nu must match
-    the derived ones, every stored pairing unit and endomorphism basis
-    element must be a unit of the order, and every pairing unit must map
-    its candidate to the label of the edge's target)."""
+    """Rebuild a graph from its JSON form, and its algebra with the given
+    precision cap.  ValueError unless alpha/epsilon/nu match the derived
+    ones, stored pairing units and End basis elements are units, a vertex
+    has an End basis exactly when it is not stable and each element fixes
+    it, pairing units map their candidates to the targets' labels, and
+    out-degrees are 1 (terminal) and q+1 (internal)."""
     data = json.loads(text)
     if data.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {data.get('format')}")
@@ -96,9 +97,17 @@ def graph_from_json(text: str,
     G = QuotientGraph(alg)
     for entry in sorted(data["vertices"], key=lambda d: d["id"]):
         v = parse_vertex(F, entry["nf"])
+        if entry["stable"] == ("end_basis" in entry):
+            raise ValueError("a vertex has an End basis exactly when it "
+                             "is not stable")
         basis = None
         if "end_basis" in entry:
             basis = tuple(unit(t) for t in entry["end_basis"])
+            # scalar units fix every vertex
+            if any(transport_all(alg, b, (v,)) != [v]
+                   for b in basis if any(b.lam[1:])):
+                raise ValueError("an End basis element does not fix its "
+                                 "vertex")
         i = G._add_vertex(v, stable=entry["stable"], basis=basis)
         if i != entry["id"]:
             raise ValueError("vertex ids must be dense and sorted")
@@ -145,6 +154,9 @@ def graph_from_json(text: str,
         else:
             raise ValueError(f"unknown edge label {label!r}")
         G._add_edge(e)
+    for i, stable in enumerate(G.stable):
+        if G.degree(i) != (F.q + 1 if stable else 1):
+            raise ValueError(f"vertex {i} has out-degree {G.degree(i)}")
     G.pairings = [k for k, e in enumerate(G.edges) if e.kind == "pairing"]
     return G
 

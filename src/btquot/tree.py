@@ -151,7 +151,7 @@ def vnf(M: Mat2) -> Vertex:
             f"top-right entry not determined modulo pi^{n}")
     if B.is_zero_at_prec:
         return Vertex.make(n, 0, ())
-    return Vertex.make(n, B.val, B.window(B.val, n))
+    return Vertex.make(n, B.val, B.coeffs)  # make truncates at pi^n
 
 
 def act(A: Mat2, v: Vertex) -> Vertex:

@@ -239,7 +239,7 @@ def test_field_codes_match_schoolbook_reference(F):
         F.inv(0)
     # column k of fold holds the coordinates of x^k (x has the code p)
     powers = [1]
-    for _ in range(2 * F.e - 2):
+    for _ in range(3 * F.e - 3):
         powers.append(schoolbook_mul(F, powers[-1], F.p))
     assert F.fold.T.tolist() == [list(F.coords(c)) for c in powers]
 

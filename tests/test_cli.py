@@ -164,6 +164,47 @@ class TestCompute:
         assert out == golden
         assert path.read_text() == golden
 
+    @staticmethod
+    def _tampered_cache_is_recomputed(capsys, cache, tmp_path, tamper):
+        # compute with verification, edit the cached file, compute again:
+        # the edit must be a cache miss, so the golden bytes come back
+        args = ["compute", *Q5, *cache, "--format", "json"]
+        assert run(capsys, args)[0] == EXIT_OK
+        (path,) = tmp_path.glob("graph-*.json")
+        data = json.loads(path.read_text())
+        tamper(data)
+        path.write_text(json.dumps(data, indent=2) + "\n")
+        code, out, err = run(capsys, args)
+        assert code == EXIT_OK, err
+        golden = (Path(__file__).resolve().parent / "golden"
+                  / "q5-worked.json").read_text()
+        assert out == golden
+        assert path.read_text() == golden
+
+    def test_stable_flag_with_end_basis_is_a_miss(self, capsys, cache,
+                                                  tmp_path):
+        def tamper(data):
+            assert "end_basis" in data["vertices"][1]
+            data["vertices"][1]["stable"] = True
+        self._tampered_cache_is_recomputed(capsys, cache, tmp_path, tamper)
+
+    def test_wrong_out_degree_is_a_miss(self, capsys, cache, tmp_path):
+        # dropping the tree edge 2 -> 7 and its opposite leaves the
+        # terminal vertex 7 with out-degree 0 and vertex 2 with q
+        def tamper(data):
+            data["edges"] = [e for e in data["edges"]
+                             if {e["src"], e["dst"]} != {2, 7}]
+        self._tampered_cache_is_recomputed(capsys, cache, tmp_path, tamper)
+
+    def test_end_basis_element_not_fixing_its_vertex_is_a_miss(
+            self, capsys, cache, tmp_path):
+        # a unit of the order, but from the End basis of another vertex
+        def tamper(data):
+            vs = data["vertices"]
+            assert vs[1]["end_basis"][1] != vs[4]["end_basis"][1]
+            vs[1]["end_basis"][1] = vs[4]["end_basis"][1]
+        self._tampered_cache_is_recomputed(capsys, cache, tmp_path, tamper)
+
     def test_dot_output(self, capsys, cache):
         code, out, _ = run(capsys, ["compute", *Q5, *cache,
                                     "--format", "dot", "--no-verify"])

@@ -21,6 +21,7 @@ from btquot.laurent import (
     Mat2,
     newton_sqrt,
 )
+from laurent_helpers import identity, min_val, valuation
 
 F3 = field(3)
 F5 = field(5)
@@ -38,7 +39,7 @@ def test_from_poly_examples():
     assert (t.val, t.coeffs, t.prec) == (-1, (1,), 5)
     f = Laurent.from_poly(F5, P(F5, "T^2+1"), 3)
     assert f.val == -2
-    assert f.window(-2, 3) == [1, 0, 1, 0, 0]
+    assert [f.coeff(k) for k in range(-2, 3)] == [1, 0, 1, 0, 0]
     with pytest.raises(ValueError):
         Laurent.from_poly(F5, P(F5, "T^2"), -2)
 
@@ -81,10 +82,10 @@ def test_mul_valuation_additive(fc, gc):
         return
     x = Laurent.from_poly(F5, f, 6)
     y = Laurent.from_poly(F5, g, 6)
-    assert (x * y).valuation() == x.valuation() + y.valuation()
+    assert valuation(x * y) == valuation(x) + valuation(y)
     s = x + y
     if not s.is_zero_at_prec:
-        assert s.valuation() >= min(x.valuation(), y.valuation())
+        assert valuation(s) >= min(valuation(x), valuation(y))
 
 
 def test_inverse_roundtrip_and_precision():
@@ -184,7 +185,7 @@ def test_mat2_det_and_identity():
     A = _vertex_style_matrix(F5, 3, (), 8)
     dt = A.det()
     assert (dt.val, dt.coeffs) == (3, (1,))
-    I = Mat2.identity(F5, 8)
+    I = identity(F5, 8)
     assert A * I == A
 
 
@@ -218,11 +219,11 @@ def test_mat2_inv_precision_failure_is_recoverable():
 
 def test_mat2_min_val():
     A = _vertex_style_matrix(F5, 2, (4,), 6)
-    assert A.min_val() == 0
+    assert min_val(A) == 0
     B = Mat2(Laurent.zero_at(F5, -1), Laurent.constant(F5, 1, 4),
              Laurent.zero(F5), Laurent.constant(F5, 1, 4))
     with pytest.raises(InsufficientPrecisionError):
-        B.min_val()
+        min_val(B)
 
 
 # ---------------------------------------------------------------------

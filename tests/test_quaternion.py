@@ -17,9 +17,9 @@ from btquot.algebra import (
     ONE_POLY,
     ZERO_POLY,
     field,
+    parse_poly,
     poly_add,
     poly_deg,
-    poly_eval,
     poly_mod,
     poly_mul,
     poly_neg,
@@ -28,10 +28,12 @@ from btquot.algebra import (
     poly_sub,
     poly_trim,
 )
-from btquot.laurent import Laurent
+from btquot.laurent import INF, Laurent, Mat2
+from laurent_helpers import add as mat_add
 from btquot.quaternion import (
     QUAT_ONE,
     AlgebraData,
+    _slot_bytes,
     QuatElem,
     RamificationSet,
     alpha_degree_bound,
@@ -146,6 +148,13 @@ def first_alpha_by_brute_force(q, roots):
             if all(poly_eval(F, cand, pt) in nonsquares for pt in roots):
                 return poly_trim(cand)
     raise AssertionError("oracle search failed")
+
+
+def poly_eval(F, f, x):
+    acc = 0
+    for c in reversed(f):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
 
 
 def monic_polys_brute(q, degree):
@@ -308,6 +317,20 @@ class TestBuildAlgebra:
 # multiplication
 # ---------------------------------------------------------------------------
 
+def quat_add(alg, x, y):
+    return QuatElem(tuple(poly_add(alg.F, a, b)
+                          for a, b in zip(x.lam, y.lam)))
+
+
+def quat_neg(alg, x):
+    return QuatElem(tuple(poly_neg(alg.F, a) for a in x.lam))
+
+
+def trd(alg, x):
+    """Reduced trace x + conj(x) = 2 lam_1."""
+    return poly_scale(alg.F, alg.F.from_int(2), x.lam[0])
+
+
 def basis(alg):
     Z, O = ZERO_POLY, ONE_POLY
     return (QuatElem((O, Z, Z, Z)), QuatElem((Z, O, Z, Z)),
@@ -323,10 +346,10 @@ class TestMultiplication:
             assert alg.mul(j, j).lam == (alg.r, (), (), ())
             ij = alg.mul(i, j)
             ji = alg.mul(j, i)
-            assert ji == alg.neg(ij)
+            assert ji == quat_neg(alg, ij)
             # alpha * k = eps * i + ij
             lhs = QuatElem(tuple(poly_mul(F, alg.alpha, c) for c in k.lam))
-            rhs = alg.add(QuatElem(tuple(poly_mul(F, alg.epsilon, c)
+            rhs = quat_add(alg, QuatElem(tuple(poly_mul(F, alg.epsilon, c)
                                          for c in i.lam)), ij)
             assert lhs == rhs
 
@@ -363,8 +386,8 @@ class TestMultiplication:
            quat_strategy(3, maxdeg=1))
     def test_distributivity(self, x, y, z):
         alg = _ALG3
-        assert (alg.mul(x, alg.add(y, z))
-                == alg.add(alg.mul(x, y), alg.mul(x, z)))
+        assert (alg.mul(x, quat_add(alg, y, z))
+                == quat_add(alg, alg.mul(x, y), alg.mul(x, z)))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +426,7 @@ class TestNormAndUnits:
 
     def test_trd(self, alg3):
         x = QuatElem(((1, 2), (1,), (2,), (0, 1)))
-        assert alg3.trd(x) == poly_scale(alg3.F, 2, (1, 2))
+        assert trd(alg3, x) == poly_scale(alg3.F, 2, (1, 2))
 
     def test_division_algebra_no_zero_norms_height0(self, alg3):
         F = alg3.F
@@ -505,9 +528,146 @@ class TestEmbedding:
     def test_additive(self, alg5):
         x = QuatElem(((1, 2), (3,), (), (0, 1)))
         y = QuatElem(((2,), (0, 4), (1,), (3,)))
-        got = alg5.embed(alg5.add(x, y), 8)
-        want = alg5.embed(x, 8) + alg5.embed(y, 8)
+        got = alg5.embed(quat_add(alg5, x, y), 8)
+        want = mat_add(alg5.embed(x, 8), alg5.embed(y, 8))
         assert_mat_equal_at(got, want, 8)
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel against schoolbook references
+# ---------------------------------------------------------------------------
+
+def mul_reference(alg, x, y):
+    """sum_{s,t,k} x_s y_t W_stk by polynomial products over the 4x4x4
+    structure tensor, one poly_mul/poly_add at a time."""
+    F = alg.F
+    out = [ZERO_POLY] * 4
+    for s in range(4):
+        if not x.lam[s]:
+            continue
+        for t in range(4):
+            if not y.lam[t]:
+                continue
+            c = poly_mul(F, x.lam[s], y.lam[t])
+            for k, w in enumerate(alg._tensor[s][t]):
+                if w:
+                    out[k] = poly_add(F, out[k], poly_mul(F, c, w))
+    return QuatElem(tuple(out))
+
+
+def embed_reference(alg, x, prec):
+    """sum_k lam_k * iota(b_k) as Laurent-object products and sums, over
+    the same memoized basis images as embed."""
+    F = alg.F
+    maxdeg = max((poly_deg(c) for c in x.lam), default=0)
+    B = alg.basis_embedding(-(-(prec + max(0, maxdeg)) // 16) * 16)
+    entries = [Laurent.zero(F)] * 4
+    for f, Bk in zip(x.lam, B):
+        if not f:
+            continue
+        lam = Laurent.from_poly(F, f, INF)
+        for i, e in enumerate(Bk.entries()):
+            if not e.is_exact_zero:
+                entries[i] = entries[i] + lam * e
+    return Mat2(*entries)
+
+
+_KERNEL_PRIMES = {3: ["T", "T+1"], 5: ["T", "T+1", "T+2", "T+3"],
+                  7: ["T^2+1", "T", "T+1", "T+2"], 9: ["T", "T+1", "T+[0,1]",
+                                                       "T+2"],
+                  25: ["T", "T+1"], 27: ["T", "T+1"], 49: ["T", "T+1"],
+                  127: ["T", "T+1"]}
+_KERNEL_ALGS = {}
+
+
+def kernel_alg(q):
+    if q not in _KERNEL_ALGS:
+        F = field(q)
+        _KERNEL_ALGS[q] = build_algebra(
+            F, [parse_poly(F, t) for t in _KERNEL_PRIMES[q]])
+    return _KERNEL_ALGS[q]
+
+
+def kernel_quat(data, q):
+    """Coordinates of degree up to 1, 4 or 40; empty lists are zero
+    coordinates."""
+    maxdeg = data.draw(st.sampled_from((1, 4, 40)))
+    return data.draw(quat_strategy(q, maxdeg))
+
+
+def top_quat(q, deg):
+    """Every coordinate of degree deg with every digit p-1: the largest
+    slot sums the kernel can meet at that length."""
+    return QuatElem(((q - 1,) * (deg + 1),) * 4)
+
+
+class TestPackedKernel:
+    @pytest.mark.parametrize("q", sorted(_KERNEL_PRIMES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_mul_matches_reference(self, q, data):
+        alg = kernel_alg(q)
+        x, y = kernel_quat(data, q), kernel_quat(data, q)
+        assert alg.mul(x, y) == mul_reference(alg, x, y)
+
+    @pytest.mark.parametrize("q", sorted(_KERNEL_PRIMES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_embed_matches_reference(self, q, data):
+        alg = kernel_alg(q)
+        x = kernel_quat(data, q)
+        prec = data.draw(st.integers(min_value=1, max_value=70))
+        assert alg.embed(x, prec) == embed_reference(alg, x, prec)
+
+    @pytest.mark.parametrize("q", sorted(_KERNEL_PRIMES))
+    def test_largest_digits_match_reference(self, q):
+        alg = kernel_alg(q)
+        for deg in (0, 7, 60):
+            x = top_quat(q, deg)
+            assert alg.mul(x, x) == mul_reference(alg, x, x)
+            for prec in (1, 23, 64):
+                assert alg.embed(x, prec) == embed_reference(alg, x, prec)
+
+    @pytest.mark.parametrize("q", [3, 9, 27, 127])
+    def test_dense_top_digit_tensor_matches_reference(self, q, monkeypatch):
+        # structure constants of every length l with every digit p-1 in
+        # every slot of the tensor: the slot sums come close to the bound
+        # the slot width is derived from, at several sizes
+        alg = build_algebra(field(q), [lin(0), lin(1)])
+        for length, deg in ((1, 0), (4, 3), (16, 15), (16, 40), (5, 60)):
+            W = [[((q - 1,) * length,) * 4 for _ in range(4)]
+                 for _ in range(4)]
+            monkeypatch.setattr(alg, "_tensor", W)
+            monkeypatch.setattr(alg, "_tensor_len", length)
+            monkeypatch.setattr(alg, "_packed_tensor", {})
+            x = top_quat(q, deg)
+            assert alg.mul(x, x) == mul_reference(alg, x, x)
+
+    def test_zero_operands(self):
+        alg = kernel_alg(9)
+        zero = QuatElem((ZERO_POLY,) * 4)
+        x = top_quat(9, 3)
+        assert alg.mul(zero, x) == alg.mul(x, zero) == zero
+        M = alg.embed(zero, 20)
+        assert all(e.is_exact_zero for e in M.entries())
+
+    def test_slot_width_is_the_narrowest_that_holds_the_bound(self):
+        assert [_slot_bytes(b) for b in (0, 255, 256, (1 << 32) - 1,
+                                         1 << 32, (1 << 64) - 1)] \
+            == [1, 1, 2, 4, 8, 8]
+        with pytest.raises(AssertionError):
+            _slot_bytes(1 << 64)
+
+    def test_slot_bound_refuses_rather_than_wraps(self, monkeypatch):
+        # a structure constant long enough that the bound on a slot sum
+        # passes 64 bits: the product raises instead of computing with
+        # slots that might carry into their neighbours
+        alg = build_algebra(field(127), [lin(0), lin(1)])
+        x = top_quat(127, 2)
+        assert alg.mul(x, x) == mul_reference(alg, x, x)
+        monkeypatch.setattr(alg, "_tensor_len", 1 << 40)
+        with pytest.raises(AssertionError, match="exceeds 64 bits"):
+            alg.mul(x, x)
 
 
 # ---------------------------------------------------------------------------

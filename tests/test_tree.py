@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from btquot.algebra import field, parse_poly
 from btquot.laurent import InsufficientPrecisionError, Laurent, Mat2
+from laurent_helpers import from_polys, identity, min_val, scale, valuation
 from btquot.tree import (
     BASE_VERTEX,
     Vertex,
@@ -52,8 +53,8 @@ def same_lattice_class(M: Mat2, N: Mat2) -> bool:
     unit.
     """
     Pm = N.inv() * M
-    s = Pm.min_val()
-    Q = Pm.scale(Laurent.pi_power(Pm.a.F, -s, 64))
+    s = min_val(Pm)
+    Q = scale(Pm, Laurent.pi_power(Pm.a.F, -s, 64))
     for x in Q.entries():
         if x.is_exact_zero:
             continue
@@ -61,9 +62,9 @@ def same_lattice_class(M: Mat2, N: Mat2) -> bool:
             if x.prec < 0:
                 raise InsufficientPrecisionError("entry undetermined")
             continue
-        if x.valuation() < 0:
+        if valuation(x) < 0:
             return False
-    return Q.det().valuation() == 0
+    return valuation(Q.det()) == 0
 
 
 def ball(F, radius):
@@ -130,9 +131,9 @@ def test_vertex_text_form():
 # ---------------------------------------------------------------------
 
 def test_vnf_examples():
-    I = Mat2.identity(F3, 10)
+    I = identity(F3, 10)
     assert vnf(I) == BASE_VERTEX
-    swap = Mat2.from_polys(F3, [((), P(F3, "1")), (P(F3, "1"), ())], 10)
+    swap = from_polys(F3, [((), P(F3, "1")), (P(F3, "1"), ())], 10)
     assert vnf(swap) == BASE_VERTEX
 
 
@@ -144,20 +145,20 @@ def test_vnf_of_normal_form_is_identity():
 
 def _random_integral_matrix(F, rng, prec=24):
     """A random product of elementary matrices over F_q[T]."""
-    M = Mat2.identity(F, prec)
+    M = identity(F, prec)
     for _ in range(rng.randint(1, 4)):
         kind = rng.randint(0, 3)
         f = tuple(rng.randint(0, F.q - 1) for _ in range(rng.randint(1, 3)))
         f = f if any(f) else (1,)
         if kind == 0:
-            E = Mat2.from_polys(F, [(P(F, "1"), f), ((), P(F, "1"))], prec)
+            E = from_polys(F, [(P(F, "1"), f), ((), P(F, "1"))], prec)
         elif kind == 1:
-            E = Mat2.from_polys(F, [(P(F, "1"), ()), (f, P(F, "1"))], prec)
+            E = from_polys(F, [(P(F, "1"), ()), (f, P(F, "1"))], prec)
         elif kind == 2:
             c = (rng.randint(1, F.q - 1),)
-            E = Mat2.from_polys(F, [(c, ()), ((), P(F, "1"))], prec)
+            E = from_polys(F, [(c, ()), ((), P(F, "1"))], prec)
         else:
-            E = Mat2.from_polys(F, [((), P(F, "1")), (P(F, "1"), ())], prec)
+            E = from_polys(F, [((), P(F, "1")), (P(F, "1"), ())], prec)
         M = M * E
     return M
 
@@ -274,8 +275,8 @@ def test_pairwise_distance_against_bfs():
 
 def test_act_identity_and_scalars():
     v = Vertex.make(2, 1, (1,))
-    assert act(Mat2.identity(F3, 16), v) == v
-    lam = Mat2.from_polys(F3, [(P(F3, "T^2+1"), ()), ((), P(F3, "T^2+1"))], 16)
+    assert act(identity(F3, 16), v) == v
+    lam = from_polys(F3, [(P(F3, "T^2+1"), ()), ((), P(F3, "T^2+1"))], 16)
     assert act(lam, v) == v
 
 
@@ -304,5 +305,5 @@ def test_act_preserves_distance():
 @given(st.integers(-3, 3), st.lists(st.integers(0, 2), max_size=4))
 def test_act_roundtrip_inverse(n, gcs):
     v = Vertex.make(n, n - len(gcs), gcs)
-    A = Mat2.from_polys(F3, [(P(F3, "1"), P(F3, "T")), ((), P(F3, "1"))], 24)
+    A = from_polys(F3, [(P(F3, "1"), P(F3, "T")), ((), P(F3, "1"))], 24)
     assert act(A.inv(), act(A, v)) == v
