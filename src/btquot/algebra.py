@@ -14,6 +14,11 @@ first, with no trailing zeros; the zero polynomial is the empty tuple.
 Tuples are immutable and hashable, so polynomials can serve as dict keys
 everywhere else in the package.
 
+Code sequences are multiplied by one packed-integer kernel of GF
+(Kronecker substitution: pack, unpack, slot_bytes), under GF.conv and
+under the quaternion product and embedding; poly_mul keeps its scalar
+loop for the short polynomials of the residue-field arithmetic.
+
 Canonical orders.  Elements of F_q are ordered lexicographically by
 coordinate vector (c_0, ..., c_{e-1}); for prime q this is 0 < 1 < ... <
 p-1.  Polynomials of bounded degree are ordered lexicographically by
@@ -32,7 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 #: Largest field size GF accepts.  A field holds O(q^2) table entries
-#: and the hom solver's elimination table q^3 (16 MB at q = 127); a
+#: (its unpacking table p^(3e-2) < q^3) and the hom solver's elimination
+#: table q^3 (16 MB at q = 127); a
 #: quotient computation at q = 127 peaks near 51 MB of RSS.
 MAX_Q = 127
 
@@ -128,6 +134,15 @@ class GF:
         self._add, self._mul, self._neg, self._inv = (
             t.tolist() for t in self._tables)
         self._coords = [tuple(row) for row in d.tolist()]
+        # packing: byte translations code -> coordinate u; unpacking:
+        # the residues r_t < p of the 3e-2 slots of one coefficient read
+        # as the index sum r_t p^t into unfold, the code of sum r_t x^t
+        self._planes = [bytes(d[:, u].tolist() + [0] * (256 - q))
+                        for u in range(e)]
+        E = self.fold.shape[1]
+        self._slot_weights = p ** np.arange(E, dtype=np.int64)
+        self._unfold = (np.arange(p ** E)[:, None] // self._slot_weights
+                        % p @ self.fold.T % p @ self.place)
 
     # -- element coding ------------------------------------------------
 
@@ -193,28 +208,48 @@ class GF:
                 return a
         raise RuntimeError("no primitive root found")  # unreachable
 
-    def conv(self, a, b):
-        """Product of two polynomials over F_q given as nonempty int64
-        code arrays, lowest degree first.
+    def conv(self, a, b) -> list[int]:
+        """Product of two polynomials over F_q given as nonempty code
+        sequences, lowest degree first: len(a) + len(b) - 1 codes,
+        untrimmed.  One packed big-int product; a slot sums at most
+        e * min(len a, len b) products of two digits, each below p^2."""
+        w = slot_bytes(self.e * (self.p - 1) ** 2 * min(len(a), len(b)))
+        x, y = self.pack((a, b), w)
+        return self.unpack((x * y,), len(a) + len(b) - 1, w)[0]
 
-        Each factor is split into its e coordinate planes over F_p; the
-        product is e^2 integer convolutions, folded back by the defining
-        polynomial and reduced mod p.  For prime q this is a single
-        convolution mod p.
-        """
-        A = self.digits[a]
-        B = self.digits[b]
-        e = self.e
-        planes = np.zeros((2 * e - 1, len(a) + len(b) - 1), dtype=np.int64)
-        for i in range(e):
-            for j in range(e):
-                planes[i + j] += np.convolve(A[:, i], B[:, j])
-        return self.place @ (self.fold[:, :2 * e - 1] @ planes % self.p)
+    # -- the packed-integer kernel (Kronecker substitution) -------------
+
+    def pack(self, polys, w: int) -> list[int]:
+        """Each code sequence f (a tuple, list or int64 array) as one int:
+        digit u of f[i] in slot i*E + u, w bytes per slot, E = 3e-2 slots
+        per coefficient (room for the digit sums of three factors).
+        Codes fit a byte, since q <= MAX_Q; the sequences are read element
+        by element, never as raw memory."""
+        E = self.fold.shape[1]
+        raw = bytes(itertools.chain.from_iterable(polys))
+        buf = bytearray(len(raw) * E * w)
+        for u, plane in enumerate(self._planes):
+            buf[u * w::E * w] = raw.translate(plane)
+        view, out, i = memoryview(buf), [], 0
+        for f in polys:
+            out.append(int.from_bytes(view[i:i + len(f) * E * w], "little"))
+            i += len(f) * E * w
+        return out
+
+    def unpack(self, packed, n: int, w: int) -> list[list[int]]:
+        """The first n coefficients of each packed sum as codes: slots
+        reduced mod p, each coefficient's slots folded by the modulus
+        (one lookup in unfold)."""
+        E = self.fold.shape[1]
+        raw = b"".join(v.to_bytes(n * E * w, "little") for v in packed)
+        slots = np.frombuffer(raw, dtype=f"<u{w}").reshape(-1, E) % self.p
+        return self._unfold[slots.astype(np.int64) @ self._slot_weights
+                            ].reshape(len(packed), n).tolist()
 
     def tables(self):
         """The (add, mul, neg, inv) tables as numpy arrays, with inv[0]
-        set to 0.  They back the elementwise series arithmetic and the
-        linear algebra of the hom solver for every q."""
+        set to 0.  They back the linear algebra of the hom solver for
+        every q."""
         return self._tables
 
     def _modulus_irreducible(self) -> bool:
@@ -230,6 +265,15 @@ class GF:
 
     def __hash__(self):
         return hash((self.q, self.modulus))
+
+
+def slot_bytes(bound: int) -> int:
+    """Bytes per packed slot: the least of 1, 2, 4, 8 that holds bound, a
+    bound on every slot sum; beyond 8 it raises rather than wrap."""
+    for w in (1, 2, 4, 8):
+        if bound >> (8 * w) == 0:
+            return w
+    raise AssertionError(f"packed slot bound {bound} exceeds 64 bits")
 
 
 # ---------------------------------------------------------------------

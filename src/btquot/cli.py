@@ -57,7 +57,7 @@ class JobConfig:
     fmt: str = "text"
     output: str | None = None
     verify: bool = True
-    precision_cap: int | None = None
+    precision_cap: int = tree.DEFAULT_PRECISION_CAP
     cache_dir: str | None = None
     use_cache: bool = True
     extra: list[str] = dataclass_field(default_factory=list)
@@ -94,7 +94,9 @@ def _parse_config(args) -> JobConfig:
             raise ValueError(f"bad prime {tok.strip()!r}: {exc}") from None
     return JobConfig(
         q=args.q, primes=primes, fmt=args.format, output=args.output,
-        verify=not args.no_verify, precision_cap=args.precision_cap,
+        verify=not args.no_verify,
+        precision_cap=(tree.DEFAULT_PRECISION_CAP
+                       if args.precision_cap is None else args.precision_cap),
         cache_dir=args.cache_dir, use_cache=not args.no_cache,
         extra=getattr(args, "args", []))
 
@@ -132,12 +134,15 @@ def _write_atomically(path: Path, text: str) -> None:
 
 def _build_graph(cfg: JobConfig) -> QuotientGraph:
     """The graph from the cache, or computed (and cached).  A cached file
-    that does not parse is a cache miss, and is overwritten."""
+    that does not parse, or that holds the graph of another field or
+    another list of primes, is a cache miss, and is overwritten."""
     path = _cache_path(cfg)
     if cfg.use_cache and path.is_file():
         try:
-            return graph_from_json(path.read_text(encoding="utf-8"),
-                                   precision_cap=cfg.precision_cap)
+            G = graph_from_json(path.read_text(encoding="utf-8"),
+                                precision_cap=cfg.precision_cap)
+            if G.alg.F == cfg.F and G.alg.ram.primes == tuple(cfg.primes):
+                return G
         except (ValueError, KeyError, TypeError):
             pass
     G = compute_quotient(_algebra(cfg))
@@ -294,15 +299,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = _parse_config(args)
-        if cfg.precision_cap is not None and cfg.precision_cap < 4:
+        if cfg.precision_cap < 4:
             raise ValueError("--precision-cap must be at least 4")
         return _COMMANDS[args.command](cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except InsufficientPrecisionError as exc:
-        cap = args.precision_cap or tree.DEFAULT_PRECISION_CAP
-        print(f"error: precision cap {cap} reached "
+        print(f"error: precision cap {cfg.precision_cap} reached "
               f"({exc}); raise --precision-cap", file=sys.stderr)
         return EXIT_PRECISION
     except (AssertionError, RuntimeError) as exc:

@@ -59,8 +59,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (GF, ZERO_POLY, _prime_divisors, poly_add, poly_scale,
-                      poly_trim)
+from .algebra import (GF, ZERO_POLY, _prime_divisors, poly_add, poly_neg,
+                      poly_scale, poly_trim)
 from .laurent import INF, InsufficientPrecisionError
 from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
 from .tree import Vertex, act, neighbors, retry_with_precision
@@ -235,13 +235,10 @@ def _system_factors(F: GF, v: Vertex, w: Vertex):
 
     Returns {(rho, x): (valuation, codes)} for the nonzero entries.
     """
-    neg = F.tables()[2]
     s = (w.n - v.n) // 2
-    one = (0, np.ones(1, dtype=np.int64))
-    gv = (v.gval, np.array(v.gcoeffs, dtype=np.int64)) if v.gcoeffs \
-        else None
-    ngw = (w.gval, neg[np.array(w.gcoeffs, dtype=np.int64)]) if w.gcoeffs \
-        else None
+    one = (0, (1,))
+    gv = (v.gval, v.gcoeffs) if v.gcoeffs else None
+    ngw = (w.gval, poly_neg(F, w.gcoeffs)) if w.gcoeffs else None
     ngwgv = (ngw[0] + gv[0], F.conv(ngw[1], gv[1])) if gv and ngw else None
     terms = {(0, 0): one, (0, 2): ngw,
              (1, 0): gv, (1, 1): one, (1, 2): ngwgv, (1, 3): ngw,

@@ -2,10 +2,10 @@
 
 A Laurent value represents an element known modulo pi^prec: it stores
 the field, the valuation of its leading term, the known coefficients
-(codes into GF, leading one first, trailing zeros trimmed) and the
-absolute precision bound.  A value whose known coefficients all vanish
-is "zero at this precision": its true valuation is only bounded below
-by prec.  The exact zero is the special value with prec = +infinity.
+(a tuple of codes into GF, leading one first, trailing zeros trimmed)
+and the absolute precision bound.  A value whose known coefficients all
+vanish is "zero at this precision": its true valuation is only bounded
+below by prec.  The exact zero is the special value with prec = +infinity.
 
 Operations propagate precision honestly: addition keeps the minimum of
 the two precisions, multiplication keeps min(prec1 + val2, prec2 +
@@ -14,12 +14,15 @@ that needs a leading coefficient that is not determined at the current
 precision raises InsufficientPrecisionError, which callers treat as a
 signal to retry the whole computation at higher precision.
 
-Polynomials in T embed via T = pi^(-1), so v(f) = -deg(f).
+Sums and negations are lookups in the tables of GF; products and the
+Newton inverse run on GF.conv.  Polynomials in T embed via T = pi^(-1),
+so v(f) = -deg(f).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
 import numpy as np
 
@@ -35,35 +38,34 @@ class InsufficientPrecisionError(Exception):
 class Laurent:
     """An element of F_q((pi)) known modulo pi^prec.
 
-    ``coeffs`` is the tuple of known coefficient codes; the same codes
-    are kept as an int64 array for the array kernels of GF.  Exactness is
-    a value test (prec == INF), never an identity test, since infinities
-    computed by the precision rules are new float objects.
+    ``coeffs`` is the tuple of known coefficient codes (Python ints).
+    Exactness is a value test (prec == INF), never an identity test,
+    since infinities computed by the precision rules are new float
+    objects.
     """
 
-    __slots__ = ("F", "val", "coeffs", "prec", "_arr")
+    __slots__ = ("F", "val", "coeffs", "prec")
 
     def __init__(self, F: GF, val, coeffs, prec):
-        arr = np.asarray(coeffs, dtype=np.int64)
+        cs = tuple(coeffs)
         # drop coefficients at or beyond the precision bound
-        if prec != INF and len(arr) > prec - val:
-            arr = arr[:max(0, prec - val)]
+        if prec != INF:
+            cs = cs[:max(0, prec - val)]
         # advance past leading zeros, drop trailing ones
-        nz = arr.nonzero()[0]
-        if len(nz):
-            first = int(nz[0])
-            arr = arr[first:int(nz[-1]) + 1]
-            val += first
-        else:
-            arr = arr[:0]
-            val = prec
+        end = len(cs)
+        while end and not cs[end - 1]:
+            end -= 1
+        first = 0
+        while first < end and not cs[first]:
+            first += 1
+        cs = cs[first:end]
+        val = val + first if cs else prec
         if val > prec:
             raise ValueError("valuation above precision bound")
         self.F = F
         self.val = val
-        self.coeffs = tuple(arr.tolist())
+        self.coeffs = cs
         self.prec = prec
-        self._arr = arr
 
     # -- constructors ----------------------------------------------------
 
@@ -124,29 +126,23 @@ class Laurent:
 
     def __add__(self, other: "Laurent") -> "Laurent":
         self._check(other)
-        prec = min(self.prec, other.prec)
         if self.is_exact_zero:
             return other
         if other.is_exact_zero:
             return self
-        terms = [x for x in (self, other) if x.coeffs]
-        lo = min((x.val for x in terms), default=prec)
-        hi = min(prec, max((x.val + len(x.coeffs) for x in terms),
-                           default=prec))
-        if lo >= hi:
-            return Laurent.zero_at(self.F, prec)
-        padded = []
-        for x in (self, other):
-            buf = np.zeros(hi - lo, dtype=np.int64)
-            if x.coeffs and x.val < hi:
-                part = x._arr[:hi - x.val]
-                buf[x.val - lo:x.val - lo + len(part)] = part
-            padded.append(buf)
-        return Laurent(self.F, lo, self.F.tables()[0][padded[0], padded[1]],
-                       prec)
+        # both aligned at the lower valuation; the constructor drops the
+        # sum's digits at and beyond prec
+        prec = min(self.prec, other.prec)
+        lo = min((x.val for x in (self, other) if x.coeffs), default=prec)
+        a, b = ([0] * (x.val - lo) + list(x.coeffs) if x.coeffs else []
+                for x in (self, other))
+        add = self.F._add
+        return Laurent(self.F, lo, [add[s][t] for s, t in
+                                    zip_longest(a, b, fillvalue=0)], prec)
 
     def __neg__(self) -> "Laurent":
-        return Laurent(self.F, self.val, self.F.tables()[2][self._arr],
+        neg = self.F._neg
+        return Laurent(self.F, self.val, [neg[c] for c in self.coeffs],
                        self.prec)
 
     def __sub__(self, other: "Laurent") -> "Laurent":
@@ -159,10 +155,9 @@ class Laurent:
         prec = min(self.prec + other.val, other.prec + self.val)
         val = self.val + other.val
         if not self.coeffs or not other.coeffs or val >= prec:
-            if prec == INF:
-                return Laurent.zero(self.F)
+            # prec is finite here: exact zeros were returned above
             return Laurent.zero_at(self.F, prec)
-        a, b = self._arr, other._arr
+        a, b = self.coeffs, other.coeffs
         if prec != INF:
             # only product digits below prec are kept
             a, b = a[:prec - val], b[:prec - val]
@@ -188,7 +183,7 @@ class Laurent:
                     "inverse; give it a finite precision")
             return Laurent(F, -self.val, (F.inv(self.coeffs[0]),), INF)
         return Laurent(F, -self.val,
-                       _series_inverse(F, self._arr, self.prec - self.val),
+                       _series_inverse(F, self.coeffs, self.prec - self.val),
                        self.prec - 2 * self.val)
 
     def truncate(self, prec: int) -> "Laurent":
@@ -218,18 +213,18 @@ class Laurent:
 
 def _series_inverse(F: GF, a, n: int):
     """The first n coefficients of 1/a for a unit power series a (code
-    array, a[0] != 0), by Newton doubling: if a*b = 1 + pi^k*d modulo
+    sequence, a[0] != 0), by Newton doubling: if a*b = 1 + pi^k*d modulo
     pi^(2k), then b - pi^k*b*d is the inverse modulo pi^(2k) (Brent and
     Kung, J. ACM 1978).  O(M(n)) field work instead of the O(n^2) of
     the term-by-term recursion."""
-    neg, inv = F.tables()[2], F.tables()[3]
-    a = np.concatenate([a[:n], np.zeros(max(0, n - len(a)), dtype=np.int64)])
-    b = inv[a[:1]]
+    neg = F._neg
+    a = list(a[:n]) + [0] * (n - len(a))
+    b = [F.inv(a[0])]
     k = 1
     while k < n:
         k2 = min(2 * k, n)
         d = F.conv(a[:k2], b)[k:k2]
-        b = np.concatenate([b, neg[F.conv(b[:k2 - k], d)[:k2 - k]]])
+        b += [neg[c] for c in F.conv(b[:k2 - k], d)[:k2 - k]]
         k = k2
     return b
 
@@ -257,7 +252,7 @@ class SeriesStack:
             for k, x in enumerate(row):
                 if x.coeffs:
                     off = x.val - self.val
-                    self.codes[i, k, off:off + len(x.coeffs)] = x._arr
+                    self.codes[i, k, off:off + len(x.coeffs)] = x.coeffs
         self.prec = np.array([[float(x.prec) for x in row] for row in rows])
         self._width = 0
         self._toeplitz = None

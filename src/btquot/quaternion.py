@@ -14,12 +14,11 @@ constants derived symbolically at construction time by expanding in the
 (1, i, j, ij) basis and converting back; the conversions must divide
 exactly by alpha, which is asserted.
 
-The product and the embedding run on one packed-integer kernel
-(Kronecker substitution): coefficient arrays become Python ints with a
+The product and the embedding run on the packed-integer kernel of GF
+(GF.pack, GF.unpack): coefficient sequences become Python ints with a
 fixed-width slot per F_p digit, are multiplied and added as big
-integers, and are unpacked once per output, mod p and folded by the
-modulus of F_q.  The slot width follows from a stated bound on every
-slot sum; a bound beyond 64 bits raises instead of letting slots carry.
+integers, and are unpacked once per output.  Each states its own bound
+on every slot sum, from which slot_bytes picks the slot width.
 
 The unit group Gamma consists of the elements whose reduced norm lies
 in F_q^*; the reduced norm itself is computed as x * conj(x), never
@@ -33,8 +32,6 @@ s = sqrt(alpha) (1-unit branch), j to [[0, 1], [r, 0]], and khat to
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .algebra import (
     GF,
@@ -54,9 +51,11 @@ from .algebra import (
     poly_scale,
     poly_sub,
     poly_trim,
+    slot_bytes,
     sqrt_mod_irreducible,
 )
 from .laurent import INF, Laurent, Mat2, SeriesStack, newton_sqrt
+from .tree import DEFAULT_PRECISION_CAP
 
 
 @dataclass(frozen=True)
@@ -169,15 +168,15 @@ class AlgebraData:
     """The algebra (alpha, r / K) with its maximal order and embedding.
 
     Immutable after construction.  precision_cap bounds the precision
-    retries of every computation on the algebra (None: the default cap
-    of retry_with_precision).  The sqrt(alpha) value is memoized at
-    the highest precision requested so far, the embedded order basis
-    (with 1/sqrt(alpha) inside it) once per precision, and their packed
-    forms on first use.  The memos are plain dicts: the package runs
-    single-threaded.
+    retries of every computation on the algebra.  The sqrt(alpha) value
+    is memoized at the highest precision requested so far, the embedded
+    order basis (with 1/sqrt(alpha) inside it) once per precision, and
+    their packed forms on first use.  The memos are plain dicts: the
+    package runs single-threaded.
     """
 
-    def __init__(self, F: GF, primes, precision_cap: int | None = None):
+    def __init__(self, F: GF, primes,
+                 precision_cap: int = DEFAULT_PRECISION_CAP):
         self.F = F
         self.precision_cap = precision_cap
         self.ram = RamificationSet.make(F, primes)
@@ -192,9 +191,6 @@ class AlgebraData:
         self._tensor = self._derive_structure_constants()
         self._tensor_len = max(len(w) for row in self._tensor
                                for ws in row for w in ws)
-        # byte translations code -> coordinate u, for packing
-        self._planes = [bytes(F.digits[:, u].tolist() + [0] * (256 - F.q))
-                        for u in range(F.e)]
         self._sqrt_cache = None
         self._basis, self._stacks = {}, {}
         self._packed_tensor, self._packed_basis = {}, {}
@@ -285,33 +281,6 @@ class AlgebraData:
             raise AssertionError(
                 "reduced discriminant of the order basis is not (r)")
 
-    # -- the packed-integer kernel ----------------------------------------
-
-    def _pack(self, polys, w: int) -> list[int]:
-        """Each code sequence f (codes fit a byte: q <= 127) as one int:
-        digit u of f[i] in slot i*E + u, w bytes per slot, E = 3e-2 slots
-        per coefficient (room for the digit sums of three factors)."""
-        E = self.F.fold.shape[1]
-        raw = b"".join(map(bytes, polys))
-        buf = bytearray(len(raw) * E * w)
-        for u, plane in enumerate(self._planes):
-            buf[u * w::E * w] = raw.translate(plane)
-        view, out, i = memoryview(buf), [], 0
-        for f in polys:
-            out.append(int.from_bytes(view[i:i + len(f) * E * w], "little"))
-            i += len(f) * E * w
-        return out
-
-    def _unpack(self, packed, n: int, w: int) -> list:
-        """The first n coefficients of each packed sum as codes: slots
-        reduced mod p, each coefficient's slots folded by the modulus."""
-        F = self.F
-        E = F.fold.shape[1]
-        raw = b"".join(v.to_bytes(n * E * w, "little") for v in packed)
-        slots = np.frombuffer(raw, dtype=f"<u{w}").reshape(-1, E) % F.p
-        return (slots.astype(np.int64) @ F.fold.T % F.p @ F.place
-                ).reshape(len(packed), n).tolist()
-
     # -- arithmetic in Lambda -------------------------------------------
 
     def mul(self, x: QuatElem, y: QuatElem) -> QuatElem:
@@ -323,15 +292,15 @@ class AlgebraData:
         if not lx or not ly:
             return QuatElem((ZERO_POLY,) * 4)
         F = self.F
-        w = _slot_bytes(16 * F.e ** 2 * (F.p - 1) ** 3 * self._tensor_len
-                        * min(lx, ly))
+        w = slot_bytes(16 * F.e ** 2 * (F.p - 1) ** 3 * self._tensor_len
+                       * min(lx, ly))
         W = self._packed_tensor.get(w)
         if W is None:
             W = self._packed_tensor[w] = [
                 (s, t, [(k, c) for k, c in
-                        enumerate(self._pack(self._tensor[s][t], w)) if c])
+                        enumerate(F.pack(self._tensor[s][t], w)) if c])
                 for s in range(4) for t in range(4)]
-        X, Y = self._pack(x.lam, w), self._pack(y.lam, w)
+        X, Y = F.pack(x.lam, w), F.pack(y.lam, w)
         out = [0] * 4
         for s, t, terms in W:
             c = X[s] * Y[t]
@@ -339,7 +308,7 @@ class AlgebraData:
                 for k, wk in terms:
                     out[k] += c * wk
         n = lx + ly + self._tensor_len - 2
-        return QuatElem(tuple(map(poly_trim, self._unpack(out, n, w))))
+        return QuatElem(tuple(map(poly_trim, F.unpack(out, n, w))))
 
     def scale(self, c: int, x: QuatElem) -> QuatElem:
         return QuatElem(tuple(poly_scale(self.F, c, a) for a in x.lam))
@@ -441,20 +410,20 @@ class AlgebraData:
         if P not in self._packed_basis:
             B = self.basis_embedding(P)
             n = max(len(e.coeffs) for M in B for e in M.entries())
-            w = _slot_bytes(4 * F.e * (F.p - 1) ** 2 * n)
+            w = slot_bytes(4 * F.e * (F.p - 1) ** 2 * n)
             rows = []
             for entries in zip(*(M.entries() for M in B)):
                 vb = min((e.val for e in entries if e.coeffs), default=0)
-                packed = self._pack([(0,) * (e.val - vb) + e.coeffs
-                                     if e.coeffs else () for e in entries], w)
+                packed = F.pack([(0,) * (e.val - vb) + e.coeffs
+                                 if e.coeffs else () for e in entries], w)
                 rows.append((vb, list(zip((e.prec for e in entries),
                                           packed))))
             self._packed_basis[P] = w, rows
         w, rows = self._packed_basis[P]
         bits = 8 * w * F.fold.shape[1]
         # pi^D lam_k as a series in pi, all four starting at pi^0
-        lam = self._pack([(0,) * (D + 1 - len(f)) + f[::-1]
-                          for f in x.lam], w)
+        lam = F.pack([(0,) * (D + 1 - len(f)) + f[::-1]
+                      for f in x.lam], w)
         precs, sums = [], []
         for vb, row in rows:
             # an exact zero (all terms 0 at precision INF) stays exact
@@ -467,24 +436,14 @@ class AlgebraData:
             sums.append(sum(t[1] for t in terms))
         n = max(-(-a.bit_length() // bits) for a in sums)
         return Mat2(*(Laurent(F, vb - D, codes, pr) for (vb, _), codes, pr
-                      in zip(rows, self._unpack(sums, n, w), precs)))
+                      in zip(rows, F.unpack(sums, n, w), precs)))
 
 
 def build_algebra(F: GF, primes,
-                  precision_cap: int | None = None) -> AlgebraData:
+                  precision_cap: int = DEFAULT_PRECISION_CAP) -> AlgebraData:
     """Construct the algebra ramified exactly at the given primes.
-    precision_cap bounds every precision retry on it (None: the default
-    cap of retry_with_precision)."""
+    precision_cap bounds every precision retry on it."""
     return AlgebraData(F, primes, precision_cap=precision_cap)
-
-
-def _slot_bytes(bound: int) -> int:
-    """Bytes per packed slot: the least of 1, 2, 4, 8 that holds bound, a
-    bound on every slot sum; beyond 8 it raises rather than wrap."""
-    for w in (1, 2, 4, 8):
-        if bound >> (8 * w) == 0:
-            return w
-    raise AssertionError(f"packed slot bound {bound} exceeds 64 bits")
 
 
 def height(x: QuatElem) -> int:

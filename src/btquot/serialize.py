@@ -21,7 +21,8 @@ import json
 from .algebra import field, format_poly, parse_poly
 from .quaternion import build_algebra, format_quat, parse_quat
 from .quotient import QuotientEdge, QuotientGraph, transport_all
-from .tree import distance, format_vertex, parse_vertex
+from .tree import (DEFAULT_PRECISION_CAP, distance, format_vertex,
+                   parse_vertex)
 
 FORMAT_VERSION = 1
 
@@ -69,8 +70,8 @@ def graph_to_json(G: QuotientGraph) -> str:
     return json.dumps(graph_to_json_dict(G), indent=2) + "\n"
 
 
-def graph_from_json(text: str,
-                    precision_cap: int | None = None) -> QuotientGraph:
+def graph_from_json(text: str, precision_cap: int = DEFAULT_PRECISION_CAP
+                    ) -> QuotientGraph:
     """Rebuild a graph from its JSON form, and its algebra with the given
     precision cap.  ValueError unless alpha/epsilon/nu match the derived
     ones, stored pairing units and End basis elements are units, a vertex

@@ -26,10 +26,8 @@ from .laurent import INF, InsufficientPrecisionError, Laurent, Mat2
 DEFAULT_PRECISION_CAP = 1 << 14
 
 
-def retry_with_precision(fn, start: int, cap: int | None = None):
+def retry_with_precision(fn, start: int, cap: int = DEFAULT_PRECISION_CAP):
     """Call fn(prec) with doubling precision until it stops raising."""
-    if cap is None:
-        cap = DEFAULT_PRECISION_CAP
     prec = max(4, start)
     while True:
         try:

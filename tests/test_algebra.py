@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -351,6 +352,36 @@ def test_poly_mul_degree_additivity(fc, gc):
         assert poly_deg(h) == poly_deg(f) + poly_deg(g)
     else:
         assert h == ZERO_POLY
+
+
+CONV_FIELDS = [3, 5, 7, 9, 25, 27, 49, 127]
+OPERAND_KINDS = [tuple, list, lambda c: np.array(c, dtype=np.int64)]
+
+
+@pytest.mark.parametrize("q", CONV_FIELDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_conv_matches_poly_mul(q, data):
+    # an int64 array operand must be read code by code, not as the raw
+    # memory that bytes() of an array gives
+    F = field(q)
+    codes = st.lists(st.integers(0, q - 1), min_size=1, max_size=60)
+    a, b = data.draw(codes), data.draw(codes)
+    kind = data.draw(st.sampled_from(OPERAND_KINDS))
+    prod = F.conv(kind(a), kind(b))
+    assert len(prod) == len(a) + len(b) - 1
+    assert poly_trim(prod) == poly_mul(F, poly_trim(a), poly_trim(b))
+
+
+@pytest.mark.parametrize("q", CONV_FIELDS)
+def test_conv_top_digits_at_every_slot_width(q):
+    # every digit p-1: the slot sums meet the bound the slot width is
+    # derived from, at lengths on both sides of each width change
+    F = field(q)
+    for n in (1, 2, 4, 5, 7, 8, 16, 64, 300):
+        a, b = [q - 1] * n, [q - 1] * (n + 3)
+        for kind in OPERAND_KINDS:
+            assert F.conv(kind(a), kind(b)) == list(poly_mul(F, a, b))
 
 
 def test_gcd_of_coprimes_and_common_factor():

@@ -205,6 +205,24 @@ class TestCompute:
             vs[1]["end_basis"][1] = vs[4]["end_basis"][1]
         self._tampered_cache_is_recomputed(capsys, cache, tmp_path, tamper)
 
+    def test_cache_file_of_another_field_is_a_miss(self, capsys, cache,
+                                                   tmp_path):
+        # the q=7 graph on the path of the q=5 request: taken as it is,
+        # export prints the F_7 graph and reduce reads F_7 codes in F_5
+        args = ["compute", *Q5, *cache, "--format", "json", "--no-verify"]
+        assert run(capsys, args)[0] == EXIT_OK
+        (path,) = tmp_path.glob("graph-*.json")
+        golden = Path(__file__).resolve().parent / "golden"
+        path.write_text((golden / "q7-deg4.json").read_text())
+        code, out, err = run(capsys, ["export", *Q5, *cache])
+        assert code == EXIT_OK, err
+        assert out == (golden / "q5-worked.txt").read_text()
+        assert path.read_text() == (golden / "q5-worked.json").read_text()
+        path.write_text((golden / "q7-deg4.json").read_text())
+        code, out, err = run(capsys, ["reduce", *Q5, *cache, "(3; 0)"])
+        assert code == EXIT_OK, err
+        assert out == run(capsys, ["reduce", *Q5, "--no-cache", "(3; 0)"])[1]
+
     def test_dot_output(self, capsys, cache):
         code, out, _ = run(capsys, ["compute", *Q5, *cache,
                                     "--format", "dot", "--no-verify"])

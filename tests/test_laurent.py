@@ -265,7 +265,9 @@ def test_exact_multi_term_inverse_raises():
 # array kernels against schoolbook references
 # ---------------------------------------------------------------------
 
-KERNEL_FIELDS = [3, 7, 9, 25, 27]
+# with series of up to 40 coefficients these reach packed slots of 1, 2
+# and 4 bytes in GF.conv
+KERNEL_FIELDS = [3, 7, 9, 25, 27, 49, 127]
 
 
 def school_mul(x, y):
@@ -320,7 +322,7 @@ def series(draw, q, exact=None, unit=False):
     precision or the exact zero."""
     F = field(q)
     val = draw(st.integers(-3, 3))
-    coeffs = draw(st.lists(st.integers(0, q - 1), max_size=8))
+    coeffs = draw(st.lists(st.integers(0, q - 1), max_size=40))
     if unit:
         coeffs = [draw(st.integers(1, q - 1))] + coeffs
     is_exact = draw(st.booleans()) if exact is None else exact
@@ -328,7 +330,7 @@ def series(draw, q, exact=None, unit=False):
         if not any(coeffs):
             return Laurent.zero(F)
         return Laurent(F, val, coeffs, math.inf)
-    prec = val + draw(st.integers(0 if not unit else 1, 10))
+    prec = val + draw(st.integers(0 if not unit else 1, 45))
     return Laurent(F, val, coeffs, prec)
 
 

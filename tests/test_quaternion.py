@@ -27,13 +27,13 @@ from btquot.algebra import (
     poly_sort_key,
     poly_sub,
     poly_trim,
+    slot_bytes,
 )
 from btquot.laurent import INF, Laurent, Mat2
 from laurent_helpers import add as mat_add
 from btquot.quaternion import (
     QUAT_ONE,
     AlgebraData,
-    _slot_bytes,
     QuatElem,
     RamificationSet,
     alpha_degree_bound,
@@ -652,11 +652,11 @@ class TestPackedKernel:
         assert all(e.is_exact_zero for e in M.entries())
 
     def test_slot_width_is_the_narrowest_that_holds_the_bound(self):
-        assert [_slot_bytes(b) for b in (0, 255, 256, (1 << 32) - 1,
-                                         1 << 32, (1 << 64) - 1)] \
+        assert [slot_bytes(b) for b in (0, 255, 256, (1 << 32) - 1,
+                                        1 << 32, (1 << 64) - 1)] \
             == [1, 1, 2, 4, 8, 8]
         with pytest.raises(AssertionError):
-            _slot_bytes(1 << 64)
+            slot_bytes(1 << 64)
 
     def test_slot_bound_refuses_rather_than_wraps(self, monkeypatch):
         # a structure constant long enough that the bound on a slot sum
