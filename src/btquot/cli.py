@@ -225,12 +225,8 @@ def cmd_word(cfg: JobConfig) -> int:
         raise ValueError("word takes exactly one element argument, "
                          "e.g. \"1\" or \"T + (1)*i + (0)*j + (0)*k\"")
     gamma = parse_quat(cfg.F, cfg.extra[0])
-    G = _build_graph(cfg)
-    alg = G.alg
-    if not alg.is_unit(gamma):
-        raise ValueError("nrd not in F_q^*")
-    word = express_in_generators(G, gamma)  # verified internally
-    print(str(word))
+    # rejects a non-unit with ValueError and verifies the word
+    print(str(express_in_generators(_build_graph(cfg), gamma)))
     return EXIT_OK
 
 

@@ -45,6 +45,12 @@ never used as filters: on every basis hom returns, and in the quotient
 search on End(v) and on the pairing it takes.  A dimension above 2 is
 asserted against on every system of every stack.
 
+The action of a unit g on tree vertices is transport_all, the only code
+that embeds a unit and acts with it: one embedding iota(g) per precision
+tried, applied to every vertex asked for.  The solution check, the
+stabilizer tables, reduction and the checks of a loaded graph all go
+through it; the check also returns g's images of further vertices.
+
 For an unstable vertex, End(v) plus zero is a field with q^2 elements;
 StabilizerField tabulates it on coordinates over the End basis, so that
 its generator, discrete logarithms and rotations of the neighbours are
@@ -64,6 +70,23 @@ from .algebra import (GF, ZERO_POLY, _prime_divisors, poly_add, poly_neg,
 from .laurent import INF, InsufficientPrecisionError
 from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
 from .tree import Vertex, act, neighbors, retry_with_precision
+
+
+def transport(alg: AlgebraData, g: QuatElem, v: Vertex) -> Vertex:
+    """The vertex g . v, retrying the embedding at higher precision."""
+    return transport_all(alg, g, (v,))[0]
+
+
+def transport_all(alg: AlgebraData, g: QuatElem, vs) -> list[Vertex]:
+    """The vertices g . v for v in vs, from one embedding of g per
+    precision tried."""
+    start = 4 * (height(g) + alg.m + max(abs(v.n) for v in vs) + 4)
+
+    def images(prec):
+        M = alg.embed(g, prec)
+        return [act(M, v) for v in vs]
+
+    return retry_with_precision(images, start, alg.precision_cap)
 
 
 @dataclass(frozen=True)
@@ -116,7 +139,7 @@ class StabilizerField:
     (where one basis element has coefficient 1 and the other 0).  A
     quaternion whose pivot coefficients do not recombine to it is not
     in End(v).  The table is built once, from four products and one
-    action, act_all(g, vertices) -> [g . u for u in vertices]:
+    transport_all of the generator:
 
     * the multiplication constants, the codes of b_s * b_t;
     * gen, the first element in HomSet.elements() order with
@@ -130,7 +153,7 @@ class StabilizerField:
       class modulo q+1: a coset c * gen^s0, c in F_q^*.
     """
 
-    def __init__(self, alg: AlgebraData, ends: HomSet, act_all):
+    def __init__(self, alg: AlgebraData, ends: HomSet):
         F = alg.F
         q = F.q
         n = q * q - 1
@@ -163,7 +186,7 @@ class StabilizerField:
         self.gen = ends.combination(gen)
 
         nbrs = neighbors(F, ends.source)
-        image = dict(zip(nbrs, act_all(self.gen, nbrs)))
+        image = dict(zip(nbrs, transport_all(alg, self.gen, nbrs)))
         cycle = [nbrs[0]]
         for _ in range(q):
             cycle.append(image.get(cycle[-1]))
@@ -358,19 +381,18 @@ def _vector_to_quat(vec, nm: int) -> QuatElem:
 
 
 def _assert_solution(alg: AlgebraData, gamma: QuatElem, v: Vertex,
-                     w: Vertex) -> None:
+                     w: Vertex, *more: Vertex) -> list[Vertex]:
+    """Assert that gamma is a unit within the height bound mapping v to
+    w; return its images of the vertices more, from the same embedding."""
     nm = max(v.dist_to_base(), w.dist_to_base()) + alg.m
     if not alg.is_unit(gamma):
         raise AssertionError("hom solution is not a unit of the order")
     if height(gamma) > nm:
         raise AssertionError("hom solution violates the height bound")
-
-    def run(prec):
-        return act(alg.embed(gamma, prec), v)
-
-    if retry_with_precision(run, 4 * (nm + alg.m + 1) + 8,
-                            alg.precision_cap) != w:
+    image, *images = transport_all(alg, gamma, (v, *more))
+    if image != w:
         raise AssertionError("hom solution does not map source to target")
+    return images
 
 
 def hom_stack(alg: AlgebraData, v: Vertex, targets) -> list[HomSet]:

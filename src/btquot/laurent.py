@@ -358,20 +358,6 @@ class Mat2:
                     self.c * other.a + self.d * other.c,
                     self.c * other.b + self.d * other.d)
 
-    def det(self) -> Laurent:
-        return self.a * self.d - self.b * self.c
-
-    def inv(self) -> "Mat2":
-        dt = self.det()
-        if dt.is_exact_zero:
-            raise ZeroDivisionError("matrix is singular")
-        if dt.is_zero_at_prec:
-            raise InsufficientPrecisionError(
-                "determinant indistinguishable from zero")
-        di = dt.inv()
-        return Mat2(self.d * di, -(self.b * di),
-                    -(self.c * di), self.a * di)
-
     def __eq__(self, other):
         return (isinstance(other, Mat2)
                 and self.entries() == other.entries())

@@ -45,31 +45,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 from .algebra import poly_deg
-from .homspace import (HomSet, StabilizerField, hom, hom_stack, stability,
+# transport_all is re-exported: the action lives in homspace
+from .homspace import (HomSet, StabilizerField, _assert_solution, hom,
+                       hom_stack, stability, transport, transport_all,
                        verified)
 from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
-from .tree import (BASE_VERTEX, Vertex, act, distance, geodesic_to_base,
-                   neighbors, retry_with_precision)
-
-
-def transport(alg: AlgebraData, g: QuatElem, v: Vertex) -> Vertex:
-    """The vertex g . v, retrying the embedding at higher precision."""
-    return transport_all(alg, g, (v,))[0]
-
-
-def transport_all(alg: AlgebraData, g: QuatElem, vs) -> list[Vertex]:
-    """The vertices g . v for v in vs, from one embedding of g per
-    precision tried."""
-    start = 4 * (height(g) + alg.m + max(abs(v.n) for v in vs) + 4)
-
-    def images(prec):
-        M = alg.embed(g, prec)
-        return [act(M, v) for v in vs]
-
-    return retry_with_precision(images, start, alg.precision_cap)
+from .tree import BASE_VERTEX, Vertex, distance, geodesic_to_base, neighbors
 
 
 # ---------------------------------------------------------------------
@@ -134,8 +117,7 @@ class QuotientGraph:
         if i not in self._stabilizers:
             v = self.vertices[i]
             self._stabilizers[i] = StabilizerField(
-                self.alg, HomSet(self.alg.F, v, v, self.end_basis[i]),
-                partial(transport_all, self.alg))
+                self.alg, HomSet(self.alg.F, v, v, self.end_basis[i]))
         return self._stabilizers[i]
 
     def undirected_multiplicities(self) -> Counter:
@@ -148,11 +130,12 @@ class QuotientGraph:
 
     # -- construction helpers ------------------------------------------
 
-    def _add_vertex(self, v: Vertex, stable: bool, basis) -> int:
+    def _add_vertex(self, v: Vertex, basis) -> int:
+        """Add v, stable unless it comes with an End basis."""
         i = len(self.vertices)
         self.vertices.append(v)
         self.vid[v] = i
-        self.stable.append(stable)
+        self.stable.append(basis is None)
         self.out_edges[i] = []
         if basis is not None:
             self.end_basis[i] = tuple(basis)
@@ -190,8 +173,8 @@ def _two_vertex_quotient(alg: AlgebraData, first, second) -> QuotientGraph:
     """The degenerate domain: two adjacent terminal vertices."""
     G = QuotientGraph(alg)
     (v0, ends0), (v1, ends1) = first, second
-    G._add_vertex(v0, stable=False, basis=ends0.basis)
-    G._add_vertex(v1, stable=False, basis=ends1.basis)
+    G._add_vertex(v0, ends0.basis)
+    G._add_vertex(v1, ends1.basis)
     G._add_tree_pair(0, 1)
     G.initial = 0
     G.levels = 1
@@ -212,7 +195,7 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
         v0, ends0 = v1, ends1
 
     G = QuotientGraph(alg)
-    G._add_vertex(v0, stable=True, basis=None)
+    G._add_vertex(v0, None)
     G.initial = 0
     frontier = [(0, u) for u in neighbors(F, v0)]
 
@@ -233,7 +216,7 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
             kind = stability(ends)
 
             if kind == "unstable":
-                new_id = G._add_vertex(cand, stable=False, basis=ends.basis)
+                new_id = G._add_vertex(cand, ends.basis)
                 G._add_tree_pair(src_id, new_id)
                 alive[i] = None
                 continue
@@ -245,8 +228,9 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
                 assert hs.dim == 1, "hom space between one-dimensional " \
                     "vertices must be a line"
                 wp_id = G.vid[hs.target]
-                g = verified(alg, hs).basis[0]
-                back = transport(alg, g, src_v)
+                g = hs.basis[0]
+                # the check's embedding of g also yields g . src_v
+                (back,) = _assert_solution(alg, g, cand, hs.target, src_v)
                 G._add_pairing(src_id, wp_id, cand, g, back)
                 alive[i] = None
                 try:
@@ -261,7 +245,7 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
                 break
 
             if not matched:
-                new_id = G._add_vertex(cand, stable=True, basis=None)
+                new_id = G._add_vertex(cand, None)
                 G._add_tree_pair(src_id, new_id)
                 nxt.extend((new_id, u) for u in neighbors(F, cand)
                            if u != src_v)
@@ -431,7 +415,8 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
     alg = G.alg
     q = G.q
     if not alg.is_unit(gamma):
-        raise ValueError("element is not a unit of the order")
+        raise ValueError("element is not a unit of the order "
+                         "(nrd not in F_q^*)")
     if pres is None:
         pres = presentation(G)
 
@@ -561,17 +546,11 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class StructureReport:
-    q: int
-    deg_r: int
     vertex_count: int
     undirected_edge_count: int
-    terminal_count: int
-    internal_count: int
     paired_count: int
     predicted: PredictedInvariants
     diameter: int
-    diameter_upper: float
-    max_label_height: int
     two_cycle_pairs: int
     checks: tuple[CheckResult, ...]
 
@@ -590,8 +569,7 @@ class StructureReport:
 def verify_structure(alg: AlgebraData, G: QuotientGraph) -> StructureReport:
     """Check the computed domain against the closed-form invariants and
     the height and diameter bounds."""
-    F = alg.F
-    q = F.q
+    q = alg.F.q
     deg_r = alg.ram.d
     pred = predicted_invariants(alg)
     nver = len(G.vertices)
@@ -648,13 +626,13 @@ def verify_structure(alg: AlgebraData, G: QuotientGraph) -> StructureReport:
     global_bound = m + bound
     for k in G.pairings:
         e = G.edges[k]
-        n = distance(F, G.vertices[G.initial], e.direction)
+        n = distance(G.vertices[G.initial], e.direction)
         h = height(e.elem)
         max_h = max(max_h, h)
         if h > m + n or h > global_bound + 1e-9:
             bad_h.append(("edge", k, h, m + n))
     for i in terminals:
-        n = distance(F, G.vertices[G.initial], G.vertices[i])
+        n = distance(G.vertices[G.initial], G.vertices[i])
         for b in G.end_basis[i]:
             h = height(b)
             max_h = max(max_h, h)
@@ -668,7 +646,6 @@ def verify_structure(alg: AlgebraData, G: QuotientGraph) -> StructureReport:
     pairs, _ = two_cycle_counts(G)
 
     return StructureReport(
-        q=q, deg_r=deg_r, vertex_count=nver, undirected_edge_count=nedg,
-        terminal_count=nterm, internal_count=nint, paired_count=npair,
-        predicted=pred, diameter=diam, diameter_upper=bound,
-        max_label_height=max_h, two_cycle_pairs=pairs, checks=tuple(checks))
+        vertex_count=nver, undirected_edge_count=nedg, paired_count=npair,
+        predicted=pred, diameter=diam, two_cycle_pairs=pairs,
+        checks=tuple(checks))

@@ -19,8 +19,9 @@ from __future__ import annotations
 import json
 
 from .algebra import field, format_poly, parse_poly
+from .homspace import transport_all
 from .quaternion import build_algebra, format_quat, parse_quat
-from .quotient import QuotientEdge, QuotientGraph, transport_all
+from .quotient import QuotientEdge, QuotientGraph
 from .tree import (DEFAULT_PRECISION_CAP, distance, format_vertex,
                    parse_vertex)
 
@@ -109,14 +110,14 @@ def graph_from_json(text: str, precision_cap: int = DEFAULT_PRECISION_CAP
                    for b in basis if any(b.lam[1:])):
                 raise ValueError("an End basis element does not fix its "
                                  "vertex")
-        i = G._add_vertex(v, stable=entry["stable"], basis=basis)
+        i = G._add_vertex(v, basis)
         if i != entry["id"]:
             raise ValueError("vertex ids must be dense and sorted")
     init = parse_vertex(F, data["initial_vertex"])
     if init not in G.vid:
         raise ValueError("initial vertex is not among the vertices")
     G.initial = G.vid[init]
-    G.levels = max((distance(F, init, v) for v in G.vertices), default=0)
+    G.levels = max((distance(init, v) for v in G.vertices), default=0)
 
     # every pairing edge by (src, dst, index): its unit, which must map
     # its candidate to the target label, the candidate, and the image of

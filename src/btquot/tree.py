@@ -203,12 +203,13 @@ def geodesic_to_base(v: Vertex) -> list[Vertex]:
     return path
 
 
-def distance(F: GF, v: Vertex, w: Vertex) -> int:
-    """Tree distance: the distance of Mv^(-1) Mw's class to the base.
-    The vertex matrices are exact, so no precision is involved."""
-    if v == w:
-        return 0
-    return vnf(v.matrix(F).inv() * w.matrix(F)).dist_to_base()
+def distance(v: Vertex, w: Vertex) -> int:
+    """Tree distance: the geodesics of v and w to the base vertex run
+    together from the first vertex of v's that lies on w's, so the
+    distance is the sum of the steps both take to reach it."""
+    steps_w = {x: k for k, x in enumerate(geodesic_to_base(w))}
+    return next(k + steps_w[x] for k, x in enumerate(geodesic_to_base(v))
+                if x in steps_w)
 
 
 # ---------------------------------------------------------------------

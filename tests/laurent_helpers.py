@@ -26,6 +26,21 @@ def from_polys(F, rows, prec: int) -> Mat2:
                   for f in (fa, fb, fc, fd)))
 
 
+def det(M: Mat2) -> Laurent:
+    return M.a * M.d - M.b * M.c
+
+
+def inv(M: Mat2) -> Mat2:
+    dt = det(M)
+    if dt.is_exact_zero:
+        raise ZeroDivisionError("matrix is singular")
+    if dt.is_zero_at_prec:
+        raise InsufficientPrecisionError(
+            "determinant indistinguishable from zero")
+    di = dt.inv()
+    return Mat2(M.d * di, -(M.b * di), -(M.c * di), M.a * di)
+
+
 def add(M: Mat2, N: Mat2) -> Mat2:
     return Mat2(M.a + N.a, M.b + N.b, M.c + N.c, M.d + N.d)
 

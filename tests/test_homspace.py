@@ -17,11 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btquot.algebra import field, poly_add, poly_mul, poly_scale, poly_trim
-from btquot.homspace import (HomSet, _kernel_basis, _system_stack, hom,
-                             hom_stack, stability)
+from btquot.homspace import (HomSet, _assert_solution, _kernel_basis,
+                             _system_stack, hom, hom_stack, stability,
+                             transport, verified)
 from btquot.laurent import InsufficientPrecisionError
 from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra
-from btquot.quotient import transport
 from btquot.tree import BASE_VERTEX, Vertex, act, neighbors, retry_with_precision
 
 ALG3 = build_algebra(field(3), [(0, 1), (1, 1)])
@@ -221,6 +221,25 @@ class TestHomProperties:
                     scaled = ALG5.scale(c, gamma)
                     assert scaled in elems
 
+    def test_verified_rejects_a_target_that_is_not_the_image(self):
+        v, w = Vertex.make(2, 1, (1,)), Vertex.make(2, 1, (3,))
+        H = hom(ALG5, v, w)
+        assert H.dim == 1
+        # units within the height bound, but w is their only image of v
+        other = Vertex.make(2, 1, (2,))
+        assert other.dist_to_base() == w.dist_to_base()
+        with pytest.raises(AssertionError,
+                           match="does not map source to target"):
+            verified(ALG5, HomSet(ALG5.F, v, other, H.basis))
+
+    def test_solution_check_returns_images_of_further_vertices(self):
+        v, w = Vertex.make(2, 1, (1,)), Vertex.make(2, 1, (3,))
+        (g,) = hom(ALG5, v, w).basis
+        more = neighbors(ALG5.F, v)
+        assert _assert_solution(ALG5, g, v, w, *more) == \
+            [transport(ALG5, g, u) for u in more]
+        assert _assert_solution(ALG5, g, v, w) == []
+
     def test_basis_normalized_and_deterministic(self):
         v = Vertex.make(2, 1, (1,))
         w = Vertex.make(2, 1, (3,))
@@ -241,8 +260,8 @@ class TestHomProperties:
                  (Vertex.make(2, 0, ()), Vertex.make(2, 1, (4,))),
                  (Vertex.make(2, 1, (1,)), Vertex.make(2, 1, (3,)))]
         for v, w in cases:
-            n = max(distance(F, v, BASE_VERTEX),
-                    distance(F, w, BASE_VERTEX))
+            n = max(distance(v, BASE_VERTEX),
+                    distance(w, BASE_VERTEX))
             for b in hom(ALG5, v, w).basis:
                 assert height(b) <= n + ALG5.m
 

@@ -21,7 +21,7 @@ from btquot.laurent import (
     Mat2,
     newton_sqrt,
 )
-from laurent_helpers import identity, min_val, valuation
+from laurent_helpers import det, identity, inv, min_val, valuation
 
 F3 = field(3)
 F5 = field(5)
@@ -183,7 +183,7 @@ def _vertex_style_matrix(F, n, gpoly, prec):
 
 def test_mat2_det_and_identity():
     A = _vertex_style_matrix(F5, 3, (), 8)
-    dt = A.det()
+    dt = det(A)
     assert (dt.val, dt.coeffs) == (3, (1,))
     I = identity(F5, 8)
     assert A * I == A
@@ -201,7 +201,7 @@ def _assert_identityish(M):
 def test_mat2_inverse_roundtrip():
     A = Mat2(Laurent.pi_power(F5, 1, 9), Laurent.zero(F5),
              Laurent(F5, 0, (2, 0, 3), 9), Laurent.constant(F5, 1, 9))
-    B = A.inv()
+    B = inv(A)
     _assert_identityish(A * B)
     _assert_identityish(B * A)
 
@@ -210,11 +210,11 @@ def test_mat2_inv_precision_failure_is_recoverable():
     one = Laurent.constant(F3, 1, 1)
     M = Mat2(one, one, one, one)  # det = O(pi), undetermined
     with pytest.raises(InsufficientPrecisionError):
-        M.inv()
+        inv(M)
     zero = Laurent.zero(F3)
     c = Laurent.constant(F3, 2, 5)
     with pytest.raises(ZeroDivisionError):
-        Mat2(c, zero, c, zero).inv()  # exactly singular
+        inv(Mat2(c, zero, c, zero))  # exactly singular
 
 
 def test_mat2_min_val():

@@ -194,7 +194,7 @@ class TestGraphWellFormedness:
         assert len(tree_edges) == len(G.vertices) - 1
         F = G.alg.F
         for e in tree_edges:
-            assert distance(F, G.vertices[e.src], G.vertices[e.dst]) == 1
+            assert distance(G.vertices[e.src], G.vertices[e.dst]) == 1
             assert e.direction == G.vertices[e.dst]
         # connectivity of the tree edges alone
         seen = {G.initial}
@@ -219,7 +219,7 @@ class TestGraphWellFormedness:
             e = G.edges[k]
             assert alg.is_unit(e.elem)
             # the candidate hangs off the source vertex
-            assert distance(F, G.vertices[e.src], e.direction) == 1
+            assert distance(G.vertices[e.src], e.direction) == 1
             assert e.direction not in G.vid
             assert transport(alg, e.elem, e.direction) == G.vertices[e.dst]
 
@@ -239,8 +239,8 @@ class TestGraphWellFormedness:
         vs = G.vertices
         for i in range(len(vs)):
             for j in range(i + 1, len(vs)):
-                if (distance(F, vs[i], BASE_VERTEX)
-                        - distance(F, vs[j], BASE_VERTEX)) % 2:
+                if (distance(vs[i], BASE_VERTEX)
+                        - distance(vs[j], BASE_VERTEX)) % 2:
                     continue
                 assert hom(alg, vs[i], vs[j]).dim == 0
 
