@@ -103,11 +103,6 @@ class Laurent:
     def is_exact_zero(self) -> bool:
         return self.prec == INF and not self.coeffs
 
-    @property
-    def is_zero_at_prec(self) -> bool:
-        """No nonzero coefficient is known (true valuation >= prec)."""
-        return not self.coeffs
-
     def coeff(self, k: int) -> int:
         """Coefficient of pi^k; raises beyond the precision bound."""
         if k >= self.prec:

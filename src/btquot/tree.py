@@ -7,11 +7,13 @@ coefficients of g (exponents from its valuation up to n-1, as codes
 into GF); equality of the stored data is equality of vertices, so
 vertices can key dicts and sets directly.
 
-The normal form of an arbitrary invertible matrix is computed by column
-reduction over GL_2(O_infinity) combined with scalar rescaling.  When
-the working precision cannot certify a pivot choice or a coefficient of
-g, an InsufficientPrecisionError escapes to the caller, who retries the
-enclosing computation at doubled precision (retry_with_precision).
+The normal form of an invertible matrix is read off in closed form: n
+from the valuations of the determinant and of the pivot (the bottom
+entry of smaller valuation), g from one quotient cut at pi^n.  When the
+working precision cannot certify the pivot, the valuation of the
+determinant or a coefficient of g, an InsufficientPrecisionError
+escapes to the caller, who retries the enclosing computation at doubled
+precision (retry_with_precision).
 """
 
 from __future__ import annotations
@@ -48,10 +50,8 @@ class Vertex:
 
     @classmethod
     def make(cls, n: int, gval: int, gcoeffs) -> "Vertex":
-        cs = list(gcoeffs)
         # canonical truncation: drop exponents >= n
-        if gval + len(cs) > n:
-            cs = cs[:n - gval]
+        cs = list(gcoeffs)[:max(0, n - gval)]
         while cs and cs[0] == 0:
             cs.pop(0)
             gval += 1
@@ -60,10 +60,6 @@ class Vertex:
         if not cs:
             gval = 0
         return cls(n, gval, tuple(cs))
-
-    @property
-    def g_is_zero(self) -> bool:
-        return not self.gcoeffs
 
     def matrix(self, F: GF, prec=INF) -> Mat2:
         """The normal-form representative [[pi^n, g], [0, 1]], exact
@@ -95,66 +91,41 @@ BASE_VERTEX = Vertex(0, 0, ())
 # normal form
 # ---------------------------------------------------------------------
 
-def _pivot_is_second(c: Laurent, d: Laurent) -> bool:
-    """Decide whether v(d) <= v(c), raising when the precision cannot tell."""
-    if d.is_exact_zero:
-        if c.is_exact_zero:
-            raise ZeroDivisionError("matrix has zero bottom row")
-        if c.coeffs:
-            return False
-        raise InsufficientPrecisionError("bottom row valuations undetermined")
-    if c.is_exact_zero:
-        return True
-    if d.coeffs and c.coeffs:
-        return d.val <= c.val
-    if d.coeffs:
-        # c is zero at its precision, so v(c) >= c.prec
-        if d.val <= c.prec:
-            return True
-        raise InsufficientPrecisionError("bottom-left valuation undetermined")
-    if c.coeffs and c.val < d.prec:
-        return False
-    raise InsufficientPrecisionError("bottom row valuations undetermined")
-
-
 def vnf(M: Mat2) -> Vertex:
     """Vertex normal form of the lattice class of an invertible matrix.
 
-    Column reduction: pivot on the bottom-row entry of smaller
-    valuation, clear the other bottom entry, rescale the matrix so the
-    bottom row becomes (0, 1), and truncate the top-right entry modulo
-    pi^n where pi^n is the top-left valuation.
+    The pivot column (x, y) is the one whose bottom entry has the
+    smaller valuation.  Clearing the other bottom entry with it and
+    scaling by 1/y gives [[det/y^2, x/y], [0, 1]] up to a column unit,
+    so n = v(det M) - 2 v(y) and g = x/y mod pi^n: one quotient, cut
+    to the n - v(x/y) digits below pi^n.
     """
     a, b, c, d = M.a, M.b, M.c, M.d
-    if not _pivot_is_second(c, d):
-        a, b, c, d = b, a, d, c
-    # clear c using the pivot d, then rescale by 1/d
-    di = d.inv()
-    if not c.is_exact_zero:
-        factor = c * di
-        a = a - factor * b
-    A = a * di
-    B = b * di
-    if A.is_exact_zero:
+    x, y = (a, c) if c.val < d.val else (b, d)
+    if y.is_exact_zero:
+        raise ZeroDivisionError("matrix has zero bottom row")
+    if not y.coeffs:
+        raise InsufficientPrecisionError("bottom row valuations undetermined")
+    det = a * d - b * c
+    if det.is_exact_zero:
         raise ZeroDivisionError("matrix is singular")
-    if A.is_zero_at_prec:
-        raise InsufficientPrecisionError("top-left valuation undetermined")
-    n = A.val
-    if B.is_exact_zero:
+    if not det.coeffs:
+        raise InsufficientPrecisionError("determinant undetermined")
+    n = det.val - 2 * y.val
+    digits = n - (x.val - y.val)  # of x/y below pi^n
+    if digits <= 0:
         return Vertex.make(n, 0, ())
-    if B.coeffs and B.val >= n:
-        return Vertex.make(n, 0, ())
-    if B.prec < n:
+    g = x.truncate(n + y.val) * y.truncate(y.val + digits).inv()
+    if g.prec < n:
         raise InsufficientPrecisionError(
             f"top-right entry not determined modulo pi^{n}")
-    if B.is_zero_at_prec:
-        return Vertex.make(n, 0, ())
-    return Vertex.make(n, B.val, B.coeffs)  # make truncates at pi^n
+    return Vertex.make(n, g.val, g.coeffs)
 
 
 def act(A: Mat2, v: Vertex) -> Vertex:
-    """The action on lattice classes: vnf(A * matrix(v)), with the exact
-    vertex matrix, so A alone bounds the precision."""
+    """The action on lattice classes: vnf(A * matrix(v)).  The vertex
+    matrix is exact, so A alone bounds the precision, and vnf reads only
+    the digits of g below pi^n."""
     return vnf(A * v.matrix(A.a.F))
 
 
@@ -193,7 +164,7 @@ def geodesic_to_base(v: Vertex) -> list[Vertex]:
     """
     path = [v]
     cur = v
-    while not cur.g_is_zero:
+    while cur.gcoeffs:
         cur = up_neighbor(cur)
         path.append(cur)
     while cur.n != 0:
@@ -217,7 +188,7 @@ def distance(v: Vertex, w: Vertex) -> int:
 # ---------------------------------------------------------------------
 
 _VERTEX_RE = re.compile(
-    r"^\(\s*(-?\d+)\s*;\s*(0|(?:-?\d+)(?:\s*,\s*-?\d+)*\s*@\s*-?\d+)\s*\)$")
+    r"^\(\s*(-?\d+)\s*;\s*(0|\d+(?:\s*,\s*\d+)*\s*@\s*-?\d+)\s*\)$")
 
 
 def format_vertex(v: Vertex) -> str:
@@ -233,6 +204,8 @@ def format_vertex(v: Vertex) -> str:
 
 
 def parse_vertex(F: GF, text: str) -> Vertex:
+    """The inverse of format_vertex; coefficients must be codes in
+    0..q-1, written without a sign."""
     m = _VERTEX_RE.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse vertex {text!r}")
@@ -242,7 +215,10 @@ def parse_vertex(F: GF, text: str) -> Vertex:
         return Vertex.make(n, 0, ())
     coeff_part, val_part = body.split("@")
     gval = int(val_part)
-    coeffs = [int(x) % F.q for x in coeff_part.split(",")]
+    coeffs = [int(x) for x in coeff_part.split(",")]
+    if max(coeffs) >= F.q:
+        raise ValueError(f"coefficient code {max(coeffs)} is not "
+                         f"in 0..{F.q - 1}")
     if gval + len(coeffs) > n:
         raise ValueError(f"coefficients reach exponent {gval + len(coeffs)} "
                          f"but must stay below n = {n}")

@@ -34,7 +34,7 @@ def inv(M: Mat2) -> Mat2:
     dt = det(M)
     if dt.is_exact_zero:
         raise ZeroDivisionError("matrix is singular")
-    if dt.is_zero_at_prec:
+    if not dt.coeffs:
         raise InsufficientPrecisionError(
             "determinant indistinguishable from zero")
     di = dt.inv()

@@ -247,6 +247,11 @@ class TestReduce:
         code, _, err = run(capsys, ["reduce", *Q5, *cache, "(x; 0)"])
         assert code == EXIT_USER
 
+    def test_coefficient_code_outside_the_field(self, capsys, cache):
+        code, out, err = run(capsys, ["reduce", *Q5, *cache, "(1; 7@0)"])
+        assert code == EXIT_USER and out == ""
+        assert err == "error: coefficient code 7 is not in 0..4\n"
+
     def test_missing_argument(self, capsys, cache):
         code, _, err = run(capsys, ["reduce", *Q5, *cache])
         assert code == EXIT_USER

@@ -61,7 +61,7 @@ def test_add_mul_precision_rules():
     assert (x * y).val == -1
     # zero at a precision: O(pi^2) * pi^-1 = O(pi^1)
     z = Laurent.zero_at(F5, 2)
-    assert (z * y).is_zero_at_prec and (z * y).prec == 1
+    assert not (z * y).coeffs and (z * y).prec == 1
 
 
 def test_leading_zero_cancellation_tracks_valuation():
@@ -70,7 +70,7 @@ def test_leading_zero_cancellation_tracks_valuation():
     s = x + y
     assert s.val == 1 and s.coeffs == (1,)
     d = x + x + x  # 3 = 0 in F_3
-    assert d.is_zero_at_prec and d.prec == 5
+    assert not d.coeffs and d.prec == 5
 
 
 @settings(max_examples=100)
@@ -84,7 +84,7 @@ def test_mul_valuation_additive(fc, gc):
     y = Laurent.from_poly(F5, g, 6)
     assert valuation(x * y) == valuation(x) + valuation(y)
     s = x + y
-    if not s.is_zero_at_prec:
+    if s.coeffs:
         assert valuation(s) >= min(valuation(x), valuation(y))
 
 
@@ -95,7 +95,7 @@ def test_inverse_roundtrip_and_precision():
     assert xi.prec == 6 - 2 * (-2)
     prod = x * xi
     one = prod - Laurent.constant(F5, 1, prod.prec)
-    assert one.is_zero_at_prec
+    assert not one.coeffs
     with pytest.raises(InsufficientPrecisionError):
         Laurent.zero_at(F5, 3).inv()
     with pytest.raises(ZeroDivisionError):
@@ -141,7 +141,7 @@ def test_newton_sqrt_example_digits():
     s = newton_sqrt(F5, f, 8)
     assert s.val == -1 and s.coeffs[0] == 1
     diff = s * s - Laurent.from_poly(F5, f, 8)
-    assert diff.is_zero_at_prec
+    assert not diff.coeffs
     assert diff.prec >= 8
 
 
@@ -160,7 +160,7 @@ def test_newton_sqrt_resquare(q, text, prec):
     s = newton_sqrt(F, f, prec)
     assert s.val == -m and s.coeffs[0] == 1
     diff = s * s - Laurent.from_poly(F, f, prec)
-    assert diff.is_zero_at_prec and diff.prec >= prec
+    assert not diff.coeffs and diff.prec >= prec
 
 
 def test_newton_sqrt_precision_honesty():
@@ -195,7 +195,7 @@ def _assert_identityish(M):
             if not entry.is_exact_zero else entry
         if isinstance(diff, Laurent) and diff.is_exact_zero:
             continue
-        assert diff.is_zero_at_prec, M
+        assert not diff.coeffs, M
 
 
 def test_mat2_inverse_roundtrip():
@@ -351,4 +351,4 @@ def test_newton_inverse_matches_schoolbook(data, q):
     x = data.draw(series(q, exact=False, unit=True))
     assert x.inv() == school_inv(x)
     one = x * x.inv() - Laurent.constant(x.F, 1, math.inf)
-    assert one.is_zero_at_prec
+    assert not one.coeffs

@@ -471,7 +471,7 @@ class TestNormAndUnits:
 
 def _entry_diff_small(a, b, prec):
     d = a - b
-    return d.is_exact_zero or (d.is_zero_at_prec and d.prec >= prec)
+    return d.is_exact_zero or (not d.coeffs and d.prec >= prec)
 
 
 def assert_mat_equal_at(A, B, prec):

@@ -8,6 +8,7 @@ against breadth-first search over the neighbor relation.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 
@@ -59,7 +60,7 @@ def same_lattice_class(M: Mat2, N: Mat2) -> bool:
     for x in Q.entries():
         if x.is_exact_zero:
             continue
-        if x.is_zero_at_prec:
+        if not x.coeffs:
             if x.prec < 0:
                 raise InsufficientPrecisionError("entry undetermined")
             continue
@@ -111,6 +112,7 @@ def test_vertex_canonical_truncation():
     assert Vertex.make(3, 1, (1, 0)) == Vertex(3, 1, (1,))
     assert Vertex.make(-1, 0, ()) == Vertex(-1, 0, ())
     assert Vertex.make(2, 2, (1,)) == Vertex(2, 0, ())
+    assert Vertex.make(2, 5, (1,) * 5) == Vertex(2, 0, ())  # all above n
 
 
 def test_vertex_text_form():
@@ -125,6 +127,14 @@ def test_vertex_text_form():
         parse_vertex(F3, "(2; 1@5)")  # exponent reaches n
     with pytest.raises(ValueError):
         parse_vertex(F3, "nonsense")
+    # codes must lie in 0..q-1 and carry no sign; exponents may be negative
+    F9 = field(9)
+    assert parse_vertex(F5, "(1; 4@-1)") == Vertex.make(1, -1, (4,))
+    assert parse_vertex(F9, "(1; 8@0)") == Vertex.make(1, 0, (8,))
+    for F, s in [(F5, "(1; 7@0)"), (F5, "(1; 5@0)"), (F5, "(1; -1@0)"),
+                 (F5, "(2; 1,-1@0)"), (F9, "(1; 12@0)"), (F9, "(1; 9@0)")]:
+        with pytest.raises(ValueError):
+            parse_vertex(F, s)
 
 
 # ---------------------------------------------------------------------
@@ -136,6 +146,17 @@ def test_vnf_examples():
     assert vnf(I) == BASE_VERTEX
     swap = from_polys(F3, [((), P(F3, "1")), (P(F3, "1"), ())], 10)
     assert vnf(swap) == BASE_VERTEX
+    # exact entries, pivot 1 + pi with several terms, in either column
+    pi2 = Laurent.pi_power(F5, 2, math.inf)
+    b = Laurent(F5, -1, (1, 0, 3), math.inf)  # pi^-1 (1 + 3 pi^2)
+    d = Laurent(F5, 0, (1, 1), math.inf)
+    zero = Laurent.zero(F5)
+    assert format_vertex(vnf(Mat2(pi2, b, zero, d))) == "(2; 1,4,4@-1)"
+    assert format_vertex(vnf(Mat2(b, pi2, d, zero))) == "(2; 1,4,4@-1)"
+    # singular, or with a zero bottom row
+    for M in [Mat2(d, d, d, d), Mat2(d, b, zero, zero)]:
+        with pytest.raises(ZeroDivisionError):
+            vnf(M)
 
 
 def test_vnf_of_normal_form_is_identity():
@@ -184,6 +205,15 @@ def test_vnf_insufficient_precision_recoverable():
         vnf(M)
     got = retry_with_precision(lambda p: vnf(v.matrix(F3, p)), 2)
     assert got == v
+
+    # det [[1, 1], [1, 1 + pi^5]] = pi^5 is zero at precision 4
+    def near_singular(p):
+        one = Laurent.constant(F3, 1, p)
+        return Mat2(one, one, one, Laurent(F3, 0, (1, 0, 0, 0, 0, 1), p))
+    with pytest.raises(InsufficientPrecisionError):
+        vnf(near_singular(4))
+    got = retry_with_precision(lambda p: vnf(near_singular(p)), 4)
+    assert got == Vertex.make(5, 0, (1,))
 
 
 # ---------------------------------------------------------------------
