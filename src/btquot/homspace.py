@@ -47,9 +47,12 @@ asserted against on every system of every stack.
 
 The action of a unit g on tree vertices is transport_all, the only code
 that embeds a unit and acts with it: one embedding iota(g) per precision
-tried, applied to every vertex asked for.  The solution check, the
+tried, applied to every vertex asked for by tree.act, which relies on
+det iota(g) = nrd(g) being a nonzero constant and so forms no
+determinant and no full matrix product.  The solution check, the
 stabilizer tables, reduction and the checks of a loaded graph all go
-through it; the check also returns g's images of further vertices.
+through it, each with a unit (see transport_all); the check also
+returns g's images of further vertices.
 
 For an unstable vertex, End(v) plus zero is a field with q^2 elements;
 StabilizerField tabulates it on coordinates over the End basis, so that
@@ -79,7 +82,17 @@ def transport(alg: AlgebraData, g: QuatElem, v: Vertex) -> Vertex:
 
 def transport_all(alg: AlgebraData, g: QuatElem, vs) -> list[Vertex]:
     """The vertices g . v for v in vs, from one embedding of g per
-    precision tried."""
+    precision tried.
+
+    g must be a unit of the order (nrd(g) in F_q^*): tree.act reads the
+    valuation of the determinant off that, and a non-unit gives a wrong
+    vertex, not an error.  It is not checked here; every caller upholds
+    it.  _assert_solution, graph_from_json and express_in_generators
+    check is_unit before they transport; the stabilizer generator and
+    its powers are nonzero elements of End(v), whose nonzero elements
+    are all units; reduction steps and transporters are products and
+    inverses of those and of verified pairing units.
+    """
     start = 4 * (height(g) + alg.m + max(abs(v.n) for v in vs) + 4)
 
     def images(prec):

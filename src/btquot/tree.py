@@ -7,13 +7,15 @@ coefficients of g (exponents from its valuation up to n-1, as codes
 into GF); equality of the stored data is equality of vertices, so
 vertices can key dicts and sets directly.
 
-The normal form of an invertible matrix is read off in closed form: n
-from the valuations of the determinant and of the pivot (the bottom
-entry of smaller valuation), g from one quotient cut at pi^n.  When the
-working precision cannot certify the pivot, the valuation of the
-determinant or a coefficient of g, an InsufficientPrecisionError
-escapes to the caller, who retries the enclosing computation at doubled
-precision (retry_with_precision).
+The normal form of an invertible matrix is read off in closed form
+(vnf): n from the valuations of the determinant and of the pivot (the
+bottom entry of smaller valuation), g from one quotient cut at pi^n.
+The action of a unit (act) knows the determinant's valuation and
+multiplies out only one column of the product.  When the working
+precision cannot certify the pivot, the valuation of the determinant or
+a coefficient of g, an InsufficientPrecisionError escapes to the
+caller, who retries the enclosing computation at doubled precision
+(retry_with_precision).
 """
 
 from __future__ import annotations
@@ -97,21 +99,45 @@ def vnf(M: Mat2) -> Vertex:
     The pivot column (x, y) is the one whose bottom entry has the
     smaller valuation.  Clearing the other bottom entry with it and
     scaling by 1/y gives [[det/y^2, x/y], [0, 1]] up to a column unit,
-    so n = v(det M) - 2 v(y) and g = x/y mod pi^n: one quotient, cut
-    to the n - v(x/y) digits below pi^n.
+    so n = v(det M) - 2 v(y) and g = x/y mod pi^n (_from_pivot).
     """
     a, b, c, d = M.a, M.b, M.c, M.d
-    x, y = (a, c) if c.val < d.val else (b, d)
-    if y.is_exact_zero:
-        raise ZeroDivisionError("matrix has zero bottom row")
-    if not y.coeffs:
-        raise InsufficientPrecisionError("bottom row valuations undetermined")
     det = a * d - b * c
     if det.is_exact_zero:
         raise ZeroDivisionError("matrix is singular")
     if not det.coeffs:
         raise InsufficientPrecisionError("determinant undetermined")
-    n = det.val - 2 * y.val
+    x, y = (a, c) if c.val < d.val else (b, d)
+    return _from_pivot(x, y, det.val)
+
+
+def act(A: Mat2, v: Vertex) -> Vertex:
+    """The action of a unit A = iota(gamma), det A = nrd(gamma) in F_q^*,
+    on lattice classes; the general action of an invertible matrix is
+    vnf(A * matrix(v)).  The determinant of A * matrix(v) =
+    [[a pi^n, a g + b], [c pi^n, c g + d]] has valuation n, and its
+    first column is a shift: the products are c g, and a g when the
+    second column holds the pivot; none when g = 0.  Callers uphold the
+    unit precondition (see homspace.transport_all)."""
+    F, n = A.a.F, v.n
+    g = Laurent(F, v.gval, v.gcoeffs, INF)  # the exact zero when g = 0
+    c = Laurent(F, A.c.val + n, A.c.coeffs, A.c.prec + n)
+    d = A.c * g + A.d
+    if c.val < d.val:
+        a = Laurent(F, A.a.val + n, A.a.coeffs, A.a.prec + n)
+        return _from_pivot(a, c, n)
+    return _from_pivot(A.a * g + A.b, d, n)
+
+
+def _from_pivot(x: Laurent, y: Laurent, det_val: int) -> Vertex:
+    """The vertex of a matrix with pivot column (x, y) and determinant
+    valuation det_val: n = det_val - 2 v(y) and g = x/y mod pi^n, one
+    quotient, cut to the n - v(x/y) digits below pi^n."""
+    if y.is_exact_zero:
+        raise ZeroDivisionError("matrix has zero bottom row")
+    if not y.coeffs:
+        raise InsufficientPrecisionError("bottom row valuations undetermined")
+    n = det_val - 2 * y.val
     digits = n - (x.val - y.val)  # of x/y below pi^n
     if digits <= 0:
         return Vertex.make(n, 0, ())
@@ -120,13 +146,6 @@ def vnf(M: Mat2) -> Vertex:
         raise InsufficientPrecisionError(
             f"top-right entry not determined modulo pi^{n}")
     return Vertex.make(n, g.val, g.coeffs)
-
-
-def act(A: Mat2, v: Vertex) -> Vertex:
-    """The action on lattice classes: vnf(A * matrix(v)).  The vertex
-    matrix is exact, so A alone bounds the precision, and vnf reads only
-    the digits of g below pi^n."""
-    return vnf(A * v.matrix(A.a.F))
 
 
 # ---------------------------------------------------------------------

@@ -2,6 +2,7 @@
 the way the tests need; the package itself has no use for these."""
 
 from btquot.laurent import INF, InsufficientPrecisionError, Laurent, Mat2
+from btquot.tree import Vertex, vnf
 
 
 def valuation(x: Laurent):
@@ -39,6 +40,13 @@ def inv(M: Mat2) -> Mat2:
             "determinant indistinguishable from zero")
     di = dt.inv()
     return Mat2(M.d * di, -(M.b * di), -(M.c * di), M.a * di)
+
+
+def general_act(A: Mat2, v: Vertex) -> Vertex:
+    """The action of any invertible A on lattice classes, through the
+    full product and its determinant: vnf(A * matrix(v)).  tree.act
+    takes the same value for units (det A in F_q^*) without either."""
+    return vnf(A * v.matrix(A.a.F))
 
 
 def add(M: Mat2, N: Mat2) -> Mat2:

@@ -5,7 +5,9 @@ exhaustive search: enumerate every element of the order whose four
 polynomial coordinates have degree <= hbound, keep the ones whose
 reduced norm is a nonzero constant, and sort the survivors by their
 action on the tree.  Nothing here goes through the solver's kernel
-machinery; the only shared code is the embedding and the tree action.
+machinery; the only shared code is the embedding and the normal form.
+The action is the general one, vnf of the full matrix product and its
+determinant, not the unit action the package uses.
 
 The reduced norm of a + b*i + c*j + d*k (k the integral generator
 (eps*i + ij)/alpha) is
@@ -27,7 +29,8 @@ import numpy as np
 
 from btquot.laurent import Laurent, newton_sqrt
 from btquot.quaternion import QuatElem, height
-from btquot.tree import BASE_VERTEX, act, neighbors, retry_with_precision
+from btquot.tree import BASE_VERTEX, neighbors, retry_with_precision
+from laurent_helpers import general_act
 
 
 def coefficient_rows(q: int, width: int) -> np.ndarray:
@@ -228,7 +231,7 @@ def pair_incidences(alg, rows, units, vertices, radius: int):
 
         def run(prec, gamma=gamma, vs=vs):
             M = alg.embed(gamma, prec)
-            return [act(M, v) for v in vs]
+            return [general_act(M, v) for v in vs]
 
         images = retry_with_precision(run, start)
         minus = negate_elem(gamma, q)

@@ -488,3 +488,42 @@ class TestTwoCycles:
         # three pairings join vertex 3's and vertex 2's side onto the
         # same internal vertex, producing parallel edges
         assert max(mult.values()) >= 2
+
+
+def test_every_action_is_by_a_unit(monkeypatch):
+    """tree.act assumes det iota(g) in F_q^*, which transport_all does
+    not check: every production caller must pass a unit.  Each stage of
+    the pipeline on the worked example runs with a transport_all that
+    asserts it, and each but verify_structure (which reads the stored
+    End bases and tables) is seen to transport at all."""
+    from btquot import homspace, quotient, serialize
+    orig = homspace.transport_all
+    calls = []
+
+    def checked(alg, g, vs):
+        assert alg.is_unit(g), f"transport_all called with a non-unit {g}"
+        calls.append(g)
+        return orig(alg, g, vs)
+
+    for mod in (homspace, quotient, serialize):
+        monkeypatch.setattr(mod, "transport_all", checked)
+    with pytest.raises(AssertionError):
+        homspace.transport(ALG5, QuatElem(((0, 1), (), (), ())), BASE_VERTEX)
+
+    rng = random.Random(11)
+
+    def stage(fn, *args):
+        calls.clear()
+        out = fn(*args)
+        assert calls, f"{fn.__name__} made no transport"
+        return out
+
+    alg = build_algebra(F5, [(0, 1), (1, 1), (2, 1), (3, 1)])
+    G = stage(compute_quotient, alg)
+    assert verify_structure(alg, G).passed
+    G = stage(serialize.graph_from_json, serialize.graph_to_json(G))
+    pres = stage(presentation, G)
+    gammas = [random_unit(G.alg, pres, rng) for _ in range(8)]
+    far = Vertex.make(5, 1, (1, 2, 3))
+    stage(lambda: [reduce(G, transport(G.alg, g, far)) for g in gammas])
+    stage(lambda: [express_in_generators(G, g, pres) for g in gammas])

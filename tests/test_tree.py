@@ -2,11 +2,13 @@
 
 Normal forms are validated against a lattice-class equality oracle
 (membership of N^(-1) M in GL_2(O_infinity) up to scalar), distances
-against breadth-first search over the neighbor relation.
+against breadth-first search over the neighbor relation, and the action
+of a unit against the normal form of the full matrix product.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -18,8 +20,10 @@ from hypothesis import strategies as st
 
 from btquot.algebra import field, parse_poly
 from btquot.laurent import InsufficientPrecisionError, Laurent, Mat2
-from laurent_helpers import (det, from_polys, identity, inv, min_val, scale,
-                             valuation)
+from btquot.quaternion import QUAT_ONE, build_algebra, height
+from btquot.quotient import compute_quotient, presentation
+from laurent_helpers import (det, from_polys, general_act, identity, inv,
+                             min_val, scale, valuation)
 from btquot.tree import (
     BASE_VERTEX,
     Vertex,
@@ -305,11 +309,13 @@ def test_pairwise_distance_against_bfs():
 # action
 # ---------------------------------------------------------------------
 
+# the general action of an invertible matrix (non-units included)
+
 def test_act_identity_and_scalars():
     v = Vertex.make(2, 1, (1,))
-    assert act(identity(F3, 16), v) == v
+    assert general_act(identity(F3, 16), v) == v
     lam = from_polys(F3, [(P(F3, "T^2+1"), ()), ((), P(F3, "T^2+1"))], 16)
-    assert act(lam, v) == v
+    assert general_act(lam, v) == v
 
 
 def test_act_associativity():
@@ -320,7 +326,8 @@ def test_act_associativity():
         A = _random_integral_matrix(F3, rng)
         B = _random_integral_matrix(F3, rng)
         for v in verts:
-            assert act(A, act(B, v)) == act(A * B, v)
+            assert (general_act(A, general_act(B, v))
+                    == general_act(A * B, v))
 
 
 def test_act_preserves_distance():
@@ -330,7 +337,7 @@ def test_act_preserves_distance():
     d = distance(v, w)
     for _ in range(10):
         A = _random_integral_matrix(F3, rng)
-        assert distance(act(A, v), act(A, w)) == d
+        assert distance(general_act(A, v), general_act(A, w)) == d
 
 
 @settings(max_examples=40)
@@ -338,4 +345,76 @@ def test_act_preserves_distance():
 def test_act_roundtrip_inverse(n, gcs):
     v = Vertex.make(n, n - len(gcs), gcs)
     A = from_polys(F3, [(P(F3, "1"), P(F3, "T")), ((), P(F3, "1"))], 24)
-    assert act(inv(A), act(A, v)) == v
+    assert general_act(inv(A), general_act(A, v)) == v
+
+
+# the action of a unit: act against the general path
+
+@functools.lru_cache(maxsize=None)
+def seeded_units(q):
+    """Units of the worked example (q=5) or of the q=9 case: End bases
+    of the terminal vertices, then seeded words of one to four letters
+    in the presentation's generators and their inverses."""
+    F = field(q)
+    primes = {5: ("T", "T+1", "T+2", "T+3"),
+              9: ("T", "T+1", "T+2", "T+[0,1]")}[q]
+    alg = build_algebra(F, [parse_poly(F, s) for s in primes])
+    G = compute_quotient(alg)
+    gens = [g for _, g in presentation(G).generator_items()]
+    gens += [alg.inverse_unit(g) for g in gens]
+    units = [b for i in G.terminal_ids() for b in G.end_basis[i]]
+    rng = random.Random(q)
+    for _ in range(40):
+        g = QUAT_ONE
+        for _ in range(rng.randint(1, 4)):
+            g = alg.mul(g, rng.choice(gens))
+        units.append(g)
+    return alg, tuple(units)
+
+
+@st.composite
+def vertices(draw, q):
+    """n < 0, n = 0 or n > 0, with g = 0 or g != 0."""
+    n = draw(st.integers(-3, 4))
+    gval = draw(st.integers(n - 4, n - 1))
+    gcs = draw(st.lists(st.integers(0, q - 1), max_size=n - gval))
+    return Vertex.make(n, gval, gcs)
+
+
+def test_act_of_a_unit_equals_the_general_normal_form():
+    """For units, act(iota(g), v) = vnf(iota(g) * matrix(v)); the draws
+    cover both pivot columns, both signs of n and both kinds of g."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from([5, 9]).flatmap(
+        lambda q: st.tuples(st.just(q), st.integers(0, 10 ** 6),
+                            vertices(q))))
+    def check(case):
+        q, k, v = case
+        alg, units = seeded_units(q)
+        g = units[k % len(units)]
+        start = 4 * (height(g) + alg.m + abs(v.n) + 4)
+        got = retry_with_precision(lambda p: act(alg.embed(g, p), v), start)
+        assert got == retry_with_precision(
+            lambda p: general_act(alg.embed(g, p), v), start), (q, g, v)
+        M = alg.embed(g, start) * v.matrix(alg.F)
+        seen.add(("first column" if M.c.val < M.d.val else "second column",
+                  (v.n > 0) - (v.n < 0), bool(v.gcoeffs)))
+
+    check()
+    assert {s[0] for s in seen} == {"first column", "second column"}
+    assert {s[1:] for s in seen} == set(itertools.product((-1, 0, 1),
+                                                          (False, True)))
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_act_of_a_unit_retries_from_too_low_a_precision(q):
+    alg, units = seeded_units(q)
+    v = Vertex.make(40, -3, (1, 0, 2, 1))
+    for g in units:
+        with pytest.raises(InsufficientPrecisionError):
+            act(alg.embed(g, 4), v)
+        got = retry_with_precision(lambda p: act(alg.embed(g, p), v), 4)
+        assert got == retry_with_precision(
+            lambda p: general_act(alg.embed(g, p), v), 64)
