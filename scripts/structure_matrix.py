@@ -3,9 +3,11 @@
 
 For q in {3, 5, 7}, builds the algebra for every even-cardinality
 ramification set R of monic irreducibles of degree at most 2 with
-deg r <= 5, computes the quotient graph, and runs the structural
-verification.  Prints one line per case and a summary; exits nonzero
-if any case fails.
+deg r <= 5, computes the quotient graph, runs the structural
+verification, and loads the graph back from its JSON form, which
+replays its construction.  A case fails unless the checks pass and the
+loaded graph has the same JSON bytes and levels.  Prints one line per
+case and a summary; exits nonzero if any case fails.
 
 Usage: python3 scripts/structure_matrix.py [--quick]
   --quick   only run the degree <= 3 cases (fast smoke subset)
@@ -19,6 +21,7 @@ import time
 from btquot.algebra import enumerate_monic_irreducibles, field, format_poly, poly_deg
 from btquot.quaternion import build_algebra
 from btquot.quotient import compute_quotient, verify_structure
+from btquot.serialize import graph_from_json, graph_to_json
 
 
 def ramification_sets(F, max_deg: int):
@@ -51,14 +54,20 @@ def main() -> int:
             alg = build_algebra(F, list(primes))
             G = compute_quotient(alg)
             rep = verify_structure(alg, G)
-            status = "ok" if rep.passed else "FAIL"
+            text = graph_to_json(G)
+            H = graph_from_json(text)
+            round_trip = graph_to_json(H) == text and H.levels == G.levels
+            passed = rep.passed and round_trip
+            status = "ok" if passed else "FAIL"
             print(f"[{status:>4}] {label}: V={rep.vertex_count} "
                   f"E={rep.undirected_edge_count} paired={rep.paired_count} "
                   f"diam={rep.diameter} ({time.time() - t1:.2f}s)")
-            if not rep.passed:
+            if not passed:
                 failures.append(label)
                 for line in rep.lines():
                     print("       " + line)
+                if not round_trip:
+                    print("       the JSON round trip changed the graph")
     print(f"\n{total} cases, {len(failures)} failures, "
           f"{time.time() - t0:.1f}s total")
     for label in failures:

@@ -42,17 +42,6 @@ import numpy as np
 #: quotient computation at q = 127 peaks near 51 MB of RSS.
 MAX_Q = 127
 
-#: Defining polynomials (constant first) for the supported prime-power
-#: fields, each the first monic irreducible of its degree in canonical
-#: order.  Callers may override via GF(q, modulus=...).
-DEFAULT_MODULI = {
-    9: (1, 0, 1),      # x^2 + 1           over F_3
-    25: (1, 1, 1),     # x^2 + x + 1       over F_5
-    27: (1, 0, 2, 1),  # x^3 + 2x^2 + 1    over F_3
-    49: (1, 0, 1),     # x^2 + 1           over F_7
-}
-
-
 def _factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p^e, p prime, or raise ValueError."""
     if q < 2:
@@ -80,6 +69,8 @@ class GF:
     reference back to their field.  The constructor builds the
     coordinate kernels (digits, place, fold) and from them the (add,
     mul, neg, inv) tables; every operation is a lookup in those tables.
+    For e > 1 the defining polynomial is the first monic irreducible of
+    degree e over F_p in canonical order, unless modulus names another.
     """
 
     def __init__(self, q: int, modulus: tuple[int, ...] | None = None):
@@ -96,10 +87,7 @@ class GF:
             self.modulus = None
         else:
             if modulus is None:
-                if q not in DEFAULT_MODULI:
-                    raise ValueError(
-                        f"no default modulus for q={q}; pass one explicitly")
-                modulus = DEFAULT_MODULI[q]
+                modulus = next(enumerate_monic_irreducibles(GF(p), e))
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != e + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree e over F_p")

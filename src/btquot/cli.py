@@ -134,8 +134,9 @@ def _write_atomically(path: Path, text: str) -> None:
 
 def _build_graph(cfg: JobConfig) -> QuotientGraph:
     """The graph from the cache, or computed (and cached).  A cached file
-    that does not parse, or that holds the graph of another field or
-    another list of primes, is a cache miss, and is overwritten."""
+    that graph_from_json rejects, or that holds the graph of another
+    field or another list of primes, is a cache miss, and is
+    overwritten."""
     path = _cache_path(cfg)
     if cfg.use_cache and path.is_file():
         try:

@@ -41,9 +41,12 @@ each such group is built and solved at once, from arrays:
 Solutions automatically have reduced norm in F_q^* and map v to w (the
 determinant argument fixes the norm's valuation, and a unit of the order
 with the right action is forced); both facts are asserted (verified),
-never used as filters: on every basis hom returns, and in the quotient
-search on End(v) and on the pairing it takes.  A dimension above 2 is
-asserted against on every system of every stack.
+never used as filters: on every basis hom returns, in the quotient
+search on End(v) and on the pairing it takes, and on every label of a
+loaded graph.  A scalar unit (every End basis holds 1) lies in F_q^*,
+the kernel of the action, so the check embeds none: it fixes every
+vertex.  A dimension above 2 is asserted against on every system of
+every stack.
 
 The action of a unit g on tree vertices is transport_all, the only code
 that embeds a unit and acts with it: one embedding iota(g) per precision
@@ -87,11 +90,11 @@ def transport_all(alg: AlgebraData, g: QuatElem, vs) -> list[Vertex]:
     g must be a unit of the order (nrd(g) in F_q^*): tree.act reads the
     valuation of the determinant off that, and a non-unit gives a wrong
     vertex, not an error.  It is not checked here; every caller upholds
-    it.  _assert_solution, graph_from_json and express_in_generators
-    check is_unit before they transport; the stabilizer generator and
-    its powers are nonzero elements of End(v), whose nonzero elements
-    are all units; reduction steps and transporters are products and
-    inverses of those and of verified pairing units.
+    it.  _assert_solution and express_in_generators check is_unit
+    before they transport; the stabilizer generator and its powers are
+    nonzero elements of End(v), whose nonzero elements are all units;
+    reduction steps and transporters are products and inverses of those
+    and of verified pairing units.
     """
     start = 4 * (height(g) + alg.m + max(abs(v.n) for v in vs) + 4)
 
@@ -396,13 +399,16 @@ def _vector_to_quat(vec, nm: int) -> QuatElem:
 def _assert_solution(alg: AlgebraData, gamma: QuatElem, v: Vertex,
                      w: Vertex, *more: Vertex) -> list[Vertex]:
     """Assert that gamma is a unit within the height bound mapping v to
-    w; return its images of the vertices more, from the same embedding."""
+    w; return its images of the vertices more, from the same embedding
+    (none for a scalar unit, which fixes every vertex)."""
     nm = max(v.dist_to_base(), w.dist_to_base()) + alg.m
     if not alg.is_unit(gamma):
         raise AssertionError("hom solution is not a unit of the order")
     if height(gamma) > nm:
         raise AssertionError("hom solution violates the height bound")
-    image, *images = transport_all(alg, gamma, (v, *more))
+    vs = (v, *more)
+    image, *images = (transport_all(alg, gamma, vs) if any(gamma.lam[1:])
+                      else vs)
     if image != w:
         raise AssertionError("hom solution does not map source to target")
     return images

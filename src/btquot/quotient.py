@@ -86,7 +86,9 @@ class QuotientGraph:
     Vertices are indexed by position in ``vertices``; ``vid`` inverts
     the labeling.  ``end_basis`` holds the endomorphism bases of the
     terminal (two-dimensional) vertices.  ``pairings`` lists the
-    positions of the ``pairing`` edges in creation order.
+    positions of the ``pairing`` edges in creation order.  Computed and
+    loaded graphs alike get their edges from _add_tree_pair and
+    _add_pairing, each edge directly followed by its reversal.
     """
 
     alg: AlgebraData
@@ -98,13 +100,19 @@ class QuotientGraph:
     out_edges: dict[int, list[int]] = field(default_factory=dict)
     pairings: list[int] = field(default_factory=list)
     initial: int = 0
-    levels: int = 0
     _stabilizers: dict[int, StabilizerField] = field(
         default_factory=dict, repr=False, compare=False)
 
     @property
     def q(self) -> int:
         return self.alg.F.q
+
+    @property
+    def levels(self) -> int:
+        """The number of search levels: each adds a label at its own tree
+        distance from the initial label, so this is the largest one."""
+        init = self.vertices[self.initial]
+        return max(distance(init, v) for v in self.vertices)
 
     def degree(self, i: int) -> int:
         return len(self.out_edges[i])
@@ -161,6 +169,9 @@ class QuotientGraph:
 
     def _add_pairing(self, src: int, dst: int, candidate: Vertex,
                      g: QuatElem, back_direction: Vertex) -> None:
+        """The pairing edge src -> dst and, directly after it, its
+        reversal; express_in_generators reads the generator of a
+        pairing_opposite edge k off edge k - 1."""
         idx = self._next_index(src, dst)
         k = self._add_edge(QuotientEdge(src, dst, idx, "pairing",
                                         candidate, g))
@@ -177,7 +188,6 @@ def _two_vertex_quotient(alg: AlgebraData, first, second) -> QuotientGraph:
     G._add_vertex(v1, ends1.basis)
     G._add_tree_pair(0, 1)
     G.initial = 0
-    G.levels = 1
     return G
 
 
@@ -200,7 +210,6 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
     frontier = [(0, u) for u in neighbors(F, v0)]
 
     while frontier:
-        G.levels += 1
         alive: list = list(frontier)
         nxt: list = []
         for i in range(len(alive)):
@@ -421,10 +430,6 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
         pres = presentation(G)
 
     pairing_name = {k: f"g{t + 1}" for t, k in enumerate(G.pairings)}
-    partner = {}
-    for k in G.pairings:
-        e = G.edges[k]
-        partner[(e.dst, e.src, e.index)] = k
     vertex_name = {i: f"gv{t + 1}"
                    for t, (i, _) in enumerate(pres.vertex_gens)}
 
@@ -439,9 +444,8 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
         total = alg.mul(step, total)
         if info[0] == "pairing":
             _, k, sign = info
-            e = G.edges[k]
-            if e.kind == "pairing_opposite":
-                k = partner[(e.src, e.dst, e.index)]
+            if G.edges[k].kind == "pairing_opposite":
+                k -= 1  # the pairing edge directly precedes its reversal
             letters.append((pairing_name[k], -sign))
         else:
             _, vi_id, s = info

@@ -4,14 +4,15 @@ The JSON form is self-contained: it records the field size, the
 ramified primes, the derived algebra constants, and the full labeled
 graph, with every label in the exact text forms of the parsers in
 :mod:`btquot.algebra`, :mod:`btquot.tree` and :mod:`btquot.quaternion`.
-Reading it back rebuilds the same graph without re-running the search,
-and re-serializing reproduces the bytes exactly.
+Reading it back replays the construction through the search's own
+builders and solution check, without the hom solves, and re-serializing
+reproduces the bytes exactly.
 
-Directed edges are stored once each.  A ``tree`` label marks a
-spanning-tree edge, an ``opposite`` label marks the reversal of
-whatever its partner edge (same index, endpoints swapped) carries, and
-a pairing label is an object naming the pairing unit and the tree edge
-it identifies with its partner.
+Directed edges are stored once each, in construction order.  A ``tree``
+label marks a spanning-tree edge, a pairing label is an object naming
+the pairing unit and the tree edge it identifies with its partner, and
+an ``opposite`` label marks the reversal of the edge just before it
+(same index, endpoints swapped).
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from __future__ import annotations
 import json
 
 from .algebra import field, format_poly, parse_poly
-from .homspace import transport_all
+from .homspace import _assert_solution
 from .quaternion import build_algebra, format_quat, parse_quat
-from .quotient import QuotientEdge, QuotientGraph
-from .tree import (DEFAULT_PRECISION_CAP, distance, format_vertex,
-                   parse_vertex)
+from .quotient import QuotientGraph
+from .tree import DEFAULT_PRECISION_CAP, format_vertex, parse_vertex
 
 FORMAT_VERSION = 1
 
@@ -73,93 +73,85 @@ def graph_to_json(G: QuotientGraph) -> str:
 
 def graph_from_json(text: str, precision_cap: int = DEFAULT_PRECISION_CAP
                     ) -> QuotientGraph:
-    """Rebuild a graph from its JSON form, and its algebra with the given
-    precision cap.  ValueError unless alpha/epsilon/nu match the derived
-    ones, stored pairing units and End basis elements are units, a vertex
-    has an End basis exactly when it is not stable and each element fixes
-    it, pairing units map their candidates to the targets' labels, and
-    out-degrees are 1 (terminal) and q+1 (internal)."""
+    """Rebuild a graph from its JSON form, with its algebra at the given
+    precision cap, by replaying its construction: the search's own edge
+    builders and its solution check (_assert_solution) on every stored
+    unit.  ValueError unless alpha/epsilon/nu match the derived ones,
+    labels are strings that pass that check, vertex ids run 0, 1, ...
+    and edge endpoints lie among them, a vertex has an End basis exactly
+    when it is not stable, the stored edges are the replayed ones (order,
+    index and reversal), and out-degrees are 1 (terminal) and q+1
+    (internal)."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("a stored graph is a JSON object")
     if data.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {data.get('format')}")
     F = field(data["q"])
-    primes = [parse_poly(F, t) for t in data["primes"]]
+
+    def parsed(parse, label):
+        if not isinstance(label, str):
+            raise ValueError(f"stored label {label!r} is not a string")
+        return parse(F, label)
+
+    primes = [parsed(parse_poly, t) for t in data["primes"]]
     alg = build_algebra(F, primes, precision_cap=precision_cap)
     for key, val in (("alpha", alg.alpha), ("epsilon", alg.epsilon),
                      ("nu", alg.nu)):
-        if parse_poly(F, data[key]) != val:
+        if parsed(parse_poly, data[key]) != val:
             raise ValueError(f"stored {key} does not match the derived one")
 
-    def unit(text: str):
-        x = parse_quat(F, text)
-        if not alg.is_unit(x):
-            raise ValueError(f"stored element {text!r} is not a unit")
-        return x
+    def checked(g, v, w, *more):
+        try:
+            return _assert_solution(alg, g, v, w, *more)
+        except AssertionError as exc:
+            raise ValueError(f"stored label fails the solution check: "
+                             f"{exc}") from None
 
     G = QuotientGraph(alg)
-    for entry in sorted(data["vertices"], key=lambda d: d["id"]):
-        v = parse_vertex(F, entry["nf"])
+    for i, entry in enumerate(data["vertices"]):
+        if entry["id"] != i:
+            raise ValueError("vertex ids must be 0, 1, ... in order")
         if entry["stable"] == ("end_basis" in entry):
             raise ValueError("a vertex has an End basis exactly when it "
                              "is not stable")
+        v = parsed(parse_vertex, entry["nf"])
         basis = None
         if "end_basis" in entry:
-            basis = tuple(unit(t) for t in entry["end_basis"])
-            # scalar units fix every vertex
-            if any(transport_all(alg, b, (v,)) != [v]
-                   for b in basis if any(b.lam[1:])):
-                raise ValueError("an End basis element does not fix its "
-                                 "vertex")
-        i = G._add_vertex(v, basis)
-        if i != entry["id"]:
-            raise ValueError("vertex ids must be dense and sorted")
-    init = parse_vertex(F, data["initial_vertex"])
+            basis = [parsed(parse_quat, t) for t in entry["end_basis"]]
+            for b in basis:
+                checked(b, v, v)
+        G._add_vertex(v, basis)
+    init = parsed(parse_vertex, data["initial_vertex"])
     if init not in G.vid:
         raise ValueError("initial vertex is not among the vertices")
     G.initial = G.vid[init]
-    G.levels = max((distance(init, v) for v in G.vertices), default=0)
 
-    # every pairing edge by (src, dst, index): its unit, which must map
-    # its candidate to the target label, the candidate, and the image of
-    # the source label (the direction of the reversed edge)
-    paired = {}
+    nv = len(G.vertices)
+    stored = []
     for entry in data["edges"]:
-        label = entry["label"]
-        if isinstance(label, dict):
-            src, dst = entry["src"], entry["dst"]
-            elem = unit(label["pairing"])
-            if parse_vertex(F, label["tree_edge"][0]) != G.vertices[src]:
+        src, dst, label = entry["src"], entry["dst"], entry["label"]
+        if not (0 <= src < nv and 0 <= dst < nv):
+            raise ValueError(f"edge {src} -> {dst} leaves the vertex ids")
+        stored.append((src, dst, entry["index"], label == "opposite"))
+        if label == "tree":
+            G._add_tree_pair(src, dst)
+        elif isinstance(label, dict):
+            start, cand = (parsed(parse_vertex, t) for t in label["tree_edge"])
+            if start != G.vertices[src]:
                 raise ValueError("pairing tree edge must start at the "
                                  "source vertex label")
-            cand = parse_vertex(F, label["tree_edge"][1])
-            image, back = transport_all(alg, elem, (cand, G.vertices[src]))
-            if image != G.vertices[dst]:
-                raise ValueError("pairing unit does not map its candidate "
-                                 "to the target vertex label")
-            paired[src, dst, entry["index"]] = elem, cand, back
-    for entry in data["edges"]:
-        src, dst, index = entry["src"], entry["dst"], entry["index"]
-        label = entry["label"]
-        if label == "tree":
-            e = QuotientEdge(src, dst, index, "tree", G.vertices[dst])
-        elif isinstance(label, dict):
-            elem, cand, _ = paired[src, dst, index]
-            e = QuotientEdge(src, dst, index, "pairing", cand, elem)
-        elif label == "opposite":
-            if (dst, src, index) in paired:
-                elem, _, back = paired[dst, src, index]
-                e = QuotientEdge(src, dst, index, "pairing_opposite", back,
-                                 elem)
-            else:
-                e = QuotientEdge(src, dst, index, "opposite",
-                                 G.vertices[dst])
-        else:
+            g = parsed(parse_quat, label["pairing"])
+            (back,) = checked(g, cand, G.vertices[dst], G.vertices[src])
+            G._add_pairing(src, dst, cand, g, back)
+        elif label != "opposite":
             raise ValueError(f"unknown edge label {label!r}")
-        G._add_edge(e)
+    if stored != [(e.src, e.dst, e.index, e.kind.endswith("opposite"))
+                  for e in G.edges]:
+        raise ValueError("stored edges disagree with the replayed ones")
     for i, stable in enumerate(G.stable):
         if G.degree(i) != (F.q + 1 if stable else 1):
             raise ValueError(f"vertex {i} has out-degree {G.degree(i)}")
-    G.pairings = [k for k, e in enumerate(G.edges) if e.kind == "pairing"]
     return G
 
 

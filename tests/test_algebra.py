@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from btquot import algebra
 from btquot.algebra import (
-    DEFAULT_MODULI,
     GF,
     MAX_Q,
     ONE_POLY,
@@ -205,12 +204,30 @@ def test_field_axioms_sampled(q, data):
     assert F.pow(F.add(a, b), F.p) == F.add(F.pow(a, F.p), F.pow(b, F.p))
 
 
-@pytest.mark.parametrize("q", sorted(DEFAULT_MODULI))
+# the defining polynomials (constant first) the fields had when they
+# were a table; the derived default must reproduce them
+FORMER_MODULI = {
+    9: (1, 0, 1),      # x^2 + 1           over F_3
+    25: (1, 1, 1),     # x^2 + x + 1       over F_5
+    27: (1, 0, 2, 1),  # x^3 + 2x^2 + 1    over F_3
+    49: (1, 0, 1),     # x^2 + 1           over F_7
+}
+
+
+@pytest.mark.parametrize("q", sorted(FORMER_MODULI))
 def test_default_moduli_are_first_canonical_irreducibles(q):
     F = GF(q)
     base = GF(F.p)
     first = next(enumerate_monic_irreducibles(base, F.e))
-    assert DEFAULT_MODULI[q] == first
+    assert F.modulus == FORMER_MODULI[q] == first
+
+
+@pytest.mark.parametrize("q", [81, 121, 125])
+def test_every_prime_power_up_to_the_maximum_has_a_default_modulus(q):
+    F = GF(q)
+    assert F.modulus == next(enumerate_monic_irreducibles(GF(F.p), F.e))
+    a = F.primitive_root()
+    assert F.pow(a, q - 1) == 1 and F.mul(a, F.inv(a)) == 1
 
 
 def test_coords_roundtrip_and_order():

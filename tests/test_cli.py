@@ -27,6 +27,22 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _pairing(data):
+    return next(e for e in data["edges"] if isinstance(e["label"], dict))
+
+
+# edits of the worked example's cache file, each a miss
+CORRUPT_CACHE = {
+    "pairing src 999": lambda d: _pairing(d).update(src=999),
+    "opposite dst -1": lambda d: d["edges"][1].update(dst=-1),
+    "pairing unit 5": lambda d: _pairing(d)["label"].update(pairing=5),
+    "vertex nf 5": lambda d: d["vertices"][1].update(nf=5),
+    "tree index 7": lambda d: d["edges"][0].update(index=7),
+    "opposite moved to the end": lambda d: d["edges"].append(
+        d["edges"].pop(1)),
+}
+
+
 @pytest.fixture()
 def cache(tmp_path):
     return ["--cache-dir", str(tmp_path)]
@@ -81,6 +97,14 @@ class TestCompute:
         assert out == ""
         assert err == f"error: q={MAX_Q + 4} is above the supported " \
             f"maximum {MAX_Q}\n"
+
+    @pytest.mark.parametrize("q", [81, 121, 125])
+    def test_every_prime_power_up_to_the_maximum(self, capsys, q):
+        code, out, err = run(capsys, ["compute", "--q", str(q),
+                                      "--primes", "T,T+1", "--no-cache"])
+        assert code == EXIT_OK, err
+        assert f"over F_{q}," in out
+        assert "FAIL" not in err and err.count("[  ok]") == 7
 
     def test_byte_identical_runs(self, capsys, cache, tmp_path):
         a = tmp_path / "a.json"
@@ -203,6 +227,14 @@ class TestCompute:
             vs = data["vertices"]
             assert vs[1]["end_basis"][1] != vs[4]["end_basis"][1]
             vs[1]["end_basis"][1] = vs[4]["end_basis"][1]
+        self._tampered_cache_is_recomputed(capsys, cache, tmp_path, tamper)
+
+    @pytest.mark.parametrize("tamper", CORRUPT_CACHE.values(),
+                             ids=CORRUPT_CACHE.keys())
+    def test_corrupt_entry_is_a_miss(self, capsys, cache, tmp_path, tamper):
+        # ids past the vertices and non-string labels once escaped the
+        # miss clause as IndexError and AttributeError; reordered or
+        # re-indexed edges were once accepted
         self._tampered_cache_is_recomputed(capsys, cache, tmp_path, tamper)
 
     def test_cache_file_of_another_field_is_a_miss(self, capsys, cache,

@@ -240,6 +240,21 @@ class TestHomProperties:
             [transport(ALG5, g, u) for u in more]
         assert _assert_solution(ALG5, g, v, w) == []
 
+    def test_scalar_solution_check_keeps_the_unit_check_and_the_target(self):
+        # a scalar unit fixes every vertex without an embedding: it maps
+        # v to v only, and its images of further vertices are themselves
+        v, w = Vertex.make(2, 1, (1,)), Vertex.make(2, 1, (3,))
+        more = neighbors(ALG5.F, v)
+        two = QuatElem(((2,), (), (), ()))
+        for c in (QUAT_ONE, two):
+            with pytest.raises(AssertionError,
+                               match="does not map source to target"):
+                _assert_solution(ALG5, c, v, w)
+            assert _assert_solution(ALG5, c, v, v, *more) == more
+            assert _assert_solution(ALG5, c, w, w) == []
+        with pytest.raises(AssertionError, match="not a unit"):
+            _assert_solution(ALG5, QuatElem(((0, 1), (), (), ())), v, v)
+
     def test_basis_normalized_and_deterministic(self):
         v = Vertex.make(2, 1, (1,))
         w = Vertex.make(2, 1, (3,))

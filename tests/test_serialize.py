@@ -84,6 +84,79 @@ class TestJson:
             graph_from_json(json.dumps(data))
 
 
+def _pairing(data):
+    """The first pairing entry of the stored edges."""
+    return next(e for e in data["edges"] if isinstance(e["label"], dict))
+
+
+# edits that leave every label valid but make the stored edges disagree
+# with the construction they replay
+DISAGREEING_EDGES = {
+    "tree index": lambda d: d["edges"][0].update(index=7),
+    "opposite index": lambda d: d["edges"][1].update(index=3),
+    "opposite moved to the end": lambda d: d["edges"].append(
+        d["edges"].pop(1)),
+}
+
+# edits that reach past the vertex ids or put a non-string in a label;
+# the first pairing of the worked example starts at vertex 0, (1; 0)
+MALFORMED = {
+    "pairing src 999": lambda d: _pairing(d).update(src=999),
+    "tree src -1": lambda d: d["edges"][0].update(src=-1),
+    "opposite dst -1": lambda d: d["edges"][1].update(dst=-1),
+    "pairing unit 5": lambda d: _pairing(d)["label"].update(pairing=5),
+    "tree edge candidate 5": lambda d: _pairing(d)["label"].update(
+        tree_edge=["(1; 0)", 5]),
+    "vertex nf 5": lambda d: d["vertices"][1].update(nf=5),
+    "end basis element 5": lambda d: d["vertices"][1].update(end_basis=[5]),
+}
+
+
+class TestCorruptFiles:
+    """A file the loader accepts is one the search could have written:
+    every other edit is a ValueError, which the CLI treats as a miss."""
+
+    @staticmethod
+    def _load_edited(edit):
+        data = graph_to_json_dict(G5)
+        edit(data)
+        return graph_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("edit", DISAGREEING_EDGES.values(),
+                             ids=DISAGREEING_EDGES.keys())
+    def test_edges_disagreeing_with_the_replay_rejected(self, edit):
+        with pytest.raises(ValueError, match="disagree with the replayed"):
+            self._load_edited(edit)
+
+    @pytest.mark.parametrize("edit", MALFORMED.values(),
+                             ids=MALFORMED.keys())
+    def test_malformed_file_rejected(self, edit):
+        with pytest.raises(ValueError):
+            self._load_edited(edit)
+
+    def test_top_level_list_rejected(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            graph_from_json(json.dumps([graph_to_json_dict(G5)]))
+
+    def test_reversal_of_a_pairing_in_place_of_the_pairing_rejected(self):
+        data = graph_to_json_dict(G5)
+        edges = data["edges"]
+        k = edges.index(_pairing(data))
+        edges[k], edges[k + 1] = edges[k + 1], edges[k]
+        with pytest.raises(ValueError, match="disagree with the replayed"):
+            graph_from_json(json.dumps(data))
+
+    def test_label_failing_the_solution_check_rejected(self):
+        data = graph_to_json_dict(G5)
+        _pairing(data)["label"]["pairing"] = "2 + (0)*i + (0)*j + (0)*k"
+        with pytest.raises(ValueError, match="does not map source"):
+            graph_from_json(json.dumps(data))
+
+    def test_loaded_levels_match(self):
+        assert graph_from_json(graph_to_json(G5)).levels == G5.levels == 3
+        assert graph_from_json(graph_to_json(G3)).levels == G3.levels == 1
+
+
 class TestDot:
     def test_shapes_and_labels(self):
         dot = graph_to_dot(G5)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from btquot.algebra import field, parse_poly
 from btquot.laurent import InsufficientPrecisionError, Laurent, Mat2
-from btquot.quaternion import QUAT_ONE, build_algebra, height
+from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra, height
 from btquot.quotient import compute_quotient, presentation
 from laurent_helpers import (det, from_polys, general_act, identity, inv,
                              min_val, scale, valuation)
@@ -418,3 +418,18 @@ def test_act_of_a_unit_retries_from_too_low_a_precision(q):
         got = retry_with_precision(lambda p: act(alg.embed(g, p), v), 4)
         assert got == retry_with_precision(
             lambda p: general_act(alg.embed(g, p), v), 64)
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_scalar_units_fix_every_vertex(q):
+    """F_q^* is the kernel of the action, which lets the solution check
+    skip the embedding of a scalar unit."""
+    alg, _ = seeded_units(q)
+    for v in (Vertex.make(-2, -5, (1, 0, q - 1)), Vertex.make(-1, 0, ()),
+              BASE_VERTEX, Vertex.make(0, -3, (1, 2)),
+              Vertex.make(3, 0, (2, 1, 1)), Vertex.make(4, 0, ())):
+        for c in range(1, q):
+            g = QuatElem(((c,), (), (), ()))
+            start = 4 * (alg.m + abs(v.n) + 4)
+            assert retry_with_precision(
+                lambda p: act(alg.embed(g, p), v), start) == v, (q, c, v)
