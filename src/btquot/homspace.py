@@ -18,16 +18,17 @@ The solver works on stacks: one source v against a list of targets w
 and Hom(v, w') for every live earlier candidate w' of its level, and
 takes the first nonzero one in candidate order as its pairing, so one
 stack serves the whole candidate.  Targets of the other parity are
-empty; the rest share nm and the start precision when they share n, and
-each such group is built and solved at once, from arrays:
+empty; the rest are one stack, built and solved at once at the largest
+n among them (a larger height bound than a pair needs adds only pivot
+columns, see hom_stack), from arrays:
 
 * columns: the images Y_k of the four basis elements.  Each entry of
   Y_k is a short exact series in g_v, g_w and powers of pi times an
   entry of iota(b_k) (see _system_factors), so all sixteen, for every
-  target of the group, are one matrix product against the memoized
-  basis embedding (AlgebraData.basis_stack), with the Laurent precision
-  rule carried alongside.  A column known below pi^nm only raises
-  InsufficientPrecisionError, and the whole group is retried at doubled
+  target, are one matrix product against the memoized basis embedding
+  (AlgebraData.basis_stack), with the Laurent precision rule carried
+  alongside.  A column known below pi^nm only raises
+  InsufficientPrecisionError, and the whole stack is retried at doubled
   precision;
 * equations: row (entry, t), column (k, j) holds the pi^(j - t)
   coefficient of Y_k, for every t >= 1 (the T^j coefficient of lam_k
@@ -418,25 +419,25 @@ def hom_stack(alg: AlgebraData, v: Vertex, targets) -> list[HomSet]:
     """Hom(v, w) for every w in targets, in order, bases not yet checked
     (see verified).
 
-    Targets of the other parity get the empty set.  The rest are grouped
-    by n, which fixes nm and the start precision; each group is one
-    stacked system build, retried as a whole at doubled precision while
-    any of its systems runs short, and one elimination.
+    Targets of the other parity get the empty set.  The rest are one
+    stacked system build at n, the largest distance to the base vertex
+    among v and them, which fixes nm and the start precision; it is
+    retried as a whole at doubled precision while any of its systems
+    runs short, and eliminated once.  A target w nearer the base vertex
+    gets the same basis as at its own bound nm_w: every solution has
+    height <= nm_w (asserted by _assert_solution), so the columns
+    j > nm_w are pivot columns, and the reduced echelon basis is unique.
     """
     F = alg.F
-    groups: dict[int, list[int]] = {}
-    for i, w in enumerate(targets):
-        if (v.n - w.n) % 2 == 0:
-            n = max(v.dist_to_base(), w.dist_to_base())
-            groups.setdefault(n, []).append(i)
+    idx = [i for i, w in enumerate(targets) if (v.n - w.n) % 2 == 0]
     bases = [()] * len(targets)
-    d = max(alg.ram.d, alg.m)
-    for n, idx in groups.items():
-        nm = n + alg.m
+    if idx:
         ws = [targets[i] for i in idx]
+        n = max(u.dist_to_base() for u in (v, *ws))
+        nm = n + alg.m
         A = retry_with_precision(
             lambda prec: _system_stack(alg, v, ws, nm, prec),
-            2 * n + d + alg.m + 1, alg.precision_cap)
+            2 * n + max(alg.ram.d, alg.m) + alg.m + 1, alg.precision_cap)
         for i, vecs in zip(idx, _kernel_basis(F, A, 4 * (nm + 1))):
             if len(vecs) > 2:
                 raise AssertionError(

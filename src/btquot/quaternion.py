@@ -9,10 +9,12 @@ nu*alpha (deg epsilon < deg alpha), the maximal order is
     Lambda = A + A i + A j + A khat,      khat = (epsilon*i + ij)/alpha,
 
 and elements are stored as coordinate 4-tuples of polynomials in that
-basis.  Products are computed through a 4x4x4 tensor of structure
-constants derived symbolically at construction time by expanding in the
-(1, i, j, ij) basis and converting back; the conversions must divide
-exactly by alpha, which is asserted.
+basis.  Products are computed through the 4x4x4 tensor of structure
+constants, the products of basis elements in closed form (khat^2 = nu,
+i khat = epsilon + j, ...; see AlgebraData._structure_constants).  They
+are integral because alpha divides epsilon^2 - r exactly, which is
+asserted, and the reduced discriminant of the basis is checked against
+(r) at construction.
 
 The product and the embedding run on the packed-integer kernel of GF
 (GF.pack, GF.unpack): coefficient sequences become Python ints with a
@@ -188,7 +190,7 @@ class AlgebraData:
         self.nu, rem = poly_divmod(F, diff, self.alpha)
         if rem:
             raise AssertionError("epsilon^2 - r is not divisible by alpha")
-        self._tensor = self._derive_structure_constants()
+        self._tensor = self._structure_constants()
         self._tensor_len = max(len(w) for row in self._tensor
                                for ws in row for w in ws)
         self._sqrt_cache = None
@@ -197,68 +199,28 @@ class AlgebraData:
         self._verify_ramification()
         self._verify_reduced_discriminant()
 
-    # -- construction-time derivations ---------------------------------
+    # -- construction: the product table and its checks ----------------
 
-    def _derive_structure_constants(self):
-        """Products of basis elements, derived through the (1,i,j,ij) basis.
+    def _structure_constants(self):
+        """The products b_s * b_t of the order basis (1, i, j, khat),
+        row s and column t, as coordinate 4-tuples.  With
+        nu = (epsilon^2 - r)/alpha they follow from i^2 = alpha,
+        j^2 = r and ij = -ji:
 
-        Each Lambda-basis element is alpha^(-e) * (vector over (1,i,j,ij))
-        with e in {0, 1}; products are expanded with i^2 = alpha,
-        j^2 = r, ij = -ji and converted back, asserting exact division.
+            i^2 = alpha,    j^2 = r,    khat^2 = nu,
+            ij = -epsilon i + alpha khat,   ji = epsilon i - alpha khat,
+            i khat = epsilon + j,           khat i = epsilon - j,
+            j khat = nu i - epsilon khat,   khat j = -nu i + epsilon khat.
         """
         F = self.F
-        al, r, eps = self.alpha, self.r, self.epsilon
-
-        # basis in (1, i, j, ij) coordinates with denominator alpha^e
-        basis = [
-            ((ONE_POLY, ZERO_POLY, ZERO_POLY, ZERO_POLY), 0),   # 1
-            ((ZERO_POLY, ONE_POLY, ZERO_POLY, ZERO_POLY), 0),   # i
-            ((ZERO_POLY, ZERO_POLY, ONE_POLY, ZERO_POLY), 0),   # j
-            ((ZERO_POLY, eps, ZERO_POLY, ONE_POLY), 1),         # khat
-        ]
-
-        # multiplication table of the (1, i, j, ij) basis itself:
-        # row s, column t -> coordinates of b_s * b_t
         Z, O = ZERO_POLY, ONE_POLY
-        nal, nr = poly_neg(F, al), poly_neg(F, r)
-        ij_table = {
-            (0, 0): (O, Z, Z, Z), (0, 1): (Z, O, Z, Z),
-            (0, 2): (Z, Z, O, Z), (0, 3): (Z, Z, Z, O),
-            (1, 0): (Z, O, Z, Z), (1, 1): (al, Z, Z, Z),
-            (1, 2): (Z, Z, Z, O), (1, 3): (Z, Z, al, Z),
-            (2, 0): (Z, Z, O, Z), (2, 1): (Z, Z, Z, poly_neg(F, O)),
-            (2, 2): (r, Z, Z, Z), (2, 3): (Z, nr, Z, Z),
-            (3, 0): (Z, Z, Z, O), (3, 1): (Z, Z, nal, Z),
-            (3, 2): (Z, r, Z, Z), (3, 3): (poly_mul(F, nal, r), Z, Z, Z),
-        }
-
-        def mul_ij(x, y):
-            out = [Z, Z, Z, Z]
-            for s in range(4):
-                for t in range(4):
-                    if x[s] and y[t]:
-                        c = poly_mul(F, x[s], y[t])
-                        for k, w in enumerate(ij_table[(s, t)]):
-                            if w:
-                                out[k] = poly_add(F, out[k], poly_mul(F, c, w))
-            return tuple(out)
-
-        def to_lambda(x, denom_exp):
-            # (x1, x2, x3, x4) over (1,i,j,ij): ij = alpha*khat - eps*i
-            lam = [x[0], poly_sub(F, x[1], poly_mul(F, eps, x[3])), x[2],
-                   poly_mul(F, al, x[3])]
-            for _ in range(denom_exp):
-                for k in range(4):
-                    q, rem = poly_divmod(F, lam[k], al)
-                    if rem:
-                        raise AssertionError(
-                            "structure constants not integral over the "
-                            "maximal-order basis")
-                    lam[k] = q
-            return tuple(lam)
-
-        return [[to_lambda(mul_ij(xs, yt), es + et) for yt, et in basis]
-                for xs, es in basis]
+        al, r, eps, nu = self.alpha, self.r, self.epsilon, self.nu
+        nal, neps, nnu, nO = (poly_neg(F, c) for c in (al, eps, nu, O))
+        e = ((O, Z, Z, Z), (Z, O, Z, Z), (Z, Z, O, Z), (Z, Z, Z, O))
+        return [list(e),
+                [e[1], (al, Z, Z, Z), (Z, neps, Z, al), (eps, Z, O, Z)],
+                [e[2], (Z, eps, Z, nal), (r, Z, Z, Z), (Z, nu, Z, neps)],
+                [e[3], (eps, Z, nO, Z), (Z, nnu, Z, eps), (nu, Z, Z, Z)]]
 
     def _verify_ramification(self):
         """hilbert_symbol(alpha, r, p) = -1 exactly for p in R."""

@@ -213,8 +213,7 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
         alive: list = list(frontier)
         nxt: list = []
         for i in range(len(alive)):
-            if alive[i] is None:
-                continue
+            # only i itself and earlier candidates are ever cleared
             src_id, cand = alive[i]
             src_v = G.vertices[src_id]
             # one stacked solve: End(cand), then every live earlier

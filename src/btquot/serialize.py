@@ -23,7 +23,8 @@ from .algebra import field, format_poly, parse_poly
 from .homspace import _assert_solution
 from .quaternion import build_algebra, format_quat, parse_quat
 from .quotient import QuotientGraph
-from .tree import DEFAULT_PRECISION_CAP, format_vertex, parse_vertex
+from .tree import (DEFAULT_PRECISION_CAP, format_vertex, parse_vertex,
+                   up_neighbor)
 
 FORMAT_VERSION = 1
 
@@ -79,9 +80,10 @@ def graph_from_json(text: str, precision_cap: int = DEFAULT_PRECISION_CAP
     unit.  ValueError unless alpha/epsilon/nu match the derived ones,
     labels are strings that pass that check, vertex ids run 0, 1, ...
     and edge endpoints lie among them, a vertex has an End basis exactly
-    when it is not stable, the stored edges are the replayed ones (order,
-    index and reversal), and out-degrees are 1 (terminal) and q+1
-    (internal)."""
+    when it is not stable, a tree edge joins tree neighbours (one label
+    is the other's up-neighbour), the stored edges are the replayed ones
+    (order, index and reversal), and out-degrees are 1 (terminal) and
+    q+1 (internal)."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("a stored graph is a JSON object")
@@ -135,6 +137,10 @@ def graph_from_json(text: str, precision_cap: int = DEFAULT_PRECISION_CAP
             raise ValueError(f"edge {src} -> {dst} leaves the vertex ids")
         stored.append((src, dst, entry["index"], label == "opposite"))
         if label == "tree":
+            a, b = G.vertices[src], G.vertices[dst]
+            if up_neighbor(a) != b and up_neighbor(b) != a:
+                raise ValueError(f"tree edge {src} -> {dst} joins labels "
+                                 "that are not tree neighbours")
             G._add_tree_pair(src, dst)
         elif isinstance(label, dict):
             start, cand = (parsed(parse_vertex, t) for t in label["tree_edge"])

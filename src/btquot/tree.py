@@ -63,14 +63,6 @@ class Vertex:
             gval = 0
         return cls(n, gval, tuple(cs))
 
-    def matrix(self, F: GF, prec=INF) -> Mat2:
-        """The normal-form representative [[pi^n, g], [0, 1]], exact
-        unless a finite prec is given (then every entry is O(pi^prec))."""
-        g = (Laurent(F, self.gval, self.gcoeffs, prec) if self.gcoeffs
-             else Laurent.zero(F))
-        return Mat2(Laurent.pi_power(F, self.n, prec), g,
-                    Laurent.zero(F), Laurent.constant(F, 1, prec))
-
     def degn(self) -> int:
         """deg_n(g) = max(0, n - v(g)), with deg_n(0) = 0."""
         if not self.gcoeffs:
@@ -114,7 +106,7 @@ def vnf(M: Mat2) -> Vertex:
 def act(A: Mat2, v: Vertex) -> Vertex:
     """The action of a unit A = iota(gamma), det A = nrd(gamma) in F_q^*,
     on lattice classes; the general action of an invertible matrix is
-    vnf(A * matrix(v)).  The determinant of A * matrix(v) =
+    vnf(A * M_v), M_v = [[pi^n, g], [0, 1]].  The determinant of A * M_v =
     [[a pi^n, a g + b], [c pi^n, c g + d]] has valuation n, and its
     first column is a shift: the products are c g, and a g when the
     second column holds the pivot; none when g = 0.  Callers uphold the

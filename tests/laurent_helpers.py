@@ -42,11 +42,21 @@ def inv(M: Mat2) -> Mat2:
     return Mat2(M.d * di, -(M.b * di), -(M.c * di), M.a * di)
 
 
+def vertex_matrix(F, v: Vertex, prec=INF) -> Mat2:
+    """The normal-form representative [[pi^n, g], [0, 1]] of v, exact
+    unless a finite prec is given (then every entry is O(pi^prec))."""
+    g = (Laurent(F, v.gval, v.gcoeffs, prec) if v.gcoeffs
+         else Laurent.zero(F))
+    return Mat2(Laurent.pi_power(F, v.n, prec), g,
+                Laurent.zero(F), Laurent.constant(F, 1, prec))
+
+
 def general_act(A: Mat2, v: Vertex) -> Vertex:
     """The action of any invertible A on lattice classes, through the
-    full product and its determinant: vnf(A * matrix(v)).  tree.act
-    takes the same value for units (det A in F_q^*) without either."""
-    return vnf(A * v.matrix(A.a.F))
+    full product and its determinant: vnf(A * M_v), M_v the
+    vertex_matrix of v.  tree.act takes the same value for units
+    (det A in F_q^*) without either."""
+    return vnf(A * vertex_matrix(A.a.F, v))
 
 
 def add(M: Mat2, N: Mat2) -> Mat2:

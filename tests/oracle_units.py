@@ -30,7 +30,7 @@ import numpy as np
 from btquot.laurent import Laurent, newton_sqrt
 from btquot.quaternion import QuatElem, height
 from btquot.tree import BASE_VERTEX, neighbors, retry_with_precision
-from laurent_helpers import general_act
+from laurent_helpers import general_act, vertex_matrix
 
 
 def coefficient_rows(q: int, width: int) -> np.ndarray:
@@ -160,7 +160,7 @@ def image_in_ball_filter(alg, rows, units, v, radius: int) -> np.ndarray:
         return np.ones(len(units), dtype=bool)
 
     prec = 2 * (width + len(alg.ram.r) + abs(v.n)) + 16
-    mv = v.matrix(alg.F, prec)
+    mv = vertex_matrix(alg.F, v, prec)
     basis = _embedded_basis(alg, prec)
     # per coordinate, the 2x2 product iota(basis_c) * M_v
     prods = []

@@ -31,6 +31,16 @@ def _pairing(data):
     return next(e for e in data["edges"] if isinstance(e["label"], dict))
 
 
+def _swap_tree_targets(data):
+    # tree edges 2 -> 7 and 3 -> 8 become 2 -> 8 and 3 -> 7, with their
+    # opposites: every degree and label check still holds
+    edges = data["edges"]
+    assert [(e["src"], e["dst"]) for e in edges[18:22]] \
+        == [(2, 7), (7, 2), (3, 8), (8, 3)]
+    edges[18]["dst"], edges[19]["src"] = 8, 8
+    edges[20]["dst"], edges[21]["src"] = 7, 7
+
+
 # edits of the worked example's cache file, each a miss
 CORRUPT_CACHE = {
     "pairing src 999": lambda d: _pairing(d).update(src=999),
@@ -40,6 +50,7 @@ CORRUPT_CACHE = {
     "tree index 7": lambda d: d["edges"][0].update(index=7),
     "opposite moved to the end": lambda d: d["edges"].append(
         d["edges"].pop(1)),
+    "tree edges between non-neighbours": _swap_tree_targets,
 }
 
 
@@ -234,7 +245,8 @@ class TestCompute:
     def test_corrupt_entry_is_a_miss(self, capsys, cache, tmp_path, tamper):
         # ids past the vertices and non-string labels once escaped the
         # miss clause as IndexError and AttributeError; reordered or
-        # re-indexed edges were once accepted
+        # re-indexed edges and tree edges between non-neighbours were
+        # once accepted
         self._tampered_cache_is_recomputed(capsys, cache, tmp_path, tamper)
 
     def test_cache_file_of_another_field_is_a_miss(self, capsys, cache,

@@ -404,30 +404,24 @@ def test_stacked_systems_hold_their_own_equations():
 
 def test_candidate_stack_matches_sequential_hom():
     """The stacked solve of a candidate against End and a list of targets
-    of mixed parity and mixed height bound gives the End basis and the
-    first nonzero target (index and basis) that sequential hom calls in
-    candidate order give."""
-    lvl2, lvl3 = q5_spheres()[2:]
-    pool = lvl2[:10] + lvl3[:6]
+    of mixed parity and mixed height bound gives, for every target, the
+    basis that a hom call on that target alone gives."""
+    lvl1, lvl2, lvl3 = q5_spheres()[1:]
+    pool = lvl3[:6] + lvl1 + lvl2[:10]
     assert {v.n % 2 for v in pool} == {0, 1}
-    assert len({v.dist_to_base() for v in pool}) == 2
-    hits = 0
-    for k, cand in enumerate(lvl2[:6] + lvl3[:2]):
-        targets = [w for w in pool if w != cand][k:k + 9]
-        stacked = hom_stack(ALG5, cand, [cand, *targets])
-        assert [hs.target for hs in stacked] == [cand, *targets]
-        assert stacked[0].basis == hom(ALG5, cand, cand).basis
-        first = next(((j, hs.basis) for j, hs in enumerate(stacked[1:])
-                      if hs.dim), None)
-        expected = None
-        for j, w in enumerate(targets):
-            hs = hom(ALG5, cand, w)
-            if hs.dim:
-                expected = (j, hs.basis)
-                break
-        assert first == expected, cand
-        hits += first is not None
+    assert len({v.dist_to_base() for v in pool}) == 3
+    hits = mixed = 0
+    for k, cand in enumerate(lvl1[:2] + lvl2[:6] + lvl3[:2]):
+        targets = [cand, *[w for w in pool if w != cand][k:k + 9]]
+        stacked = hom_stack(ALG5, cand, targets)
+        assert [hs.target for hs in stacked] == targets
+        for hs, w in zip(stacked, targets):
+            assert hs.basis == hom(ALG5, cand, w).basis, (cand, w)
+        hits += any(hs.dim for hs in stacked[1:])
+        mixed += len({max(cand.dist_to_base(), w.dist_to_base())
+                      for w in targets if (w.n - cand.n) % 2 == 0}) > 1
     assert hits, "no candidate met a target in its orbit"
+    assert mixed, "no stack mixed height bounds"
 
 
 # ---------------------------------------------------------------------------

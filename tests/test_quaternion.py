@@ -3,8 +3,8 @@
 The main oracle represents elements as exact 2x2 matrices over
 A[s]/(s^2 - alpha) with a power of alpha as common denominator (the
 standard splitting of the algebra over K(s)).  Matrix multiplication
-there is an independent model of the product, so the derived structure
-constants can be checked against it wholesale.
+there is an independent model of the product, so the closed-form
+structure constants can be checked against it wholesale.
 """
 
 import itertools
@@ -339,7 +339,7 @@ def basis(alg):
 
 class TestMultiplication:
     def test_defining_relations(self, alg3, alg5):
-        for alg in (alg3, alg5):
+        for alg in (alg3, alg5, kernel_alg(7), kernel_alg(9)):
             F = alg.F
             one, i, j, k = basis(alg)
             assert alg.mul(i, i).lam == (alg.alpha, (), (), ())
@@ -359,7 +359,7 @@ class TestMultiplication:
         assert alg3.mul(QUAT_ONE, x) == x
 
     def test_basis_products_match_matrix_model(self, alg3, alg5):
-        for alg in (alg3, alg5):
+        for alg in (alg3, alg5, kernel_alg(7), kernel_alg(9)):
             for x in basis(alg):
                 for y in basis(alg):
                     assert_product_matches_matrix_model(alg, x, y)

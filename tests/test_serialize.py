@@ -98,6 +98,17 @@ DISAGREEING_EDGES = {
         d["edges"].pop(1)),
 }
 
+
+def swap_tree_targets(d):
+    """Swap the targets of the worked example's tree edges 2 -> 7 and
+    3 -> 8, and the sources of their opposites."""
+    edges = d["edges"]
+    assert [(e["src"], e["dst"]) for e in edges[18:22]] \
+        == [(2, 7), (7, 2), (3, 8), (8, 3)]
+    edges[18]["dst"], edges[19]["src"] = 8, 8
+    edges[20]["dst"], edges[21]["src"] = 7, 7
+
+
 # edits that reach past the vertex ids or put a non-string in a label;
 # the first pairing of the worked example starts at vertex 0, (1; 0)
 MALFORMED = {
@@ -151,6 +162,11 @@ class TestCorruptFiles:
         _pairing(data)["label"]["pairing"] = "2 + (0)*i + (0)*j + (0)*k"
         with pytest.raises(ValueError, match="does not map source"):
             graph_from_json(json.dumps(data))
+
+    def test_tree_edge_between_non_neighbours_rejected(self):
+        # every degree, index and label check still holds
+        with pytest.raises(ValueError, match="not tree neighbours"):
+            self._load_edited(swap_tree_targets)
 
     def test_loaded_levels_match(self):
         assert graph_from_json(graph_to_json(G5)).levels == G5.levels == 3

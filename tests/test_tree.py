@@ -23,7 +23,7 @@ from btquot.laurent import InsufficientPrecisionError, Laurent, Mat2
 from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra, height
 from btquot.quotient import compute_quotient, presentation
 from laurent_helpers import (det, from_polys, general_act, identity, inv,
-                             min_val, scale, valuation)
+                             min_val, scale, valuation, vertex_matrix)
 from btquot.tree import (
     BASE_VERTEX,
     Vertex,
@@ -166,7 +166,7 @@ def test_vnf_examples():
 def test_vnf_of_normal_form_is_identity():
     for v in [BASE_VERTEX, Vertex.make(2, 1, (1,)), Vertex.make(-2, 0, ()),
               Vertex.make(3, -1, (2, 0, 1)), Vertex.make(1, -3, (1, 2, 0, 2))]:
-        assert vnf(v.matrix(F3, 16)) == v
+        assert vnf(vertex_matrix(F3, v, 16)) == v
 
 
 def _random_integral_matrix(F, rng, prec=24):
@@ -196,9 +196,9 @@ def test_vnf_against_lattice_oracle(q):
     for _ in range(40):
         M = _random_integral_matrix(F, rng)
         v = vnf(M)
-        assert same_lattice_class(M, v.matrix(F, 24))
+        assert same_lattice_class(M, vertex_matrix(F, v, 24))
         # idempotence
-        assert vnf(v.matrix(F, 24)) == v
+        assert vnf(vertex_matrix(F, v, 24)) == v
 
 
 def test_vnf_insufficient_precision_recoverable():
@@ -207,7 +207,7 @@ def test_vnf_insufficient_precision_recoverable():
              Laurent.zero(F3), Laurent.constant(F3, 1, 12))
     with pytest.raises(InsufficientPrecisionError):
         vnf(M)
-    got = retry_with_precision(lambda p: vnf(v.matrix(F3, p)), 2)
+    got = retry_with_precision(lambda p: vnf(vertex_matrix(F3, v, p)), 2)
     assert got == v
 
     # det [[1, 1], [1, 1 + pi^5]] = pi^5 is zero at precision 4
@@ -300,7 +300,7 @@ def test_pairwise_distance_against_bfs():
         d = distance(v, w)
         assert d == bfs_distance(F3, v, w), (v, w)
         # oracle: the class of Mv^(-1) Mw lies at distance d from the base
-        Mv, Mw = v.matrix(F3), w.matrix(F3)
+        Mv, Mw = vertex_matrix(F3, v), vertex_matrix(F3, w)
         assert d == vnf(inv(Mv) * Mw).dist_to_base(), (v, w)
         assert (d - (v.n - w.n)) % 2 == 0  # parity invariant
 
@@ -382,7 +382,7 @@ def vertices(draw, q):
 
 
 def test_act_of_a_unit_equals_the_general_normal_form():
-    """For units, act(iota(g), v) = vnf(iota(g) * matrix(v)); the draws
+    """For units, act(iota(g), v) = vnf(iota(g) * M_v); the draws
     cover both pivot columns, both signs of n and both kinds of g."""
     seen = set()
 
@@ -398,7 +398,7 @@ def test_act_of_a_unit_equals_the_general_normal_form():
         got = retry_with_precision(lambda p: act(alg.embed(g, p), v), start)
         assert got == retry_with_precision(
             lambda p: general_act(alg.embed(g, p), v), start), (q, g, v)
-        M = alg.embed(g, start) * v.matrix(alg.F)
+        M = alg.embed(g, start) * vertex_matrix(alg.F, v)
         seen.add(("first column" if M.c.val < M.d.val else "second column",
                   (v.n > 0) - (v.n < 0), bool(v.gcoeffs)))
 
