@@ -148,13 +148,9 @@ class GF:
         """The image of the integer n in F_q (via the prime subfield)."""
         return n % self.p
 
-    def sort_key(self, a: int) -> tuple[int, ...]:
-        """Key realizing the canonical element order."""
-        return self._coords[a]
-
     def elements(self) -> list[int]:
-        """All element codes in canonical order."""
-        return sorted(range(self.q), key=self.sort_key)
+        """All element codes in canonical order, that of their coords."""
+        return sorted(range(self.q), key=self.coords)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -367,7 +363,7 @@ def poly_sort_key(F: GF, f, length: int | None = None):
     if length is None:
         length = len(f)
     padded = tuple(f) + (0,) * (length - len(f))
-    return tuple(F.sort_key(c) for c in padded)
+    return tuple(F.coords(c) for c in padded)
 
 
 def _prime_divisors(n: int) -> list[int]:

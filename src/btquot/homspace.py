@@ -43,11 +43,11 @@ Solutions automatically have reduced norm in F_q^* and map v to w (the
 determinant argument fixes the norm's valuation, and a unit of the order
 with the right action is forced); both facts are asserted (verified),
 never used as filters: on every basis hom returns, in the quotient
-search on End(v) and on the pairing it takes, and on every label of a
-loaded graph.  A scalar unit (every End basis holds 1) lies in F_q^*,
-the kernel of the action, so the check embeds none: it fixes every
-vertex.  A dimension above 2 is asserted against on every system of
-every stack.
+search on End(v) and (in QuotientGraph._add_pairing) on the pairing it
+takes, and on every label of a loaded graph.  A scalar unit (every End
+basis holds 1) lies in F_q^*, the kernel of the action, so the check
+embeds none: it fixes every vertex.  A dimension above 2 is asserted
+against on every system of every stack.
 
 The action of a unit g on tree vertices is transport_all, the only code
 that embeds a unit and acts with it: one embedding iota(g) per precision

@@ -13,8 +13,9 @@ basis.  Products are computed through the 4x4x4 tensor of structure
 constants, the products of basis elements in closed form (khat^2 = nu,
 i khat = epsilon + j, ...; see AlgebraData._structure_constants).  They
 are integral because alpha divides epsilon^2 - r exactly, which is
-asserted, and the reduced discriminant of the basis is checked against
-(r) at construction.
+asserted.  The whole table is checked against the defining identities
+and associativity at construction, which makes the reduced
+discriminant of the basis (r).
 
 The product and the embedding run on the packed-integer kernel of GF
 (GF.pack, GF.unpack): coefficient sequences become Python ints with a
@@ -45,7 +46,6 @@ from .algebra import (
     is_irreducible,
     legendre,
     parse_poly,
-    poly_add,
     poly_deg,
     poly_divmod,
     poly_mul,
@@ -197,7 +197,7 @@ class AlgebraData:
         self._basis, self._stacks = {}, {}
         self._packed_tensor, self._packed_basis = {}, {}
         self._verify_ramification()
-        self._verify_reduced_discriminant()
+        self._verify_product_table()
 
     # -- construction: the product table and its checks ----------------
 
@@ -231,17 +231,31 @@ class AlgebraData:
         if hilbert_symbol(F, self.alpha, self.r, self.alpha) != 1:
             raise AssertionError("algebra unexpectedly ramified at alpha")
 
-    def _verify_reduced_discriminant(self):
-        """det(trd(b_s b_t)) must generate the ideal (r^2)."""
-        F = self.F
-        gram = [[poly_scale(F, F.from_int(2), self._tensor[s][t][0])
-                 for t in range(4)] for s in range(4)]
-        det = _poly_det(F, gram)
-        r2 = poly_mul(F, self.r, self.r)
-        q, rem = poly_divmod(F, det, r2)
-        if rem or poly_deg(q) != 0:
-            raise AssertionError(
-                "reduced discriminant of the order basis is not (r)")
+    def _verify_product_table(self):
+        """The identity row and column, i^2 = alpha, j^2 = r,
+        ij = alpha khat - epsilon i and ji = -ij; then i(ij) = alpha j,
+        (ij)j = r i, (ji)i = alpha j, j(ji) = r i and (ij)^2 = -alpha r,
+        which associativity asks for, pin down i khat, khat j, khat i,
+        j khat and khat^2 in turn, each entering its identity times a
+        power of alpha.  With a correct table and epsilon^2 - r =
+        nu alpha, the reduced discriminant is (r): det(trd(b_s b_t)) =
+        16 r (alpha nu - epsilon^2) = -16 r^2."""
+        F, W, Z = self.F, self._tensor, ZERO_POLY
+        al, r = self.alpha, self.r
+        e = [tuple(ONE_POLY if k == s else Z for k in range(4))
+             for s in range(4)]
+        ij = (Z, poly_neg(F, self.epsilon), Z, al)
+        if not (all(W[0][s] == W[s][0] == e[s] for s in range(4))
+                and W[1][1] == (al, Z, Z, Z) and W[2][2] == (r, Z, Z, Z)
+                and W[1][2] == ij
+                and W[2][1] == tuple(poly_neg(F, c) for c in ij)):
+            raise AssertionError("product table breaks a defining identity")
+        i, j, ij, ji = map(QuatElem, (e[1], e[2], W[1][2], W[2][1]))
+        aj, ri = (Z, Z, al, Z), (Z, r, Z, Z)
+        pairs = ((i, ij), (ij, j), (ji, i), (j, ji), (ij, ij))
+        if [self.mul(x, y).lam for x, y in pairs] != [
+                aj, ri, aj, ri, (poly_neg(F, poly_mul(F, al, r)), Z, Z, Z)]:
+            raise AssertionError("product table is not associative")
 
     # -- arithmetic in Lambda -------------------------------------------
 
@@ -414,15 +428,3 @@ def height(x: QuatElem) -> int:
         raise ValueError("height of the zero element")
     return max(poly_deg(c) for c in x.lam if c)
 
-
-def _poly_det(F: GF, m):
-    """Determinant of a square polynomial matrix, by Laplace expansion
-    along the first row."""
-    if len(m) == 1:
-        return m[0][0]
-    total = ZERO_POLY
-    for col, a in enumerate(m[0]):
-        term = poly_mul(F, a, _poly_det(F, [row[:col] + row[col + 1:]
-                                            for row in m[1:]]))
-        total = poly_add(F, total, poly_neg(F, term) if col % 2 else term)
-    return total

@@ -47,12 +47,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import poly_deg
-# transport_all is re-exported: the action lives in homspace
 from .homspace import (HomSet, StabilizerField, _assert_solution, hom,
-                       hom_stack, stability, transport, transport_all,
-                       verified)
+                       hom_stack, stability, transport, verified)
 from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
-from .tree import BASE_VERTEX, Vertex, distance, geodesic_to_base, neighbors
+from .tree import (BASE_VERTEX, Vertex, distance, geodesic_to_base,
+                   neighbors, up_neighbor)
 
 
 # ---------------------------------------------------------------------
@@ -83,23 +82,22 @@ class QuotientEdge:
 class QuotientGraph:
     """The enhanced fundamental domain.
 
-    Vertices are indexed by position in ``vertices``; ``vid`` inverts
-    the labeling.  ``end_basis`` holds the endomorphism bases of the
-    terminal (two-dimensional) vertices.  ``pairings`` lists the
-    positions of the ``pairing`` edges in creation order.  Computed and
-    loaded graphs alike get their edges from _add_tree_pair and
-    _add_pairing, each edge directly followed by its reversal.
+    Vertices are indexed by position in ``vertices``, vertex 0 being
+    the initial one; ``vid`` inverts the labeling.  ``end_basis`` holds
+    the endomorphism bases of the terminal (two-dimensional) vertices,
+    and only it tells them apart.  ``pairings`` lists the positions of
+    the ``pairing`` edges in creation order.  Computed and loaded graphs
+    alike are built by _add_vertex, _add_tree_pair and _add_pairing,
+    which assert every rule of the construction.
     """
 
     alg: AlgebraData
     vertices: list[Vertex] = field(default_factory=list)
     vid: dict[Vertex, int] = field(default_factory=dict)
-    stable: list[bool] = field(default_factory=list)
     end_basis: dict[int, tuple[QuatElem, ...]] = field(default_factory=dict)
     edges: list[QuotientEdge] = field(default_factory=list)
     out_edges: dict[int, list[int]] = field(default_factory=dict)
     pairings: list[int] = field(default_factory=list)
-    initial: int = 0
     _stabilizers: dict[int, StabilizerField] = field(
         default_factory=dict, repr=False, compare=False)
 
@@ -108,17 +106,21 @@ class QuotientGraph:
         return self.alg.F.q
 
     @property
+    def stable(self) -> list[bool]:
+        """Per vertex, whether it is stable (internal), read off end_basis."""
+        return [i not in self.end_basis for i in range(len(self.vertices))]
+
+    @property
     def levels(self) -> int:
         """The number of search levels: each adds a label at its own tree
         distance from the initial label, so this is the largest one."""
-        init = self.vertices[self.initial]
-        return max(distance(init, v) for v in self.vertices)
+        return max(distance(self.vertices[0], v) for v in self.vertices)
 
     def degree(self, i: int) -> int:
         return len(self.out_edges[i])
 
     def terminal_ids(self) -> list[int]:
-        return [i for i, s in enumerate(self.stable) if not s]
+        return sorted(self.end_basis)
 
     def stabilizer(self, i: int) -> StabilizerField:
         """End of the terminal vertex i as F_{q^2}, built on first use."""
@@ -139,14 +141,23 @@ class QuotientGraph:
     # -- construction helpers ------------------------------------------
 
     def _add_vertex(self, v: Vertex, basis) -> int:
-        """Add v, stable unless it comes with an End basis."""
+        """Add v, stable unless it comes with an End basis.  That must be
+        hom_stack's, the only basis of End(v) of its shape: two elements,
+        the last nonzero (k, j) coordinate of the first before that of
+        the second and zero in the second, each with leading coefficient 1."""
         i = len(self.vertices)
+        if basis is not None:
+            nz = [{(k, j): c for k, f in enumerate(b.lam)
+                   for j, c in enumerate(f) if c} for b in basis]
+            if not (len(nz) == 2 and all(nz) and max(nz[0]) < max(nz[1])
+                    and max(nz[0]) not in nz[1]
+                    and all(next(iter(x.values())) == 1 for x in nz)):
+                raise AssertionError("End basis is not the reduced echelon "
+                                     "kernel basis")
+            self.end_basis[i] = tuple(basis)
         self.vertices.append(v)
         self.vid[v] = i
-        self.stable.append(basis is None)
         self.out_edges[i] = []
-        if basis is not None:
-            self.end_basis[i] = tuple(basis)
         return i
 
     def _next_index(self, a: int, b: int) -> int:
@@ -161,52 +172,57 @@ class QuotientGraph:
         return k
 
     def _add_tree_pair(self, parent: int, child: int) -> None:
+        a, b = self.vertices[parent], self.vertices[child]
+        _assert_adjacent(a, b, f"labels of tree edge {parent} -> {child}")
         idx = self._next_index(parent, child)
-        self._add_edge(QuotientEdge(parent, child, idx, "tree",
-                                    self.vertices[child]))
-        self._add_edge(QuotientEdge(child, parent, idx, "opposite",
-                                    self.vertices[parent]))
+        self._add_edge(QuotientEdge(parent, child, idx, "tree", b))
+        self._add_edge(QuotientEdge(child, parent, idx, "opposite", a))
 
     def _add_pairing(self, src: int, dst: int, candidate: Vertex,
-                     g: QuatElem, back_direction: Vertex) -> None:
+                     g: QuatElem) -> Vertex:
         """The pairing edge src -> dst and, directly after it, its
-        reversal; express_in_generators reads the generator of a
-        pairing_opposite edge k off edge k - 1."""
+        reversal (express_in_generators reads the generator of a
+        pairing_opposite edge k off edge k - 1), once candidate is a
+        neighbour of src and g maps it onto dst.  Returns the reversal's
+        direction g . src, from the check's embedding of g."""
+        _assert_adjacent(self.vertices[src], candidate, "source label and "
+                         f"candidate of pairing edge {src} -> {dst}")
+        (back,) = _assert_solution(self.alg, g, candidate, self.vertices[dst],
+                                   self.vertices[src])
         idx = self._next_index(src, dst)
         k = self._add_edge(QuotientEdge(src, dst, idx, "pairing",
                                         candidate, g))
         self._add_edge(QuotientEdge(dst, src, idx, "pairing_opposite",
-                                    back_direction, g))
+                                    back, g))
         self.pairings.append(k)
+        return back
 
 
-def _two_vertex_quotient(alg: AlgebraData, first, second) -> QuotientGraph:
-    """The degenerate domain: two adjacent terminal vertices."""
-    G = QuotientGraph(alg)
-    (v0, ends0), (v1, ends1) = first, second
-    G._add_vertex(v0, ends0.basis)
-    G._add_vertex(v1, ends1.basis)
-    G._add_tree_pair(0, 1)
-    G.initial = 0
-    return G
+def _assert_adjacent(a: Vertex, b: Vertex, what: str) -> None:
+    """Tree neighbours: one is the other's up-neighbour."""
+    if up_neighbor(a) != b and up_neighbor(b) != a:
+        raise AssertionError(f"the {what} are not tree neighbours")
 
 
 def compute_quotient(alg: AlgebraData) -> QuotientGraph:
     """Breadth-first construction of the enhanced fundamental domain."""
     F = alg.F
     q = F.q
+    G = QuotientGraph(alg)
     v0 = BASE_VERTEX
     ends0 = hom(alg, v0, v0)
     if stability(ends0) == "unstable":
         v1 = Vertex.make(1, 0, ())
         ends1 = hom(alg, v1, v1)
         if stability(ends1) == "unstable":
-            return _two_vertex_quotient(alg, (v0, ends0), (v1, ends1))
-        v0, ends0 = v1, ends1
+            # the degenerate domain: two adjacent terminal vertices
+            G._add_vertex(v0, ends0.basis)
+            G._add_vertex(v1, ends1.basis)
+            G._add_tree_pair(0, 1)
+            return G
+        v0 = v1
 
-    G = QuotientGraph(alg)
     G._add_vertex(v0, None)
-    G.initial = 0
     frontier = [(0, u) for u in neighbors(F, v0)]
 
     while frontier:
@@ -229,17 +245,13 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
                 alive[i] = None
                 continue
 
-            matched = False
             for j, hs in zip(live, homs[1:]):
                 if hs.dim == 0:
                     continue
                 assert hs.dim == 1, "hom space between one-dimensional " \
                     "vertices must be a line"
                 wp_id = G.vid[hs.target]
-                g = hs.basis[0]
-                # the check's embedding of g also yields g . src_v
-                (back,) = _assert_solution(alg, g, cand, hs.target, src_v)
-                G._add_pairing(src_id, wp_id, cand, g, back)
+                back = G._add_pairing(src_id, wp_id, cand, hs.basis[0])
                 alive[i] = None
                 try:
                     nxt.remove((wp_id, back))
@@ -249,10 +261,8 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
                         "target, but none was found") from None
                 if G.degree(wp_id) == q + 1:
                     alive[j] = None
-                matched = True
                 break
-
-            if not matched:
+            else:
                 new_id = G._add_vertex(cand, None)
                 G._add_tree_pair(src_id, new_id)
                 nxt.extend((new_id, u) for u in neighbors(F, cand)
@@ -291,7 +301,7 @@ def _reduction_walk(G: QuotientGraph, v: Vertex):
         vi_id = G.vid[vi]
         target = path[hit - 1]
 
-        if G.stable[vi_id]:
+        if vi_id not in G.end_basis:
             step = None
             for k in G.out_edges[vi_id]:
                 e = G.edges[k]
@@ -432,7 +442,7 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
     vertex_name = {i: f"gv{t + 1}"
                    for t, (i, _) in enumerate(pres.vertex_gens)}
 
-    base = G.vertices[G.initial]
+    base = G.vertices[0]
     w, steps = _reduction_walk(G, transport(alg, gamma, base))
     assert w == base, "a unit must carry the initial vertex to an " \
         "equivalent vertex, and labels are pairwise inequivalent"
@@ -452,7 +462,7 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
             letters.append((vertex_name[vi_id], (q * q - 1 - s)))
 
     residual = alg.mul(total, gamma)
-    if G.stable[G.initial]:
+    if 0 not in G.end_basis:
         # End(v0) is F_q, so the residual is a power of the scalar g0
         g0 = pres.g0.lam[0][0]
         logs = {QuatElem(((alg.F.pow(g0, s),), (), (), ())): s
@@ -464,9 +474,9 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
         if t:
             letters.append(("g0", t))
     else:
-        s = G.stabilizer(G.initial).log(residual)
+        s = G.stabilizer(0).log(residual)
         if s:
-            letters.append((vertex_name[G.initial], s))
+            letters.append((vertex_name[0], s))
 
     word = Word(tuple(letters))
     assert evaluate_word(alg, pres, word) == gamma, \
@@ -591,7 +601,7 @@ def verify_structure(alg: AlgebraData, G: QuotientGraph) -> StructureReport:
     bad_deg = []
     for i in range(nver):
         d = G.degree(i)
-        expect = 1 if not G.stable[i] else q + 1
+        expect = 1 if i in G.end_basis else q + 1
         if d != expect:
             bad_deg.append((i, d, expect))
     checks.append(CheckResult(
@@ -629,13 +639,13 @@ def verify_structure(alg: AlgebraData, G: QuotientGraph) -> StructureReport:
     global_bound = m + bound
     for k in G.pairings:
         e = G.edges[k]
-        n = distance(G.vertices[G.initial], e.direction)
+        n = distance(G.vertices[0], e.direction)
         h = height(e.elem)
         max_h = max(max_h, h)
         if h > m + n or h > global_bound + 1e-9:
             bad_h.append(("edge", k, h, m + n))
     for i in terminals:
-        n = distance(G.vertices[G.initial], G.vertices[i])
+        n = distance(G.vertices[0], G.vertices[i])
         for b in G.end_basis[i]:
             h = height(b)
             max_h = max(max_h, h)

@@ -23,8 +23,7 @@ from .algebra import field, format_poly, parse_poly
 from .homspace import _assert_solution
 from .quaternion import build_algebra, format_quat, parse_quat
 from .quotient import QuotientGraph
-from .tree import (DEFAULT_PRECISION_CAP, format_vertex, parse_vertex,
-                   up_neighbor)
+from .tree import DEFAULT_PRECISION_CAP, format_vertex, parse_vertex
 
 FORMAT_VERSION = 1
 
@@ -38,7 +37,8 @@ def graph_to_json_dict(G: QuotientGraph) -> dict:
     F = alg.F
     vertices = []
     for i, v in enumerate(G.vertices):
-        entry = {"id": i, "nf": format_vertex(v), "stable": G.stable[i]}
+        entry = {"id": i, "nf": format_vertex(v),
+                 "stable": i not in G.end_basis}
         if i in G.end_basis:
             entry["end_basis"] = [format_quat(F, b)
                                   for b in G.end_basis[i]]
@@ -62,7 +62,7 @@ def graph_to_json_dict(G: QuotientGraph) -> dict:
         "alpha": format_poly(F, alg.alpha),
         "epsilon": format_poly(F, alg.epsilon),
         "nu": format_poly(F, alg.nu),
-        "initial_vertex": format_vertex(G.vertices[G.initial]),
+        "initial_vertex": format_vertex(G.vertices[0]),
         "vertices": vertices,
         "edges": edges,
     }
@@ -75,15 +75,15 @@ def graph_to_json(G: QuotientGraph) -> str:
 def graph_from_json(text: str, precision_cap: int = DEFAULT_PRECISION_CAP
                     ) -> QuotientGraph:
     """Rebuild a graph from its JSON form, with its algebra at the given
-    precision cap, by replaying its construction: the search's own edge
-    builders and its solution check (_assert_solution) on every stored
-    unit.  ValueError unless alpha/epsilon/nu match the derived ones,
-    labels are strings that pass that check, vertex ids run 0, 1, ...
-    and edge endpoints lie among them, a vertex has an End basis exactly
-    when it is not stable, a tree edge joins tree neighbours (one label
-    is the other's up-neighbour), the stored edges are the replayed ones
-    (order, index and reversal), and out-degrees are 1 (terminal) and
-    q+1 (internal)."""
+    precision cap, by replaying its construction through the search's
+    builders, which assert every rule of the construction, without the
+    hom solves.  ValueError unless alpha/epsilon/nu match the derived
+    ones, labels are strings, vertex ids run 0, 1, ... and edge
+    endpoints lie among them, a vertex has an End basis exactly when it
+    is not stable and each element of it passes _assert_solution, the
+    initial vertex is vertex 0's label, the builders accept the graph,
+    the stored edges are the replayed ones (order, index and reversal),
+    and out-degrees are 1 (terminal) and q+1 (internal)."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("a stored graph is a JSON object")
@@ -103,60 +103,51 @@ def graph_from_json(text: str, precision_cap: int = DEFAULT_PRECISION_CAP
         if parsed(parse_poly, data[key]) != val:
             raise ValueError(f"stored {key} does not match the derived one")
 
-    def checked(g, v, w, *more):
-        try:
-            return _assert_solution(alg, g, v, w, *more)
-        except AssertionError as exc:
-            raise ValueError(f"stored label fails the solution check: "
-                             f"{exc}") from None
-
     G = QuotientGraph(alg)
-    for i, entry in enumerate(data["vertices"]):
-        if entry["id"] != i:
-            raise ValueError("vertex ids must be 0, 1, ... in order")
-        if entry["stable"] == ("end_basis" in entry):
-            raise ValueError("a vertex has an End basis exactly when it "
-                             "is not stable")
-        v = parsed(parse_vertex, entry["nf"])
-        basis = None
-        if "end_basis" in entry:
-            basis = [parsed(parse_quat, t) for t in entry["end_basis"]]
-            for b in basis:
-                checked(b, v, v)
-        G._add_vertex(v, basis)
-    init = parsed(parse_vertex, data["initial_vertex"])
-    if init not in G.vid:
-        raise ValueError("initial vertex is not among the vertices")
-    G.initial = G.vid[init]
-
-    nv = len(G.vertices)
     stored = []
-    for entry in data["edges"]:
-        src, dst, label = entry["src"], entry["dst"], entry["label"]
-        if not (0 <= src < nv and 0 <= dst < nv):
-            raise ValueError(f"edge {src} -> {dst} leaves the vertex ids")
-        stored.append((src, dst, entry["index"], label == "opposite"))
-        if label == "tree":
-            a, b = G.vertices[src], G.vertices[dst]
-            if up_neighbor(a) != b and up_neighbor(b) != a:
-                raise ValueError(f"tree edge {src} -> {dst} joins labels "
-                                 "that are not tree neighbours")
-            G._add_tree_pair(src, dst)
-        elif isinstance(label, dict):
-            start, cand = (parsed(parse_vertex, t) for t in label["tree_edge"])
-            if start != G.vertices[src]:
-                raise ValueError("pairing tree edge must start at the "
-                                 "source vertex label")
-            g = parsed(parse_quat, label["pairing"])
-            (back,) = checked(g, cand, G.vertices[dst], G.vertices[src])
-            G._add_pairing(src, dst, cand, g, back)
-        elif label != "opposite":
-            raise ValueError(f"unknown edge label {label!r}")
+    try:
+        for i, entry in enumerate(data["vertices"]):
+            if entry["id"] != i:
+                raise ValueError("vertex ids must be 0, 1, ... in order")
+            if entry["stable"] == ("end_basis" in entry):
+                raise ValueError("a vertex has an End basis exactly when "
+                                 "it is not stable")
+            v = parsed(parse_vertex, entry["nf"])
+            basis = None
+            if "end_basis" in entry:
+                basis = [parsed(parse_quat, t) for t in entry["end_basis"]]
+                for b in basis:
+                    _assert_solution(alg, b, v, v)
+            G._add_vertex(v, basis)
+        if not G.vertices or \
+                parsed(parse_vertex, data["initial_vertex"]) != G.vertices[0]:
+            raise ValueError("initial vertex is not vertex 0's label")
+
+        nv = len(G.vertices)
+        for entry in data["edges"]:
+            src, dst, label = entry["src"], entry["dst"], entry["label"]
+            if not (0 <= src < nv and 0 <= dst < nv):
+                raise ValueError(f"edge {src} -> {dst} leaves the vertex ids")
+            stored.append((src, dst, entry["index"], label == "opposite"))
+            if label == "tree":
+                G._add_tree_pair(src, dst)
+            elif isinstance(label, dict):
+                start, cand = (parsed(parse_vertex, t)
+                               for t in label["tree_edge"])
+                if start != G.vertices[src]:
+                    raise ValueError("pairing tree edge must start at the "
+                                     "source vertex label")
+                G._add_pairing(src, dst, cand,
+                               parsed(parse_quat, label["pairing"]))
+            elif label != "opposite":
+                raise ValueError(f"unknown edge label {label!r}")
+    except AssertionError as exc:
+        raise ValueError(f"a construction check fails: {exc}") from None
     if stored != [(e.src, e.dst, e.index, e.kind.endswith("opposite"))
                   for e in G.edges]:
         raise ValueError("stored edges disagree with the replayed ones")
-    for i, stable in enumerate(G.stable):
-        if G.degree(i) != (F.q + 1 if stable else 1):
+    for i in range(len(G.vertices)):
+        if G.degree(i) != (1 if i in G.end_basis else F.q + 1):
             raise ValueError(f"vertex {i} has out-degree {G.degree(i)}")
     return G
 
@@ -171,7 +162,7 @@ def graph_to_dot(G: QuotientGraph) -> str:
     gen_name = {k: f"g{t + 1}" for t, k in enumerate(G.pairings)}
     lines = ["graph quotient {", "  node [shape=circle];"]
     for i, v in enumerate(G.vertices):
-        style = "filled" if G.stable[i] else "solid"
+        style = "solid" if i in G.end_basis else "filled"
         lines.append(f'  v{i} [label="{format_vertex(v)}", style={style}];')
     for k, e in enumerate(G.edges):
         if e.kind == "tree":
@@ -199,11 +190,11 @@ def graph_to_text(G: QuotientGraph) -> str:
         f"({len(G.terminal_ids())} terminal), "
         f"{len(G.edges) // 2} undirected edges, "
         f"{len(G.pairings)} paired",
-        f"initial vertex {format_vertex(G.vertices[G.initial])}",
+        f"initial vertex {format_vertex(G.vertices[0])}",
         "",
     ]
     for i, v in enumerate(G.vertices):
-        kind = "terminal" if not G.stable[i] else "internal"
+        kind = "terminal" if i in G.end_basis else "internal"
         lines.append(f"  v{i} = {format_vertex(v)}  [{kind}]")
     lines.append("")
     gen_name = {k: f"g{t + 1}" for t, k in enumerate(G.pairings)}

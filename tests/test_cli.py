@@ -16,6 +16,8 @@ from btquot.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PRECISION, EXIT_USER,
                         main)
 from btquot.algebra import MAX_Q
 from btquot.laurent import InsufficientPrecisionError
+from worked_edits import (END_BASIS_AND_INITIAL, far_candidate,
+                          pairing_entry as _pairing, swap_tree_targets)
 
 Q5 = ["--q", "5", "--primes", "T,T+1,T+2,T+3"]
 Q3 = ["--q", "3", "--primes", "T,T+1"]
@@ -27,20 +29,6 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def _pairing(data):
-    return next(e for e in data["edges"] if isinstance(e["label"], dict))
-
-
-def _swap_tree_targets(data):
-    # tree edges 2 -> 7 and 3 -> 8 become 2 -> 8 and 3 -> 7, with their
-    # opposites: every degree and label check still holds
-    edges = data["edges"]
-    assert [(e["src"], e["dst"]) for e in edges[18:22]] \
-        == [(2, 7), (7, 2), (3, 8), (8, 3)]
-    edges[18]["dst"], edges[19]["src"] = 8, 8
-    edges[20]["dst"], edges[21]["src"] = 7, 7
-
-
 # edits of the worked example's cache file, each a miss
 CORRUPT_CACHE = {
     "pairing src 999": lambda d: _pairing(d).update(src=999),
@@ -50,7 +38,9 @@ CORRUPT_CACHE = {
     "tree index 7": lambda d: d["edges"][0].update(index=7),
     "opposite moved to the end": lambda d: d["edges"].append(
         d["edges"].pop(1)),
-    "tree edges between non-neighbours": _swap_tree_targets,
+    "tree edges between non-neighbours": swap_tree_targets,
+    "pairing candidate not next to its source": far_candidate,
+    **END_BASIS_AND_INITIAL,
 }
 
 
@@ -200,21 +190,26 @@ class TestCompute:
         assert path.read_text() == golden
 
     @staticmethod
-    def _tampered_cache_is_recomputed(capsys, cache, tmp_path, tamper):
-        # compute with verification, edit the cached file, compute again:
-        # the edit must be a cache miss, so the golden bytes come back
+    def _tampered_cache_is_recomputed(capsys, cache, tmp_path, tamper,
+                                      command="compute"):
+        # compute with verification, edit the cached file, run command:
+        # the edit must be a cache miss, so the golden bytes come back on
+        # stdout and in the rewritten file
         args = ["compute", *Q5, *cache, "--format", "json"]
         assert run(capsys, args)[0] == EXIT_OK
         (path,) = tmp_path.glob("graph-*.json")
         data = json.loads(path.read_text())
         tamper(data)
         path.write_text(json.dumps(data, indent=2) + "\n")
+        golden = Path(__file__).resolve().parent / "golden"
+        expected = golden / "q5-worked.json"
+        if command == "present":
+            args = ["present", *Q5, *cache]
+            expected = golden / "q5-worked.present.txt"
         code, out, err = run(capsys, args)
         assert code == EXIT_OK, err
-        golden = (Path(__file__).resolve().parent / "golden"
-                  / "q5-worked.json").read_text()
-        assert out == golden
-        assert path.read_text() == golden
+        assert out == expected.read_text()
+        assert path.read_text() == (golden / "q5-worked.json").read_text()
 
     def test_stable_flag_with_end_basis_is_a_miss(self, capsys, cache,
                                                   tmp_path):
@@ -245,9 +240,11 @@ class TestCompute:
     def test_corrupt_entry_is_a_miss(self, capsys, cache, tmp_path, tamper):
         # ids past the vertices and non-string labels once escaped the
         # miss clause as IndexError and AttributeError; reordered or
-        # re-indexed edges and tree edges between non-neighbours were
-        # once accepted
-        self._tampered_cache_is_recomputed(capsys, cache, tmp_path, tamper)
+        # re-indexed edges, tree edges between non-neighbours, a far
+        # pairing candidate, edited End bases and another initial vertex
+        # were once accepted
+        self._tampered_cache_is_recomputed(capsys, cache, tmp_path, tamper,
+                                           "present")
 
     def test_cache_file_of_another_field_is_a_miss(self, capsys, cache,
                                                    tmp_path):

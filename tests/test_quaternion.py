@@ -308,7 +308,7 @@ class TestBuildAlgebra:
             GF(2)
 
     def test_verification_runs_clean(self):
-        # construction runs the ramification and discriminant
+        # construction runs the ramification and product table
         # self-checks; both must pass silently
         build_algebra(field(7), [lin(0), lin(1)])
 
@@ -388,6 +388,48 @@ class TestMultiplication:
         alg = _ALG3
         assert (alg.mul(x, quat_add(alg, y, z))
                 == quat_add(alg, alg.mul(x, y), alg.mul(x, z)))
+
+
+def poly_det(F, m):
+    """Determinant of a square polynomial matrix, by Laplace expansion
+    along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    total = ZERO_POLY
+    for col, a in enumerate(m[0]):
+        term = poly_mul(F, a, poly_det(F, [row[:col] + row[col + 1:]
+                                           for row in m[1:]]))
+        total = poly_add(F, total, poly_neg(F, term) if col % 2 else term)
+    return total
+
+
+class TestProductTableCheck:
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_every_single_coordinate_perturbation_raises(self, q,
+                                                         monkeypatch):
+        F = field(q)
+        primes = [parse_poly(F, t) for t in _KERNEL_PRIMES[q]]
+        table = AlgebraData._structure_constants
+        for s, t, k in itertools.product(range(4), repeat=3):
+            def perturbed(alg, s=s, t=t, k=k):
+                W = table(alg)
+                entry = list(W[s][t])
+                entry[k] = poly_add(alg.F, entry[k], ONE_POLY)
+                W[s][t] = tuple(entry)
+                return W
+            monkeypatch.setattr(AlgebraData, "_structure_constants",
+                                perturbed)
+            with pytest.raises(AssertionError, match="product table"):
+                build_algebra(F, primes)
+
+    def test_reduced_discriminant_is_r(self, alg3, alg5):
+        # the Gram determinant of trd over the order basis is -16 r^2
+        for alg in (alg3, alg5, kernel_alg(7), kernel_alg(9)):
+            F = alg.F
+            b = basis(alg)
+            gram = [[trd(alg, alg.mul(x, y)) for y in b] for x in b]
+            assert poly_det(F, gram) == poly_scale(
+                F, F.from_int(-16), poly_mul(F, alg.r, alg.r))
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btquot.algebra import _prime_divisors, field, parse_poly
-from btquot.homspace import HomSet, hom
+from btquot.homspace import HomSet, hom, transport_all
 from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra, height
 from btquot.quotient import (Presentation, QuotientGraph, Word,
                              compute_quotient, diameter_bound, evaluate_word,
                              express_in_generators, graph_diameter,
                              predicted_invariants, presentation, reduce,
-                             transport, transport_all, two_cycle_counts,
+                             transport, two_cycle_counts,
                              verify_structure)
 from btquot.tree import BASE_VERTEX, Vertex, distance, neighbors, parse_vertex
 
@@ -141,8 +141,8 @@ class TestWorkedExample:
     def test_initial_vertex(self):
         # the base vertex has a two-dimensional endomorphism space, so
         # the search starts one step up
-        assert G5.vertices[G5.initial] == Vertex.make(1, 0, ())
-        assert G5.stable[G5.initial]
+        assert G5.vertices[0] == Vertex.make(1, 0, ())
+        assert G5.stable[0]
         # the base vertex itself is a terminal vertex of the domain
         i = G5.vid[BASE_VERTEX]
         assert not G5.stable[i]
@@ -197,8 +197,8 @@ class TestGraphWellFormedness:
             assert distance(G.vertices[e.src], G.vertices[e.dst]) == 1
             assert e.direction == G.vertices[e.dst]
         # connectivity of the tree edges alone
-        seen = {G.initial}
-        frontier = [G.initial]
+        seen = {0}
+        frontier = [0]
         adj = {}
         for e in tree_edges:
             adj.setdefault(e.src, []).append(e.dst)
@@ -253,6 +253,58 @@ class TestGraphWellFormedness:
         assert H.pairings == G5.pairings
         pres = presentation(H)
         assert pres == PRES5
+
+
+class TestBuilders:
+    """The builders assert the rules of the construction, for computed
+    and loaded graphs alike."""
+
+    def test_end_basis_not_of_the_solver_shape_rejected(self):
+        i = G5.terminal_ids()[0]
+        b1, b2 = G5.end_basis[i]
+        QuotientGraph(ALG5)._add_vertex(G5.vertices[i], [b1, b2])
+        for basis in ([b2, b1], [b1, b1], [QUAT_ONE, QUAT_ONE], [b1],
+                      [], [b1, b2, b1]):
+            with pytest.raises(AssertionError, match="echelon"):
+                QuotientGraph(ALG5)._add_vertex(G5.vertices[i], basis)
+
+    def test_tree_pair_between_non_neighbours_rejected(self):
+        G = QuotientGraph(ALG5)
+        G._add_vertex(BASE_VERTEX, None)
+        G._add_vertex(Vertex.make(2, 0, ()), None)
+        with pytest.raises(AssertionError, match="not tree neighbours"):
+            G._add_tree_pair(0, 1)
+        assert not G.edges
+
+    @staticmethod
+    def _pairing_endpoints():
+        """The worked example's first pairing edge e, and a graph holding
+        the labels of its endpoints as vertices 0 and 1."""
+        e = G5.edges[G5.pairings[0]]
+        G = QuotientGraph(ALG5)
+        G._add_vertex(G5.vertices[e.src], None)
+        G._add_vertex(G5.vertices[e.dst], None)
+        return G, e
+
+    def test_pairing_unit_not_mapping_the_candidate_rejected(self):
+        G, e = self._pairing_endpoints()
+        # a scalar unit fixes every vertex, the candidate included
+        with pytest.raises(AssertionError, match="does not map source"):
+            G._add_pairing(0, 1, e.direction, QuatElem(((2,), (), (), ())))
+        assert not G.edges
+        assert G._add_pairing(0, 1, e.direction, e.elem) \
+            == G5.edges[G5.pairings[0] + 1].direction
+
+    def test_pairing_candidate_not_next_to_its_source_rejected(self):
+        # maps onto the target label, from three steps off the source
+        G, e = self._pairing_endpoints()
+        u = PRES5.vertex_gens[0][1]
+        far = transport(ALG5, u, e.direction)
+        assert distance(far, G.vertices[0]) == 3
+        g = ALG5.mul(e.elem, ALG5.inverse_unit(u))
+        assert transport(ALG5, g, far) == G.vertices[1]
+        with pytest.raises(AssertionError, match="not tree neighbours"):
+            G._add_pairing(0, 1, far, g)
 
 
 class TestReduce:
@@ -496,8 +548,10 @@ def test_every_action_is_by_a_unit(monkeypatch):
     the pipeline on the worked example runs with a transport_all that
     asserts it, and each but verify_structure (which reads the stored
     End bases and tables) is seen to transport at all.  graph_from_json
-    transports only through the solution check of homspace."""
-    from btquot import homspace, quotient, serialize
+    transports only through the solution check of homspace.  Patching
+    homspace alone suffices: quotient's transport is homspace's, which
+    reads transport_all from homspace's globals."""
+    from btquot import homspace, serialize
     orig = homspace.transport_all
     calls = []
 
@@ -506,8 +560,7 @@ def test_every_action_is_by_a_unit(monkeypatch):
         calls.append(g)
         return orig(alg, g, vs)
 
-    for mod in (homspace, quotient):
-        monkeypatch.setattr(mod, "transport_all", checked)
+    monkeypatch.setattr(homspace, "transport_all", checked)
     with pytest.raises(AssertionError):
         homspace.transport(ALG5, QuatElem(((0, 1), (), (), ())), BASE_VERTEX)
 

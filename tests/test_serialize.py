@@ -9,6 +9,8 @@ from btquot.quaternion import build_algebra
 from btquot.quotient import compute_quotient
 from btquot.serialize import (graph_from_json, graph_to_dot, graph_to_json,
                               graph_to_json_dict, graph_to_text)
+from worked_edits import (END_BASIS_AND_INITIAL, far_candidate,
+                          pairing_entry as _pairing, swap_tree_targets)
 
 ALG3 = build_algebra(field(3), [(0, 1), (1, 1)])
 ALG5 = build_algebra(field(5), [(0, 1), (1, 1), (2, 1), (3, 1)])
@@ -57,7 +59,6 @@ class TestJson:
         assert H.end_basis == G.end_basis
         assert H.edges == G.edges
         assert H.pairings == G.pairings
-        assert H.initial == G.initial
 
     def test_json_is_valid_and_stable(self):
         text = graph_to_json(G5)
@@ -84,11 +85,6 @@ class TestJson:
             graph_from_json(json.dumps(data))
 
 
-def _pairing(data):
-    """The first pairing entry of the stored edges."""
-    return next(e for e in data["edges"] if isinstance(e["label"], dict))
-
-
 # edits that leave every label valid but make the stored edges disagree
 # with the construction they replay
 DISAGREEING_EDGES = {
@@ -97,16 +93,6 @@ DISAGREEING_EDGES = {
     "opposite moved to the end": lambda d: d["edges"].append(
         d["edges"].pop(1)),
 }
-
-
-def swap_tree_targets(d):
-    """Swap the targets of the worked example's tree edges 2 -> 7 and
-    3 -> 8, and the sources of their opposites."""
-    edges = d["edges"]
-    assert [(e["src"], e["dst"]) for e in edges[18:22]] \
-        == [(2, 7), (7, 2), (3, 8), (8, 3)]
-    edges[18]["dst"], edges[19]["src"] = 8, 8
-    edges[20]["dst"], edges[21]["src"] = 7, 7
 
 
 # edits that reach past the vertex ids or put a non-string in a label;
@@ -120,6 +106,7 @@ MALFORMED = {
         tree_edge=["(1; 0)", 5]),
     "vertex nf 5": lambda d: d["vertices"][1].update(nf=5),
     "end basis element 5": lambda d: d["vertices"][1].update(end_basis=[5]),
+    "no vertices": lambda d: d.update(vertices=[]),
 }
 
 
@@ -145,6 +132,13 @@ class TestCorruptFiles:
         with pytest.raises(ValueError):
             self._load_edited(edit)
 
+    @pytest.mark.parametrize("edit", END_BASIS_AND_INITIAL.values(),
+                             ids=END_BASIS_AND_INITIAL.keys())
+    def test_end_basis_or_initial_vertex_edit_rejected(self, edit):
+        # each stored End element is still a unit fixing its vertex
+        with pytest.raises(ValueError, match="echelon|initial vertex"):
+            self._load_edited(edit)
+
     def test_top_level_list_rejected(self):
         with pytest.raises(ValueError, match="JSON object"):
             graph_from_json(json.dumps([graph_to_json_dict(G5)]))
@@ -167,6 +161,11 @@ class TestCorruptFiles:
         # every degree, index and label check still holds
         with pytest.raises(ValueError, match="not tree neighbours"):
             self._load_edited(swap_tree_targets)
+
+    def test_pairing_candidate_not_next_to_its_source_rejected(self):
+        # the stored unit maps the far candidate onto the target label
+        with pytest.raises(ValueError, match="not tree neighbours"):
+            self._load_edited(far_candidate)
 
     def test_loaded_levels_match(self):
         assert graph_from_json(graph_to_json(G5)).levels == G5.levels == 3
