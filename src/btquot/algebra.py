@@ -16,8 +16,9 @@ everywhere else in the package.
 
 Code sequences are multiplied by one packed-integer kernel of GF
 (Kronecker substitution: pack, unpack, slot_bytes), under GF.conv and
-under the quaternion product and embedding; poly_mul keeps its scalar
-loop for the short polynomials of the residue-field arithmetic.
+under the quaternion product and embedding and under the hom systems;
+poly_mul keeps its scalar loop for the short polynomials of the
+residue-field arithmetic.
 
 Canonical orders.  Elements of F_q are ordered lexicographically by
 coordinate vector (c_0, ..., c_{e-1}); for prime q this is 0 < 1 < ... <
@@ -199,7 +200,7 @@ class GF:
         e * min(len a, len b) products of two digits, each below p^2."""
         w = slot_bytes(self.e * (self.p - 1) ** 2 * min(len(a), len(b)))
         x, y = self.pack((a, b), w)
-        return self.unpack((x * y,), len(a) + len(b) - 1, w)[0]
+        return self.unpack((x * y,), len(a) + len(b) - 1, w)[0].tolist()
 
     # -- the packed-integer kernel (Kronecker substitution) -------------
 
@@ -220,15 +221,15 @@ class GF:
             i += len(f) * E * w
         return out
 
-    def unpack(self, packed, n: int, w: int) -> list[list[int]]:
-        """The first n coefficients of each packed sum as codes: slots
-        reduced mod p, each coefficient's slots folded by the modulus
-        (one lookup in unfold)."""
+    def unpack(self, packed, n: int, w: int) -> np.ndarray:
+        """The first n coefficients of each packed sum as codes, one
+        int64 row per sum: slots reduced mod p, each coefficient's slots
+        folded by the modulus (one lookup in unfold)."""
         E = self.fold.shape[1]
         raw = b"".join(v.to_bytes(n * E * w, "little") for v in packed)
         slots = np.frombuffer(raw, dtype=f"<u{w}").reshape(-1, E) % self.p
         return self._unfold[slots.astype(np.int64) @ self._slot_weights
-                            ].reshape(len(packed), n).tolist()
+                            ].reshape(len(packed), n)
 
     def tables(self):
         """The (add, mul, neg, inv) tables as numpy arrays, with inv[0]

@@ -22,14 +22,14 @@ empty; the rest are one stack, built and solved at once at the largest
 n among them (a larger height bound than a pair needs adds only pivot
 columns, see hom_stack), from arrays:
 
-* columns: the images Y_k of the four basis elements.  Each entry of
-  Y_k is a short exact series in g_v, g_w and powers of pi times an
-  entry of iota(b_k) (see _system_factors), so all sixteen, for every
-  target, are one matrix product against the memoized basis embedding
-  (AlgebraData.basis_stack), with the Laurent precision rule carried
-  alongside.  A column known below pi^nm only raises
-  InsufficientPrecisionError, and the whole stack is retried at doubled
-  precision;
+* columns: the images Y_k of the four basis elements, two exact
+  factors on the packed rows of the basis embedding
+  (AlgebraData.packed_basis): the column operation of Mv once per
+  stack, the row operation of Mw^(-1) once per target, then one unpack
+  of every entry onto a common exponent grid, with the Laurent
+  precision rule carried alongside (see _system_stack).  A column known
+  below pi^nm only raises InsufficientPrecisionError, and the whole
+  stack is retried at doubled precision;
 * equations: row (entry, t), column (k, j) holds the pi^(j - t)
   coefficient of Y_k, for every t >= 1 (the T^j coefficient of lam_k
   must not push that entry below O_infinity), read off for every
@@ -73,8 +73,8 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import (GF, ZERO_POLY, _prime_divisors, poly_add, poly_neg,
-                      poly_scale, poly_trim)
-from .laurent import INF, InsufficientPrecisionError
+                      poly_scale, poly_trim, slot_bytes)
+from .laurent import InsufficientPrecisionError
 from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
 from .tree import Vertex, act, neighbors, retry_with_precision
 
@@ -264,64 +264,88 @@ class StabilizerField:
         return self._first[s0]
 
 
-def _system_factors(F: GF, v: Vertex, w: Vertex):
-    """The exact series G[rho][x] with pi^shift * Mw^(-1) X Mv = G * X,
-    entries flattened as (a, b, c, d) on both sides:
+def _add_times(x, g, y, bits: int):
+    """The packed row x + g * y, for rows (val, prec, ints) of four
+    series from pi^val, known below prec (their least precision), and g
+    = (val, int) exact; the Laurent rule gives the precision."""
+    gval, gi = g
+    if not gi:
+        return x
+    (vx, px, xs), (vy, py, ys) = x, y
+    v = min(vx, gval + vy)
+    sx, sy = bits * (vx - v), bits * (gval + vy - v)
+    return v, min(px, py + gval), [(a << sx) + (gi * b << sy)
+                                   for a, b in zip(xs, ys)]
 
-        Y11 = pi^(nv - nw + s) (a - g_w c)
-        Y12 = pi^(s - nw) (g_v a + b - g_w g_v c - g_w d)
-        Y21 = pi^(nv + s) c
-        Y22 = pi^s (g_v c + d),           s = (nw - nv) / 2.
 
-    Returns {(rho, x): (valuation, codes)} for the nonzero entries.
-    """
-    s = (w.n - v.n) // 2
-    one = (0, (1,))
-    gv = (v.gval, v.gcoeffs) if v.gcoeffs else None
-    ngw = (w.gval, poly_neg(F, w.gcoeffs)) if w.gcoeffs else None
-    ngwgv = (ngw[0] + gv[0], F.conv(ngw[1], gv[1])) if gv and ngw else None
-    terms = {(0, 0): one, (0, 2): ngw,
-             (1, 0): gv, (1, 1): one, (1, 2): ngwgv, (1, 3): ngw,
-             (2, 2): one,
-             (3, 2): gv, (3, 3): one}
-    shifts = (v.n - w.n + s, s - w.n, v.n + s, s)
-    return {(rho, x): (t[0] + shifts[rho], t[1])
-            for (rho, x), t in terms.items() if t is not None}
+def _shift(x, k: int):
+    """The packed row pi^k * x."""
+    return x[0] + k, x[1] + k, x[2]
 
 
 def _system_stack(alg: AlgebraData, v: Vertex, ws, nm: int, prec: int):
     """The F_q-linear equations of Hom(v, w) for every w in ws, as one
     (len(ws), rows, 4(nm + 1)) stack.  System i forces every pi^(-t),
-    t >= 1, coefficient of pi^shift * Mw^(-1) iota(lambda) Mv to vanish,
-    where lambda_k = sum_j lam[k][j] T^j, deg <= nm, over the order
-    basis.
+    t >= 1, coefficient of pi^s * Mw^(-1) iota(lambda) Mv to vanish,
+    s = (n_w - n_v)/2, where lambda_k = sum_j lam[k][j] T^j, deg <= nm,
+    over the order basis.
 
     Row (rho, t), column (k, j) of a system holds the pi^(j - t)
-    coefficient of Y[rho][k] = (pi^shift * Mw^(-1) iota(b_k) Mv)[rho]:
-    the factors of every w, placed on one common exponent grid, make one
-    product against the basis embedding, then one Toeplitz gather reads
-    all systems.  A row index t past one system's own range reads
-    exponents below that system's first nonzero coefficient, and rows
-    zero in every system are dropped; zero rows never change a kernel.
-    Raises InsufficientPrecisionError when a column of any system is
-    known below pi^nm only.
+    coefficient of Y[rho][k] = (pi^s * Mw^(-1) iota(b_k) Mv)[rho], built
+    by two exact factors on the packed rows of the basis embedding
+    (AlgebraData.packed_basis):
+
+    * once per stack, the column operation of Mv: with iota(b_k) =
+      [[a, b], [c, d]], P = [[pi^n_v a, b + g_v a], [pi^n_v c, d + g_v c]];
+    * once per target, the row operation of Mw^(-1):
+      Y = [[pi^(s - n_w) (P11 - g_w P21), pi^(s - n_w) (P12 - g_w P22)],
+           [pi^s P21, pi^s P22]], so the bottom row is P's, shifted.
+
+    Each entry carries the least precision of its terms by the Laurent
+    rule.  All slots share one width, and the rows are repacked at it
+    where packed_basis's differs.  It comes from this bound: a digit of
+    iota(b_k) or of g is below p, a slot of P below B = (p-1)(1 +
+    e(p-1)L_v), and one of Y below B (1 + e(p-1)L_w), L the coefficient
+    count of g (for g_w the longest among the targets), since a product
+    by g sums at most e L products of a slot by a digit of g.  One unpack
+    puts every Y on a common exponent grid; then one Toeplitz gather
+    reads all systems.  A row
+    index t past one system's own range reads exponents below that
+    system's first nonzero coefficient, and rows zero in every system
+    are dropped; zero rows never change a kernel.  Raises
+    InsufficientPrecisionError when a column of any system is known
+    below pi^nm only.
     """
-    factors = [_system_factors(alg.F, v, w) for w in ws]
-    base = min(start for f in factors for start, _ in f.values())
-    width = max(start + len(c) for f in factors
-                for start, c in f.values()) - base
-    G = np.zeros((len(ws), 4, 4, width), dtype=np.int64)
-    vals = np.full((len(ws), 4, 4), INF)
-    for i, f in enumerate(factors):
-        for (rho, x), (start, c) in f.items():
-            G[i, rho, x, start - base:start - base + len(c)] = c
-            vals[i, rho, x] = start
-    Y, yval, yprec = alg.basis_stack(prec).left_mul(
-        G.reshape(-1, 4, width), base, vals.reshape(-1, 4))
-    if (yprec < nm).any():
+    F = alg.F
+    E = F.fold.shape[1]
+    w0, rows = alg.packed_basis(prec)
+    w = slot_bytes((F.p - 1) * (1 + F.e * (F.p - 1) * len(v.gcoeffs))
+                   * (1 + F.e * (F.p - 1)
+                      * max(len(u.gcoeffs) for u in ws)))
+    ints = [x for _, row in rows for _, x in row]
+    if w != w0:
+        n = -(-max(ints).bit_length() // (8 * w0 * E))
+        ints = F.pack(F.unpack(ints, n, w0).tolist(), w)
+    bits = 8 * w * E
+    a, b, c, d = ((vb, min(pr for pr, _ in row), ints[4 * x:4 * x + 4])
+                  for x, (vb, row) in enumerate(rows))
+    gv, *ngw = F.pack([v.gcoeffs, *(poly_neg(F, u.gcoeffs) for u in ws)], w)
+    top = (_shift(a, v.n), _add_times(b, (v.gval, gv), a, bits))
+    bottom = (_shift(c, v.n), _add_times(d, (v.gval, gv), c, bits))
+    Ys = []
+    for u, gw in zip(ws, ngw):
+        s = (u.n - v.n) // 2
+        Ys += [_shift(_add_times(x, (u.gval, gw), y, bits), s - u.n)
+               for x, y in zip(top, bottom)]
+        Ys += [_shift(y, s) for y in bottom]
+    if min(pr for _, pr, _ in Ys) < nm:
         raise InsufficientPrecisionError(
             "system matrix below required precision")
-    Y = Y.reshape(len(ws), 4, 4, -1)
+    yval = min(vy for vy, _, _ in Ys)
+    n = max(0, nm - yval)  # the window reads no exponent from nm on
+    flat = [x << bits * (vy - yval) & (1 << bits * n) - 1
+            for vy, _, xs in Ys for x in xs]
+    Y = F.unpack(flat, n, w).reshape(len(ws), 4, 4, n)
     nonzero = Y.any(axis=(0, 1, 2)).nonzero()[0]
     vmin = min(0, yval + int(nonzero[0])) if len(nonzero) else 0
     tmax = nm - vmin

@@ -15,16 +15,15 @@ precision raises InsufficientPrecisionError, which callers treat as a
 signal to retry the whole computation at higher precision.
 
 Sums and negations are lookups in the tables of GF; products and the
-Newton inverse run on GF.conv.  Polynomials in T embed via T = pi^(-1),
-so v(f) = -deg(f).
+Newton inverse run on GF.conv, the packed-integer kernel under every
+series product of the package (newton_sqrt keeps its digit loop).
+Polynomials in T embed via T = pi^(-1), so v(f) = -deg(f).
 """
 
 from __future__ import annotations
 
 import math
 from itertools import zip_longest
-
-import numpy as np
 
 from .algebra import GF
 
@@ -222,73 +221,6 @@ def _series_inverse(F: GF, a, n: int):
         b += [neg[c] for c in F.conv(b[:k2 - k], d)[:k2 - k]]
         k = k2
     return b
-
-
-class SeriesStack:
-    """A matrix S[x][k] of Laurent series held as one coefficient array,
-    for products G * S by matrices G of exact finite series.
-
-    codes[x, k, i] is the code of the pi^(val + i) coefficient of
-    S[x][k], zero at and beyond that entry's precision; prec[x, k] is the
-    precision (INF for an exact zero).  The product runs as one float64
-    matrix product against the Toeplitz expansion of S in F_p
-    coordinates (exact: every partial sum is an integer far below
-    2^53), built once per width of G and kept.
-    """
-
-    def __init__(self, F: GF, rows):
-        self.F = F
-        known = [x for row in rows for x in row if x.coeffs]
-        self.val = min((x.val for x in known), default=0)
-        end = max((x.val + len(x.coeffs) for x in known), default=self.val)
-        self.codes = np.zeros((len(rows), len(rows[0]),
-                               max(1, end - self.val)), dtype=np.int64)
-        for i, row in enumerate(rows):
-            for k, x in enumerate(row):
-                if x.coeffs:
-                    off = x.val - self.val
-                    self.codes[i, k, off:off + len(x.coeffs)] = x.coeffs
-        self.prec = np.array([[float(x.prec) for x in row] for row in rows])
-        self._width = 0
-        self._toeplitz = None
-
-    def _expansion(self, width: int):
-        """Rows (tau, x, v), columns (k, w, j): coordinate w of
-        theta^v * S[x][k] at index j - tau, with theta the generator of
-        F_q over F_p; tau < width, j < N + width - 1."""
-        if width > self._width:
-            F, e = self.F, self.F.e
-            X, K, N = self.codes.shape
-            # theta^v * sum_u s_u theta^u has coordinates
-            # sum_u fold[w, v + u] * s_u
-            twist = np.stack([F.fold[:, v:v + e] for v in range(e)])
-            sv = np.einsum("vwu,xknu->xvkwn", twist,
-                           F.digits[self.codes]) % F.p
-            T = np.zeros((width, X, e, K, e, N + width - 1))
-            for tau in range(width):
-                T[tau, ..., tau:tau + N] = sv
-            self._toeplitz = T.reshape(width * X * e, -1)
-            self._width = width
-        return self._toeplitz
-
-    def left_mul(self, G, base: int, vals):
-        """Y = G * S for exact series G[r][x] = pi^base * sum_i G[r, x, i] pi^i
-        (codes) with valuations vals[r, x] (INF for zero entries).
-
-        Returns (codes, val, prec): codes[r, k, i] is the pi^(val + i)
-        coefficient of Y[r][k], correct below prec[r, k], which follows
-        the Laurent rule prec(g * s) = prec(s) + v(g), minimum over terms.
-        """
-        F = self.F
-        R, X, M = G.shape
-        T = self._expansion(M)
-        rows = M * X * F.e
-        Gd = F.digits[G].transpose(0, 2, 1, 3).reshape(R, rows)
-        Y = (Gd @ T[:rows]).astype(np.int64) % F.p
-        Y = Y.reshape(R, self.codes.shape[1], F.e, -1)
-        codes = np.einsum("rkwj,w->rkj", Y, F.place)
-        prec = (vals[:, :, None] + self.prec[None]).min(axis=1)
-        return codes, base + self.val, prec
 
 
 def newton_sqrt(F: GF, f, prec: int) -> Laurent:

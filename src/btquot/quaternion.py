@@ -21,7 +21,9 @@ The product and the embedding run on the packed-integer kernel of GF
 (GF.pack, GF.unpack): coefficient sequences become Python ints with a
 fixed-width slot per F_p digit, are multiplied and added as big
 integers, and are unpacked once per output.  Each states its own bound
-on every slot sum, from which slot_bytes picks the slot width.
+on every slot sum, from which slot_bytes picks the slot width.  The
+packed rows of the embedded order basis (packed_basis) serve embed and
+the hom systems of homspace.
 
 The unit group Gamma consists of the elements whose reduced norm lies
 in F_q^*; the reduced norm itself is computed as x * conj(x), never
@@ -56,7 +58,7 @@ from .algebra import (
     slot_bytes,
     sqrt_mod_irreducible,
 )
-from .laurent import INF, Laurent, Mat2, SeriesStack, newton_sqrt
+from .laurent import INF, Laurent, Mat2, newton_sqrt
 from .tree import DEFAULT_PRECISION_CAP
 
 
@@ -172,9 +174,10 @@ class AlgebraData:
     Immutable after construction.  precision_cap bounds the precision
     retries of every computation on the algebra.  The sqrt(alpha) value
     is memoized at the highest precision requested so far, the embedded
-    order basis (with 1/sqrt(alpha) inside it) once per precision, and
-    their packed forms on first use.  The memos are plain dicts: the
-    package runs single-threaded.
+    order basis (with 1/sqrt(alpha) inside it) once per precision in its
+    packed form (packed_basis), and the packed product table once per
+    slot width.  The memos are plain dicts: the package runs
+    single-threaded.
     """
 
     def __init__(self, F: GF, primes,
@@ -194,7 +197,6 @@ class AlgebraData:
         self._tensor_len = max(len(w) for row in self._tensor
                                for ws in row for w in ws)
         self._sqrt_cache = None
-        self._basis, self._stacks = {}, {}
         self._packed_tensor, self._packed_basis = {}, {}
         self._verify_ramification()
         self._verify_product_table()
@@ -284,7 +286,8 @@ class AlgebraData:
                 for k, wk in terms:
                     out[k] += c * wk
         n = lx + ly + self._tensor_len - 2
-        return QuatElem(tuple(map(poly_trim, F.unpack(out, n, w))))
+        return QuatElem(tuple(map(poly_trim,
+                                  F.unpack(out, n, w).tolist())))
 
     def scale(self, c: int, x: QuatElem) -> QuatElem:
         return QuatElem(tuple(poly_scale(self.F, c, a) for a in x.lam))
@@ -335,56 +338,37 @@ class AlgebraData:
 
     def basis_embedding(self, prec: int) -> tuple:
         """(iota(1), iota(i), iota(j), iota(khat)), every entry at
-        precision >= prec; memoized per precision.
+        precision >= prec.
 
         sqrt(alpha) and its inverse are taken at the working precision
         prec + 2m + deg(r) + 4, and the polynomial constants are lifted
         at it, so every nonzero entry has finite precision.
         """
-        B = self._basis.get(prec)
-        if B is None:
-            F = self.F
-            work = prec + 2 * self.m + poly_deg(self.r) + 4
-            s = self.sqrt_alpha(work)
-            si = s.inv()
-            one = Laurent.from_poly(F, ONE_POLY, work)
-            r = Laurent.from_poly(F, self.r, work)
-            zero = Laurent.zero(F)
-            es = Laurent.from_poly(F, self.epsilon, work) * si
-            rs = r * si
-            B = (Mat2(one, zero, zero, one), Mat2(s, zero, zero, -s),
-                 Mat2(zero, one, r, zero), Mat2(es, si, -rs, -es))
-            self._basis[prec] = B
-        return B
-
-    def basis_stack(self, prec: int) -> SeriesStack:
-        """basis_embedding(prec) as one SeriesStack: row x is the matrix
-        entry (a, b, c, d), column k the basis element."""
-        S = self._stacks.get(prec)
-        if S is None:
-            B = self.basis_embedding(prec)
-            S = SeriesStack(self.F, [[M.entries()[x] for M in B]
-                                     for x in range(4)])
-            self._stacks[prec] = S
-        return S
-
-    def embed(self, x: QuatElem, prec: int) -> Mat2:
-        """iota(x) in M_2(K_infinity), entries at precision >= prec.
-
-        iota(x) = sum_k lam_k * iota(b_k) over the memoized basis images;
-        a coordinate of degree D costs D digits, so the basis is taken at
-        precision P = prec + max deg(lam_k), rounded up to a multiple of
-        16 so that a long session memoizes only a few of them.  Those are
-        packed once per P, each row shifted to its lowest valuation, so
-        an entry of iota(x) is at most four big-int products, with the
-        valuation and precision of the Laurent sum.  A slot sums at most
-        4 e N products of two digits, each below p^2 (N: longest entry).
-        """
         F = self.F
-        D = max(map(len, x.lam)) - 1
-        P = -(-(prec + max(0, D)) // 16) * 16
-        if P not in self._packed_basis:
-            B = self.basis_embedding(P)
+        work = prec + 2 * self.m + poly_deg(self.r) + 4
+        s = self.sqrt_alpha(work)
+        si = s.inv()
+        one = Laurent.from_poly(F, ONE_POLY, work)
+        r = Laurent.from_poly(F, self.r, work)
+        zero = Laurent.zero(F)
+        es = Laurent.from_poly(F, self.epsilon, work) * si
+        rs = r * si
+        return (Mat2(one, zero, zero, one), Mat2(s, zero, zero, -s),
+                Mat2(zero, one, r, zero), Mat2(es, si, -rs, -es))
+
+    def packed_basis(self, prec: int):
+        """basis_embedding(prec) packed row by row, memoized per
+        precision: (w, rows), where rows[x] = (val, [(prec_k, int_k)])
+        for the matrix entry x in (a, b, c, d) holds the entry x of
+        iota(b_k), k = 0..3, as a series from pi^val, val the lowest
+        valuation among the four (an exact zero is 0 at precision INF).
+        The slots hold single digits; w = slot_bytes(4 e (p-1)^2 N),
+        N the longest entry, is the width that embed's sums need.
+        """
+        got = self._packed_basis.get(prec)
+        if got is None:
+            F = self.F
+            B = self.basis_embedding(prec)
             n = max(len(e.coeffs) for M in B for e in M.entries())
             w = slot_bytes(4 * F.e * (F.p - 1) ** 2 * n)
             rows = []
@@ -394,8 +378,24 @@ class AlgebraData:
                                  if e.coeffs else () for e in entries], w)
                 rows.append((vb, list(zip((e.prec for e in entries),
                                           packed))))
-            self._packed_basis[P] = w, rows
-        w, rows = self._packed_basis[P]
+            got = self._packed_basis[prec] = w, rows
+        return got
+
+    def embed(self, x: QuatElem, prec: int) -> Mat2:
+        """iota(x) in M_2(K_infinity), entries at precision >= prec.
+
+        iota(x) = sum_k lam_k * iota(b_k) over the packed basis rows; a
+        coordinate of degree D costs D digits, so the basis is taken at
+        precision P = prec + max deg(lam_k), rounded up to a multiple of
+        16 so that a long session memoizes only a few of them.  An entry
+        of iota(x) is at most four big-int products, with the valuation
+        and precision of the Laurent sum.  A slot sums at most 4 e N
+        products of two digits, each below p^2 (N: longest entry), the
+        bound of the width packed_basis picks.
+        """
+        F = self.F
+        D = max(map(len, x.lam)) - 1
+        w, rows = self.packed_basis(-(-(prec + max(0, D)) // 16) * 16)
         bits = 8 * w * F.fold.shape[1]
         # pi^D lam_k as a series in pi, all four starting at pi^0
         lam = F.pack([(0,) * (D + 1 - len(f)) + f[::-1]
@@ -412,7 +412,7 @@ class AlgebraData:
             sums.append(sum(t[1] for t in terms))
         n = max(-(-a.bit_length() // bits) for a in sums)
         return Mat2(*(Laurent(F, vb - D, codes, pr) for (vb, _), codes, pr
-                      in zip(rows, F.unpack(sums, n, w), precs)))
+                      in zip(rows, F.unpack(sums, n, w).tolist(), precs)))
 
 
 def build_algebra(F: GF, primes,

@@ -20,9 +20,10 @@ from btquot.algebra import field, poly_add, poly_mul, poly_scale, poly_trim
 from btquot.homspace import (HomSet, _assert_solution, _kernel_basis,
                              _system_stack, hom, hom_stack, stability,
                              transport, verified)
-from btquot.laurent import InsufficientPrecisionError
+from btquot.laurent import INF, InsufficientPrecisionError, Laurent
 from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra
 from btquot.tree import BASE_VERTEX, Vertex, act, neighbors, retry_with_precision
+from laurent_helpers import inv, scale, vertex_matrix
 
 ALG3 = build_algebra(field(3), [(0, 1), (1, 1)])
 ALG5 = build_algebra(field(5), [(0, 1), (1, 1), (2, 1), (3, 1)])
@@ -422,6 +423,66 @@ def test_candidate_stack_matches_sequential_hom():
                       for w in targets if (w.n - cand.n) % 2 == 0}) > 1
     assert hits, "no candidate met a target in its orbit"
     assert mixed, "no stack mixed height bounds"
+
+
+def reference_system(alg, v, w, nm, prec):
+    """The equations of Hom(v, w) from Mat2 products: row (rho, t), column
+    (k, j) holds the pi^(j - t) coefficient of entry rho of
+    pi^s * Mw^(-1) * iota(b_k) * Mv, s = (n_w - n_v)/2, for t = 1, 2, ...
+    down to the lowest exponent any lam_k * T^j can reach; zero rows
+    dropped."""
+    F = alg.F
+    left = scale(inv(vertex_matrix(F, w)),
+                 Laurent.pi_power(F, (w.n - v.n) // 2, INF))
+    Ys = [left * B * vertex_matrix(F, v)
+          for B in alg.basis_embedding(prec)]
+    low = min(x.val for Y in Ys for x in Y.entries() if x.coeffs) - nm
+    rows = [[Y.entries()[rho].coeff(j - t) for Y in Ys
+             for j in range(nm + 1)]
+            for rho in range(4) for t in range(1, nm - low + 1)]
+    A = np.array(rows, dtype=np.int64)
+    return A[A.any(axis=1)]
+
+
+def oracle_vertices(q):
+    """Vertices of both parities, n of both signs, g zero and nonzero,
+    and g with every digit q - 1, which drives the packed slot sums of
+    the system build toward their bounds."""
+    top = q - 1
+    return [BASE_VERTEX, Vertex.make(2, 0, ()), Vertex.make(-2, 0, ()),
+            Vertex.make(2, 1, (1,)), Vertex.make(-2, -5, (top,) * 3),
+            Vertex.make(4, -2, (top,) * 6), Vertex.make(6, 0, (top,) * 6),
+            Vertex.make(1, 0, ()), Vertex.make(-1, -4, (top, 0, 2 % q)),
+            Vertex.make(5, -1, (top,) * 6), Vertex.make(3, -3, (top,) * 6)]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49, 125, 127])
+def test_system_stack_matches_mat2_reference(q):
+    """Each system of a stack, built as hom_stack builds it (from its
+    start precision, retried), has the nonzero equations and the kernel
+    basis of the Mat2 reference, for every source against every vertex
+    of its parity."""
+    alg = build_algebra(field(q), [(0, 1), (1, 1)])
+    F, vs = alg.F, oracle_vertices(q)
+    systems = 0
+    for v in vs:
+        ws = [w for w in vs if (w.n - v.n) % 2 == 0]
+        n = max(u.dist_to_base() for u in ws)
+        nm = n + alg.m
+        used = []
+
+        def build(prec):
+            used.append(prec)
+            return _system_stack(alg, v, ws, nm, prec)
+        stack = retry_with_precision(
+            build, 2 * n + max(alg.ram.d, alg.m) + alg.m + 1)
+        ncols = 4 * (nm + 1)
+        for A, w, basis in zip(stack, ws, _kernel_basis(F, stack, ncols)):
+            ref = reference_system(alg, v, w, nm, 2 * used[-1])
+            assert np.array_equal(A[A.any(axis=1)], ref), (v, w)
+            assert basis == kernel_of_one(F, ref, ncols), (v, w)
+            systems += 1
+    assert systems == sum(sum((w.n - v.n) % 2 == 0 for w in vs) for v in vs)
 
 
 # ---------------------------------------------------------------------------

@@ -599,7 +599,7 @@ def mul_reference(alg, x, y):
 
 def embed_reference(alg, x, prec):
     """sum_k lam_k * iota(b_k) as Laurent-object products and sums, over
-    the same memoized basis images as embed."""
+    the basis images at the precision embed packs."""
     F = alg.F
     maxdeg = max((poly_deg(c) for c in x.lam), default=0)
     B = alg.basis_embedding(-(-(prec + max(0, maxdeg)) // 16) * 16)
