@@ -110,13 +110,14 @@ class GF:
             cols.append(col)
         self.fold = np.array(cols, dtype=np.int64).T
         # (add, mul, neg, inv) tables: mul folds the outer product of the
-        # coordinate rows (x^i * x^j lands in column i + j of fold), and
-        # inv[0] = 0 is a placeholder
+        # coordinate rows (fold_products[:, i, j], the coordinates of
+        # x^i * x^j, is column i + j of fold), and inv[0] = 0 is a
+        # placeholder
+        self.fold_products = self.fold[:, np.add.outer(range(e), range(e))]
         d = self.digits
         add = (d[:, None] + d[None]) % p @ self.place
         mul = np.einsum("ai,bj,kij->abk", d, d,
-                        self.fold[:, np.add.outer(range(e), range(e))]
-                        ) % p @ self.place
+                        self.fold_products) % p @ self.place
         neg = (-d % p) @ self.place
         inv = np.argmax(mul == 1, axis=1)
         self._tables = (add, mul, neg, inv)

@@ -18,26 +18,30 @@ The solver works on stacks: one source v against a list of targets w
 and Hom(v, w') for every live earlier candidate w' of its level, and
 takes the first nonzero one in candidate order as its pairing, so one
 stack serves the whole candidate.  Targets of the other parity are
-empty; the rest are one stack, built and solved at once at the largest
-n among them (a larger height bound than a pair needs adds only pivot
-columns, see hom_stack), from arrays:
+empty; the rest are solved at one height bound (a larger one than a
+pair needs adds only pivot columns, see hom_stack), from arrays:
 
-* columns: the images Y_k of the four basis elements, two exact
-  factors on the packed rows of the basis embedding
-  (AlgebraData.packed_basis): the column operation of Mv once per
-  stack, the row operation of Mw^(-1) once per target, then one unpack
-  of every entry onto a common exponent grid, with the Laurent
-  precision rule carried alongside (see _system_stack).  A column known
-  below pi^nm only raises InsufficientPrecisionError, and the whole
-  stack is retried at doubled precision;
+* entries: Y = pi^s Mw^(-1) iota(b_k) Mv, s = (n_w - n_v)/2, as two
+  exact factors on the packed rows of the basis embedding
+  (AlgebraData.packed_basis): the column operation of Mv, then the row
+  operation of Mw^(-1), which leaves the bottom row free of g_w.  One
+  unpack puts them on a common exponent grid with the Laurent
+  precision rule alongside; an entry known below pi^nm only raises
+  InsufficientPrecisionError, and the build is retried at doubled
+  precision;
 * equations: row (entry, t), column (k, j) holds the pi^(j - t)
   coefficient of Y_k, for every t >= 1 (the T^j coefficient of lam_k
-  must not push that entry below O_infinity), read off for every
-  target in one Toeplitz gather;
-* kernel: one Gauss-Jordan elimination by F_q table lookups over the
-  stack, the same for prime and non-prime q.  Each system's reduced
-  echelon basis is unique, so the answer depends neither on how the
-  rows were assembled nor on the other systems of the stack.
+  must not push that entry below O_infinity), read off in one Toeplitz
+  gather;
+* kernel, in two stages: the kernel K of the bottom rows once per
+  (v, n_w), for a whole search level in one stack (level_kernels),
+  then each target's top rows projected onto K by one F_q product and
+  eliminated over dim K columns.  Both are one Gauss-Jordan
+  elimination by F_q table lookups, and the product runs on coordinate
+  planes folded by the modulus, the same for prime and non-prime q.
+  Mapped back through K, the result is each system's reduced echelon
+  kernel basis, which is unique, so it depends neither on how the rows
+  were assembled nor on the other systems of the stack.
 
 Solutions automatically have reduced norm in F_q^* and map v to w (the
 determinant argument fixes the norm's valuation, and a unit of the order
@@ -283,91 +287,111 @@ def _shift(x, k: int):
     return x[0] + k, x[1] + k, x[2]
 
 
-def _system_stack(alg: AlgebraData, v: Vertex, ws, nm: int, prec: int):
-    """The F_q-linear equations of Hom(v, w) for every w in ws, as one
-    (len(ws), rows, 4(nm + 1)) stack.  System i forces every pi^(-t),
-    t >= 1, coefficient of pi^s * Mw^(-1) iota(lambda) Mv to vanish,
-    s = (n_w - n_v)/2, where lambda_k = sum_j lam[k][j] T^j, deg <= nm,
-    over the order basis.
+def _column_op(alg: AlgebraData, v: Vertex, gv: int, w: int, prec: int):
+    """The packed rows ((P11, P12), (P21, P22)) of P = iota(b_k) Mv =
+    [[pi^n_v a, b + g_v a], [pi^n_v c, d + g_v c]] at slot width w, for
+    iota(b_k) = [[a, b], [c, d]] and gv = g_v packed."""
+    _, rows = alg.packed_basis(prec, w)
+    a, b, c, d = ((vb, min(pr for pr, _ in row), [x for _, x in row])
+                  for vb, row in rows)
+    bits = 8 * w * alg.F.fold.shape[1]
+    return ((_shift(a, v.n), _add_times(b, (v.gval, gv), a, bits)),
+            (_shift(c, v.n), _add_times(d, (v.gval, gv), c, bits)))
 
-    Row (rho, t), column (k, j) of a system holds the pi^(j - t)
-    coefficient of Y[rho][k] = (pi^s * Mw^(-1) iota(b_k) Mv)[rho], built
-    by two exact factors on the packed rows of the basis embedding
-    (AlgebraData.packed_basis):
 
-    * once per stack, the column operation of Mv: with iota(b_k) =
-      [[a, b], [c, d]], P = [[pi^n_v a, b + g_v a], [pi^n_v c, d + g_v c]];
-    * once per target, the row operation of Mw^(-1):
-      Y = [[pi^(s - n_w) (P11 - g_w P21), pi^(s - n_w) (P12 - g_w P22)],
-           [pi^s P21, pi^s P22]], so the bottom row is P's, shifted.
-
-    Each entry carries the least precision of its terms by the Laurent
-    rule.  All slots share one width, and the rows are repacked at it
-    where packed_basis's differs.  It comes from this bound: a digit of
-    iota(b_k) or of g is below p, a slot of P below B = (p-1)(1 +
-    e(p-1)L_v), and one of Y below B (1 + e(p-1)L_w), L the coefficient
-    count of g (for g_w the longest among the targets), since a product
-    by g sums at most e L products of a slot by a digit of g.  One unpack
-    puts every Y on a common exponent grid; then one Toeplitz gather
-    reads all systems.  A row
-    index t past one system's own range reads exponents below that
-    system's first nonzero coefficient, and rows zero in every system
-    are dropped; zero rows never change a kernel.  Raises
-    InsufficientPrecisionError when a column of any system is known
-    below pi^nm only.
-    """
-    F = alg.F
-    E = F.fold.shape[1]
-    w0, rows = alg.packed_basis(prec)
-    w = slot_bytes((F.p - 1) * (1 + F.e * (F.p - 1) * len(v.gcoeffs))
-                   * (1 + F.e * (F.p - 1)
-                      * max(len(u.gcoeffs) for u in ws)))
-    ints = [x for _, row in rows for _, x in row]
-    if w != w0:
-        n = -(-max(ints).bit_length() // (8 * w0 * E))
-        ints = F.pack(F.unpack(ints, n, w0).tolist(), w)
-    bits = 8 * w * E
-    a, b, c, d = ((vb, min(pr for pr, _ in row), ints[4 * x:4 * x + 4])
-                  for x, (vb, row) in enumerate(rows))
-    gv, *ngw = F.pack([v.gcoeffs, *(poly_neg(F, u.gcoeffs) for u in ws)], w)
-    top = (_shift(a, v.n), _add_times(b, (v.gval, gv), a, bits))
-    bottom = (_shift(c, v.n), _add_times(d, (v.gval, gv), c, bits))
-    Ys = []
-    for u, gw in zip(ws, ngw):
-        s = (u.n - v.n) // 2
-        Ys += [_shift(_add_times(x, (u.gval, gw), y, bits), s - u.n)
-               for x, y in zip(top, bottom)]
-        Ys += [_shift(y, s) for y in bottom]
-    if min(pr for _, pr, _ in Ys) < nm:
+def _equations(F: GF, entries, nm: int, w: int):
+    """The equations of packed entries Y, two per system, as a stack
+    (len(entries) / 2, 2 tmax, 4(nm + 1)): row (rho, t), column (k, j)
+    holds the pi^(j - t) coefficient of series k of the system's entry
+    rho, t = 1..tmax.  One unpack puts the entries on a common exponent
+    grid and one Toeplitz gather reads them; tmax reaches the lowest
+    exponent of any entry, so a row past a system's own range is zero.
+    Raises InsufficientPrecisionError when an entry is known below pi^nm
+    only."""
+    if min(pr for _, pr, _ in entries) < nm:
         raise InsufficientPrecisionError(
             "system matrix below required precision")
-    yval = min(vy for vy, _, _ in Ys)
+    bits = 8 * w * F.fold.shape[1]
+    yval = min(vy for vy, _, _ in entries)
     n = max(0, nm - yval)  # the window reads no exponent from nm on
     flat = [x << bits * (vy - yval) & (1 << bits * n) - 1
-            for vy, _, xs in Ys for x in xs]
-    Y = F.unpack(flat, n, w).reshape(len(ws), 4, 4, n)
-    nonzero = Y.any(axis=(0, 1, 2)).nonzero()[0]
+            for vy, _, xs in entries for x in xs]
+    Y = F.unpack(flat, n, w).reshape(len(entries), 4, n)
+    nonzero = Y.any(axis=(0, 1)).nonzero()[0]
     vmin = min(0, yval + int(nonzero[0])) if len(nonzero) else 0
     tmax = nm - vmin
     # exponents j - t run over [-tmax, nm); pad Y onto that window
-    window = np.zeros((len(ws), 4, 4, nm + tmax), dtype=np.int64)
-    lo, hi = max(-tmax, yval), min(nm, yval + Y.shape[3])
+    window = np.zeros((len(entries), 4, nm + tmax), dtype=np.int64)
+    lo, hi = max(-tmax, yval), min(nm, yval + n)
     if lo < hi:
         window[..., lo + tmax:hi + tmax] = Y[..., lo - yval:hi - yval]
     t = np.arange(1, tmax + 1)[:, None]
     j = np.arange(nm + 1)[None, :]
-    A = window[..., j - t + tmax].transpose(0, 1, 3, 2, 4)
-    A = A.reshape(len(ws), 4 * tmax, 4 * (nm + 1))
-    return A[:, A.any(axis=(0, 2))]
+    A = window[..., j - t + tmax].transpose(0, 2, 1, 3)
+    return A.reshape(len(entries) // 2, 2 * tmax, 4 * (nm + 1))
 
 
-def _kernel_basis(F: GF, A, ncols: int):
-    """Kernel bases of a stack of code matrices A[b] over F_q, one list
-    per system: one vector per free column of the system's reduced
-    echelon form, in column order, each scaled so its first nonzero
-    entry is 1.  The reduced echelon form is unique, so neither the row
-    order, nor redundant or zero rows, nor the other systems of the
-    stack can change a system's result.
+def _top_rows(alg: AlgebraData, v: Vertex, ws, nm: int, prec: int):
+    """The top rows of the system of v against each w in ws.
+    Mw^(-1) = [[pi^(-n_w), -pi^(-n_w) g_w], [0, 1]] changes only the top
+    row of P: with s = (n_w - n_v)/2, Y1* = pi^(s - n_w) (P1* - g_w P2*),
+    and Y2* = pi^s P2* depends on w only through n_w (_bottom_rows).
+    A digit of iota(b_k) is below p and a product by g sums at most e L
+    products of a slot by a digit of g (L its coefficient count), so a
+    slot of P is below B = (p-1)(1 + e(p-1)L_v), and of Y1* below
+    B (1 + e(p-1)L_w)."""
+    F = alg.F
+    w = slot_bytes((F.p - 1) * (1 + F.e * (F.p - 1) * len(v.gcoeffs))
+                   * (1 + F.e * (F.p - 1)
+                      * max(len(u.gcoeffs) for u in ws)))
+    gv, *ngw = F.pack([v.gcoeffs, *(poly_neg(F, u.gcoeffs) for u in ws)], w)
+    top, bottom = _column_op(alg, v, gv, w, prec)
+    bits = 8 * w * F.fold.shape[1]
+    return _equations(F, [
+        _shift(_add_times(x, (u.gval, gw), y, bits), (u.n - v.n) // 2 - u.n)
+        for u, gw in zip(ws, ngw) for x, y in zip(top, bottom)], nm, w)
+
+
+def _bottom_rows(alg: AlgebraData, stacks, nm: int, prec: int):
+    """The bottom rows Y2* = pi^s P2* of the system of v against a
+    target at each n in ns, for every (v, ns) in stacks, in order; a
+    slot is below the bound of P's (see _top_rows)."""
+    F = alg.F
+    w = slot_bytes((F.p - 1) * (1 + F.e * (F.p - 1)
+                                * max(len(v.gcoeffs) for v, _ in stacks)))
+    entries = []
+    for (v, ns), gv in zip(stacks, F.pack([v.gcoeffs for v, _ in stacks],
+                                          w)):
+        _, bottom = _column_op(alg, v, gv, w, prec)
+        entries += [_shift(y, (n - v.n) // 2) for n in ns for y in bottom]
+    return _equations(F, entries, nm, w)
+
+
+def _system_stack(alg: AlgebraData, v: Vertex, ws, nm: int, prec: int):
+    """The F_q-linear equations of Hom(v, w) for every w in ws, as one
+    (len(ws), 4 tmax, 4(nm + 1)) stack, rows keyed (rho, t): each
+    target's top rows, then its bottom rows, padded with zero rows to
+    a common tmax.  These are the systems the two stages of hom_stack
+    solve."""
+    ns = sorted({u.n for u in ws})
+    parts = (_top_rows(alg, v, ws, nm, prec),
+             _bottom_rows(alg, [(v, ns)], nm, prec)[[ns.index(u.n)
+                                                     for u in ws]])
+    tmax = max(A.shape[1] for A in parts) // 2
+    return np.concatenate([np.pad(
+        A.reshape(len(ws), 2, A.shape[1] // 2, -1),
+        ((0, 0), (0, 0), (0, tmax - A.shape[1] // 2), (0, 0)))
+        for A in parts], axis=1).reshape(len(ws), 4 * tmax, -1)
+
+
+def _kernel_rows(F: GF, A, ncols: int):
+    """Kernel bases of a stack of code matrices A[b] over F_q, as one
+    (len(A), d, ncols) array: for each system one row per free column f
+    of its reduced echelon form, in column order, with 1 at f and 0 at
+    the other free columns, then zero rows up to d, the largest kernel
+    dimension of the stack.  The reduced echelon form is unique, so
+    neither the row order, nor redundant or zero rows, nor the other
+    systems of the stack can change a system's rows.
 
     One Gauss-Jordan elimination by F_q table lookups, the same for
     prime and non-prime q, runs over the whole stack, column by column.
@@ -395,15 +419,30 @@ def _kernel_basis(F: GF, A, ncols: int):
         W[:, R + 1 + c] = row
         slots[:, :, c] = W[:, R + 1:, 0]
         W = W[:, :, 1:]
-    out = [[] for _ in range(B)]
-    diag = slots[:, np.arange(ncols), np.arange(ncols)]
-    for b in (diag == 0).any(axis=1).nonzero()[0]:
-        for f in (diag[b] == 0).nonzero()[0]:
-            vec = neg[slots[b, :, f]]
-            vec[f] = 1
-            lead = vec[vec.nonzero()[0][0]]
-            out[b].append(tuple(mul[inv[lead]][vec].tolist()))
-    return out
+    # the row of free column f: 1 at f, minus f's entry in each pivot row
+    free = np.diagonal(slots, axis1=1, axis2=2) == 0
+    dims = free.sum(axis=1)
+    d = np.arange(dims.max(initial=0))
+    f = np.argsort(~free, axis=1, kind="stable")[:, d]
+    K = neg[slots[systems[:, None], :, f]]
+    K[systems[:, None], d, f] = 1
+    return K * (d < dims[:, None])[..., None]
+
+
+def _monic(F: GF, X):
+    """The rows of X (along its last axis), each scaled so its first
+    nonzero entry is 1; zero rows stay zero."""
+    _, mul, _, inv = F.tables()
+    rows = X.reshape(-1, X.shape[-1])
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    return mul[inv[lead][:, None], rows].reshape(X.shape)
+
+
+def _kernel_basis(F: GF, A, ncols: int):
+    """The reduced echelon kernel basis of each system of A, as tuples
+    (_kernel_rows, each row scaled to leading coefficient 1)."""
+    return [[tuple(x) for x in K if any(x)]
+            for K in _monic(F, _kernel_rows(F, A, ncols)).tolist()]
 
 
 @lru_cache(maxsize=None)
@@ -411,6 +450,18 @@ def _step_table(F: GF):
     """step[(a*q + f)*q + b] = a - f*b, flattened."""
     add, mul, neg, _ = F.tables()
     return add[np.arange(F.q)[:, None, None], neg[mul][None]].ravel()
+
+
+def _fq_matmul(F: GF, X, Y):
+    """X @ Y over F_q for code arrays, stacked as np.matmul stacks them:
+    the integer products of the coordinate planes of X and Y, plane i
+    times plane j landing on x^(i+j), which GF.fold_products takes back
+    to coordinates; for prime q, the integer product mod p."""
+    planes = (np.take(F.digits.T, X, axis=1)[:, None]
+              @ np.take(F.digits.T, Y, axis=1)[None])
+    coords = (F.fold_products.reshape(F.e, -1)
+              @ planes.reshape(F.e * F.e, -1) % F.p)
+    return (F.place @ coords).reshape(planes.shape[2:])
 
 
 def _vector_to_quat(vec, nm: int) -> QuatElem:
@@ -439,34 +490,105 @@ def _assert_solution(alg: AlgebraData, gamma: QuatElem, v: Vertex,
     return images
 
 
-def hom_stack(alg: AlgebraData, v: Vertex, targets) -> list[HomSet]:
-    """Hom(v, w) for every w in targets, in order, bases not yet checked
-    (see verified).
+# stacks whose bottom rows are built and eliminated together: enough to
+# share the elimination's per-column cost across a search level, and few
+# enough that its working arrays, (1 + R + N) N int64 per system, stay
+# small next to the rest of a compute (a whole level of q5-192 at once
+# doubled the peak RSS)
+_CHUNK = 32
 
-    Targets of the other parity get the empty set.  The rest are one
-    stacked system build at n, the largest distance to the base vertex
-    among v and them, which fixes nm and the start precision; it is
-    retried as a whole at doubled precision while any of its systems
-    runs short, and eliminated once.  A target w nearer the base vertex
-    gets the same basis as at its own bound nm_w: every solution has
-    height <= nm_w (asserted by _assert_solution), so the columns
-    j > nm_w are pivot columns, and the reduced echelon basis is unique.
+
+def bottom_kernels(alg: AlgebraData, stacks) -> list:
+    """The first stage of hom_stack for many stacks: for each (v, n, ns)
+    in stacks, (n, {n_w: K}), K the kernel rows (_kernel_rows) of the
+    bottom rows of v against a target at n_w, for each n_w in ns, at
+    the height bound n + m.  Up to _CHUNK stacks of one n are built
+    together, once per (v, n_w), retried at doubled precision while any
+    runs short, and eliminated in one stack."""
+    out, by_n = [None] * len(stacks), {}
+    for k, (_, n, _) in enumerate(stacks):
+        by_n.setdefault(n, []).append(k)
+    for n, ks in by_n.items():
+        for part in (ks[i:i + _CHUNK] for i in range(0, len(ks), _CHUNK)):
+            A = retry_with_precision(
+                lambda prec: _bottom_rows(
+                    alg, [stacks[k][::2] for k in part], n + alg.m, prec),
+                2 * n + max(alg.ram.d, alg.m) + alg.m + 1,
+                alg.precision_cap)
+            rows = iter(_kernel_rows(alg.F, A[:, A.any(axis=(0, 2))],
+                                     A.shape[2]))
+            for k in part:
+                out[k] = (n, {u: next(rows) for u in stacks[k][2]})
+    return out
+
+
+def level_kernels(alg: AlgebraData, candidates) -> list:
+    """bottom_kernels for each candidate of a search level, for a stack
+    against itself and any earlier candidates of its parity."""
+    jobs, far, ns = [], [0, 0], [set(), set()]
+    for v in candidates:
+        far[v.n % 2] = max(far[v.n % 2], v.dist_to_base())
+        ns[v.n % 2].add(v.n)
+        jobs.append((v, far[v.n % 2], sorted(ns[v.n % 2])))
+    return bottom_kernels(alg, jobs)
+
+
+def hom_stack(alg: AlgebraData, v: Vertex, targets,
+              bottom=None) -> list[HomSet]:
+    """Hom(v, w) for every w in targets, in order, bases not yet checked
+    (see verified).  bottom is v's entry of bottom_kernels for targets
+    that include these; by default it is computed for these.
+
+    Targets of the other parity get the empty set.  The rest are solved
+    at the height bound nm = n + m of bottom, n at least the largest
+    distance to the base vertex among v and them.  Their bottom rows
+    depend on w only through n_w (see _top_rows), and bottom holds their
+    kernel rows K per n_w: row i has 1 at the free column f_i of their
+    reduced echelon form, 0 at the other free columns, and nothing past
+    f_i.  Every solution is x = y K, so one elimination of the projected
+    top rows T K^t (built once, retried as a whole at doubled precision
+    while any runs short) gives y.  A zero row of K, padding it to the
+    widest of the stack, is a zero column of T K^t, whose kernel row is
+    dropped.
+
+    x = y K, scaled to leading coefficient 1, is the reduced echelon
+    kernel basis of the whole system.  Added rows only add pivots, so
+    its free columns are among the f_i, and x_(f_i) = y_i.  A kernel
+    vector supported on the columns up to f_i is y K with y_i' = 0 for
+    i' > i, so f_i is free in the system exactly when i is free in T
+    K^t, whose kernel row for i (1 at i, 0 at its other free columns)
+    maps to the system's own for f_i.
+
+    A target nearer the base vertex gets the basis of its own bound
+    nm_w: every solution has height <= nm_w (asserted by
+    _assert_solution), so the columns j > nm_w are pivot columns, and
+    the reduced echelon basis is unique.  A dimension above 2 is
+    asserted against on every system.
     """
     F = alg.F
     idx = [i for i, w in enumerate(targets) if (v.n - w.n) % 2 == 0]
     bases = [()] * len(targets)
     if idx:
         ws = [targets[i] for i in idx]
-        n = max(u.dist_to_base() for u in (v, *ws))
+        far = max(u.dist_to_base() for u in (v, *ws))
+        n, kernels = bottom or bottom_kernels(
+            alg, [(v, far, sorted({u.n for u in ws}))])[0]
+        if far > n:
+            raise AssertionError("bottom kernels below the stack's bound")
         nm = n + alg.m
-        A = retry_with_precision(
-            lambda prec: _system_stack(alg, v, ws, nm, prec),
+        T = retry_with_precision(
+            lambda prec: _top_rows(alg, v, ws, nm, prec),
             2 * n + max(alg.ram.d, alg.m) + alg.m + 1, alg.precision_cap)
-        for i, vecs in zip(idx, _kernel_basis(F, A, 4 * (nm + 1))):
-            if len(vecs) > 2:
-                raise AssertionError(
-                    f"hom space has impossible dimension {len(vecs)}")
-            bases[i] = tuple(_vector_to_quat(vec, nm) for vec in vecs)
+        K = np.stack([kernels[u.n] for u in ws])
+        M = _fq_matmul(F, T, K.transpose(0, 2, 1))
+        Y = _kernel_rows(F, M[:, M.any(axis=(0, 2))], K.shape[1])
+        real = ((Y != 0) & K.any(axis=2)[:, None]).any(axis=2)
+        Y *= real[..., None]
+        dim = real.sum(axis=1).max()
+        if dim > 2:
+            raise AssertionError(f"hom space has impossible dimension {dim}")
+        for i, xs in zip(idx, _monic(F, _fq_matmul(F, Y, K)).tolist()):
+            bases[i] = tuple(_vector_to_quat(x, nm) for x in xs if any(x))
     return [HomSet(F, v, w, b) for w, b in zip(targets, bases)]
 
 

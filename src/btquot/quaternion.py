@@ -174,10 +174,10 @@ class AlgebraData:
     Immutable after construction.  precision_cap bounds the precision
     retries of every computation on the algebra.  The sqrt(alpha) value
     is memoized at the highest precision requested so far, the embedded
-    order basis (with 1/sqrt(alpha) inside it) once per precision in its
-    packed form (packed_basis), and the packed product table once per
-    slot width.  The memos are plain dicts: the package runs
-    single-threaded.
+    order basis (with 1/sqrt(alpha) inside it) once per precision, and
+    packed once per precision and slot width (packed_basis), and the
+    packed product table once per slot width.  The memos are plain dicts: the package
+    runs single-threaded.
     """
 
     def __init__(self, F: GF, primes,
@@ -198,6 +198,7 @@ class AlgebraData:
                                for ws in row for w in ws)
         self._sqrt_cache = None
         self._packed_tensor, self._packed_basis = {}, {}
+        self._basis_entries = {}
         self._verify_ramification()
         self._verify_product_table()
 
@@ -356,29 +357,35 @@ class AlgebraData:
         return (Mat2(one, zero, zero, one), Mat2(s, zero, zero, -s),
                 Mat2(zero, one, r, zero), Mat2(es, si, -rs, -es))
 
-    def packed_basis(self, prec: int):
-        """basis_embedding(prec) packed row by row, memoized per
-        precision: (w, rows), where rows[x] = (val, [(prec_k, int_k)])
-        for the matrix entry x in (a, b, c, d) holds the entry x of
-        iota(b_k), k = 0..3, as a series from pi^val, val the lowest
-        valuation among the four (an exact zero is 0 at precision INF).
-        The slots hold single digits; w = slot_bytes(4 e (p-1)^2 N),
-        N the longest entry, is the width that embed's sums need.
+    def packed_basis(self, prec: int, w: int | None = None):
+        """basis_embedding(prec) packed row by row at slot width w,
+        memoized per (precision, width): (w, rows), where rows[x] =
+        (val, [(prec_k, int_k)]) for the matrix entry x in (a, b, c, d)
+        holds the entry x of iota(b_k), k = 0..3, as a series from
+        pi^val, val the lowest valuation among the four (an exact zero
+        is 0 at precision INF).  The slots hold single digits.  By
+        default w = slot_bytes(4 e (p-1)^2 N), N the longest entry, the
+        width that embed's sums need; the hom systems ask for the width
+        of their own slot bound.
         """
-        got = self._packed_basis.get(prec)
+        got = self._packed_basis.get((prec, w))
         if got is None:
             F = self.F
-            B = self.basis_embedding(prec)
-            n = max(len(e.coeffs) for M in B for e in M.entries())
-            w = slot_bytes(4 * F.e * (F.p - 1) ** 2 * n)
+            if prec not in self._basis_entries:
+                self._basis_entries[prec] = list(zip(*(
+                    M.entries() for M in self.basis_embedding(prec))))
+            by_entry = self._basis_entries[prec]
+            n = max(len(e.coeffs) for row in by_entry for e in row)
+            width = w or slot_bytes(4 * F.e * (F.p - 1) ** 2 * n)
             rows = []
-            for entries in zip(*(M.entries() for M in B)):
+            for entries in by_entry:
                 vb = min((e.val for e in entries if e.coeffs), default=0)
                 packed = F.pack([(0,) * (e.val - vb) + e.coeffs
-                                 if e.coeffs else () for e in entries], w)
+                                 if e.coeffs else () for e in entries],
+                                width)
                 rows.append((vb, list(zip((e.prec for e in entries),
                                           packed))))
-            got = self._packed_basis[prec] = w, rows
+            got = self._packed_basis[prec, w] = width, rows
         return got
 
     def embed(self, x: QuatElem, prec: int) -> Mat2:

@@ -48,7 +48,8 @@ from fractions import Fraction
 
 from .algebra import poly_deg
 from .homspace import (HomSet, StabilizerField, _assert_solution, hom,
-                       hom_stack, stability, transport, verified)
+                       hom_stack, level_kernels, stability, transport,
+                       verified)
 from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
 from .tree import (BASE_VERTEX, Vertex, distance, geodesic_to_base,
                    neighbors, up_neighbor)
@@ -183,12 +184,18 @@ class QuotientGraph:
         """The pairing edge src -> dst and, directly after it, its
         reversal (express_in_generators reads the generator of a
         pairing_opposite edge k off edge k - 1), once candidate is a
-        neighbour of src and g maps it onto dst.  Returns the reversal's
-        direction g . src, from the check's embedding of g."""
+        neighbour of src and g maps it onto dst, and g has the shape of
+        hom_stack's basis, the only element of that shape of the line
+        Hom(candidate, dst): its first nonzero (k, j) coordinate is 1.
+        Returns the reversal's direction g . src, from the check's
+        embedding of g."""
         _assert_adjacent(self.vertices[src], candidate, "source label and "
                          f"candidate of pairing edge {src} -> {dst}")
         (back,) = _assert_solution(self.alg, g, candidate, self.vertices[dst],
                                    self.vertices[src])
+        if next(c for f in g.lam for c in f if c) != 1:
+            raise AssertionError("pairing unit's first nonzero coordinate "
+                                 "is not 1, as the solver's basis has it")
         idx = self._next_index(src, dst)
         k = self._add_edge(QuotientEdge(src, dst, idx, "pairing",
                                         candidate, g))
@@ -227,6 +234,7 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
 
     while frontier:
         alive: list = list(frontier)
+        bottoms = level_kernels(alg, [cand for _, cand in frontier])
         nxt: list = []
         for i in range(len(alive)):
             # only i itself and earlier candidates are ever cleared
@@ -235,7 +243,8 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
             # one stacked solve: End(cand), then every live earlier
             # candidate of the level, in order
             live = [j for j in range(i) if alive[j] is not None]
-            homs = hom_stack(alg, cand, [cand, *(alive[j][1] for j in live)])
+            homs = hom_stack(alg, cand, [cand, *(alive[j][1] for j in live)],
+                             bottoms[i])
             ends = verified(alg, homs[0])
             kind = stability(ends)
 

@@ -52,11 +52,18 @@ def vertex_matrix(F, v: Vertex, prec=INF) -> Mat2:
 
 
 def general_act(A: Mat2, v: Vertex) -> Vertex:
-    """The action of any invertible A on lattice classes, through the
-    full product and its determinant: vnf(A * M_v), M_v the
-    vertex_matrix of v.  tree.act takes the same value for units
-    (det A in F_q^*) without either."""
-    return vnf(A * vertex_matrix(A.a.F, v))
+    """The action of any invertible A on lattice classes, through vnf
+    and its determinant: vnf(A * M_v), M_v the vertex_matrix of v.
+    A * M_v = [[a pi^n, a g + b], [c pi^n, c g + d]] is formed by the
+    column shift, so its only products are a g and c g.  tree.act takes
+    the same value for units (det A in F_q^*) without the determinant."""
+    F, n = A.a.F, v.n
+    g = Laurent(F, v.gval, v.gcoeffs, INF)  # the exact zero when g = 0
+
+    def shifted(x: Laurent) -> Laurent:
+        return Laurent(F, x.val + n, x.coeffs, x.prec + n)
+    return vnf(Mat2(shifted(A.a), A.a * g + A.b,
+                    shifted(A.c), A.c * g + A.d))
 
 
 def add(M: Mat2, N: Mat2) -> Mat2:

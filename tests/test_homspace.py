@@ -10,16 +10,18 @@ those sets exactly.
 import functools
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btquot.algebra import field, poly_add, poly_mul, poly_scale, poly_trim
+from btquot.algebra import (field, parse_poly, poly_add, poly_mul,
+                            poly_scale, poly_trim)
 from btquot.homspace import (HomSet, _assert_solution, _kernel_basis,
-                             _system_stack, hom, hom_stack, stability,
-                             transport, verified)
+                             _system_stack, _vector_to_quat, hom, hom_stack,
+                             level_kernels, stability, transport, verified)
 from btquot.laurent import INF, InsufficientPrecisionError, Laurent
 from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra
 from btquot.tree import BASE_VERTEX, Vertex, act, neighbors, retry_with_precision
@@ -483,6 +485,73 @@ def test_system_stack_matches_mat2_reference(q):
             assert basis == kernel_of_one(F, ref, ncols), (v, w)
             systems += 1
     assert systems == sum(sum((w.n - v.n) % 2 == 0 for w in vs) for v in vs)
+
+
+def one_stage(alg, v, targets):
+    """The bases of hom_stack(alg, v, targets) from one elimination of
+    each target's whole system (_system_stack), top and bottom rows
+    together, at the stack's own height bound."""
+    idx = [i for i, w in enumerate(targets) if (w.n - v.n) % 2 == 0]
+    bases = [()] * len(targets)
+    if idx:
+        ws = [targets[i] for i in idx]
+        n = max(u.dist_to_base() for u in (v, *ws))
+        nm = n + alg.m
+        stack = retry_with_precision(
+            lambda prec: _system_stack(alg, v, ws, nm, prec),
+            2 * n + max(alg.ram.d, alg.m) + alg.m + 1)
+        for i, vecs in zip(idx, _kernel_basis(alg.F, stack, 4 * (nm + 1))):
+            bases[i] = tuple(_vector_to_quat(x, nm) for x in vecs)
+    return bases
+
+
+ALG9 = build_algebra(field(9), [parse_poly(field(9), t)
+                                for t in ("T", "T+1", "T+2", "T+[0,1]")])
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_two_stage_solve_matches_one_stage(q):
+    """hom_stack's bases, with its bottom kernels computed for the stack
+    or for a whole level of candidates (a larger height bound when a far
+    candidate is among the earlier ones), equal the one-stage solve's,
+    on stacks that mix parities, values of n and height bounds."""
+    alg = {5: ALG5, 9: ALG9}[q]
+    # far candidates first, so that later stacks may leave them out
+    if q == 5:
+        cands = q5_spheres()[3][:4] + q5_spheres()[1] + q5_spheres()[2][:12]
+    else:
+        near = neighbors(alg.F, BASE_VERTEX)
+        mid = [u for u in neighbors(alg.F, near[0]) if u != BASE_VERTEX]
+        far = [u for u in neighbors(alg.F, mid[0]) if u != near[0]]
+        cands = far[:4] + mid[:12] + near
+    level = level_kernels(alg, cands)
+    dims, groups, bounds = Counter(), Counter(), Counter()
+    for i, v in enumerate(cands):
+        earlier = [w for w in cands[:i] if (w.n - v.n) % 2 == 0]
+        for targets in ([v, *cands[max(0, i - 12):i]], [v, *earlier[-4:]]):
+            want = one_stage(alg, v, targets)
+            assert [hs.basis for hs in hom_stack(alg, v, targets)] == want
+            assert [hs.basis for hs in hom_stack(alg, v, targets,
+                                                 level[i])] == want
+            dims.update(len(b) for b in want)
+            same = [w for w in targets if (w.n - v.n) % 2 == 0]
+            groups[len({w.n for w in same})] += 1
+            bounds[level[i][0] > max(w.dist_to_base() for w in same)] += 1
+    assert {1, 2} <= set(dims), dims
+    assert groups[2], "no stack mixed values of n"
+    assert bounds[True], "no level bound above a stack's own"
+    assert {v.n % 2 for v in cands} == {0, 1}
+
+
+@pytest.mark.parametrize("q", [7, 25])
+def test_two_stage_solve_matches_one_stage_on_oracle_vertices(q):
+    """The same on the oracle vertices: n of both signs and g with every
+    digit q - 1, each source against all of them."""
+    alg = build_algebra(field(q), [(0, 1), (1, 1)])
+    vs = oracle_vertices(q)
+    for v in vs:
+        assert [hs.basis for hs in hom_stack(alg, v, vs)] == \
+            one_stage(alg, v, vs), v
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,20 @@
 """Round-trip and format tests for the graph serialization."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from btquot.algebra import field
-from btquot.quaternion import build_algebra
+from btquot.algebra import field, poly_scale
+from btquot.quaternion import (QuatElem, build_algebra, format_quat,
+                               parse_quat)
 from btquot.quotient import compute_quotient
 from btquot.serialize import (graph_from_json, graph_to_dot, graph_to_json,
                               graph_to_json_dict, graph_to_text)
 from worked_edits import (END_BASIS_AND_INITIAL, far_candidate,
                           pairing_entry as _pairing, swap_tree_targets)
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 ALG3 = build_algebra(field(3), [(0, 1), (1, 1)])
 ALG5 = build_algebra(field(5), [(0, 1), (1, 1), (2, 1), (3, 1)])
 G3 = compute_quotient(ALG3)
@@ -166,6 +169,29 @@ class TestCorruptFiles:
         # the stored unit maps the far candidate onto the target label
         with pytest.raises(ValueError, match="not tree neighbours"):
             self._load_edited(far_candidate)
+
+    @pytest.mark.parametrize("case", ["q5-worked", "q3-deg3"])
+    def test_scaled_pairing_unit_rejected(self, case):
+        # c * g has g's action, so only the unit's shape tells them apart
+        text = (GOLDEN / f"{case}.json").read_text()
+        F = field(json.loads(text)["q"])
+        count = sum(isinstance(e["label"], dict)
+                    for e in json.loads(text)["edges"])
+        edits = 0
+        for k in range(count):
+            for c in F.elements():
+                if c in (0, 1):
+                    continue
+                data = json.loads(text)
+                label = [e["label"] for e in data["edges"]
+                         if isinstance(e["label"], dict)][k]
+                g = parse_quat(F, label["pairing"])
+                label["pairing"] = format_quat(F, QuatElem(tuple(
+                    poly_scale(F, c, f) for f in g.lam)))
+                with pytest.raises(ValueError, match="first nonzero"):
+                    graph_from_json(json.dumps(data))
+                edits += 1
+        assert edits == count * (F.q - 2) > 0
 
     def test_loaded_levels_match(self):
         assert graph_from_json(graph_to_json(G5)).levels == G5.levels == 3

@@ -328,6 +328,8 @@ def test_act_associativity():
         for v in verts:
             assert (general_act(A, general_act(B, v))
                     == general_act(A * B, v))
+            # the helper's column shift is the full product's
+            assert general_act(A, v) == vnf(A * vertex_matrix(F3, v))
 
 
 def test_act_preserves_distance():
