@@ -212,7 +212,7 @@ def cmd_reduce(cfg: JobConfig) -> int:
 def cmd_present(cfg: JobConfig) -> int:
     G = _build_graph(cfg)
     pres = presentation(G)
-    print(f"generators ({1 + len(pres.vertex_gens) + len(pres.edge_gens)}):")
+    print(f"generators ({len(pres.names)}):")
     for name, g in pres.generator_items():
         print(f"  {name} = {format_quat(cfg.F, g)}")
     print("relations:")

@@ -34,11 +34,12 @@ pair needs adds only pivot columns, see hom_stack), from arrays:
   must not push that entry below O_infinity), read off in one Toeplitz
   gather;
 * kernel, in two stages: the kernel K of the bottom rows once per
-  (v, n_w), for a whole search level in one stack (level_kernels),
-  then each target's top rows projected onto K by one F_q product and
-  eliminated over dim K columns.  Both are one Gauss-Jordan
-  elimination by F_q table lookups, and the product runs on coordinate
-  planes folded by the modulus, the same for prime and non-prime q.
+  (v, n_w), for a whole search level, which has one parity of n, at
+  its largest distance to the base vertex (bottom_kernels), then each
+  target's top rows projected onto K by one F_q product and eliminated
+  over dim K columns.  Both are one Gauss-Jordan elimination by F_q
+  table lookups, and the product runs on coordinate planes folded by
+  the modulus, the same for prime and non-prime q.
   Mapped back through K, the result is each system's reduced echelon
   kernel basis, which is unique, so it depends neither on how the rows
   were assembled nor on the other systems of the stack.
@@ -352,36 +353,18 @@ def _top_rows(alg: AlgebraData, v: Vertex, ws, nm: int, prec: int):
         for u, gw in zip(ws, ngw) for x, y in zip(top, bottom)], nm, w)
 
 
-def _bottom_rows(alg: AlgebraData, stacks, nm: int, prec: int):
+def _bottom_rows(alg: AlgebraData, sources, ns, nm: int, prec: int):
     """The bottom rows Y2* = pi^s P2* of the system of v against a
-    target at each n in ns, for every (v, ns) in stacks, in order; a
-    slot is below the bound of P's (see _top_rows)."""
+    target at each n in ns, for every v in sources, in order; a slot is
+    below the bound of P's (see _top_rows)."""
     F = alg.F
     w = slot_bytes((F.p - 1) * (1 + F.e * (F.p - 1)
-                                * max(len(v.gcoeffs) for v, _ in stacks)))
+                                * max(len(v.gcoeffs) for v in sources)))
     entries = []
-    for (v, ns), gv in zip(stacks, F.pack([v.gcoeffs for v, _ in stacks],
-                                          w)):
+    for v, gv in zip(sources, F.pack([v.gcoeffs for v in sources], w)):
         _, bottom = _column_op(alg, v, gv, w, prec)
         entries += [_shift(y, (n - v.n) // 2) for n in ns for y in bottom]
     return _equations(F, entries, nm, w)
-
-
-def _system_stack(alg: AlgebraData, v: Vertex, ws, nm: int, prec: int):
-    """The F_q-linear equations of Hom(v, w) for every w in ws, as one
-    (len(ws), 4 tmax, 4(nm + 1)) stack, rows keyed (rho, t): each
-    target's top rows, then its bottom rows, padded with zero rows to
-    a common tmax.  These are the systems the two stages of hom_stack
-    solve."""
-    ns = sorted({u.n for u in ws})
-    parts = (_top_rows(alg, v, ws, nm, prec),
-             _bottom_rows(alg, [(v, ns)], nm, prec)[[ns.index(u.n)
-                                                     for u in ws]])
-    tmax = max(A.shape[1] for A in parts) // 2
-    return np.concatenate([np.pad(
-        A.reshape(len(ws), 2, A.shape[1] // 2, -1),
-        ((0, 0), (0, 0), (0, tmax - A.shape[1] // 2), (0, 0)))
-        for A in parts], axis=1).reshape(len(ws), 4 * tmax, -1)
 
 
 def _kernel_rows(F: GF, A, ncols: int):
@@ -391,7 +374,8 @@ def _kernel_rows(F: GF, A, ncols: int):
     the other free columns, then zero rows up to d, the largest kernel
     dimension of the stack.  The reduced echelon form is unique, so
     neither the row order, nor redundant or zero rows, nor the other
-    systems of the stack can change a system's rows.
+    systems of the stack can change a system's rows; rows that are zero
+    in every system are dropped first.
 
     One Gauss-Jordan elimination by F_q table lookups, the same for
     prime and non-prime q, runs over the whole stack, column by column.
@@ -406,6 +390,7 @@ def _kernel_rows(F: GF, A, ncols: int):
     _, mul, neg, inv = F.tables()
     q = F.q
     step = _step_table(F)
+    A = A[:, A.any(axis=(0, 2))]
     B, R, _ = A.shape
     W = np.zeros((B, 1 + R + ncols, ncols), dtype=np.int64)
     W[:, 1:R + 1] = A
@@ -436,13 +421,6 @@ def _monic(F: GF, X):
     rows = X.reshape(-1, X.shape[-1])
     lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
     return mul[inv[lead][:, None], rows].reshape(X.shape)
-
-
-def _kernel_basis(F: GF, A, ncols: int):
-    """The reduced echelon kernel basis of each system of A, as tuples
-    (_kernel_rows, each row scaled to leading coefficient 1)."""
-    return [[tuple(x) for x in K if any(x)]
-            for K in _monic(F, _kernel_rows(F, A, ncols)).tolist()]
 
 
 @lru_cache(maxsize=None)
@@ -490,7 +468,7 @@ def _assert_solution(alg: AlgebraData, gamma: QuatElem, v: Vertex,
     return images
 
 
-# stacks whose bottom rows are built and eliminated together: enough to
+# sources whose bottom rows are built and eliminated together: enough to
 # share the elimination's per-column cost across a search level, and few
 # enough that its working arrays, (1 + R + N) N int64 per system, stay
 # small next to the rest of a compute (a whole level of q5-192 at once
@@ -498,46 +476,38 @@ def _assert_solution(alg: AlgebraData, gamma: QuatElem, v: Vertex,
 _CHUNK = 32
 
 
-def bottom_kernels(alg: AlgebraData, stacks) -> list:
-    """The first stage of hom_stack for many stacks: for each (v, n, ns)
-    in stacks, (n, {n_w: K}), K the kernel rows (_kernel_rows) of the
-    bottom rows of v against a target at n_w, for each n_w in ns, at
-    the height bound n + m.  Up to _CHUNK stacks of one n are built
-    together, once per (v, n_w), retried at doubled precision while any
-    runs short, and eliminated in one stack."""
-    out, by_n = [None] * len(stacks), {}
-    for k, (_, n, _) in enumerate(stacks):
-        by_n.setdefault(n, []).append(k)
-    for n, ks in by_n.items():
-        for part in (ks[i:i + _CHUNK] for i in range(0, len(ks), _CHUNK)):
-            A = retry_with_precision(
-                lambda prec: _bottom_rows(
-                    alg, [stacks[k][::2] for k in part], n + alg.m, prec),
-                2 * n + max(alg.ram.d, alg.m) + alg.m + 1,
-                alg.precision_cap)
-            rows = iter(_kernel_rows(alg.F, A[:, A.any(axis=(0, 2))],
-                                     A.shape[2]))
-            for k in part:
-                out[k] = (n, {u: next(rows) for u in stacks[k][2]})
+def _start_precision(alg: AlgebraData, n: int) -> int:
+    """The precision a system at the height bound n + m is first built
+    at (raised by retry_with_precision while an entry runs short)."""
+    return 2 * n + max(alg.ram.d, alg.m) + alg.m + 1
+
+
+def bottom_kernels(alg: AlgebraData, sources, n: int, ns) -> list:
+    """The first stage of hom_stack, for a search level: for each v in
+    sources, (n, {n_w: K}), K the kernel rows (_kernel_rows) of the
+    bottom rows of v against a target at n_w, for each n_w in ns, at the
+    height bound n + m.  Every n_w must have each source's parity (a
+    level's vertices share one).  _CHUNK sources at a time are built
+    together, retried at doubled precision while any runs short, and
+    eliminated in one stack."""
+    if any((v.n - u) % 2 for v in sources for u in ns):
+        raise AssertionError("bottom kernels asked across parities of n")
+    out = []
+    for i in range(0, len(sources), _CHUNK):
+        part = sources[i:i + _CHUNK]
+        A = retry_with_precision(
+            lambda prec: _bottom_rows(alg, part, ns, n + alg.m, prec),
+            _start_precision(alg, n), alg.precision_cap)
+        rows = iter(_kernel_rows(alg.F, A, A.shape[2]))
+        out += [(n, {u: next(rows) for u in ns}) for _ in part]
     return out
-
-
-def level_kernels(alg: AlgebraData, candidates) -> list:
-    """bottom_kernels for each candidate of a search level, for a stack
-    against itself and any earlier candidates of its parity."""
-    jobs, far, ns = [], [0, 0], [set(), set()]
-    for v in candidates:
-        far[v.n % 2] = max(far[v.n % 2], v.dist_to_base())
-        ns[v.n % 2].add(v.n)
-        jobs.append((v, far[v.n % 2], sorted(ns[v.n % 2])))
-    return bottom_kernels(alg, jobs)
 
 
 def hom_stack(alg: AlgebraData, v: Vertex, targets,
               bottom=None) -> list[HomSet]:
     """Hom(v, w) for every w in targets, in order, bases not yet checked
-    (see verified).  bottom is v's entry of bottom_kernels for targets
-    that include these; by default it is computed for these.
+    (see verified).  bottom is v's entry of bottom_kernels for a level
+    that holds v and these targets; by default it is computed for these.
 
     Targets of the other parity get the empty set.  The rest are solved
     at the height bound nm = n + m of bottom, n at least the largest
@@ -547,9 +517,10 @@ def hom_stack(alg: AlgebraData, v: Vertex, targets,
     reduced echelon form, 0 at the other free columns, and nothing past
     f_i.  Every solution is x = y K, so one elimination of the projected
     top rows T K^t (built once, retried as a whole at doubled precision
-    while any runs short) gives y.  A zero row of K, padding it to the
-    widest of the stack, is a zero column of T K^t, whose kernel row is
-    dropped.
+    while any runs short) gives y.  K is padded with zero rows to the
+    widest kernel eliminated with it; those zero in every target are
+    dropped, and any other is a zero column of T K^t, whose kernel row
+    maps to x = 0 and is dropped.
 
     x = y K, scaled to leading coefficient 1, is the reduced echelon
     kernel basis of the whole system.  Added rows only add pivots, so
@@ -559,11 +530,11 @@ def hom_stack(alg: AlgebraData, v: Vertex, targets,
     K^t, whose kernel row for i (1 at i, 0 at its other free columns)
     maps to the system's own for f_i.
 
-    A target nearer the base vertex gets the basis of its own bound
-    nm_w: every solution has height <= nm_w (asserted by
-    _assert_solution), so the columns j > nm_w are pivot columns, and
-    the reduced echelon basis is unique.  A dimension above 2 is
-    asserted against on every system.
+    A target nearer the base vertex than the level's farthest gets the
+    basis of its own bound nm_w: every solution has height <= nm_w
+    (asserted by _assert_solution), so the columns j > nm_w are pivot
+    columns, and the reduced echelon basis is unique.  A dimension above
+    2 is asserted against on every system.
     """
     F = alg.F
     idx = [i for i, w in enumerate(targets) if (v.n - w.n) % 2 == 0]
@@ -572,22 +543,22 @@ def hom_stack(alg: AlgebraData, v: Vertex, targets,
         ws = [targets[i] for i in idx]
         far = max(u.dist_to_base() for u in (v, *ws))
         n, kernels = bottom or bottom_kernels(
-            alg, [(v, far, sorted({u.n for u in ws}))])[0]
+            alg, [v], far, sorted({u.n for u in ws}))[0]
         if far > n:
             raise AssertionError("bottom kernels below the stack's bound")
         nm = n + alg.m
         T = retry_with_precision(
             lambda prec: _top_rows(alg, v, ws, nm, prec),
-            2 * n + max(alg.ram.d, alg.m) + alg.m + 1, alg.precision_cap)
+            _start_precision(alg, n), alg.precision_cap)
         K = np.stack([kernels[u.n] for u in ws])
-        M = _fq_matmul(F, T, K.transpose(0, 2, 1))
-        Y = _kernel_rows(F, M[:, M.any(axis=(0, 2))], K.shape[1])
-        real = ((Y != 0) & K.any(axis=2)[:, None]).any(axis=2)
-        Y *= real[..., None]
-        dim = real.sum(axis=1).max()
+        K = K[:, K.any(axis=(0, 2))]
+        Y = _kernel_rows(F, _fq_matmul(F, T, K.transpose(0, 2, 1)),
+                         K.shape[1])
+        X = _monic(F, _fq_matmul(F, Y, K))
+        dim = X.any(axis=2).sum(axis=1).max()
         if dim > 2:
             raise AssertionError(f"hom space has impossible dimension {dim}")
-        for i, xs in zip(idx, _monic(F, _fq_matmul(F, Y, K)).tolist()):
+        for i, xs in zip(idx, X.tolist()):
             bases[i] = tuple(_vector_to_quat(x, nm) for x in xs if any(x))
     return [HomSet(F, v, w, b) for w, b in zip(targets, bases)]
 

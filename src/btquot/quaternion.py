@@ -176,8 +176,8 @@ class AlgebraData:
     is memoized at the highest precision requested so far, the embedded
     order basis (with 1/sqrt(alpha) inside it) once per precision, and
     packed once per precision and slot width (packed_basis), and the
-    packed product table once per slot width.  The memos are plain dicts: the package
-    runs single-threaded.
+    packed product table once per slot width.  The memos are plain
+    dicts: the package runs single-threaded.
     """
 
     def __init__(self, F: GF, primes,

@@ -19,7 +19,11 @@ space: a two-dimensional space means a large stabilizer, and the vertex
 becomes a degree-one (terminal) vertex of the quotient; otherwise the
 search either pairs the new edge with an earlier candidate of the same
 level (when the hom space between the two is nonzero) or keeps the edge
-in the spanning tree and recurses on the new vertex.
+in the spanning tree and recurses on the new vertex.  The tree is
+bipartite (Serre, *Trees*, ch. II) and a vertex's distance to the base
+vertex has the parity of its n, so a level, one distance from the
+initial vertex, has one parity of n: homspace.bottom_kernels serves it
+in one call, at its largest distance to the base vertex.
 
 Edges are directed and come in opposite pairs sharing a multiplicity
 index, so parallel edges between the same two vertices are
@@ -47,8 +51,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import poly_deg
-from .homspace import (HomSet, StabilizerField, _assert_solution, hom,
-                       hom_stack, level_kernels, stability, transport,
+from .homspace import (HomSet, StabilizerField, _assert_solution,
+                       bottom_kernels, hom, hom_stack, stability, transport,
                        verified)
 from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
 from .tree import (BASE_VERTEX, Vertex, distance, geodesic_to_base,
@@ -130,6 +134,15 @@ class QuotientGraph:
             self._stabilizers[i] = StabilizerField(
                 self.alg, HomSet(self.alg.F, v, v, self.end_basis[i]))
         return self._stabilizers[i]
+
+    def generator_names(self) -> dict:
+        """The presentation's generator names but g0: gv1, gv2, ... of
+        the terminal vertices i and g1, g2, ... of the pairing edges k, in
+        order, keyed ("stab", i) and ("pairing", k) as in _reduction_walk."""
+        names = {("stab", i): f"gv{t + 1}"
+                 for t, i in enumerate(self.terminal_ids())}
+        return names | {("pairing", k): f"g{t + 1}"
+                        for t, k in enumerate(self.pairings)}
 
     def undirected_multiplicities(self) -> Counter:
         """Number of undirected edges per unordered vertex pair."""
@@ -234,7 +247,10 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
 
     while frontier:
         alive: list = list(frontier)
-        bottoms = level_kernels(alg, [cand for _, cand in frontier])
+        cands = [cand for _, cand in frontier]
+        bottoms = bottom_kernels(alg, cands,
+                                 max(u.dist_to_base() for u in cands),
+                                 sorted({u.n for u in cands}))
         nxt: list = []
         for i in range(len(alive)):
             # only i itself and earlier candidates are ever cleared
@@ -356,33 +372,30 @@ class Presentation:
     The central generator g0 is the canonical primitive scalar; each
     terminal vertex contributes a stabilizer generator gv{i} of
     multiplicative order q^2 - 1 whose (q+1)-st power is exactly g0;
-    each paired edge contributes its pairing unit g{k}.  The vertex
-    generators are those of QuotientGraph.stabilizer.  The defining
-    relations are g0^(q-1) = 1, gv{i}^(q+1) = g0 and [g{k}, g0] = 1,
-    and they are verified by exact arithmetic on construction.
+    each paired edge contributes its pairing unit g{k}, named by
+    QuotientGraph.generator_names.  The vertex generators are those of
+    QuotientGraph.stabilizer.  The defining relations are g0^(q-1) = 1,
+    gv{i}^(q+1) = g0 and [g{k}, g0] = 1, and they are verified by exact
+    arithmetic on construction.
     """
 
     q: int
     g0: QuatElem
     vertex_gens: tuple[tuple[int, QuatElem], ...]
     edge_gens: tuple[tuple[int, QuatElem], ...]
+    names: tuple[str, ...]
 
     def generator_items(self):
         """(name, unit) pairs, g0 first, in canonical order."""
-        out = [("g0", self.g0)]
-        out += [(f"gv{i + 1}", g)
-                for i, (_, g) in enumerate(self.vertex_gens)]
-        out += [(f"g{k + 1}", g)
-                for k, (_, g) in enumerate(self.edge_gens)]
-        return out
+        units = [self.g0, *(g for _, g in self.vertex_gens + self.edge_gens)]
+        return list(zip(self.names, units))
 
     def relation_strings(self) -> list[str]:
-        rels = [f"g0^{self.q - 1} = 1"]
-        rels += [f"gv{i + 1}^{self.q + 1} = g0"
-                 for i in range(len(self.vertex_gens))]
-        rels += [f"[g{k + 1}, g0] = 1"
-                 for k in range(len(self.edge_gens))]
-        return rels
+        g0, *names = self.names
+        nv = len(self.vertex_gens)
+        return [f"{g0}^{self.q - 1} = 1",
+                *(f"{x}^{self.q + 1} = {g0}" for x in names[:nv]),
+                *(f"[{x}, {g0}] = 1" for x in names[nv:])]
 
 
 def presentation(G: QuotientGraph) -> Presentation:
@@ -401,7 +414,8 @@ def presentation(G: QuotientGraph) -> Presentation:
     for _, ge in edge_gens:
         assert alg.mul(ge, g0) == alg.mul(g0, ge)
 
-    return Presentation(q, g0, tuple(vertex_gens), tuple(edge_gens))
+    return Presentation(q, g0, tuple(vertex_gens), tuple(edge_gens),
+                        ("g0", *G.generator_names().values()))
 
 
 # ---------------------------------------------------------------------
@@ -422,7 +436,8 @@ class Word:
                           for name, e in self.letters)
 
 
-def evaluate_word(alg: AlgebraData, pres: Presentation, word: Word) -> QuatElem:
+def evaluate_word(alg: AlgebraData, pres: Presentation,
+                  word: Word) -> QuatElem:
     gens = dict(pres.generator_items())
     out = QUAT_ONE
     for name, e in word.letters:
@@ -447,9 +462,7 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
     if pres is None:
         pres = presentation(G)
 
-    pairing_name = {k: f"g{t + 1}" for t, k in enumerate(G.pairings)}
-    vertex_name = {i: f"gv{t + 1}"
-                   for t, (i, _) in enumerate(pres.vertex_gens)}
+    names = G.generator_names()
 
     base = G.vertices[0]
     w, steps = _reduction_walk(G, transport(alg, gamma, base))
@@ -464,11 +477,11 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
             _, k, sign = info
             if G.edges[k].kind == "pairing_opposite":
                 k -= 1  # the pairing edge directly precedes its reversal
-            letters.append((pairing_name[k], -sign))
+            letters.append((names["pairing", k], -sign))
         else:
             _, vi_id, s = info
             assert s != 0
-            letters.append((vertex_name[vi_id], (q * q - 1 - s)))
+            letters.append((names["stab", vi_id], (q * q - 1 - s)))
 
     residual = alg.mul(total, gamma)
     if 0 not in G.end_basis:
@@ -485,7 +498,7 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
     else:
         s = G.stabilizer(0).log(residual)
         if s:
-            letters.append((vertex_name[0], s))
+            letters.append((names["stab", 0], s))
 
     word = Word(tuple(letters))
     assert evaluate_word(alg, pres, word) == gamma, \

@@ -83,8 +83,12 @@ def graph_from_json(text: str, precision_cap: int = DEFAULT_PRECISION_CAP
     is not stable and each element of it passes _assert_solution, the
     initial vertex is vertex 0's label, the builders accept the graph,
     the stored edges are the replayed ones (order, index and reversal),
-    and out-degrees are 1 (terminal) and q+1 (internal)."""
-    data = json.loads(text)
+    and out-degrees are 1 (terminal) and q+1 (internal), and for JSON
+    it cannot decode."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("stored JSON nests too deeply to decode") from None
     if not isinstance(data, dict):
         raise ValueError("a stored graph is a JSON object")
     if data.get("format") != FORMAT_VERSION:
@@ -159,7 +163,7 @@ def graph_from_json(text: str, precision_cap: int = DEFAULT_PRECISION_CAP
 def graph_to_dot(G: QuotientGraph) -> str:
     """Undirected DOT rendering: internal vertices filled, terminal
     vertices open, paired edges labeled by their generator names."""
-    gen_name = {k: f"g{t + 1}" for t, k in enumerate(G.pairings)}
+    names = G.generator_names()
     lines = ["graph quotient {", "  node [shape=circle];"]
     for i, v in enumerate(G.vertices):
         style = "solid" if i in G.end_basis else "filled"
@@ -169,7 +173,7 @@ def graph_to_dot(G: QuotientGraph) -> str:
             lines.append(f"  v{e.src} -- v{e.dst};")
         elif e.kind == "pairing":
             lines.append(f'  v{e.src} -- v{e.dst} '
-                         f'[label="{gen_name[k]}", style=dashed];')
+                         f'[label="{names["pairing", k]}", style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -197,13 +201,13 @@ def graph_to_text(G: QuotientGraph) -> str:
         kind = "terminal" if i in G.end_basis else "internal"
         lines.append(f"  v{i} = {format_vertex(v)}  [{kind}]")
     lines.append("")
-    gen_name = {k: f"g{t + 1}" for t, k in enumerate(G.pairings)}
+    names = G.generator_names()
     for k, e in enumerate(G.edges):
         if e.kind == "tree":
             lines.append(f"  v{e.src} -- v{e.dst}")
         elif e.kind == "pairing":
             lines.append(
-                f"  v{e.src} -- v{e.dst}  [{gen_name[k]}: "
+                f"  v{e.src} -- v{e.dst}  [{names['pairing', k]}: "
                 f"{format_quat(F, e.elem)}; candidate "
                 f"{format_vertex(e.direction)}]")
     return "\n".join(lines) + "\n"

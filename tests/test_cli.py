@@ -145,6 +145,20 @@ class TestCompute:
         assert out == fresh
         assert path.read_bytes() == fresh.encode()
 
+    def test_deeply_nested_cache_is_a_miss_and_is_overwritten(
+            self, capsys, cache, tmp_path):
+        # json.loads raises RecursionError on it, not a ValueError
+        args = ["export", *Q5, *cache, "--format", "json"]
+        assert run(capsys, args)[0] == EXIT_OK
+        (path,) = tmp_path.glob("graph-*.json")
+        path.write_text("[" * 200000 + "]" * 200000)
+        code, out, err = run(capsys, args)
+        assert code == EXIT_OK, err
+        golden = (Path(__file__).resolve().parent / "golden"
+                  / "q5-worked.json").read_bytes()
+        assert out.encode() == golden
+        assert path.read_bytes() == golden
+
     @pytest.mark.parametrize("where", ["pairing", "end_basis"])
     def test_stored_non_unit_is_a_miss_and_is_overwritten(
             self, capsys, cache, tmp_path, where):

@@ -8,23 +8,34 @@ files were added before the graph's edge indexing was rewritten.  The
 q7-r5, q7-deg4 and q9-deg4 cases, and the reduce and word files of the
 last two (8 terminal vertices each; q=9 has a stabilizer F_81 over a
 non-prime F_9), were added before stabilizer elements were found by
-F_{q^2} table lookup instead of by enumeration.
+F_{q^2} table lookup instead of by enumeration.  The digest of the
+240 deg r <= 3 cases of scripts/structure_matrix.py was taken before
+the first stage of the hom solve became one call per search level.
 
 Regenerate (only when an output change is intended) with
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+(the digest is not rewritten by that; it is the hexdigest the test
+computes).
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import importlib.util
 import io
 import sys
 from pathlib import Path
 
 import pytest
 
+from btquot.algebra import field
 from btquot.cli import EXIT_OK, main
+from btquot.quaternion import build_algebra
+from btquot.quotient import compute_quotient
+from btquot.serialize import graph_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -157,6 +168,31 @@ def test_artifact_matches_golden(case, suffix):
 def test_per_argument_output_matches_golden(case, suffix):
     expected = (GOLDEN / f"{case}.{suffix}").read_bytes()
     assert render(case, suffix) == expected
+
+
+# sha256 of the JSON of every deg r <= 3 case of the structure matrix,
+# concatenated in the script's order (240 cases); the quick matrix only
+# checks invariants and round trips, so this pins the answers themselves
+QUICK_MATRIX_SHA256 = ("e50a5df49aaa2d092c1eb4be561df6961d4cfe04"
+                       "4a71bcf993ee24134d2fa03f")
+
+
+def test_quick_matrix_json_digest():
+    spec = importlib.util.spec_from_file_location(
+        "structure_matrix",
+        Path(__file__).resolve().parent.parent / "scripts"
+        / "structure_matrix.py")
+    matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(matrix)
+    digest, cases = hashlib.sha256(), 0
+    for q in (3, 5, 7):
+        F = field(q)
+        for primes in matrix.ramification_sets(F, 3):
+            G = compute_quotient(build_algebra(F, list(primes)))
+            digest.update(graph_to_json(G).encode())
+            cases += 1
+    assert cases == 240
+    assert digest.hexdigest() == QUICK_MATRIX_SHA256
 
 
 if __name__ == "__main__":

@@ -17,15 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btquot import quotient
 from btquot.algebra import (field, parse_poly, poly_add, poly_mul,
                             poly_scale, poly_trim)
-from btquot.homspace import (HomSet, _assert_solution, _kernel_basis,
-                             _system_stack, _vector_to_quat, hom, hom_stack,
-                             level_kernels, stability, transport, verified)
+from btquot.cli import _split_primes
+from btquot.homspace import (HomSet, _assert_solution, _bottom_rows,
+                             _kernel_rows, _monic, _start_precision,
+                             _top_rows, _vector_to_quat, bottom_kernels, hom,
+                             hom_stack, stability, transport, verified)
 from btquot.laurent import INF, InsufficientPrecisionError, Laurent
 from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra
 from btquot.tree import BASE_VERTEX, Vertex, act, neighbors, retry_with_precision
 from laurent_helpers import inv, scale, vertex_matrix
+from test_golden import CASES
 
 ALG3 = build_algebra(field(3), [(0, 1), (1, 1)])
 ALG5 = build_algebra(field(5), [(0, 1), (1, 1), (2, 1), (3, 1)])
@@ -288,6 +292,30 @@ class TestHomProperties:
 # the one elimination against brute-force kernel enumeration
 # ---------------------------------------------------------------------------
 
+def kernel_basis(F, A, ncols):
+    """The reduced echelon kernel basis of each system of the stack A, as
+    tuples (_kernel_rows, each row scaled to leading coefficient 1)."""
+    return [[tuple(x) for x in K if any(x)]
+            for K in _monic(F, _kernel_rows(F, A, ncols)).tolist()]
+
+
+def system_stack(alg, v, ws, nm, prec):
+    """The F_q-linear equations of Hom(v, w) for every w in ws, as one
+    (len(ws), 4 tmax, 4(nm + 1)) stack, rows keyed (rho, t): each
+    target's top rows, then its bottom rows, padded with zero rows to
+    a common tmax.  These are the systems the two stages of hom_stack
+    solve."""
+    ns = sorted({u.n for u in ws})
+    parts = (_top_rows(alg, v, ws, nm, prec),
+             _bottom_rows(alg, [v], ns, nm, prec)[[ns.index(u.n)
+                                                   for u in ws]])
+    tmax = max(A.shape[1] for A in parts) // 2
+    return np.concatenate([np.pad(
+        A.reshape(len(ws), 2, A.shape[1] // 2, -1),
+        ((0, 0), (0, 0), (0, tmax - A.shape[1] // 2), (0, 0)))
+        for A in parts], axis=1).reshape(len(ws), 4 * tmax, -1)
+
+
 def brute_kernel(F, rows, ncols):
     """Every x in F_q^ncols with rows . x = 0, by enumeration."""
     out = set()
@@ -316,7 +344,7 @@ def span(F, basis, ncols):
 
 def kernel_of_one(F, A, ncols):
     """The kernel basis of the single matrix A, as a stack of one."""
-    (basis,) = _kernel_basis(F, A[None], ncols)
+    (basis,) = kernel_basis(F, A[None], ncols)
     return basis
 
 
@@ -364,7 +392,7 @@ def test_stacked_kernels_match_single_and_enumeration(data, q):
     for b, rows in enumerate(systems):
         if rows:
             stack[b, :len(rows)] = rows
-    got = _kernel_basis(F, stack, ncols)
+    got = kernel_basis(F, stack, ncols)
     assert len(got) == len(systems)
     for basis, rows in zip(got, systems):
         A = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
@@ -395,10 +423,10 @@ def test_stacked_systems_hold_their_own_equations():
             ws = [v] + [w for w in sphere[:12]
                         if w != v and (w.n - v.n) % 2 == 0]
             nm = max(u.dist_to_base() for u in ws) + ALG5.m
-            stack = _system_stack(ALG5, v, ws, nm, 128)
+            stack = system_stack(ALG5, v, ws, nm, 128)
             assert len(stack) == len(ws)
             for A, w in zip(stack, ws):
-                (alone,) = _system_stack(ALG5, v, [w], nm, 128)
+                (alone,) = system_stack(ALG5, v, [w], nm, 128)
                 assert np.array_equal(A[A.any(axis=1)],
                                       alone[alone.any(axis=1)])
                 extra += (A.any(axis=1) & ~stack[0].any(axis=1)).any()
@@ -475,11 +503,10 @@ def test_system_stack_matches_mat2_reference(q):
 
         def build(prec):
             used.append(prec)
-            return _system_stack(alg, v, ws, nm, prec)
-        stack = retry_with_precision(
-            build, 2 * n + max(alg.ram.d, alg.m) + alg.m + 1)
+            return system_stack(alg, v, ws, nm, prec)
+        stack = retry_with_precision(build, _start_precision(alg, n))
         ncols = 4 * (nm + 1)
-        for A, w, basis in zip(stack, ws, _kernel_basis(F, stack, ncols)):
+        for A, w, basis in zip(stack, ws, kernel_basis(F, stack, ncols)):
             ref = reference_system(alg, v, w, nm, 2 * used[-1])
             assert np.array_equal(A[A.any(axis=1)], ref), (v, w)
             assert basis == kernel_of_one(F, ref, ncols), (v, w)
@@ -489,7 +516,7 @@ def test_system_stack_matches_mat2_reference(q):
 
 def one_stage(alg, v, targets):
     """The bases of hom_stack(alg, v, targets) from one elimination of
-    each target's whole system (_system_stack), top and bottom rows
+    each target's whole system (system_stack), top and bottom rows
     together, at the stack's own height bound."""
     idx = [i for i, w in enumerate(targets) if (w.n - v.n) % 2 == 0]
     bases = [()] * len(targets)
@@ -498,9 +525,9 @@ def one_stage(alg, v, targets):
         n = max(u.dist_to_base() for u in (v, *ws))
         nm = n + alg.m
         stack = retry_with_precision(
-            lambda prec: _system_stack(alg, v, ws, nm, prec),
-            2 * n + max(alg.ram.d, alg.m) + alg.m + 1)
-        for i, vecs in zip(idx, _kernel_basis(alg.F, stack, 4 * (nm + 1))):
+            lambda prec: system_stack(alg, v, ws, nm, prec),
+            _start_precision(alg, n))
+        for i, vecs in zip(idx, kernel_basis(alg.F, stack, 4 * (nm + 1))):
             bases[i] = tuple(_vector_to_quat(x, nm) for x in vecs)
     return bases
 
@@ -509,12 +536,20 @@ ALG9 = build_algebra(field(9), [parse_poly(field(9), t)
                                 for t in ("T", "T+1", "T+2", "T+[0,1]")])
 
 
+def level_bottoms(alg, level):
+    """bottom_kernels for a level, as compute_quotient asks for them: at
+    its largest distance to the base vertex and for its values of n."""
+    return bottom_kernels(alg, level, max(u.dist_to_base() for u in level),
+                          sorted({u.n for u in level}))
+
+
 @pytest.mark.parametrize("q", [5, 9])
 def test_two_stage_solve_matches_one_stage(q):
     """hom_stack's bases, with its bottom kernels computed for the stack
     or for a whole level of candidates (a larger height bound when a far
-    candidate is among the earlier ones), equal the one-stage solve's,
-    on stacks that mix parities, values of n and height bounds."""
+    candidate is in the level), equal the one-stage solve's, on stacks
+    that mix parities, values of n and height bounds.  A level is one
+    parity of n, so the candidates are split into one level each."""
     alg = {5: ALG5, 9: ALG9}[q]
     # far candidates first, so that later stacks may leave them out
     if q == 5:
@@ -524,7 +559,11 @@ def test_two_stage_solve_matches_one_stage(q):
         mid = [u for u in neighbors(alg.F, near[0]) if u != BASE_VERTEX]
         far = [u for u in neighbors(alg.F, mid[0]) if u != near[0]]
         cands = far[:4] + mid[:12] + near
-    level = level_kernels(alg, cands)
+    assert {v.n % 2 for v in cands} == {0, 1}
+    bottoms = {}
+    for parity in (0, 1):
+        level = [v for v in cands if v.n % 2 == parity]
+        bottoms.update(zip(level, level_bottoms(alg, level)))
     dims, groups, bounds = Counter(), Counter(), Counter()
     for i, v in enumerate(cands):
         earlier = [w for w in cands[:i] if (w.n - v.n) % 2 == 0]
@@ -532,15 +571,74 @@ def test_two_stage_solve_matches_one_stage(q):
             want = one_stage(alg, v, targets)
             assert [hs.basis for hs in hom_stack(alg, v, targets)] == want
             assert [hs.basis for hs in hom_stack(alg, v, targets,
-                                                 level[i])] == want
+                                                 bottoms[v])] == want
             dims.update(len(b) for b in want)
             same = [w for w in targets if (w.n - v.n) % 2 == 0]
             groups[len({w.n for w in same})] += 1
-            bounds[level[i][0] > max(w.dist_to_base() for w in same)] += 1
+            bounds[bottoms[v][0] > max(w.dist_to_base() for w in same)] += 1
     assert {1, 2} <= set(dims), dims
     assert groups[2], "no stack mixed values of n"
     assert bounds[True], "no level bound above a stack's own"
-    assert {v.n % 2 for v in cands} == {0, 1}
+
+
+def recorded_search(monkeypatch, case):
+    """The algebra of a golden case, with the bottom_kernels and hom_stack
+    calls of its compute_quotient: (sources, n, ns) per level and
+    (v, targets, bottom) per stack."""
+    args = dict(zip(CASES[case][::2], CASES[case][1::2]))
+    F = field(int(args["--q"]))
+    alg = build_algebra(F, [parse_poly(F, t)
+                            for t in _split_primes(args["--primes"])])
+    levels, stacks = [], []
+
+    def level(alg, sources, n, ns):
+        levels.append((list(sources), n, list(ns)))
+        return bottom_kernels(alg, sources, n, ns)
+
+    def stack(alg, v, targets, bottom=None):
+        stacks.append((v, list(targets), bottom))
+        return hom_stack(alg, v, targets, bottom)
+    monkeypatch.setattr(quotient, "bottom_kernels", level)
+    monkeypatch.setattr(quotient, "hom_stack", stack)
+    quotient.compute_quotient(alg)
+    return alg, levels, stacks
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_search_level_has_one_parity_of_n(monkeypatch, case):
+    """The tree is bipartite and a vertex's distance to the base vertex
+    has the parity of its n, so each level of the search, a set of
+    vertices at one distance from the initial one, has one parity of n;
+    it is asked for at its own largest distance and values of n."""
+    _, levels, stacks = recorded_search(monkeypatch, case)
+    assert levels and sum(len(sources) for sources, _, _ in levels) == \
+        len(stacks)
+    for sources, n, ns in levels:
+        assert len({v.n % 2 for v in sources}) == 1, (case, sources)
+        assert n == max(v.dist_to_base() for v in sources)
+        assert ns == sorted({v.n for v in sources})
+
+
+@pytest.mark.parametrize("case", ["q5-worked", "q9-deg4"])
+def test_search_level_kernels_solve_as_one_stage(monkeypatch, case):
+    """Every stack of the search, solved with its level's bottom kernels,
+    has the one-stage bases.  The worked example starts at (1; 0), so its
+    first level holds the base vertex and vertices two steps from it,
+    and its first stack is solved above its own height bound."""
+    alg, _, stacks = recorded_search(monkeypatch, case)
+    above = 0
+    for v, targets, bottom in stacks:
+        assert [hs.basis for hs in hom_stack(alg, v, targets, bottom)] == \
+            one_stage(alg, v, targets), (v, targets)
+        above += bottom[0] > max(u.dist_to_base() for u in (v, *targets))
+    assert above or case != "q5-worked"
+
+
+def test_bottom_kernels_reject_the_other_parity():
+    with pytest.raises(AssertionError, match="parities"):
+        bottom_kernels(ALG5, [Vertex.make(2, 0, ())], 2, [1, 2])
+    with pytest.raises(AssertionError, match="parities"):
+        bottom_kernels(ALG5, [BASE_VERTEX, Vertex.make(1, 0, ())], 1, [0])
 
 
 @pytest.mark.parametrize("q", [7, 25])
@@ -589,14 +687,14 @@ class TestPrecisionRetry:
         v, w = self.V, self.W
         nm = max(v.dist_to_base(), w.dist_to_base()) + ALG5.m
         attempt, raised = counting(
-            lambda prec: _system_stack(ALG5, v, [w], nm, prec))
+            lambda prec: system_stack(ALG5, v, [w], nm, prec))
         low = retry_with_precision(attempt, 1)
         assert raised, "the low start never ran out of precision"
-        high = _system_stack(ALG5, v, [w], nm, 256)
+        high = system_stack(ALG5, v, [w], nm, 256)
         assert np.array_equal(low, high)
         ncols = 4 * (nm + 1)
-        assert _kernel_basis(ALG5.F, low, ncols) == \
-            _kernel_basis(ALG5.F, high, ncols)
+        assert kernel_basis(ALG5.F, low, ncols) == \
+            kernel_basis(ALG5.F, high, ncols)
 
     def test_stacked_system_retries_then_agrees(self):
         # End(V) and targets of one height bound, built as one stack
@@ -607,17 +705,17 @@ class TestPrecisionRetry:
         assert all(max(v.dist_to_base(), u.dist_to_base()) + ALG5.m == nm
                    for u in ws)
         attempt, raised = counting(
-            lambda prec: _system_stack(ALG5, v, ws, nm, prec))
+            lambda prec: system_stack(ALG5, v, ws, nm, prec))
         low = retry_with_precision(attempt, 1)
         assert raised, "the low start never ran out of precision"
-        high = _system_stack(ALG5, v, ws, nm, 256)
+        high = system_stack(ALG5, v, ws, nm, 256)
         assert np.array_equal(low, high)
         ncols = 4 * (nm + 1)
-        bases = _kernel_basis(ALG5.F, low, ncols)
-        assert bases == _kernel_basis(ALG5.F, high, ncols)
+        bases = kernel_basis(ALG5.F, low, ncols)
+        assert bases == kernel_basis(ALG5.F, high, ncols)
         assert [len(b) for b in bases] == \
             [hom(ALG5, v, u).dim for u in ws]
 
     def test_system_below_needed_precision_raises(self):
         with pytest.raises(InsufficientPrecisionError):
-            _system_stack(ALG5, self.V, [self.W], 13, 4)
+            system_stack(ALG5, self.V, [self.W], 13, 4)
