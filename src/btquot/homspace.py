@@ -13,13 +13,13 @@ where Mv = [[pi^n_v, g_v], [0, 1]] and Mw are the exact vertex matrices.
 The map is linear in gamma, so the condition is a linear system over
 F_q in the 4(nm + 1) polynomial coefficients.
 
-The solver works on stacks: one source v against a list of targets w
-(hom_stack).  The quotient search asks, for each candidate, for End(v)
-and Hom(v, w') for every live earlier candidate w' of its level, and
-takes the first nonzero one in candidate order as its pairing, so one
-stack serves the whole candidate.  Targets of the other parity are
-empty; the rest are solved at one height bound (a larger one than a
-pair needs adds only pivot columns, see hom_stack), from arrays:
+hom_stack solves one source v against targets w of one search level,
+which share v's parity of n: for each candidate, End(v) and Hom(v, w')
+for every live earlier candidate w' of its level, the first nonzero one
+in candidate order its pairing.  A stack is solved at the level's
+height bound (a larger one than a pair needs adds only pivot columns,
+see hom_stack); hom solves a single pair, empty across parities.  Both
+work from arrays:
 
 * entries: Y = pi^s Mw^(-1) iota(b_k) Mv, s = (n_w - n_v)/2, as two
   exact factors on the packed rows of the basis embedding
@@ -34,34 +34,32 @@ pair needs adds only pivot columns, see hom_stack), from arrays:
   must not push that entry below O_infinity), read off in one Toeplitz
   gather;
 * kernel, in two stages: the kernel K of the bottom rows once per
-  (v, n_w), for a whole search level, which has one parity of n, at
-  its largest distance to the base vertex (bottom_kernels), then each
-  target's top rows projected onto K by one F_q product and eliminated
-  over dim K columns.  Both are one Gauss-Jordan elimination by F_q
-  table lookups, and the product runs on coordinate planes folded by
-  the modulus, the same for prime and non-prime q.
-  Mapped back through K, the result is each system's reduced echelon
-  kernel basis, which is unique, so it depends neither on how the rows
-  were assembled nor on the other systems of the stack.
+  (v, n_w), for a whole level at its largest distance to the base
+  vertex (bottom_kernels), then each target's top rows projected onto
+  K by one F_q product and eliminated over dim K columns.  Both are one
+  Gauss-Jordan elimination by F_q table lookups, and the product runs
+  on coordinate planes folded by the modulus, the same for prime and
+  non-prime q.  Mapped back through K, the result is each system's
+  reduced echelon kernel basis, which is unique, so it depends neither
+  on how the rows were assembled nor on the other systems of the stack.
 
 Solutions automatically have reduced norm in F_q^* and map v to w (the
 determinant argument fixes the norm's valuation, and a unit of the order
-with the right action is forced); both facts are asserted (verified),
-never used as filters: on every basis hom returns, in the quotient
-search on End(v) and (in QuotientGraph._add_pairing) on the pairing it
-takes, and on every label of a loaded graph.  A scalar unit (every End
-basis holds 1) lies in F_q^*, the kernel of the action, so the check
-embeds none: it fixes every vertex.  A dimension above 2 is asserted
+with the right action is forced); both are asserted (_assert_solution),
+never used as filters, once per kept basis: by hom, and by
+QuotientGraph's builders on every End element and pairing unit,
+computed or loaded.  A stable vertex keeps no End basis; stability
+asserts it is exactly (1,).  A scalar unit lies in F_q^*, the kernel of
+the action, so the check embeds none.  A dimension above 2 is asserted
 against on every system of every stack.
 
 The action of a unit g on tree vertices is transport_all, the only code
 that embeds a unit and acts with it: one embedding iota(g) per precision
 tried, applied to every vertex asked for by tree.act, which relies on
 det iota(g) = nrd(g) being a nonzero constant and so forms no
-determinant and no full matrix product.  The solution check, the
-stabilizer tables, reduction and the checks of a loaded graph all go
-through it, each with a unit (see transport_all); the check also
-returns g's images of further vertices.
+determinant and no full matrix product.  The solution check, which
+also returns g's images of further vertices, the stabilizer tables and
+reduction all go through it, each with a unit (see transport_all).
 
 For an unstable vertex, End(v) plus zero is a field with q^2 elements;
 StabilizerField tabulates it on coordinates over the End basis, so that
@@ -100,7 +98,7 @@ def transport_all(alg: AlgebraData, g: QuatElem, vs) -> list[Vertex]:
     before they transport; the stabilizer generator and its powers are
     nonzero elements of End(v), whose nonzero elements are all units;
     reduction steps and transporters are products and inverses of those
-    and of verified pairing units.
+    and of checked pairing units.
     """
     start = 4 * (height(g) + alg.m + max(abs(v.n) for v in vs) + 4)
 
@@ -164,9 +162,9 @@ class StabilizerField:
     transport_all of the generator:
 
     * the multiplication constants, the codes of b_s * b_t;
-    * gen, the first element in HomSet.elements() order with
-      multiplicative order q^2 - 1 and with (q+1)-st power the scalar
-      F.primitive_root(), both tested on codes;
+    * gen, the first element in HomSet.elements() order with (q+1)-st
+      power the scalar F.primitive_root(), so gen^(q^2 - 1) = 1, and of
+      order q^2 - 1 (no gen^((q^2 - 1)/d) = 1, d prime), on codes;
     * the code of gen^s for every s, and its inverse, the discrete log;
     * the cycle that gen induces on the neighbours of v.  The scalars
       fix every vertex, and End(v)^*/F_q^* (cyclic of order q+1) acts
@@ -194,7 +192,6 @@ class StabilizerField:
         central = tuple(F.mul(F.primitive_root(), c) for c in one)
         gen = next((c for c in itertools.product(F.elements(), repeat=2)
                     if self._pow(c, q + 1) == central
-                    and self._pow(c, n) == one
                     and all(self._pow(c, n // d) != one
                             for d in _prime_divisors(n))), None)
         if gen is None:
@@ -443,11 +440,8 @@ def _fq_matmul(F: GF, X, Y):
 
 
 def _vector_to_quat(vec, nm: int) -> QuatElem:
-    lam = []
-    for col in range(4):
-        coeffs = vec[col * (nm + 1):(col + 1) * (nm + 1)]
-        lam.append(poly_trim(tuple(coeffs)))
-    return QuatElem(tuple(lam))
+    return QuatElem(tuple(poly_trim(tuple(vec[k * (nm + 1):][:nm + 1]))
+                          for k in range(4)))
 
 
 def _assert_solution(alg: AlgebraData, gamma: QuatElem, v: Vertex,
@@ -466,6 +460,19 @@ def _assert_solution(alg: AlgebraData, gamma: QuatElem, v: Vertex,
     if image != w:
         raise AssertionError("hom solution does not map source to target")
     return images
+
+
+def has_solver_shape(basis) -> bool:
+    """Whether basis has the shape of hom_stack's, the only basis of its
+    span of that shape: each element's first nonzero (k, j) coordinate is
+    1, and their last nonzero (k, j) coordinates strictly increase, each
+    zero in the other elements."""
+    nz = [{(k, j): c for k, f in enumerate(b.lam)
+           for j, c in enumerate(f) if c} for b in basis]
+    last = [max(x, default=None) for x in nz]
+    return all(next(iter(x.values()), 0) == 1 for x in nz) and \
+        last == sorted(set(last)) and \
+        not any(p in y for i, p in enumerate(last) for y in nz[i + 1:])
 
 
 # sources whose bottom rows are built and eliminated together: enough to
@@ -504,23 +511,22 @@ def bottom_kernels(alg: AlgebraData, sources, n: int, ns) -> list:
 
 
 def hom_stack(alg: AlgebraData, v: Vertex, targets,
-              bottom=None) -> list[HomSet]:
-    """Hom(v, w) for every w in targets, in order, bases not yet checked
-    (see verified).  bottom is v's entry of bottom_kernels for a level
-    that holds v and these targets; by default it is computed for these.
+              bottom) -> list[HomSet]:
+    """Hom(v, w) for every w in targets, in order, bases not yet checked.
+    bottom is v's entry of bottom_kernels for a search level that holds
+    v and these targets, all of v's parity of n.
 
-    Targets of the other parity get the empty set.  The rest are solved
-    at the height bound nm = n + m of bottom, n at least the largest
-    distance to the base vertex among v and them.  Their bottom rows
-    depend on w only through n_w (see _top_rows), and bottom holds their
-    kernel rows K per n_w: row i has 1 at the free column f_i of their
-    reduced echelon form, 0 at the other free columns, and nothing past
-    f_i.  Every solution is x = y K, so one elimination of the projected
-    top rows T K^t (built once, retried as a whole at doubled precision
-    while any runs short) gives y.  K is padded with zero rows to the
-    widest kernel eliminated with it; those zero in every target are
-    dropped, and any other is a zero column of T K^t, whose kernel row
-    maps to x = 0 and is dropped.
+    They are solved at the height bound nm = n + m of bottom, n at least
+    the largest distance to the base vertex among v and them.  Their
+    bottom rows depend on w only through n_w (see _top_rows), and bottom
+    holds their kernel rows K per n_w: row i has 1 at the free column
+    f_i of their reduced echelon form, 0 at the other free columns, and
+    nothing past f_i.  Every solution is x = y K, so one elimination of
+    the projected top rows T K^t (built once, retried as a whole at
+    doubled precision while any runs short) gives y.  K is padded with
+    zero rows to the widest kernel eliminated with it; those zero in
+    every target are dropped, and any other is a zero column of T K^t,
+    whose kernel row maps to x = 0 and is dropped.
 
     x = y K, scaled to leading coefficient 1, is the reduced echelon
     kernel basis of the whole system.  Added rows only add pivots, so
@@ -537,52 +543,45 @@ def hom_stack(alg: AlgebraData, v: Vertex, targets,
     2 is asserted against on every system.
     """
     F = alg.F
-    idx = [i for i, w in enumerate(targets) if (v.n - w.n) % 2 == 0]
-    bases = [()] * len(targets)
-    if idx:
-        ws = [targets[i] for i in idx]
-        far = max(u.dist_to_base() for u in (v, *ws))
-        n, kernels = bottom or bottom_kernels(
-            alg, [v], far, sorted({u.n for u in ws}))[0]
-        if far > n:
-            raise AssertionError("bottom kernels below the stack's bound")
-        nm = n + alg.m
-        T = retry_with_precision(
-            lambda prec: _top_rows(alg, v, ws, nm, prec),
-            _start_precision(alg, n), alg.precision_cap)
-        K = np.stack([kernels[u.n] for u in ws])
-        K = K[:, K.any(axis=(0, 2))]
-        Y = _kernel_rows(F, _fq_matmul(F, T, K.transpose(0, 2, 1)),
-                         K.shape[1])
-        X = _monic(F, _fq_matmul(F, Y, K))
-        dim = X.any(axis=2).sum(axis=1).max()
-        if dim > 2:
-            raise AssertionError(f"hom space has impossible dimension {dim}")
-        for i, xs in zip(idx, X.tolist()):
-            bases[i] = tuple(_vector_to_quat(x, nm) for x in xs if any(x))
-    return [HomSet(F, v, w, b) for w, b in zip(targets, bases)]
-
-
-def verified(alg: AlgebraData, hs: HomSet) -> HomSet:
-    """hs, once every basis element is asserted to be a unit of the
-    order within the height bound that maps hs.source to hs.target."""
-    for gamma in hs.basis:
-        _assert_solution(alg, gamma, hs.source, hs.target)
-    return hs
+    if any((v.n - w.n) % 2 for w in targets):
+        raise AssertionError("hom stack asked across parities of n")
+    n, kernels = bottom
+    if max(u.dist_to_base() for u in (v, *targets)) > n:
+        raise AssertionError("bottom kernels below the stack's bound")
+    nm = n + alg.m
+    T = retry_with_precision(
+        lambda prec: _top_rows(alg, v, targets, nm, prec),
+        _start_precision(alg, n), alg.precision_cap)
+    K = np.stack([kernels[u.n] for u in targets])
+    K = K[:, K.any(axis=(0, 2))]
+    Y = _kernel_rows(F, _fq_matmul(F, T, K.transpose(0, 2, 1)), K.shape[1])
+    X = _monic(F, _fq_matmul(F, Y, K))
+    dim = X.any(axis=2).sum(axis=1).max()
+    if dim > 2:
+        raise AssertionError(f"hom space has impossible dimension {dim}")
+    return [HomSet(F, v, w, tuple(_vector_to_quat(x, nm) for x in xs
+                                  if any(x)))
+            for w, xs in zip(targets, X.tolist())]
 
 
 def hom(alg: AlgebraData, v: Vertex, w: Vertex) -> HomSet:
-    """The set {gamma in Gamma : gamma.v = w} as a HomSet."""
-    return verified(alg, hom_stack(alg, v, [w])[0])
+    """The set {gamma in Gamma : gamma.v = w} as a HomSet, the only
+    single-pair solve: empty across parities of n, else hom_stack on its
+    own bottom kernels, every basis element asserted (_assert_solution)."""
+    if (v.n - w.n) % 2:
+        return HomSet(alg.F, v, w, ())
+    far = max(v.dist_to_base(), w.dist_to_base())
+    (hs,) = hom_stack(alg, v, [w], bottom_kernels(alg, [v], far, [w.n])[0])
+    for gamma in hs.basis:
+        _assert_solution(alg, gamma, v, w)
+    return hs
 
 
 def stability(ends: HomSet) -> str:
-    """Stable iff the endomorphisms are just the scalars (dim 1),
-    unstable iff they form a quadratic field (dim 2)."""
-    if ends.dim == 1:
+    """Stable iff the endomorphisms are just the scalars, whose solver
+    basis is exactly (1,), unstable iff they form a quadratic field."""
+    if ends.basis == (QUAT_ONE,):
         return "stable"
     if ends.dim == 2:
         return "unstable"
-    raise AssertionError(
-        f"endomorphism algebra of {ends.source!r} has impossible "
-        f"dimension {ends.dim}")
+    raise AssertionError(f"End of {ends.source!r} is neither (1,) nor 2-dim")

@@ -52,8 +52,8 @@ from fractions import Fraction
 
 from .algebra import poly_deg
 from .homspace import (HomSet, StabilizerField, _assert_solution,
-                       bottom_kernels, hom, hom_stack, stability, transport,
-                       verified)
+                       bottom_kernels, has_solver_shape, hom, hom_stack,
+                       stability, transport)
 from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
 from .tree import (BASE_VERTEX, Vertex, distance, geodesic_to_base,
                    neighbors, up_neighbor)
@@ -155,19 +155,17 @@ class QuotientGraph:
     # -- construction helpers ------------------------------------------
 
     def _add_vertex(self, v: Vertex, basis) -> int:
-        """Add v, stable unless it comes with an End basis.  That must be
-        hom_stack's, the only basis of End(v) of its shape: two elements,
-        the last nonzero (k, j) coordinate of the first before that of
-        the second and zero in the second, each with leading coefficient 1."""
+        """Add v, stable unless it comes with an End basis.  That must
+        have two elements, each a unit fixing v (_assert_solution), and
+        the solver's shape (has_solver_shape), which only hom_stack's
+        basis of End(v) has."""
         i = len(self.vertices)
         if basis is not None:
-            nz = [{(k, j): c for k, f in enumerate(b.lam)
-                   for j, c in enumerate(f) if c} for b in basis]
-            if not (len(nz) == 2 and all(nz) and max(nz[0]) < max(nz[1])
-                    and max(nz[0]) not in nz[1]
-                    and all(next(iter(x.values())) == 1 for x in nz)):
+            if len(basis) != 2 or not has_solver_shape(basis):
                 raise AssertionError("End basis is not the reduced echelon "
                                      "kernel basis")
+            for b in basis:
+                _assert_solution(self.alg, b, v, v)
             self.end_basis[i] = tuple(basis)
         self.vertices.append(v)
         self.vid[v] = i
@@ -197,16 +195,17 @@ class QuotientGraph:
         """The pairing edge src -> dst and, directly after it, its
         reversal (express_in_generators reads the generator of a
         pairing_opposite edge k off edge k - 1), once candidate is a
-        neighbour of src and g maps it onto dst, and g has the shape of
-        hom_stack's basis, the only element of that shape of the line
-        Hom(candidate, dst): its first nonzero (k, j) coordinate is 1.
+        neighbour of src and g maps it onto dst, and (g,) has the
+        solver's shape (has_solver_shape), which only hom_stack's basis
+        of the line Hom(candidate, dst) has: its first nonzero (k, j)
+        coordinate is 1.
         Returns the reversal's direction g . src, from the check's
         embedding of g."""
         _assert_adjacent(self.vertices[src], candidate, "source label and "
                          f"candidate of pairing edge {src} -> {dst}")
         (back,) = _assert_solution(self.alg, g, candidate, self.vertices[dst],
                                    self.vertices[src])
-        if next(c for f in g.lam for c in f if c) != 1:
+        if not has_solver_shape((g,)):
             raise AssertionError("pairing unit's first nonzero coordinate "
                                  "is not 1, as the solver's basis has it")
         idx = self._next_index(src, dst)
@@ -261,11 +260,8 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
             live = [j for j in range(i) if alive[j] is not None]
             homs = hom_stack(alg, cand, [cand, *(alive[j][1] for j in live)],
                              bottoms[i])
-            ends = verified(alg, homs[0])
-            kind = stability(ends)
-
-            if kind == "unstable":
-                new_id = G._add_vertex(cand, ends.basis)
+            if stability(homs[0]) == "unstable":
+                new_id = G._add_vertex(cand, homs[0].basis)
                 G._add_tree_pair(src_id, new_id)
                 alive[i] = None
                 continue

@@ -5,8 +5,8 @@ ramified primes, the derived algebra constants, and the full labeled
 graph, with every label in the exact text forms of the parsers in
 :mod:`btquot.algebra`, :mod:`btquot.tree` and :mod:`btquot.quaternion`.
 Reading it back replays the construction through the search's own
-builders and solution check, without the hom solves, and re-serializing
-reproduces the bytes exactly.
+builders, which check every End basis and pairing unit, without the hom
+solves, and re-serializing reproduces the bytes exactly.
 
 Directed edges are stored once each, in construction order.  A ``tree``
 label marks a spanning-tree edge, a pairing label is an object naming
@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 
 from .algebra import field, format_poly, parse_poly
-from .homspace import _assert_solution
 from .quaternion import build_algebra, format_quat, parse_quat
 from .quotient import QuotientGraph
 from .tree import DEFAULT_PRECISION_CAP, format_vertex, parse_vertex
@@ -80,11 +79,11 @@ def graph_from_json(text: str, precision_cap: int = DEFAULT_PRECISION_CAP
     hom solves.  ValueError unless alpha/epsilon/nu match the derived
     ones, labels are strings, vertex ids run 0, 1, ... and edge
     endpoints lie among them, a vertex has an End basis exactly when it
-    is not stable and each element of it passes _assert_solution, the
-    initial vertex is vertex 0's label, the builders accept the graph,
-    the stored edges are the replayed ones (order, index and reversal),
-    and out-degrees are 1 (terminal) and q+1 (internal), and for JSON
-    it cannot decode."""
+    is not stable, the initial vertex is vertex 0's label, the builders
+    accept the graph, End bases and pairing units included (the loader
+    adds no check of its own on them), the stored edges are the replayed
+    ones (order, index and reversal), and out-degrees are 1 (terminal)
+    and q+1 (internal), and for JSON it cannot decode."""
     try:
         data = json.loads(text)
     except RecursionError:
@@ -120,8 +119,6 @@ def graph_from_json(text: str, precision_cap: int = DEFAULT_PRECISION_CAP
             basis = None
             if "end_basis" in entry:
                 basis = [parsed(parse_quat, t) for t in entry["end_basis"]]
-                for b in basis:
-                    _assert_solution(alg, b, v, v)
             G._add_vertex(v, basis)
         if not G.vertices or \
                 parsed(parse_vertex, data["initial_vertex"]) != G.vertices[0]:

@@ -24,7 +24,7 @@ from btquot.cli import _split_primes
 from btquot.homspace import (HomSet, _assert_solution, _bottom_rows,
                              _kernel_rows, _monic, _start_precision,
                              _top_rows, _vector_to_quat, bottom_kernels, hom,
-                             hom_stack, stability, transport, verified)
+                             hom_stack, stability, transport)
 from btquot.laurent import INF, InsufficientPrecisionError, Laurent
 from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra
 from btquot.tree import BASE_VERTEX, Vertex, act, neighbors, retry_with_precision
@@ -158,6 +158,14 @@ class TestEndomorphisms:
         kinds = [stability(hom(ALG5, v, v)) for v in lvl2]
         assert kinds.count("unstable") == 1
 
+    def test_stability_rejects_a_line_other_than_the_scalars(self):
+        # the solver's basis of a one-dimensional End is exactly (1,)
+        v = Vertex.make(2, 1, (3,))
+        (g,) = hom(ALG5, Vertex.make(2, 1, (1,)), v).basis
+        for basis in ((QuatElem(((2,), (), (), ())),), (g,)):
+            with pytest.raises(AssertionError, match=r"neither \(1,\)"):
+                stability(HomSet(ALG5.F, v, v, basis))
+
     def test_stability_invariant_under_pairing_transport(self):
         lvl2 = [Vertex.make(2, 0, ())] + [Vertex.make(2, 1, (a,))
                                           for a in range(1, 5)]
@@ -228,16 +236,16 @@ class TestHomProperties:
                     scaled = ALG5.scale(c, gamma)
                     assert scaled in elems
 
-    def test_verified_rejects_a_target_that_is_not_the_image(self):
+    def test_solution_check_rejects_a_target_that_is_not_the_image(self):
         v, w = Vertex.make(2, 1, (1,)), Vertex.make(2, 1, (3,))
-        H = hom(ALG5, v, w)
-        assert H.dim == 1
-        # units within the height bound, but w is their only image of v
+        (g,) = hom(ALG5, v, w).basis
+        assert any(g.lam[1:]), "the unit must not be a scalar"
+        # a unit within the height bound, but w is its only image of v
         other = Vertex.make(2, 1, (2,))
         assert other.dist_to_base() == w.dist_to_base()
         with pytest.raises(AssertionError,
                            match="does not map source to target"):
-            verified(ALG5, HomSet(ALG5.F, v, other, H.basis))
+            _assert_solution(ALG5, g, v, other)
 
     def test_solution_check_returns_images_of_further_vertices(self):
         v, w = Vertex.make(2, 1, (1,)), Vertex.make(2, 1, (3,))
@@ -435,24 +443,40 @@ def test_stacked_systems_hold_their_own_equations():
 
 def test_candidate_stack_matches_sequential_hom():
     """The stacked solve of a candidate against End and a list of targets
-    of mixed parity and mixed height bound gives, for every target, the
+    of its parity, mixed height bound and mixed n, with the bottom
+    kernels of a level that holds them all, gives, for every target, the
     basis that a hom call on that target alone gives."""
     lvl1, lvl2, lvl3 = q5_spheres()[1:]
     pool = lvl3[:6] + lvl1 + lvl2[:10]
+    cands = lvl1[:2] + lvl2[:6] + lvl3[:2]
     assert {v.n % 2 for v in pool} == {0, 1}
     assert len({v.dist_to_base() for v in pool}) == 3
-    hits = mixed = 0
-    for k, cand in enumerate(lvl1[:2] + lvl2[:6] + lvl3[:2]):
-        targets = [cand, *[w for w in pool if w != cand][k:k + 9]]
-        stacked = hom_stack(ALG5, cand, targets)
+    bottoms = {}
+    for parity in (0, 1):
+        level = [v for v in dict.fromkeys(pool + cands) if v.n % 2 == parity]
+        bottoms.update(zip(level, level_bottoms(ALG5, level)))
+    hits = bounds = ns = 0
+    for k, cand in enumerate(cands):
+        same = [w for w in pool if w != cand and (w.n - cand.n) % 2 == 0]
+        targets = [cand, *same[k:k + 9]]
+        stacked = hom_stack(ALG5, cand, targets, bottoms[cand])
         assert [hs.target for hs in stacked] == targets
         for hs, w in zip(stacked, targets):
             assert hs.basis == hom(ALG5, cand, w).basis, (cand, w)
         hits += any(hs.dim for hs in stacked[1:])
-        mixed += len({max(cand.dist_to_base(), w.dist_to_base())
-                      for w in targets if (w.n - cand.n) % 2 == 0}) > 1
+        bounds += len({max(cand.dist_to_base(), w.dist_to_base())
+                       for w in targets}) > 1
+        ns += len({w.n for w in targets}) > 1
     assert hits, "no candidate met a target in its orbit"
-    assert mixed, "no stack mixed height bounds"
+    assert bounds, "no stack mixed height bounds"
+    assert ns, "no stack mixed values of n"
+
+
+def test_stack_rejects_a_target_of_the_other_parity():
+    v, w = Vertex.make(2, 0, ()), Vertex.make(1, 0, ())
+    bottom = bottom_kernels(ALG5, [v], 2, [2])[0]
+    with pytest.raises(AssertionError, match="parities"):
+        hom_stack(ALG5, v, [v, w], bottom)
 
 
 def reference_system(alg, v, w, nm, prec):
@@ -515,21 +539,16 @@ def test_system_stack_matches_mat2_reference(q):
 
 
 def one_stage(alg, v, targets):
-    """The bases of hom_stack(alg, v, targets) from one elimination of
-    each target's whole system (system_stack), top and bottom rows
-    together, at the stack's own height bound."""
-    idx = [i for i, w in enumerate(targets) if (w.n - v.n) % 2 == 0]
-    bases = [()] * len(targets)
-    if idx:
-        ws = [targets[i] for i in idx]
-        n = max(u.dist_to_base() for u in (v, *ws))
-        nm = n + alg.m
-        stack = retry_with_precision(
-            lambda prec: system_stack(alg, v, ws, nm, prec),
-            _start_precision(alg, n))
-        for i, vecs in zip(idx, kernel_basis(alg.F, stack, 4 * (nm + 1))):
-            bases[i] = tuple(_vector_to_quat(x, nm) for x in vecs)
-    return bases
+    """The bases of hom_stack(alg, v, targets, bottom) from one
+    elimination of each target's whole system (system_stack), top and
+    bottom rows together, at the stack's own height bound."""
+    n = max(u.dist_to_base() for u in (v, *targets))
+    nm = n + alg.m
+    stack = retry_with_precision(
+        lambda prec: system_stack(alg, v, targets, nm, prec),
+        _start_precision(alg, n))
+    return [tuple(_vector_to_quat(x, nm) for x in vecs)
+            for vecs in kernel_basis(alg.F, stack, 4 * (nm + 1))]
 
 
 ALG9 = build_algebra(field(9), [parse_poly(field(9), t)
@@ -546,10 +565,11 @@ def level_bottoms(alg, level):
 @pytest.mark.parametrize("q", [5, 9])
 def test_two_stage_solve_matches_one_stage(q):
     """hom_stack's bases, with its bottom kernels computed for the stack
-    or for a whole level of candidates (a larger height bound when a far
-    candidate is in the level), equal the one-stage solve's, on stacks
-    that mix parities, values of n and height bounds.  A level is one
-    parity of n, so the candidates are split into one level each."""
+    alone or for a whole level of candidates (a larger height bound when
+    a far candidate is in the level), equal the one-stage solve's, on
+    stacks that mix values of n and height bounds.  A level is one
+    parity of n, so the candidates are split into one level each, and a
+    stack holds the candidates of its source's parity."""
     alg = {5: ALG5, 9: ALG9}[q]
     # far candidates first, so that later stacks may leave them out
     if q == 5:
@@ -566,16 +586,20 @@ def test_two_stage_solve_matches_one_stage(q):
         bottoms.update(zip(level, level_bottoms(alg, level)))
     dims, groups, bounds = Counter(), Counter(), Counter()
     for i, v in enumerate(cands):
+        same = [w for w in cands[max(0, i - 12):i] if (w.n - v.n) % 2 == 0]
         earlier = [w for w in cands[:i] if (w.n - v.n) % 2 == 0]
-        for targets in ([v, *cands[max(0, i - 12):i]], [v, *earlier[-4:]]):
+        for targets in ([v, *same], [v, *earlier[-4:]]):
             want = one_stage(alg, v, targets)
-            assert [hs.basis for hs in hom_stack(alg, v, targets)] == want
-            assert [hs.basis for hs in hom_stack(alg, v, targets,
-                                                 bottoms[v])] == want
+            own = bottom_kernels(
+                alg, [v], max(w.dist_to_base() for w in targets),
+                sorted({w.n for w in targets}))[0]
+            for bottom in (own, bottoms[v]):
+                assert [hs.basis for hs in hom_stack(alg, v, targets,
+                                                     bottom)] == want
             dims.update(len(b) for b in want)
-            same = [w for w in targets if (w.n - v.n) % 2 == 0]
-            groups[len({w.n for w in same})] += 1
-            bounds[bottoms[v][0] > max(w.dist_to_base() for w in same)] += 1
+            groups[len({w.n for w in targets})] += 1
+            bounds[bottoms[v][0] > max(w.dist_to_base()
+                                       for w in targets)] += 1
     assert {1, 2} <= set(dims), dims
     assert groups[2], "no stack mixed values of n"
     assert bounds[True], "no level bound above a stack's own"
@@ -595,7 +619,7 @@ def recorded_search(monkeypatch, case):
         levels.append((list(sources), n, list(ns)))
         return bottom_kernels(alg, sources, n, ns)
 
-    def stack(alg, v, targets, bottom=None):
+    def stack(alg, v, targets, bottom):
         stacks.append((v, list(targets), bottom))
         return hom_stack(alg, v, targets, bottom)
     monkeypatch.setattr(quotient, "bottom_kernels", level)
@@ -644,12 +668,15 @@ def test_bottom_kernels_reject_the_other_parity():
 @pytest.mark.parametrize("q", [7, 25])
 def test_two_stage_solve_matches_one_stage_on_oracle_vertices(q):
     """The same on the oracle vertices: n of both signs and g with every
-    digit q - 1, each source against all of them."""
+    digit q - 1, each source against all of them of its parity, with the
+    bottom kernels of the level of those."""
     alg = build_algebra(field(q), [(0, 1), (1, 1)])
     vs = oracle_vertices(q)
-    for v in vs:
-        assert [hs.basis for hs in hom_stack(alg, v, vs)] == \
-            one_stage(alg, v, vs), v
+    for parity in (0, 1):
+        level = [v for v in vs if v.n % 2 == parity]
+        for v, bottom in zip(level, level_bottoms(alg, level)):
+            assert [hs.basis for hs in hom_stack(alg, v, level, bottom)] \
+                == one_stage(alg, v, level), v
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btquot import quotient
 from btquot.algebra import _prime_divisors, field, parse_poly
 from btquot.homspace import HomSet, hom, transport_all
 from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra, height
@@ -267,6 +268,33 @@ class TestBuilders:
                       [], [b1, b2, b1]):
             with pytest.raises(AssertionError, match="echelon"):
                 QuotientGraph(ALG5)._add_vertex(G5.vertices[i], basis)
+
+    def test_end_basis_of_another_vertex_rejected(self):
+        # of the solver's shape, and a unit, but it moves the vertex
+        i, j = G5.terminal_ids()[:2]
+        with pytest.raises(AssertionError, match="does not map source"):
+            QuotientGraph(ALG5)._add_vertex(G5.vertices[i], G5.end_basis[j])
+
+    def test_search_checks_every_end_basis_it_keeps(self, monkeypatch):
+        """compute_quotient keeps an unstable candidate's End basis only
+        through _add_vertex, which checks each element: an End basis of
+        another terminal vertex in the stack's answer fails there."""
+        ends = {G5.vertices[i]: G5.end_basis[i] for i in G5.terminal_ids()}
+        solve, swapped = quotient.hom_stack, []
+
+        def stack(alg, v, targets, bottom):
+            homs = solve(alg, v, targets, bottom)
+            if homs[0].dim == 2:
+                swapped.append(v)
+                homs[0] = HomSet(alg.F, v, v, next(
+                    b for u, b in ends.items() if u != v))
+            return homs
+        monkeypatch.setattr(quotient, "hom_stack", stack)
+        with pytest.raises(AssertionError,
+                           match="does not map source") as exc:
+            compute_quotient(ALG5)
+        assert len(swapped) == 1
+        assert exc.traceback[-2].name == "_add_vertex"
 
     def test_tree_pair_between_non_neighbours_rejected(self):
         G = QuotientGraph(ALG5)

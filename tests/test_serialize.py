@@ -160,6 +160,15 @@ class TestCorruptFiles:
         with pytest.raises(ValueError, match="does not map source"):
             graph_from_json(json.dumps(data))
 
+    def test_end_basis_of_another_vertex_rejected(self):
+        # the solver's shape, units, but they do not fix vertex 1's label
+        data = json.loads((GOLDEN / "q5-worked.json").read_text())
+        vertices = data["vertices"]
+        vertices[1]["end_basis"] = vertices[4]["end_basis"]
+        with pytest.raises(ValueError,
+                           match="does not map source to target"):
+            graph_from_json(json.dumps(data))
+
     def test_tree_edge_between_non_neighbours_rejected(self):
         # every degree, index and label check still holds
         with pytest.raises(ValueError, match="not tree neighbours"):
