@@ -20,6 +20,10 @@ under the quaternion product and embedding and under the hom systems;
 poly_mul keeps its scalar loop for the short polynomials of the
 residue-field arithmetic.
 
+Every group the package multiplies in (F_q^*, A/(f), the units of the
+order, the stabilizers F_{q^2}) takes its powers, products and order
+test from power, product and has_order, given its product and one.
+
 Canonical orders.  Elements of F_q are ordered lexicographically by
 coordinate vector (c_0, ..., c_{e-1}); for prime q this is 0 < 1 < ... <
 p-1.  Polynomials of bounded degree are ordered lexicographically by
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -169,16 +173,10 @@ class GF:
         return self._mul[a][b]
 
     def pow(self, a: int, n: int) -> int:
+        """a^n by power(); a negative n raises the inverse of a."""
         if n < 0:
-            return self.pow(self.inv(a), -n)
-        result = 1
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+            a, n = self.inv(a), -n
+        return power(self.mul, a, n, 1)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -187,12 +185,8 @@ class GF:
 
     def primitive_root(self) -> int:
         """First generator of F_q^* in canonical element order."""
-        n = self.q - 1
-        divs = _prime_divisors(n)
-        for a in self.elements():
-            if a and all(self.pow(a, n // ell) != 1 for ell in divs):
-                return a
-        raise RuntimeError("no primitive root found")  # unreachable
+        return next(a for a in self.elements()
+                    if a and has_order(self.mul, a, self.q - 1, 1))
 
     def conv(self, a, b) -> list[int]:
         """Product of two polynomials over F_q given as nonempty code
@@ -350,14 +344,9 @@ def poly_gcd(F: GF, f, g):
 
 
 def poly_pow_mod(F: GF, f, n: int, m):
-    result = poly_mod(F, ONE_POLY, m)
-    base = poly_mod(F, f, m)
-    while n:
-        if n & 1:
-            result = poly_mod(F, poly_mul(F, result, base), m)
-        base = poly_mod(F, poly_mul(F, base, base), m)
-        n >>= 1
-    return result
+    """f^n modulo m, n >= 0, by power() in A/(m)."""
+    return power(lambda a, b: poly_mod(F, poly_mul(F, a, b), m),
+                 poly_mod(F, f, m), n, poly_mod(F, ONE_POLY, m))
 
 
 def poly_sort_key(F: GF, f, length: int | None = None):
@@ -366,6 +355,35 @@ def poly_sort_key(F: GF, f, length: int | None = None):
         length = len(f)
     padded = tuple(f) + (0,) * (length - len(f))
     return tuple(F.coords(c) for c in padded)
+
+
+def power(mul, x, k: int, one):
+    """x^k for k >= 0, with mul the product and one the identity, by
+    the left-to-right binary method (Knuth, TAOCP vol. 2, 4.6.3): for
+    k > 0, bit_length(k) - 1 squarings and popcount(k) - 1 products by
+    x, and none by one, which is returned only for k = 0."""
+    if k == 0:
+        return one
+    acc = x
+    for bit in bin(k)[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = mul(acc, x)
+    return acc
+
+
+def product(mul, xs, one):
+    """The product of the elements of xs, left to right; one only for
+    an empty xs, never as a factor."""
+    xs = iter(xs)
+    return reduce(mul, xs, next(xs, one))
+
+
+def has_order(mul, x, n: int, one) -> bool:
+    """Whether x, given x^n = one, has order exactly n: no x^(n/d) is
+    one, for d a prime divisor of n."""
+    return all(power(mul, x, n // d, one) != one
+               for d in _prime_divisors(n))
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -395,23 +413,15 @@ def is_irreducible(F: GF, f) -> bool:
         return False
     if d == 1:
         return True
-    # x^(q^d) == x mod f, and x^(q^(d/l)) - x coprime to f for prime l | d
-    xq = poly_pow_mod(F, T_POLY, F.q, f)  # Frobenius image of T
-    frob = {1: xq}
-
-    def frob_power(k: int):
-        # T^(q^k) mod f by repeated substitution-free exponentiation
-        if k in frob:
-            return frob[k]
-        prev = frob_power(k - 1)
-        frob[k] = poly_pow_mod(F, prev, F.q, f)
-        return frob[k]
-
-    top = frob_power(d)
-    if poly_sub(F, top, poly_mod(F, T_POLY, f)):
+    # x^(q^d) == x mod f, and x^(q^(d/l)) - x coprime to f for prime l | d;
+    # frob[k] = T^(q^k) mod f, each the q-th power of the one before
+    frob = [poly_mod(F, T_POLY, f)]
+    for _ in range(d):
+        frob.append(poly_pow_mod(F, frob[-1], F.q, f))
+    if frob[d] != frob[0]:
         return False
     for ell in _prime_divisors(d):
-        h = poly_sub(F, frob_power(d // ell), poly_mod(F, T_POLY, f))
+        h = poly_sub(F, frob[d // ell], frob[0])
         if poly_deg(poly_gcd(F, h, f)) != 0:
             return False
     return True
@@ -516,14 +526,8 @@ def sqrt_mod_irreducible(F: GF, a, f):
     w = rpow(am, t)
     while w != ONE_POLY:
         # order of w is 2^i
-        i = 0
-        ww = w
-        while ww != ONE_POLY:
-            ww = rmul(ww, ww)
-            i += 1
-        b = c
-        for _ in range(m - i - 1):
-            b = rmul(b, b)
+        i = next(i for i in itertools.count(1) if rpow(w, 1 << i) == ONE_POLY)
+        b = rpow(c, 1 << (m - i - 1))
         m = i
         c = rmul(b, b)
         x = rmul(x, b)

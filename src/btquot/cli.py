@@ -255,6 +255,23 @@ _COMMANDS = {
 
 
 def _make_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--q", type=int, required=True,
+                        help=f"field size (odd prime power, at most {MAX_Q})")
+    common.add_argument("--primes", required=True,
+                        help="comma-separated monic irreducibles, "
+                             "e.g. T,T+1,T+2,T+3")
+    common.add_argument("--format", choices=["json", "dot", "text"],
+                        default="text")
+    common.add_argument("--output", help="write the artifact here "
+                                         "instead of stdout")
+    common.add_argument("--no-verify", action="store_true",
+                        help="skip the structural checks after compute")
+    common.add_argument("--precision-cap", type=int,
+                        help="cap for the adaptive series precision")
+    common.add_argument("--cache-dir", help="graph cache directory")
+    common.add_argument("--no-cache", action="store_true",
+                        help="neither read nor write the graph cache")
     ap = argparse.ArgumentParser(
         prog="btquot",
         description="Quotient graphs for unit groups of quaternion "
@@ -268,23 +285,7 @@ def _make_parser() -> argparse.ArgumentParser:
             ("hom", "print a basis of the hom space of two vertices"),
             ("verify", "run the structural verification"),
             ("export", "re-emit the (cached) graph in a format")]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--q", type=int, required=True,
-                       help=f"field size (odd prime power, at most {MAX_Q})")
-        p.add_argument("--primes", required=True,
-                       help="comma-separated monic irreducibles, "
-                            "e.g. T,T+1,T+2,T+3")
-        p.add_argument("--format", choices=["json", "dot", "text"],
-                       default="text")
-        p.add_argument("--output", help="write the artifact here "
-                                        "instead of stdout")
-        p.add_argument("--no-verify", action="store_true",
-                       help="skip the structural checks after compute")
-        p.add_argument("--precision-cap", type=int,
-                       help="cap for the adaptive series precision")
-        p.add_argument("--cache-dir", help="graph cache directory")
-        p.add_argument("--no-cache", action="store_true",
-                       help="neither read nor write the graph cache")
+        p = sub.add_parser(name, help=help_text, parents=[common])
         if name in ("reduce", "word", "hom"):
             p.add_argument("args", nargs="*",
                            help="positional arguments of the subcommand")

@@ -75,8 +75,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (GF, ZERO_POLY, _prime_divisors, poly_add, poly_neg,
-                      poly_scale, poly_trim, slot_bytes)
+from .algebra import (GF, ZERO_POLY, has_order, poly_add, poly_neg,
+                      poly_scale, poly_trim, power, slot_bytes)
 from .laurent import InsufficientPrecisionError
 from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
 from .tree import Vertex, act, neighbors, retry_with_precision
@@ -164,8 +164,9 @@ class StabilizerField:
     * the multiplication constants, the codes of b_s * b_t;
     * gen, the first element in HomSet.elements() order with (q+1)-st
       power the scalar F.primitive_root(), so gen^(q^2 - 1) = 1, and of
-      order q^2 - 1 (no gen^((q^2 - 1)/d) = 1, d prime), on codes;
-    * the code of gen^s for every s, and its inverse, the discrete log;
+      order q^2 - 1, by algebra.power and algebra.has_order on codes;
+    * the code of gen^s for every s, each a product by gen and none by
+      1, and its inverse, the discrete log;
     * the cycle that gen induces on the neighbours of v.  The scalars
       fix every vertex, and End(v)^*/F_q^* (cyclic of order q+1) acts
       simply transitively on the neighbours, so the cycle has length
@@ -188,19 +189,16 @@ class StabilizerField:
         if None in codes:
             raise AssertionError("End(v) must be a ring containing 1")
         *self._consts, one = codes
-        self._one = one
         central = tuple(F.mul(F.primitive_root(), c) for c in one)
         gen = next((c for c in itertools.product(F.elements(), repeat=2)
-                    if self._pow(c, q + 1) == central
-                    and all(self._pow(c, n // d) != one
-                            for d in _prime_divisors(n))), None)
+                    if power(self._mul, c, q + 1, one) == central
+                    and has_order(self._mul, c, n, one)), None)
         if gen is None:
             raise RuntimeError(
                 "no stabilizer generator with the prescribed central "
                 "power; this indicates an arithmetic bug")
-        self._powers = [one]
-        for _ in range(n - 1):
-            self._powers.append(self._mul(self._powers[-1], gen))
+        self._powers = [one, *itertools.accumulate(
+            itertools.repeat(gen, n - 1), self._mul)]
         self._log = {c: s for s, c in enumerate(self._powers)}
         self.gen = ends.combination(gen)
 
@@ -233,15 +231,6 @@ class StabilizerField:
             w = F.mul(a[s], b[t])
             out = (F.add(out[0], F.mul(w, k1)), F.add(out[1], F.mul(w, k2)))
         return out
-
-    def _pow(self, a, k: int):
-        acc = self._one
-        while k:
-            if k & 1:
-                acc = self._mul(acc, a)
-            a = self._mul(a, a)
-            k >>= 1
-        return acc
 
     def power(self, s: int) -> QuatElem:
         """gen^s, for 0 <= s < q^2 - 1."""

@@ -55,6 +55,7 @@ from .algebra import (
     poly_scale,
     poly_sub,
     poly_trim,
+    power,
     slot_bytes,
     sqrt_mod_irreducible,
 )
@@ -319,15 +320,11 @@ class AlgebraData:
         return self.scale(self.F.inv(n[0]), self.conj(x))
 
     def power(self, x: QuatElem, k: int) -> QuatElem:
+        """x^k by algebra.power, with no product by 1; a negative k
+        raises the inverse of the unit x."""
         if k < 0:
-            return self.power(self.inverse_unit(x), -k)
-        acc, base = QUAT_ONE, x
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return acc
+            x, k = self.inverse_unit(x), -k
+        return power(self.mul, x, k, QUAT_ONE)
 
     # -- embedding into M_2(K_infinity) ----------------------------------
 

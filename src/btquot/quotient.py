@@ -50,7 +50,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import poly_deg
+from .algebra import poly_deg, product
 from .homspace import (HomSet, StabilizerField, _assert_solution,
                        bottom_kernels, has_solver_shape, hom, hom_stack,
                        stability, transport)
@@ -123,6 +123,15 @@ class QuotientGraph:
 
     def degree(self, i: int) -> int:
         return len(self.out_edges[i])
+
+    def degree_mismatches(self) -> list[tuple[int, int, int]]:
+        """(i, degree, expected) for each vertex i whose out-degree
+        breaks the rule: 1 at terminal vertices, q + 1 at internal
+        ones."""
+        expected = [1 if i in self.end_basis else self.q + 1
+                    for i in range(len(self.vertices))]
+        return [(i, self.degree(i), e) for i, e in enumerate(expected)
+                if self.degree(i) != e]
 
     def terminal_ids(self) -> list[int]:
         return sorted(self.end_basis)
@@ -346,13 +355,13 @@ def _reduction_walk(G: QuotientGraph, v: Vertex):
 
 
 def reduce(G: QuotientGraph, v: Vertex) -> tuple[Vertex, QuatElem]:
-    """The domain vertex w and a unit g with v = g . w."""
+    """The domain vertex w and a unit g with v = g . w: g inverts the
+    product of the walk's steps (latest leftmost), folded by
+    algebra.product with no product by 1."""
     alg = G.alg
     w, steps = _reduction_walk(G, v)
-    total = QUAT_ONE
-    for step, _ in steps:
-        total = alg.mul(step, total)
-    g = alg.inverse_unit(total)
+    g = alg.inverse_unit(product(alg.mul, [u for u, _ in reversed(steps)],
+                                 QUAT_ONE))
     assert transport(alg, g, w) == v, "reduction transporter is wrong"
     return w, g
 
@@ -434,11 +443,11 @@ class Word:
 
 def evaluate_word(alg: AlgebraData, pres: Presentation,
                   word: Word) -> QuatElem:
+    """The unit a word spells: its letters' powers, folded left to
+    right by algebra.product (1 only for the empty word)."""
     gens = dict(pres.generator_items())
-    out = QUAT_ONE
-    for name, e in word.letters:
-        out = alg.mul(out, alg.power(gens[name], e))
-    return out
+    return product(alg.mul, [alg.power(gens[name], e)
+                             for name, e in word.letters], QUAT_ONE)
 
 
 def express_in_generators(G: QuotientGraph, gamma: QuatElem,
@@ -448,7 +457,8 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
     The walk moving gamma . v0 back to the initial vertex v0 spells the
     word in reverse; the residual element stabilizes v0 and is a power
     of g0 (or of the initial vertex's own stabilizer generator in the
-    two-vertex degenerate case).
+    two-vertex degenerate case).  The residual, the walk's steps (latest
+    leftmost) times gamma, is folded by algebra.product: no product by 1.
     """
     alg = G.alg
     q = G.q
@@ -466,9 +476,7 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
         "equivalent vertex, and labels are pairwise inequivalent"
 
     letters = []
-    total = QUAT_ONE
-    for step, info in steps:
-        total = alg.mul(step, total)
+    for _, info in steps:
         if info[0] == "pairing":
             _, k, sign = info
             if G.edges[k].kind == "pairing_opposite":
@@ -479,7 +487,8 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
             assert s != 0
             letters.append((names["stab", vi_id], (q * q - 1 - s)))
 
-    residual = alg.mul(total, gamma)
+    residual = product(alg.mul, [*(u for u, _ in reversed(steps)), gamma],
+                       QUAT_ONE)
     if 0 not in G.end_basis:
         # End(v0) is F_q, so the residual is a power of the scalar g0
         g0 = pres.g0.lam[0][0]
@@ -616,12 +625,7 @@ def verify_structure(alg: AlgebraData, G: QuotientGraph) -> StructureReport:
     checks.append(CheckResult(
         "no loops", not loops, f"{len(loops)} loop edges"))
 
-    bad_deg = []
-    for i in range(nver):
-        d = G.degree(i)
-        expect = 1 if i in G.end_basis else q + 1
-        if d != expect:
-            bad_deg.append((i, d, expect))
+    bad_deg = G.degree_mismatches()
     checks.append(CheckResult(
         "degrees match labels", not bad_deg,
         f"degrees are 1 on terminal and {q + 1} on internal vertices"

@@ -9,6 +9,7 @@ product formula over all places), not by the code under test.
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -262,17 +263,28 @@ def test_field_codes_match_schoolbook_reference(F):
     assert F.fold.T.tolist() == [list(F.coords(c)) for c in powers]
 
 
-@pytest.mark.parametrize("q,root", [(3, 2), (5, 2), (7, 3)])
+def brute_order(mul, x, one):
+    """The multiplicative order of x, by repeated multiplication."""
+    order, acc = 1, x
+    while acc != one:
+        acc, order = mul(acc, x), order + 1
+    return order
+
+
+ODD_PRIME_POWERS = [q for q in range(3, MAX_Q + 1, 2)
+                    if len(_prime_divisors(q)) == 1]
+
+
+# the first three roots by hand; for every other odd prime power up to
+# MAX_Q the brute-force search alone decides
+@pytest.mark.parametrize("q,root", [(3, 2), (5, 2), (7, 3)] + [
+    (q, None) for q in ODD_PRIME_POWERS if q > 7])
 def test_primitive_root_matches_bruteforce(q, root):
-    F = GF(q)
+    F = field(q)
     g = F.primitive_root()
-    assert g == root
-    seen = set()
-    x = 1
-    for _ in range(q - 1):
-        x = F.mul(x, g)
-        seen.add(x)
-    assert len(seen) == q - 1
+    assert g == next(a for a in F.elements()
+                     if a and brute_order(F.mul, a, 1) == q - 1)
+    assert root in (None, g)
 
 
 def test_prime_divisors_match_bruteforce():
@@ -293,6 +305,86 @@ def test_primitive_root_extension_field():
         if a == 0:
             continue
         assert len({F.pow(a, k) for k in range(8)}) < 8
+
+
+# ---------------------------------------------------------------------
+# power, product and the order test
+# ---------------------------------------------------------------------
+
+# k = 0, 1, 2^j and 2^j - 1 for j <= 8, and 12 seeded k <= 200
+POWER_EXPONENTS = sorted({0, 1, *(2 ** j for j in range(9)),
+                          *(2 ** j - 1 for j in range(1, 9)),
+                          *random.Random(19).sample(range(201), 12)})
+
+
+def residue_ring(F, f):
+    """(mul, one, elements) of A/(f)."""
+    residues = [poly_trim(c) for c in itertools.product(
+        F.elements(), repeat=poly_deg(f))]
+    return (lambda a, b: poly_mod(F, poly_mul(F, a, b), f), ONE_POLY,
+            residues)
+
+
+def test_power_matches_repeated_multiplication_in_fields():
+    F9 = field(9)
+    f = next(enumerate_monic_irreducibles(F3, 3))
+    for mul, one, xs in [(F9.mul, 1, range(9)), residue_ring(F3, f)]:
+        for x in xs:
+            acc, powers = one, []
+            for _ in range(POWER_EXPONENTS[-1] + 1):
+                powers.append(acc)
+                acc = mul(acc, x)
+            for k in POWER_EXPONENTS:
+                assert algebra.power(mul, x, k, one) == powers[k]
+
+
+def test_power_makes_the_left_to_right_products_and_none_by_one():
+    # in the free monoid of strings no power of x is the identity "", so
+    # an operand "" could only be the one passed in
+    calls = []
+
+    def cat(a, b):
+        calls.append((a, b))
+        return a + b
+
+    for k in range(300):
+        calls.clear()
+        assert algebra.power(cat, "x", k, "") == "x" * k
+        assert len(calls) == max(0, k.bit_length() - 1
+                                 + bin(k).count("1") - 1)
+        assert all("" not in c for c in calls)
+
+
+def test_pow_of_negative_exponent_is_the_inverse_power():
+    for F in (field(7), field(9), field(25)):
+        for a in range(1, F.q):
+            for k in (1, 2, 3, F.q - 2, 2 * F.q + 1):
+                assert F.pow(a, -k) == F.pow(F.inv(a), k)
+                assert F.mul(F.pow(a, k), F.pow(a, -k)) == 1
+
+
+def test_product_folds_left_to_right_without_one():
+    calls = []
+
+    def cat(a, b):
+        calls.append((a, b))
+        return a + b
+
+    assert algebra.product(cat, [], "") == "" and calls == []
+    assert algebra.product(cat, iter(["x"]), "") == "x" and calls == []
+    assert algebra.product(cat, ["x", "y", "z"], "") == "xyz"
+    assert calls == [("x", "y"), ("xy", "z")]
+
+
+@pytest.mark.parametrize("q", [3, 7, 9, 13, 25, 27])
+def test_order_test_matches_bruteforce(q):
+    F = field(q)
+    divisors = [n for n in range(1, q) if (q - 1) % n == 0]
+    for a in range(1, q):
+        order = brute_order(F.mul, a, 1)
+        for n in divisors:
+            if n % order == 0:  # the order test's premise, a^n = 1
+                assert algebra.has_order(F.mul, a, n, 1) == (order == n)
 
 
 def test_field_above_max_q_rejected_before_any_work(monkeypatch):

@@ -6,16 +6,19 @@ vertices, five paired edges), and the closed-form vertex/edge counts,
 all cross-checked against the hom-space solver and exact arithmetic.
 """
 
+import dataclasses
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btquot import quotient
+from btquot import algebra, quotient
 from btquot.algebra import _prime_divisors, field, parse_poly
 from btquot.homspace import HomSet, hom, transport_all
-from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra, height
+from btquot.quaternion import (QUAT_ONE, AlgebraData, QuatElem,
+                               build_algebra, height)
 from btquot.quotient import (Presentation, QuotientGraph, Word,
                              compute_quotient, diameter_bound, evaluate_word,
                              express_in_generators, graph_diameter,
@@ -151,6 +154,18 @@ class TestWorkedExample:
     def test_degrees(self):
         for i in range(12):
             assert G5.degree(i) == (6 if G5.stable[i] else 1)
+
+    def test_degree_mismatches_feed_the_structure_check(self):
+        assert G5.degree_mismatches() == []
+        # a terminal vertex listing its one out-edge twice
+        i = G5.terminal_ids()[0]
+        G = dataclasses.replace(G5, out_edges={**G5.out_edges,
+                                               i: G5.out_edges[i] * 2})
+        assert G.degree_mismatches() == [(i, 2, 1)]
+        check = next(c for c in verify_structure(ALG5, G).checks
+                     if c.name == "degrees match labels")
+        assert not check.passed
+        assert check.detail == f"mismatches at [({i}, 2, 1)]"
 
     def test_no_loops_no_stray_kinds(self):
         assert all(e.src != e.dst for e in G5.edges)
@@ -432,6 +447,56 @@ class TestPresentation:
             assert g == G5.edges[kk].elem
 
 
+class TestPowersAndOrders:
+    """algebra.power and has_order in the worked example's order and on
+    the codes of one of its stabilizers, against repeated products, for
+    k = 0, 1, 2^j and 2^j - 1 (j <= 8) and 12 seeded k <= 200."""
+
+    EXPONENTS = sorted({0, 1, *(2 ** j for j in range(9)),
+                        *(2 ** j - 1 for j in range(1, 9)),
+                        *random.Random(19).sample(range(201), 12)})
+    STAB = G5.stabilizer(G5.terminal_ids()[0])
+    STAB_ONE = STAB._code(QUAT_ONE)
+
+    @pytest.mark.parametrize("group", ["order", "stabilizer"])
+    def test_power_matches_repeated_multiplication(self, group):
+        if group == "order":
+            # the generators, and a non-unit of the monoid
+            mul, one = ALG5.mul, QUAT_ONE
+            xs = [g for _, g in PRES5.generator_items()[1:]]
+            xs += [QuatElem(((0, 1), (1,), (), ()))]
+        else:
+            mul, one = self.STAB._mul, self.STAB_ONE
+            xs = list(itertools.product(range(5), repeat=2))
+        for x in xs:
+            acc, powers = one, []
+            for _ in range(self.EXPONENTS[-1] + 1):
+                powers.append(acc)
+                acc = mul(acc, x)
+            for k in self.EXPONENTS:
+                assert algebra.power(mul, x, k, one) == powers[k]
+
+    def test_negative_power_is_the_inverse_power(self):
+        for _, x in PRES5.generator_items():
+            for k in (1, 2, 3, 5, 8):
+                y = ALG5.power(x, -k)
+                assert y == ALG5.power(ALG5.inverse_unit(x), k)
+                assert ALG5.mul(ALG5.power(x, k), y) == QUAT_ONE
+
+    def test_order_test_matches_bruteforce_on_stabilizer_codes(self):
+        mul, one = self.STAB._mul, self.STAB_ONE
+        divisors = [n for n in range(1, 25) if 24 % n == 0]
+        for x in itertools.product(range(5), repeat=2):
+            if x == (0, 0):
+                continue
+            order, acc = 1, x
+            while acc != one:
+                acc, order = mul(acc, x), order + 1
+            for n in divisors:
+                if n % order == 0:  # the order test's premise, x^n = 1
+                    assert algebra.has_order(mul, x, n, one) == (order == n)
+
+
 class TestStabilizerField:
     """QuotientGraph.stabilizer against the enumeration of End(v) that
     presentation and the reduction walk used before: every terminal
@@ -554,6 +619,30 @@ class TestWordProblem:
             gamma = ALG5.mul(gamma, ALG5.inverse_unit(g) if inv else g)
         word = express_in_generators(G5, gamma, PRES5)
         assert evaluate_word(ALG5, PRES5, word) == gamma
+
+    def test_round_trips_make_no_product_by_one(self, monkeypatch):
+        """reduce and express_in_generators fold their units with
+        algebra.product: for units gamma != 1 and vertices outside the
+        domain, no quaternion product has 1 as an operand."""
+        rng = random.Random(19)
+        units = {random_unit(ALG5, PRES5, rng) for _ in range(30)}
+        units.discard(QUAT_ONE)
+        outside = [v for g in units for w in G5.vertices
+                   if (v := transport(ALG5, g, w)) not in G5.vid]
+        assert len(outside) > 100
+        orig = AlgebraData.mul
+        operands = []
+
+        def mul(self, x, y):
+            operands.extend((x, y))
+            return orig(self, x, y)
+
+        monkeypatch.setattr(AlgebraData, "mul", mul)
+        for g in units:
+            express_in_generators(G5, g, PRES5)
+        for v in outside:
+            reduce(G5, v)
+        assert operands and QUAT_ONE not in operands
 
 
 class TestTwoCycles:

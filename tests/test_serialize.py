@@ -142,6 +142,15 @@ class TestCorruptFiles:
         with pytest.raises(ValueError, match="echelon|initial vertex"):
             self._load_edited(edit)
 
+    def test_wrong_out_degree_rejected(self):
+        # without the tree edge 2 -> 7 and its opposite, vertex 2 has q
+        # out-edges and the terminal vertex 7 none; the first is named
+        def drop(d):
+            d["edges"] = [e for e in d["edges"]
+                          if {e["src"], e["dst"]} != {2, 7}]
+        with pytest.raises(ValueError, match="^vertex 2 has out-degree 5$"):
+            self._load_edited(drop)
+
     def test_top_level_list_rejected(self):
         with pytest.raises(ValueError, match="JSON object"):
             graph_from_json(json.dumps([graph_to_json_dict(G5)]))

@@ -1,8 +1,10 @@
 """Source hygiene of src/btquot, read with ast and as plain text.
 
-No linter ships with the package, so these two checks stand in for one:
+No linter ships with the package, so these checks stand in for one:
 every imported name is used in its module (a deletion that leaves an
-import behind fails here), and no line is longer than 79 columns.
+import behind fails here), no line is longer than 79 columns, every
+attribute stored on self is read somewhere in the repository, and every
+module-level private function is named somewhere in src or tests.
 """
 
 import ast
@@ -10,9 +12,50 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent
-                  / "src" / "btquot").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "btquot").glob("*.py"))
 MAX_COLUMNS = 79
+
+
+def _trees(*dirs):
+    return [ast.parse(path.read_text()) for d in dirs
+            for path in sorted((ROOT / d).rglob("*.py"))]
+
+
+def stored_on_self(tree) -> set[str]:
+    """The attribute names assigned as self.<name> anywhere in tree."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
+def loaded_attributes(trees) -> set[str]:
+    return {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def private_functions(tree) -> set[str]:
+    """The module-level functions of tree whose names start with one
+    underscore."""
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def named(trees) -> set[str]:
+    """Every name read, attribute read or name imported in trees."""
+    out = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name)
+    return out
 
 
 def unused_imports(source: str) -> list[str]:
@@ -56,3 +99,32 @@ def test_unused_import_check_finds_a_leftover():
               "def f(v):\n    return hom(v, v)\n")
     assert unused_imports(source) == ["np (line 2)",
                                       "_assert_solution (line 3)"]
+
+
+def test_no_write_only_attribute():
+    loaded = loaded_attributes(_trees("src", "tests", "perfbench",
+                                      "scripts"))
+    stored = {(path.name, name) for path in SOURCES
+              for name in stored_on_self(ast.parse(path.read_text()))}
+    assert sorted(x for x in stored if x[1] not in loaded) == []
+
+
+def test_every_private_function_is_named():
+    used = named(_trees("src", "tests"))
+    private = {(path.name, name) for path in SOURCES
+               for name in private_functions(ast.parse(path.read_text()))}
+    assert sorted(x for x in private if x[1] not in used) == []
+
+
+def test_attribute_and_function_checks_find_leftovers():
+    source = ("class S:\n"
+              "    def __init__(self, one):\n"
+              "        self._one, self.gen = one, one\n"
+              "        self._powers = [self.gen]\n"
+              "def _pow(a, k):\n    return a\n"
+              "def _used():\n    return S(_used)._powers\n")
+    tree = ast.parse(source)
+    stored = stored_on_self(tree)
+    assert stored == {"_one", "gen", "_powers"}
+    assert stored - loaded_attributes([tree]) == {"_one"}
+    assert private_functions(tree) - named([tree]) == {"_pow"}
