@@ -8,15 +8,16 @@ hom (print a basis of the hom space between two vertices), verify
 format).
 
 Exit codes: 0 success, 1 verification failure, 2 user error (a bad
-argument, including --q above algebra.MAX_Q = 127), 3 the series
-precision reached --precision-cap (or its default) before the answer
-was determined, 70 internal assertion failure.  Each failure
-prints one line on stderr.  Output is deterministic: repeated runs
-with the same arguments produce identical bytes, and computed graphs
-are cached on disk keyed by the field, the ramified primes, and the
-serialization format version; a cached file that does not parse is
-recomputed.  --precision-cap travels with the algebra of the call
-(AlgebraData.precision_cap), never through a module global.
+argument, including --q above algebra.MAX_Q = 127), 3 a series
+computation lacked precision at an attempt at or above --precision-cap
+(default 16384: it ends the doubling, not a start above it), 70
+internal assertion failure.  Each failure prints one line on stderr.
+Output is deterministic: repeated runs with the same arguments produce
+identical bytes, and computed graphs are cached on disk keyed by the
+field, the ramified primes, and the serialization format version; a
+cached file that graph_from_json rejects is recomputed.  --precision-cap
+travels with the algebra of the call (AlgebraData.precision_cap), never
+through a module global.
 """
 
 from __future__ import annotations
@@ -267,8 +268,9 @@ def _make_parser() -> argparse.ArgumentParser:
                                          "instead of stdout")
     common.add_argument("--no-verify", action="store_true",
                         help="skip the structural checks after compute")
-    common.add_argument("--precision-cap", type=int,
-                        help="cap for the adaptive series precision")
+    common.add_argument("--precision-cap", type=int, help="stop doubling "
+                        "the series precision after a failed attempt at "
+                        "or above this one (default 16384)")
     common.add_argument("--cache-dir", help="graph cache directory")
     common.add_argument("--no-cache", action="store_true",
                         help="neither read nor write the graph cache")

@@ -172,13 +172,14 @@ def parse_quat(F: GF, text: str) -> QuatElem:
 class AlgebraData:
     """The algebra (alpha, r / K) with its maximal order and embedding.
 
-    Immutable after construction.  precision_cap bounds the precision
-    retries of every computation on the algebra.  The sqrt(alpha) value
-    is memoized at the highest precision requested so far, the embedded
-    order basis (with 1/sqrt(alpha) inside it) once per precision, and
-    packed once per precision and slot width (packed_basis), and the
-    packed product table once per slot width.  The memos are plain
-    dicts: the package runs single-threaded.
+    Immutable after construction.  precision_cap is the cap of every
+    retry_with_precision on the algebra: it ends the doubling once an
+    attempt at or above it fails, but a higher start is still tried.
+    The sqrt(alpha) value is memoized at the highest precision requested
+    so far, the embedded order basis (with 1/sqrt(alpha) inside it) once
+    per precision, and packed once per precision and slot width
+    (packed_basis), and the packed product table once per slot width.
+    The memos are plain dicts: the package runs single-threaded.
     """
 
     def __init__(self, F: GF, primes,

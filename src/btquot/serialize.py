@@ -4,9 +4,12 @@ The JSON form is self-contained: it records the field size, the
 ramified primes, the derived algebra constants, and the full labeled
 graph, with every label in the exact text forms of the parsers in
 :mod:`btquot.algebra`, :mod:`btquot.tree` and :mod:`btquot.quaternion`.
-Reading it back replays the construction through the search's own
+The writer, graph_to_json_dict, is the one owner of the format.
+Reading a file back replays its construction through the search's own
 builders, which check every End basis and pairing unit, without the hom
-solves, and re-serializing reproduces the bytes exactly.
+solves, and accepts it only if its decoded JSON equals the writer's
+dict of the replayed graph and the degree rule holds; so an accepted
+file re-serializes to the same bytes.
 
 Directed edges are stored once each, in construction order.  A ``tree``
 label marks a spanning-tree edge, a pairing label is an object naming
@@ -74,16 +77,13 @@ def graph_to_json(G: QuotientGraph) -> str:
 def graph_from_json(text: str, precision_cap: int = DEFAULT_PRECISION_CAP
                     ) -> QuotientGraph:
     """Rebuild a graph from its JSON form, with its algebra at the given
-    precision cap, by replaying its construction through the search's
-    builders, which assert every rule of the construction, without the
-    hom solves.  ValueError unless alpha/epsilon/nu match the derived
-    ones, labels are strings, vertex ids run 0, 1, ... and edge
-    endpoints lie among them, a vertex has an End basis exactly when it
-    is not stable, the initial vertex is vertex 0's label, the builders
-    accept the graph, End bases and pairing units included (the loader
-    adds no check of its own on them), the stored edges are the replayed
-    ones (order, index and reversal), and out-degrees are 1 (terminal)
-    and q+1 (internal), and for JSON it cannot decode."""
+    precision cap: replay its vertices, tree edges and pairing edges
+    through the search's builders (every rule of the construction, no
+    hom solves), then accept it only if its decoded JSON equals
+    graph_to_json_dict of the replay and out-degrees are 1 (terminal)
+    and q+1 (internal).  ValueError otherwise, and for undecodable
+    JSON, a non-string label, an edge endpoint outside the vertex ids
+    or an unknown edge label."""
     try:
         data = json.loads(text)
     except RecursionError:
@@ -100,53 +100,36 @@ def graph_from_json(text: str, precision_cap: int = DEFAULT_PRECISION_CAP
         return parse(F, label)
 
     primes = [parsed(parse_poly, t) for t in data["primes"]]
-    alg = build_algebra(F, primes, precision_cap=precision_cap)
-    for key, val in (("alpha", alg.alpha), ("epsilon", alg.epsilon),
-                     ("nu", alg.nu)):
-        if parsed(parse_poly, data[key]) != val:
-            raise ValueError(f"stored {key} does not match the derived one")
-
-    G = QuotientGraph(alg)
-    stored = []
+    G = QuotientGraph(build_algebra(F, primes, precision_cap=precision_cap))
     try:
-        for i, entry in enumerate(data["vertices"]):
-            if entry["id"] != i:
-                raise ValueError("vertex ids must be 0, 1, ... in order")
-            if entry["stable"] == ("end_basis" in entry):
-                raise ValueError("a vertex has an End basis exactly when "
-                                 "it is not stable")
-            v = parsed(parse_vertex, entry["nf"])
+        for entry in data["vertices"]:
             basis = None
             if "end_basis" in entry:
                 basis = [parsed(parse_quat, t) for t in entry["end_basis"]]
-            G._add_vertex(v, basis)
-        if not G.vertices or \
-                parsed(parse_vertex, data["initial_vertex"]) != G.vertices[0]:
-            raise ValueError("initial vertex is not vertex 0's label")
-
+            G._add_vertex(parsed(parse_vertex, entry["nf"]), basis)
         nv = len(G.vertices)
         for entry in data["edges"]:
             src, dst, label = entry["src"], entry["dst"], entry["label"]
             if not (0 <= src < nv and 0 <= dst < nv):
                 raise ValueError(f"edge {src} -> {dst} leaves the vertex ids")
-            stored.append((src, dst, entry["index"], label == "opposite"))
             if label == "tree":
                 G._add_tree_pair(src, dst)
             elif isinstance(label, dict):
-                start, cand = (parsed(parse_vertex, t)
-                               for t in label["tree_edge"])
-                if start != G.vertices[src]:
-                    raise ValueError("pairing tree edge must start at the "
-                                     "source vertex label")
-                G._add_pairing(src, dst, cand,
+                _, cand = label["tree_edge"]
+                G._add_pairing(src, dst, parsed(parse_vertex, cand),
                                parsed(parse_quat, label["pairing"]))
             elif label != "opposite":
                 raise ValueError(f"unknown edge label {label!r}")
     except AssertionError as exc:
         raise ValueError(f"a construction check fails: {exc}") from None
-    if stored != [(e.src, e.dst, e.index, e.kind.endswith("opposite"))
-                  for e in G.edges]:
-        raise ValueError("stored edges disagree with the replayed ones")
+    if not G.vertices:
+        raise ValueError("a stored graph has no vertices")
+    replayed = graph_to_json_dict(G)
+    if data != replayed:
+        key = next(k for k in replayed | data
+                   if data.get(k, ...) != replayed.get(k, ...))
+        raise ValueError(f"{key.replace('_', ' ')}: stored values disagree "
+                         "with the replayed graph")
     bad = G.degree_mismatches()
     if bad:
         i, d, _ = bad[0]

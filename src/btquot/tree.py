@@ -31,7 +31,9 @@ DEFAULT_PRECISION_CAP = 1 << 14
 
 
 def retry_with_precision(fn, start: int, cap: int = DEFAULT_PRECISION_CAP):
-    """Call fn(prec) with doubling precision until it stops raising."""
+    """fn(prec) at precision max(4, start), doubled after each
+    InsufficientPrecisionError; the error propagates once an attempt at
+    a precision >= cap fails, so the cap bounds the doubling only."""
     prec = max(4, start)
     while True:
         try:

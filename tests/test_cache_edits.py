@@ -1,11 +1,10 @@
 """Single-field edits of stored graphs, as the CLI's cache reads them.
 
-A cached graph must never change an answer silently: every edit of one
-field of a golden JSON file is either a cache miss (graph_from_json
-raises one of the errors cli._build_graph catches, or the graph is of
-another field or list of primes) or loads a graph whose JSON, DOT, text
-and presentation are byte-identical to the golden ones.  The edit
-families:
+A cached graph must never change an answer silently: the golden JSON
+file itself loads and gives the golden JSON, DOT, text and
+presentation, and every edit of one field of it that changes its
+decoded JSON is a cache miss (graph_from_json raises one of the errors
+cli._build_graph catches).  The edit families:
 
 * each quaternion string (End basis element, pairing unit) scaled by
   every c not in {0, 1}, and replaced by its conjugate;
@@ -13,12 +12,16 @@ families:
 * each bool flipped;
 * each int moved by -1 and by +1;
 * each list entry dropped, and duplicated in place;
-* each two neighbouring list entries swapped.
+* each two neighbouring list entries swapped;
+* the first two values of each key (a list entry is named by its
+  list's key) replaced by a value of each JSON type: null, a bool, an
+  int, a float, a string, an empty list and an empty object.
 
-Edits that leave the file unchanged are skipped, and edits of two fields
-at once are out of scope.  The worked example and q3-deg3 are swept in
-full; q9-deg4 (non-prime, a load three times the worked example's) by a
-fixed-seed sample of each family.
+Edits that leave the decoded JSON equal under == are skipped (1 for
+true is one), and edits of two fields at once are out of scope.  The
+worked example and q3-deg3 are swept in full; q9-deg4 (non-prime, a
+load three times the worked example's) by a fixed-seed sample of each
+family.
 """
 
 import json
@@ -37,6 +40,8 @@ from test_golden import ARTIFACTS, CASES, GOLDEN, _stdout
 SAMPLE = {"q5-worked": None, "q3-deg3": None, "q9-deg4": 25}
 QUATERNION_KEYS = ("pairing", "end_basis")
 VERTEX_KEYS = ("nf", "initial_vertex", "tree_edge")
+# one value of each JSON type, put in place of a key's first two values
+JSON_TYPES = (None, True, 7, 2.5, "x", [], {})
 
 
 class Miss(Exception):
@@ -63,25 +68,30 @@ def _replace(text: str, path, value) -> str:
 
 def edits(text: str, alg):
     """(family, path, new value) for every single-field edit of text
-    that changes it."""
+    that changes its decoded JSON."""
     F = alg.F
+    seen = Counter()
     for path, x in _nodes(json.loads(text)):
         # a list entry is named by its list's key
         key = next((k for k in reversed(path) if isinstance(k, str)), None)
         new = []
+        if path and seen[key] < 2:
+            seen[key] += 1
+            new = [("value replaced by another JSON type", v)
+                   for v in JSON_TYPES]
         if isinstance(x, bool):
-            new = [("bool flipped", not x)]
+            new.append(("bool flipped", not x))
         elif isinstance(x, int):
-            new = [("int moved", x - 1), ("int moved", x + 1)]
+            new += [("int moved", x - 1), ("int moved", x + 1)]
         elif isinstance(x, str) and key in QUATERNION_KEYS:
             g = parse_quat(F, x)
-            new = [("quaternion scaled", format_quat(F, alg.scale(c, g)))
-                   for c in F.elements() if c not in (0, 1)]
+            new += [("quaternion scaled", format_quat(F, alg.scale(c, g)))
+                    for c in F.elements() if c not in (0, 1)]
             new.append(("quaternion conjugated",
                         format_quat(F, alg.conj(g))))
         elif isinstance(x, str) and key in VERTEX_KEYS:
-            new = [("vertex label moved to a neighbour", format_vertex(u))
-                   for u in neighbors(F, parse_vertex(F, x))]
+            new += [("vertex label moved to a neighbour", format_vertex(u))
+                    for u in neighbors(F, parse_vertex(F, x))]
         elif isinstance(x, list):
             for i in range(len(x)):
                 new.append(("list entry dropped", x[:i] + x[i + 1:]))
@@ -120,12 +130,10 @@ def test_every_cache_edit_is_a_miss_or_the_golden_graph(
         return algebras[key]
     monkeypatch.setattr(serialize, "build_algebra", algebra)
 
-    def artifacts_are_golden():
-        return all(_stdout([*ARTIFACTS[suffix], *args]) == golden[suffix]
-                   for suffix in ARTIFACTS)
     path.write_text(text)
     cli._build_graph(cfg)
-    assert artifacts_are_golden()
+    assert all(_stdout([*ARTIFACTS[suffix], *args]) == golden[suffix]
+               for suffix in ARTIFACTS)
 
     families = {}
     for family, where, value in edits(text, graph_from_json(text).alg):
@@ -134,18 +142,15 @@ def test_every_cache_edit_is_a_miss_or_the_golden_graph(
         rng = random.Random(18)
         families = {f: rng.sample(e, min(SAMPLE[case], len(e)))
                     for f, e in sorted(families.items())}
-    counts, wrong = Counter(), []
+    counts, loaded = Counter(), []
     for family, sample in families.items():
         for where, value in sample:
             path.write_text(_replace(text, where, value))
             try:
                 cli._build_graph(cfg)
             except Miss:
-                counts[family, "miss"] += 1
-                continue
-            counts[family, "golden"] += 1
-            if not artifacts_are_golden():
-                wrong.append((family, where))
-    assert not wrong, wrong
-    assert {f for f, _ in counts} == set(families) and \
-        len(families) == 8, counts
+                counts[family] += 1
+            else:
+                loaded.append((family, where, value))
+    assert not loaded, loaded
+    assert set(counts) == set(families) and len(families) == 9, counts

@@ -35,7 +35,7 @@ from btquot.algebra import field
 from btquot.cli import EXIT_OK, main
 from btquot.quaternion import build_algebra
 from btquot.quotient import compute_quotient
-from btquot.serialize import graph_to_json
+from btquot.serialize import graph_from_json, graph_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -172,7 +172,8 @@ def test_per_argument_output_matches_golden(case, suffix):
 
 # sha256 of the JSON of every deg r <= 3 case of the structure matrix,
 # concatenated in the script's order (240 cases); the quick matrix only
-# checks invariants and round trips, so this pins the answers themselves
+# checks invariants and round trips, so this pins the answers themselves.
+# Each JSON is also loaded back, and must re-serialize to the same bytes.
 QUICK_MATRIX_SHA256 = ("e50a5df49aaa2d092c1eb4be561df6961d4cfe04"
                        "4a71bcf993ee24134d2fa03f")
 
@@ -188,8 +189,10 @@ def test_quick_matrix_json_digest():
     for q in (3, 5, 7):
         F = field(q)
         for primes in matrix.ramification_sets(F, 3):
-            G = compute_quotient(build_algebra(F, list(primes)))
-            digest.update(graph_to_json(G).encode())
+            text = graph_to_json(
+                compute_quotient(build_algebra(F, list(primes))))
+            assert graph_to_json(graph_from_json(text)) == text, primes
+            digest.update(text.encode())
             cases += 1
     assert cases == 240
     assert digest.hexdigest() == QUICK_MATRIX_SHA256

@@ -220,6 +220,21 @@ def test_vnf_insufficient_precision_recoverable():
     assert got == Vertex.make(5, 0, (1,))
 
 
+@pytest.mark.parametrize("start,cap,tried", [
+    (5, 64, [5, 10, 20, 40, 80]), (100, 8, [100]), (1, 4, [4])])
+def test_precision_cap_bounds_the_doubling_not_the_start(start, cap, tried):
+    # the error propagates once an attempt at a precision >= cap fails
+    attempts = []
+
+    def never_enough(prec):
+        attempts.append(prec)
+        raise InsufficientPrecisionError(f"precision {prec}")
+    with pytest.raises(InsufficientPrecisionError):
+        retry_with_precision(never_enough, start, cap)
+    assert attempts == tried
+    assert retry_with_precision(lambda prec: prec, start, cap) == tried[0]
+
+
 # ---------------------------------------------------------------------
 # adjacency
 # ---------------------------------------------------------------------
