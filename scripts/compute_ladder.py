@@ -1,0 +1,103 @@
+"""The compute ladder on two checkouts: same JSON bytes, and CPU time.
+
+    python3 scripts/compute_ladder.py PARENT_DIR CHANGE_DIR [--rounds 3]
+
+PARENT_DIR and CHANGE_DIR are two checkouts of the repository (for
+example `git archive <commit> | tar -x -C DIR`).  For each case, one
+`compute_quotient` runs in a fresh Python process per checkout, one at
+a time, on the checkout's own `src`; case k of round r runs the parent
+first when k + r is even, so a drift of the machine's speed does not
+favour one side.  A process prints the sha256 of the graph's JSON
+(`serialize.graph_to_json`) and the CPU seconds of the compute alone
+(`time.process_time`, algebra built before).
+
+The script prints, per case, both digests, the median CPU seconds of
+each side over the rounds and their ratio (change / parent), and exits
+1 if any digest differs between the sides or between rounds.  The
+cases are the worked example and the ladder of ROADMAP.md; only
+q5-worked and q7-72 have golden files, so this is the others' byte
+check.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+CASES = {
+    "q5-worked": (5, "T,T+1,T+2,T+3"),
+    "q7-72": (7, "T^2+1,T,T+1,T+2"),
+    "q17": (17, "T,T+1,T+2,T+3"),
+    "q9-128": (9, "T^2+T+[0,1],T,T+1,T+2"),
+    "q5-192": (5, "T^2+2,T^2+3,T,T+1"),
+    "q3-deg9": (3, "T^2+1,T^2+T+2,T,T+1,T+2,T^2+2*T+2"),
+    "q7-deg6": (7, "T^2+1,T^2+2,T,T+1"),
+}
+
+CHILD = """
+import hashlib, json, sys, time
+from btquot.algebra import field, parse_poly
+from btquot.cli import _split_primes
+from btquot.quaternion import build_algebra
+from btquot.quotient import compute_quotient
+from btquot.serialize import graph_to_json
+F = field(int(sys.argv[1]))
+alg = build_algebra(F, [parse_poly(F, t) for t in _split_primes(sys.argv[2])])
+start = time.process_time()
+G = compute_quotient(alg)
+cpu = time.process_time() - start
+digest = hashlib.sha256(graph_to_json(G).encode()).hexdigest()
+print(json.dumps({"sha256": digest, "cpu_s": cpu}))
+"""
+
+
+def run_once(checkout: Path, case: str) -> dict:
+    """One compute of case in a fresh process on checkout's src."""
+    q, primes = CASES[case]
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    out = subprocess.run([sys.executable, "-c", CHILD, str(q), primes],
+                         cwd=checkout, env=env, capture_output=True,
+                         text=True)
+    if out.returncode != 0:
+        raise SystemExit(f"{case} in {checkout} failed "
+                         f"(exit {out.returncode}):\n{out.stderr}")
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--rounds", type=int, default=1,
+                    help="fresh processes per case and side")
+    args = ap.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    ok = True
+    for k, case in enumerate(CASES):
+        runs = {side: [] for side in sides}
+        for r in range(args.rounds):
+            order = list(sides) if (k + r) % 2 == 0 else list(sides)[::-1]
+            for side in order:
+                runs[side].append(run_once(sides[side], case))
+        digests = {side: {x["sha256"] for x in xs}
+                   for side, xs in runs.items()}
+        cpu = {side: statistics.median(x["cpu_s"] for x in xs)
+               for side, xs in runs.items()}
+        same = len(digests["parent"] | digests["change"]) == 1
+        ok &= same
+        for side in sides:
+            print(f"{case if side == 'parent' else '':10} {side:6} "
+                  f"{' '.join(sorted(digests[side]))} {cpu[side]:8.3f} s",
+                  flush=True)
+        print(f"{'':10} ratio  {cpu['change'] / cpu['parent']:.2f}"
+              f"{'' if same else '  DIGEST MISMATCH'}", flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

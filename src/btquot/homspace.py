@@ -21,22 +21,23 @@ height bound (a larger one than a pair needs adds only pivot columns,
 see hom_stack); hom solves a single pair, empty across parities.  Both
 work from arrays:
 
-* entries: Y = pi^s Mw^(-1) iota(b_k) Mv, s = (n_w - n_v)/2, as two
-  exact factors on the packed rows of the basis embedding
-  (AlgebraData.packed_basis): the column operation of Mv, then the row
-  operation of Mw^(-1), which leaves the bottom row free of g_w.  One
-  unpack puts them on a common exponent grid with the Laurent
-  precision rule alongside; an entry known below pi^nm only raises
-  InsufficientPrecisionError, and the build is retried at doubled
-  precision;
+* entries: Y = pi^s Mw^(-1) iota(b_k) Mv, s = (n_w - n_v)/2: one
+  series product, the column operation of Mv on the packed rows of the
+  basis embedding (AlgebraData.packed_basis), and shifts for the row
+  operation of Mw^(-1), which leave g_w to F_q coefficients (see
+  hom_stack).  One unpack puts a chunk of a level's entries on one
+  exponent grid with the Laurent precision rule alongside; an entry
+  known below pi^nm only raises InsufficientPrecisionError, and the
+  build is retried at doubled precision (bottom_kernels);
 * equations: row (entry, t), column (k, j) holds the pi^(j - t)
   coefficient of Y_k, for every t >= 1 (the T^j coefficient of lam_k
   must not push that entry below O_infinity), read off in one Toeplitz
   gather;
-* kernel, in two stages: the kernel K of the bottom rows once per
-  (v, n_w), for a whole level at its largest distance to the base
-  vertex (bottom_kernels), then each target's top rows projected onto
-  K by one F_q product and eliminated over dim K columns.  Both are one
+* kernel, in two stages: per (v, n_w), for a whole level at its
+  largest distance n to the base vertex (bottom_kernels), the kernel K
+  of the bottom rows, and the top rows' parts free of g_w projected
+  onto K; then per target, those parts combined with g_w's coefficients
+  by one F_q product and eliminated over dim K columns.  Both are one
   Gauss-Jordan elimination by F_q table lookups, and the product runs
   on coordinate planes folded by the modulus, the same for prime and
   non-prime q.  Mapped back through K, the result is each system's
@@ -50,8 +51,7 @@ never used as filters, once per kept basis: by hom, and by
 QuotientGraph's builders on every End element and pairing unit,
 computed or loaded.  A stable vertex keeps no End basis; stability
 asserts it is exactly (1,).  A scalar unit lies in F_q^*, the kernel of
-the action, so the check embeds none.  A dimension above 2 is asserted
-against on every system of every stack.
+the action, so the check embeds none.
 
 The action of a unit g on tree vertices is transport_all, the only code
 that embeds a unit and acts with it: one embedding iota(g) per precision
@@ -75,8 +75,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (GF, ZERO_POLY, has_order, poly_add, poly_neg,
-                      poly_scale, poly_trim, power, slot_bytes)
+from .algebra import (GF, ZERO_POLY, has_order, poly_add, poly_scale,
+                      poly_trim, power, slot_bytes)
 from .laurent import InsufficientPrecisionError
 from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
 from .tree import Vertex, act, neighbors, retry_with_precision
@@ -287,12 +287,12 @@ def _column_op(alg: AlgebraData, v: Vertex, gv: int, w: int, prec: int):
 
 
 def _equations(F: GF, entries, nm: int, w: int):
-    """The equations of packed entries Y, two per system, as a stack
+    """The equations of packed entries Y, in pairs, as a stack
     (len(entries) / 2, 2 tmax, 4(nm + 1)): row (rho, t), column (k, j)
-    holds the pi^(j - t) coefficient of series k of the system's entry
+    holds the pi^(j - t) coefficient of series k of the pair's entry
     rho, t = 1..tmax.  One unpack puts the entries on a common exponent
     grid and one Toeplitz gather reads them; tmax reaches the lowest
-    exponent of any entry, so a row past a system's own range is zero.
+    exponent of any entry, so a row past a pair's own range is zero.
     Raises InsufficientPrecisionError when an entry is known below pi^nm
     only."""
     if min(pr for _, pr, _ in entries) < nm:
@@ -318,39 +318,26 @@ def _equations(F: GF, entries, nm: int, w: int):
     return A.reshape(len(entries) // 2, 2 * tmax, 4 * (nm + 1))
 
 
-def _top_rows(alg: AlgebraData, v: Vertex, ws, nm: int, prec: int):
-    """The top rows of the system of v against each w in ws.
-    Mw^(-1) = [[pi^(-n_w), -pi^(-n_w) g_w], [0, 1]] changes only the top
-    row of P: with s = (n_w - n_v)/2, Y1* = pi^(s - n_w) (P1* - g_w P2*),
-    and Y2* = pi^s P2* depends on w only through n_w (_bottom_rows).
-    A digit of iota(b_k) is below p and a product by g sums at most e L
-    products of a slot by a digit of g (L its coefficient count), so a
-    slot of P is below B = (p-1)(1 + e(p-1)L_v), and of Y1* below
-    B (1 + e(p-1)L_w)."""
-    F = alg.F
-    w = slot_bytes((F.p - 1) * (1 + F.e * (F.p - 1) * len(v.gcoeffs))
-                   * (1 + F.e * (F.p - 1)
-                      * max(len(u.gcoeffs) for u in ws)))
-    gv, *ngw = F.pack([v.gcoeffs, *(poly_neg(F, u.gcoeffs) for u in ws)], w)
-    top, bottom = _column_op(alg, v, gv, w, prec)
-    bits = 8 * w * F.fold.shape[1]
-    return _equations(F, [
-        _shift(_add_times(x, (u.gval, gw), y, bits), (u.n - v.n) // 2 - u.n)
-        for u, gw in zip(ws, ngw) for x, y in zip(top, bottom)], nm, w)
-
-
-def _bottom_rows(alg: AlgebraData, sources, ns, nm: int, prec: int):
-    """The bottom rows Y2* = pi^s P2* of the system of v against a
-    target at each n in ns, for every v in sources, in order; a slot is
-    below the bound of P's (see _top_rows)."""
+def _level_rows(alg: AlgebraData, sources, n: int, ns, prec: int):
+    """The equations of the systems of each v in sources against each
+    n_w in its list in ns, at the height bound n + m, from one _equations
+    call: (systems, 2, 2, tmax, 4(nm + 1)), the pairs pi^(s - n_w) P1* and
+    pi^(s - n) P2* (see hom_stack).  A slot of P is below (p-1)(1 +
+    e(p-1)L), L the coefficient count of g_v: a digit of iota(b_k) is
+    below p, and a product by g_v sums at most e L slot-digit products."""
     F = alg.F
     w = slot_bytes((F.p - 1) * (1 + F.e * (F.p - 1)
                                 * max(len(v.gcoeffs) for v in sources)))
     entries = []
-    for v, gv in zip(sources, F.pack([v.gcoeffs for v in sources], w)):
-        _, bottom = _column_op(alg, v, gv, w, prec)
-        entries += [_shift(y, (n - v.n) // 2) for n in ns for y in bottom]
-    return _equations(F, entries, nm, w)
+    for v, gv, us in zip(sources, F.pack([v.gcoeffs for v in sources], w),
+                         ns):
+        top, bottom = _column_op(alg, v, gv, w, prec)
+        for u in us:
+            s = (u - v.n) // 2
+            entries += [*(_shift(x, s - u) for x in top),
+                        *(_shift(y, s - n) for y in bottom)]
+    A = _equations(F, entries, n + alg.m, w)
+    return A.reshape(-1, 2, 2, A.shape[1] // 2, A.shape[2])
 
 
 def _kernel_rows(F: GF, A, ncols: int):
@@ -464,12 +451,9 @@ def has_solver_shape(basis) -> bool:
         not any(p in y for i, p in enumerate(last) for y in nz[i + 1:])
 
 
-# sources whose bottom rows are built and eliminated together: enough to
-# share the elimination's per-column cost across a search level, and few
-# enough that its working arrays, (1 + R + N) N int64 per system, stay
-# small next to the rest of a compute (a whole level of q5-192 at once
-# doubled the peak RSS)
-_CHUNK = 32
+# sources built and eliminated together: enough to share the per-column
+# cost, few enough that their (1 + R + N) N int64 each keep the peak RSS
+_CHUNK = 16
 
 
 def _start_precision(alg: AlgebraData, n: int) -> int:
@@ -479,23 +463,25 @@ def _start_precision(alg: AlgebraData, n: int) -> int:
 
 
 def bottom_kernels(alg: AlgebraData, sources, n: int, ns) -> list:
-    """The first stage of hom_stack, for a search level: for each v in
-    sources, (n, {n_w: K}), K the kernel rows (_kernel_rows) of the
-    bottom rows of v against a target at n_w, for each n_w in ns, at the
-    height bound n + m.  Every n_w must have each source's parity (a
-    level's vertices share one).  _CHUNK sources at a time are built
-    together, retried at doubled precision while any runs short, and
-    eliminated in one stack."""
-    if any((v.n - u) % 2 for v in sources for u in ns):
+    """The only build of hom systems, for a search level: for each v in
+    sources, (n, {n_w: (K, B K^t, C K^t)}) for each n_w in its list in
+    ns (each of v's parity), at the height bound n + m, with K, B and C
+    as in hom_stack.  _CHUNK sources at a time are built by one
+    _level_rows call, retried at doubled precision while any entry runs
+    short (the solve's only retry), and eliminated in one stack."""
+    if any((v.n - u) % 2 for v, us in zip(sources, ns) for u in us):
         raise AssertionError("bottom kernels asked across parities of n")
-    out = []
+    F, out = alg.F, []
     for i in range(0, len(sources), _CHUNK):
-        part = sources[i:i + _CHUNK]
+        part, pns = sources[i:i + _CHUNK], ns[i:i + _CHUNK]
         A = retry_with_precision(
-            lambda prec: _bottom_rows(alg, part, ns, n + alg.m, prec),
+            lambda prec: _level_rows(alg, part, n, pns, prec),
             _start_precision(alg, n), alg.precision_cap)
-        rows = iter(_kernel_rows(alg.F, A, A.shape[2]))
-        out += [(n, {u: next(rows) for u in ns}) for _ in part]
+        B, P2, N = A[:, 0], A[:, 1], A.shape[-1]
+        K = _kernel_rows(F, P2[:, :, n:].reshape(len(A), -1, N), N)
+        Kt = K.transpose(0, 2, 1)[:, None]
+        parts = zip(K, *(_fq_matmul(F, X, Kt) for X in (B, P2[:, :, :n])))
+        out += [(n, dict(zip(us, parts))) for us in pns]
     return out
 
 
@@ -505,17 +491,27 @@ def hom_stack(alg: AlgebraData, v: Vertex, targets,
     bottom is v's entry of bottom_kernels for a search level that holds
     v and these targets, all of v's parity of n.
 
-    They are solved at the height bound nm = n + m of bottom, n at least
-    the largest distance to the base vertex among v and them.  Their
-    bottom rows depend on w only through n_w (see _top_rows), and bottom
-    holds their kernel rows K per n_w: row i has 1 at the free column
-    f_i of their reduced echelon form, 0 at the other free columns, and
-    nothing past f_i.  Every solution is x = y K, so one elimination of
-    the projected top rows T K^t (built once, retried as a whole at
-    doubled precision while any runs short) gives y.  K is padded with
-    zero rows to the widest kernel eliminated with it; those zero in
-    every target are dropped, and any other is a zero column of T K^t,
-    whose kernel row maps to x = 0 and is dropped.
+    They are solved at the height bound n + m of bottom, n at least the
+    largest distance to the base vertex among v and them.  With s =
+    (n_w - n_v)/2 and Eq(X)[t] the equation rows t >= 1 of an entry pair
+    X (so Eq(pi^a X)[t] = Eq(X)[t + a]), the system of (v, w) has the
+    top rows T(w) = Eq(pi^(s - n_w) (P1* - g_w P2*)) and the bottom rows
+    Eq(pi^s P2*), the rows t > n of Eq(pi^(s - n) P2*), whose rows t <= n
+    form C.  Per n_w, bottom holds the kernel rows K of the bottom rows
+    (row i has 1 at the free column f_i of their reduced echelon form, 0
+    at the other free columns, nothing past f_i), B K^t for B = Eq(pi^(s
+    - n_w) P1*), and C K^t.
+
+    For g_w = sum_i c_i pi^(gval + i), T(w) = B - sum_i c_i Eq(pi^(s -
+    n_w + gval + i) P2*), whose row t is row n + t + gval + i - n_w of
+    Eq(pi^(s - n) P2*): past t = n_w - gval - i a bottom row, zero on K,
+    and up to it a row of C, at least n + 1 - deg_n(g_w) >= 1 as
+    deg_n(g_w) = n_w - gval <= dist(w) <= n.  So T(w) K^t is B K^t minus
+    a Toeplitz matrix of g_w's coefficients times C K^t, one F_q product
+    for the stack, and one elimination of it gives y, x = y K for every
+    solution x.  Rows of K zero in every target (its padding to the
+    widest kernel eliminated with it) are dropped; any other is a zero
+    column of T(w) K^t, whose kernel row maps to x = 0, dropped.
 
     x = y K, scaled to leading coefficient 1, is the reduced echelon
     kernel basis of the whole system.  Added rows only add pivots, so
@@ -528,28 +524,31 @@ def hom_stack(alg: AlgebraData, v: Vertex, targets,
     A target nearer the base vertex than the level's farthest gets the
     basis of its own bound nm_w: every solution has height <= nm_w
     (asserted by _assert_solution), so the columns j > nm_w are pivot
-    columns, and the reduced echelon basis is unique.  A dimension above
-    2 is asserted against on every system.
+    columns, and the reduced echelon basis is unique.
     """
     F = alg.F
+    add, _, neg, _ = F.tables()
     if any((v.n - w.n) % 2 for w in targets):
         raise AssertionError("hom stack asked across parities of n")
-    n, kernels = bottom
+    n, parts = bottom
     if max(u.dist_to_base() for u in (v, *targets)) > n:
         raise AssertionError("bottom kernels below the stack's bound")
-    nm = n + alg.m
-    T = retry_with_precision(
-        lambda prec: _top_rows(alg, v, targets, nm, prec),
-        _start_precision(alg, n), alg.precision_cap)
-    K = np.stack([kernels[u.n] for u in targets])
-    K = K[:, K.any(axis=(0, 2))]
-    Y = _kernel_rows(F, _fq_matmul(F, T, K.transpose(0, 2, 1)), K.shape[1])
+    K, TK, CK = map(np.stack, zip(*(parts[u.n] for u in targets)))
+    keep = K.any(axis=(0, 2))
+    K, TK, CK = K[:, keep], TK[..., keep], CK[..., keep]
+    # G[w, t, u] = -c_i for u = n + t + gval + i - n_w, t and u 1..n
+    g = np.zeros((len(targets), 2 * n), dtype=np.int64)
+    for row, u in zip(g, targets):
+        row[2 * n - 1 - u.degn():][:len(u.gcoeffs)] = u.gcoeffs
+    G = neg[g[:, np.arange(n) - np.arange(n)[:, None] + n - 1]]
+    TK[:, :, :n] = add[TK[:, :, :n], _fq_matmul(F, G[:, None], CK)]
+    Y = _kernel_rows(F, TK.reshape(len(K), -1, K.shape[1]), K.shape[1])
     X = _monic(F, _fq_matmul(F, Y, K))
     dim = X.any(axis=2).sum(axis=1).max()
     if dim > 2:
         raise AssertionError(f"hom space has impossible dimension {dim}")
-    return [HomSet(F, v, w, tuple(_vector_to_quat(x, nm) for x in xs
-                                  if any(x)))
+    return [HomSet(F, v, w, tuple(_vector_to_quat(x, n + alg.m)
+                                  for x in xs if any(x)))
             for w, xs in zip(targets, X.tolist())]
 
 
@@ -559,8 +558,8 @@ def hom(alg: AlgebraData, v: Vertex, w: Vertex) -> HomSet:
     own bottom kernels, every basis element asserted (_assert_solution)."""
     if (v.n - w.n) % 2:
         return HomSet(alg.F, v, w, ())
-    far = max(v.dist_to_base(), w.dist_to_base())
-    (hs,) = hom_stack(alg, v, [w], bottom_kernels(alg, [v], far, [w.n])[0])
+    (hs,) = hom_stack(alg, v, [w], bottom_kernels(
+        alg, [v], max(v.dist_to_base(), w.dist_to_base()), [[w.n]])[0])
     for gamma in hs.basis:
         _assert_solution(alg, gamma, v, w)
     return hs

@@ -258,7 +258,8 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
         cands = [cand for _, cand in frontier]
         bottoms = bottom_kernels(alg, cands,
                                  max(u.dist_to_base() for u in cands),
-                                 sorted({u.n for u in cands}))
+                                 [sorted({u.n for u in cands[:i + 1]})
+                                  for i in range(len(cands))])
         nxt: list = []
         for i in range(len(alive)):
             # only i itself and earlier candidates are ever cleared

@@ -404,19 +404,21 @@ class TestPrecisionCap:
         assert tree.DEFAULT_PRECISION_CAP == 1 << 14
 
     def test_cap_reaches_every_retry(self, capsys, cache, monkeypatch):
-        caps = []
+        caps, owners = [], set()
         real_retry = tree.retry_with_precision
 
         def recording(fn, start, cap=None):
             caps.append(cap)
+            owners.add(fn.__qualname__.split(".")[0])
             return real_retry(fn, start, cap)
 
-        # hom_stack and transport_all hold every retry of the program
+        # bottom_kernels and transport_all hold every retry of the program
         monkeypatch.setattr(homspace, "retry_with_precision", recording)
         code, _, err = run(capsys, ["compute", *Q5, *cache, "--no-cache",
                                     "--no-verify", "--precision-cap", "512"])
         assert code == EXIT_OK, err
         assert caps and set(caps) == {512}
+        assert owners == {"bottom_kernels", "transport_all"}
 
 
 class TestJobConfig:

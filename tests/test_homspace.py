@@ -17,14 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btquot import quotient
+from btquot import homspace, quotient
 from btquot.algebra import (field, parse_poly, poly_add, poly_mul,
                             poly_scale, poly_trim)
 from btquot.cli import _split_primes
-from btquot.homspace import (HomSet, _assert_solution, _bottom_rows,
-                             _kernel_rows, _monic, _start_precision,
-                             _top_rows, _vector_to_quat, bottom_kernels, hom,
-                             hom_stack, stability, transport)
+from btquot.homspace import (HomSet, _assert_solution, _fq_matmul,
+                             _kernel_rows, _level_rows, _monic,
+                             _start_precision, _vector_to_quat,
+                             bottom_kernels, hom, hom_stack, stability,
+                             transport)
 from btquot.laurent import INF, InsufficientPrecisionError, Laurent
 from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra
 from btquot.tree import BASE_VERTEX, Vertex, act, neighbors, retry_with_precision
@@ -311,17 +312,32 @@ def system_stack(alg, v, ws, nm, prec):
     """The F_q-linear equations of Hom(v, w) for every w in ws, as one
     (len(ws), 4 tmax, 4(nm + 1)) stack, rows keyed (rho, t): each
     target's top rows, then its bottom rows, padded with zero rows to
-    a common tmax.  These are the systems the two stages of hom_stack
+    tmax.  Both come from the level builder (_level_rows) at the bound
+    n = nm - m, with B and D = Eq(pi^(s - n) P2*) as in hom_stack: the
+    bottom rows are D's rows t > n, and the top rows B - G D, G the
+    Toeplitz matrix of g_w's coefficients over all of D's rows (row t,
+    column n + t + gval + i - n_w holds c_i).  Unprojected, so not only
+    C's rows count.  These are the systems the two stages of hom_stack
     solve."""
+    F, n = alg.F, nm - alg.m
+    add, _, neg, _ = F.tables()
     ns = sorted({u.n for u in ws})
-    parts = (_top_rows(alg, v, ws, nm, prec),
-             _bottom_rows(alg, [v], ns, nm, prec)[[ns.index(u.n)
-                                                   for u in ws]])
-    tmax = max(A.shape[1] for A in parts) // 2
-    return np.concatenate([np.pad(
-        A.reshape(len(ws), 2, A.shape[1] // 2, -1),
-        ((0, 0), (0, 0), (0, tmax - A.shape[1] // 2), (0, 0)))
-        for A in parts], axis=1).reshape(len(ws), 4 * tmax, -1)
+    A = _level_rows(alg, [v], n, [ns], prec)
+    tmax = A.shape[3]
+    out = []
+    for w in ws:
+        B, D = A[ns.index(w.n)]
+        G = np.zeros((tmax, tmax), dtype=np.int64)
+        for i, c in enumerate(w.gcoeffs):
+            for t in range(1, tmax + 1):
+                u = n + t + w.gval + i - w.n
+                if 1 <= u <= tmax:
+                    G[t - 1, u - 1] = c
+        bottom = np.zeros_like(D)
+        bottom[:, :tmax - n] = D[:, n:]
+        out.append(np.concatenate([add[B, neg[_fq_matmul(F, G[None], D)]],
+                                   bottom]).reshape(4 * tmax, -1))
+    return np.stack(out)
 
 
 def brute_kernel(F, rows, ncols):
@@ -474,7 +490,7 @@ def test_candidate_stack_matches_sequential_hom():
 
 def test_stack_rejects_a_target_of_the_other_parity():
     v, w = Vertex.make(2, 0, ()), Vertex.make(1, 0, ())
-    bottom = bottom_kernels(ALG5, [v], 2, [2])[0]
+    bottom = bottom_kernels(ALG5, [v], 2, [[2]])[0]
     with pytest.raises(AssertionError, match="parities"):
         hom_stack(ALG5, v, [v, w], bottom)
 
@@ -501,11 +517,14 @@ def reference_system(alg, v, w, nm, prec):
 def oracle_vertices(q):
     """Vertices of both parities, n of both signs, g zero and nonzero,
     and g with every digit q - 1, which drives the packed slot sums of
-    the system build toward their bounds."""
+    the system build toward their bounds.  (8; 0) with deg_n(g) = 8, the
+    largest distance to the base vertex of its parity, reaches the
+    bound of hom_stack's identity."""
     top = q - 1
     return [BASE_VERTEX, Vertex.make(2, 0, ()), Vertex.make(-2, 0, ()),
             Vertex.make(2, 1, (1,)), Vertex.make(-2, -5, (top,) * 3),
             Vertex.make(4, -2, (top,) * 6), Vertex.make(6, 0, (top,) * 6),
+            Vertex.make(8, 0, (top,) * 8),
             Vertex.make(1, 0, ()), Vertex.make(-1, -4, (top, 0, 2 % q)),
             Vertex.make(5, -1, (top,) * 6), Vertex.make(3, -3, (top,) * 6)]
 
@@ -515,10 +534,11 @@ def test_system_stack_matches_mat2_reference(q):
     """Each system of a stack, built as hom_stack builds it (from its
     start precision, retried), has the nonzero equations and the kernel
     basis of the Mat2 reference, for every source against every vertex
-    of its parity."""
+    of its parity.  Some system reads C's deepest row: n_w - gval = n,
+    the row n + 1 - deg_n(g_w) = 1 (see hom_stack)."""
     alg = build_algebra(field(q), [(0, 1), (1, 1)])
     F, vs = alg.F, oracle_vertices(q)
-    systems = 0
+    systems = deepest = 0
     for v in vs:
         ws = [w for w in vs if (w.n - v.n) % 2 == 0]
         n = max(u.dist_to_base() for u in ws)
@@ -535,7 +555,9 @@ def test_system_stack_matches_mat2_reference(q):
             assert np.array_equal(A[A.any(axis=1)], ref), (v, w)
             assert basis == kernel_of_one(F, ref, ncols), (v, w)
             systems += 1
+            deepest += bool(w.gcoeffs) and w.degn() == n
     assert systems == sum(sum((w.n - v.n) % 2 == 0 for w in vs) for v in vs)
+    assert deepest, "no system reads C's deepest row"
 
 
 def one_stage(alg, v, targets):
@@ -556,10 +578,10 @@ ALG9 = build_algebra(field(9), [parse_poly(field(9), t)
 
 
 def level_bottoms(alg, level):
-    """bottom_kernels for a level, as compute_quotient asks for them: at
-    its largest distance to the base vertex and for its values of n."""
+    """bottom_kernels for a level, at its largest distance to the base
+    vertex, each source against all of the level's values of n."""
     return bottom_kernels(alg, level, max(u.dist_to_base() for u in level),
-                          sorted({u.n for u in level}))
+                          [sorted({u.n for u in level})] * len(level))
 
 
 @pytest.mark.parametrize("q", [5, 9])
@@ -592,7 +614,7 @@ def test_two_stage_solve_matches_one_stage(q):
             want = one_stage(alg, v, targets)
             own = bottom_kernels(
                 alg, [v], max(w.dist_to_base() for w in targets),
-                sorted({w.n for w in targets}))[0]
+                [sorted({w.n for w in targets})])[0]
             for bottom in (own, bottoms[v]):
                 assert [hs.basis for hs in hom_stack(alg, v, targets,
                                                      bottom)] == want
@@ -616,7 +638,7 @@ def recorded_search(monkeypatch, case):
     levels, stacks = [], []
 
     def level(alg, sources, n, ns):
-        levels.append((list(sources), n, list(ns)))
+        levels.append((list(sources), n, [list(x) for x in ns]))
         return bottom_kernels(alg, sources, n, ns)
 
     def stack(alg, v, targets, bottom):
@@ -633,14 +655,17 @@ def test_every_search_level_has_one_parity_of_n(monkeypatch, case):
     """The tree is bipartite and a vertex's distance to the base vertex
     has the parity of its n, so each level of the search, a set of
     vertices at one distance from the initial one, has one parity of n;
-    it is asked for at its own largest distance and values of n."""
+    it is asked for at its own largest distance, and each candidate for
+    the values of n of itself and the earlier candidates, the only
+    targets its stack can hold."""
     _, levels, stacks = recorded_search(monkeypatch, case)
     assert levels and sum(len(sources) for sources, _, _ in levels) == \
         len(stacks)
     for sources, n, ns in levels:
         assert len({v.n % 2 for v in sources}) == 1, (case, sources)
         assert n == max(v.dist_to_base() for v in sources)
-        assert ns == sorted({v.n for v in sources})
+        assert ns == [sorted({v.n for v in sources[:i + 1]})
+                      for i in range(len(sources))]
 
 
 @pytest.mark.parametrize("case", ["q5-worked", "q9-deg4"])
@@ -660,9 +685,10 @@ def test_search_level_kernels_solve_as_one_stage(monkeypatch, case):
 
 def test_bottom_kernels_reject_the_other_parity():
     with pytest.raises(AssertionError, match="parities"):
-        bottom_kernels(ALG5, [Vertex.make(2, 0, ())], 2, [1, 2])
+        bottom_kernels(ALG5, [Vertex.make(2, 0, ())], 2, [[1, 2]])
     with pytest.raises(AssertionError, match="parities"):
-        bottom_kernels(ALG5, [BASE_VERTEX, Vertex.make(1, 0, ())], 1, [0])
+        bottom_kernels(ALG5, [BASE_VERTEX, Vertex.make(1, 0, ())], 1,
+                       [[0], [0]])
 
 
 @pytest.mark.parametrize("q", [7, 25])
@@ -742,6 +768,33 @@ class TestPrecisionRetry:
         assert bases == kernel_basis(ALG5.F, high, ncols)
         assert [len(b) for b in bases] == \
             [hom(ALG5, v, u).dim for u in ws]
+
+    def test_level_build_retries_then_agrees(self, monkeypatch):
+        # the solve's one retry, in bottom_kernels, from a low start
+        level = [self.V, self.W, Vertex.make(10, 0, (1, 1))]
+        ns = [sorted({u.n for u in level[:i + 1]})
+              for i in range(len(level))]
+        n = max(u.dist_to_base() for u in level)
+        high = bottom_kernels(ALG5, level, n, ns)
+        real, raised = homspace._level_rows, []
+
+        def build(alg, sources, n, ns, prec):
+            try:
+                return real(alg, sources, n, ns, prec)
+            except InsufficientPrecisionError:
+                raised.append(prec)
+                raise
+        monkeypatch.setattr(homspace, "_level_rows", build)
+        monkeypatch.setattr(homspace, "_start_precision", lambda alg, n: 1)
+        low = bottom_kernels(ALG5, level, n, ns)
+        assert raised, "the low start never ran out of precision"
+        for (_, x), (_, y) in zip(low, high):
+            assert x.keys() == y.keys()
+            assert all(np.array_equal(a, b) for u in x
+                       for a, b in zip(x[u], y[u]))
+        assert [hs.basis for hs in hom_stack(ALG5, self.W, level[:2],
+                                             low[1])] \
+            == [hom(ALG5, self.W, u).basis for u in level[:2]]
 
     def test_system_below_needed_precision_raises(self):
         with pytest.raises(InsufficientPrecisionError):
