@@ -5,9 +5,10 @@ For q in {3, 5, 7}, builds the algebra for every even-cardinality
 ramification set R of monic irreducibles of degree at most 2 with
 deg r <= 5, computes the quotient graph, runs the structural
 verification, and loads the graph back from its JSON form, which
-replays its construction.  A case fails unless the checks pass and the
-loaded graph has the same JSON bytes and levels.  Prints one line per
-case and a summary; exits nonzero if any case fails.
+replays its construction on the same algebra.  A case fails unless the
+checks pass and the loaded graph has the same JSON bytes and levels.
+Prints one line per case and a summary; exits nonzero if any case
+fails.
 
 Usage: python3 scripts/structure_matrix.py [--quick]
   --quick   only run the degree <= 3 cases (fast smoke subset)
@@ -55,7 +56,7 @@ def main() -> int:
             G = compute_quotient(alg)
             rep = verify_structure(alg, G)
             text = graph_to_json(G)
-            H = graph_from_json(text)
+            H = graph_from_json(text, alg)
             round_trip = graph_to_json(H) == text and H.levels == G.levels
             passed = rep.passed and round_trip
             status = "ok" if passed else "FAIL"

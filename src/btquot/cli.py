@@ -15,9 +15,9 @@ internal assertion failure.  Each failure prints one line on stderr.
 Output is deterministic: repeated runs with the same arguments produce
 identical bytes, and computed graphs are cached on disk keyed by the
 field, the ramified primes, and the serialization format version; a
-cached file that graph_from_json rejects is recomputed.  --precision-cap
-travels with the algebra of the call (AlgebraData.precision_cap), never
-through a module global.
+cached file that graph_from_json rejects is recomputed.  Each call
+builds one algebra, JobConfig.alg, which carries --precision-cap (never
+a module global); a cached graph is replayed on it, a miss computed on it.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 from . import tree
-from .algebra import GF, MAX_Q, field, format_poly, parse_poly
+from .algebra import MAX_Q, field, format_poly, parse_poly
 from .homspace import hom
 from .laurent import InsufficientPrecisionError
-from .quaternion import build_algebra, format_quat, parse_quat
+from .quaternion import AlgebraData, build_algebra, format_quat, parse_quat
 from .quotient import (QuotientGraph, compute_quotient, express_in_generators,
                        presentation, reduce, verify_structure)
 from .serialize import (FORMAT_VERSION, graph_from_json, graph_to_dot,
@@ -53,19 +53,13 @@ EXIT_INTERNAL = 70
 class JobConfig:
     """Everything a subcommand needs to know, parsed and validated."""
 
-    q: int
-    primes: list[tuple]
+    alg: AlgebraData
     fmt: str = "text"
     output: str | None = None
     verify: bool = True
-    precision_cap: int = tree.DEFAULT_PRECISION_CAP
     cache_dir: str | None = None
     use_cache: bool = True
     extra: list[str] = dataclass_field(default_factory=list)
-
-    @property
-    def F(self) -> GF:
-        return field(self.q)
 
 
 def _split_primes(text: str) -> list[str]:
@@ -93,11 +87,11 @@ def _parse_config(args) -> JobConfig:
             primes.append(parse_poly(F, tok.strip()))
         except ValueError as exc:
             raise ValueError(f"bad prime {tok.strip()!r}: {exc}") from None
+    if args.precision_cap < 4:
+        raise ValueError("--precision-cap must be at least 4")
     return JobConfig(
-        q=args.q, primes=primes, fmt=args.format, output=args.output,
-        verify=not args.no_verify,
-        precision_cap=(tree.DEFAULT_PRECISION_CAP
-                       if args.precision_cap is None else args.precision_cap),
+        alg=build_algebra(F, primes, precision_cap=args.precision_cap),
+        fmt=args.format, output=args.output, verify=not args.no_verify,
         cache_dir=args.cache_dir, use_cache=not args.no_cache,
         extra=getattr(args, "args", []))
 
@@ -106,15 +100,11 @@ def _cache_path(cfg: JobConfig) -> Path:
     root = Path(cfg.cache_dir) if cfg.cache_dir else \
         Path(os.environ.get("BTQUOT_CACHE_DIR",
                             Path.home() / ".cache" / "btquot"))
-    F = cfg.F
-    key = f"v{FORMAT_VERSION}|q{cfg.q}|" + \
-        ",".join(format_poly(F, p) for p in cfg.primes)
+    F = cfg.alg.F
+    key = f"v{FORMAT_VERSION}|q{F.q}|" + \
+        ",".join(format_poly(F, p) for p in cfg.alg.ram.primes)
     name = hashlib.sha256(key.encode()).hexdigest()[:20]
     return root / f"graph-{name}.json"
-
-
-def _algebra(cfg: JobConfig):
-    return build_algebra(cfg.F, cfg.primes, precision_cap=cfg.precision_cap)
 
 
 def _write_atomically(path: Path, text: str) -> None:
@@ -134,20 +124,17 @@ def _write_atomically(path: Path, text: str) -> None:
 
 
 def _build_graph(cfg: JobConfig) -> QuotientGraph:
-    """The graph from the cache, or computed (and cached).  A cached file
-    that graph_from_json rejects, or that holds the graph of another
-    field or another list of primes, is a cache miss, and is
-    overwritten."""
+    """The graph from the cache, replayed on cfg.alg, or computed on
+    cfg.alg (and cached).  A cached file that graph_from_json rejects,
+    the graph of another field or another list of primes among them, is
+    a cache miss, and is overwritten."""
     path = _cache_path(cfg)
     if cfg.use_cache and path.is_file():
         try:
-            G = graph_from_json(path.read_text(encoding="utf-8"),
-                                precision_cap=cfg.precision_cap)
-            if G.alg.F == cfg.F and G.alg.ram.primes == tuple(cfg.primes):
-                return G
+            return graph_from_json(path.read_text(encoding="utf-8"), cfg.alg)
         except (ValueError, KeyError, TypeError):
             pass
-    G = compute_quotient(_algebra(cfg))
+    G = compute_quotient(cfg.alg)
     if cfg.use_cache:
         path.parent.mkdir(parents=True, exist_ok=True)
         _write_atomically(path, graph_to_json(G))
@@ -202,11 +189,11 @@ def cmd_reduce(cfg: JobConfig) -> int:
     if len(cfg.extra) != 1:
         raise ValueError("reduce takes exactly one vertex argument, "
                          "e.g. \"(4; 0)\"")
-    v = parse_vertex(cfg.F, cfg.extra[0])
+    v = parse_vertex(cfg.alg.F, cfg.extra[0])
     G = _build_graph(cfg)
     w, g = reduce(G, v)  # self-checks v = g . w
     print(f"w = {format_vertex(w)}")
-    print(f"gamma = {format_quat(cfg.F, g)}")
+    print(f"gamma = {format_quat(cfg.alg.F, g)}")
     return EXIT_OK
 
 
@@ -215,7 +202,7 @@ def cmd_present(cfg: JobConfig) -> int:
     pres = presentation(G)
     print(f"generators ({len(pres.names)}):")
     for name, g in pres.generator_items():
-        print(f"  {name} = {format_quat(cfg.F, g)}")
+        print(f"  {name} = {format_quat(cfg.alg.F, g)}")
     print("relations:")
     for rel in pres.relation_strings():
         print(f"  {rel}")
@@ -226,7 +213,7 @@ def cmd_word(cfg: JobConfig) -> int:
     if len(cfg.extra) != 1:
         raise ValueError("word takes exactly one element argument, "
                          "e.g. \"1\" or \"T + (1)*i + (0)*j + (0)*k\"")
-    gamma = parse_quat(cfg.F, cfg.extra[0])
+    gamma = parse_quat(cfg.alg.F, cfg.extra[0])
     # rejects a non-unit with ValueError and verifies the word
     print(str(express_in_generators(_build_graph(cfg), gamma)))
     return EXIT_OK
@@ -235,12 +222,12 @@ def cmd_word(cfg: JobConfig) -> int:
 def cmd_hom(cfg: JobConfig) -> int:
     if len(cfg.extra) != 2:
         raise ValueError("hom takes exactly two vertex arguments")
-    v = parse_vertex(cfg.F, cfg.extra[0])
-    w = parse_vertex(cfg.F, cfg.extra[1])
-    hs = hom(_algebra(cfg), v, w)
+    v = parse_vertex(cfg.alg.F, cfg.extra[0])
+    w = parse_vertex(cfg.alg.F, cfg.extra[1])
+    hs = hom(cfg.alg, v, w)
     print(f"dim = {hs.dim}, cardinality = {hs.cardinality}")
     for b in hs.basis:
-        print(f"  {format_quat(cfg.F, b)}")
+        print(f"  {format_quat(cfg.alg.F, b)}")
     return EXIT_OK
 
 
@@ -270,7 +257,8 @@ def _make_parser() -> argparse.ArgumentParser:
                         help="skip the structural checks after compute")
     common.add_argument("--precision-cap", type=int, help="stop doubling "
                         "the series precision after a failed attempt at "
-                        "or above this one (default 16384)")
+                        "or above this one (default %(default)s)",
+                        default=tree.DEFAULT_PRECISION_CAP)
     common.add_argument("--cache-dir", help="graph cache directory")
     common.add_argument("--no-cache", action="store_true",
                         help="neither read nor write the graph cache")
@@ -299,14 +287,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = _parse_config(args)
-        if cfg.precision_cap < 4:
-            raise ValueError("--precision-cap must be at least 4")
         return _COMMANDS[args.command](cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except InsufficientPrecisionError as exc:
-        print(f"error: precision cap {cfg.precision_cap} reached "
+        print(f"error: precision cap {cfg.alg.precision_cap} reached "
               f"({exc}); raise --precision-cap", file=sys.stderr)
         return EXIT_PRECISION
     except (AssertionError, RuntimeError) as exc:

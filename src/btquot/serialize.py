@@ -5,11 +5,12 @@ ramified primes, the derived algebra constants, and the full labeled
 graph, with every label in the exact text forms of the parsers in
 :mod:`btquot.algebra`, :mod:`btquot.tree` and :mod:`btquot.quaternion`.
 The writer, graph_to_json_dict, is the one owner of the format.
-Reading a file back replays its construction through the search's own
-builders, which check every End basis and pairing unit, without the hom
-solves, and accepts it only if its decoded JSON equals the writer's
-dict of the replayed graph and the degree rule holds; so an accepted
-file re-serializes to the same bytes.
+Reading a file back replays its construction on the caller's algebra
+through the search's own builders, which check every End basis and
+pairing unit, without the hom solves, and accepts it only if its
+decoded JSON, q and primes included, equals the writer's dict of the
+replay and the degree rule holds; so an accepted file re-serializes to
+the same bytes, and a file of another algebra is rejected.
 
 Directed edges are stored once each, in construction order.  A ``tree``
 label marks a spanning-tree edge, a pairing label is an object naming
@@ -23,9 +24,9 @@ from __future__ import annotations
 import json
 
 from .algebra import field, format_poly, parse_poly
-from .quaternion import build_algebra, format_quat, parse_quat
+from .quaternion import AlgebraData, build_algebra, format_quat, parse_quat
 from .quotient import QuotientGraph
-from .tree import DEFAULT_PRECISION_CAP, format_vertex, parse_vertex
+from .tree import format_vertex, parse_vertex
 
 FORMAT_VERSION = 1
 
@@ -74,16 +75,17 @@ def graph_to_json(G: QuotientGraph) -> str:
     return json.dumps(graph_to_json_dict(G), indent=2) + "\n"
 
 
-def graph_from_json(text: str, precision_cap: int = DEFAULT_PRECISION_CAP
+def graph_from_json(text: str, alg: AlgebraData | None = None
                     ) -> QuotientGraph:
-    """Rebuild a graph from its JSON form, with its algebra at the given
-    precision cap: replay its vertices, tree edges and pairing edges
-    through the search's builders (every rule of the construction, no
-    hom solves), then accept it only if its decoded JSON equals
-    graph_to_json_dict of the replay and out-degrees are 1 (terminal)
-    and q+1 (internal).  ValueError otherwise, and for undecodable
-    JSON, a non-string label, an edge endpoint outside the vertex ids
-    or an unknown edge label."""
+    """Rebuild a graph from its JSON form on alg (by default, the algebra
+    of the file's own q and primes at the default cap): parse its labels
+    in alg.F, replay its vertices, tree edges and pairing edges through
+    the search's builders (every rule, no hom solves), then accept it
+    only if its decoded JSON equals graph_to_json_dict of the replay (q,
+    primes, alpha, epsilon and nu included) and out-degrees are 1
+    (terminal) and q+1 (internal).  ValueError otherwise, a file of
+    another algebra among them, and for undecodable JSON, a non-string
+    label, an edge endpoint outside the vertex ids or an unknown label."""
     try:
         data = json.loads(text)
     except RecursionError:
@@ -92,15 +94,15 @@ def graph_from_json(text: str, precision_cap: int = DEFAULT_PRECISION_CAP
         raise ValueError("a stored graph is a JSON object")
     if data.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {data.get('format')}")
-    F = field(data["q"])
+    F = alg.F if alg else field(data["q"])
 
     def parsed(parse, label):
         if not isinstance(label, str):
             raise ValueError(f"stored label {label!r} is not a string")
         return parse(F, label)
 
-    primes = [parsed(parse_poly, t) for t in data["primes"]]
-    G = QuotientGraph(build_algebra(F, primes, precision_cap=precision_cap))
+    G = QuotientGraph(alg or build_algebra(
+        F, [parsed(parse_poly, t) for t in data["primes"]]))
     try:
         for entry in data["vertices"]:
             basis = None

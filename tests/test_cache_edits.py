@@ -30,9 +30,8 @@ from collections import Counter
 
 import pytest
 
-from btquot import cli, serialize
+from btquot import cli
 from btquot.quaternion import format_quat, parse_quat
-from btquot.serialize import graph_from_json
 from btquot.tree import format_vertex, neighbors, parse_vertex
 from test_golden import ARTIFACTS, CASES, GOLDEN, _stdout
 
@@ -116,19 +115,11 @@ def test_every_cache_edit_is_a_miss_or_the_golden_graph(
     path = cli._cache_path(cfg)
     path.parent.mkdir(parents=True, exist_ok=True)
 
-    def miss(cfg):
+    def miss(alg):
         raise Miss
-    # a miss builds the algebra to compute the graph: stop it there; a
-    # load builds it from the stored primes, the same few every time
-    monkeypatch.setattr(cli, "_algebra", miss)
-    build, algebras = serialize.build_algebra, {}
-
-    def algebra(F, primes, precision_cap):
-        key = F, tuple(primes), precision_cap
-        if key not in algebras:
-            algebras[key] = build(F, primes, precision_cap=precision_cap)
-        return algebras[key]
-    monkeypatch.setattr(serialize, "build_algebra", algebra)
+    # a miss goes on to compute the graph: stop it there; every load
+    # replays on cfg.alg
+    monkeypatch.setattr(cli, "compute_quotient", miss)
 
     path.write_text(text)
     cli._build_graph(cfg)
@@ -136,7 +127,7 @@ def test_every_cache_edit_is_a_miss_or_the_golden_graph(
                for suffix in ARTIFACTS)
 
     families = {}
-    for family, where, value in edits(text, graph_from_json(text).alg):
+    for family, where, value in edits(text, cfg.alg):
         families.setdefault(family, []).append((where, value))
     if SAMPLE[case] is not None:
         rng = random.Random(18)

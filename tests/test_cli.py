@@ -14,8 +14,9 @@ from btquot import cli, homspace, tree
 from btquot.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PRECISION, EXIT_USER,
                         EXIT_VERIFY, JobConfig, _make_parser, _parse_config,
                         main)
-from btquot.algebra import MAX_Q
+from btquot.algebra import MAX_Q, field
 from btquot.laurent import InsufficientPrecisionError
+from btquot.quaternion import AlgebraData, build_algebra
 from worked_edits import (END_BASIS_AND_INITIAL, far_candidate,
                           pairing_entry as _pairing, swap_tree_targets)
 
@@ -364,6 +365,12 @@ class TestHomAndVerify:
         code, _, err = run(capsys, ["verify", *Q3, *cache,
                                     "--precision-cap", "2"])
         assert code == EXIT_USER
+        # the cap is checked before the primes are: T^2 is not irreducible
+        code, out, err = run(capsys, ["verify", "--q", "3", "--primes",
+                                      "T,T^2", *cache, "--precision-cap",
+                                      "2"])
+        assert (code, out) == (EXIT_USER, "")
+        assert err == "error: --precision-cap must be at least 4\n"
 
 
 class TestCacheWrite:
@@ -423,9 +430,50 @@ class TestPrecisionCap:
 
 class TestJobConfig:
     def test_fields(self):
-        cfg = JobConfig(q=5, primes=[(0, 1), (1, 1)])
-        assert cfg.F.q == 5
+        cfg = JobConfig(alg=build_algebra(field(5), [(0, 1), (1, 1)]))
+        assert cfg.alg.F.q == 5
         assert cfg.verify and cfg.use_cache
+
+
+class TestOneAlgebraPerCall:
+    def test_every_call_builds_one_algebra(self, capsys, cache, tmp_path,
+                                           monkeypatch):
+        builds = []
+        init = AlgebraData.__init__
+
+        def counting(alg, *args, **kwargs):
+            builds.append(alg)
+            init(alg, *args, **kwargs)
+
+        monkeypatch.setattr(AlgebraData, "__init__", counting)
+        golden = Path(__file__).resolve().parent / "golden"
+        calls = {
+            "cold compute": ["compute", *Q5, *cache, "--no-verify"],
+            "warm export": ["export", *Q5, *cache],
+            "warm reduce": ["reduce", *Q5, *cache, "(4; 0)"],
+            "hom": ["hom", *Q5, *cache, "(2; 0)", "(2; 4@1)"],
+        }
+        counts = {}
+        for name, argv in calls.items():
+            builds.clear()
+            code, _, err = run(capsys, argv)
+            assert code == EXIT_OK, (name, err)
+            counts[name] = len(builds)
+        [path] = tmp_path.glob("graph-*.json")
+        data = json.loads(path.read_text())
+        _pairing(data)["label"]["pairing"] = "2 + (0)*i + (0)*j + (0)*k"
+        # q5-r5: the same field, another list of primes
+        misses = {"an edited file": json.dumps(data),
+                  "the q5-r5 file": (golden / "q5-r5.json").read_text()}
+        for name, text in misses.items():
+            path.write_text(text)
+            builds.clear()
+            code, out, err = run(capsys, calls["warm export"])
+            assert code == EXIT_OK, (name, err)
+            assert out == (golden / "q5-worked.txt").read_text(), name
+            assert path.read_text() == (golden / "q5-worked.json").read_text()
+            counts[f"export over {name}"] = len(builds)
+        assert counts == dict.fromkeys(counts, 1)
 
 
 class TestPrimesArgument:
@@ -435,8 +483,8 @@ class TestPrimesArgument:
         args = _make_parser().parse_args(["hom", *self.Q9, "(0; 0)",
                                           "(0; 0)"])
         cfg = _parse_config(args)
-        assert len(cfg.primes) == 4
-        assert cfg.primes[3] == (cfg.F.from_coords([0, 1]), 1)
+        assert len(cfg.alg.ram.primes) == 4
+        assert cfg.alg.ram.primes[3] == (cfg.alg.F.from_coords([0, 1]), 1)
 
     def test_hom_over_q9_with_bracketed_prime(self, capsys, cache):
         code, out, err = run(capsys, ["hom", *self.Q9, *cache,

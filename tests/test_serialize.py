@@ -1,16 +1,19 @@
 """Round-trip and format tests for the graph serialization."""
 
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
 from btquot.algebra import field, poly_scale
+from btquot.cli import _make_parser, _parse_config
 from btquot.quaternion import (QuatElem, build_algebra, format_quat,
                                parse_quat)
 from btquot.quotient import compute_quotient
 from btquot.serialize import (graph_from_json, graph_to_dot, graph_to_json,
                               graph_to_json_dict, graph_to_text)
+from test_golden import CASES
 from worked_edits import (END_BASIS_AND_INITIAL, far_candidate,
                           pairing_entry as _pairing, swap_tree_targets)
 
@@ -111,6 +114,31 @@ MALFORMED = {
     "end basis element 5": lambda d: d["vertices"][1].update(end_basis=[5]),
     "no vertices": lambda d: d.update(vertices=[]),
 }
+
+
+@functools.cache
+def case_algebra(case):
+    """The algebra the CLI builds for a golden case."""
+    return _parse_config(_make_parser().parse_args(["export",
+                                                    *CASES[case]])).alg
+
+
+class TestGivenAlgebra:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_file_replays_on_the_given_algebra(self, case):
+        text = (GOLDEN / f"{case}.json").read_text()
+        H = graph_from_json(text, case_algebra(case))
+        assert H.alg is case_algebra(case)
+        assert graph_to_json(H) == text
+
+    # q5-r5 on q5-worked and q7-r5 on q7-deg4: same field, other primes
+    @pytest.mark.parametrize(
+        "other,case", [(o, c) for c in sorted(CASES) for o in sorted(CASES)
+                       if o != c], ids=lambda name: name)
+    def test_file_of_another_algebra_rejected(self, other, case):
+        text = (GOLDEN / f"{other}.json").read_text()
+        with pytest.raises(ValueError):
+            graph_from_json(text, case_algebra(case))
 
 
 class TestCorruptFiles:
