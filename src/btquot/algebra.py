@@ -47,6 +47,14 @@ import numpy as np
 #: quotient computation at q = 127 peaks near 51 MB of RSS.
 MAX_Q = 127
 
+#: Largest exponent of T that parse_poly accepts, checked before the
+#: coefficient list is built.  A prime of that degree is far past any
+#: quotient that can be computed, and a unit of that height would start
+#: its embedding near the default precision cap (4 (height + m + |n| +
+#: 4), see homspace.transport_all), so no argument the program can
+#: serve is refused.
+MAX_DEGREE = 4096
+
 def _factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p^e, p prime, or raise ValueError."""
     if q < 2:
@@ -400,8 +408,12 @@ def _prime_divisors(n: int) -> list[int]:
     return divs
 
 
+@lru_cache(maxsize=1024)
 def is_irreducible(F: GF, f) -> bool:
-    """Deterministic irreducibility test (Rabin) over F_q.
+    """Deterministic irreducibility test (Rabin) over F_q, run once per
+    polynomial (f a tuple): RamificationSet.make tests each ramified
+    prime, and legendre, which find_alpha calls for every candidate
+    alpha at every prime, finds the answer kept.
 
     Constants and the zero polynomial are not irreducible; the zero
     polynomial raises.
@@ -604,6 +616,9 @@ def parse_poly(F: GF, text: str):
         if sgn < 0:
             coeff = F.neg(coeff)
         k = 0 if tvar is None else (1 if exp_s is None else int(exp_s))
+        if k > MAX_DEGREE:
+            raise ValueError(f"exponent {k} in {text!r} is above the "
+                             f"supported maximum {MAX_DEGREE}")
         acc[k] = F.add(acc.get(k, 0), coeff)
     if not acc:
         return ZERO_POLY

@@ -8,7 +8,9 @@ hom (print a basis of the hom space between two vertices), verify
 format).
 
 Exit codes: 0 success, 1 verification failure, 2 user error (a bad
-argument, including --q above algebra.MAX_Q = 127), 3 a series
+argument, including --q above algebra.MAX_Q = 127, a term above
+T^algebra.MAX_DEGREE = T^4096, and a vertex whose transports would start
+above --precision-cap, at 4 (m + |n| + 4) or more), 3 a series
 computation lacked precision at an attempt at or above --precision-cap
 (default 16384: it ends the doubling, not a start above it), 70
 internal assertion failure.  Each failure prints one line on stderr.
@@ -33,7 +35,7 @@ from pathlib import Path
 
 from . import tree
 from .algebra import MAX_Q, field, format_poly, parse_poly
-from .homspace import hom
+from .homspace import hom, transport_start
 from .laurent import InsufficientPrecisionError
 from .quaternion import AlgebraData, build_algebra, format_quat, parse_quat
 from .quotient import (QuotientGraph, compute_quotient, express_in_generators,
@@ -185,11 +187,24 @@ def cmd_export(cfg: JobConfig) -> int:
     return EXIT_OK
 
 
+def _vertex(cfg: JobConfig, text: str):
+    """parse_vertex, refusing a vertex that every transport of it, by a
+    unit of any height, would start above the precision cap: the cap
+    ends the doubling, not a start above it."""
+    v = parse_vertex(cfg.alg.F, text)
+    start = transport_start(cfg.alg, 0, abs(v.n))
+    if start > cfg.alg.precision_cap:
+        raise ValueError(f"vertex {text.strip()} needs precision {start} "
+                         f"or more, above --precision-cap "
+                         f"{cfg.alg.precision_cap}")
+    return v
+
+
 def cmd_reduce(cfg: JobConfig) -> int:
     if len(cfg.extra) != 1:
         raise ValueError("reduce takes exactly one vertex argument, "
                          "e.g. \"(4; 0)\"")
-    v = parse_vertex(cfg.alg.F, cfg.extra[0])
+    v = _vertex(cfg, cfg.extra[0])
     G = _build_graph(cfg)
     w, g = reduce(G, v)  # self-checks v = g . w
     print(f"w = {format_vertex(w)}")
@@ -222,8 +237,7 @@ def cmd_word(cfg: JobConfig) -> int:
 def cmd_hom(cfg: JobConfig) -> int:
     if len(cfg.extra) != 2:
         raise ValueError("hom takes exactly two vertex arguments")
-    v = parse_vertex(cfg.alg.F, cfg.extra[0])
-    w = parse_vertex(cfg.alg.F, cfg.extra[1])
+    v, w = (_vertex(cfg, x) for x in cfg.extra)
     hs = hom(cfg.alg, v, w)
     print(f"dim = {hs.dim}, cardinality = {hs.cardinality}")
     for b in hs.basis:

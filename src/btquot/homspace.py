@@ -13,13 +13,14 @@ where Mv = [[pi^n_v, g_v], [0, 1]] and Mw are the exact vertex matrices.
 The map is linear in gamma, so the condition is a linear system over
 F_q in the 4(nm + 1) polynomial coefficients.
 
-hom_stack solves one source v against targets w of one search level,
-which share v's parity of n: for each candidate, End(v) and Hom(v, w')
-for every live earlier candidate w' of its level, the first nonzero one
-in candidate order its pairing.  A stack is solved at the level's
-height bound (a larger one than a pair needs adds only pivot columns,
-see hom_stack); hom solves a single pair, empty across parities.  Both
-work from arrays:
+hom_stack solves stacks of one search level, which share its parity of
+n: each stack a source v and its targets, for a candidate End(v) and
+Hom(v, w') for the earlier candidates w' of its level still live when
+its sibling group (the candidates of one frontier vertex) is solved, the
+first nonzero one in candidate order its pairing.  A stack is solved at
+the level's height bound (a larger one than a pair needs adds only pivot
+columns, see hom_stack); hom solves a single pair, empty across
+parities.  Both work from arrays:
 
 * entries: Y = pi^s Mw^(-1) iota(b_k) Mv, s = (n_w - n_v)/2: one
   series product, the column operation of Mv on the packed rows of the
@@ -37,12 +38,14 @@ work from arrays:
   largest distance n to the base vertex (bottom_kernels), the kernel K
   of the bottom rows, and the top rows' parts free of g_w projected
   onto K; then per target, those parts combined with g_w's coefficients
-  by one F_q product and eliminated over dim K columns.  Both are one
-  Gauss-Jordan elimination by F_q table lookups, and the product runs
-  on coordinate planes folded by the modulus, the same for prime and
-  non-prime q.  Mapped back through K, the result is each system's
+  by one F_q product and eliminated over dim K columns, the targets of
+  a sibling group's stacks in one elimination (hom_stack).  Both stages
+  eliminate by Gauss-Jordan with F_q table lookups, and the product
+  runs on coordinate planes folded by the modulus, the same for prime
+  and non-prime q.  Mapped back through K, the result is each system's
   reduced echelon kernel basis, which is unique, so it depends neither
-  on how the rows were assembled nor on the other systems of the stack.
+  on how the rows were assembled nor on the other systems eliminated
+  with it.
 
 Solutions automatically have reduced norm in F_q^* and map v to w (the
 determinant argument fixes the norm's valuation, and a unit of the order
@@ -100,13 +103,19 @@ def transport_all(alg: AlgebraData, g: QuatElem, vs) -> list[Vertex]:
     reduction steps and transporters are products and inverses of those
     and of checked pairing units.
     """
-    start = 4 * (height(g) + alg.m + max(abs(v.n) for v in vs) + 4)
-
     def images(prec):
         M = alg.embed(g, prec)
         return [act(M, v) for v in vs]
 
-    return retry_with_precision(images, start, alg.precision_cap)
+    return retry_with_precision(
+        images, transport_start(alg, height(g), max(abs(v.n) for v in vs)),
+        alg.precision_cap)
+
+
+def transport_start(alg: AlgebraData, h: int, n: int) -> int:
+    """The precision transport_all starts at for a unit of height h and
+    vertices of |n| at most n: 4 (h + m + n + 4)."""
+    return 4 * (h + alg.m + n + 4)
 
 
 @dataclass(frozen=True)
@@ -359,24 +368,31 @@ def _kernel_rows(F: GF, A, ncols: int):
     below A.  A system without a pivot picks the zero row put above A,
     which changes nothing.  Once its column is cleared, a column never
     changes again, so it is kept aside and the working matrix drops it.
+    The working matrix holds the systems on its last axis, so that every
+    broadcast of a row or a column runs along the stack, not along a
+    short row.
     """
     _, mul, neg, inv = F.tables()
     q = F.q
     step = _step_table(F)
     A = A[:, A.any(axis=(0, 2))]
     B, R, _ = A.shape
-    W = np.zeros((B, 1 + R + ncols, ncols), dtype=np.int64)
-    W[:, 1:R + 1] = A
-    slots = np.empty((B, ncols, ncols), dtype=np.int64)
+    W = np.zeros((1 + R + ncols, ncols, B), dtype=np.int64)
+    W[1:R + 1] = A.transpose(1, 2, 0)
+    slots = np.empty((ncols, ncols, B), dtype=np.int64)
     systems = np.arange(B)
     for c in range(ncols):
         # codes are >= 0: argmax finds a nonzero entry, else the zero row
-        prow = W[systems, W[:, :R + 1, 0].argmax(axis=1)]
-        row = mul[inv[prow[:, 0]][:, None], prow]
-        W = step[W * (q * q) + W[:, :, :1] * q + row[:, None, :]]
-        W[:, R + 1 + c] = row
-        slots[:, :, c] = W[:, R + 1:, 0]
-        W = W[:, :, 1:]
+        prow = W[W[:R + 1, 0].argmax(axis=0), :, systems].T
+        row = mul[inv[prow[0]], prow]
+        at = W * (q * q)
+        at += W[:, :1] * q
+        at += row
+        W = step.take(at)
+        W[R + 1 + c] = row
+        slots[:, c] = W[R + 1:, 0]
+        W = W[:, 1:]
+    slots = slots.transpose(2, 0, 1)
     # the row of free column f: 1 at f, minus f's entry in each pivot row
     free = np.diagonal(slots, axis1=1, axis2=2) == 0
     dims = free.sum(axis=1)
@@ -455,6 +471,12 @@ def has_solver_shape(basis) -> bool:
 # cost, few enough that their (1 + R + N) N int64 each keep the peak RSS
 _CHUNK = 16
 
+# hom systems eliminated together in stage 2: a sibling group's stacks
+# are solved in consecutive pieces of at most this many systems (one
+# stack more if a stack alone has more), enough to share the per-column
+# cost, few enough that a group of long stacks keeps the peak RSS
+_PIECE = 256
+
 
 def _start_precision(alg: AlgebraData, n: int) -> int:
     """The precision a system at the height bound n + m is first built
@@ -462,16 +484,37 @@ def _start_precision(alg: AlgebraData, n: int) -> int:
     return 2 * n + max(alg.ram.d, alg.m) + alg.m + 1
 
 
+def _toeplitz(F: GF, vertices, n: int):
+    """For each w in vertices, the n x n matrix G[t, u] = -c_i for u = n +
+    t + gval + i - n_w, t and u 1..n, g_w = sum_i c_i pi^(gval + i) with
+    deg_n(g_w) <= n (see hom_stack)."""
+    _, _, neg, _ = F.tables()
+    g = np.zeros((len(vertices), 2 * n), dtype=np.int64)
+    for row, u in zip(g, vertices):
+        row[2 * n - 1 - u.degn():][:len(u.gcoeffs)] = u.gcoeffs
+    return neg[g[:, np.arange(n) - np.arange(n)[:, None] + n - 1]]
+
+
 def bottom_kernels(alg: AlgebraData, sources, n: int, ns) -> list:
     """The only build of hom systems, for a search level: for each v in
-    sources, (n, {n_w: (K, B K^t, C K^t)}) for each n_w in its list in
-    ns (each of v's parity), at the height bound n + m, with K, B and C
-    as in hom_stack.  _CHUNK sources at a time are built by one
-    _level_rows call, retried at doubled precision while any entry runs
-    short (the solve's only retry), and eliminated in one stack."""
+    sources (all within distance n of the base vertex), (n, rows, parts,
+    toeplitz) at the height bound n + m.  parts = (K, B K^t, C K^t, dims),
+    with K, B and C as in hom_stack and dims the kernel dimensions (the
+    nonzero rows of K, which come first), are stacks over the systems of
+    v's chunk, rows[n_w] v's system for each n_w in its list in ns (each
+    of v's parity).  toeplitz = (G, index), shared by every entry,
+    holds the Toeplitz matrix of g_w for each w in sources at
+    G[index[w]], built once per level.  _CHUNK sources at a time are
+    built by one _level_rows call, retried at doubled precision while any
+    entry runs short (the solve's only retry), and eliminated in one
+    stack."""
     if any((v.n - u) % 2 for v, us in zip(sources, ns) for u in us):
         raise AssertionError("bottom kernels asked across parities of n")
+    if max(v.dist_to_base() for v in sources) > n:
+        raise AssertionError("bottom kernels below a source's bound")
     F, out = alg.F, []
+    toeplitz = (_toeplitz(F, sources, n),
+                {v: i for i, v in enumerate(sources)})
     for i in range(0, len(sources), _CHUNK):
         part, pns = sources[i:i + _CHUNK], ns[i:i + _CHUNK]
         A = retry_with_precision(
@@ -480,16 +523,42 @@ def bottom_kernels(alg: AlgebraData, sources, n: int, ns) -> list:
         B, P2, N = A[:, 0], A[:, 1], A.shape[-1]
         K = _kernel_rows(F, P2[:, :, n:].reshape(len(A), -1, N), N)
         Kt = K.transpose(0, 2, 1)[:, None]
-        parts = zip(K, *(_fq_matmul(F, X, Kt) for X in (B, P2[:, :, :n])))
-        out += [(n, dict(zip(us, parts))) for us in pns]
+        parts = (K, *(_fq_matmul(F, X, Kt) for X in (B, P2[:, :, :n])),
+                 K.any(axis=2).sum(axis=1))
+        first = itertools.accumulate(map(len, pns), initial=0)
+        out += [(n, dict(zip(us, itertools.count(lo))), parts, toeplitz)
+                for us, lo in zip(pns, first)]
     return out
 
 
-def hom_stack(alg: AlgebraData, v: Vertex, targets,
-              bottom) -> list[HomSet]:
-    """Hom(v, w) for every w in targets, in order, bases not yet checked.
-    bottom is v's entry of bottom_kernels for a search level that holds
-    v and these targets, all of v's parity of n.
+@dataclass(frozen=True, eq=False)
+class StackHoms:
+    """The hom sets of one stack of hom_stack, in target order: dims[k]
+    is the dimension of Hom(source, targets[k]), and self[k] its HomSet,
+    built from row k of vectors (its basis rows, zero rows between them)
+    only when asked for: the search reads End and its pairing hits."""
+
+    field: GF
+    source: Vertex
+    targets: list
+    nm: int
+    vectors: np.ndarray
+    dims: list
+
+    def __getitem__(self, k: int) -> HomSet:
+        return HomSet(self.field, self.source, self.targets[k], tuple(
+            _vector_to_quat(x, self.nm) for x in self.vectors[k].tolist()
+            if any(x)))
+
+
+def hom_stack(alg: AlgebraData, stacks) -> list[StackHoms]:
+    """Hom(v, w) for every w in targets of every stack (v, targets,
+    bottom), in order, bases not yet checked.  bottom is v's entry of
+    bottom_kernels for a search level whose sources hold v and these
+    targets, all of v's parity of n; every stack's level has one height
+    bound n.  Consecutive stacks are solved together, in pieces of at
+    most _PIECE systems (one per target) but a single stack, each by one
+    elimination.
 
     They are solved at the height bound n + m of bottom, n at least the
     largest distance to the base vertex among v and them.  With s =
@@ -507,11 +576,15 @@ def hom_stack(alg: AlgebraData, v: Vertex, targets,
     Eq(pi^(s - n) P2*): past t = n_w - gval - i a bottom row, zero on K,
     and up to it a row of C, at least n + 1 - deg_n(g_w) >= 1 as
     deg_n(g_w) = n_w - gval <= dist(w) <= n.  So T(w) K^t is B K^t minus
-    a Toeplitz matrix of g_w's coefficients times C K^t, one F_q product
-    for the stack, and one elimination of it gives y, x = y K for every
-    solution x.  Rows of K zero in every target (its padding to the
-    widest kernel eliminated with it) are dropped; any other is a zero
-    column of T(w) K^t, whose kernel row maps to x = 0, dropped.
+    a Toeplitz matrix of g_w's coefficients (bottom's, built once per
+    level) times C K^t, one F_q product for the piece, and one
+    elimination of it gives y, x = y K for every solution x.  Stacks of
+    two stage-1 chunks meet in a piece padded with zeros, to the wider
+    kernel and to the longer rows: a zero row of K or a zero equation
+    changes no kernel.  The piece keeps the rows of K up to its widest
+    kernel; a zero row of a system's K among them is a zero column of
+    T(w) K^t, whose kernel row maps to x = 0, dropped.  Only the systems
+    with a kernel row are mapped back through their K.
 
     x = y K, scaled to leading coefficient 1, is the reduced echelon
     kernel basis of the whole system.  Added rows only add pivots, so
@@ -519,47 +592,89 @@ def hom_stack(alg: AlgebraData, v: Vertex, targets,
     vector supported on the columns up to f_i is y K with y_i' = 0 for
     i' > i, so f_i is free in the system exactly when i is free in T
     K^t, whose kernel row for i (1 at i, 0 at its other free columns)
-    maps to the system's own for f_i.
+    maps to the system's own for f_i.  It is unique, so neither the
+    piece nor the padding changes it.
 
     A target nearer the base vertex than the level's farthest gets the
     basis of its own bound nm_w: every solution has height <= nm_w
     (asserted by _assert_solution), so the columns j > nm_w are pivot
     columns, and the reduced echelon basis is unique.
     """
+    if len({bottom[0] for _, _, bottom in stacks}) > 1:
+        raise AssertionError("hom stacks of two height bounds")
+    out, piece, size = [], [], 0
+    for stack in stacks:
+        if piece and size + len(stack[1]) > _PIECE:
+            out += _solve_piece(alg, piece)
+            piece, size = [], 0
+        piece.append(stack)
+        size += len(stack[1])
+    return out + _solve_piece(alg, piece)
+
+
+def _solve_piece(alg: AlgebraData, stacks) -> list[StackHoms]:
+    """hom_stack on one piece of stacks, by one elimination."""
     F = alg.F
-    add, _, neg, _ = F.tables()
-    if any((v.n - w.n) % 2 for w in targets):
-        raise AssertionError("hom stack asked across parities of n")
-    n, parts = bottom
-    if max(u.dist_to_base() for u in (v, *targets)) > n:
-        raise AssertionError("bottom kernels below the stack's bound")
-    K, TK, CK = map(np.stack, zip(*(parts[u.n] for u in targets)))
-    keep = K.any(axis=(0, 2))
-    K, TK, CK = K[:, keep], TK[..., keep], CK[..., keep]
-    # G[w, t, u] = -c_i for u = n + t + gval + i - n_w, t and u 1..n
-    g = np.zeros((len(targets), 2 * n), dtype=np.int64)
-    for row, u in zip(g, targets):
-        row[2 * n - 1 - u.degn():][:len(u.gcoeffs)] = u.gcoeffs
-    G = neg[g[:, np.arange(n) - np.arange(n)[:, None] + n - 1]]
+    add = F.tables()[0]
+    n = stacks[0][2][0]
+    picks = []
+    for v, targets, (_, rows, parts, (Gs, index)) in stacks:
+        if any((v.n - w.n) % 2 for w in targets):
+            raise AssertionError("hom stack asked across parities of n")
+        try:
+            at = [index[w] for w in targets]
+        except KeyError:
+            raise AssertionError("hom stack target outside the level of "
+                                 "its bottom kernels") from None
+        picks.append((parts, [rows[w.n] for w in targets], Gs[at]))
+    # a kernel's nonzero rows come first: the piece needs d of them
+    d = max(int(parts[3][sel].max()) for parts, sel, _ in picks)
+    tmax = max(parts[1].shape[2] for parts, _, _ in picks)
+    size = sum(len(sel) for _, sel, _ in picks)
+    TK = np.zeros((size, 2, tmax, d), dtype=np.int64)
+    CK = np.zeros((size, 2, n, d), dtype=np.int64)
+    lo = 0
+    for (_, BKs, CKs, _), sel, _ in picks:
+        hi, t = lo + len(sel), BKs.shape[2]
+        TK[lo:hi, :, :t, :BKs.shape[3]] = BKs[sel, ..., :d]
+        CK[lo:hi, ..., :CKs.shape[3]] = CKs[sel, ..., :d]
+        lo = hi
+    G = np.concatenate([G for _, _, G in picks])
     TK[:, :, :n] = add[TK[:, :, :n], _fq_matmul(F, G[:, None], CK)]
-    Y = _kernel_rows(F, TK.reshape(len(K), -1, K.shape[1]), K.shape[1])
-    X = _monic(F, _fq_matmul(F, Y, K))
-    dim = X.any(axis=2).sum(axis=1).max()
-    if dim > 2:
-        raise AssertionError(f"hom space has impossible dimension {dim}")
-    return [HomSet(F, v, w, tuple(_vector_to_quat(x, n + alg.m)
-                                  for x in xs if any(x)))
-            for w, xs in zip(targets, X.tolist())]
+    Y = _kernel_rows(F, TK.reshape(size, -1, d), d)
+    # only systems with a kernel row are mapped back through their K
+    hit = np.flatnonzero(Y.any(axis=(1, 2)))
+    owner = [(parts[0], r) for parts, sel, _ in picks for r in sel]
+    K = np.zeros((len(hit), d, owner[0][0].shape[2]), dtype=np.int64)
+    for x, i in zip(K, hit.tolist()):
+        Ks, r = owner[i]
+        x[:Ks.shape[1]] = Ks[r, :d]
+    X = np.zeros((size, Y.shape[1], K.shape[2]), dtype=np.int64)
+    X[hit] = _monic(F, _fq_matmul(F, Y[hit], K))
+    dims = X.any(axis=2).sum(axis=1)
+    if dims.max() > 2:
+        raise AssertionError(f"hom space has impossible dimension "
+                             f"{dims.max()}")
+    out, lo, dims = [], 0, dims.tolist()
+    for v, targets, _ in stacks:
+        hi = lo + len(targets)
+        out.append(StackHoms(F, v, targets, n + alg.m, X[lo:hi],
+                             dims[lo:hi]))
+        lo = hi
+    return out
 
 
 def hom(alg: AlgebraData, v: Vertex, w: Vertex) -> HomSet:
     """The set {gamma in Gamma : gamma.v = w} as a HomSet, the only
-    single-pair solve: empty across parities of n, else hom_stack on its
-    own bottom kernels, every basis element asserted (_assert_solution)."""
+    single-pair solve: empty across parities of n, else hom_stack on one
+    stack, of w over the bottom kernels of the level (v, w), every basis
+    element asserted (_assert_solution)."""
     if (v.n - w.n) % 2:
         return HomSet(alg.F, v, w, ())
-    (hs,) = hom_stack(alg, v, [w], bottom_kernels(
-        alg, [v], max(v.dist_to_base(), w.dist_to_base()), [[w.n]])[0])
+    bottom = bottom_kernels(alg, [v, w], max(v.dist_to_base(),
+                                             w.dist_to_base()),
+                            [[w.n], []])[0]
+    hs = hom_stack(alg, [(v, [w], bottom)])[0][0]
     for gamma in hs.basis:
         _assert_solution(alg, gamma, v, w)
     return hs

@@ -23,7 +23,12 @@ in the spanning tree and recurses on the new vertex.  The tree is
 bipartite (Serre, *Trees*, ch. II) and a vertex's distance to the base
 vertex has the parity of its n, so a level, one distance from the
 initial vertex, has one parity of n: homspace.bottom_kernels serves it
-in one call, at its largest distance to the base vertex.
+in one call, at its largest distance to the base vertex.  The candidates
+of one frontier vertex, a sibling group, are solved by one hom_stack
+call, each against End and every candidate live as the group starts or
+earlier in it; the group is then replayed in candidate order, reading
+only the candidates still live at each turn.  Every system's basis is
+unique, so that reads the answers a solve per candidate would give.
 
 Edges are directed and come in opposite pairs sharing a multiplicity
 index, so parallel edges between the same two vertices are
@@ -49,6 +54,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 
 from .algebra import poly_deg, product
 from .homspace import (HomSet, StabilizerField, _assert_solution,
@@ -261,43 +267,51 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
                                  [sorted({u.n for u in cands[:i + 1]})
                                   for i in range(len(cands))])
         nxt: list = []
-        for i in range(len(alive)):
-            # only i itself and earlier candidates are ever cleared
-            src_id, cand = alive[i]
+        for src_id, run in groupby(range(len(cands)),
+                                   key=lambda i: frontier[i][0]):
+            # a sibling group, solved together: each candidate against
+            # End and the candidates live as the group starts or earlier
+            # in it; only i itself and earlier candidates are ever
+            # cleared, so the replay reads a subset of what was solved
+            group = list(run)
+            live = [j for j in range(group[0]) if alive[j] is not None]
+            earlier = live + group
+            stacks = [(cands[i], [cands[j] for j in
+                                  (i, *earlier[:len(live) + k])], bottoms[i])
+                      for k, i in enumerate(group)]
             src_v = G.vertices[src_id]
-            # one stacked solve: End(cand), then every live earlier
-            # candidate of the level, in order
-            live = [j for j in range(i) if alive[j] is not None]
-            homs = hom_stack(alg, cand, [cand, *(alive[j][1] for j in live)],
-                             bottoms[i])
-            if stability(homs[0]) == "unstable":
-                new_id = G._add_vertex(cand, homs[0].basis)
-                G._add_tree_pair(src_id, new_id)
-                alive[i] = None
-                continue
-
-            for j, hs in zip(live, homs[1:]):
-                if hs.dim == 0:
+            for (k, i), homs in zip(enumerate(group),
+                                    hom_stack(alg, stacks)):
+                cand, ends = cands[i], homs[0]
+                if stability(ends) == "unstable":
+                    new_id = G._add_vertex(cand, ends.basis)
+                    G._add_tree_pair(src_id, new_id)
+                    alive[i] = None
                     continue
-                assert hs.dim == 1, "hom space between one-dimensional " \
-                    "vertices must be a line"
-                wp_id = G.vid[hs.target]
-                back = G._add_pairing(src_id, wp_id, cand, hs.basis[0])
-                alive[i] = None
-                try:
-                    nxt.remove((wp_id, back))
-                except ValueError:
-                    raise AssertionError(
-                        "pairing should cancel a frontier edge of its "
-                        "target, but none was found") from None
-                if G.degree(wp_id) == q + 1:
-                    alive[j] = None
-                break
-            else:
-                new_id = G._add_vertex(cand, None)
-                G._add_tree_pair(src_id, new_id)
-                nxt.extend((new_id, u) for u in neighbors(F, cand)
-                           if u != src_v)
+
+                for t, j in enumerate(earlier[:len(live) + k], 1):
+                    if alive[j] is None or not homs.dims[t]:
+                        continue
+                    hs = homs[t]
+                    assert hs.dim == 1, "hom space between " \
+                        "one-dimensional vertices must be a line"
+                    wp_id = G.vid[hs.target]
+                    back = G._add_pairing(src_id, wp_id, cand, hs.basis[0])
+                    alive[i] = None
+                    try:
+                        nxt.remove((wp_id, back))
+                    except ValueError:
+                        raise AssertionError(
+                            "pairing should cancel a frontier edge of its "
+                            "target, but none was found") from None
+                    if G.degree(wp_id) == q + 1:
+                        alive[j] = None
+                    break
+                else:
+                    new_id = G._add_vertex(cand, None)
+                    G._add_tree_pair(src_id, new_id)
+                    nxt.extend((new_id, u) for u in neighbors(F, cand)
+                               if u != src_v)
         frontier = nxt
     return G
 

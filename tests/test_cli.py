@@ -6,6 +6,7 @@ checking output, exit codes, and byte-level determinism.
 
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from btquot import cli, homspace, tree
 from btquot.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PRECISION, EXIT_USER,
                         EXIT_VERIFY, JobConfig, _make_parser, _parse_config,
                         main)
-from btquot.algebra import MAX_Q, field
+from btquot.algebra import MAX_DEGREE, MAX_Q, field, parse_poly
 from btquot.laurent import InsufficientPrecisionError
 from btquot.quaternion import AlgebraData, build_algebra
 from worked_edits import (END_BASIS_AND_INITIAL, far_candidate,
@@ -99,6 +100,18 @@ class TestCompute:
         assert out == ""
         assert err == f"error: q={MAX_Q + 4} is above the supported " \
             f"maximum {MAX_Q}\n"
+
+    def test_prime_degree_above_the_maximum_rejected_at_once(self, capsys,
+                                                             cache):
+        # checked before parse_poly builds 10^7 coefficients
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["compute", "--q", "5", "--primes",
+                                      "T^9999999,T", *cache])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_USER, "")
+        assert err == "error: bad prime 'T^9999999': exponent 9999999 in " \
+            f"'T^9999999' is above the supported maximum {MAX_DEGREE}\n"
+        assert len(parse_poly(field(5), f"T^{MAX_DEGREE}")) == MAX_DEGREE + 1
 
     @pytest.mark.parametrize("q", [81, 121, 125])
     def test_every_prime_power_up_to_the_maximum(self, capsys, q):
@@ -298,6 +311,22 @@ class TestReduce:
         code, out, _ = run(capsys, ["reduce", *Q5, *cache, "(4; 0)"])
         assert code == EXIT_OK
         assert out.startswith("w = (")
+
+    def test_vertex_starting_above_the_precision_cap(self, capsys, cache):
+        # m = 2, so (100000; 0) starts every transport at 4 * 100006
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["reduce", *Q5, *cache,
+                                      "(100000; 0)"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_USER, "")
+        assert err == "error: vertex (100000; 0) needs precision 400024 " \
+            "or more, above --precision-cap 16384\n"
+        code, _, err = run(capsys, ["reduce", *Q5, *cache,
+                                    "--precision-cap", "39", "(4; 0)"])
+        assert code == EXIT_USER and "needs precision 40 or more" in err
+        code, _, err = run(capsys, ["hom", *Q5, *cache, "(0; 0)",
+                                    "(-9000; 0)"])
+        assert code == EXIT_USER and "(-9000; 0) needs precision" in err
 
     def test_malformed_vertex(self, capsys, cache):
         code, _, err = run(capsys, ["reduce", *Q5, *cache, "(x; 0)"])

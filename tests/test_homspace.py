@@ -475,11 +475,13 @@ def test_candidate_stack_matches_sequential_hom():
     for k, cand in enumerate(cands):
         same = [w for w in pool if w != cand and (w.n - cand.n) % 2 == 0]
         targets = [cand, *same[k:k + 9]]
-        stacked = hom_stack(ALG5, cand, targets, bottoms[cand])
-        assert [hs.target for hs in stacked] == targets
-        for hs, w in zip(stacked, targets):
+        (stacked,) = hom_stack(ALG5, [(cand, targets, bottoms[cand])])
+        homs = [stacked[k] for k in range(len(targets))]
+        assert [hs.target for hs in homs] == targets
+        assert [hs.dim for hs in homs] == stacked.dims
+        for hs, w in zip(homs, targets):
             assert hs.basis == hom(ALG5, cand, w).basis, (cand, w)
-        hits += any(hs.dim for hs in stacked[1:])
+        hits += any(stacked.dims[1:])
         bounds += len({max(cand.dist_to_base(), w.dist_to_base())
                        for w in targets}) > 1
         ns += len({w.n for w in targets}) > 1
@@ -492,7 +494,24 @@ def test_stack_rejects_a_target_of_the_other_parity():
     v, w = Vertex.make(2, 0, ()), Vertex.make(1, 0, ())
     bottom = bottom_kernels(ALG5, [v], 2, [[2]])[0]
     with pytest.raises(AssertionError, match="parities"):
-        hom_stack(ALG5, v, [v, w], bottom)
+        hom_stack(ALG5, [(v, [v, w], bottom)])
+
+
+def test_stack_rejects_a_target_outside_its_level():
+    """A target's Toeplitz rows come from its level, so a target that is
+    not one of the level's sources, or a stack of another height bound,
+    is refused."""
+    v, w, u = (Vertex.make(2, 0, ()), Vertex.make(2, 1, (4,)),
+               Vertex.make(0, 0, ()))
+    bottom = bottom_kernels(ALG5, [v, w], 2, [[2], []])[0]
+    assert hom_stack(ALG5, [(v, [w], bottom)])[0].dims == [1]
+    with pytest.raises(AssertionError, match="outside the level"):
+        hom_stack(ALG5, [(v, [v, u], bottom)])
+    other = bottom_kernels(ALG5, [v], 3, [[2]])[0]
+    with pytest.raises(AssertionError, match="two height bounds"):
+        hom_stack(ALG5, [(v, [v], bottom), (v, [v], other)])
+    with pytest.raises(AssertionError, match="below a source's bound"):
+        bottom_kernels(ALG5, [v, Vertex.make(4, 0, ())], 2, [[2], []])
 
 
 def reference_system(alg, v, w, nm, prec):
@@ -560,8 +579,14 @@ def test_system_stack_matches_mat2_reference(q):
     assert deepest, "no system reads C's deepest row"
 
 
+def stack_bases(alg, stacks):
+    """The bases of one hom_stack call on stacks: per stack, per target."""
+    return [[homs[k].basis for k in range(len(homs.targets))]
+            for homs in hom_stack(alg, stacks)]
+
+
 def one_stage(alg, v, targets):
-    """The bases of hom_stack(alg, v, targets, bottom) from one
+    """The bases of hom_stack on the stack (v, targets, bottom) from one
     elimination of each target's whole system (system_stack), top and
     bottom rows together, at the stack's own height bound."""
     n = max(u.dist_to_base() for u in (v, *targets))
@@ -586,9 +611,10 @@ def level_bottoms(alg, level):
 
 @pytest.mark.parametrize("q", [5, 9])
 def test_two_stage_solve_matches_one_stage(q):
-    """hom_stack's bases, with its bottom kernels computed for the stack
-    alone or for a whole level of candidates (a larger height bound when
-    a far candidate is in the level), equal the one-stage solve's, on
+    """hom_stack's bases, with its bottom kernels computed for a level of
+    the stack alone (its source and targets) or for a whole level of
+    candidates (a larger height bound when a far candidate is in the
+    level), equal the one-stage solve's, on
     stacks that mix values of n and height bounds.  A level is one
     parity of n, so the candidates are split into one level each, and a
     stack holds the candidates of its source's parity."""
@@ -613,11 +639,10 @@ def test_two_stage_solve_matches_one_stage(q):
         for targets in ([v, *same], [v, *earlier[-4:]]):
             want = one_stage(alg, v, targets)
             own = bottom_kernels(
-                alg, [v], max(w.dist_to_base() for w in targets),
-                [sorted({w.n for w in targets})])[0]
+                alg, [v, *targets], max(w.dist_to_base() for w in targets),
+                [sorted({w.n for w in targets})] + [[]] * len(targets))[0]
             for bottom in (own, bottoms[v]):
-                assert [hs.basis for hs in hom_stack(alg, v, targets,
-                                                     bottom)] == want
+                assert stack_bases(alg, [(v, targets, bottom)]) == [want]
             dims.update(len(b) for b in want)
             groups[len({w.n for w in targets})] += 1
             bounds[bottoms[v][0] > max(w.dist_to_base()
@@ -629,25 +654,28 @@ def test_two_stage_solve_matches_one_stage(q):
 
 def recorded_search(monkeypatch, case):
     """The algebra of a golden case, with the bottom_kernels and hom_stack
-    calls of its compute_quotient: (sources, n, ns) per level and
-    (v, targets, bottom) per stack."""
+    calls of its compute_quotient: (sources, n, ns) per level, and per
+    hom_stack call its stacks (v, targets, bottom) and their bases."""
     args = dict(zip(CASES[case][::2], CASES[case][1::2]))
     F = field(int(args["--q"]))
     alg = build_algebra(F, [parse_poly(F, t)
                             for t in _split_primes(args["--primes"])])
-    levels, stacks = [], []
+    levels, calls = [], []
 
     def level(alg, sources, n, ns):
         levels.append((list(sources), n, [list(x) for x in ns]))
         return bottom_kernels(alg, sources, n, ns)
 
-    def stack(alg, v, targets, bottom):
-        stacks.append((v, list(targets), bottom))
-        return hom_stack(alg, v, targets, bottom)
+    def stack(alg, stacks):
+        out = hom_stack(alg, stacks)
+        calls.append(([(v, list(t), b) for v, t, b in stacks],
+                      [[homs[k].basis for k in range(len(homs.targets))]
+                       for homs in out]))
+        return out
     monkeypatch.setattr(quotient, "bottom_kernels", level)
     monkeypatch.setattr(quotient, "hom_stack", stack)
     quotient.compute_quotient(alg)
-    return alg, levels, stacks
+    return alg, levels, calls
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -658,9 +686,9 @@ def test_every_search_level_has_one_parity_of_n(monkeypatch, case):
     it is asked for at its own largest distance, and each candidate for
     the values of n of itself and the earlier candidates, the only
     targets its stack can hold."""
-    _, levels, stacks = recorded_search(monkeypatch, case)
+    _, levels, calls = recorded_search(monkeypatch, case)
     assert levels and sum(len(sources) for sources, _, _ in levels) == \
-        len(stacks)
+        sum(len(stacks) for stacks, _ in calls)
     for sources, n, ns in levels:
         assert len({v.n % 2 for v in sources}) == 1, (case, sources)
         assert n == max(v.dist_to_base() for v in sources)
@@ -668,19 +696,56 @@ def test_every_search_level_has_one_parity_of_n(monkeypatch, case):
                       for i in range(len(sources))]
 
 
-@pytest.mark.parametrize("case", ["q5-worked", "q9-deg4"])
+@pytest.mark.parametrize("case", sorted(CASES))
 def test_search_level_kernels_solve_as_one_stage(monkeypatch, case):
-    """Every stack of the search, solved with its level's bottom kernels,
-    has the one-stage bases.  The worked example starts at (1; 0), so its
-    first level holds the base vertex and vertices two steps from it,
-    and its first stack is solved above its own height bound."""
-    alg, _, stacks = recorded_search(monkeypatch, case)
-    above = 0
-    for v, targets, bottom in stacks:
-        assert [hs.basis for hs in hom_stack(alg, v, targets, bottom)] == \
-            one_stage(alg, v, targets), (v, targets)
-        above += bottom[0] > max(u.dist_to_base() for u in (v, *targets))
+    """Every stack of the search, solved in its sibling group's call with
+    its level's bottom kernels, has the bases of the same stack solved
+    alone and the one-stage bases.  The worked example starts at (1; 0),
+    so its first level holds the base vertex and vertices two steps from
+    it, and its first stack is solved above its own height bound."""
+    alg, _, calls = recorded_search(monkeypatch, case)
+    above = grouped = 0
+    for stacks, bases in calls:
+        for (v, targets, bottom), got in zip(stacks, bases):
+            assert stack_bases(alg, [(v, targets, bottom)]) == [got]
+            assert got == one_stage(alg, v, targets), (v, targets)
+            above += bottom[0] > max(u.dist_to_base()
+                                     for u in (v, *targets))
+        grouped += len(stacks) > 1
     assert above or case != "q5-worked"
+    assert grouped, "no call solved a sibling group of several stacks"
+
+
+@pytest.mark.parametrize("q", [7, 25])
+def test_grouped_stacks_across_chunks_solve_as_alone(monkeypatch, q):
+    """Stacks of one level whose bottom kernels come from stage-1 chunks
+    of different kernel widths d and row counts tmax, solved in one
+    hom_stack call (one elimination, padded where the chunks meet), each
+    give the bases of the stack solved alone and the one-stage bases: on
+    the oracle vertices, each against End and the earlier ones, with
+    chunks of two sources."""
+    monkeypatch.setattr(homspace, "_CHUNK", 2)
+    alg = build_algebra(field(q), [(0, 1), (1, 1)])
+    vs = oracle_vertices(q)
+    meets = Counter()
+    for parity in (0, 1):
+        level = [v for v in vs if v.n % 2 == parity]
+        bottoms = bottom_kernels(
+            alg, level, max(u.dist_to_base() for u in level),
+            [sorted({u.n for u in level[:i + 1]})
+             for i in range(len(level))])
+        stacks = [(v, [v, *level[:i]], bottom)
+                  for i, (v, bottom) in enumerate(zip(level, bottoms))]
+        assert sum(len(targets) for _, targets, _ in stacks) <= \
+            homspace._PIECE
+        for (_, _, x, _), (_, _, y, _) in zip(bottoms, bottoms[1:]):
+            meets[x[0].shape[1] != y[0].shape[1],
+                  x[1].shape[2] != y[1].shape[2]] += x is not y
+        grouped = stack_bases(alg, stacks)
+        assert grouped == [stack_bases(alg, [s])[0] for s in stacks]
+        assert grouped == [one_stage(alg, v, targets)
+                           for v, targets, _ in stacks]
+    assert meets[True, True], meets
 
 
 def test_bottom_kernels_reject_the_other_parity():
@@ -701,8 +766,8 @@ def test_two_stage_solve_matches_one_stage_on_oracle_vertices(q):
     for parity in (0, 1):
         level = [v for v in vs if v.n % 2 == parity]
         for v, bottom in zip(level, level_bottoms(alg, level)):
-            assert [hs.basis for hs in hom_stack(alg, v, level, bottom)] \
-                == one_stage(alg, v, level), v
+            assert stack_bases(alg, [(v, level, bottom)]) == \
+                [one_stage(alg, v, level)], v
 
 
 # ---------------------------------------------------------------------------
@@ -788,13 +853,11 @@ class TestPrecisionRetry:
         monkeypatch.setattr(homspace, "_start_precision", lambda alg, n: 1)
         low = bottom_kernels(ALG5, level, n, ns)
         assert raised, "the low start never ran out of precision"
-        for (_, x), (_, y) in zip(low, high):
-            assert x.keys() == y.keys()
-            assert all(np.array_equal(a, b) for u in x
-                       for a, b in zip(x[u], y[u]))
-        assert [hs.basis for hs in hom_stack(ALG5, self.W, level[:2],
-                                             low[1])] \
-            == [hom(ALG5, self.W, u).basis for u in level[:2]]
+        for (_, x, xs, _), (_, y, ys, _) in zip(low, high):
+            assert x == y
+            assert all(np.array_equal(a, b) for a, b in zip(xs, ys))
+        assert stack_bases(ALG5, [(self.W, level[:2], low[1])]) \
+            == [[hom(ALG5, self.W, u).basis for u in level[:2]]]
 
     def test_system_below_needed_precision_raises(self):
         with pytest.raises(InsufficientPrecisionError):

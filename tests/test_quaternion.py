@@ -272,6 +272,22 @@ class TestFindAlpha:
         for alg in (alg3, alg5):
             assert legendre(alg.F, alg.r, alg.alpha) == 1
 
+    def test_each_polynomial_tested_irreducible_once(self):
+        """RamificationSet.make tests each prime; find_alpha's legendre
+        calls, one per candidate and prime, find the kept answer, and
+        alpha is the only other polynomial tested: 5 Rabin tests for the
+        q7-72 algebra instead of 50."""
+        from btquot.algebra import is_irreducible
+        F = field(7)
+        primes = [parse_poly(F, t) for t in ("T^2+1", "T", "T+1", "T+2")]
+        is_irreducible.cache_clear()
+        alg = build_algebra(F, primes)
+        info = is_irreducible.cache_info()
+        assert info.misses == len(primes) + 1
+        assert info.hits >= 40
+        assert is_irreducible(F, alg.alpha)
+        assert is_irreducible.cache_info().misses == info.misses
+
 
 # ---------------------------------------------------------------------------
 # algebra construction

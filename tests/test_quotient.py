@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btquot import algebra, quotient
+from btquot import algebra, homspace, quotient
 from btquot.algebra import _prime_divisors, field, parse_poly
 from btquot.homspace import HomSet, hom, transport_all
 from btquot.quaternion import (QUAT_ONE, AlgebraData, QuatElem,
@@ -293,23 +293,37 @@ class TestBuilders:
     def test_search_checks_every_end_basis_it_keeps(self, monkeypatch):
         """compute_quotient keeps an unstable candidate's End basis only
         through _add_vertex, which checks each element: an End basis of
-        another terminal vertex in the stack's answer fails there."""
+        another terminal vertex in a stack's answer fails there, at the
+        first such stack, in the last hom_stack call made."""
         ends = {G5.vertices[i]: G5.end_basis[i] for i in G5.terminal_ids()}
-        solve, swapped = quotient.hom_stack, []
+        solve, swapped, calls = quotient.hom_stack, [], []
 
-        def stack(alg, v, targets, bottom):
-            homs = solve(alg, v, targets, bottom)
-            if homs[0].dim == 2:
-                swapped.append(v)
-                homs[0] = HomSet(alg.F, v, v, next(
-                    b for u, b in ends.items() if u != v))
-            return homs
+        class SwappedEnd:
+            """A stack's answer with End(source) replaced."""
+
+            def __init__(self, homs, end):
+                self.homs, self.end, self.dims = homs, end, homs.dims
+
+            def __getitem__(self, k):
+                return self.end if k == 0 else self.homs[k]
+
+        def stack(alg, stacks):
+            out = solve(alg, stacks)
+            calls.append(len(stacks))
+            for s, homs in enumerate(out):
+                if homs.dims[0] == 2:
+                    v = homs.source
+                    swapped.append((len(calls), v))
+                    out[s] = SwappedEnd(homs, HomSet(alg.F, v, v, next(
+                        b for u, b in ends.items() if u != v)))
+            return out
         monkeypatch.setattr(quotient, "hom_stack", stack)
         with pytest.raises(AssertionError,
                            match="does not map source") as exc:
             compute_quotient(ALG5)
-        assert len(swapped) == 1
+        assert swapped and {c for c, _ in swapped} == {len(calls)}
         assert exc.traceback[-2].name == "_add_vertex"
+        assert exc.traceback[-2].locals["v"] == swapped[0][1]
 
     def test_tree_pair_between_non_neighbours_rejected(self):
         G = QuotientGraph(ALG5)
@@ -348,6 +362,108 @@ class TestBuilders:
         assert transport(ALG5, g, far) == G.vertices[1]
         with pytest.raises(AssertionError, match="not tree neighbours"):
             G._add_pairing(0, 1, far, g)
+
+
+def _pieces(sizes, bound):
+    """The sizes of the eliminations of consecutive stacks of the given
+    system counts: each as many as stay within bound, at least one."""
+    out = []
+    for t in sizes:
+        if out and out[-1] + t <= bound:
+            out[-1] += t
+        else:
+            out.append(t)
+    return out
+
+
+def recorded_groups(monkeypatch, alg):
+    """compute_quotient(alg), with each of its hom_stack calls: the
+    stacks' sources, their system counts, and the sizes of the stage-2
+    eliminations the call made."""
+    solve, eliminate = quotient.hom_stack, homspace._kernel_rows
+    calls, active = [], []
+
+    def stack(alg, stacks):
+        calls.append(([v for v, _, _ in stacks],
+                      [len(targets) for _, targets, _ in stacks], []))
+        active.append(calls[-1][2])
+        try:
+            return solve(alg, stacks)
+        finally:
+            active.pop()
+
+    def kernel_rows(F, A, ncols):
+        if active:
+            active[-1].append(len(A))
+        return eliminate(F, A, ncols)
+    monkeypatch.setattr(quotient, "hom_stack", stack)
+    monkeypatch.setattr(homspace, "_kernel_rows", kernel_rows)
+    return compute_quotient(alg), calls
+
+
+class TestSiblingGroups:
+    """The search solves a sibling group, the candidates of one frontier
+    vertex, in one hom_stack call, and each piece of it (consecutive
+    stacks within homspace._PIECE systems) in one elimination."""
+
+    @pytest.mark.parametrize("piece", [None, 8])
+    @pytest.mark.parametrize("G", [G3B, G5, G7], ids=["g3b", "g5", "g7"])
+    def test_one_stage2_elimination_per_piece_of_each_group(
+            self, monkeypatch, G, piece):
+        if piece:
+            monkeypatch.setattr(homspace, "_PIECE", piece)
+        F = G.alg.F
+        H, calls = recorded_groups(monkeypatch, G.alg)
+        assert (H.vertices, H.edges, H.end_basis, H.pairings) == \
+            (G.vertices, G.edges, G.end_basis, G.pairings)
+        v0 = H.vertices[0]
+
+        def up(u):
+            (p,) = [x for x in neighbors(F, u)
+                    if distance(v0, x) < distance(v0, u)]
+            return p
+        prev, split = None, 0
+        for sources, sizes, eliminations in calls:
+            # the candidates of one kept vertex, in its neighbour order,
+            # less those a pairing cancelled; not those of the call before
+            (parent,) = {up(u) for u in sources}
+            assert parent in H.vid and parent != prev
+            kids = [u for u in neighbors(F, parent)
+                    if parent == v0 or u != up(parent)]
+            assert sources == [u for u in kids if u in sources]
+            prev = parent
+            assert eliminations == _pieces(sizes, homspace._PIECE)
+            split += len(eliminations) > 1
+        # every candidate is a vertex but the first, or a pairing
+        assert sum(len(sources) for sources, _, _ in calls) == \
+            len(H.vertices) - 1 + len(H.pairings)
+        assert split or not piece
+
+    def test_homsets_built_for_end_and_pairing_hits_only(self, monkeypatch):
+        built, real = [], homspace.HomSet
+        singles, stacks = [], []
+        hom_one, solve = quotient.hom, quotient.hom_stack
+
+        def counted(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        def one(alg, v, w):
+            singles.append(v)
+            return hom_one(alg, v, w)
+
+        def stack(alg, group):
+            stacks.extend(v for v, _, _ in group)
+            return solve(alg, group)
+        monkeypatch.setattr(homspace, "HomSet", counted)
+        monkeypatch.setattr(quotient, "hom", one)
+        monkeypatch.setattr(quotient, "hom_stack", stack)
+        G = compute_quotient(ALG5)
+        ends = [h.source for h in built if h.source == h.target]
+        hits = [h for h in built if h.source != h.target]
+        assert ends == singles + stacks
+        assert [h.basis for h in hits] == \
+            [(G.edges[k].elem,) for k in G.pairings]
 
 
 class TestReduce:
