@@ -1,4 +1,4 @@
-"""The compute ladder on two checkouts: same JSON bytes, and CPU time.
+"""The compute ladder on two checkouts: same JSON bytes, CPU time and RSS.
 
     python3 scripts/compute_ladder.py PARENT_DIR CHANGE_DIR [--rounds 3]
 
@@ -8,14 +8,15 @@ example `git archive <commit> | tar -x -C DIR`).  For each case, one
 a time, on the checkout's own `src`; case k of round r runs the parent
 first when k + r is even, so a drift of the machine's speed does not
 favour one side.  A process prints the sha256 of the graph's JSON
-(`serialize.graph_to_json`) and the CPU seconds of the compute alone
-(`time.process_time`, algebra built before).
+(`serialize.graph_to_json`), the CPU seconds of the compute alone
+(`time.process_time`, algebra built before) and its own peak RSS
+(`ru_maxrss`, the whole process).
 
-The script prints, per case, both digests, the median CPU seconds of
-each side over the rounds and their ratio (change / parent), and exits
-1 if any digest differs between the sides or between rounds.  The
-cases are the worked example and the ladder of ROADMAP.md; only
-q5-worked and q7-72 have golden files, so this is the others' byte
+The script prints, per case, both digests, the median CPU seconds and
+median peak RSS of each side over the rounds and their ratios (change /
+parent), and exits 1 if any digest differs between the sides or between
+rounds.  The cases are the worked example and the ladder of ROADMAP.md;
+only q5-worked and q7-72 have golden files, so this is the others' byte
 check.
 """
 
@@ -40,7 +41,7 @@ CASES = {
 }
 
 CHILD = """
-import hashlib, json, sys, time
+import hashlib, json, resource, sys, time
 from btquot.algebra import field, parse_poly
 from btquot.cli import _split_primes
 from btquot.quaternion import build_algebra
@@ -52,7 +53,8 @@ start = time.process_time()
 G = compute_quotient(alg)
 cpu = time.process_time() - start
 digest = hashlib.sha256(graph_to_json(G).encode()).hexdigest()
-print(json.dumps({"sha256": digest, "cpu_s": cpu}))
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"sha256": digest, "cpu_s": cpu, "rss_mb": rss_mb}))
 """
 
 
@@ -86,15 +88,17 @@ def main(argv=None) -> int:
                 runs[side].append(run_once(sides[side], case))
         digests = {side: {x["sha256"] for x in xs}
                    for side, xs in runs.items()}
-        cpu = {side: statistics.median(x["cpu_s"] for x in xs)
-               for side, xs in runs.items()}
+        cpu, rss = ({side: statistics.median(x[key] for x in xs)
+                     for side, xs in runs.items()}
+                    for key in ("cpu_s", "rss_mb"))
         same = len(digests["parent"] | digests["change"]) == 1
         ok &= same
         for side in sides:
             print(f"{case if side == 'parent' else '':10} {side:6} "
-                  f"{' '.join(sorted(digests[side]))} {cpu[side]:8.3f} s",
-                  flush=True)
-        print(f"{'':10} ratio  {cpu['change'] / cpu['parent']:.2f}"
+                  f"{' '.join(sorted(digests[side]))} {cpu[side]:8.3f} s "
+                  f"{rss[side]:7.1f} MB", flush=True)
+        print(f"{'':10} ratio  {cpu['change'] / cpu['parent']:.2f} cpu  "
+              f"{rss['change'] / rss['parent']:.2f} rss"
               f"{'' if same else '  DIGEST MISMATCH'}", flush=True)
     return 0 if ok else 1
 

@@ -9,8 +9,9 @@ format).
 
 Exit codes: 0 success, 1 verification failure, 2 user error (a bad
 argument, including --q above algebra.MAX_Q = 127, a term above
-T^algebra.MAX_DEGREE = T^4096, and a vertex whose transports would start
-above --precision-cap, at 4 (m + |n| + 4) or more), 3 a series
+T^algebra.MAX_DEGREE = T^4096, a vertex at a distance d from the base
+vertex with 4 (m + d + 4) above --precision-cap, and a unit for word
+whose transports would start above it, at 4 (height + m + 4)), 3 a series
 computation lacked precision at an attempt at or above --precision-cap
 (default 16384: it ends the doubling, not a start above it), 70
 internal assertion failure.  Each failure prints one line on stderr.
@@ -188,11 +189,12 @@ def cmd_export(cfg: JobConfig) -> int:
 
 
 def _vertex(cfg: JobConfig, text: str):
-    """parse_vertex, refusing a vertex that every transport of it, by a
-    unit of any height, would start above the precision cap: the cap
-    ends the doubling, not a start above it."""
+    """parse_vertex, refusing a vertex whose transports would start above
+    the precision cap with its distance d to the base vertex for |n| (d
+    bounds its hom systems' precision too): the cap ends the doubling,
+    not a start above it."""
     v = parse_vertex(cfg.alg.F, text)
-    start = transport_start(cfg.alg, 0, abs(v.n))
+    start = transport_start(cfg.alg, 0, v.dist_to_base())
     if start > cfg.alg.precision_cap:
         raise ValueError(f"vertex {text.strip()} needs precision {start} "
                          f"or more, above --precision-cap "
@@ -229,6 +231,12 @@ def cmd_word(cfg: JobConfig) -> int:
         raise ValueError("word takes exactly one element argument, "
                          "e.g. \"1\" or \"T + (1)*i + (0)*j + (0)*k\"")
     gamma = parse_quat(cfg.alg.F, cfg.extra[0])
+    # its height, or -1 for zero, which express_in_generators refuses
+    start = transport_start(cfg.alg, max(map(len, gamma.lam)) - 1, 0)
+    if start > cfg.alg.precision_cap:
+        raise ValueError(f"element {cfg.extra[0].strip()} needs precision "
+                         f"{start} or more, above --precision-cap "
+                         f"{cfg.alg.precision_cap}")
     # rejects a non-unit with ValueError and verifies the word
     print(str(express_in_generators(_build_graph(cfg), gamma)))
     return EXIT_OK

@@ -22,14 +22,14 @@ the level's height bound (a larger one than a pair needs adds only pivot
 columns, see hom_stack); hom solves a single pair, empty across
 parities.  Both work from arrays:
 
-* entries: Y = pi^s Mw^(-1) iota(b_k) Mv, s = (n_w - n_v)/2: one
-  series product, the column operation of Mv on the packed rows of the
-  basis embedding (AlgebraData.packed_basis), and shifts for the row
-  operation of Mw^(-1), which leave g_w to F_q coefficients (see
-  hom_stack).  One unpack puts a chunk of a level's entries on one
-  exponent grid with the Laurent precision rule alongside; an entry
-  known below pi^nm only raises InsufficientPrecisionError, and the
-  build is retried at doubled precision (bottom_kernels);
+* entries: Y = pi^s Mw^(-1) iota(b_k) Mv, s = (n_w - n_v)/2: the
+  column operation of Mv on one F_q grid of the basis entries
+  (AlgebraData.basis_entries), pi^n_v an offset of the exponent and g_v
+  a Toeplitz matrix of its coefficients, and shifts for the row operation
+  of Mw^(-1), which leave g_w to F_q coefficients (see hom_stack).  The
+  grid is taken at the least precision that knows every coefficient the
+  equations read, computed from the level (_level_rows), so no entry
+  runs short and nothing is retried;
 * equations: row (entry, t), column (k, j) holds the pi^(j - t)
   coefficient of Y_k, for every t >= 1 (the T^j coefficient of lam_k
   must not push that entry below O_infinity), read off in one Toeplitz
@@ -79,8 +79,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import (GF, ZERO_POLY, has_order, poly_add, poly_scale,
-                      poly_trim, power, slot_bytes)
-from .laurent import InsufficientPrecisionError
+                      poly_trim, power)
 from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
 from .tree import Vertex, act, neighbors, retry_with_precision
 
@@ -264,89 +263,60 @@ class StabilizerField:
         return self._first[s0]
 
 
-def _add_times(x, g, y, bits: int):
-    """The packed row x + g * y, for rows (val, prec, ints) of four
-    series from pi^val, known below prec (their least precision), and g
-    = (val, int) exact; the Laurent rule gives the precision."""
-    gval, gi = g
-    if not gi:
-        return x
-    (vx, px, xs), (vy, py, ys) = x, y
-    v = min(vx, gval + vy)
-    sx, sy = bits * (vx - v), bits * (gval + vy - v)
-    return v, min(px, py + gval), [(a << sx) + (gi * b << sy)
-                                   for a, b in zip(xs, ys)]
-
-
-def _shift(x, k: int):
-    """The packed row pi^k * x."""
-    return x[0] + k, x[1] + k, x[2]
-
-
-def _column_op(alg: AlgebraData, v: Vertex, gv: int, w: int, prec: int):
-    """The packed rows ((P11, P12), (P21, P22)) of P = iota(b_k) Mv =
-    [[pi^n_v a, b + g_v a], [pi^n_v c, d + g_v c]] at slot width w, for
-    iota(b_k) = [[a, b], [c, d]] and gv = g_v packed."""
-    _, rows = alg.packed_basis(prec, w)
-    a, b, c, d = ((vb, min(pr for pr, _ in row), [x for _, x in row])
-                  for vb, row in rows)
-    bits = 8 * w * alg.F.fold.shape[1]
-    return ((_shift(a, v.n), _add_times(b, (v.gval, gv), a, bits)),
-            (_shift(c, v.n), _add_times(d, (v.gval, gv), c, bits)))
-
-
-def _equations(F: GF, entries, nm: int, w: int):
-    """The equations of packed entries Y, in pairs, as a stack
-    (len(entries) / 2, 2 tmax, 4(nm + 1)): row (rho, t), column (k, j)
-    holds the pi^(j - t) coefficient of series k of the pair's entry
-    rho, t = 1..tmax.  One unpack puts the entries on a common exponent
-    grid and one Toeplitz gather reads them; tmax reaches the lowest
-    exponent of any entry, so a row past a pair's own range is zero.
-    Raises InsufficientPrecisionError when an entry is known below pi^nm
-    only."""
-    if min(pr for _, pr, _ in entries) < nm:
-        raise InsufficientPrecisionError(
-            "system matrix below required precision")
-    bits = 8 * w * F.fold.shape[1]
-    yval = min(vy for vy, _, _ in entries)
-    n = max(0, nm - yval)  # the window reads no exponent from nm on
-    flat = [x << bits * (vy - yval) & (1 << bits * n) - 1
-            for vy, _, xs in entries for x in xs]
-    Y = F.unpack(flat, n, w).reshape(len(entries), 4, n)
-    nonzero = Y.any(axis=(0, 1)).nonzero()[0]
-    vmin = min(0, yval + int(nonzero[0])) if len(nonzero) else 0
-    tmax = nm - vmin
-    # exponents j - t run over [-tmax, nm); pad Y onto that window
-    window = np.zeros((len(entries), 4, nm + tmax), dtype=np.int64)
-    lo, hi = max(-tmax, yval), min(nm, yval + n)
-    if lo < hi:
-        window[..., lo + tmax:hi + tmax] = Y[..., lo - yval:hi - yval]
+def _level_rows(alg: AlgebraData, sources, n: int, ns):
+    """The equations of the systems of each v in sources against each
+    n_w in its list in ns, at the height bound nm = n + m: (systems, 2,
+    2, tmax, 4(nm + 1)), the pairs pi^(s - n_w) P1* and pi^(s - n) P2*
+    (see hom_stack) of P = iota(b_k) Mv = [[pi^n_v a, b + g_v a],
+    [pi^n_v c, d + g_v c]], row (rho, t), column (k, j) the pi^(j - t)
+    coefficient of series k of entry rho, t = 1..tmax, tmax down to the
+    lowest nonzero exponent of any entry.  They read a, b, c, d below
+    prec = nm - min(s - n_w, s - n) - min(0, n_v, gval), the largest over
+    the systems: the basis entries, taken at prec rounded up to 16 as
+    embed rounds and asserted known to it, go on one grid of codes below
+    it, on which pi^n_v and the shifts are offsets of the exponent and
+    g_v a, g_v c one F_q product by a Toeplitz matrix of g_v's
+    coefficients; one gather puts the entries on the exponents
+    -tmax..nm - 1 and one Toeplitz gather reads the equations."""
+    F, nm = alg.F, n + alg.m
+    systems = [(i, v, u, (u - v.n) // 2)
+               for i, (v, us) in enumerate(zip(sources, ns)) for u in us]
+    prec = max(nm - min(s - u, s - n) - min(0, v.n, v.gval)
+               for _, v, u, s in systems)
+    entries = [e for row in alg.basis_entries(-(-prec // 16) * 16)
+               for e in row]
+    if min(e.prec for e in entries) < prec:
+        raise AssertionError("basis embedding short of the hom systems' "
+                             "precision")
+    # exponent val stays zero, below every entry and product by a g_v;
+    # the gather reads it for any lower exponent
+    val = min(e.val for e in entries if e.coeffs) + \
+        min(0, *(v.gval for v in sources)) - 1
+    Z = np.zeros((16, prec - val), dtype=np.int64)
+    for z, e in zip(Z, entries):
+        if e.val < prec:  # not an exact zero, nor zero below prec
+            cs = e.coeffs[:prec - e.val]
+            z[e.val - val:][:len(cs)] = cs
+    Z = Z.reshape(4, 4, -1)
+    G = _toeplitz(sources, [v.gval for v in sources], Z.shape[2])
+    # (b + g_v a, d + g_v c) for each v in sources
+    right = F.tables()[0][Z[1::2], _fq_matmul(F, Z[None, ::2], G[:, None])]
+    Y, vals = [], []
+    for i, v, u, s in systems:
+        for x, shift in enumerate((s - u, s - n)):
+            Y += [Z[2 * x], right[i, x]]
+            vals += [val + v.n + shift, val + shift]
+    Y, vals = np.array(Y), np.array(vals)
+    nonzero = Y.any(axis=1)
+    tmax = nm - int((nonzero.argmax(axis=1) + vals)[nonzero.any(axis=1)]
+                    .min(initial=0))
+    at = np.maximum(np.arange(-tmax, nm) - vals[:, None], 0)
+    window = Y[np.arange(len(Y))[:, None, None], np.arange(4)[:, None],
+               at[:, None]]
     t = np.arange(1, tmax + 1)[:, None]
     j = np.arange(nm + 1)[None, :]
     A = window[..., j - t + tmax].transpose(0, 2, 1, 3)
-    return A.reshape(len(entries) // 2, 2 * tmax, 4 * (nm + 1))
-
-
-def _level_rows(alg: AlgebraData, sources, n: int, ns, prec: int):
-    """The equations of the systems of each v in sources against each
-    n_w in its list in ns, at the height bound n + m, from one _equations
-    call: (systems, 2, 2, tmax, 4(nm + 1)), the pairs pi^(s - n_w) P1* and
-    pi^(s - n) P2* (see hom_stack).  A slot of P is below (p-1)(1 +
-    e(p-1)L), L the coefficient count of g_v: a digit of iota(b_k) is
-    below p, and a product by g_v sums at most e L slot-digit products."""
-    F = alg.F
-    w = slot_bytes((F.p - 1) * (1 + F.e * (F.p - 1)
-                                * max(len(v.gcoeffs) for v in sources)))
-    entries = []
-    for v, gv, us in zip(sources, F.pack([v.gcoeffs for v in sources], w),
-                         ns):
-        top, bottom = _column_op(alg, v, gv, w, prec)
-        for u in us:
-            s = (u - v.n) // 2
-            entries += [*(_shift(x, s - u) for x in top),
-                        *(_shift(y, s - n) for y in bottom)]
-    A = _equations(F, entries, n + alg.m, w)
-    return A.reshape(-1, 2, 2, A.shape[1] // 2, A.shape[2])
+    return A.reshape(len(systems), 2, 2, tmax, 4 * (nm + 1))
 
 
 def _kernel_rows(F: GF, A, ncols: int):
@@ -478,21 +448,15 @@ _CHUNK = 16
 _PIECE = 256
 
 
-def _start_precision(alg: AlgebraData, n: int) -> int:
-    """The precision a system at the height bound n + m is first built
-    at (raised by retry_with_precision while an entry runs short)."""
-    return 2 * n + max(alg.ram.d, alg.m) + alg.m + 1
-
-
-def _toeplitz(F: GF, vertices, n: int):
-    """For each w in vertices, the n x n matrix G[t, u] = -c_i for u = n +
-    t + gval + i - n_w, t and u 1..n, g_w = sum_i c_i pi^(gval + i) with
-    deg_n(g_w) <= n (see hom_stack)."""
-    _, _, neg, _ = F.tables()
-    g = np.zeros((len(vertices), 2 * n), dtype=np.int64)
-    for row, u in zip(g, vertices):
-        row[2 * n - 1 - u.degn():][:len(u.gcoeffs)] = u.gcoeffs
-    return neg[g[:, np.arange(n) - np.arange(n)[:, None] + n - 1]]
+def _toeplitz(vertices, offsets, size: int):
+    """For each vertex, g = sum_i c_i pi^(gval + i), and its offset o, the
+    size x size matrix M[t, u] = c_i for u = t + o + i, so that x M holds
+    the coefficients of x pi^o sum_i c_i pi^i below the size-th; o + i
+    stays within 1 - size..size - 1."""
+    band = np.zeros((len(vertices), 2 * size), dtype=np.int64)
+    for row, v, o in zip(band, vertices, offsets):
+        row[size - 1 + o:][:len(v.gcoeffs)] = v.gcoeffs
+    return band[:, np.arange(size) - np.arange(size)[:, None] + size - 1]
 
 
 def bottom_kernels(alg: AlgebraData, sources, n: int, ns) -> list:
@@ -505,21 +469,20 @@ def bottom_kernels(alg: AlgebraData, sources, n: int, ns) -> list:
     of v's parity).  toeplitz = (G, index), shared by every entry,
     holds the Toeplitz matrix of g_w for each w in sources at
     G[index[w]], built once per level.  _CHUNK sources at a time are
-    built by one _level_rows call, retried at doubled precision while any
-    entry runs short (the solve's only retry), and eliminated in one
-    stack."""
+    built by one _level_rows call, at the precision it computes, and
+    eliminated in one stack."""
     if any((v.n - u) % 2 for v, us in zip(sources, ns) for u in us):
         raise AssertionError("bottom kernels asked across parities of n")
     if max(v.dist_to_base() for v in sources) > n:
         raise AssertionError("bottom kernels below a source's bound")
     F, out = alg.F, []
-    toeplitz = (_toeplitz(F, sources, n),
-                {v: i for i, v in enumerate(sources)})
+    # G[t, u] = -c_i for u = n + t + gval + i - n_w (see hom_stack)
+    toeplitz = (F.tables()[2][_toeplitz(
+        sources, [n - v.degn() for v in sources], n)],
+        {v: i for i, v in enumerate(sources)})
     for i in range(0, len(sources), _CHUNK):
         part, pns = sources[i:i + _CHUNK], ns[i:i + _CHUNK]
-        A = retry_with_precision(
-            lambda prec: _level_rows(alg, part, n, pns, prec),
-            _start_precision(alg, n), alg.precision_cap)
+        A = _level_rows(alg, part, n, pns)
         B, P2, N = A[:, 0], A[:, 1], A.shape[-1]
         K = _kernel_rows(F, P2[:, :, n:].reshape(len(A), -1, N), N)
         Kt = K.transpose(0, 2, 1)[:, None]

@@ -22,8 +22,8 @@ The product and the embedding run on the packed-integer kernel of GF
 fixed-width slot per F_p digit, are multiplied and added as big
 integers, and are unpacked once per output.  Each states its own bound
 on every slot sum, from which slot_bytes picks the slot width.  The
-packed rows of the embedded order basis (packed_basis) serve embed and
-the hom systems of homspace.
+packed rows of the embedded order basis (packed_basis) serve embed; the
+hom systems of homspace read its entries (basis_entries) as codes.
 
 The unit group Gamma consists of the elements whose reduced norm lies
 in F_q^*; the reduced norm itself is computed as x * conj(x), never
@@ -177,7 +177,7 @@ class AlgebraData:
     attempt at or above it fails, but a higher start is still tried.
     The sqrt(alpha) value is memoized at the highest precision requested
     so far, the embedded order basis (with 1/sqrt(alpha) inside it) once
-    per precision, and packed once per precision and slot width
+    per precision (basis_entries), and packed once per precision
     (packed_basis), and the packed product table once per slot width.
     The memos are plain dicts: the package runs single-threaded.
     """
@@ -355,35 +355,38 @@ class AlgebraData:
         return (Mat2(one, zero, zero, one), Mat2(s, zero, zero, -s),
                 Mat2(zero, one, r, zero), Mat2(es, si, -rs, -es))
 
-    def packed_basis(self, prec: int, w: int | None = None):
-        """basis_embedding(prec) packed row by row at slot width w,
-        memoized per (precision, width): (w, rows), where rows[x] =
-        (val, [(prec_k, int_k)]) for the matrix entry x in (a, b, c, d)
-        holds the entry x of iota(b_k), k = 0..3, as a series from
-        pi^val, val the lowest valuation among the four (an exact zero
-        is 0 at precision INF).  The slots hold single digits.  By
-        default w = slot_bytes(4 e (p-1)^2 N), N the longest entry, the
-        width that embed's sums need; the hom systems ask for the width
-        of their own slot bound.
+    def basis_entries(self, prec: int) -> list:
+        """basis_embedding(prec) by matrix entry, memoized per precision:
+        [x][k] is the entry x in (a, b, c, d) of iota(b_k).  The hom
+        systems read it."""
+        if prec not in self._basis_entries:
+            self._basis_entries[prec] = list(zip(*(
+                M.entries() for M in self.basis_embedding(prec))))
+        return self._basis_entries[prec]
+
+    def packed_basis(self, prec: int):
+        """basis_embedding(prec) packed row by row, memoized per
+        precision: (w, rows), where rows[x] = (val, [(prec_k, int_k)])
+        for the matrix entry x in (a, b, c, d) holds the entry x of
+        iota(b_k), k = 0..3, as a series from pi^val, val the lowest
+        valuation among the four (an exact zero is 0 at precision INF).
+        The slots hold single digits, at the width w = slot_bytes(4 e
+        (p-1)^2 N), N the longest entry, that embed's sums need.
         """
-        got = self._packed_basis.get((prec, w))
+        got = self._packed_basis.get(prec)
         if got is None:
             F = self.F
-            if prec not in self._basis_entries:
-                self._basis_entries[prec] = list(zip(*(
-                    M.entries() for M in self.basis_embedding(prec))))
-            by_entry = self._basis_entries[prec]
+            by_entry = self.basis_entries(prec)
             n = max(len(e.coeffs) for row in by_entry for e in row)
-            width = w or slot_bytes(4 * F.e * (F.p - 1) ** 2 * n)
+            w = slot_bytes(4 * F.e * (F.p - 1) ** 2 * n)
             rows = []
             for entries in by_entry:
                 vb = min((e.val for e in entries if e.coeffs), default=0)
                 packed = F.pack([(0,) * (e.val - vb) + e.coeffs
-                                 if e.coeffs else () for e in entries],
-                                width)
+                                 if e.coeffs else () for e in entries], w)
                 rows.append((vb, list(zip((e.prec for e in entries),
                                           packed))))
-            got = self._packed_basis[prec, w] = width, rows
+            got = self._packed_basis[prec] = w, rows
         return got
 
     def embed(self, x: QuatElem, prec: int) -> Mat2:

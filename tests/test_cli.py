@@ -328,6 +328,20 @@ class TestReduce:
                                     "(-9000; 0)"])
         assert code == EXIT_USER and "(-9000; 0) needs precision" in err
 
+    def test_vertex_far_from_the_base_at_small_n(self, capsys, cache):
+        # |n| = 4, but deg_n(g) = 100004 puts (4; 1@-100000) at distance
+        # 200004 from the base vertex: 4 * (2 + 200004 + 4) = 800040
+        vertex = "(4; 1@-100000)"
+        for argv in (["reduce", *Q5, *cache, vertex],
+                     ["hom", *Q5, *cache, vertex, "(0; 0)"],
+                     ["hom", *Q5, *cache, "(0; 0)", vertex]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, argv)
+            assert time.perf_counter() - start < 1, argv
+            assert (code, out) == (EXIT_USER, ""), argv
+            assert err == f"error: vertex {vertex} needs precision 800040 " \
+                "or more, above --precision-cap 16384\n"
+
     def test_malformed_vertex(self, capsys, cache):
         code, _, err = run(capsys, ["reduce", *Q5, *cache, "(x; 0)"])
         assert code == EXIT_USER
@@ -365,6 +379,19 @@ class TestPresentAndWord:
         code, out, _ = run(capsys, ["word", *Q5, *cache, elem])
         assert code == EXIT_OK
         assert out.strip() == "g3"
+
+    def test_word_of_a_unit_starting_above_the_cap(self, capsys, cache):
+        # g2 has height 1 and m = 2: its transports start at 4 * 7 = 28
+        g2 = "4*T+1 + (0)*i + (0)*j + (2)*k"
+        code, out, err = run(capsys, ["word", *Q5, *cache,
+                                      "--precision-cap", "27", g2])
+        assert (code, out) == (EXIT_USER, "")
+        assert err == f"error: element {g2} needs precision 28 or more, " \
+            "above --precision-cap 27\n"
+        assert list(Path(cache[1]).iterdir()) == []
+        code, out, err = run(capsys, ["word", *Q5, *cache,
+                                      "--precision-cap", "28", g2])
+        assert (code, out) == (EXIT_OK, "g2\n"), err
 
     def test_word_non_unit(self, capsys, cache):
         code, _, err = run(capsys, ["word", *Q5, *cache, "T"])
@@ -448,13 +475,14 @@ class TestPrecisionCap:
             owners.add(fn.__qualname__.split(".")[0])
             return real_retry(fn, start, cap)
 
-        # bottom_kernels and transport_all hold every retry of the program
+        # transport_all holds every retry of the program; the hom systems
+        # are built at a precision computed up front
         monkeypatch.setattr(homspace, "retry_with_precision", recording)
         code, _, err = run(capsys, ["compute", *Q5, *cache, "--no-cache",
                                     "--no-verify", "--precision-cap", "512"])
         assert code == EXIT_OK, err
         assert caps and set(caps) == {512}
-        assert owners == {"bottom_kernels", "transport_all"}
+        assert owners == {"transport_all"}
 
 
 class TestJobConfig:

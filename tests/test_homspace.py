@@ -23,9 +23,8 @@ from btquot.algebra import (field, parse_poly, poly_add, poly_mul,
 from btquot.cli import _split_primes
 from btquot.homspace import (HomSet, _assert_solution, _fq_matmul,
                              _kernel_rows, _level_rows, _monic,
-                             _start_precision, _vector_to_quat,
-                             bottom_kernels, hom, hom_stack, stability,
-                             transport)
+                             _vector_to_quat, bottom_kernels, hom, hom_stack,
+                             stability, transport)
 from btquot.laurent import INF, InsufficientPrecisionError, Laurent
 from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra
 from btquot.tree import BASE_VERTEX, Vertex, act, neighbors, retry_with_precision
@@ -308,21 +307,21 @@ def kernel_basis(F, A, ncols):
             for K in _monic(F, _kernel_rows(F, A, ncols)).tolist()]
 
 
-def system_stack(alg, v, ws, nm, prec):
+def system_stack(alg, v, ws, nm):
     """The F_q-linear equations of Hom(v, w) for every w in ws, as one
     (len(ws), 4 tmax, 4(nm + 1)) stack, rows keyed (rho, t): each
     target's top rows, then its bottom rows, padded with zero rows to
     tmax.  Both come from the level builder (_level_rows) at the bound
-    n = nm - m, with B and D = Eq(pi^(s - n) P2*) as in hom_stack: the
-    bottom rows are D's rows t > n, and the top rows B - G D, G the
-    Toeplitz matrix of g_w's coefficients over all of D's rows (row t,
-    column n + t + gval + i - n_w holds c_i).  Unprojected, so not only
+    n = nm - m, at the precision it computes, with B and D = Eq(pi^(s -
+    n) P2*) as in hom_stack: the bottom rows are D's rows t > n, and the
+    top rows B - G D, G the Toeplitz matrix of g_w's coefficients over
+    all of D's rows (row t, column n + t + gval + i - n_w holds c_i).  Unprojected, so not only
     C's rows count.  These are the systems the two stages of hom_stack
     solve."""
     F, n = alg.F, nm - alg.m
     add, _, neg, _ = F.tables()
     ns = sorted({u.n for u in ws})
-    A = _level_rows(alg, [v], n, [ns], prec)
+    A = _level_rows(alg, [v], n, [ns])
     tmax = A.shape[3]
     out = []
     for w in ws:
@@ -447,10 +446,10 @@ def test_stacked_systems_hold_their_own_equations():
             ws = [v] + [w for w in sphere[:12]
                         if w != v and (w.n - v.n) % 2 == 0]
             nm = max(u.dist_to_base() for u in ws) + ALG5.m
-            stack = system_stack(ALG5, v, ws, nm, 128)
+            stack = system_stack(ALG5, v, ws, nm)
             assert len(stack) == len(ws)
             for A, w in zip(stack, ws):
-                (alone,) = system_stack(ALG5, v, [w], nm, 128)
+                (alone,) = system_stack(ALG5, v, [w], nm)
                 assert np.array_equal(A[A.any(axis=1)],
                                       alone[alone.any(axis=1)])
                 extra += (A.any(axis=1) & ~stack[0].any(axis=1)).any()
@@ -535,10 +534,10 @@ def reference_system(alg, v, w, nm, prec):
 
 def oracle_vertices(q):
     """Vertices of both parities, n of both signs, g zero and nonzero,
-    and g with every digit q - 1, which drives the packed slot sums of
-    the system build toward their bounds.  (8; 0) with deg_n(g) = 8, the
-    largest distance to the base vertex of its parity, reaches the
-    bound of hom_stack's identity."""
+    and g with every digit q - 1, the largest code of the F_q products
+    of the system build.  (8; 0) with deg_n(g) = 8, the largest distance
+    to the base vertex of its parity, reaches the bound of hom_stack's
+    identity."""
     top = q - 1
     return [BASE_VERTEX, Vertex.make(2, 0, ()), Vertex.make(-2, 0, ()),
             Vertex.make(2, 1, (1,)), Vertex.make(-2, -5, (top,) * 3),
@@ -548,13 +547,21 @@ def oracle_vertices(q):
             Vertex.make(5, -1, (top,) * 6), Vertex.make(3, -3, (top,) * 6)]
 
 
+def wider_basis(monkeypatch, alg):
+    """Make the system build of alg read a basis embedded at 4 times the
+    precision it asks for."""
+    real = alg.basis_entries
+    monkeypatch.setattr(alg, "basis_entries", lambda prec: real(4 * prec))
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49, 125, 127])
-def test_system_stack_matches_mat2_reference(q):
-    """Each system of a stack, built as hom_stack builds it (from its
-    start precision, retried), has the nonzero equations and the kernel
-    basis of the Mat2 reference, for every source against every vertex
-    of its parity.  Some system reads C's deepest row: n_w - gval = n,
-    the row n + 1 - deg_n(g_w) = 1 (see hom_stack)."""
+def test_system_stack_matches_mat2_reference(monkeypatch, q):
+    """Each system of a stack, built as hom_stack builds it (at the
+    precision the level builder computes), is the one built from a basis
+    embedded at 4 times that precision, and has the nonzero equations
+    and the kernel basis of the Mat2 reference, for every source against
+    every vertex of its parity.  Some system reads C's deepest row: n_w
+    - gval = n, the row n + 1 - deg_n(g_w) = 1 (see hom_stack)."""
     alg = build_algebra(field(q), [(0, 1), (1, 1)])
     F, vs = alg.F, oracle_vertices(q)
     systems = deepest = 0
@@ -562,15 +569,14 @@ def test_system_stack_matches_mat2_reference(q):
         ws = [w for w in vs if (w.n - v.n) % 2 == 0]
         n = max(u.dist_to_base() for u in ws)
         nm = n + alg.m
-        used = []
-
-        def build(prec):
-            used.append(prec)
-            return system_stack(alg, v, ws, nm, prec)
-        stack = retry_with_precision(build, _start_precision(alg, n))
+        stack = system_stack(alg, v, ws, nm)
+        with monkeypatch.context() as mp:
+            wider_basis(mp, alg)
+            assert np.array_equal(system_stack(alg, v, ws, nm), stack), v
         ncols = 4 * (nm + 1)
         for A, w, basis in zip(stack, ws, kernel_basis(F, stack, ncols)):
-            ref = reference_system(alg, v, w, nm, 2 * used[-1])
+            ref = retry_with_precision(
+                lambda prec: reference_system(alg, v, w, nm, prec), 4 * nm)
             assert np.array_equal(A[A.any(axis=1)], ref), (v, w)
             assert basis == kernel_of_one(F, ref, ncols), (v, w)
             systems += 1
@@ -589,11 +595,8 @@ def one_stage(alg, v, targets):
     """The bases of hom_stack on the stack (v, targets, bottom) from one
     elimination of each target's whole system (system_stack), top and
     bottom rows together, at the stack's own height bound."""
-    n = max(u.dist_to_base() for u in (v, *targets))
-    nm = n + alg.m
-    stack = retry_with_precision(
-        lambda prec: system_stack(alg, v, targets, nm, prec),
-        _start_precision(alg, n))
+    nm = max(u.dist_to_base() for u in (v, *targets)) + alg.m
+    stack = system_stack(alg, v, targets, nm)
     return [tuple(_vector_to_quat(x, nm) for x in vecs)
             for vecs in kernel_basis(alg.F, stack, 4 * (nm + 1))]
 
@@ -771,7 +774,8 @@ def test_two_stage_solve_matches_one_stage_on_oracle_vertices(q):
 
 
 # ---------------------------------------------------------------------------
-# the precision-retry path, started below what the kernels need
+# the precision-retry path of transport, started below what act needs,
+# and the computed precision of the hom systems
 # ---------------------------------------------------------------------------
 
 def counting(fn):
@@ -787,9 +791,11 @@ def counting(fn):
     return wrapped, raised
 
 
+V = Vertex.make(12, 1, (1, 0, 3, 2))
+W = Vertex.make(12, 0, (2, 1, 4))
+
+
 class TestPrecisionRetry:
-    V = Vertex.make(12, 1, (1, 0, 3, 2))
-    W = Vertex.make(12, 0, (2, 1, 4))
     FAR = Vertex.make(20, -6, (1, 0, 3, 2))
 
     def test_act_of_embedding_retries_then_agrees(self):
@@ -801,64 +807,61 @@ class TestPrecisionRetry:
         assert got == transport(ALG5, g, self.FAR)
         assert got == act(ALG5.embed(g, 256), self.FAR)
 
-    def test_hom_system_retries_then_agrees(self):
-        v, w = self.V, self.W
-        nm = max(v.dist_to_base(), w.dist_to_base()) + ALG5.m
-        attempt, raised = counting(
-            lambda prec: system_stack(ALG5, v, [w], nm, prec))
-        low = retry_with_precision(attempt, 1)
-        assert raised, "the low start never ran out of precision"
-        high = system_stack(ALG5, v, [w], nm, 256)
-        assert np.array_equal(low, high)
-        ncols = 4 * (nm + 1)
-        assert kernel_basis(ALG5.F, low, ncols) == \
-            kernel_basis(ALG5.F, high, ncols)
 
-    def test_stacked_system_retries_then_agrees(self):
+class TestComputedPrecision:
+    """The system build reads the basis at the precision it computes, the
+    least that knows every coefficient its equations read: a basis
+    embedded at 4 times that precision gives the same systems, and one
+    known below it is refused."""
+
+    def test_hom_system_agrees_with_a_wider_basis(self, monkeypatch):
+        nm = max(V.dist_to_base(), W.dist_to_base()) + ALG5.m
+        got = system_stack(ALG5, V, [W], nm)
+        wider_basis(monkeypatch, ALG5)
+        wide = system_stack(ALG5, V, [W], nm)
+        assert np.array_equal(got, wide)
+        ncols = 4 * (nm + 1)
+        assert kernel_basis(ALG5.F, got, ncols) == \
+            kernel_basis(ALG5.F, wide, ncols)
+
+    def test_stacked_system_agrees_with_a_wider_basis(self, monkeypatch):
         # End(V) and targets of one height bound, built as one stack
-        v = self.V
-        ws = [v, self.W, Vertex.make(12, 1, (3, 0, 3, 2)),
+        ws = [V, W, Vertex.make(12, 1, (3, 0, 3, 2)),
               Vertex.make(10, 0, (1, 1))]
         nm = max(u.dist_to_base() for u in ws) + ALG5.m
-        assert all(max(v.dist_to_base(), u.dist_to_base()) + ALG5.m == nm
+        assert all(max(V.dist_to_base(), u.dist_to_base()) + ALG5.m == nm
                    for u in ws)
-        attempt, raised = counting(
-            lambda prec: system_stack(ALG5, v, ws, nm, prec))
-        low = retry_with_precision(attempt, 1)
-        assert raised, "the low start never ran out of precision"
-        high = system_stack(ALG5, v, ws, nm, 256)
-        assert np.array_equal(low, high)
+        dims = [hom(ALG5, V, u).dim for u in ws]
+        got = system_stack(ALG5, V, ws, nm)
+        wider_basis(monkeypatch, ALG5)
+        wide = system_stack(ALG5, V, ws, nm)
+        assert np.array_equal(got, wide)
         ncols = 4 * (nm + 1)
-        bases = kernel_basis(ALG5.F, low, ncols)
-        assert bases == kernel_basis(ALG5.F, high, ncols)
-        assert [len(b) for b in bases] == \
-            [hom(ALG5, v, u).dim for u in ws]
+        bases = kernel_basis(ALG5.F, got, ncols)
+        assert bases == kernel_basis(ALG5.F, wide, ncols)
+        assert [len(b) for b in bases] == dims
 
-    def test_level_build_retries_then_agrees(self, monkeypatch):
-        # the solve's one retry, in bottom_kernels, from a low start
-        level = [self.V, self.W, Vertex.make(10, 0, (1, 1))]
+    def test_level_build_agrees_with_a_wider_basis(self, monkeypatch):
+        level = [V, W, Vertex.make(10, 0, (1, 1))]
         ns = [sorted({u.n for u in level[:i + 1]})
               for i in range(len(level))]
         n = max(u.dist_to_base() for u in level)
-        high = bottom_kernels(ALG5, level, n, ns)
-        real, raised = homspace._level_rows, []
-
-        def build(alg, sources, n, ns, prec):
-            try:
-                return real(alg, sources, n, ns, prec)
-            except InsufficientPrecisionError:
-                raised.append(prec)
-                raise
-        monkeypatch.setattr(homspace, "_level_rows", build)
-        monkeypatch.setattr(homspace, "_start_precision", lambda alg, n: 1)
-        low = bottom_kernels(ALG5, level, n, ns)
-        assert raised, "the low start never ran out of precision"
-        for (_, x, xs, _), (_, y, ys, _) in zip(low, high):
+        want = [hom(ALG5, W, u).basis for u in level[:2]]
+        got = bottom_kernels(ALG5, level, n, ns)
+        wider_basis(monkeypatch, ALG5)
+        wide = bottom_kernels(ALG5, level, n, ns)
+        for (_, x, xs, _), (_, y, ys, _) in zip(got, wide):
             assert x == y
             assert all(np.array_equal(a, b) for a, b in zip(xs, ys))
-        assert stack_bases(ALG5, [(self.W, level[:2], low[1])]) \
-            == [[hom(ALG5, self.W, u).basis for u in level[:2]]]
+        assert stack_bases(ALG5, [(W, level[:2], wide[1])]) == [want]
 
-    def test_system_below_needed_precision_raises(self):
-        with pytest.raises(InsufficientPrecisionError):
-            system_stack(ALG5, self.V, [self.W], 13, 4)
+    def test_basis_short_of_the_precision_raises(self, monkeypatch):
+        # End(V) reads a, b, c, d below pi^(nm + n) = pi^26; the basis
+        # embedded at 4 is known below pi^16 only
+        real = ALG5.basis_entries
+        assert min(e.prec for row in real(4) for e in row) < 26
+        monkeypatch.setattr(ALG5, "basis_entries", lambda prec: real(4))
+        with pytest.raises(AssertionError, match="short of"):
+            bottom_kernels(ALG5, [V], 12, [[12]])
+        with pytest.raises(AssertionError, match="short of"):
+            hom(ALG5, V, W)
