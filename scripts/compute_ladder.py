@@ -1,6 +1,7 @@
 """The compute ladder on two checkouts: same JSON bytes, CPU time and RSS.
 
-    python3 scripts/compute_ladder.py PARENT_DIR CHANGE_DIR [--rounds 3]
+    python3 scripts/compute_ladder.py PARENT_DIR CHANGE_DIR [--rounds 3] \
+        [--case NAME ...]
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository (for
 example `git archive <commit> | tar -x -C DIR`).  For each case, one
@@ -17,7 +18,8 @@ median peak RSS of each side over the rounds and their ratios (change /
 parent), and exits 1 if any digest differs between the sides or between
 rounds.  The cases are the worked example and the ladder of ROADMAP.md;
 only q5-worked and q7-72 have golden files, so this is the others' byte
-check.
+check.  --case NAME (repeatable) runs only the named cases, for example
+to rerun one case with more rounds.
 """
 
 from __future__ import annotations
@@ -77,10 +79,12 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--rounds", type=int, default=1,
                     help="fresh processes per case and side")
+    ap.add_argument("--case", action="append", choices=list(CASES),
+                    help="run only this case (repeatable; default: all)")
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     ok = True
-    for k, case in enumerate(CASES):
+    for k, case in enumerate(dict.fromkeys(args.case or CASES)):
         runs = {side: [] for side in sides}
         for r in range(args.rounds):
             order = list(sides) if (k + r) % 2 == 0 else list(sides)[::-1]

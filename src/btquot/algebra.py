@@ -16,9 +16,9 @@ everywhere else in the package.
 
 Code sequences are multiplied by one packed-integer kernel of GF
 (Kronecker substitution: pack, unpack, slot_bytes), under GF.conv and
-under the quaternion product and embedding and under the hom systems;
-poly_mul keeps its scalar loop for the short polynomials of the
-residue-field arithmetic.
+under the quaternion product and embedding; the hom systems multiply
+by F_q products of code arrays (homspace), and poly_mul keeps its
+scalar loop for the short polynomials of the residue-field arithmetic.
 
 Every group the package multiplies in (F_q^*, A/(f), the units of the
 order, the stabilizers F_{q^2}) takes its powers, products and order

@@ -188,17 +188,21 @@ def cmd_export(cfg: JobConfig) -> int:
     return EXIT_OK
 
 
+def _check_start(cfg: JobConfig, what: str, h: int, n: int) -> None:
+    """Refuse what if its transports would start above the precision
+    cap: the cap ends the doubling, not a start above it."""
+    start = transport_start(cfg.alg, h, n)
+    if start > cfg.alg.precision_cap:
+        raise ValueError(f"{what} needs precision {start} or more, above "
+                         f"--precision-cap {cfg.alg.precision_cap}")
+
+
 def _vertex(cfg: JobConfig, text: str):
     """parse_vertex, refusing a vertex whose transports would start above
     the precision cap with its distance d to the base vertex for |n| (d
-    bounds its hom systems' precision too): the cap ends the doubling,
-    not a start above it."""
+    bounds its hom systems' precision too)."""
     v = parse_vertex(cfg.alg.F, text)
-    start = transport_start(cfg.alg, 0, v.dist_to_base())
-    if start > cfg.alg.precision_cap:
-        raise ValueError(f"vertex {text.strip()} needs precision {start} "
-                         f"or more, above --precision-cap "
-                         f"{cfg.alg.precision_cap}")
+    _check_start(cfg, f"vertex {text.strip()}", 0, v.dist_to_base())
     return v
 
 
@@ -232,11 +236,8 @@ def cmd_word(cfg: JobConfig) -> int:
                          "e.g. \"1\" or \"T + (1)*i + (0)*j + (0)*k\"")
     gamma = parse_quat(cfg.alg.F, cfg.extra[0])
     # its height, or -1 for zero, which express_in_generators refuses
-    start = transport_start(cfg.alg, max(map(len, gamma.lam)) - 1, 0)
-    if start > cfg.alg.precision_cap:
-        raise ValueError(f"element {cfg.extra[0].strip()} needs precision "
-                         f"{start} or more, above --precision-cap "
-                         f"{cfg.alg.precision_cap}")
+    _check_start(cfg, f"element {cfg.extra[0].strip()}",
+                 max(map(len, gamma.lam)) - 1, 0)
     # rejects a non-unit with ValueError and verifies the word
     print(str(express_in_generators(_build_graph(cfg), gamma)))
     return EXIT_OK

@@ -34,18 +34,19 @@ parities.  Both work from arrays:
   coefficient of Y_k, for every t >= 1 (the T^j coefficient of lam_k
   must not push that entry below O_infinity), read off in one Toeplitz
   gather;
-* kernel, in two stages: per (v, n_w), for a whole level at its
-  largest distance n to the base vertex (bottom_kernels), the kernel K
-  of the bottom rows, and the top rows' parts free of g_w projected
+* kernel, in two stages: per (v, n_w), for a batch of whole sibling
+  groups of a level at its largest distance n to the base vertex
+  (bottom_kernels, one build and one elimination per batch), the kernel
+  K of the bottom rows, and the top rows' parts free of g_w projected
   onto K; then per target, those parts combined with g_w's coefficients
   by one F_q product and eliminated over dim K columns, the targets of
-  a sibling group's stacks in one elimination (hom_stack).  Both stages
-  eliminate by Gauss-Jordan with F_q table lookups, and the product
-  runs on coordinate planes folded by the modulus, the same for prime
-  and non-prime q.  Mapped back through K, the result is each system's
-  reduced echelon kernel basis, which is unique, so it depends neither
-  on how the rows were assembled nor on the other systems eliminated
-  with it.
+  a sibling group's stacks in one elimination, gathered from their
+  batch's arrays (hom_stack).  Both stages eliminate by Gauss-Jordan
+  with F_q table lookups, and the product runs on coordinate planes
+  folded by the modulus, the same for prime and non-prime q.  Mapped
+  back through K, the result is each system's reduced echelon kernel
+  basis, which is unique, so it depends neither on how the rows were
+  assembled nor on the other systems eliminated with it.
 
 Solutions automatically have reduced norm in F_q^* and map v to w (the
 determinant argument fixes the norm's valuation, and a unit of the order
@@ -437,10 +438,6 @@ def has_solver_shape(basis) -> bool:
         not any(p in y for i, p in enumerate(last) for y in nz[i + 1:])
 
 
-# sources built and eliminated together: enough to share the per-column
-# cost, few enough that their (1 + R + N) N int64 each keep the peak RSS
-_CHUNK = 16
-
 # hom systems eliminated together in stage 2: a sibling group's stacks
 # are solved in consecutive pieces of at most this many systems (one
 # stack more if a stack alone has more), enough to share the per-column
@@ -460,38 +457,29 @@ def _toeplitz(vertices, offsets, size: int):
 
 
 def bottom_kernels(alg: AlgebraData, sources, n: int, ns) -> list:
-    """The only build of hom systems, for a search level: for each v in
-    sources (all within distance n of the base vertex), (n, rows, parts,
-    toeplitz) at the height bound n + m.  parts = (K, B K^t, C K^t, dims),
-    with K, B and C as in hom_stack and dims the kernel dimensions (the
-    nonzero rows of K, which come first), are stacks over the systems of
-    v's chunk, rows[n_w] v's system for each n_w in its list in ns (each
-    of v's parity).  toeplitz = (G, index), shared by every entry,
-    holds the Toeplitz matrix of g_w for each w in sources at
-    G[index[w]], built once per level.  _CHUNK sources at a time are
-    built by one _level_rows call, at the precision it computes, and
-    eliminated in one stack."""
+    """The only build of hom systems: for each v in sources (all within
+    distance n of the base vertex), (n, rows, parts) at the height bound
+    n + m.  parts = (K, B K^t, C K^t, dims), with K, B and C as in
+    hom_stack and dims the kernel dimensions (the nonzero rows of K,
+    which come first), are stacks over the systems of every source, the
+    same tuple in every entry; rows[n_w] is v's system for each n_w in
+    its list in ns (each of v's parity).  The sources are built by one
+    _level_rows call, at the precision it computes, and eliminated in
+    one stack; the search asks for whole sibling groups at a time."""
     if any((v.n - u) % 2 for v, us in zip(sources, ns) for u in us):
         raise AssertionError("bottom kernels asked across parities of n")
     if max(v.dist_to_base() for v in sources) > n:
         raise AssertionError("bottom kernels below a source's bound")
-    F, out = alg.F, []
-    # G[t, u] = -c_i for u = n + t + gval + i - n_w (see hom_stack)
-    toeplitz = (F.tables()[2][_toeplitz(
-        sources, [n - v.degn() for v in sources], n)],
-        {v: i for i, v in enumerate(sources)})
-    for i in range(0, len(sources), _CHUNK):
-        part, pns = sources[i:i + _CHUNK], ns[i:i + _CHUNK]
-        A = _level_rows(alg, part, n, pns)
-        B, P2, N = A[:, 0], A[:, 1], A.shape[-1]
-        K = _kernel_rows(F, P2[:, :, n:].reshape(len(A), -1, N), N)
-        Kt = K.transpose(0, 2, 1)[:, None]
-        parts = (K, *(_fq_matmul(F, X, Kt) for X in (B, P2[:, :, :n])),
-                 K.any(axis=2).sum(axis=1))
-        first = itertools.accumulate(map(len, pns), initial=0)
-        out += [(n, dict(zip(us, itertools.count(lo))), parts, toeplitz)
-                for us, lo in zip(pns, first)]
-    return out
+    F = alg.F
+    A = _level_rows(alg, sources, n, ns)
+    B, P2, N = A[:, 0], A[:, 1], A.shape[-1]
+    K = _kernel_rows(F, P2[:, :, n:].reshape(len(A), -1, N), N)
+    Kt = K.transpose(0, 2, 1)[:, None]
+    parts = (K, *(_fq_matmul(F, X, Kt) for X in (B, P2[:, :, :n])),
+             K.any(axis=2).sum(axis=1))
+    first = itertools.accumulate(map(len, ns), initial=0)
+    return [(n, dict(zip(us, itertools.count(lo))), parts)
+            for us, lo in zip(ns, first)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -517,11 +505,11 @@ class StackHoms:
 def hom_stack(alg: AlgebraData, stacks) -> list[StackHoms]:
     """Hom(v, w) for every w in targets of every stack (v, targets,
     bottom), in order, bases not yet checked.  bottom is v's entry of
-    bottom_kernels for a search level whose sources hold v and these
-    targets, all of v's parity of n; every stack's level has one height
-    bound n.  Consecutive stacks are solved together, in pieces of at
-    most _PIECE systems (one per target) but a single stack, each by one
-    elimination.
+    one bottom_kernels call, the same call for every stack, at a height
+    bound n at least the distance of every target to the base vertex;
+    the targets are of v's parity of n.  Consecutive stacks are solved
+    together, in pieces of at most _PIECE systems (one per target) but a
+    single stack, each by one elimination.
 
     They are solved at the height bound n + m of bottom, n at least the
     largest distance to the base vertex among v and them.  With s =
@@ -539,15 +527,13 @@ def hom_stack(alg: AlgebraData, stacks) -> list[StackHoms]:
     Eq(pi^(s - n) P2*): past t = n_w - gval - i a bottom row, zero on K,
     and up to it a row of C, at least n + 1 - deg_n(g_w) >= 1 as
     deg_n(g_w) = n_w - gval <= dist(w) <= n.  So T(w) K^t is B K^t minus
-    a Toeplitz matrix of g_w's coefficients (bottom's, built once per
-    level) times C K^t, one F_q product for the piece, and one
-    elimination of it gives y, x = y K for every solution x.  Stacks of
-    two stage-1 chunks meet in a piece padded with zeros, to the wider
-    kernel and to the longer rows: a zero row of K or a zero equation
-    changes no kernel.  The piece keeps the rows of K up to its widest
-    kernel; a zero row of a system's K among them is a zero column of
-    T(w) K^t, whose kernel row maps to x = 0, dropped.  Only the systems
-    with a kernel row are mapped back through their K.
+    a Toeplitz matrix of g_w's coefficients (built once per call, for
+    each distinct target) times C K^t, one F_q product for the piece,
+    and one elimination of it gives y, x = y K for every solution x.
+    The piece keeps the rows of K up to its widest kernel; a zero row of
+    a system's K among them is a zero column of T(w) K^t, whose kernel
+    row maps to x = 0, dropped.  Only the systems with a kernel row are
+    mapped back through their K.
 
     x = y K, scaled to leading coefficient 1, is the reduced echelon
     kernel basis of the whole system.  Added rows only add pivots, so
@@ -555,88 +541,77 @@ def hom_stack(alg: AlgebraData, stacks) -> list[StackHoms]:
     vector supported on the columns up to f_i is y K with y_i' = 0 for
     i' > i, so f_i is free in the system exactly when i is free in T
     K^t, whose kernel row for i (1 at i, 0 at its other free columns)
-    maps to the system's own for f_i.  It is unique, so neither the
-    piece nor the padding changes it.
+    maps to the system's own for f_i.  It is unique, so the piece does
+    not change it.
 
     A target nearer the base vertex than the level's farthest gets the
     basis of its own bound nm_w: every solution has height <= nm_w
     (asserted by _assert_solution), so the columns j > nm_w are pivot
     columns, and the reduced echelon basis is unique.
     """
-    if len({bottom[0] for _, _, bottom in stacks}) > 1:
-        raise AssertionError("hom stacks of two height bounds")
-    out, piece, size = [], [], 0
+    # row indices of one call's parts point into that call's arrays only
+    n, _, parts = stacks[0][2]
+    if any(bottom[2] is not parts for _, _, bottom in stacks):
+        raise AssertionError("hom stacks of two bottom_kernels calls")
+    if any((v.n - w.n) % 2 for v, targets, _ in stacks for w in targets):
+        raise AssertionError("hom stack asked across parities of n")
+    # the distinct targets, and each system's among them
+    index: dict = {}
+    at = [index.setdefault(w, len(index))
+          for _, targets, _ in stacks for w in targets]
+    if max(w.dist_to_base() for w in index) > n:
+        raise AssertionError("hom stack target farther than its bottom "
+                             "kernels' bound from the base vertex")
+    # G[t, u] = -c_i for u = n + t + gval + i - n_w (see above)
+    G = alg.F.tables()[2][_toeplitz(list(index),
+                                    [n - w.degn() for w in index], n)]
+    out, piece, lo, hi = [], [], 0, 0
     for stack in stacks:
-        if piece and size + len(stack[1]) > _PIECE:
-            out += _solve_piece(alg, piece)
-            piece, size = [], 0
+        if piece and hi + len(stack[1]) - lo > _PIECE:
+            out += _solve_piece(alg, piece, G[at[lo:hi]])
+            piece, lo = [], hi
         piece.append(stack)
-        size += len(stack[1])
-    return out + _solve_piece(alg, piece)
+        hi += len(stack[1])
+    return out + _solve_piece(alg, piece, G[at[lo:hi]])
 
 
-def _solve_piece(alg: AlgebraData, stacks) -> list[StackHoms]:
-    """hom_stack on one piece of stacks, by one elimination."""
+def _solve_piece(alg: AlgebraData, stacks, G) -> list[StackHoms]:
+    """hom_stack on one piece of stacks, by one elimination; G holds the
+    Toeplitz matrix of each system's target."""
     F = alg.F
     add = F.tables()[0]
-    n = stacks[0][2][0]
-    picks = []
-    for v, targets, (_, rows, parts, (Gs, index)) in stacks:
-        if any((v.n - w.n) % 2 for w in targets):
-            raise AssertionError("hom stack asked across parities of n")
-        try:
-            at = [index[w] for w in targets]
-        except KeyError:
-            raise AssertionError("hom stack target outside the level of "
-                                 "its bottom kernels") from None
-        picks.append((parts, [rows[w.n] for w in targets], Gs[at]))
+    n, _, (Ks, BKs, CKs, kdims) = stacks[0][2]
+    sel = np.array([rows[w.n] for _, targets, (_, rows, _) in stacks
+                    for w in targets])
     # a kernel's nonzero rows come first: the piece needs d of them
-    d = max(int(parts[3][sel].max()) for parts, sel, _ in picks)
-    tmax = max(parts[1].shape[2] for parts, _, _ in picks)
-    size = sum(len(sel) for _, sel, _ in picks)
-    TK = np.zeros((size, 2, tmax, d), dtype=np.int64)
-    CK = np.zeros((size, 2, n, d), dtype=np.int64)
-    lo = 0
-    for (_, BKs, CKs, _), sel, _ in picks:
-        hi, t = lo + len(sel), BKs.shape[2]
-        TK[lo:hi, :, :t, :BKs.shape[3]] = BKs[sel, ..., :d]
-        CK[lo:hi, ..., :CKs.shape[3]] = CKs[sel, ..., :d]
-        lo = hi
-    G = np.concatenate([G for _, _, G in picks])
-    TK[:, :, :n] = add[TK[:, :, :n], _fq_matmul(F, G[:, None], CK)]
-    Y = _kernel_rows(F, TK.reshape(size, -1, d), d)
+    d = int(kdims[sel].max())
+    TK = BKs[sel, ..., :d]
+    TK[:, :, :n] = add[TK[:, :, :n],
+                       _fq_matmul(F, G[:, None], CKs[sel, ..., :d])]
+    Y = _kernel_rows(F, TK.reshape(len(sel), -1, d), d)
     # only systems with a kernel row are mapped back through their K
     hit = np.flatnonzero(Y.any(axis=(1, 2)))
-    owner = [(parts[0], r) for parts, sel, _ in picks for r in sel]
-    K = np.zeros((len(hit), d, owner[0][0].shape[2]), dtype=np.int64)
-    for x, i in zip(K, hit.tolist()):
-        Ks, r = owner[i]
-        x[:Ks.shape[1]] = Ks[r, :d]
-    X = np.zeros((size, Y.shape[1], K.shape[2]), dtype=np.int64)
-    X[hit] = _monic(F, _fq_matmul(F, Y[hit], K))
+    X = np.zeros((len(sel), Y.shape[1], Ks.shape[2]), dtype=np.int64)
+    X[hit] = _monic(F, _fq_matmul(F, Y[hit], Ks[sel[hit], :d]))
     dims = X.any(axis=2).sum(axis=1)
     if dims.max() > 2:
         raise AssertionError(f"hom space has impossible dimension "
                              f"{dims.max()}")
-    out, lo, dims = [], 0, dims.tolist()
-    for v, targets, _ in stacks:
-        hi = lo + len(targets)
-        out.append(StackHoms(F, v, targets, n + alg.m, X[lo:hi],
-                             dims[lo:hi]))
-        lo = hi
-    return out
+    first = itertools.accumulate((len(t) for _, t, _ in stacks), initial=0)
+    return [StackHoms(F, v, targets, n + alg.m, X[lo:lo + len(targets)],
+                      dims[lo:lo + len(targets)].tolist())
+            for (v, targets, _), lo in zip(stacks, first)]
 
 
 def hom(alg: AlgebraData, v: Vertex, w: Vertex) -> HomSet:
     """The set {gamma in Gamma : gamma.v = w} as a HomSet, the only
     single-pair solve: empty across parities of n, else hom_stack on one
-    stack, of w over the bottom kernels of the level (v, w), every basis
-    element asserted (_assert_solution)."""
+    stack, of w over the bottom kernels of v alone at the pair's height
+    bound, every basis element asserted (_assert_solution)."""
     if (v.n - w.n) % 2:
         return HomSet(alg.F, v, w, ())
-    bottom = bottom_kernels(alg, [v, w], max(v.dist_to_base(),
-                                             w.dist_to_base()),
-                            [[w.n], []])[0]
+    bottom = bottom_kernels(alg, [v], max(v.dist_to_base(),
+                                          w.dist_to_base()), [[w.n]])[0]
     hs = hom_stack(alg, [(v, [w], bottom)])[0][0]
     for gamma in hs.basis:
         _assert_solution(alg, gamma, v, w)

@@ -22,11 +22,12 @@ level (when the hom space between the two is nonzero) or keeps the edge
 in the spanning tree and recurses on the new vertex.  The tree is
 bipartite (Serre, *Trees*, ch. II) and a vertex's distance to the base
 vertex has the parity of its n, so a level, one distance from the
-initial vertex, has one parity of n: homspace.bottom_kernels serves it
-in one call, at its largest distance to the base vertex.  The candidates
-of one frontier vertex, a sibling group, are solved by one hom_stack
-call, each against End and every candidate live as the group starts or
-earlier in it; the group is then replayed in candidate order, reading
+initial vertex, has one parity of n and is solved at its largest
+distance to the base vertex.  The candidates of one frontier vertex, a
+sibling group, are solved by one hom_stack call, on the first stage
+that homspace.bottom_kernels builds for a batch of whole groups, each
+against End and every candidate live as the group starts or earlier in
+it; the group is then replayed in candidate order, reading
 only the candidates still live at each turn.  Every system's basis is
 unique, so that reads the answers a solve per candidate would give.
 
@@ -238,6 +239,12 @@ def _assert_adjacent(a: Vertex, b: Vertex, what: str) -> None:
         raise AssertionError(f"the {what} are not tree neighbours")
 
 
+# candidates whose stage 1 is built and eliminated together, in whole
+# sibling groups: enough to share the per-column cost, few enough that
+# their (1 + R + N) N int64 each keep the peak RSS
+_CHUNK = 16
+
+
 def compute_quotient(alg: AlgebraData) -> QuotientGraph:
     """Breadth-first construction of the enhanced fundamental domain."""
     F = alg.F
@@ -262,23 +269,32 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
     while frontier:
         alive: list = list(frontier)
         cands = [cand for _, cand in frontier]
-        bottoms = bottom_kernels(alg, cands,
-                                 max(u.dist_to_base() for u in cands),
-                                 [sorted({u.n for u in cands[:i + 1]})
-                                  for i in range(len(cands))])
+        n = max(u.dist_to_base() for u in cands)
+        # each candidate against the n of itself and the earlier ones,
+        # the only targets its stack can hold
+        ns = [sorted({u.n for u in cands[:i + 1]}) for i in range(len(cands))]
+        groups = [list(run) for _, run in
+                  groupby(range(len(cands)), key=lambda i: frontier[i][0])]
+        bottoms: list = []
         nxt: list = []
-        for src_id, run in groupby(range(len(cands)),
-                                   key=lambda i: frontier[i][0]):
+        for group in groups:
+            lo = group[0]
+            if len(bottoms) == lo:
+                # stage 1 of the groups from here to the first that brings
+                # them to _CHUNK candidates or ends the level
+                hi = next((g[-1] + 1 for g in groups
+                           if g[-1] + 1 - lo >= _CHUNK), len(cands))
+                bottoms += bottom_kernels(alg, cands[lo:hi], n, ns[lo:hi])
             # a sibling group, solved together: each candidate against
             # End and the candidates live as the group starts or earlier
             # in it; only i itself and earlier candidates are ever
             # cleared, so the replay reads a subset of what was solved
-            group = list(run)
-            live = [j for j in range(group[0]) if alive[j] is not None]
+            live = [j for j in range(lo) if alive[j] is not None]
             earlier = live + group
             stacks = [(cands[i], [cands[j] for j in
                                   (i, *earlier[:len(live) + k])], bottoms[i])
                       for k, i in enumerate(group)]
+            src_id = frontier[lo][0]
             src_v = G.vertices[src_id]
             for (k, i), homs in zip(enumerate(group),
                                     hom_stack(alg, stacks)):
@@ -674,20 +690,16 @@ def verify_structure(alg: AlgebraData, G: QuotientGraph) -> StructureReport:
     max_h = 0
     bad_h = []
     global_bound = m + bound
-    for k in G.pairings:
-        e = G.edges[k]
-        n = distance(G.vertices[0], e.direction)
-        h = height(e.elem)
+    labels = [*(("edge", k, G.edges[k].direction, G.edges[k].elem)
+                for k in G.pairings),
+              *(("vertex", i, G.vertices[i], b)
+                for i in terminals for b in G.end_basis[i])]
+    for kind, i, v, elem in labels:
+        n = distance(G.vertices[0], v)
+        h = height(elem)
         max_h = max(max_h, h)
         if h > m + n or h > global_bound + 1e-9:
-            bad_h.append(("edge", k, h, m + n))
-    for i in terminals:
-        n = distance(G.vertices[0], G.vertices[i])
-        for b in G.end_basis[i]:
-            h = height(b)
-            max_h = max(max_h, h)
-            if h > m + n or h > global_bound + 1e-9:
-                bad_h.append(("vertex", i, h, m + n))
+            bad_h.append((kind, i, h, m + n))
     checks.append(CheckResult(
         "label heights", not bad_h,
         f"max height {max_h}, global bound {global_bound:.3f}"

@@ -9,8 +9,9 @@ Reading a file back replays its construction on the caller's algebra
 through the search's own builders, which check every End basis and
 pairing unit, without the hom solves, and accepts it only if its
 decoded JSON, q and primes included, equals the writer's dict of the
-replay and the degree rule holds; so an accepted file re-serializes to
-the same bytes, and a file of another algebra is rejected.
+replay type for type (1, 1.0 and true differ) and the degree rule
+holds; so an accepted file re-serializes to the same bytes, and a file
+of another algebra is rejected.
 
 Directed edges are stored once each, in construction order.  A ``tree``
 label marks a spanning-tree edge, a pairing label is an object naming
@@ -81,18 +82,20 @@ def graph_from_json(text: str, alg: AlgebraData | None = None
     of the file's own q and primes at the default cap): parse its labels
     in alg.F, replay its vertices, tree edges and pairing edges through
     the search's builders (every rule, no hom solves), then accept it
-    only if its decoded JSON equals graph_to_json_dict of the replay (q,
-    primes, alpha, epsilon and nu included) and out-degrees are 1
-    (terminal) and q+1 (internal).  ValueError otherwise, a file of
-    another algebra among them, and for undecodable JSON, a non-string
-    label, an edge endpoint outside the vertex ids or an unknown label."""
+    only if its decoded JSON equals graph_to_json_dict of the replay
+    type for type (q, primes, alpha, epsilon and nu included) and
+    out-degrees are 1 (terminal) and q+1 (internal).  ValueError
+    otherwise, a file of another algebra among them, and for
+    undecodable JSON, a non-string label, an edge endpoint outside the
+    vertex ids or an unknown label."""
     try:
         data = json.loads(text)
     except RecursionError:
         raise ValueError("stored JSON nests too deeply to decode") from None
     if not isinstance(data, dict):
         raise ValueError("a stored graph is a JSON object")
-    if data.get("format") != FORMAT_VERSION:
+    # compared as JSON texts: == takes 1, 1.0 and true as equal
+    if json.dumps(data.get("format")) != json.dumps(FORMAT_VERSION):
         raise ValueError(f"unsupported format version {data.get('format')}")
     F = alg.F if alg else field(data["q"])
 
@@ -126,10 +129,12 @@ def graph_from_json(text: str, alg: AlgebraData | None = None
         raise ValueError(f"a construction check fails: {exc}") from None
     if not G.vertices:
         raise ValueError("a stored graph has no vertices")
-    replayed = graph_to_json_dict(G)
-    if data != replayed:
-        key = next(k for k in replayed | data
-                   if data.get(k, ...) != replayed.get(k, ...))
+    stored, replayed = ({k: json.dumps(x, sort_keys=True)
+                         for k, x in d.items()}
+                        for d in (data, graph_to_json_dict(G)))
+    if stored != replayed:
+        key = next(k for k in replayed | stored
+                   if stored.get(k) != replayed.get(k))
         raise ValueError(f"{key.replace('_', ' ')}: stored values disagree "
                          "with the replayed graph")
     bad = G.degree_mismatches()

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btquot import homspace, quotient
+from btquot import quotient
 from btquot.algebra import (field, parse_poly, poly_add, poly_mul,
                             poly_scale, poly_trim)
 from btquot.cli import _split_primes
@@ -27,9 +27,11 @@ from btquot.homspace import (HomSet, _assert_solution, _fq_matmul,
                              stability, transport)
 from btquot.laurent import INF, InsufficientPrecisionError, Laurent
 from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra
-from btquot.tree import BASE_VERTEX, Vertex, act, neighbors, retry_with_precision
+from btquot.serialize import graph_to_json
+from btquot.tree import (BASE_VERTEX, Vertex, act, distance, neighbors,
+                         retry_with_precision)
 from laurent_helpers import inv, scale, vertex_matrix
-from test_golden import CASES
+from test_golden import CASES, GOLDEN
 
 ALG3 = build_algebra(field(3), [(0, 1), (1, 1)])
 ALG5 = build_algebra(field(5), [(0, 1), (1, 1), (2, 1), (3, 1)])
@@ -497,17 +499,19 @@ def test_stack_rejects_a_target_of_the_other_parity():
 
 
 def test_stack_rejects_a_target_outside_its_level():
-    """A target's Toeplitz rows come from its level, so a target that is
-    not one of the level's sources, or a stack of another height bound,
-    is refused."""
+    """A target farther from the base vertex than the bottom kernels'
+    bound n, whose Toeplitz band would not fit, and stacks whose bottom
+    kernels come from two bottom_kernels calls, whose row indices point
+    into different arrays, are refused; a target that is not a source of
+    the call is solved."""
     v, w, u = (Vertex.make(2, 0, ()), Vertex.make(2, 1, (4,)),
-               Vertex.make(0, 0, ()))
-    bottom = bottom_kernels(ALG5, [v, w], 2, [[2], []])[0]
+               Vertex.make(4, 0, ()))
+    bottom = bottom_kernels(ALG5, [v], 2, [[2]])[0]
     assert hom_stack(ALG5, [(v, [w], bottom)])[0].dims == [1]
-    with pytest.raises(AssertionError, match="outside the level"):
+    with pytest.raises(AssertionError, match="target farther than"):
         hom_stack(ALG5, [(v, [v, u], bottom)])
-    other = bottom_kernels(ALG5, [v], 3, [[2]])[0]
-    with pytest.raises(AssertionError, match="two height bounds"):
+    other = bottom_kernels(ALG5, [v], 2, [[2]])[0]
+    with pytest.raises(AssertionError, match="two bottom_kernels calls"):
         hom_stack(ALG5, [(v, [v], bottom), (v, [v], other)])
     with pytest.raises(AssertionError, match="below a source's bound"):
         bottom_kernels(ALG5, [v, Vertex.make(4, 0, ())], 2, [[2], []])
@@ -642,8 +646,8 @@ def test_two_stage_solve_matches_one_stage(q):
         for targets in ([v, *same], [v, *earlier[-4:]]):
             want = one_stage(alg, v, targets)
             own = bottom_kernels(
-                alg, [v, *targets], max(w.dist_to_base() for w in targets),
-                [sorted({w.n for w in targets})] + [[]] * len(targets))[0]
+                alg, [v], max(w.dist_to_base() for w in targets),
+                [sorted({w.n for w in targets})])[0]
             for bottom in (own, bottoms[v]):
                 assert stack_bases(alg, [(v, targets, bottom)]) == [want]
             dims.update(len(b) for b in want)
@@ -656,18 +660,21 @@ def test_two_stage_solve_matches_one_stage(q):
 
 
 def recorded_search(monkeypatch, case):
-    """The algebra of a golden case, with the bottom_kernels and hom_stack
-    calls of its compute_quotient: (sources, n, ns) per level, and per
-    hom_stack call its stacks (v, targets, bottom) and their bases."""
+    """The algebra of a golden case, its graph, and the bottom_kernels
+    and hom_stack calls of its compute_quotient: per level (the
+    candidates at one distance from the initial vertex), per
+    bottom_kernels call, (sources, n, ns, entries); per hom_stack call
+    its stacks (v, targets, bottom) and their bases."""
     args = dict(zip(CASES[case][::2], CASES[case][1::2]))
     F = field(int(args["--q"]))
     alg = build_algebra(F, [parse_poly(F, t)
                             for t in _split_primes(args["--primes"])])
-    levels, calls = [], []
+    batches, calls = [], []
 
-    def level(alg, sources, n, ns):
-        levels.append((list(sources), n, [list(x) for x in ns]))
-        return bottom_kernels(alg, sources, n, ns)
+    def batch(alg, sources, n, ns):
+        out = bottom_kernels(alg, sources, n, ns)
+        batches.append((list(sources), n, [list(x) for x in ns], out))
+        return out
 
     def stack(alg, stacks):
         out = hom_stack(alg, stacks)
@@ -675,10 +682,17 @@ def recorded_search(monkeypatch, case):
                       [[homs[k].basis for k in range(len(homs.targets))]
                        for homs in out]))
         return out
-    monkeypatch.setattr(quotient, "bottom_kernels", level)
+    monkeypatch.setattr(quotient, "bottom_kernels", batch)
     monkeypatch.setattr(quotient, "hom_stack", stack)
-    quotient.compute_quotient(alg)
-    return alg, levels, calls
+    G = quotient.compute_quotient(alg)
+
+    def level(b):
+        (d,) = {distance(G.vertices[0], v) for v in b[0]}
+        return d
+    levels = [list(run) for _, run in itertools.groupby(batches, key=level)]
+    assert len({level(run[0]) for run in levels}) == len(levels), \
+        "the batches of a level are not consecutive"
+    return alg, G, levels, calls
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -686,15 +700,19 @@ def test_every_search_level_has_one_parity_of_n(monkeypatch, case):
     """The tree is bipartite and a vertex's distance to the base vertex
     has the parity of its n, so each level of the search, a set of
     vertices at one distance from the initial one, has one parity of n;
-    it is asked for at its own largest distance, and each candidate for
-    the values of n of itself and the earlier candidates, the only
-    targets its stack can hold."""
-    _, levels, calls = recorded_search(monkeypatch, case)
-    assert levels and sum(len(sources) for sources, _, _ in levels) == \
+    every batch of it is asked for at the level's largest distance, and
+    each candidate for the values of n of itself and the earlier
+    candidates of the level, the only targets its stack can hold."""
+    _, _, levels, calls = recorded_search(monkeypatch, case)
+    assert levels and sum(len(sources) for batches in levels
+                          for sources, *_ in batches) == \
         sum(len(stacks) for stacks, _ in calls)
-    for sources, n, ns in levels:
+    for batches in levels:
+        sources = [v for batch, *_ in batches for v in batch]
+        ns = [x for _, _, xs, _ in batches for x in xs]
         assert len({v.n % 2 for v in sources}) == 1, (case, sources)
-        assert n == max(v.dist_to_base() for v in sources)
+        assert {n for _, n, _, _ in batches} == \
+            {max(v.dist_to_base() for v in sources)}
         assert ns == [sorted({v.n for v in sources[:i + 1]})
                       for i in range(len(sources))]
 
@@ -706,7 +724,7 @@ def test_search_level_kernels_solve_as_one_stage(monkeypatch, case):
     alone and the one-stage bases.  The worked example starts at (1; 0),
     so its first level holds the base vertex and vertices two steps from
     it, and its first stack is solved above its own height bound."""
-    alg, _, calls = recorded_search(monkeypatch, case)
+    alg, _, _, calls = recorded_search(monkeypatch, case)
     above = grouped = 0
     for stacks, bases in calls:
         for (v, targets, bottom), got in zip(stacks, bases):
@@ -719,36 +737,40 @@ def test_search_level_kernels_solve_as_one_stage(monkeypatch, case):
     assert grouped, "no call solved a sibling group of several stacks"
 
 
-@pytest.mark.parametrize("q", [7, 25])
-def test_grouped_stacks_across_chunks_solve_as_alone(monkeypatch, q):
-    """Stacks of one level whose bottom kernels come from stage-1 chunks
-    of different kernel widths d and row counts tmax, solved in one
-    hom_stack call (one elimination, padded where the chunks meet), each
-    give the bases of the stack solved alone and the one-stage bases: on
-    the oracle vertices, each against End and the earlier ones, with
-    chunks of two sources."""
-    monkeypatch.setattr(homspace, "_CHUNK", 2)
-    alg = build_algebra(field(q), [(0, 1), (1, 1)])
-    vs = oracle_vertices(q)
-    meets = Counter()
-    for parity in (0, 1):
-        level = [v for v in vs if v.n % 2 == parity]
-        bottoms = bottom_kernels(
-            alg, level, max(u.dist_to_base() for u in level),
-            [sorted({u.n for u in level[:i + 1]})
-             for i in range(len(level))])
-        stacks = [(v, [v, *level[:i]], bottom)
-                  for i, (v, bottom) in enumerate(zip(level, bottoms))]
-        assert sum(len(targets) for _, targets, _ in stacks) <= \
-            homspace._PIECE
-        for (_, _, x, _), (_, _, y, _) in zip(bottoms, bottoms[1:]):
-            meets[x[0].shape[1] != y[0].shape[1],
-                  x[1].shape[2] != y[1].shape[2]] += x is not y
-        grouped = stack_bases(alg, stacks)
-        assert grouped == [stack_bases(alg, [s])[0] for s in stacks]
-        assert grouped == [one_stage(alg, v, targets)
-                           for v, targets, _ in stacks]
-    assert meets[True, True], meets
+@pytest.mark.parametrize("chunk", [2, 5])
+@pytest.mark.parametrize("case", ["q5-worked", "q7-deg4", "q9-deg4"])
+def test_search_batches_whole_sibling_groups(monkeypatch, case, chunk):
+    """With _CHUNK set to chunk, the search builds stage 1 for batches of
+    whole sibling groups (the sources of one hom_stack call), each
+    closed by the group that brings it to at least chunk candidates or
+    by the last group of its level; every hom_stack call solves on the
+    entries of one bottom_kernels call, each stack on its source's
+    entry; and the graph is the golden one."""
+    monkeypatch.setattr(quotient, "_CHUNK", chunk)
+    _, G, levels, calls = recorded_search(monkeypatch, case)
+    assert graph_to_json(G) == (GOLDEN / f"{case}.json").read_text()
+    groups = iter(calls)
+    sizes = Counter()
+    for batches in levels:
+        for k, (sources, _, _, entries) in enumerate(batches):
+            assert len(sources) >= chunk or k + 1 == len(batches)
+            at = {v: i for i, v in enumerate(sources)}
+            held = []
+            while len(held) < len(sources):
+                stacks, _ = next(groups)
+                held += [v for v, _, _ in stacks]
+                assert all(bottom is entries[at[v]]
+                           for v, _, bottom in stacks)
+                sizes["groups"] += 1
+            assert held == sources
+            # closed by its last group, not later
+            assert len(held) - len(stacks) < chunk
+            sizes["batches"] += 1
+            sizes["levels split"] += k == 1
+    assert next(groups, None) is None
+    # chunk 2 splits a level into batches, chunk 5 joins groups in one
+    assert sizes["levels split"] if chunk == 2 else \
+        sizes["groups"] > sizes["batches"], sizes
 
 
 def test_bottom_kernels_reject_the_other_parity():
@@ -850,7 +872,7 @@ class TestComputedPrecision:
         got = bottom_kernels(ALG5, level, n, ns)
         wider_basis(monkeypatch, ALG5)
         wide = bottom_kernels(ALG5, level, n, ns)
-        for (_, x, xs, _), (_, y, ys, _) in zip(got, wide):
+        for (_, x, xs), (_, y, ys) in zip(got, wide):
             assert x == y
             assert all(np.array_equal(a, b) for a, b in zip(xs, ys))
         assert stack_bases(ALG5, [(W, level[:2], wide[1])]) == [want]

@@ -116,6 +116,18 @@ MALFORMED = {
 }
 
 
+# edits that leave the decoded JSON equal under == (1 == 1.0 == true) but
+# re-serialize to other bytes, each with the start of its error
+LOOSELY_EQUAL = {
+    "stable 1": (lambda d: d["vertices"][0].update(stable=1), "vertices"),
+    "id 0.0": (lambda d: d["vertices"][0].update(id=0.0), "vertices"),
+    "src true": (lambda d: d["edges"][1].update(src=True), "edges"),
+    "index 0.0": (lambda d: d["edges"][0].update(index=0.0), "edges"),
+    "format 1.0": (lambda d: d.update(format=1.0),
+                   "unsupported format version 1.0"),
+}
+
+
 @functools.cache
 def case_algebra(case):
     """The algebra the CLI builds for a golden case."""
@@ -178,6 +190,16 @@ class TestCorruptFiles:
                           if {e["src"], e["dst"]} != {2, 7}]
         with pytest.raises(ValueError, match="^vertex 2 has out-degree 5$"):
             self._load_edited(drop)
+
+    @pytest.mark.parametrize("edit,key", LOOSELY_EQUAL.values(),
+                             ids=LOOSELY_EQUAL.keys())
+    def test_value_of_another_json_type_rejected(self, edit, key):
+        # an accepted file re-serializes to its own bytes
+        data = json.loads((GOLDEN / "q5-worked.json").read_text())
+        edit(data)
+        assert data == json.loads((GOLDEN / "q5-worked.json").read_text())
+        with pytest.raises(ValueError, match=f"^{key}"):
+            graph_from_json(json.dumps(data), case_algebra("q5-worked"))
 
     def test_top_level_list_rejected(self):
         with pytest.raises(ValueError, match="JSON object"):
