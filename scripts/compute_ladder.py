@@ -5,21 +5,25 @@
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository (for
 example `git archive <commit> | tar -x -C DIR`).  For each case, one
-`compute_quotient` runs in a fresh Python process per checkout, one at
-a time, on the checkout's own `src`; case k of round r runs the parent
-first when k + r is even, so a drift of the machine's speed does not
-favour one side.  A process prints the sha256 of the graph's JSON
-(`serialize.graph_to_json`), the CPU seconds of the compute alone
-(`time.process_time`, algebra built before) and its own peak RSS
+fresh Python process runs per checkout and round, one at a time, on the
+checkout's own `src`; case k of round r runs the parent first when
+k + r is even, so a drift of the machine's speed does not favour one
+side.  A process builds the algebra, runs one warm-up
+`compute_quotient` on it, then COMPUTES more, and prints the sha256 of
+the graph's JSON (`serialize.graph_to_json`), the median CPU seconds of
+the computes after the warm-up (`time.process_time`, each compute
+alone; the algebra's memoized basis embeddings carry over from the
+warm-up, so this is the steady-state compute) and its own peak RSS
 (`ru_maxrss`, the whole process).
 
 The script prints, per case, both digests, the median CPU seconds and
 median peak RSS of each side over the rounds and their ratios (change /
-parent), and exits 1 if any digest differs between the sides or between
-rounds.  The cases are the worked example and the ladder of ROADMAP.md;
-only q5-worked and q7-72 have golden files, so this is the others' byte
-check.  --case NAME (repeatable) runs only the named cases, for example
-to rerun one case with more rounds.
+parent), and exits 1 if any digest differs between the sides, between
+rounds or between the computes of one process.  The cases are the
+worked example and the ladder of ROADMAP.md; only q5-worked and q7-72
+have golden files, so this is the others' byte check.  --case NAME
+(repeatable) runs only the named cases, for example to rerun one case
+with more rounds.
 """
 
 from __future__ import annotations
@@ -42,8 +46,11 @@ CASES = {
     "q7-deg6": (7, "T^2+1,T^2+2,T,T+1"),
 }
 
+# timed computes per process, after the warm-up
+COMPUTES = 3
+
 CHILD = """
-import hashlib, json, resource, sys, time
+import hashlib, json, resource, statistics, sys, time
 from btquot.algebra import field, parse_poly
 from btquot.cli import _split_primes
 from btquot.quaternion import build_algebra
@@ -51,22 +58,26 @@ from btquot.quotient import compute_quotient
 from btquot.serialize import graph_to_json
 F = field(int(sys.argv[1]))
 alg = build_algebra(F, [parse_poly(F, t) for t in _split_primes(sys.argv[2])])
-start = time.process_time()
-G = compute_quotient(alg)
-cpu = time.process_time() - start
-digest = hashlib.sha256(graph_to_json(G).encode()).hexdigest()
+digests, cpus = set(), []
+for _ in range(1 + int(sys.argv[3])):
+    start = time.process_time()
+    G = compute_quotient(alg)
+    cpus.append(time.process_time() - start)
+    digests.add(hashlib.sha256(graph_to_json(G).encode()).hexdigest())
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"sha256": digest, "cpu_s": cpu, "rss_mb": rss_mb}))
+print(json.dumps({"sha256": " ".join(sorted(digests)),
+                  "cpu_s": statistics.median(cpus[1:]), "rss_mb": rss_mb}))
 """
 
 
 def run_once(checkout: Path, case: str) -> dict:
-    """One compute of case in a fresh process on checkout's src."""
+    """One warm-up and COMPUTES timed computes of case in a fresh
+    process on checkout's src."""
     q, primes = CASES[case]
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    out = subprocess.run([sys.executable, "-c", CHILD, str(q), primes],
-                         cwd=checkout, env=env, capture_output=True,
-                         text=True)
+    out = subprocess.run([sys.executable, "-c", CHILD, str(q), primes,
+                          str(COMPUTES)], cwd=checkout, env=env,
+                         capture_output=True, text=True)
     if out.returncode != 0:
         raise SystemExit(f"{case} in {checkout} failed "
                          f"(exit {out.returncode}):\n{out.stderr}")

@@ -51,7 +51,7 @@ MAX_Q = 127
 #: coefficient list is built.  A prime of that degree is far past any
 #: quotient that can be computed, and a unit of that height would start
 #: its embedding near the default precision cap (4 (height + m + |n| +
-#: 4), see homspace.transport_all), so no argument the program can
+#: 4), see homspace.transport), so no argument the program can
 #: serve is refused.
 MAX_DEGREE = 4096
 

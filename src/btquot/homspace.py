@@ -53,17 +53,16 @@ determinant argument fixes the norm's valuation, and a unit of the order
 with the right action is forced); both are asserted (_assert_solution),
 never used as filters, once per kept basis: by hom, and by
 QuotientGraph's builders on every End element and pairing unit,
-computed or loaded.  A stable vertex keeps no End basis; stability
-asserts it is exactly (1,).  A scalar unit lies in F_q^*, the kernel of
-the action, so the check embeds none.
+computed or loaded, exactly and apart from the solver: by the
+integrality of one matrix, whose reduction mod pi also gives the unit's
+images of the source's neighbours.  A stable vertex keeps no End basis;
+stability asserts it is exactly (1,).  A scalar unit lies in F_q^*, the
+kernel of the action, so the check embeds none.
 
-The action of a unit g on tree vertices is transport_all, the only code
-that embeds a unit and acts with it: one embedding iota(g) per precision
-tried, applied to every vertex asked for by tree.act, which relies on
-det iota(g) = nrd(g) being a nonzero constant and so forms no
-determinant and no full matrix product.  The solution check, which
-also returns g's images of further vertices, the stabilizer tables and
-reduction all go through it, each with a unit (see transport_all).
+Reduction and the word problem act by a unit g on any vertex through
+transport: one embedding iota(g) per precision tried, applied by
+tree.act, which relies on det iota(g) = nrd(g) being a nonzero constant
+and so forms no determinant and no full matrix product.
 
 For an unstable vertex, End(v) plus zero is a field with q^2 elements;
 StabilizerField tabulates it on coordinates over the End basis, so that
@@ -80,41 +79,31 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import (GF, ZERO_POLY, has_order, poly_add, poly_scale,
-                      poly_trim, power)
+                      poly_trim, power, slot_bytes)
+from .laurent import InsufficientPrecisionError
 from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
-from .tree import Vertex, act, neighbors, retry_with_precision
+from .tree import (Vertex, act, down_neighbor, neighbors,
+                   retry_with_precision, up_neighbor)
 
 
 def transport(alg: AlgebraData, g: QuatElem, v: Vertex) -> Vertex:
-    """The vertex g . v, retrying the embedding at higher precision."""
-    return transport_all(alg, g, (v,))[0]
-
-
-def transport_all(alg: AlgebraData, g: QuatElem, vs) -> list[Vertex]:
-    """The vertices g . v for v in vs, from one embedding of g per
-    precision tried.
+    """The vertex g . v, from one embedding of g per precision tried.
 
     g must be a unit of the order (nrd(g) in F_q^*): tree.act reads the
     valuation of the determinant off that, and a non-unit gives a wrong
-    vertex, not an error.  It is not checked here; every caller upholds
-    it.  _assert_solution and express_in_generators check is_unit
-    before they transport; the stabilizer generator and its powers are
-    nonzero elements of End(v), whose nonzero elements are all units;
-    reduction steps and transporters are products and inverses of those
-    and of checked pairing units.
+    vertex, not an error.  Callers uphold it: express_in_generators
+    checks is_unit, and reduction steps and transporters are products
+    and inverses of stabilizer powers (nonzero elements of End(v), all
+    units) and of checked pairing units.
     """
-    def images(prec):
-        M = alg.embed(g, prec)
-        return [act(M, v) for v in vs]
-
     return retry_with_precision(
-        images, transport_start(alg, height(g), max(abs(v.n) for v in vs)),
-        alg.precision_cap)
+        lambda prec: act(alg.embed(g, prec), v),
+        transport_start(alg, height(g), abs(v.n)), alg.precision_cap)
 
 
 def transport_start(alg: AlgebraData, h: int, n: int) -> int:
-    """The precision transport_all starts at for a unit of height h and
-    vertices of |n| at most n: 4 (h + m + n + 4)."""
+    """The precision transport starts at for a unit of height h and a
+    vertex of |n| at most n: 4 (h + m + n + 4)."""
     return 4 * (h + alg.m + n + 4)
 
 
@@ -168,7 +157,7 @@ class StabilizerField:
     (where one basis element has coefficient 1 and the other 0).  A
     quaternion whose pivot coefficients do not recombine to it is not
     in End(v).  The table is built once, from four products and one
-    transport_all of the generator:
+    solution check of the generator (_assert_solution):
 
     * the multiplication constants, the codes of b_s * b_t;
     * gen, the first element in HomSet.elements() order with (q+1)-st
@@ -176,11 +165,11 @@ class StabilizerField:
       order q^2 - 1, by algebra.power and algebra.has_order on codes;
     * the code of gen^s for every s, each a product by gen and none by
       1, and its inverse, the discrete log;
-    * the cycle that gen induces on the neighbours of v.  The scalars
-      fix every vertex, and End(v)^*/F_q^* (cyclic of order q+1) acts
-      simply transitively on the neighbours, so the cycle has length
-      q+1, and gen^s maps the neighbour t to u exactly for the s in one
-      class modulo q+1: a coset c * gen^s0, c in F_q^*.
+    * the cycle that gen induces on the neighbours of v (by Y mod pi of
+      the check).  The scalars fix every vertex, and End(v)^*/F_q^*
+      (cyclic of order q+1) acts simply transitively on the neighbours,
+      so the cycle has length q+1, and gen^s maps the neighbour t to u
+      exactly for the s in one class modulo q+1: a coset c * gen^s0.
     """
 
     def __init__(self, alg: AlgebraData, ends: HomSet):
@@ -211,8 +200,9 @@ class StabilizerField:
         self._log = {c: s for s, c in enumerate(self._powers)}
         self.gen = ends.combination(gen)
 
-        nbrs = neighbors(F, ends.source)
-        image = dict(zip(nbrs, transport_all(alg, self.gen, nbrs)))
+        v = ends.source
+        nbrs = neighbors(F, v)
+        image = dict(zip(nbrs, _assert_solution(alg, self.gen, v, v, *nbrs)))
         cycle = [nbrs[0]]
         for _ in range(q):
             cycle.append(image.get(cycle[-1]))
@@ -410,18 +400,72 @@ def _vector_to_quat(vec, nm: int) -> QuatElem:
 def _assert_solution(alg: AlgebraData, gamma: QuatElem, v: Vertex,
                      w: Vertex, *more: Vertex) -> list[Vertex]:
     """Assert that gamma is a unit within the height bound mapping v to
-    w; return its images of the vertices more, from the same embedding
-    (none for a scalar unit, which fixes every vertex)."""
-    nm = max(v.dist_to_base(), w.dist_to_base()) + alg.m
+    w; return its images of the vertices more, each asserted a tree
+    neighbour of v (a scalar unit embeds none and returns more as is).
+
+    gamma.v = w exactly when Y = pi^s Mw^(-1) iota(gamma) Mv, s = (n_w -
+    n_v)/2, is integral: det Y = nrd(gamma) in F_q^* puts an integral Y
+    in GL_2(O_infinity), and iota(gamma) Mv = lambda Mw U, U in there,
+    forces 2 v(lambda) = n_v - n_w and Y = pi^s lambda U.  Ybar = Y mod
+    pi maps the line of a neighbour of v in L_v / pi L_v = P^1(F_q), on
+    Mv's columns (1, 0) up and (alpha, 1) down with alpha, to the line
+    of its image next to w (Serre, Trees, ch. II.1).  Y is iota(gamma)
+    Mv by columns, then row operations, from iota(gamma) at the least
+    precision that knows Y below pi^1,
+    P = 1 - s - min(n_v, g-_v) - min(0, g-_w - n_w), g- = min(0, v(g)):
+    each entry of Y a sum of products of a, b, c, d, g_v and -g_w, all
+    in one pass of GF's packed kernel, one pack and one unpack."""
     if not alg.is_unit(gamma):
         raise AssertionError("hom solution is not a unit of the order")
-    if height(gamma) > nm:
+    if height(gamma) > max(v.dist_to_base(), w.dist_to_base()) + alg.m:
         raise AssertionError("hom solution violates the height bound")
-    vs = (v, *more)
-    image, *images = (transport_all(alg, gamma, vs) if any(gamma.lam[1:])
-                      else vs)
-    if image != w:
+    if (v.n - w.n) % 2 or not any(gamma.lam[1:]):
+        if (v.n - w.n) % 2 or v != w:
+            raise AssertionError("hom solution does not map source to target")
+        return list(more)
+    F, s = alg.F, (w.n - v.n) // 2
+    prec = 1 - s - min(v.n, v.gval, 0) - min(0, w.gval - w.n, -w.n)
+    if prec > alg.precision_cap:
+        raise InsufficientPrecisionError(
+            f"check needs precision {prec}, above the cap {alg.precision_cap}")
+    ents = alg.embed(gamma, prec).entries()
+    lo = min(x.val for x in ents if x.coeffs)
+    w8 = slot_bytes(4 * F.e ** 2 * (F.p - 1) ** 3 * (prec - lo)
+                    * (len(v.gcoeffs) + 1) * (len(w.gcoeffs) + 1))
+    bits = 8 * w8 * F.fold.shape[1]
+    # a, b, c, d from pi^lo, known below pi^prec; g_v and -g_w, exact
+    A, B, C, D, G, H = F.pack([*((0,) * (x.val - lo) + x.coeffs[:prec - x.val]
+                                 if x.val < prec else () for x in ents),
+                               v.gcoeffs, [F.neg(t) for t in w.gcoeffs]], w8)
+    gv, gw = v.gval, w.gval
+    # Y_11, Y_21, Y_12, Y_22: pi^(lo + k) times a sum of terms t from
+    # pi^f, so known below pi^(prec + k + f) for the least f; each read
+    # from pi^e, e that exponent or 0 if lower
+    Y = [(s - w.n + v.n, [(A, 0), (H * C, gw)]), (s + v.n, [(C, 0)]),
+         (s - w.n, [(A * G, gv), (B, 0), (H * C * G, gv + gw), (H * D, gw)]),
+         (s, [(C * G, gv), (D, 0)])]
+    es = [min(0, lo + k + min(f for _, f in ts)) for k, ts in Y]
+    if min(prec - lo + e for e in es) < 1:
+        raise AssertionError("solution check short of precision")
+    # row i of an entry holds its pi^(e + i) coefficient, e in es
+    n = max(1 - e for e in es)
+    rows = F.unpack([sum(t << bits * (lo + k + f - e) for t, f in ts)
+                     & (1 << bits * n) - 1 for (k, ts), e in zip(Y, es)],
+                    n, w8).tolist()
+    if any(any(r[:-e]) for r, e in zip(rows, es)):
         raise AssertionError("hom solution does not map source to target")
+    ys = [r[-e] for r, e in zip(rows, es)]
+    Ybar = (ys[0::2], ys[1::2])
+    up, images = up_neighbor(v), []
+    for u in more:
+        # u's line: (1, 0) up, (alpha, 1) for alpha its pi^n_v digit
+        x, y = (1, 0) if u == up else \
+            (dict(enumerate(u.gcoeffs, u.gval)).get(v.n, 0), 1)
+        if y and u != down_neighbor(v, x):
+            raise AssertionError("vertex and source are not tree neighbours")
+        top, bottom = (F.add(F.mul(r, x), F.mul(t, y)) for r, t in Ybar)
+        images.append(down_neighbor(w, F.mul(top, F.inv(bottom)))
+                      if bottom else up_neighbor(w))
     return images
 
 

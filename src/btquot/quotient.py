@@ -210,15 +210,12 @@ class QuotientGraph:
                      g: QuatElem) -> Vertex:
         """The pairing edge src -> dst and, directly after it, its
         reversal (express_in_generators reads the generator of a
-        pairing_opposite edge k off edge k - 1), once candidate is a
-        neighbour of src and g maps it onto dst, and (g,) has the
-        solver's shape (has_solver_shape), which only hom_stack's basis
-        of the line Hom(candidate, dst) has: its first nonzero (k, j)
-        coordinate is 1.
-        Returns the reversal's direction g . src, from the check's
-        embedding of g."""
-        _assert_adjacent(self.vertices[src], candidate, "source label and "
-                         f"candidate of pairing edge {src} -> {dst}")
+        pairing_opposite edge k off edge k - 1), once g maps candidate
+        onto dst and src, asserted a neighbour of candidate, onto the
+        reversal's direction g . src (_assert_solution, which returns
+        it), and (g,) has the solver's shape (has_solver_shape), which
+        only hom_stack's basis of the line Hom(candidate, dst) has: its
+        first nonzero (k, j) coordinate is 1."""
         (back,) = _assert_solution(self.alg, g, candidate, self.vertices[dst],
                                    self.vertices[src])
         if not has_solver_shape((g,)):

@@ -111,8 +111,9 @@ def act(A: Mat2, v: Vertex) -> Vertex:
     vnf(A * M_v), M_v = [[pi^n, g], [0, 1]].  The determinant of A * M_v =
     [[a pi^n, a g + b], [c pi^n, c g + d]] has valuation n, and its
     first column is a shift: the products are c g, and a g when the
-    second column holds the pivot; none when g = 0.  Callers uphold the
-    unit precondition (see homspace.transport_all)."""
+    second column holds the pivot; none when g = 0.  Reduction and
+    express_in_generators are its only users, through
+    homspace.transport, which upholds the unit precondition."""
     F, n = A.a.F, v.n
     g = Laurent(F, v.gval, v.gcoeffs, INF)  # the exact zero when g = 0
     c = Laurent(F, A.c.val + n, A.c.coeffs, A.c.prec + n)
@@ -151,17 +152,17 @@ def up_neighbor(v: Vertex) -> Vertex:
     return Vertex.make(v.n - 1, v.gval, v.gcoeffs)
 
 
+def down_neighbor(v: Vertex, alpha: int) -> Vertex:
+    """The neighbor [L(n+1, g + alpha pi^n)]."""
+    if not v.gcoeffs:
+        return Vertex.make(v.n + 1, v.n, (alpha,))
+    pad = v.n - (v.gval + len(v.gcoeffs))
+    return Vertex.make(v.n + 1, v.gval, v.gcoeffs + (0,) * pad + (alpha,))
+
+
 def down_neighbors(F: GF, v: Vertex) -> list[Vertex]:
     """The q neighbors [L(n+1, g + alpha pi^n)], alpha in field order."""
-    out = []
-    pad = v.n - (v.gval + len(v.gcoeffs))
-    for alpha in F.elements():
-        if v.gcoeffs:
-            coeffs = v.gcoeffs + (0,) * pad + (alpha,)
-            out.append(Vertex.make(v.n + 1, v.gval, coeffs))
-        else:
-            out.append(Vertex.make(v.n + 1, v.n, (alpha,)))
-    return out
+    return [down_neighbor(v, alpha) for alpha in F.elements()]
 
 
 def neighbors(F: GF, v: Vertex) -> list[Vertex]:

@@ -475,14 +475,15 @@ class TestPrecisionCap:
             owners.add(fn.__qualname__.split(".")[0])
             return real_retry(fn, start, cap)
 
-        # transport_all holds every retry of the program; the hom systems
-        # are built at a precision computed up front
+        # transport holds every retry of the program, and only reduction
+        # transports: the hom systems and the solution checks of the
+        # compute before it run at precisions computed up front
         monkeypatch.setattr(homspace, "retry_with_precision", recording)
-        code, _, err = run(capsys, ["compute", *Q5, *cache, "--no-cache",
-                                    "--no-verify", "--precision-cap", "512"])
+        code, _, err = run(capsys, ["reduce", *Q5, *cache, "--no-cache",
+                                    "--precision-cap", "512", "(4; 0)"])
         assert code == EXIT_OK, err
         assert caps and set(caps) == {512}
-        assert owners == {"transport_all"}
+        assert owners == {"transport"}
 
 
 class TestJobConfig:

@@ -27,7 +27,7 @@ from btquot.homspace import (HomSet, _assert_solution, _fq_matmul,
                              stability, transport)
 from btquot.laurent import INF, InsufficientPrecisionError, Laurent
 from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra
-from btquot.serialize import graph_to_json
+from btquot.serialize import graph_from_json, graph_to_json
 from btquot.tree import (BASE_VERTEX, Vertex, act, distance, neighbors,
                          retry_with_precision)
 from laurent_helpers import inv, scale, vertex_matrix
@@ -296,6 +296,88 @@ class TestHomProperties:
                     distance(w, BASE_VERTEX))
             for b in hom(ALG5, v, w).basis:
                 assert height(b) <= n + ALG5.m
+
+
+# ---------------------------------------------------------------------------
+# the solution check: Y integral, and Ybar on the link, against tree.act
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def case_algebra(case):
+    """The algebra of a golden case, at the default precision cap."""
+    args = dict(zip(CASES[case][::2], CASES[case][1::2]))
+    F = field(int(args["--q"]))
+    return build_algebra(F, [parse_poly(F, t)
+                             for t in _split_primes(args["--primes"])])
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_solution_check_images_match_transport(case):
+    """On a golden graph, the check's images of all q+1 neighbours of a
+    pairing's candidate, src among them and its image the stored back,
+    and of all neighbours of a terminal vertex under every End element,
+    are transport's."""
+    alg = case_algebra(case)
+    G = graph_from_json((GOLDEN / f"{case}.json").read_text(), alg)
+    F, checks = alg.F, []
+    for k in G.pairings:
+        e, back = G.edges[k], G.edges[k + 1].direction
+        checks.append((e.elem, e.direction, G.vertices[e.dst]))
+        nbrs = neighbors(F, e.direction)
+        images = _assert_solution(alg, *checks[-1], *nbrs)
+        assert images[nbrs.index(G.vertices[e.src])] == back
+    for i, basis in G.end_basis.items():
+        v = G.vertices[i]
+        checks += [(x, v, v) for x in HomSet(F, v, v, basis).elements()]
+    assert G.pairings
+    for gamma, v, w in checks:
+        nbrs = neighbors(F, v)
+        assert _assert_solution(alg, gamma, v, w, *nbrs) == \
+            [transport(alg, gamma, u) for u in nbrs]
+        assert transport(alg, gamma, v) == w
+
+
+class TestSolutionCheckRejects:
+    """The rejections of the check but a wrong target of V's parity,
+    which TestHomProperties covers."""
+
+    V, W = Vertex.make(2, 1, (1,)), Vertex.make(2, 1, (3,))
+
+    def unit(self):
+        (g,) = hom(ALG5, self.V, self.W).basis
+        assert any(g.lam[1:]), "the unit must not be a scalar"
+        return g
+
+    def test_a_target_of_the_other_parity(self):
+        for other in (Vertex.make(1, 1, ()), Vertex.make(3, 1, (3,))):
+            with pytest.raises(AssertionError,
+                               match="does not map source to target"):
+                _assert_solution(ALG5, self.unit(), self.V, other)
+
+    def test_a_non_unit(self):
+        # T g is no scalar, and nrd(T g) = T^2 nrd(g)
+        T = QuatElem(((0, 1), (), (), ()))
+        with pytest.raises(AssertionError, match="not a unit"):
+            _assert_solution(ALG5, ALG5.mul(T, self.unit()), self.V, self.W)
+
+    def test_a_further_vertex_that_is_not_a_neighbour(self):
+        g = self.unit()
+        for far in (self.W, Vertex.make(3, 1, (2, 4)), Vertex.make(4, 1, (1,)),
+                    Vertex.make(3, 0, (1, 1)), Vertex.make(1, 0, (1,))):
+            with pytest.raises(AssertionError, match="^vertex and source "
+                               "are not tree neighbours$"):
+                _assert_solution(ALG5, g, self.V, self.W,
+                                 *neighbors(ALG5.F, self.V), far)
+
+    def test_a_precision_above_the_cap(self):
+        # against a far target of V's parity, the check reads iota(g)
+        # below pi^18, before it can tell that g maps V elsewhere
+        alg = build_algebra(ALG5.F, [(0, 1), (1, 1), (2, 1), (3, 1)],
+                            precision_cap=16)
+        far = Vertex.make(20, -6, (1, 0, 3, 2))
+        with pytest.raises(InsufficientPrecisionError, match="^check "
+                           "needs precision 18, above the cap 16$"):
+            _assert_solution(alg, self.unit(), self.V, far)
 
 
 # ---------------------------------------------------------------------------
@@ -665,10 +747,7 @@ def recorded_search(monkeypatch, case):
     candidates at one distance from the initial vertex), per
     bottom_kernels call, (sources, n, ns, entries); per hom_stack call
     its stacks (v, targets, bottom) and their bases."""
-    args = dict(zip(CASES[case][::2], CASES[case][1::2]))
-    F = field(int(args["--q"]))
-    alg = build_algebra(F, [parse_poly(F, t)
-                            for t in _split_primes(args["--primes"])])
+    alg = case_algebra(case)
     batches, calls = [], []
 
     def batch(alg, sources, n, ns):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from btquot import algebra, homspace, quotient
 from btquot.algebra import _prime_divisors, field, parse_poly
-from btquot.homspace import HomSet, hom, transport_all
+from btquot.homspace import HomSet, hom
 from btquot.quaternion import (QUAT_ONE, AlgebraData, QuatElem,
                                build_algebra, height)
 from btquot.quotient import (Presentation, QuotientGraph, Word,
@@ -656,8 +656,8 @@ class TestStabilizerField:
             targets = [t for t in neighbors(alg.F, v) if t != parent]
             first = {}
             for x in HomSet(alg.F, v, v, G.end_basis[i]).elements():
-                for t, image in zip(targets, transport_all(alg, x, targets)):
-                    if image == parent:
+                for t in targets:
+                    if transport(alg, x, t) == parent:
                         first.setdefault(t, x)
                 if len(first) == len(targets):
                     break
@@ -776,41 +776,45 @@ class TestTwoCycles:
 
 
 def test_every_action_is_by_a_unit(monkeypatch):
-    """tree.act assumes det iota(g) in F_q^*, which transport_all does
-    not check: every production caller must pass a unit.  Each stage of
-    the pipeline on the worked example runs with a transport_all that
-    asserts it, and each but verify_structure (which reads the stored
-    End bases and tables) is seen to transport at all.  graph_from_json
-    transports only through the solution check of homspace.  Patching
-    homspace alone suffices: quotient's transport is homspace's, which
-    reads transport_all from homspace's globals."""
-    from btquot import homspace, serialize
-    orig = homspace.transport_all
+    """tree.act assumes det iota(g) in F_q^*, which transport does not
+    check: every production caller must pass a unit.  Each stage of the
+    pipeline on the worked example runs with a transport that asserts
+    it.  Reduction and express_in_generators are seen to transport;
+    compute_quotient, graph_from_json and presentation are seen not to,
+    since their checks and stabilizer tables read the action off one
+    integral matrix after asserting is_unit (homspace._assert_solution).
+    quotient binds transport at import, so both bindings are patched."""
+    from btquot import serialize
+    orig = homspace.transport
     calls = []
 
-    def checked(alg, g, vs):
-        assert alg.is_unit(g), f"transport_all called with a non-unit {g}"
+    def checked(alg, g, v):
+        assert alg.is_unit(g), f"transport called with a non-unit {g}"
         calls.append(g)
-        return orig(alg, g, vs)
+        return orig(alg, g, v)
 
-    monkeypatch.setattr(homspace, "transport_all", checked)
+    for module in (homspace, quotient):
+        monkeypatch.setattr(module, "transport", checked)
     with pytest.raises(AssertionError):
         homspace.transport(ALG5, QuatElem(((0, 1), (), (), ())), BASE_VERTEX)
 
     rng = random.Random(11)
 
-    def stage(fn, *args):
+    def stage(fn, *args, transports=True):
         calls.clear()
         out = fn(*args)
-        assert calls, f"{fn.__name__} made no transport"
+        assert bool(calls) == transports, \
+            f"{fn.__name__} {'made no' if transports else 'made a'} transport"
         return out
 
     alg = build_algebra(F5, [(0, 1), (1, 1), (2, 1), (3, 1)])
-    G = stage(compute_quotient, alg)
+    G = stage(compute_quotient, alg, transports=False)
     assert verify_structure(alg, G).passed
-    G = stage(serialize.graph_from_json, serialize.graph_to_json(G))
-    pres = stage(presentation, G)
+    G = stage(serialize.graph_from_json, serialize.graph_to_json(G),
+              transports=False)
+    pres = stage(presentation, G, transports=False)
     gammas = [random_unit(G.alg, pres, rng) for _ in range(8)]
     far = Vertex.make(5, 1, (1, 2, 3))
-    stage(lambda: [reduce(G, transport(G.alg, g, far)) for g in gammas])
+    stage(lambda: [reduce(G, homspace.transport(G.alg, g, far))
+                   for g in gammas])
     stage(lambda: [express_in_generators(G, g, pres) for g in gammas])

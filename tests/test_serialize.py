@@ -107,6 +107,9 @@ MALFORMED = {
     "pairing src 999": lambda d: _pairing(d).update(src=999),
     "tree src -1": lambda d: d["edges"][0].update(src=-1),
     "opposite dst -1": lambda d: d["edges"][1].update(dst=-1),
+    "pairing src 0.5": lambda d: _pairing(d).update(src=0.5),
+    "tree src '1'": lambda d: d["edges"][0].update(src="1"),
+    "opposite dst null": lambda d: d["edges"][1].update(dst=None),
     "pairing unit 5": lambda d: _pairing(d)["label"].update(pairing=5),
     "tree edge candidate 5": lambda d: _pairing(d)["label"].update(
         tree_edge=["(1; 0)", 5]),
