@@ -17,9 +17,15 @@ The output keeps every run (its meta and result lines) and, per
 workload and end-to-end metric of BENCHMARK.json, the medians and
 inclusive quartiles of both sides, change_wins (pairs in which the
 change was strictly better), rel = (change median - parent median) /
-parent median, and within_bound (rel, signed so that positive is worse,
-at most the metric's bound).  --claim W:M adds a claim record for the
-metric M on workload W; without it the file is a no-regression record.
+parent median, within_bound (rel, signed so that positive is worse,
+at most the metric's bound) and resolved.  A metric is unresolved when
+the parent's own interquartile range is more than the bound times its
+median, unless every change run beats every parent run: its spread
+then hides a move of the bound's size.  --claim W:M adds a claim record
+for the metric M on workload W, with met: the change won at least nine
+tenths of the pairs, and its median is better than the parent's by more
+than the parent's interquartile range.  Without --claim the file is a
+no-regression record.
 """
 
 from __future__ import annotations
@@ -62,6 +68,9 @@ def summarize(runs, metrics, workload):
                    for k in pairs] for s in ("parent", "change")}
         pm, cm = (statistics.median(val[s]) for s in ("parent", "change"))
         rel = (cm - pm) / pm if pm else 0.0
+        lo, hi = quartiles(val["parent"])
+        beats = all(sign * (c - p) < 0
+                    for c in val["change"] for p in val["parent"])
         out[name] = {
             "parent_median": pm,
             "change_median": cm,
@@ -72,6 +81,7 @@ def summarize(runs, metrics, workload):
             "rel": rel,
             "bound": m["bound"],
             "within_bound": sign * rel <= m["bound"],
+            "resolved": hi - lo <= m["bound"] * abs(pm) or beats,
         }
     out["failed_operations"] = {
         s: sum(side[k, s]["result"]["failed"] for k in pairs)
@@ -119,13 +129,18 @@ def main(argv=None) -> int:
     if args.claim:
         workload, metric = args.claim.split(":")
         s = summary[workload][metric]
-        claim = {"workload": workload, "metric": metric,
-                 "pairs": summary[workload]["pairs"],
+        sign = next(1 if m["better"] == "lower" else -1
+                    for m in metrics if m["name"] == metric)
+        pairs, (lo, hi) = summary[workload]["pairs"], s["parent_quartiles"]
+        gain = sign * (s["parent_median"] - s["change_median"])
+        claim = {"workload": workload, "metric": metric, "pairs": pairs,
                  "seeds": sorted({r["seed"] for r in runs
                                   if r["workload"] == workload}),
                  **{k: s[k] for k in ("parent_median", "parent_quartiles",
                                       "change_median", "change_quartiles",
-                                      "change_wins", "rel")}}
+                                      "change_wins", "rel")},
+                 "met": 10 * s["change_wins"] >= 9 * pairs
+                 and gain > hi - lo}
     first = {s: next(r["meta"] for r in runs if r["side"] == s)
              for s in ("parent", "change")}
     doc = {
@@ -143,7 +158,9 @@ def main(argv=None) -> int:
         "note": "rel is (change median - parent median) / parent median; "
                 "change_wins counts the pairs the change won; within_bound "
                 "compares the change median with the parent median under "
-                "the bound of BENCHMARK.json.",
+                "the bound of BENCHMARK.json; resolved is false when the "
+                "parent's interquartile range exceeds the bound times its "
+                "median and not every change run beats every parent run.",
         "summary": summary,
         "runs": runs,
     }

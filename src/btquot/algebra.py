@@ -49,10 +49,9 @@ MAX_Q = 127
 
 #: Largest exponent of T that parse_poly accepts, checked before the
 #: coefficient list is built.  A prime of that degree is far past any
-#: quotient that can be computed, and a unit of that height would start
-#: its embedding near the default precision cap (4 (height + m + |n| +
-#: 4), see homspace.transport), so no argument the program can
-#: serve is refused.
+#: quotient that can be computed, and a unit of that height has an input
+#: budget (cli._check_start) near the default precision cap, so no
+#: argument the program can serve is refused.
 MAX_DEGREE = 4096
 
 def _factor_prime_power(q: int) -> tuple[int, int]:

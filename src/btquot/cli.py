@@ -9,18 +9,17 @@ format).
 
 Exit codes: 0 success, 1 verification failure, 2 user error (a bad
 argument, including --q above algebra.MAX_Q = 127, a term above
-T^algebra.MAX_DEGREE = T^4096, a vertex at a distance d from the base
-vertex with 4 (m + d + 4) above --precision-cap, and a unit for word
-whose transports would start above it, at 4 (height + m + 4)), 3 a series
-computation lacked precision at an attempt at or above --precision-cap
-(default 16384: it ends the doubling, not a start above it), 70
-internal assertion failure.  Each failure prints one line on stderr.
-Output is deterministic: repeated runs with the same arguments produce
-identical bytes, and computed graphs are cached on disk keyed by the
-field, the ramified primes, and the serialization format version; a
-cached file that graph_from_json rejects is recomputed.  Each call
-builds one algebra, JobConfig.alg, which carries --precision-cap (never
-a module global); a cached graph is replayed on it, a miss computed on it.
+T^algebra.MAX_DEGREE = T^4096, and an input budget above --precision-cap:
+4 (m + d + 4) for a vertex at distance d from the base vertex and 4
+(height + m + 4) for a unit given to word), 3 a computed series precision
+above --precision-cap (default 16384; nothing runs above it or is
+retried), 70 internal assertion failure.  Each failure prints one line on
+stderr.  Output is deterministic: repeated runs with the same arguments
+produce identical bytes, and computed graphs are cached on disk keyed by
+the field, the ramified primes, and the serialization format version; a
+cached file that graph_from_json rejects is recomputed.  Each call builds
+one algebra, JobConfig.alg, which carries --precision-cap (never a module
+global); a cached graph is replayed on it, a miss computed on it.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from pathlib import Path
 
 from . import tree
 from .algebra import MAX_Q, field, format_poly, parse_poly
-from .homspace import hom, transport_start
+from .homspace import hom
 from .laurent import InsufficientPrecisionError
 from .quaternion import AlgebraData, build_algebra, format_quat, parse_quat
 from .quotient import (QuotientGraph, compute_quotient, express_in_generators,
@@ -189,18 +188,17 @@ def cmd_export(cfg: JobConfig) -> int:
 
 
 def _check_start(cfg: JobConfig, what: str, h: int, n: int) -> None:
-    """Refuse what if its transports would start above the precision
-    cap: the cap ends the doubling, not a start above it."""
-    start = transport_start(cfg.alg, h, n)
-    if start > cfg.alg.precision_cap:
-        raise ValueError(f"{what} needs precision {start} or more, above "
+    """Refuse what, of height h at distance n from the base vertex, before
+    any work if its input budget 4 (h + m + n + 4) is above the cap."""
+    budget = 4 * (h + cfg.alg.m + n + 4)
+    if budget > cfg.alg.precision_cap:
+        raise ValueError(f"{what} needs precision {budget} or more, above "
                          f"--precision-cap {cfg.alg.precision_cap}")
 
 
 def _vertex(cfg: JobConfig, text: str):
-    """parse_vertex, refusing a vertex whose transports would start above
-    the precision cap with its distance d to the base vertex for |n| (d
-    bounds its hom systems' precision too)."""
+    """parse_vertex, refusing a vertex whose input budget, at its
+    distance to the base vertex, is above the precision cap."""
     v = parse_vertex(cfg.alg.F, text)
     _check_start(cfg, f"vertex {text.strip()}", 0, v.dist_to_base())
     return v
@@ -278,10 +276,9 @@ def _make_parser() -> argparse.ArgumentParser:
                                          "instead of stdout")
     common.add_argument("--no-verify", action="store_true",
                         help="skip the structural checks after compute")
-    common.add_argument("--precision-cap", type=int, help="stop doubling "
-                        "the series precision after a failed attempt at "
-                        "or above this one (default %(default)s)",
-                        default=tree.DEFAULT_PRECISION_CAP)
+    common.add_argument("--precision-cap", type=int, help="largest series "
+                        "precision any computation may run at (default "
+                        "%(default)s)", default=tree.DEFAULT_PRECISION_CAP)
     common.add_argument("--cache-dir", help="graph cache directory")
     common.add_argument("--no-cache", action="store_true",
                         help="neither read nor write the graph cache")

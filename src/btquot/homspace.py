@@ -60,9 +60,9 @@ stability asserts it is exactly (1,).  A scalar unit lies in F_q^*, the
 kernel of the action, so the check embeds none.
 
 Reduction and the word problem act by a unit g on any vertex through
-transport: one embedding iota(g) per precision tried, applied by
-tree.act, which relies on det iota(g) = nrd(g) being a nonzero constant
-and so forms no determinant and no full matrix product.
+transport: one embedding iota(g), at a precision computed from g and the
+vertex, applied by tree.act, which relies on det iota(g) = nrd(g) being
+a nonzero constant and so forms no determinant and no full matrix product.
 
 For an unstable vertex, End(v) plus zero is a field with q^2 elements;
 StabilizerField tabulates it on coordinates over the End basis, so that
@@ -82,29 +82,47 @@ from .algebra import (GF, ZERO_POLY, has_order, poly_add, poly_scale,
                       poly_trim, power, slot_bytes)
 from .laurent import InsufficientPrecisionError
 from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
-from .tree import (Vertex, act, down_neighbor, neighbors,
-                   retry_with_precision, up_neighbor)
+from .tree import Vertex, act, down_neighbor, neighbors, up_neighbor
 
 
 def transport(alg: AlgebraData, g: QuatElem, v: Vertex) -> Vertex:
-    """The vertex g . v, from one embedding of g per precision tried.
+    """The vertex g . v: tree.act on one embedding of g, at a precision P
+    computed from g and v, with no retry.  g must be a unit (nrd(g) in
+    F_q^*), or act gives a wrong vertex, not an error: callers pass units
+    checked by is_unit, stabilizer powers, pairing units and inverses.
 
-    g must be a unit of the order (nrd(g) in F_q^*): tree.act reads the
-    valuation of the determinant off that, and a non-unit gives a wrong
-    vertex, not an error.  Callers uphold it: express_in_generators
-    checks is_unit, and reduction steps and transporters are products
-    and inverses of stabilizer powers (nonzero elements of End(v), all
-    units) and of checked pairing units.
+    A = iota(g), known below pi^P, has entries of valuation >= -(h +
+    beta), h = height(g), beta = max(m, deg r) (from sqrt(alpha) and r in
+    the basis).  As det A is in F_q^*, A moves the base vertex by
+    -2 min v(A_ij) <= 2 (h + beta) (Serre, Trees, ch. II.1), so -n_gv <=
+    d_gv <= d_v + 2 (h + beta) (d: dist_to_base), and act's pivot has
+    valuation nu = (n - n_gv)/2 <= (n + d_v)/2 + h + beta.  For k =
+    min(n, gval, 0), A M_v is known below pi^(P + k), with entries of
+    valuation >= k - (h + beta): P + k > nu fixes the pivot and nu, and
+    P + k >= n - k + h + beta fixes g_gv = x/y mod pi^n_gv, which reads x
+    below pi^(n - nu) and y below pi^(n - v(x)) for the pivot column (x, y):
+
+        P = h + beta + max(n - 2k, (n + d_v)/2 + 1 - k).
+
+    P above alg's cap raises InsufficientPrecisionError; act short at P
+    breaks this bound, an AssertionError.
     """
-    return retry_with_precision(
-        lambda prec: act(alg.embed(g, prec), v),
-        transport_start(alg, height(g), abs(v.n)), alg.precision_cap)
+    k = min(v.n, v.gval, 0)
+    prec = _within_cap(alg, height(g) + max(alg.m, alg.ram.d) + max(
+        v.n - 2 * k, (v.n + v.dist_to_base()) // 2 + 1 - k), "transport")
+    try:
+        return act(alg.embed(g, prec), v)
+    except InsufficientPrecisionError:
+        raise AssertionError("transport short of its computed precision") \
+            from None
 
 
-def transport_start(alg: AlgebraData, h: int, n: int) -> int:
-    """The precision transport starts at for a unit of height h and a
-    vertex of |n| at most n: 4 (h + m + n + 4)."""
-    return 4 * (h + alg.m + n + 4)
+def _within_cap(alg: AlgebraData, prec: int, what: str) -> int:
+    """prec, or InsufficientPrecisionError if it is above alg's cap."""
+    if prec > alg.precision_cap:
+        raise InsufficientPrecisionError(f"{what} needs precision {prec}, "
+                                         f"above the cap {alg.precision_cap}")
+    return prec
 
 
 @dataclass(frozen=True)
@@ -272,8 +290,8 @@ def _level_rows(alg: AlgebraData, sources, n: int, ns):
     F, nm = alg.F, n + alg.m
     systems = [(i, v, u, (u - v.n) // 2)
                for i, (v, us) in enumerate(zip(sources, ns)) for u in us]
-    prec = max(nm - min(s - u, s - n) - min(0, v.n, v.gval)
-               for _, v, u, s in systems)
+    prec = _within_cap(alg, max(nm - min(s - u, s - n) - min(0, v.n, v.gval)
+                                for _, v, u, s in systems), "hom system")
     entries = [e for row in alg.basis_entries(-(-prec // 16) * 16)
                for e in row]
     if min(e.prec for e in entries) < prec:
@@ -424,10 +442,8 @@ def _assert_solution(alg: AlgebraData, gamma: QuatElem, v: Vertex,
             raise AssertionError("hom solution does not map source to target")
         return list(more)
     F, s = alg.F, (w.n - v.n) // 2
-    prec = 1 - s - min(v.n, v.gval, 0) - min(0, w.gval - w.n, -w.n)
-    if prec > alg.precision_cap:
-        raise InsufficientPrecisionError(
-            f"check needs precision {prec}, above the cap {alg.precision_cap}")
+    prec = _within_cap(alg, 1 - s - min(v.n, v.gval, 0)
+                       - min(0, w.gval - w.n, -w.n), "check")
     ents = alg.embed(gamma, prec).entries()
     lo = min(x.val for x in ents if x.coeffs)
     w8 = slot_bytes(4 * F.e ** 2 * (F.p - 1) ** 3 * (prec - lo)

@@ -11,8 +11,8 @@ Operations propagate precision honestly: addition keeps the minimum of
 the two precisions, multiplication keeps min(prec1 + val2, prec2 +
 val1), inversion keeps the relative precision of its input.  Anything
 that needs a leading coefficient that is not determined at the current
-precision raises InsufficientPrecisionError, which callers treat as a
-signal to retry the whole computation at higher precision.
+precision raises InsufficientPrecisionError; the program computes its
+precisions, so that is an error, never a signal to retry.
 
 Sums and negations are lookups in the tables of GF; products and the
 Newton inverse run on GF.conv, the packed-integer kernel under every
@@ -77,14 +77,6 @@ class Laurent:
     def zero_at(cls, F: GF, prec: int) -> "Laurent":
         """Zero at finite precision: O(pi^prec)."""
         return cls(F, prec, (), prec)
-
-    @classmethod
-    def constant(cls, F: GF, c: int, prec: int) -> "Laurent":
-        return cls(F, 0, (c,), prec)
-
-    @classmethod
-    def pi_power(cls, F: GF, k: int, prec: int) -> "Laurent":
-        return cls(F, k, (1,), prec)
 
     @classmethod
     def from_poly(cls, F: GF, f, prec: int) -> "Laurent":

@@ -172,13 +172,12 @@ def parse_quat(F: GF, text: str) -> QuatElem:
 class AlgebraData:
     """The algebra (alpha, r / K) with its maximal order and embedding.
 
-    Immutable after construction.  precision_cap is the cap of every
-    retry_with_precision on the algebra: it ends the doubling once an
-    attempt at or above it fails, but a higher start is still tried.
-    The sqrt(alpha) value is memoized at the highest precision requested
-    so far, the embedded order basis (with 1/sqrt(alpha) inside it) once
-    per precision (basis_entries), and packed once per precision
-    (packed_basis), and the packed product table once per slot width.
+    Immutable after construction.  No series computation on the algebra
+    runs above precision_cap.  sqrt(alpha) is memoized at the highest
+    precision requested so far, the embedded order basis (with
+    1/sqrt(alpha) inside it) once per precision (basis_entries), and
+    packed once per precision (packed_basis), and the packed product
+    table once per slot width.
     The memos are plain dicts: the package runs single-threaded.
     """
 
@@ -425,8 +424,8 @@ class AlgebraData:
 
 def build_algebra(F: GF, primes,
                   precision_cap: int = DEFAULT_PRECISION_CAP) -> AlgebraData:
-    """Construct the algebra ramified exactly at the given primes.
-    precision_cap bounds every precision retry on it."""
+    """The algebra ramified exactly at the given primes, its series
+    computations capped at precision_cap."""
     return AlgebraData(F, primes, precision_cap=precision_cap)
 
 

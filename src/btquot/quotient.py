@@ -385,12 +385,12 @@ def _reduction_walk(G: QuotientGraph, v: Vertex):
 def reduce(G: QuotientGraph, v: Vertex) -> tuple[Vertex, QuatElem]:
     """The domain vertex w and a unit g with v = g . w: g inverts the
     product of the walk's steps (latest leftmost), folded by
-    algebra.product with no product by 1."""
+    algebra.product with no product by 1, checked by _assert_solution."""
     alg = G.alg
     w, steps = _reduction_walk(G, v)
     g = alg.inverse_unit(product(alg.mul, [u for u, _ in reversed(steps)],
                                  QUAT_ONE))
-    assert transport(alg, g, w) == v, "reduction transporter is wrong"
+    _assert_solution(alg, g, w, v)
     return w, g
 
 

@@ -11,11 +11,9 @@ The normal form of an invertible matrix is read off in closed form
 (vnf): n from the valuations of the determinant and of the pivot (the
 bottom entry of smaller valuation), g from one quotient cut at pi^n.
 The action of a unit (act) knows the determinant's valuation and
-multiplies out only one column of the product.  When the working
-precision cannot certify the pivot, the valuation of the determinant or
-a coefficient of g, an InsufficientPrecisionError escapes to the
-caller, who retries the enclosing computation at doubled precision
-(retry_with_precision).
+multiplies out only one column of the product.  An
+InsufficientPrecisionError escapes when the working precision cannot
+certify the pivot, the determinant's valuation or a digit of g.
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ DEFAULT_PRECISION_CAP = 1 << 14
 
 def retry_with_precision(fn, start: int, cap: int = DEFAULT_PRECISION_CAP):
     """fn(prec) at precision max(4, start), doubled after each
-    InsufficientPrecisionError; the error propagates once an attempt at
-    a precision >= cap fails, so the cap bounds the doubling only."""
+    InsufficientPrecisionError until an attempt at or above cap fails.
+    Only tests call it: the program computes its precisions."""
     prec = max(4, start)
     while True:
         try:
@@ -111,9 +109,8 @@ def act(A: Mat2, v: Vertex) -> Vertex:
     vnf(A * M_v), M_v = [[pi^n, g], [0, 1]].  The determinant of A * M_v =
     [[a pi^n, a g + b], [c pi^n, c g + d]] has valuation n, and its
     first column is a shift: the products are c g, and a g when the
-    second column holds the pivot; none when g = 0.  Reduction and
-    express_in_generators are its only users, through
-    homspace.transport, which upholds the unit precondition."""
+    second column holds the pivot; none when g = 0.  Its one caller,
+    homspace.transport, upholds the unit precondition and the precision."""
     F, n = A.a.F, v.n
     g = Laurent(F, v.gval, v.gcoeffs, INF)  # the exact zero when g = 0
     c = Laurent(F, A.c.val + n, A.c.coeffs, A.c.prec + n)

@@ -15,8 +15,18 @@ def valuation(x: Laurent):
         f"valuation only bounded below by {x.prec}")
 
 
+def constant(F, c: int, prec) -> Laurent:
+    """c + O(pi^prec)."""
+    return Laurent(F, 0, (c,), prec)
+
+
+def pi_power(F, k: int, prec) -> Laurent:
+    """pi^k + O(pi^prec)."""
+    return Laurent(F, k, (1,), prec)
+
+
 def identity(F, prec: int) -> Mat2:
-    one = Laurent.constant(F, 1, prec)
+    one = constant(F, 1, prec)
     zero = Laurent.zero(F)
     return Mat2(one, zero, zero, one)
 
@@ -47,8 +57,8 @@ def vertex_matrix(F, v: Vertex, prec=INF) -> Mat2:
     unless a finite prec is given (then every entry is O(pi^prec))."""
     g = (Laurent(F, v.gval, v.gcoeffs, prec) if v.gcoeffs
          else Laurent.zero(F))
-    return Mat2(Laurent.pi_power(F, v.n, prec), g,
-                Laurent.zero(F), Laurent.constant(F, 1, prec))
+    return Mat2(pi_power(F, v.n, prec), g,
+                Laurent.zero(F), constant(F, 1, prec))
 
 
 def general_act(A: Mat2, v: Vertex) -> Vertex:

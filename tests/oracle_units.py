@@ -30,7 +30,7 @@ import numpy as np
 from btquot.laurent import Laurent, newton_sqrt
 from btquot.quaternion import QuatElem, height
 from btquot.tree import BASE_VERTEX, neighbors, retry_with_precision
-from laurent_helpers import general_act, vertex_matrix
+from laurent_helpers import constant, general_act, vertex_matrix
 
 
 def coefficient_rows(q: int, width: int) -> np.ndarray:
@@ -129,7 +129,7 @@ def _embedded_basis(alg, prec: int):
     sinv = s.inv()
     eps = Laurent.from_poly(F, alg.epsilon, prec)
     r = Laurent.from_poly(F, alg.ram.r, prec)
-    one = Laurent.constant(F, 1, prec)
+    one = constant(F, 1, prec)
     zero = Laurent.zero(F)
     return (
         (one, zero, zero, one),

@@ -6,12 +6,13 @@ checking output, exit codes, and byte-level determinism.
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from btquot import cli, homspace, tree
+from btquot import cli, tree
 from btquot.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PRECISION, EXIT_USER,
                         EXIT_VERIFY, JobConfig, _make_parser, _parse_config,
                         main)
@@ -466,24 +467,28 @@ class TestPrecisionCap:
         assert code == EXIT_OK, err
         assert tree.DEFAULT_PRECISION_CAP == 1 << 14
 
-    def test_cap_reaches_every_retry(self, capsys, cache, monkeypatch):
-        caps, owners = [], set()
-        real_retry = tree.retry_with_precision
+    def test_no_program_path_retries(self, capsys, cache, monkeypatch):
+        # every series computation runs once, at a precision computed
+        # from its inputs, so no subcommand reaches a precision retry
+        def retry(*args, **kwargs):
+            raise AssertionError("a precision retry ran")
 
-        def recording(fn, start, cap=None):
-            caps.append(cap)
-            owners.add(fn.__qualname__.split(".")[0])
-            return real_retry(fn, start, cap)
-
-        # transport holds every retry of the program, and only reduction
-        # transports: the hom systems and the solution checks of the
-        # compute before it run at precisions computed up front
-        monkeypatch.setattr(homspace, "retry_with_precision", recording)
-        code, _, err = run(capsys, ["reduce", *Q5, *cache, "--no-cache",
-                                    "--precision-cap", "512", "(4; 0)"])
-        assert code == EXIT_OK, err
-        assert caps and set(caps) == {512}
-        assert owners == {"transport"}
+        for name, mod in list(sys.modules.items()):
+            if (name == "btquot" or name.startswith("btquot.")) and \
+                    hasattr(mod, "retry_with_precision"):
+                monkeypatch.setattr(mod, "retry_with_precision", retry)
+        assert tree.retry_with_precision is retry
+        cap = ["--precision-cap", "512"]
+        outs = {}
+        for argv in (["compute"], ["verify"], ["present"],
+                     ["reduce", "(4; 0)"], ["hom", "(2; 0)", "(2; 4@1)"]):
+            code, outs[argv[0]], err = run(capsys, [argv[0], *Q5, *cache,
+                                                    *cap, *argv[1:]])
+            assert code == EXIT_OK, (argv, err)
+        g3 = next(ln.split(" = ", 1)[1] for ln in outs["present"].splitlines()
+                  if ln.strip().startswith("g3 = "))
+        code, out, err = run(capsys, ["word", *Q5, *cache, *cap, g3])
+        assert (code, out) == (EXIT_OK, "g3\n"), err
 
 
 class TestJobConfig:

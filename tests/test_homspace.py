@@ -25,12 +25,12 @@ from btquot.homspace import (HomSet, _assert_solution, _fq_matmul,
                              _kernel_rows, _level_rows, _monic,
                              _vector_to_quat, bottom_kernels, hom, hom_stack,
                              stability, transport)
-from btquot.laurent import INF, InsufficientPrecisionError, Laurent
+from btquot.laurent import INF, InsufficientPrecisionError, Laurent, Mat2
 from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra
 from btquot.serialize import graph_from_json, graph_to_json
 from btquot.tree import (BASE_VERTEX, Vertex, act, distance, neighbors,
                          retry_with_precision)
-from laurent_helpers import inv, scale, vertex_matrix
+from laurent_helpers import inv, pi_power, scale, vertex_matrix
 from test_golden import CASES, GOLDEN
 
 ALG3 = build_algebra(field(3), [(0, 1), (1, 1)])
@@ -607,7 +607,7 @@ def reference_system(alg, v, w, nm, prec):
     dropped."""
     F = alg.F
     left = scale(inv(vertex_matrix(F, w)),
-                 Laurent.pi_power(F, (w.n - v.n) // 2, INF))
+                 pi_power(F, (w.n - v.n) // 2, INF))
     Ys = [left * B * vertex_matrix(F, v)
           for B in alg.basis_embedding(prec)]
     low = min(x.val for Y in Ys for x in Y.entries() if x.coeffs) - nm
@@ -875,8 +875,8 @@ def test_two_stage_solve_matches_one_stage_on_oracle_vertices(q):
 
 
 # ---------------------------------------------------------------------------
-# the precision-retry path of transport, started below what act needs,
-# and the computed precision of the hom systems
+# act retried from below what it needs, and the computed precisions of
+# transport and of the hom systems
 # ---------------------------------------------------------------------------
 
 def counting(fn):
@@ -909,11 +909,87 @@ class TestPrecisionRetry:
         assert got == act(ALG5.embed(g, 256), self.FAR)
 
 
+def recording_embed(monkeypatch, alg):
+    """The precisions at which alg embeds from now on, each embedding
+    known only below its precision (embed rounds its basis up), and the
+    real embed."""
+    precs, real = [], alg.embed
+
+    def embed(x, prec):
+        precs.append(prec)
+        return Mat2(*(e.truncate(prec) for e in real(x, prec).entries()))
+    monkeypatch.setattr(alg, "embed", embed)
+    return precs, real
+
+
+KHAT = QuatElem(((), (), (), (1,)))
+
+
 class TestComputedPrecision:
     """The system build reads the basis at the precision it computes, the
     least that knows every coefficient its equations read: a basis
     embedded at 4 times that precision gives the same systems, and one
-    known below it is refused."""
+    known below it is refused.  transport embeds once, at the precision
+    P its docstring proves enough, refuses a P above the cap, and takes
+    act running short at P for a broken bound."""
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_transport_agrees_with_a_wider_embedding(self, monkeypatch,
+                                                     case):
+        """Every golden pairing unit and End basis element on its own
+        vertex, and it and its cube on seeded vertices with negative gval
+        and n of both signs."""
+        alg = case_algebra(case)
+        G = graph_from_json((GOLDEN / f"{case}.json").read_text(), alg)
+        pairs = [(G.edges[k].elem, G.edges[k].direction) for k in G.pairings]
+        pairs += [(b, G.vertices[i]) for i, bs in G.end_basis.items()
+                  for b in bs]
+        rng = random.Random(case)
+        for g, _ in list(pairs):
+            # g and its cube, of three times its height
+            for x, n in itertools.product((g, alg.power(g, 3)),
+                                          (rng.randint(-8, -1),
+                                           rng.randint(0, 8))):
+                gval = rng.randint(min(n, 0) - 12, min(n, 0) - 1)
+                pairs.append((x, Vertex.make(n, gval, [
+                    rng.randrange(1, alg.F.q)
+                    for _ in range(rng.randint(1, n - gval))])))
+        assert any(v.n < 0 for _, v in pairs) and \
+            any(v.gval < 0 < v.n for _, v in pairs)
+        precs, real = recording_embed(monkeypatch, alg)
+        for g, v in pairs:
+            got = transport(alg, g, v)
+            (prec,) = precs
+            precs.clear()
+            assert got == act(real(g, 4 * prec), v), (g, v)
+
+    def test_transport_short_of_its_precision_raises(self, monkeypatch):
+        # khat at the base vertex over q = 3: h = 0, beta = max(m, deg r)
+        # = 2 and k = 0, so P = 2 + max(0, 0 + 1) = 3.  act still has
+        # what it needs at P - 2, not at P - 3
+        precs, real = recording_embed(monkeypatch, ALG3)
+        want = transport(ALG3, KHAT, BASE_VERTEX)
+        assert precs == [3]
+        for drop, short in ((2, False), (3, True)):
+            monkeypatch.setattr(ALG3, "embed", lambda x, prec: Mat2(*(
+                e.truncate(prec - drop) for e in real(x, prec).entries())))
+            if short:
+                with pytest.raises(AssertionError, match="short of"):
+                    transport(ALG3, KHAT, BASE_VERTEX)
+            else:
+                assert transport(ALG3, KHAT, BASE_VERTEX) == want
+
+    def test_a_computed_precision_above_the_cap_raises(self):
+        F, primes = ALG3.F, ALG3.ram.primes
+        alg = build_algebra(F, primes, precision_cap=2)
+        with pytest.raises(InsufficientPrecisionError, match="^transport "
+                           "needs precision 3, above the cap 2$"):
+            transport(alg, KHAT, BASE_VERTEX)
+        assert transport(build_algebra(F, primes, precision_cap=3), KHAT,
+                         BASE_VERTEX) == transport(ALG3, KHAT, BASE_VERTEX)
+        with pytest.raises(InsufficientPrecisionError,
+                           match="^hom system needs precision"):
+            hom(alg, V, W)
 
     def test_hom_system_agrees_with_a_wider_basis(self, monkeypatch):
         nm = max(V.dist_to_base(), W.dist_to_base()) + ALG5.m

@@ -21,7 +21,8 @@ from btquot.laurent import (
     Mat2,
     newton_sqrt,
 )
-from laurent_helpers import det, identity, inv, min_val, valuation
+from laurent_helpers import (constant, det, identity, inv, min_val,
+                             pi_power, valuation)
 
 F3 = field(3)
 F5 = field(5)
@@ -54,7 +55,7 @@ def test_coeff_access_and_precision_wall():
 
 
 def test_add_mul_precision_rules():
-    x = Laurent.constant(F5, 1, 2)            # 1 + O(pi^2)
+    x = constant(F5, 1, 2)            # 1 + O(pi^2)
     y = Laurent(F5, -1, (1,), 3)               # pi^-1 + O(pi^3)
     assert (x + y).prec == 2
     assert (x * y).prec == min(2 + (-1), 3 + 0)
@@ -94,7 +95,7 @@ def test_inverse_roundtrip_and_precision():
     assert xi.val == 2
     assert xi.prec == 6 - 2 * (-2)
     prod = x * xi
-    one = prod - Laurent.constant(F5, 1, prod.prec)
+    one = prod - constant(F5, 1, prod.prec)
     assert not one.coeffs
     with pytest.raises(InsufficientPrecisionError):
         Laurent.zero_at(F5, 3).inv()
@@ -177,8 +178,8 @@ def test_newton_sqrt_precision_honesty():
 def _vertex_style_matrix(F, n, gpoly, prec):
     """[[pi^n, g], [0, 1]] with g given as a polynomial in pi."""
     g = Laurent(F, 0, gpoly, prec) if gpoly else Laurent.zero_at(F, prec)
-    return Mat2(Laurent.pi_power(F, n, prec), g,
-                Laurent.zero(F), Laurent.constant(F, 1, prec))
+    return Mat2(pi_power(F, n, prec), g,
+                Laurent.zero(F), constant(F, 1, prec))
 
 
 def test_mat2_det_and_identity():
@@ -191,7 +192,7 @@ def test_mat2_det_and_identity():
 
 def _assert_identityish(M):
     for entry, target in zip(M.entries(), (1, 0, 0, 1)):
-        diff = entry - Laurent.constant(entry.F, target, entry.prec) \
+        diff = entry - constant(entry.F, target, entry.prec) \
             if not entry.is_exact_zero else entry
         if isinstance(diff, Laurent) and diff.is_exact_zero:
             continue
@@ -199,20 +200,20 @@ def _assert_identityish(M):
 
 
 def test_mat2_inverse_roundtrip():
-    A = Mat2(Laurent.pi_power(F5, 1, 9), Laurent.zero(F5),
-             Laurent(F5, 0, (2, 0, 3), 9), Laurent.constant(F5, 1, 9))
+    A = Mat2(pi_power(F5, 1, 9), Laurent.zero(F5),
+             Laurent(F5, 0, (2, 0, 3), 9), constant(F5, 1, 9))
     B = inv(A)
     _assert_identityish(A * B)
     _assert_identityish(B * A)
 
 
 def test_mat2_inv_precision_failure_is_recoverable():
-    one = Laurent.constant(F3, 1, 1)
+    one = constant(F3, 1, 1)
     M = Mat2(one, one, one, one)  # det = O(pi), undetermined
     with pytest.raises(InsufficientPrecisionError):
         inv(M)
     zero = Laurent.zero(F3)
-    c = Laurent.constant(F3, 2, 5)
+    c = constant(F3, 2, 5)
     with pytest.raises(ZeroDivisionError):
         inv(Mat2(c, zero, c, zero))  # exactly singular
 
@@ -220,8 +221,8 @@ def test_mat2_inv_precision_failure_is_recoverable():
 def test_mat2_min_val():
     A = _vertex_style_matrix(F5, 2, (4,), 6)
     assert min_val(A) == 0
-    B = Mat2(Laurent.zero_at(F5, -1), Laurent.constant(F5, 1, 4),
-             Laurent.zero(F5), Laurent.constant(F5, 1, 4))
+    B = Mat2(Laurent.zero_at(F5, -1), constant(F5, 1, 4),
+             Laurent.zero(F5), constant(F5, 1, 4))
     with pytest.raises(InsufficientPrecisionError):
         min_val(B)
 
@@ -350,5 +351,5 @@ def test_array_mul_and_add_match_schoolbook(data, q):
 def test_newton_inverse_matches_schoolbook(data, q):
     x = data.draw(series(q, exact=False, unit=True))
     assert x.inv() == school_inv(x)
-    one = x * x.inv() - Laurent.constant(x.F, 1, math.inf)
+    one = x * x.inv() - constant(x.F, 1, math.inf)
     assert not one.coeffs

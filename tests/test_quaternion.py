@@ -30,7 +30,7 @@ from btquot.algebra import (
     slot_bytes,
 )
 from btquot.laurent import INF, Laurent, Mat2
-from laurent_helpers import add as mat_add, det
+from laurent_helpers import add as mat_add, constant, det
 from btquot.quaternion import (
     QUAT_ONE,
     AlgebraData,
@@ -540,7 +540,7 @@ def assert_mat_equal_at(A, B, prec):
 class TestEmbedding:
     def test_identity(self, alg3):
         M = alg3.embed(QUAT_ONE, 6)
-        I = Laurent.constant(alg3.F, 1, 6)
+        I = constant(alg3.F, 1, 6)
         Z = Laurent.zero(alg3.F)
         assert _entry_diff_small(M.a, I, 6)
         assert _entry_diff_small(M.b, Z, 6)
@@ -561,7 +561,7 @@ class TestEmbedding:
     def test_j_image(self, alg3):
         F = alg3.F
         Mj = alg3.embed(basis(alg3)[2], 8)
-        assert _entry_diff_small(Mj.b, Laurent.constant(F, 1, 8), 8)
+        assert _entry_diff_small(Mj.b, constant(F, 1, 8), 8)
         assert _entry_diff_small(Mj.c, Laurent.from_poly(F, alg3.r, 8), 8)
         assert _entry_diff_small(Mj.a, Laurent.zero(F), 8)
 

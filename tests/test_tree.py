@@ -22,8 +22,9 @@ from btquot.algebra import field, parse_poly
 from btquot.laurent import InsufficientPrecisionError, Laurent, Mat2
 from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra, height
 from btquot.quotient import compute_quotient, presentation
-from laurent_helpers import (det, from_polys, general_act, identity, inv,
-                             min_val, scale, valuation, vertex_matrix)
+from laurent_helpers import (constant, det, from_polys, general_act,
+                             identity, inv, min_val, pi_power, scale,
+                             valuation, vertex_matrix)
 from btquot.tree import (
     BASE_VERTEX,
     Vertex,
@@ -60,7 +61,7 @@ def same_lattice_class(M: Mat2, N: Mat2) -> bool:
     """
     Pm = inv(N) * M
     s = min_val(Pm)
-    Q = scale(Pm, Laurent.pi_power(Pm.a.F, -s, 64))
+    Q = scale(Pm, pi_power(Pm.a.F, -s, 64))
     for x in Q.entries():
         if x.is_exact_zero:
             continue
@@ -151,7 +152,7 @@ def test_vnf_examples():
     swap = from_polys(F3, [((), P(F3, "1")), (P(F3, "1"), ())], 10)
     assert vnf(swap) == BASE_VERTEX
     # exact entries, pivot 1 + pi with several terms, in either column
-    pi2 = Laurent.pi_power(F5, 2, math.inf)
+    pi2 = pi_power(F5, 2, math.inf)
     b = Laurent(F5, -1, (1, 0, 3), math.inf)  # pi^-1 (1 + 3 pi^2)
     d = Laurent(F5, 0, (1, 1), math.inf)
     zero = Laurent.zero(F5)
@@ -203,8 +204,8 @@ def test_vnf_against_lattice_oracle(q):
 
 def test_vnf_insufficient_precision_recoverable():
     v = Vertex.make(5, 1, (1,))
-    M = Mat2(Laurent.pi_power(F3, 5, 12), Laurent(F3, 1, (1,), 2),
-             Laurent.zero(F3), Laurent.constant(F3, 1, 12))
+    M = Mat2(pi_power(F3, 5, 12), Laurent(F3, 1, (1,), 2),
+             Laurent.zero(F3), constant(F3, 1, 12))
     with pytest.raises(InsufficientPrecisionError):
         vnf(M)
     got = retry_with_precision(lambda p: vnf(vertex_matrix(F3, v, p)), 2)
@@ -212,7 +213,7 @@ def test_vnf_insufficient_precision_recoverable():
 
     # det [[1, 1], [1, 1 + pi^5]] = pi^5 is zero at precision 4
     def near_singular(p):
-        one = Laurent.constant(F3, 1, p)
+        one = constant(F3, 1, p)
         return Mat2(one, one, one, Laurent(F3, 0, (1, 0, 0, 0, 0, 1), p))
     with pytest.raises(InsufficientPrecisionError):
         vnf(near_singular(4))
