@@ -499,7 +499,8 @@ def hilbert_symbol(F: GF, a, b, varpi) -> int:
     lu = legendre(F, u, varpi)
     lv = legendre(F, v, varpi)
     result = sign * (lu ** (vb % 2)) * (lv ** (va % 2))
-    assert result in (-1, 1)
+    if result not in (-1, 1):
+        raise AssertionError("a Hilbert symbol must be 1 or -1")
     return result
 
 
@@ -543,7 +544,8 @@ def sqrt_mod_irreducible(F: GF, a, f):
         c = rmul(b, b)
         x = rmul(x, b)
         w = rmul(w, c)
-    assert rmul(x, x) == am
+    if rmul(x, x) != am:
+        raise AssertionError("Tonelli-Shanks root does not square to a")
     other = poly_neg(F, x)
     if poly_sort_key(F, other, d) < poly_sort_key(F, x, d):
         x = other

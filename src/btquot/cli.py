@@ -134,7 +134,7 @@ def _build_graph(cfg: JobConfig) -> QuotientGraph:
     if cfg.use_cache and path.is_file():
         try:
             return graph_from_json(path.read_text(encoding="utf-8"), cfg.alg)
-        except (ValueError, KeyError, TypeError):
+        except ValueError:
             pass
     G = compute_quotient(cfg.alg)
     if cfg.use_cache:

@@ -40,9 +40,11 @@ unrealized candidate vertex onto an existing one, and
 ``pairing_opposite`` edges are the reversals of those.
 
 Reduction walks a vertex toward the domain along its geodesic to the
-base vertex: at an internal vertex a step applies the pairing unit of
-the edge covering the direction, at a terminal vertex it rotates the
-direction onto the parent by a stabilizer element.  That stabilizer is
+base vertex, one memoized QuotientGraph.move per step: at an internal
+label the pairing unit of the edge covering the direction (inverted on
+a reversal), at a terminal label a stabilizer element rotating the
+direction onto the parent, each with the letter spelling its
+inverse.  That stabilizer is
 F_{q^2}^*, tabulated once per terminal vertex on first use
 (homspace.StabilizerField), so the rotation, the stabilizer letters of
 a word and the presentation's vertex generators are lookups.  Each is
@@ -100,7 +102,8 @@ class QuotientGraph:
     and only it tells them apart.  ``pairings`` lists the positions of
     the ``pairing`` edges in creation order.  Computed and loaded graphs
     alike are built by _add_vertex, _add_tree_pair and _add_pairing,
-    which assert every rule of the construction.
+    which assert every rule of the construction.  ``_stabilizers`` and
+    ``_moves`` memoize stabilizer and move on first use.
     """
 
     alg: AlgebraData
@@ -111,6 +114,8 @@ class QuotientGraph:
     out_edges: dict[int, list[int]] = field(default_factory=dict)
     pairings: list[int] = field(default_factory=list)
     _stabilizers: dict[int, StabilizerField] = field(
+        default_factory=dict, repr=False, compare=False)
+    _moves: dict[tuple[int, Vertex], tuple] = field(
         default_factory=dict, repr=False, compare=False)
 
     @property
@@ -151,10 +156,37 @@ class QuotientGraph:
                 self.alg, HomSet(self.alg.F, v, v, self.end_basis[i]))
         return self._stabilizers[i]
 
+    def move(self, i: int, u: Vertex) -> tuple[QuatElem, tuple, int]:
+        """The walk's step at label i toward its tree neighbour u, which
+        no tree edge of i covers, as (unit, key, exponent): the unit maps
+        u onto a label and key^exponent, key in generator_names(), is its
+        inverse.  A pairing_opposite edge k inverts the unit of edge
+        k - 1; at a terminal i the unit rotates u onto the parent."""
+        if (i, u) in self._moves:
+            return self._moves[i, u]
+        if i in self.end_basis:
+            stab = self.stabilizer(i)
+            s = stab.rotation(u, self.edges[self.out_edges[i][0]].direction)
+            if s == 0:
+                raise AssertionError("a rotation step must move the direction")
+            step = (stab.power(s), ("stab", i), self.q * self.q - 1 - s)
+        else:
+            k = next((k for k in self.out_edges[i]
+                      if self.edges[k].elem is not None
+                      and self.edges[k].direction == u), None)
+            if k is None:
+                raise AssertionError("no edge of the domain covers the "
+                                     "required direction")
+            e = self.edges[k]
+            step = ((e.elem, ("pairing", k), -1) if e.kind == "pairing" else
+                    (self.alg.inverse_unit(e.elem), ("pairing", k - 1), 1))
+        self._moves[i, u] = step
+        return step
+
     def generator_names(self) -> dict:
         """The presentation's generator names but g0: gv1, gv2, ... of
         the terminal vertices i and g1, g2, ... of the pairing edges k, in
-        order, keyed ("stab", i) and ("pairing", k) as in _reduction_walk."""
+        order, keyed ("stab", i) and ("pairing", k) as in move."""
         names = {("stab", i): f"gv{t + 1}"
                  for t, i in enumerate(self.terminal_ids())}
         return names | {("pairing", k): f"g{t + 1}"
@@ -209,7 +241,7 @@ class QuotientGraph:
     def _add_pairing(self, src: int, dst: int, candidate: Vertex,
                      g: QuatElem) -> Vertex:
         """The pairing edge src -> dst and, directly after it, its
-        reversal (express_in_generators reads the generator of a
+        reversal (QuotientGraph.move reads the generator of a
         pairing_opposite edge k off edge k - 1), once g maps candidate
         onto dst and src, asserted a neighbour of candidate, onto the
         reversal's direction g . src (_assert_solution, which returns
@@ -306,8 +338,10 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
                     if alive[j] is None or not homs.dims[t]:
                         continue
                     hs = homs[t]
-                    assert hs.dim == 1, "hom space between " \
-                        "one-dimensional vertices must be a line"
+                    if hs.dim != 1:
+                        raise AssertionError("hom space between one-"
+                                             "dimensional vertices must be "
+                                             "a line")
                     wp_id = G.vid[hs.target]
                     back = G._add_pairing(src_id, wp_id, cand, hs.basis[0])
                     alive[i] = None
@@ -334,63 +368,33 @@ def compute_quotient(alg: AlgebraData) -> QuotientGraph:
 # ---------------------------------------------------------------------
 
 def _reduction_walk(G: QuotientGraph, v: Vertex):
-    """Move v into the domain step by step.
-
-    Returns (w, steps) where w is the vertex label reached and steps is
-    the list of (unit, letter) applied, earliest first; the letter is
-    ("pairing", edge_index, sign) or ("stab", vertex_id, s) for the unit
-    gen^s of G.stabilizer(vertex_id), and records how each step reads
-    in the generators.  The product of the units (latest leftmost) maps
-    v to w.
-    """
+    """Move v into the domain, one G.move per step: (w, h, letters), w
+    the label reached, h the steps' units multiplied as they come,
+    latest leftmost and never by 1 (1 if v is a label), which maps v to
+    w, and letters the steps' (key, exponent), earliest first."""
     alg = G.alg
-    cur = v
-    steps = []
-    prev_hit = None
+    cur, h, letters, prev_hit = v, QUAT_ONE, [], math.inf
     while True:
         path = geodesic_to_base(cur)
         hit = next(t for t, x in enumerate(path) if x in G.vid)
-        assert prev_hit is None or hit < prev_hit, \
-            "reduction step failed to approach the domain"
+        if hit >= prev_hit:
+            raise AssertionError("reduction step failed to approach the "
+                                 "domain")
         prev_hit = hit
         if hit == 0:
-            return path[0], steps
-        vi = path[hit]
-        vi_id = G.vid[vi]
-        target = path[hit - 1]
-
-        if vi_id not in G.end_basis:
-            step = None
-            for k in G.out_edges[vi_id]:
-                e = G.edges[k]
-                if e.kind == "pairing" and e.direction == target:
-                    step = e.elem
-                    steps.append((step, ("pairing", k, 1)))
-                    break
-                if e.kind == "pairing_opposite" and e.direction == target:
-                    step = alg.inverse_unit(e.elem)
-                    steps.append((step, ("pairing", k, -1)))
-                    break
-            assert step is not None, \
-                "no edge of the domain covers the required direction"
-        else:
-            parent = G.edges[G.out_edges[vi_id][0]].direction
-            stab = G.stabilizer(vi_id)
-            s = stab.rotation(target, parent)
-            step = stab.power(s)
-            steps.append((step, ("stab", vi_id, s)))
-        cur = transport(alg, step, cur)
+            return path[0], h, letters
+        unit, key, e = G.move(G.vid[path[hit]], path[hit - 1])
+        h = alg.mul(unit, h) if letters else unit
+        letters.append((key, e))
+        cur = transport(alg, unit, cur)
 
 
 def reduce(G: QuotientGraph, v: Vertex) -> tuple[Vertex, QuatElem]:
     """The domain vertex w and a unit g with v = g . w: g inverts the
-    product of the walk's steps (latest leftmost), folded by
-    algebra.product with no product by 1, checked by _assert_solution."""
-    alg = G.alg
-    w, steps = _reduction_walk(G, v)
-    g = alg.inverse_unit(product(alg.mul, [u for u, _ in reversed(steps)],
-                                 QUAT_ONE))
-    _assert_solution(alg, g, w, v)
+    walk's product h, checked by _assert_solution."""
+    w, h, _ = _reduction_walk(G, v)
+    g = G.alg.inverse_unit(h)
+    _assert_solution(G.alg, g, w, v)
     return w, g
 
 
@@ -441,11 +445,11 @@ def presentation(G: QuotientGraph) -> Presentation:
     vertex_gens = [(i, G.stabilizer(i).gen) for i in G.terminal_ids()]
     edge_gens = [(k, G.edges[k].elem) for k in G.pairings]
 
-    assert alg.power(g0, q - 1) == QUAT_ONE
-    for _, gv in vertex_gens:
-        assert alg.power(gv, q + 1) == g0
-    for _, ge in edge_gens:
-        assert alg.mul(ge, g0) == alg.mul(g0, ge)
+    held = [alg.power(g0, q - 1) == QUAT_ONE,
+            *(alg.power(gv, q + 1) == g0 for _, gv in vertex_gens),
+            *(alg.mul(ge, g0) == alg.mul(g0, ge) for _, ge in edge_gens)]
+    if not all(held):
+        raise AssertionError("a defining relation of the presentation fails")
 
     return Presentation(q, g0, tuple(vertex_gens), tuple(edge_gens),
                         ("g0", *G.generator_names().values()))
@@ -482,14 +486,13 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
                           pres: Presentation | None = None) -> Word:
     """gamma as a word in the presentation's generators, exactly.
 
-    The walk moving gamma . v0 back to the initial vertex v0 spells the
-    word in reverse; the residual element stabilizes v0 and is a power
-    of g0 (or of the initial vertex's own stabilizer generator in the
-    two-vertex degenerate case).  The residual, the walk's steps (latest
-    leftmost) times gamma, is folded by algebra.product: no product by 1.
+    The walk moving gamma . v0 back to the initial vertex v0 reads the
+    word off its moves: its letters, earliest first, are the inverses of
+    its steps, and the residual h . gamma (gamma when the walk takes no
+    step) stabilizes v0 and is a power of g0 (or of the initial vertex's
+    own stabilizer generator in the two-vertex degenerate case).
     """
     alg = G.alg
-    q = G.q
     if not alg.is_unit(gamma):
         raise ValueError("element is not a unit of the order "
                          "(nrd not in F_q^*)")
@@ -497,31 +500,19 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
         pres = presentation(G)
 
     names = G.generator_names()
-
     base = G.vertices[0]
-    w, steps = _reduction_walk(G, transport(alg, gamma, base))
-    assert w == base, "a unit must carry the initial vertex to an " \
-        "equivalent vertex, and labels are pairwise inequivalent"
-
-    letters = []
-    for _, info in steps:
-        if info[0] == "pairing":
-            _, k, sign = info
-            if G.edges[k].kind == "pairing_opposite":
-                k -= 1  # the pairing edge directly precedes its reversal
-            letters.append((names["pairing", k], -sign))
-        else:
-            _, vi_id, s = info
-            assert s != 0
-            letters.append((names["stab", vi_id], (q * q - 1 - s)))
-
-    residual = product(alg.mul, [*(u for u, _ in reversed(steps)), gamma],
-                       QUAT_ONE)
+    w, h, steps = _reduction_walk(G, transport(alg, gamma, base))
+    if w != base:
+        raise AssertionError("a unit must carry the initial vertex to an "
+                             "equivalent vertex, and labels are pairwise "
+                             "inequivalent")
+    letters = [(names[key], e) for key, e in steps]
+    residual = alg.mul(h, gamma) if steps else gamma
     if 0 not in G.end_basis:
         # End(v0) is F_q, so the residual is a power of the scalar g0
         g0 = pres.g0.lam[0][0]
         logs = {QuatElem(((alg.F.pow(g0, s),), (), (), ())): s
-                for s in range(q - 1)}
+                for s in range(G.q - 1)}
         t = logs.get(residual)
         if t is None:
             raise AssertionError(
@@ -534,8 +525,8 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
             letters.append((names["stab", 0], s))
 
     word = Word(tuple(letters))
-    assert evaluate_word(alg, pres, word) == gamma, \
-        "word does not multiply back to the element"
+    if evaluate_word(alg, pres, word) != gamma:
+        raise AssertionError("word does not multiply back to the element")
     return word
 
 
@@ -563,12 +554,14 @@ def predicted_invariants(alg: AlgebraData) -> PredictedInvariants:
     v1 = 2 ** (len(primes) - 1) * odd
     genus = (1 + Fraction(prod, q * q - 1)
              - Fraction(q, q + 1) * v1)
-    assert genus.denominator == 1 and genus >= 0, \
-        "genus formula must produce a nonnegative integer"
+    if genus.denominator != 1 or genus < 0:
+        raise AssertionError("genus formula must produce a nonnegative "
+                             "integer")
     genus = int(genus)
     vq1 = Fraction(2 * genus - 2 + v1, q - 1)
-    assert vq1.denominator == 1 and vq1 >= 0, \
-        "internal vertex count must be a nonnegative integer"
+    if vq1.denominator != 1 or vq1 < 0:
+        raise AssertionError("internal vertex count must be a nonnegative "
+                             "integer")
     return PredictedInvariants(odd, genus, v1, int(vq1))
 
 
@@ -591,7 +584,8 @@ def graph_diameter(G: QuotientGraph) -> int:
                 if y not in dist:
                     dist[y] = dist[x] + 1
                     queue.append(y)
-        assert len(dist) == n, "quotient graph must be connected"
+        if len(dist) != n:
+            raise AssertionError("quotient graph must be connected")
         diam = max(diam, max(dist.values()))
     return diam
 
@@ -641,7 +635,8 @@ def verify_structure(alg: AlgebraData, G: QuotientGraph) -> StructureReport:
     deg_r = alg.ram.d
     pred = predicted_invariants(alg)
     nver = len(G.vertices)
-    assert len(G.edges) % 2 == 0
+    if len(G.edges) % 2:
+        raise AssertionError("directed edges must come in opposite pairs")
     nedg = len(G.edges) // 2
     terminals = G.terminal_ids()
     nterm = len(terminals)

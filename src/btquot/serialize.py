@@ -85,9 +85,9 @@ def graph_from_json(text: str, alg: AlgebraData | None = None
     only if its decoded JSON equals graph_to_json_dict of the replay
     type for type (q, primes, alpha, epsilon and nu included) and
     out-degrees are 1 (terminal) and q+1 (internal).  ValueError
-    otherwise, a file of another algebra among them, and for
-    undecodable JSON, a non-string label, an edge endpoint that is not
-    an integer among the vertex ids or an unknown label."""
+    otherwise: for a file of another algebra, undecodable JSON, a
+    missing key, a value of the wrong type, a non-string label, an edge
+    endpoint outside the integer vertex ids or an unknown label."""
     try:
         data = json.loads(text)
     except RecursionError:
@@ -97,16 +97,16 @@ def graph_from_json(text: str, alg: AlgebraData | None = None
     # compared as JSON texts: == takes 1, 1.0 and true as equal
     if json.dumps(data.get("format")) != json.dumps(FORMAT_VERSION):
         raise ValueError(f"unsupported format version {data.get('format')}")
-    F = alg.F if alg else field(data["q"])
 
     def parsed(parse, label):
         if not isinstance(label, str):
             raise ValueError(f"stored label {label!r} is not a string")
         return parse(F, label)
 
-    G = QuotientGraph(alg or build_algebra(
-        F, [parsed(parse_poly, t) for t in data["primes"]]))
     try:
+        F = alg.F if alg else field(data["q"])
+        G = QuotientGraph(alg or build_algebra(
+            F, [parsed(parse_poly, t) for t in data["primes"]]))
         for entry in data["vertices"]:
             basis = None
             if "end_basis" in entry:
@@ -129,6 +129,9 @@ def graph_from_json(text: str, alg: AlgebraData | None = None
                 raise ValueError(f"unknown edge label {label!r}")
     except AssertionError as exc:
         raise ValueError(f"a construction check fails: {exc}") from None
+    except (KeyError, TypeError) as exc:
+        raise ValueError("a stored graph has the wrong shape: "
+                         f"{exc!r}") from None
     if not G.vertices:
         raise ValueError("a stored graph has no vertices")
     stored, replayed = ({k: json.dumps(x, sort_keys=True)

@@ -7,8 +7,14 @@ all cross-checked against the hom-space solver and exact arithmetic.
 """
 
 import dataclasses
+import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,16 +22,22 @@ from hypothesis import strategies as st
 
 from btquot import algebra, homspace, quotient
 from btquot.algebra import _prime_divisors, field, parse_poly
-from btquot.homspace import HomSet, hom
+from btquot.homspace import HomSet, _assert_solution, hom
 from btquot.quaternion import (QUAT_ONE, AlgebraData, QuatElem,
                                build_algebra, height)
 from btquot.quotient import (Presentation, QuotientGraph, Word,
-                             compute_quotient, diameter_bound, evaluate_word,
+                             _reduction_walk, compute_quotient,
+                             diameter_bound, evaluate_word,
                              express_in_generators, graph_diameter,
                              predicted_invariants, presentation, reduce,
                              transport, two_cycle_counts,
                              verify_structure)
+from btquot.serialize import graph_from_json
 from btquot.tree import BASE_VERTEX, Vertex, distance, neighbors, parse_vertex
+from test_golden import CASES, GOLDEN
+from test_serialize import case_algebra
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 F3 = field(3)
 F5 = field(5)
@@ -505,6 +517,71 @@ class TestReduce:
         assert transport(ALG5, g, w) == v
 
 
+@functools.cache
+def golden_graph(case):
+    """The golden graph of case, replayed on the CLI's algebra, and its
+    presentation."""
+    text = (GOLDEN / f"{case}.json").read_text()
+    G = graph_from_json(text, case_algebra(case))
+    return G, presentation(G)
+
+
+def random_vertex(F, rng, d):
+    """The end of a random non-backtracking walk of d steps from the
+    base vertex, so at distance d from it."""
+    path = [BASE_VERTEX, BASE_VERTEX]
+    for _ in range(d):
+        path.append(rng.choice([u for u in neighbors(F, path[-1])
+                                if u != path[-2]]))
+    return path[-1]
+
+
+class TestMoves:
+    GOLDEN_CASES = pytest.mark.parametrize("case", sorted(CASES))
+
+    @GOLDEN_CASES
+    def test_move_maps_its_direction_onto_a_label_and_spells_its_inverse(
+            self, case):
+        # every direction that no tree edge covers: each pairing edge's,
+        # and at a terminal label all but the parent
+        G, pres = golden_graph(case)
+        alg, names = G.alg, G.generator_names()
+        count = 0
+        for i, v in enumerate(G.vertices):
+            tree = {G.edges[k].direction for k in G.out_edges[i]
+                    if G.edges[k].kind in ("tree", "opposite")}
+            for u in neighbors(alg.F, v):
+                if u in tree:
+                    continue
+                unit, key, e = step = G.move(i, u)
+                assert transport(alg, unit, u) in G.vid
+                assert evaluate_word(alg, pres, Word(((names[key], e),))) \
+                    == alg.inverse_unit(unit)
+                assert G.move(i, u) is step
+                count += 1
+        assert count == 2 * len(G.pairings) + G.q * len(G.terminal_ids())
+
+    def test_direction_of_a_tree_edge_has_no_move(self):
+        G, _ = golden_graph("q5-worked")
+        i = next(i for i in range(len(G.vertices)) if i not in G.end_basis)
+        k = next(k for k in G.out_edges[i] if G.edges[k].kind == "tree")
+        with pytest.raises(AssertionError, match="no edge of the domain"):
+            G.move(i, G.edges[k].direction)
+        assert (i, G.edges[k].direction) not in G._moves
+
+    @GOLDEN_CASES
+    def test_walk_product_maps_the_vertex_to_its_label(self, case):
+        G, _ = golden_graph(case)
+        rng = random.Random(2801)
+        for d in (0, 1, 2, 3, 5, 8, 13, 21, 34, 55):
+            for _ in range(2):
+                v = random_vertex(G.alg.F, rng, d)
+                w, h, letters = _reduction_walk(G, v)
+                assert w in G.vid
+                assert (h == QUAT_ONE) == (not letters)
+                _assert_solution(G.alg, h, v, w)
+
+
 class TestPresentation:
     @pytest.mark.parametrize("alg,G,pres", [
         (ALG3, G3, PRES3), (ALG3B, G3B, PRES3B), (ALG5, G5, PRES5)],
@@ -737,9 +814,10 @@ class TestWordProblem:
         assert evaluate_word(ALG5, PRES5, word) == gamma
 
     def test_round_trips_make_no_product_by_one(self, monkeypatch):
-        """reduce and express_in_generators fold their units with
-        algebra.product: for units gamma != 1 and vertices outside the
-        domain, no quaternion product has 1 as an operand."""
+        """The reduction walk multiplies its units as it goes, never by
+        1: for units gamma != 1 and vertices outside the domain, no
+        quaternion product of reduce or express_in_generators has 1 as
+        an operand."""
         rng = random.Random(19)
         units = {random_unit(ALG5, PRES5, rng) for _ in range(30)}
         units.discard(QUAT_ONE)
@@ -759,6 +837,35 @@ class TestWordProblem:
         for v in outside:
             reduce(G5, v)
         assert operands and QUAT_ONE not in operands
+
+
+    def test_word_check_holds_under_python_O(self):
+        """The check that a word multiplies back to its unit is a raise,
+        not an assert, so python -O keeps it: with evaluate_word patched
+        to return 1, express_in_generators raises."""
+        code = textwrap.dedent("""
+            from btquot import quotient
+            from btquot.algebra import field
+            from btquot.quaternion import QUAT_ONE, build_algebra
+            alg = build_algebra(field(5), [(0, 1), (1, 1), (2, 1), (3, 1)])
+            G = quotient.compute_quotient(alg)
+            pres = quotient.presentation(G)
+            quotient.evaluate_word = lambda alg, pres, word: QUAT_ONE
+            print(__debug__)
+            try:
+                quotient.express_in_generators(
+                    G, dict(pres.generator_items())["gv1"], pres)
+            except AssertionError as exc:
+                print(exc)
+            """)
+        path = os.pathsep.join(filter(None, [str(SRC),
+                                             os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "False", "word does not multiply back to the element"]
 
 
 class TestTwoCycles:

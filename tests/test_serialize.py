@@ -119,6 +119,22 @@ MALFORMED = {
 }
 
 
+# edits that drop a key or put a value of another JSON type where the
+# replay indexes or unpacks it; each was a KeyError or a TypeError before
+# the loader turned them into its ValueError
+MISSHAPEN = {
+    "no vertices": lambda d: d.pop("vertices"),
+    "vertices 5": lambda d: d.update(vertices=5),
+    "vertex entry a list": lambda d: d["vertices"].__setitem__(
+        1, list(d["vertices"][1].values())),
+    "vertex without nf": lambda d: d["vertices"][1].pop("nf"),
+    "pairing without tree_edge": lambda d: _pairing(d)["label"].pop(
+        "tree_edge"),
+    "tree_edge 3": lambda d: _pairing(d)["label"].update(tree_edge=3),
+    "edge a string": lambda d: d["edges"].__setitem__(0, "tree"),
+}
+
+
 # edits that leave the decoded JSON equal under == (1 == 1.0 == true) but
 # re-serialize to other bytes, each with the start of its error
 LOOSELY_EQUAL = {
@@ -202,6 +218,14 @@ class TestCorruptFiles:
         edit(data)
         assert data == json.loads((GOLDEN / "q5-worked.json").read_text())
         with pytest.raises(ValueError, match=f"^{key}"):
+            graph_from_json(json.dumps(data), case_algebra("q5-worked"))
+
+    @pytest.mark.parametrize("edit", MISSHAPEN.values(),
+                             ids=MISSHAPEN.keys())
+    def test_misshapen_file_rejected_by_value_error(self, edit):
+        data = json.loads((GOLDEN / "q5-worked.json").read_text())
+        edit(data)
+        with pytest.raises(ValueError, match="wrong shape"):
             graph_from_json(json.dumps(data), case_algebra("q5-worked"))
 
     def test_top_level_list_rejected(self):

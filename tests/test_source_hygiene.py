@@ -3,8 +3,9 @@
 No linter ships with the package, so these checks stand in for one:
 every imported name is used in its module (a deletion that leaves an
 import behind fails here), no line is longer than 79 columns, every
-attribute stored on self is read somewhere in the repository, and every
-module-level private function is named somewhere in src or tests.
+attribute stored on self is read somewhere in the repository, every
+module-level private function is named somewhere in src or tests, and
+no check is an assert statement, which python -O strips.
 """
 
 import ast
@@ -90,6 +91,13 @@ def test_no_line_over_79_columns(path):
     long = [k for k, line in enumerate(path.read_text().splitlines(), 1)
             if len(line) > MAX_COLUMNS]
     assert long == [], f"{path.name}: lines {long}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_assert_statement(path):
+    lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name}: assert on lines {lines}"
 
 
 def test_unused_import_check_finds_a_leftover():
