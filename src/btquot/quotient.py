@@ -40,15 +40,18 @@ unrealized candidate vertex onto an existing one, and
 ``pairing_opposite`` edges are the reversals of those.
 
 Reduction walks a vertex toward the domain along its geodesic to the
-base vertex, one memoized QuotientGraph.move per step: at an internal
-label the pairing unit of the edge covering the direction (inverted on
-a reversal), at a terminal label a stabilizer element rotating the
-direction onto the parent, each with the letter spelling its
-inverse.  That stabilizer is
-F_{q^2}^*, tabulated once per terminal vertex on first use
-(homspace.StabilizerField), so the rotation, the stabilizer letters of
-a word and the presentation's vertex generators are lookups.  Each is
-the first element in HomSet.elements() order with its property.
+base vertex.  The labels form a subtree holding the base vertex, so on
+that geodesic they are the stretch nearest it, and each step reads the
+first label and the vertex before it off by position (toward_base).
+One memoized QuotientGraph.move per step gives at an internal label
+the pairing unit of the edge covering the direction (inverted on a
+reversal), at a terminal label a stabilizer element rotating the
+direction onto the parent, each with the letter spelling its inverse.
+That stabilizer is F_{q^2}^*, tabulated once per terminal vertex on
+first use (homspace.StabilizerField), so the rotation, the stabilizer
+letters of a word and the presentation's vertex generators are
+lookups.  Each is the first element in HomSet.elements() order with
+its property.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ from .homspace import (HomSet, StabilizerField, _assert_solution,
                        bottom_kernels, has_solver_shape, hom, hom_stack,
                        stability, transport)
 from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
-from .tree import (BASE_VERTEX, Vertex, distance, geodesic_to_base,
-                   neighbors, up_neighbor)
+from .tree import (BASE_VERTEX, Vertex, distance, neighbors, toward_base,
+                   up_neighbor)
 
 
 # ---------------------------------------------------------------------
@@ -375,15 +378,17 @@ def _reduction_walk(G: QuotientGraph, v: Vertex):
     alg = G.alg
     cur, h, letters, prev_hit = v, QUAT_ONE, [], math.inf
     while True:
-        path = geodesic_to_base(cur)
-        hit = next(t for t, x in enumerate(path) if x in G.vid)
+        hit = cur.dist_to_base()  # the steps to cur's first label
+        while hit and toward_base(cur, hit - 1) in G.vid:
+            hit -= 1
         if hit >= prev_hit:
             raise AssertionError("reduction step failed to approach the "
                                  "domain")
         prev_hit = hit
         if hit == 0:
-            return path[0], h, letters
-        unit, key, e = G.move(G.vid[path[hit]], path[hit - 1])
+            return cur, h, letters
+        unit, key, e = G.move(G.vid[toward_base(cur, hit)],
+                              toward_base(cur, hit - 1))
         h = alg.mul(unit, h) if letters else unit
         letters.append((key, e))
         cur = transport(alg, unit, cur)

@@ -14,12 +14,14 @@ The action of a unit (act) knows the determinant's valuation and
 multiplies out only one column of the product.  An
 InsufficientPrecisionError escapes when the working precision cannot
 certify the pivot, the determinant's valuation or a digit of g.
+distance and toward_base are closed forms in (n, gval, gcoeffs).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .algebra import GF
 from .laurent import INF, InsufficientPrecisionError, Laurent, Mat2
@@ -64,15 +66,12 @@ class Vertex:
         return cls(n, gval, tuple(cs))
 
     def degn(self) -> int:
-        """deg_n(g) = max(0, n - v(g)), with deg_n(0) = 0."""
-        if not self.gcoeffs:
-            return 0
-        return max(0, self.n - self.gval)
+        """deg_n(g) = n - v(g), with deg_n(0) = 0."""
+        return self.n - self.gval if self.gcoeffs else 0
 
     def dist_to_base(self) -> int:
-        """Distance to [L(0, 0)]: deg_n(g) + |n - deg_n(g)|."""
-        d = self.degn()
-        return d + abs(self.n - d)
+        """distance(self, BASE_VERTEX) = n - 2 min(n, 0, gval)."""
+        return self.n - 2 * min(self.n, 0, self.gval)
 
     def __repr__(self):
         return format_vertex(self)
@@ -141,7 +140,7 @@ def _from_pivot(x: Laurent, y: Laurent, det_val: int) -> Vertex:
 
 
 # ---------------------------------------------------------------------
-# adjacency, geodesics, distance
+# adjacency, geodesics to the base vertex, distance
 # ---------------------------------------------------------------------
 
 def up_neighbor(v: Vertex) -> Vertex:
@@ -157,41 +156,37 @@ def down_neighbor(v: Vertex, alpha: int) -> Vertex:
     return Vertex.make(v.n + 1, v.gval, v.gcoeffs + (0,) * pad + (alpha,))
 
 
-def down_neighbors(F: GF, v: Vertex) -> list[Vertex]:
-    """The q neighbors [L(n+1, g + alpha pi^n)], alpha in field order."""
-    return [down_neighbor(v, alpha) for alpha in F.elements()]
-
-
 def neighbors(F: GF, v: Vertex) -> list[Vertex]:
-    """All q+1 neighbors: the up-neighbor first, then the down ones."""
-    return [up_neighbor(v)] + down_neighbors(F, v)
+    """All q+1 neighbors: the up-neighbor first, then the down ones,
+    alpha in field order."""
+    return [up_neighbor(v)] + [down_neighbor(v, a) for a in F.elements()]
 
 
-def geodesic_to_base(v: Vertex) -> list[Vertex]:
-    """The geodesic from v to [L(0, 0)].
-
-    First phase: up-neighbors until g vanishes (deg_n(g) steps); second
-    phase: along the vertices [L(k, 0)] to k = 0.
-    """
-    path = [v]
-    cur = v
-    while cur.gcoeffs:
-        cur = up_neighbor(cur)
-        path.append(cur)
-    while cur.n != 0:
-        step = -1 if cur.n > 0 else 1
-        cur = Vertex.make(cur.n + step, 0, ())
-        path.append(cur)
-    return path
+def toward_base(v: Vertex, k: int) -> Vertex:
+    """The vertex k steps from v along its geodesic to [L(0, 0)], for
+    0 <= k <= v.dist_to_base(): up-neighbours [L(n - k, g mod pi^(n-k))]
+    while g != 0 or n > 0, so for k <= max(deg_n(g), n), then the
+    vertices [L(j, 0)] with j rising to 0."""
+    d = v.degn()
+    if k <= max(d, v.n):
+        return Vertex.make(v.n - k, v.gval, v.gcoeffs)
+    return Vertex(v.n - 2 * d + k, 0, ())
 
 
 def distance(v: Vertex, w: Vertex) -> int:
-    """Tree distance: the geodesics of v and w to the base vertex run
-    together from the first vertex of v's that lies on w's, so the
-    distance is the sum of the steps both take to reach it."""
-    steps_w = {x: k for k, x in enumerate(geodesic_to_base(w))}
-    return next(k + steps_w[x] for k, x in enumerate(geodesic_to_base(v))
-                if x in steps_w)
+    """n_v + n_w - 2 min(n_v, n_w, c), c = v(g_w - g_v): the first
+    exponent where the (canonical) codes of g_v and g_w differ, or INF.
+
+    Serre (*Trees*, ch. II.1): the class of an invertible X lies at
+    distance v(det X) - 2 min v(X_ij) from [L(0, 0)], and M_v^(-1)
+    carries v to [L(0, 0)] and w to the class of M_v^(-1) M_w =
+    [[pi^(n_w - n_v), (g_w - g_v) pi^(-n_v)], [0, 1]].  A c at or above
+    min(n_v, n_w) does not count, so each g is taken mod its own pi^n."""
+    lo = min(v.gval, w.gval)
+    digits = zip_longest((0,) * (v.gval - lo) + v.gcoeffs,
+                         (0,) * (w.gval - lo) + w.gcoeffs, fillvalue=0)
+    c = next((lo + i for i, (x, y) in enumerate(digits) if x != y), INF)
+    return v.n + w.n - 2 * min(v.n, w.n, c)
 
 
 # ---------------------------------------------------------------------

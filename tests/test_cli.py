@@ -17,8 +17,10 @@ from btquot.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PRECISION, EXIT_USER,
                         EXIT_VERIFY, JobConfig, _make_parser, _parse_config,
                         main)
 from btquot.algebra import MAX_DEGREE, MAX_Q, field, parse_poly
+from btquot.homspace import transport
 from btquot.laurent import InsufficientPrecisionError
-from btquot.quaternion import AlgebraData, build_algebra
+from btquot.quaternion import AlgebraData, build_algebra, parse_quat
+from btquot.tree import parse_vertex
 from worked_edits import (END_BASIS_AND_INITIAL, far_candidate,
                           pairing_entry as _pairing, swap_tree_targets)
 
@@ -342,6 +344,18 @@ class TestReduce:
             assert (code, out) == (EXIT_USER, ""), argv
             assert err == f"error: vertex {vertex} needs precision 800040 " \
                 "or more, above --precision-cap 16384\n"
+
+    def test_vertex_far_from_the_base_within_the_cap(self, capsys, cache):
+        # distance 1004 from the base vertex, far inside the default cap
+        vertex = "(4; 1@-500)"
+        code, out, err = run(capsys, ["reduce", *Q5, *cache, vertex])
+        assert code == EXIT_OK, err
+        w_line, g_line = out.splitlines()
+        alg = _parse_config(_make_parser().parse_args(
+            ["reduce", *Q5, vertex])).alg
+        w = parse_vertex(alg.F, w_line.removeprefix("w = "))
+        g = parse_quat(alg.F, g_line.removeprefix("gamma = "))
+        assert transport(alg, g, w) == parse_vertex(alg.F, vertex)
 
     def test_malformed_vertex(self, capsys, cache):
         code, _, err = run(capsys, ["reduce", *Q5, *cache, "(x; 0)"])

@@ -581,6 +581,23 @@ class TestMoves:
                 assert (h == QUAT_ONE) == (not letters)
                 _assert_solution(G.alg, h, v, w)
 
+    def test_far_walk_builds_linearly_many_vertices(self, monkeypatch):
+        # each step reads its label and direction off the geodesic by
+        # position; a walk that rebuilt the geodesic at every step made
+        # 66,677 vertices at d = 504 and 262,736 at d = 1004
+        G, _ = golden_graph("q5-worked")
+        F, make = G.alg.F, Vertex.make.__func__
+        reduce(G, parse_vertex(F, "(4; 1@-250)"))  # warms the memos
+        for text, d in (("(4; 1@-250)", 504), ("(4; 1@-500)", 1004)):
+            v = parse_vertex(F, text)
+            assert v.dist_to_base() == d
+            made = []
+            monkeypatch.setattr(Vertex, "make", classmethod(
+                lambda cls, *args: made.append(1) or make(cls, *args)))
+            reduce(G, v)  # self-checked
+            monkeypatch.undo()
+            assert len(made) <= 8 * d, (text, len(made))
+
 
 class TestPresentation:
     @pytest.mark.parametrize("alg,G,pres", [

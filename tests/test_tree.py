@@ -2,8 +2,9 @@
 
 Normal forms are validated against a lattice-class equality oracle
 (membership of N^(-1) M in GL_2(O_infinity) up to scalar), distances
-against breadth-first search over the neighbor relation, and the action
-of a unit against the normal form of the full matrix product.
+against breadth-first search over the neighbor relation and against the
+meeting point of two geodesics walked one neighbour at a time, and the
+action of a unit against the normal form of the full matrix product.
 """
 
 from __future__ import annotations
@@ -30,18 +31,18 @@ from btquot.tree import (
     Vertex,
     act,
     distance,
-    down_neighbors,
     format_vertex,
-    geodesic_to_base,
     neighbors,
     parse_vertex,
     retry_with_precision,
+    toward_base,
     up_neighbor,
     vnf,
 )
 
 F3 = field(3)
 F5 = field(5)
+F9 = field(9)
 
 
 def P(F, s):
@@ -108,6 +109,44 @@ def bfs_distance(F, v, w, cap=10):
     raise AssertionError(f"no path within {cap} steps")
 
 
+def walk_to_base(v):
+    """The geodesic from v to the base vertex, one neighbour at a time:
+    up-neighbours while g != 0, then along [L(j, 0)] to j = 0."""
+    path = [v]
+    while path[-1].gcoeffs:
+        path.append(up_neighbor(path[-1]))
+    while path[-1].n:
+        n = path[-1].n
+        path.append(Vertex.make(n - 1 if n > 0 else n + 1, 0, ()))
+    return path
+
+
+def walk_distance(v, w):
+    """The steps v and w take along their walks to the base vertex to
+    the first vertex the two share."""
+    steps = {x: k for k, x in enumerate(walk_to_base(w))}
+    return next(k + steps[x] for k, x in enumerate(walk_to_base(v))
+                if x in steps)
+
+
+def seeded_vertex(rng, q):
+    """n from -12 to 12; g = 0, or g from just below pi^n down to as
+    far as pi^-60."""
+    n = rng.randint(-12, 12)
+    if rng.random() < 0.2:
+        return Vertex.make(n, 0, ())
+    gval = rng.choice([n - rng.randint(1, 6), rng.randint(-60, n - 1)])
+    return Vertex.make(n, gval, [rng.randrange(q) for _ in range(n - gval)])
+
+
+def random_walk(F, rng, v, steps):
+    """The end of a random non-backtracking walk of the given length."""
+    prev = None
+    for _ in range(steps):
+        prev, v = v, rng.choice([u for u in neighbors(F, v) if u != prev])
+    return v
+
+
 # ---------------------------------------------------------------------
 # vertex basics
 # ---------------------------------------------------------------------
@@ -133,7 +172,6 @@ def test_vertex_text_form():
     with pytest.raises(ValueError):
         parse_vertex(F3, "nonsense")
     # codes must lie in 0..q-1 and carry no sign; exponents may be negative
-    F9 = field(9)
     assert parse_vertex(F5, "(1; 4@-1)") == Vertex.make(1, -1, (4,))
     assert parse_vertex(F9, "(1; 8@0)") == Vertex.make(1, 0, (8,))
     for F, s in [(F5, "(1; 7@0)"), (F5, "(1; 5@0)"), (F5, "(1; -1@0)"),
@@ -277,23 +315,33 @@ def test_ball_sizes_confirm_tree_regularity():
 # ---------------------------------------------------------------------
 
 def test_geodesic_examples():
-    assert geodesic_to_base(BASE_VERTEX) == [BASE_VERTEX]
+    assert BASE_VERTEX.dist_to_base() == 0
+    assert toward_base(BASE_VERTEX, 0) == BASE_VERTEX
     v = Vertex.make(2, 1, (1,))
-    path = geodesic_to_base(v)
-    assert path[0] == v and path[-1] == BASE_VERTEX
-    assert len(path) - 1 == 2 == v.dist_to_base()
+    assert v.dist_to_base() == 2
+    assert [toward_base(v, k) for k in range(3)] == [
+        v, Vertex.make(1, 0, ()), BASE_VERTEX]
     w = Vertex.make(-3, 0, ())
-    assert geodesic_to_base(w) == [Vertex.make(k, 0, ()) for k in (-3, -2, -1, 0)]
+    assert w.dist_to_base() == 3
+    assert [toward_base(w, k) for k in range(4)] == [
+        Vertex.make(k, 0, ()) for k in (-3, -2, -1, 0)]
 
 
 def test_geodesic_is_a_path():
-    for v in [Vertex.make(3, 0, (1, 0, 2)), Vertex.make(1, -2, (1, 1, 1)),
-              Vertex.make(-2, 0, ()), Vertex.make(4, 2, (2, 1))]:
-        path = geodesic_to_base(v)
+    """toward_base(v, k), k = 0..d, is the walk to the base vertex, a
+    path without repeats of d = v.dist_to_base() steps."""
+    cases = [(F3, v) for v in (
+        Vertex.make(3, 0, (1, 0, 2)), Vertex.make(1, -2, (1, 1, 1)),
+        Vertex.make(-2, 0, ()), Vertex.make(4, 2, (2, 1)))]
+    rng = random.Random(29)
+    cases += [(F, seeded_vertex(rng, F.q)) for F in (F3, F5, F9)
+              for _ in range(20)]
+    for F, v in cases:
+        path = [toward_base(v, k) for k in range(v.dist_to_base() + 1)]
+        assert path == walk_to_base(v), v
         assert len(set(path)) == len(path)
-        assert len(path) - 1 == v.dist_to_base()
         for a, b in zip(path, path[1:]):
-            assert b in neighbors(F3, a)
+            assert b in neighbors(F, a)
 
 
 def test_distance_basics():
@@ -308,6 +356,24 @@ def test_distance_from_base_matches_formula_and_bfs():
         d = distance(BASE_VERTEX, v)
         assert d == v.dist_to_base()
         assert d == distance(v, BASE_VERTEX)
+
+
+@pytest.mark.parametrize("F", [F3, F5, F9], ids=lambda F: f"q{F.q}")
+def test_distance_against_the_walks_to_the_base(F):
+    """Seeded pairs, far apart or a short random walk apart (so sharing
+    much of their geodesics), against the walks' meeting point, and
+    against breadth-first search when close."""
+    rng = random.Random(F.q)
+    for i in range(300):
+        v = seeded_vertex(rng, F.q)
+        w = (seeded_vertex(rng, F.q) if i % 2 else
+             random_walk(F, rng, v, rng.randint(0, 8)))
+        d = distance(v, w)
+        assert d == walk_distance(v, w) == distance(w, v), (v, w)
+        if d <= 3:
+            assert d == bfs_distance(F, v, w, cap=3), (v, w)
+        assert v.dist_to_base() == distance(v, BASE_VERTEX)
+        assert all(distance(v, u) == 1 for u in neighbors(F, v))
 
 
 def test_pairwise_distance_against_bfs():
