@@ -59,10 +59,11 @@ images of the source's neighbours.  A stable vertex keeps no End basis;
 stability asserts it is exactly (1,).  A scalar unit lies in F_q^*, the
 kernel of the action, so the check embeds none.
 
-Reduction and the word problem act by a unit g on any vertex through
-transport: one embedding iota(g), at a precision computed from g and the
-vertex, applied by tree.act, which relies on det iota(g) = nrd(g) being
-a nonzero constant and so forms no determinant and no full matrix product.
+Reduction and the word problem act by a unit g on any vertex v through
+transport: the pivot column of iota(g) M_v from the packed embedding,
+in one pass of GF's packed kernel at a precision computed from g and v,
+read by tree.column_vertex.  det iota(g) = nrd(g) is a nonzero
+constant, so no determinant, Laurent embedding or matrix is formed.
 
 For an unstable vertex, End(v) plus zero is a field with q^2 elements;
 StabilizerField tabulates it on coordinates over the End basis, so that
@@ -80,38 +81,52 @@ import numpy as np
 
 from .algebra import (GF, ZERO_POLY, has_order, poly_add, poly_scale,
                       poly_trim, power, slot_bytes)
-from .laurent import InsufficientPrecisionError
+from .laurent import INF, InsufficientPrecisionError, from_packed
 from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
-from .tree import Vertex, act, down_neighbor, neighbors, up_neighbor
+from .tree import (Vertex, column_vertex, down_neighbor, neighbors,
+                   up_neighbor)
 
 
 def transport(alg: AlgebraData, g: QuatElem, v: Vertex) -> Vertex:
-    """The vertex g . v: tree.act on one embedding of g, at a precision P
-    computed from g and v, with no retry.  g must be a unit (nrd(g) in
-    F_q^*), or act gives a wrong vertex, not an error: callers pass units
-    checked by is_unit, stabilizer powers, pairing units and inverses.
+    """The vertex g . v, at a precision P computed from g and v, with no
+    retry.  g must be a unit (nrd(g) in F_q^*), or the vertex is wrong,
+    not an error: callers pass units checked by is_unit, stabilizer
+    powers, pairing units and inverses.
 
-    A = iota(g), known below pi^P, has entries of valuation >= -(h +
-    beta), h = height(g), beta = max(m, deg r) (from sqrt(alpha) and r in
-    the basis).  As det A is in F_q^*, A moves the base vertex by
-    -2 min v(A_ij) <= 2 (h + beta) (Serre, Trees, ch. II.1), so -n_gv <=
-    d_gv <= d_v + 2 (h + beta) (d: dist_to_base), and act's pivot has
-    valuation nu = (n - n_gv)/2 <= (n + d_v)/2 + h + beta.  For k =
-    min(n, gval, 0), A M_v is known below pi^(P + k), with entries of
-    valuation >= k - (h + beta): P + k > nu fixes the pivot and nu, and
-    P + k >= n - k + h + beta fixes g_gv = x/y mod pi^n_gv, which reads x
-    below pi^(n - nu) and y below pi^(n - v(x)) for the pivot column (x, y):
+    A M_v = [[a pi^n, a g_v + b], [c pi^n, c g_v + d]], A = iota(g), is
+    one pass over embed_packed's sums, packed with g_v: two shifts, two
+    products (x g_v + y known below min(prec_x + gval, prec_y)), one
+    unpack; tree.column_vertex reads g . v off its pivot column.
+
+    A, known below pi^P, has entries of valuation >= -(h + beta), h =
+    height(g), beta = max(m, deg r) (from sqrt(alpha) and r in the
+    basis).  As det A is in F_q^*, A moves the base vertex by -2 min
+    v(A_ij) <= 2 (h + beta) (Serre, Trees, ch. II.1), so -n_gv <= d_gv
+    <= d_v + 2 (h + beta) (d: dist_to_base), and the pivot has valuation
+    nu = (n - n_gv)/2 <= (n + d_v)/2 + h + beta.  For k = min(n, gval,
+    0), A M_v is known below pi^(P + k), with entries of valuation >= k
+    - (h + beta): P + k > nu fixes the pivot and nu, and P + k >= n - k
+    + h + beta fixes g_gv = x/y mod pi^n_gv, which reads x below pi^(n -
+    nu) and y below pi^(n - v(x)) for the pivot column (x, y):
 
         P = h + beta + max(n - 2k, (n + d_v)/2 + 1 - k).
 
-    P above alg's cap raises InsufficientPrecisionError; act short at P
-    breaks this bound, an AssertionError.
+    P above alg's cap raises InsufficientPrecisionError; a pivot short
+    at P breaks this bound, an AssertionError.
     """
-    k = min(v.n, v.gval, 0)
+    n, gv, k = v.n, v.gval, min(v.n, v.gval, 0)
     prec = _within_cap(alg, height(g) + max(alg.m, alg.ram.d) + max(
-        v.n - 2 * k, (v.n + v.dist_to_base()) // 2 + 1 - k), "transport")
+        n - 2 * k, (n + v.dist_to_base()) // 2 + 1 - k), "transport")
+    w, (a, b, c, d), G = alg.embed_packed(g, prec, v.gcoeffs)
+    bits = 8 * w * alg.F.fold.shape[1]
+    cols = [(o + n, p + n, X) for o, p, X in (a, c)]
+    for (ox, px, X), (oy, py, Y) in ((a, b), (c, d)):
+        lo = min(ox + gv, oy)
+        cols.append((lo, min(px + gv if G else INF, py),
+                     (X * G << bits * (ox + gv - lo))
+                     + (Y << bits * (oy - lo))))
     try:
-        return act(alg.embed(g, prec), v)
+        return column_vertex(*from_packed(alg.F, cols, w), n)
     except InsufficientPrecisionError:
         raise AssertionError("transport short of its computed precision") \
             from None

@@ -197,6 +197,17 @@ class Laurent:
         return " + ".join(parts)
 
 
+def from_packed(F: GF, parts, w: int) -> list[Laurent]:
+    """The sums (val, prec, S) packed by GF.pack at width w, each the
+    series S from pi^val known below pi^prec: one unpack, each sum read
+    to its precision or its last digit."""
+    bits = 8 * w * F.fold.shape[1]
+    ns = [max(0, min(p - o, -(-S.bit_length() // bits))) for o, p, S in parts]
+    rows = F.unpack([S & (1 << bits * k) - 1 for (_, _, S), k
+                     in zip(parts, ns)], max(ns), w).tolist()
+    return [Laurent(F, o, r, p) for (o, p, _), r in zip(parts, rows)]
+
+
 def _series_inverse(F: GF, a, n: int):
     """The first n coefficients of 1/a for a unit power series a (code
     sequence, a[0] != 0), by Newton doubling: if a*b = 1 + pi^k*d modulo

@@ -17,17 +17,19 @@ asserted.  The whole table is checked against the defining identities
 and associativity at construction, which makes the reduced
 discriminant of the basis (r).
 
-The product and the embedding run on the packed-integer kernel of GF
-(GF.pack, GF.unpack): coefficient sequences become Python ints with a
-fixed-width slot per F_p digit, are multiplied and added as big
-integers, and are unpacked once per output.  Each states its own bound
-on every slot sum, from which slot_bytes picks the slot width.  The
-packed rows of the embedded order basis (packed_basis) serve embed; the
-hom systems of homspace read its entries (basis_entries) as codes.
+The product, the norm and the embedding run on the packed-integer
+kernel of GF (GF.pack, GF.unpack): coefficient sequences become Python
+ints with a fixed-width slot per F_p digit, are multiplied and added as
+big integers, and are unpacked once per output.  Each states its own
+bound on every slot sum, from which slot_bytes picks the slot width.
+The packed rows of the embedded order basis (packed_basis) serve
+embed_packed, whose sums embed unpacks and homspace.transport carries
+on to the action; the hom systems read its entries (basis_entries).
 
 The unit group Gamma consists of the elements whose reduced norm lies
-in F_q^*; the reduced norm itself is computed as x * conj(x), never
-from a closed formula.
+in F_q^*.  The reduced norm x * conj(x) is the norm form read off the
+product table (norm_form), whose check at construction makes x *
+conj(x) scalar for every x.
 
 The embedding into M_2(K_infinity) sends i to diag(s, -s) with
 s = sqrt(alpha) (1-unit branch), j to [[0, 1], [r, 0]], and khat to
@@ -48,6 +50,7 @@ from .algebra import (
     is_irreducible,
     legendre,
     parse_poly,
+    poly_add,
     poly_deg,
     poly_divmod,
     poly_mul,
@@ -59,7 +62,7 @@ from .algebra import (
     slot_bytes,
     sqrt_mod_irreducible,
 )
-from .laurent import INF, Laurent, Mat2, newton_sqrt
+from .laurent import INF, Laurent, Mat2, from_packed, newton_sqrt
 from .tree import DEFAULT_PRECISION_CAP
 
 
@@ -169,15 +172,37 @@ def parse_quat(F: GF, text: str) -> QuatElem:
     return QuatElem((scalar, comps["i"], comps["j"], comps["k"]))
 
 
+def norm_form(F: GF, W) -> list:
+    """The reduced norm as a quadratic form read off the product table W
+    of (1, i, j, khat): [((s, t), Q_st)], s <= t, Q_st != 0.  conj
+    negates i, j and khat, so x conj(x) = sum_{s,t} sigma_t x_s x_t
+    W[s][t], sigma = (1, -1, -1, -1), and Q_st is the scalar part of
+    sigma_t W[s][t] (+ sigma_s W[t][s] if s < t).  The vector parts of
+    these coefficients are those of the vector part of x conj(x), which
+    vanishes on the infinite domain A^4 exactly when they all do:
+    asserted.  Here, x1^2 - alpha x2^2 - r x3^2 - nu x4^2 - 2 eps x2 x4."""
+    form = []
+    for s, t in [(s, t) for s in range(4) for t in range(s, 4)]:
+        c = (ZERO_POLY,) * 4
+        for a, b in {(s, t), (t, s)}:
+            c = tuple(poly_add(F, u, v if b == 0 else poly_neg(F, v))
+                      for u, v in zip(c, W[a][b]))
+        if any(c[1:]):
+            raise AssertionError("x * conj(x) is not scalar")
+        if c[0]:
+            form.append(((s, t), c[0]))
+    return form
+
+
 class AlgebraData:
     """The algebra (alpha, r / K) with its maximal order and embedding.
 
     Immutable after construction.  No series computation on the algebra
     runs above precision_cap.  sqrt(alpha) is memoized at the highest
     precision requested so far, the embedded order basis (with
-    1/sqrt(alpha) inside it) once per precision (basis_entries), and
-    packed once per precision (packed_basis), and the packed product
-    table once per slot width.
+    1/sqrt(alpha) inside it) once per precision (basis_entries), packed
+    once per precision and slot width (packed_basis), and the packed
+    product table and norm form once per slot width.
     The memos are plain dicts: the package runs single-threaded.
     """
 
@@ -202,6 +227,8 @@ class AlgebraData:
         self._basis_entries = {}
         self._verify_ramification()
         self._verify_product_table()
+        form = norm_form(F, self._tensor)
+        self._norm = form, max(len(c) for _, c in form), {}
 
     # -- construction: the product table and its checks ----------------
 
@@ -301,16 +328,23 @@ class AlgebraData:
                          poly_neg(F, l4)))
 
     def nrd(self, x: QuatElem):
-        """Reduced norm x * conj(x), asserted scalar."""
-        prod = self.mul(x, self.conj(x))
-        if any(prod.lam[k] for k in (1, 2, 3)):
-            raise AssertionError("x * conj(x) is not scalar")
-        return prod.lam[0]
+        """Reduced norm x * conj(x), by the norm form (norm_form): one
+        pack and one unpack.  A slot sums at most T e^2 L_Q L_x products
+        of three digits, each below p^3 (T terms, L: longest length)."""
+        lx = max(map(len, x.lam))
+        F, (form, lq, packed) = self.F, self._norm
+        w = slot_bytes(len(form) * F.e ** 2 * (F.p - 1) ** 3 * lq * lx)
+        Q = packed.get(w)
+        if Q is None:
+            Q = packed[w] = list(zip((st for st, _ in form),
+                                     F.pack([c for _, c in form], w)))
+        X = F.pack(x.lam, w)
+        total = sum(c * X[s] * X[t] for (s, t), c in Q)
+        return poly_trim(F.unpack((total,), 2 * lx + lq - 2, w)[0].tolist())
 
     def is_unit(self, x: QuatElem) -> bool:
         """Membership in Gamma: reduced norm in F_q^*."""
-        n = self.nrd(x)
-        return poly_deg(n) == 0
+        return poly_deg(self.nrd(x)) == 0
 
     def inverse_unit(self, x: QuatElem) -> QuatElem:
         """Inverse of a unit: conj(x) / nrd(x)."""
@@ -363,63 +397,62 @@ class AlgebraData:
                 M.entries() for M in self.basis_embedding(prec))))
         return self._basis_entries[prec]
 
-    def packed_basis(self, prec: int):
+    def packed_basis(self, prec: int, glen: int = 0):
         """basis_embedding(prec) packed row by row, memoized per
-        precision: (w, rows), where rows[x] = (val, [(prec_k, int_k)])
-        for the matrix entry x in (a, b, c, d) holds the entry x of
-        iota(b_k), k = 0..3, as a series from pi^val, val the lowest
-        valuation among the four (an exact zero is 0 at precision INF).
-        The slots hold single digits, at the width w = slot_bytes(4 e
-        (p-1)^2 N), N the longest entry, that embed's sums need.
+        precision and width: (w, rows), rows[x] = (val, [(prec_k, int_k)])
+        the entry x in (a, b, c, d) of iota(b_k), k = 0..3, as series
+        from pi^val, the lowest valuation of the four (an exact zero is 0
+        at precision INF).  Slots hold single digits, at the width w =
+        slot_bytes(4 e (p-1)^2 N (e (p-1) glen + 1)), N the longest entry:
+        embed_packed's sums, times glen digits, plus another such sum.
         """
-        got = self._packed_basis.get(prec)
-        if got is None:
-            F = self.F
-            by_entry = self.basis_entries(prec)
-            n = max(len(e.coeffs) for row in by_entry for e in row)
-            w = slot_bytes(4 * F.e * (F.p - 1) ** 2 * n)
-            rows = []
+        F, by_entry = self.F, self.basis_entries(prec)
+        n = max(len(e.coeffs) for row in by_entry for e in row)
+        w = slot_bytes(4 * F.e * (F.p - 1) ** 2 * n
+                       * (F.e * (F.p - 1) * glen + 1))
+        if (prec, w) not in self._packed_basis:
+            rows = self._packed_basis[prec, w] = []
             for entries in by_entry:
                 vb = min((e.val for e in entries if e.coeffs), default=0)
                 packed = F.pack([(0,) * (e.val - vb) + e.coeffs
                                  if e.coeffs else () for e in entries], w)
                 rows.append((vb, list(zip((e.prec for e in entries),
                                           packed))))
-            got = self._packed_basis[prec] = w, rows
-        return got
+        return w, self._packed_basis[prec, w]
 
-    def embed(self, x: QuatElem, prec: int) -> Mat2:
-        """iota(x) in M_2(K_infinity), entries at precision >= prec.
-
-        iota(x) = sum_k lam_k * iota(b_k) over the packed basis rows; a
-        coordinate of degree D costs D digits, so the basis is taken at
-        precision P = prec + max deg(lam_k), rounded up to a multiple of
-        16 so that a long session memoizes only a few of them.  An entry
-        of iota(x) is at most four big-int products, with the valuation
-        and precision of the Laurent sum.  A slot sums at most 4 e N
-        products of two digits, each below p^2 (N: longest entry), the
-        bound of the width packed_basis picks.
+    def embed_packed(self, x: QuatElem, prec: int, g=()):
+        """iota(x), known below pi^prec, as packed sums: (w, [(val,
+        prec_x, S_x)] for x in (a, b, c, d), G), S_x = sum_k lam_k
+        iota(b_k)_x a series from pi^val known below pi^prec_x >= prec,
+        and G the codes g, packed with the coordinates at the width that
+        holds S_x g + S_y.  A coordinate of degree D costs D digits, so
+        the basis is taken at precision prec + max deg(lam_k), rounded
+        up to a multiple of 16 so that a long session memoizes only a
+        few of them.  A sum is at most four big-int products.
         """
-        F = self.F
         D = max(map(len, x.lam)) - 1
-        w, rows = self.packed_basis(-(-(prec + max(0, D)) // 16) * 16)
-        bits = 8 * w * F.fold.shape[1]
+        w, rows = self.packed_basis(-(-(prec + max(0, D)) // 16) * 16,
+                                    len(g))
         # pi^D lam_k as a series in pi, all four starting at pi^0
-        lam = F.pack([(0,) * (D + 1 - len(f)) + f[::-1]
-                      for f in x.lam], w)
-        precs, sums = [], []
+        *lam, G = self.F.pack([(0,) * (D + 1 - len(f)) + f[::-1]
+                               for f in x.lam] + [g], w)
+        sums = []
         for vb, row in rows:
             # an exact zero (all terms 0 at precision INF) stays exact
             terms = [(pr - len(f) + 1, c * b)
                      for f, c, (pr, b) in zip(x.lam, lam, row) if c]
-            precs.append(min(terms, default=(INF,))[0])
-            if precs[-1] < prec:
+            pr = min(terms, default=(INF,))[0]
+            if pr < prec:
                 raise AssertionError(
                     "embedding lost more precision than budgeted")
-            sums.append(sum(t[1] for t in terms))
-        n = max(-(-a.bit_length() // bits) for a in sums)
-        return Mat2(*(Laurent(F, vb - D, codes, pr) for (vb, _), codes, pr
-                      in zip(rows, F.unpack(sums, n, w).tolist(), precs)))
+            sums.append((vb - D, pr, sum(t[1] for t in terms)))
+        return w, sums, G
+
+    def embed(self, x: QuatElem, prec: int) -> Mat2:
+        """iota(x) in M_2(K_infinity), entries at precision >= prec: the
+        sums of embed_packed, unpacked once (from_packed)."""
+        w, sums, _ = self.embed_packed(x, prec)
+        return Mat2(*from_packed(self.F, sums, w))
 
 
 def build_algebra(F: GF, primes,

@@ -7,13 +7,12 @@ coefficients of g (exponents from its valuation up to n-1, as codes
 into GF); equality of the stored data is equality of vertices, so
 vertices can key dicts and sets directly.
 
-The normal form of an invertible matrix is read off in closed form
-(vnf): n from the valuations of the determinant and of the pivot (the
-bottom entry of smaller valuation), g from one quotient cut at pi^n.
-The action of a unit (act) knows the determinant's valuation and
-multiplies out only one column of the product.  An
-InsufficientPrecisionError escapes when the working precision cannot
-certify the pivot, the determinant's valuation or a digit of g.
+One rule reads a vertex off a matrix whose determinant's valuation is
+known (column_vertex): n from it and the pivot (the bottom entry of
+smaller valuation), g from one quotient cut at pi^n.  vnf, act and
+homspace.transport use it.  An InsufficientPrecisionError escapes when
+the working precision cannot certify the determinant's valuation (vnf),
+the pivot or a digit of g.
 distance and toward_base are closed forms in (n, gval, gcoeffs).
 """
 
@@ -85,45 +84,37 @@ BASE_VERTEX = Vertex(0, 0, ())
 # ---------------------------------------------------------------------
 
 def vnf(M: Mat2) -> Vertex:
-    """Vertex normal form of the lattice class of an invertible matrix.
-
-    The pivot column (x, y) is the one whose bottom entry has the
-    smaller valuation.  Clearing the other bottom entry with it and
-    scaling by 1/y gives [[det/y^2, x/y], [0, 1]] up to a column unit,
-    so n = v(det M) - 2 v(y) and g = x/y mod pi^n (_from_pivot).
-    """
+    """Vertex normal form of the lattice class of an invertible matrix:
+    column_vertex at the valuation of its determinant."""
     a, b, c, d = M.a, M.b, M.c, M.d
     det = a * d - b * c
     if det.is_exact_zero:
         raise ZeroDivisionError("matrix is singular")
     if not det.coeffs:
         raise InsufficientPrecisionError("determinant undetermined")
-    x, y = (a, c) if c.val < d.val else (b, d)
-    return _from_pivot(x, y, det.val)
+    return column_vertex(a, c, b, d, det.val)
 
 
 def act(A: Mat2, v: Vertex) -> Vertex:
-    """The action of a unit A = iota(gamma), det A = nrd(gamma) in F_q^*,
-    on lattice classes; the general action of an invertible matrix is
-    vnf(A * M_v), M_v = [[pi^n, g], [0, 1]].  The determinant of A * M_v =
-    [[a pi^n, a g + b], [c pi^n, c g + d]] has valuation n, and its
-    first column is a shift: the products are c g, and a g when the
-    second column holds the pivot; none when g = 0.  Its one caller,
-    homspace.transport, upholds the unit precondition and the precision."""
+    """The action of a unit A = iota(gamma), det A = nrd(gamma) in F_q^*;
+    any invertible A acts by vnf(A * M_v), M_v = [[pi^n, g], [0, 1]].
+    A * M_v = [[a pi^n, a g + b], [c pi^n, c g + d]] has determinant
+    valuation n.  The Laurent form, for tests, of homspace.transport."""
     F, n = A.a.F, v.n
     g = Laurent(F, v.gval, v.gcoeffs, INF)  # the exact zero when g = 0
-    c = Laurent(F, A.c.val + n, A.c.coeffs, A.c.prec + n)
-    d = A.c * g + A.d
-    if c.val < d.val:
-        a = Laurent(F, A.a.val + n, A.a.coeffs, A.a.prec + n)
-        return _from_pivot(a, c, n)
-    return _from_pivot(A.a * g + A.b, d, n)
+    return column_vertex(*(Laurent(F, x.val + n, x.coeffs, x.prec + n)
+                           for x in (A.a, A.c)),
+                         A.a * g + A.b, A.c * g + A.d, n)
 
 
-def _from_pivot(x: Laurent, y: Laurent, det_val: int) -> Vertex:
-    """The vertex of a matrix with pivot column (x, y) and determinant
-    valuation det_val: n = det_val - 2 v(y) and g = x/y mod pi^n, one
-    quotient, cut to the n - v(x/y) digits below pi^n."""
+def column_vertex(x1: Laurent, y1: Laurent, x2: Laurent, y2: Laurent,
+                  det_val: int) -> Vertex:
+    """The vertex of [[x1, x2], [y1, y2]], of determinant valuation
+    det_val.  The pivot column (x, y) is the first if v(y1) < v(y2), else
+    the second.  Clearing the other bottom entry with it and scaling by
+    1/y gives [[det/y^2, x/y], [0, 1]] up to a column unit, so n =
+    det_val - 2 v(y) and g = x/y mod pi^n, cut to its digits below pi^n."""
+    x, y = (x1, y1) if y1.val < y2.val else (x2, y2)
     if y.is_exact_zero:
         raise ZeroDivisionError("matrix has zero bottom row")
     if not y.coeffs:

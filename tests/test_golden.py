@@ -23,6 +23,7 @@ computes).
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -32,7 +33,7 @@ from pathlib import Path
 import pytest
 
 from btquot.algebra import field
-from btquot.cli import EXIT_OK, main
+from btquot.cli import EXIT_OK, _make_parser, _parse_config, main
 from btquot.quaternion import build_algebra
 from btquot.quotient import compute_quotient
 from btquot.serialize import graph_from_json, graph_to_json
@@ -47,6 +48,22 @@ CASES = {
     "q7-deg4": ["--q", "7", "--primes", "T,T+1,T+2,T+3"],
     "q9-deg4": ["--q", "9", "--primes", "T,T+1,T+2,T+[0,1]"],
 }
+
+
+@functools.cache
+def case_algebra(case):
+    """The algebra the CLI builds for a golden case."""
+    return _parse_config(_make_parser().parse_args(["export",
+                                                    *CASES[case]])).alg
+
+
+def golden_units(case):
+    """The algebra of a golden case and the units its graph stores: the
+    pairing units, then the End basis elements."""
+    alg = case_algebra(case)
+    G = graph_from_json((GOLDEN / f"{case}.json").read_text(), alg)
+    return alg, [G.edges[k].elem for k in G.pairings] + [
+        b for bs in G.end_basis.values() for b in bs]
 
 # artifact suffix -> subcommand arguments (before the case arguments)
 ARTIFACTS = {

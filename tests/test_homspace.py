@@ -20,18 +20,18 @@ from hypothesis import strategies as st
 from btquot import quotient
 from btquot.algebra import (field, parse_poly, poly_add, poly_mul,
                             poly_scale, poly_trim)
-from btquot.cli import _split_primes
 from btquot.homspace import (HomSet, _assert_solution, _fq_matmul,
                              _kernel_rows, _level_rows, _monic,
                              _vector_to_quat, bottom_kernels, hom, hom_stack,
                              stability, transport)
-from btquot.laurent import INF, InsufficientPrecisionError, Laurent, Mat2
-from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra
+from btquot.laurent import (INF, InsufficientPrecisionError, Laurent, Mat2,
+                            from_packed)
+from btquot.quaternion import QUAT_ONE, AlgebraData, QuatElem, build_algebra
 from btquot.serialize import graph_from_json, graph_to_json
 from btquot.tree import (BASE_VERTEX, Vertex, act, distance, neighbors,
                          retry_with_precision)
 from laurent_helpers import inv, pi_power, scale, vertex_matrix
-from test_golden import CASES, GOLDEN
+from test_golden import CASES, GOLDEN, case_algebra, golden_units
 
 ALG3 = build_algebra(field(3), [(0, 1), (1, 1)])
 ALG5 = build_algebra(field(5), [(0, 1), (1, 1), (2, 1), (3, 1)])
@@ -301,15 +301,6 @@ class TestHomProperties:
 # ---------------------------------------------------------------------------
 # the solution check: Y integral, and Ybar on the link, against tree.act
 # ---------------------------------------------------------------------------
-
-@functools.cache
-def case_algebra(case):
-    """The algebra of a golden case, at the default precision cap."""
-    args = dict(zip(CASES[case][::2], CASES[case][1::2]))
-    F = field(int(args["--q"]))
-    return build_algebra(F, [parse_poly(F, t)
-                             for t in _split_primes(args["--primes"])])
-
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_solution_check_images_match_transport(case):
@@ -909,17 +900,49 @@ class TestPrecisionRetry:
         assert got == act(ALG5.embed(g, 256), self.FAR)
 
 
-def recording_embed(monkeypatch, alg):
-    """The precisions at which alg embeds from now on, each embedding
-    known only below its precision (embed rounds its basis up), and the
-    real embed."""
-    precs, real = [], alg.embed
+def truncating(alg, real, drop=0, precs=None):
+    """real, alg's embed_packed, with each sum cut to its digits below
+    prec - drop for a request at prec, each prec recorded in precs.
+    embed_packed rounds its basis up, so the real sums know more: the
+    cut keeps transport from reading digits its bound does not grant."""
+    def embed_packed(x, prec, g=()):
+        if precs is not None:
+            precs.append(prec)
+        w, sums, G = real(x, prec, g)
+        bits, cut = 8 * w * alg.F.fold.shape[1], prec - drop
+        return w, [(o, min(p, cut), S & (1 << bits * max(0, cut - o)) - 1)
+                   for o, p, S in sums], G
+    return embed_packed
 
-    def embed(x, prec):
-        precs.append(prec)
-        return Mat2(*(e.truncate(prec) for e in real(x, prec).entries()))
-    monkeypatch.setattr(alg, "embed", embed)
-    return precs, real
+
+def embedding(alg, embed_packed, x, prec):
+    """iota(x) from the sums of embed_packed, as AlgebraData.embed."""
+    w, sums, _ = embed_packed(x, prec)
+    return Mat2(*from_packed(alg.F, sums, w))
+
+
+def transport_pairs(case):
+    """The algebra of a golden case, and (unit, vertex) pairs: every
+    pairing unit and End basis element on its own vertex, and it and its
+    cube on seeded vertices with negative gval and n of both signs."""
+    alg = case_algebra(case)
+    G = graph_from_json((GOLDEN / f"{case}.json").read_text(), alg)
+    pairs = [(G.edges[k].elem, G.edges[k].direction) for k in G.pairings]
+    pairs += [(b, G.vertices[i]) for i, bs in G.end_basis.items()
+              for b in bs]
+    rng = random.Random(case)
+    for g, _ in list(pairs):
+        # g and its cube, of three times its height
+        for x, n in itertools.product((g, alg.power(g, 3)),
+                                      (rng.randint(-8, -1),
+                                       rng.randint(0, 8))):
+            gval = rng.randint(min(n, 0) - 12, min(n, 0) - 1)
+            pairs.append((x, Vertex.make(n, gval, [
+                rng.randrange(1, alg.F.q)
+                for _ in range(rng.randint(1, n - gval))])))
+    assert any(v.n < 0 for _, v in pairs) and \
+        any(v.gval < 0 < v.n for _, v in pairs)
+    return alg, pairs
 
 
 KHAT = QuatElem(((), (), (), (1,)))
@@ -929,55 +952,98 @@ class TestComputedPrecision:
     """The system build reads the basis at the precision it computes, the
     least that knows every coefficient its equations read: a basis
     embedded at 4 times that precision gives the same systems, and one
-    known below it is refused.  transport embeds once, at the precision
-    P its docstring proves enough, refuses a P above the cap, and takes
-    act running short at P for a broken bound."""
+    known below it is refused.  transport takes one packed embedding, at
+    the precision P its docstring proves enough, refuses a P above the
+    cap, and takes a pivot running short at P for a broken bound."""
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_transport_agrees_with_a_wider_embedding(self, monkeypatch,
                                                      case):
-        """Every golden pairing unit and End basis element on its own
-        vertex, and it and its cube on seeded vertices with negative gval
-        and n of both signs."""
-        alg = case_algebra(case)
-        G = graph_from_json((GOLDEN / f"{case}.json").read_text(), alg)
-        pairs = [(G.edges[k].elem, G.edges[k].direction) for k in G.pairings]
-        pairs += [(b, G.vertices[i]) for i, bs in G.end_basis.items()
-                  for b in bs]
-        rng = random.Random(case)
-        for g, _ in list(pairs):
-            # g and its cube, of three times its height
-            for x, n in itertools.product((g, alg.power(g, 3)),
-                                          (rng.randint(-8, -1),
-                                           rng.randint(0, 8))):
-                gval = rng.randint(min(n, 0) - 12, min(n, 0) - 1)
-                pairs.append((x, Vertex.make(n, gval, [
-                    rng.randrange(1, alg.F.q)
-                    for _ in range(rng.randint(1, n - gval))])))
-        assert any(v.n < 0 for _, v in pairs) and \
-            any(v.gval < 0 < v.n for _, v in pairs)
-        precs, real = recording_embed(monkeypatch, alg)
+        alg, pairs = transport_pairs(case)
+        real, precs = alg.embed_packed, []
+        monkeypatch.setattr(alg, "embed_packed",
+                            truncating(alg, real, 0, precs))
         for g, v in pairs:
             got = transport(alg, g, v)
             (prec,) = precs
             precs.clear()
-            assert got == act(real(g, 4 * prec), v), (g, v)
+            assert got == act(embedding(alg, real, g, 4 * prec), v), (g, v)
 
     def test_transport_short_of_its_precision_raises(self, monkeypatch):
         # khat at the base vertex over q = 3: h = 0, beta = max(m, deg r)
-        # = 2 and k = 0, so P = 2 + max(0, 0 + 1) = 3.  act still has
-        # what it needs at P - 2, not at P - 3
-        precs, real = recording_embed(monkeypatch, ALG3)
+        # = 2 and k = 0, so P = 2 + max(0, 0 + 1) = 3.  The pivot still
+        # has what it needs at P - 2, not at P - 3
+        real, precs = ALG3.embed_packed, []
+        monkeypatch.setattr(ALG3, "embed_packed",
+                            truncating(ALG3, real, 0, precs))
         want = transport(ALG3, KHAT, BASE_VERTEX)
         assert precs == [3]
         for drop, short in ((2, False), (3, True)):
-            monkeypatch.setattr(ALG3, "embed", lambda x, prec: Mat2(*(
-                e.truncate(prec - drop) for e in real(x, prec).entries())))
+            monkeypatch.setattr(ALG3, "embed_packed",
+                                truncating(ALG3, real, drop))
             if short:
                 with pytest.raises(AssertionError, match="short of"):
                     transport(ALG3, KHAT, BASE_VERTEX)
             else:
                 assert transport(ALG3, KHAT, BASE_VERTEX) == want
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_transport_short_of_digits_refuses_or_is_right(self,
+                                                           monkeypatch,
+                                                           case):
+        """With every sum cut below P - drop, transport gives g . v until
+        the first drop it refuses: no column is read past the digits its
+        sums know, g_v's valuation counted (a label above them reads a
+        cut digit)."""
+        alg, pairs = transport_pairs(case)
+        real, precs, refused = alg.embed_packed, [], 0
+        for g, v in pairs:
+            monkeypatch.setattr(alg, "embed_packed",
+                                truncating(alg, real, 0, precs))
+            want = transport(alg, g, v)
+            for drop in range(1, precs.pop() + 1):
+                monkeypatch.setattr(alg, "embed_packed",
+                                    truncating(alg, real, drop))
+                try:
+                    got = transport(alg, g, v)
+                except AssertionError as e:
+                    assert "short of" in str(e)
+                    refused += 1
+                    break
+                else:
+                    assert got == want, (g, v, drop)
+        assert refused
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_transport_is_one_packed_pass(self, monkeypatch, case):
+        """transport forms the pivot column from the packed embedding: no
+        Laurent embedding, and no series product but the pivot's x/y
+        (each vertex transported twice, so that the second finds the
+        basis of its precision memoized)."""
+        alg, units = golden_units(case)
+        calls = Counter()
+
+        def spy(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+        monkeypatch.setattr(AlgebraData, "embed",
+                            spy("embed", AlgebraData.embed))
+        monkeypatch.setattr(Laurent, "__mul__",
+                            spy("mul", Laurent.__mul__))
+        rng = random.Random(case)
+        for g in units:
+            for n in (rng.randint(-8, -1), rng.randint(0, 8)):
+                gval = rng.randint(min(n, 0) - 12, n - 1)
+                # a nonzero first digit: g_v != 0
+                v = Vertex.make(n, gval, [rng.randrange(1, alg.F.q)] + [
+                    rng.randrange(alg.F.q)
+                    for _ in range(rng.randint(0, n - gval - 1))])
+                want = transport(alg, g, v)
+                calls.clear()
+                assert transport(alg, g, v) == want
+                assert calls["embed"] == 0 and calls["mul"] <= 1, (g, v)
 
     def test_a_computed_precision_above_the_cap_raises(self):
         F, primes = ALG3.F, ALG3.ram.primes

@@ -8,6 +8,7 @@ structure constants can be checked against it wholesale.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -41,8 +42,12 @@ from btquot.quaternion import (
     find_alpha,
     format_quat,
     height,
+    norm_form,
     parse_quat,
 )
+from btquot.homspace import transport
+from btquot.tree import Vertex, act
+from test_golden import CASES, golden_units
 
 T = (0, 1)
 
@@ -523,6 +528,58 @@ class TestNormAndUnits:
         assert alg3.power(x, -1) == alg3.inverse_unit(x)
 
 
+def golden_elements(case):
+    """The algebra of a golden case, its stored units with seeded
+    products and inverses of them, and seeded non-units, both of heights
+    0 to at least 12."""
+    alg, gens = golden_units(case)
+    rng = random.Random(case)
+    units = list(gens)
+    while len(units) < 40 or max(map(height, units)) < 12:
+        x = rng.choice(units)
+        y = rng.choice(gens)
+        units.append(alg.mul(x, alg.inverse_unit(y) if rng.random() < 0.3
+                             else y))
+    q = alg.F.q
+    others = [QuatElem(tuple(poly_trim(tuple(
+        rng.randrange(q) for _ in range(rng.randint(0, h + 1))))
+        for _ in range(4))) for h in range(0, 21) for _ in range(3)]
+    others += [alg.mul(QuatElem((T, ZERO_POLY, ZERO_POLY, ZERO_POLY)), x)
+               for x in units[::4]]
+    return alg, units, others
+
+
+class TestNormForm:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_norm_form_is_x_times_its_conjugate(self, case):
+        alg, units, others = golden_elements(case)
+        for x in units + others:
+            prod = alg.mul(x, alg.conj(x)).lam
+            assert alg.nrd(x) == prod[0] and not any(prod[1:]), x
+        assert all(alg.is_unit(x) for x in units)
+        assert not any(alg.is_unit(x) for x in others[-len(units[::4]):])
+
+    def test_the_form_of_the_table(self, alg5):
+        # x1^2 - alpha x2^2 - r x3^2 - nu x4^2 - 2 epsilon x2 x4
+        F, neg = alg5.F, (lambda f: poly_neg(alg5.F, f))
+        assert norm_form(F, alg5._tensor) == [
+            ((0, 0), ONE_POLY), ((1, 1), neg(alg5.alpha)),
+            ((1, 3), poly_scale(F, F.from_int(-2), alg5.epsilon)),
+            ((2, 2), neg(alg5.r)), ((3, 3), neg(alg5.nu))]
+
+    def test_a_table_whose_norm_is_not_scalar_raises(self, alg5):
+        # a vector coordinate of any product of basis elements enters a
+        # coefficient of the vector part of x conj(x)
+        F = alg5.F
+        for s, t, k in itertools.product(range(4), range(4), (1, 2, 3)):
+            W = [list(row) for row in alg5._tensor]
+            entry = list(W[s][t])
+            entry[k] = poly_add(F, entry[k], ONE_POLY)
+            W[s][t] = tuple(entry)
+            with pytest.raises(AssertionError, match="not scalar"):
+                norm_form(F, W)
+
+
 # ---------------------------------------------------------------------------
 # embedding
 # ---------------------------------------------------------------------------
@@ -680,11 +737,31 @@ class TestPackedKernel:
     @pytest.mark.parametrize("q", sorted(_KERNEL_PRIMES))
     def test_largest_digits_match_reference(self, q):
         alg = kernel_alg(q)
-        for deg in (0, 7, 60):
+        for deg in (0, 7, 12, 60):
             x = top_quat(q, deg)
             assert alg.mul(x, x) == mul_reference(alg, x, x)
             for prec in (1, 23, 64):
                 assert alg.embed(x, prec) == embed_reference(alg, x, prec)
+            prod = alg.mul(x, alg.conj(x)).lam
+            assert alg.nrd(x) == prod[0] and not any(prod[1:])
+
+    @pytest.mark.parametrize("q", sorted(_KERNEL_PRIMES))
+    def test_transport_at_the_largest_digits(self, q, monkeypatch):
+        # every digit p-1 in x and in g_v, g_v long enough to pass changes
+        # of the slot width that holds transport's sums S_x g_v + S_y;
+        # against act on an embedding at 4 times transport's precision
+        alg = kernel_alg(q)
+        precs, real = [], alg.embed_packed
+        monkeypatch.setattr(alg, "embed_packed", lambda x, prec, g=():
+                            precs.append(prec) or real(x, prec, g))
+        for deg, n, gval in ((0, 2, -1), (7, 4, -20), (12, 8, -70),
+                             (60, 3, -300)):
+            x = top_quat(q, deg)
+            v = Vertex.make(n, gval, [q - 1] * (n - gval))
+            got = transport(alg, x, v)
+            (prec,) = precs
+            assert got == act(alg.embed(x, 4 * prec), v)
+            precs.clear()
 
     @pytest.mark.parametrize("q", [3, 9, 27, 127])
     def test_dense_top_digit_tensor_matches_reference(self, q, monkeypatch):

@@ -34,8 +34,7 @@ from btquot.quotient import (Presentation, QuotientGraph, Word,
                              verify_structure)
 from btquot.serialize import graph_from_json
 from btquot.tree import BASE_VERTEX, Vertex, distance, neighbors, parse_vertex
-from test_golden import CASES, GOLDEN
-from test_serialize import case_algebra
+from test_golden import CASES, GOLDEN, case_algebra
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -900,8 +899,9 @@ class TestTwoCycles:
 
 
 def test_every_action_is_by_a_unit(monkeypatch):
-    """tree.act assumes det iota(g) in F_q^*, which transport does not
-    check: every production caller must pass a unit.  Each stage of the
+    """transport reads g . v off at determinant valuation n, assuming
+    det iota(g) in F_q^*, which it does not check: every production
+    caller must pass a unit.  Each stage of the
     pipeline on the worked example runs with a transport that asserts
     it.  Reduction and express_in_generators are seen to transport;
     compute_quotient, graph_from_json and presentation are seen not to,

@@ -1,19 +1,17 @@
 """Round-trip and format tests for the graph serialization."""
 
-import functools
 import json
 from pathlib import Path
 
 import pytest
 
 from btquot.algebra import field, poly_scale
-from btquot.cli import _make_parser, _parse_config
 from btquot.quaternion import (QuatElem, build_algebra, format_quat,
                                parse_quat)
 from btquot.quotient import compute_quotient
 from btquot.serialize import (graph_from_json, graph_to_dot, graph_to_json,
                               graph_to_json_dict, graph_to_text)
-from test_golden import CASES
+from test_golden import CASES, case_algebra
 from worked_edits import (END_BASIS_AND_INITIAL, far_candidate,
                           pairing_entry as _pairing, swap_tree_targets)
 
@@ -145,13 +143,6 @@ LOOSELY_EQUAL = {
     "format 1.0": (lambda d: d.update(format=1.0),
                    "unsupported format version 1.0"),
 }
-
-
-@functools.cache
-def case_algebra(case):
-    """The algebra the CLI builds for a golden case."""
-    return _parse_config(_make_parser().parse_args(["export",
-                                                    *CASES[case]])).alg
 
 
 class TestGivenAlgebra:
