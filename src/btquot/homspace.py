@@ -2,24 +2,51 @@
 
 For vertices v, w of the tree, Hom(v, w) = {gamma in Gamma : gamma.v = w}
 together with 0 is an F_q-vector space of dimension 0, 1 or 2 inside the
-quaternion algebra.  Writing a candidate's four order-basis coordinates
-as polynomials lam_k of degree <= nm = n + m (the height bound; n is the
-larger of the two distances to the base vertex, m = deg(alpha)/2), the
-condition gamma.v = w is equivalent to
+quaternion algebra.  For gamma = lam_1 + lam_2 i + lam_3 j + lam_4 khat,
+the lam_k polynomials, the condition gamma.v = w is equivalent to
 
     pi^((n_w - n_v)/2) * Mw^(-1) * iota(gamma) * Mv  in  M_2(O_infinity),
 
 where Mv = [[pi^n_v, g_v], [0, 1]] and Mw are the exact vertex matrices.
-The map is linear in gamma, so the condition is a linear system over
-F_q in the 4(nm + 1) polynomial coefficients.
+The map is linear in gamma, so once the degrees of the lam_k are bounded
+the condition is a linear system over F_q in their coefficients.
+
+The bound is per coordinate.  det iota(gamma) = nrd(gamma) is in F_q^*,
+so iota(gamma) has elementary divisors pi^-D, pi^D with D = -min
+v(iota(gamma)_ij), and gamma moves the base vertex by 2D (Serre, Trees,
+ch. II.1).  gamma is an isometry with gamma.v = w, so 2D <= d(base, w) +
+d(w, gamma.base) = d_w + d_v (d: dist_to_base).  iota(gamma) = [[a, b],
+[c, d]] gives the coordinates back (q is odd; s = sqrt(alpha), v(s) = -m,
+m = deg(alpha)/2, deg epsilon <= 2m - 1, deg r >= 0):
+
+    lam_1 = (a + d)/2,                  deg <= D,
+    lam_3 = (b + c/r)/2,                deg <= D,
+    lam_4 = s (b - c/r)/2,              deg <= D + m,
+    lam_2 = ((a - d)/2 - lam_4 epsilon/s)/s,  deg <= D + max(m - 1, 0),
+
+so deg lam_k <= (d_v + d_w)/2 + o_k, o = (0, max(m - 1, 0), 0, m).  A
+system at height D keeps the columns T^j of lam_k for j <= D + o_k, in
+k-major order: sum_k (D + o_k + 1) columns (_widths), one layout from
+the equations (_level_rows) through both kernels to the solution vectors
+(_vector_to_quat).  The search solves a level at D = n, its largest
+distance to the base vertex; hom solves a pair at D = (d_v + d_w)/2.
+
+Any D >= (d_v + d_w)/2 gives the same basis.  Every solution vanishes on
+the columns j > (d_v + d_w)/2 + o_k, so the solutions of a system at
+height D are all the solutions, and a column dropped between two heights
+is zero on all of them.  The solver's basis is the reduced echelon basis
+of the solution space (has_solver_shape), fixed by the space and the
+order of its columns; dropping columns zero on the whole space keeps the
+order of the rest and that shape, so it drops them from the same basis,
+and the quaternions do not change.
 
 hom_stack solves stacks of one search level, which share its parity of
 n: each stack a source v and its targets, for a candidate End(v) and
 Hom(v, w') for the earlier candidates w' of its level still live when
 its sibling group (the candidates of one frontier vertex) is solved, the
 first nonzero one in candidate order its pairing.  A stack is solved at
-the level's height bound (a larger one than a pair needs adds only pivot
-columns, see hom_stack); hom solves a single pair, empty across
+its level's height D = n (the columns a pair does not need are zero on
+every solution, see above); hom solves a single pair, empty across
 parities.  Both work from arrays:
 
 * entries: Y = pi^s Mw^(-1) iota(b_k) Mv, s = (n_w - n_v)/2: the
@@ -30,15 +57,16 @@ parities.  Both work from arrays:
   grid is taken at the least precision that knows every coefficient the
   equations read, computed from the level (_level_rows), so no entry
   runs short and nothing is retried;
-* equations: row (entry, t), column (k, j) holds the pi^(j - t)
-  coefficient of Y_k, for every t >= 1 (the T^j coefficient of lam_k
-  must not push that entry below O_infinity), read off in one Toeplitz
-  gather;
+* equations: row (entry, t), column (k, j), j <= D + o_k, holds the
+  pi^(j - t) coefficient of Y_k, for every t >= 1 (the T^j coefficient
+  of lam_k must not push that entry below O_infinity), read off in one
+  Toeplitz gather;
 * kernel, in two stages: per (v, n_w), for a batch of whole sibling
   groups of a level at its largest distance n to the base vertex
   (bottom_kernels, one build and one elimination per batch), the kernel
-  K of the bottom rows, and the top rows' parts free of g_w projected
-  onto K; then per target, those parts combined with g_w's coefficients
+  K of the rows free of g_w (the bottom rows, and the top rows past n),
+  and the other top rows' parts free of g_w projected onto K; then per
+  target, those parts combined with g_w's coefficients
   by one F_q product and eliminated over dim K columns, the targets of
   a sibling group's stacks in one elimination, gathered from their
   batch's arrays (hom_stack).  Both stages eliminate by Gauss-Jordan
@@ -287,25 +315,36 @@ class StabilizerField:
         return self._first[s0]
 
 
-def _level_rows(alg: AlgebraData, sources, n: int, ns):
+def _widths(alg: AlgebraData, D: int) -> tuple:
+    """The columns of each coordinate lam_k in a hom system at height D:
+    T^j for j <= D + o_k, o = (0, max(m - 1, 0), 0, m) (see the module
+    docstring), D + o_k + 1 of them."""
+    m = alg.m
+    return tuple(D + 1 + o for o in (0, max(m - 1, 0), 0, m))
+
+
+def _level_rows(alg: AlgebraData, sources, n: int, ns, D: int):
     """The equations of the systems of each v in sources against each
-    n_w in its list in ns, at the height bound nm = n + m: (systems, 2,
-    2, tmax, 4(nm + 1)), the pairs pi^(s - n_w) P1* and pi^(s - n) P2*
-    (see hom_stack) of P = iota(b_k) Mv = [[pi^n_v a, b + g_v a],
-    [pi^n_v c, d + g_v c]], row (rho, t), column (k, j) the pi^(j - t)
-    coefficient of series k of entry rho, t = 1..tmax, tmax down to the
-    lowest nonzero exponent of any entry.  They read a, b, c, d below
-    prec = nm - min(s - n_w, s - n) - min(0, n_v, gval), the largest over
-    the systems: the basis entries, taken at prec rounded up to 16 as
-    embed rounds and asserted known to it, go on one grid of codes below
-    it, on which pi^n_v and the shifts are offsets of the exponent and
-    g_v a, g_v c one F_q product by a Toeplitz matrix of g_v's
-    coefficients; one gather puts the entries on the exponents
-    -tmax..nm - 1 and one Toeplitz gather reads the equations."""
-    F, nm = alg.F, n + alg.m
+    n_w in its list in ns, at height D: (systems, 2, 2, tmax, N), the
+    pairs pi^(s - n_w) P1* and pi^(s - n) P2* (see hom_stack) of P =
+    iota(b_k) Mv = [[pi^n_v a, b + g_v a], [pi^n_v c, d + g_v c]], row
+    (rho, t) the equation of entry rho at t = 1..tmax, tmax down to the
+    lowest nonzero exponent of any entry, and column (k, j) of the N =
+    sum(_widths(alg, D)) columns the pi^(j - t) coefficient of series k,
+    for j <= D + o_k only.  With top = D + m, the largest j, they read
+    a, b, c, d below prec = top - min(s - n_w, s - n) - min(0, n_v,
+    gval), the largest over the systems: the basis entries, taken at
+    prec rounded up to 16 as embed rounds and asserted known to it, go
+    on one grid of codes below it, on which pi^n_v and the shifts are
+    offsets of the exponent and g_v a, g_v c one F_q product by a
+    Toeplitz matrix of g_v's coefficients; one gather puts the entries
+    on the exponents -tmax..top - 1 and one Toeplitz gather reads the
+    equations, each coordinate's kept columns only."""
+    F, widths = alg.F, _widths(alg, D)
+    top = max(widths) - 1
     systems = [(i, v, u, (u - v.n) // 2)
                for i, (v, us) in enumerate(zip(sources, ns)) for u in us]
-    prec = _within_cap(alg, max(nm - min(s - u, s - n) - min(0, v.n, v.gval)
+    prec = _within_cap(alg, max(top - min(s - u, s - n) - min(0, v.n, v.gval)
                                 for _, v, u, s in systems), "hom system")
     entries = [e for row in alg.basis_entries(-(-prec // 16) * 16)
                for e in row]
@@ -332,15 +371,17 @@ def _level_rows(alg: AlgebraData, sources, n: int, ns):
             vals += [val + v.n + shift, val + shift]
     Y, vals = np.array(Y), np.array(vals)
     nonzero = Y.any(axis=1)
-    tmax = nm - int((nonzero.argmax(axis=1) + vals)[nonzero.any(axis=1)]
-                    .min(initial=0))
-    at = np.maximum(np.arange(-tmax, nm) - vals[:, None], 0)
+    tmax = top - int((nonzero.argmax(axis=1) + vals)[nonzero.any(axis=1)]
+                     .min(initial=0))
+    at = np.maximum(np.arange(-tmax, top) - vals[:, None], 0)
     window = Y[np.arange(len(Y))[:, None, None], np.arange(4)[:, None],
                at[:, None]]
+    # column (k, j), in the one layout of _widths
+    k = np.repeat(np.arange(4), widths)
+    j = np.concatenate([np.arange(c) for c in widths])
     t = np.arange(1, tmax + 1)[:, None]
-    j = np.arange(nm + 1)[None, :]
-    A = window[..., j - t + tmax].transpose(0, 2, 1, 3)
-    return A.reshape(len(systems), 2, 2, tmax, 4 * (nm + 1))
+    A = window[:, k, j - t + tmax]
+    return A.reshape(len(systems), 2, 2, tmax, len(k))
 
 
 def _kernel_rows(F: GF, A, ncols: int):
@@ -425,16 +466,20 @@ def _fq_matmul(F: GF, X, Y):
     return (F.place @ coords).reshape(planes.shape[2:])
 
 
-def _vector_to_quat(vec, nm: int) -> QuatElem:
-    return QuatElem(tuple(poly_trim(tuple(vec[k * (nm + 1):][:nm + 1]))
-                          for k in range(4)))
+def _vector_to_quat(vec, widths) -> QuatElem:
+    """The quaternion of a solution vector, lam_k on the widths[k]
+    columns of coordinate k (_widths)."""
+    ends = itertools.accumulate(widths)
+    return QuatElem(tuple(poly_trim(tuple(vec[e - c:e]))
+                          for c, e in zip(widths, ends)))
 
 
 def _assert_solution(alg: AlgebraData, gamma: QuatElem, v: Vertex,
                      w: Vertex, *more: Vertex) -> list[Vertex]:
     """Assert that gamma is a unit within the height bound mapping v to
-    w; return its images of the vertices more, each asserted a tree
-    neighbour of v (a scalar unit embeds none and returns more as is).
+    w, deg lam_k <= (d_v + d_w)/2 + o_k (the module docstring's); return
+    its images of the vertices more, each asserted a tree neighbour of v
+    (a scalar unit embeds none and returns more as is).
 
     gamma.v = w exactly when Y = pi^s Mw^(-1) iota(gamma) Mv, s = (n_w -
     n_v)/2, is integral: det Y = nrd(gamma) in F_q^* puts an integral Y
@@ -450,7 +495,8 @@ def _assert_solution(alg: AlgebraData, gamma: QuatElem, v: Vertex,
     in one pass of GF's packed kernel, one pack and one unpack."""
     if not alg.is_unit(gamma):
         raise AssertionError("hom solution is not a unit of the order")
-    if height(gamma) > max(v.dist_to_base(), w.dist_to_base()) + alg.m:
+    bound = _widths(alg, (v.dist_to_base() + w.dist_to_base()) // 2)
+    if any(len(lam) > c for lam, c in zip(gamma.lam, bound)):
         raise AssertionError("hom solution violates the height bound")
     if (v.n - w.n) % 2 or not any(gamma.lam[1:]):
         if (v.n - w.n) % 2 or v != w:
@@ -531,29 +577,33 @@ def _toeplitz(vertices, offsets, size: int):
     return band[:, np.arange(size) - np.arange(size)[:, None] + size - 1]
 
 
-def bottom_kernels(alg: AlgebraData, sources, n: int, ns) -> list:
+def bottom_kernels(alg: AlgebraData, sources, n: int, ns,
+                   D: int | None = None) -> list:
     """The only build of hom systems: for each v in sources (all within
-    distance n of the base vertex), (n, rows, parts) at the height bound
-    n + m.  parts = (K, B K^t, C K^t, dims), with K, B and C as in
+    distance n of the base vertex), (n, D, rows, parts) at height D,
+    by default n, the search's: on the columns of _widths(alg, D), which
+    serve a target w of v only if d_v + d_w <= 2D (hom_stack asserts
+    it).  parts = (K, B' K^t, C K^t, dims), with K, B' and C as in
     hom_stack and dims the kernel dimensions (the nonzero rows of K,
     which come first), are stacks over the systems of every source, the
     same tuple in every entry; rows[n_w] is v's system for each n_w in
     its list in ns (each of v's parity).  The sources are built by one
     _level_rows call, at the precision it computes, and eliminated in
     one stack; the search asks for whole sibling groups at a time."""
+    D = n if D is None else D
     if any((v.n - u) % 2 for v, us in zip(sources, ns) for u in us):
         raise AssertionError("bottom kernels asked across parities of n")
     if max(v.dist_to_base() for v in sources) > n:
         raise AssertionError("bottom kernels below a source's bound")
     F = alg.F
-    A = _level_rows(alg, sources, n, ns)
-    B, P2, N = A[:, 0], A[:, 1], A.shape[-1]
-    K = _kernel_rows(F, P2[:, :, n:].reshape(len(A), -1, N), N)
-    Kt = K.transpose(0, 2, 1)[:, None]
-    parts = (K, *(_fq_matmul(F, X, Kt) for X in (B, P2[:, :, :n])),
-             K.any(axis=2).sum(axis=1))
+    A = _level_rows(alg, sources, n, ns, D)
+    N = A.shape[-1]
+    # the rows t > n of B and of Eq(pi^(s - n) P2*), free of g_w
+    K = _kernel_rows(F, A[..., n:, :].reshape(len(A), -1, N), N)
+    XK = _fq_matmul(F, A[..., :n, :], K.transpose(0, 2, 1)[:, None, None])
+    parts = (K, XK[:, 0], XK[:, 1], K.any(axis=2).sum(axis=1))
     first = itertools.accumulate(map(len, ns), initial=0)
-    return [(n, dict(zip(us, itertools.count(lo))), parts)
+    return [(n, D, dict(zip(us, itertools.count(lo))), parts)
             for us, lo in zip(ns, first)]
 
 
@@ -561,51 +611,54 @@ def bottom_kernels(alg: AlgebraData, sources, n: int, ns) -> list:
 class StackHoms:
     """The hom sets of one stack of hom_stack, in target order: dims[k]
     is the dimension of Hom(source, targets[k]), and self[k] its HomSet,
-    built from row k of vectors (its basis rows, zero rows between them)
-    only when asked for: the search reads End and its pairing hits."""
+    built from row k of vectors (its basis rows, zero rows between them,
+    on the columns widths of _widths) only when asked for: the search
+    reads End and its pairing hits."""
 
     field: GF
     source: Vertex
     targets: list
-    nm: int
+    widths: tuple
     vectors: np.ndarray
     dims: list
 
     def __getitem__(self, k: int) -> HomSet:
         return HomSet(self.field, self.source, self.targets[k], tuple(
-            _vector_to_quat(x, self.nm) for x in self.vectors[k].tolist()
+            _vector_to_quat(x, self.widths) for x in self.vectors[k].tolist()
             if any(x)))
 
 
 def hom_stack(alg: AlgebraData, stacks) -> list[StackHoms]:
     """Hom(v, w) for every w in targets of every stack (v, targets,
     bottom), in order, bases not yet checked.  bottom is v's entry of
-    one bottom_kernels call, the same call for every stack, at a height
-    bound n at least the distance of every target to the base vertex;
-    the targets are of v's parity of n.  Consecutive stacks are solved
-    together, in pieces of at most _PIECE systems (one per target) but a
-    single stack, each by one elimination.
+    one bottom_kernels call, the same call for every stack, at a level
+    bound n at least the distance of every target to the base vertex
+    and a height D with d_v + d_w <= 2D for every target w; the targets
+    are of v's parity of n.  Consecutive stacks are solved together, in
+    pieces of at most _PIECE systems (one per target) but a single
+    stack, each by one elimination.
 
-    They are solved at the height bound n + m of bottom, n at least the
-    largest distance to the base vertex among v and them.  With s =
-    (n_w - n_v)/2 and Eq(X)[t] the equation rows t >= 1 of an entry pair
-    X (so Eq(pi^a X)[t] = Eq(X)[t + a]), the system of (v, w) has the
-    top rows T(w) = Eq(pi^(s - n_w) (P1* - g_w P2*)) and the bottom rows
+    They are solved on the columns of bottom's height D.  With s = (n_w
+    - n_v)/2 and Eq(X)[t] the equation rows t >= 1 of an entry pair X
+    (so Eq(pi^a X)[t] = Eq(X)[t + a]), the system of (v, w) has the top
+    rows T(w) = Eq(pi^(s - n_w) (P1* - g_w P2*)) and the bottom rows
     Eq(pi^s P2*), the rows t > n of Eq(pi^(s - n) P2*), whose rows t <= n
-    form C.  Per n_w, bottom holds the kernel rows K of the bottom rows
-    (row i has 1 at the free column f_i of their reduced echelon form, 0
-    at the other free columns, nothing past f_i), B K^t for B = Eq(pi^(s
-    - n_w) P1*), and C K^t.
+    form C.
 
     For g_w = sum_i c_i pi^(gval + i), T(w) = B - sum_i c_i Eq(pi^(s -
-    n_w + gval + i) P2*), whose row t is row n + t + gval + i - n_w of
-    Eq(pi^(s - n) P2*): past t = n_w - gval - i a bottom row, zero on K,
-    and up to it a row of C, at least n + 1 - deg_n(g_w) >= 1 as
-    deg_n(g_w) = n_w - gval <= dist(w) <= n.  So T(w) K^t is B K^t minus
-    a Toeplitz matrix of g_w's coefficients (built once per call, for
-    each distinct target) times C K^t, one F_q product for the piece,
-    and one elimination of it gives y, x = y K for every solution x.
-    The piece keeps the rows of K up to its widest kernel; a zero row of
+    n_w + gval + i) P2*), B = Eq(pi^(s - n_w) P1*), whose row t is row n
+    + t + gval + i - n_w of Eq(pi^(s - n) P2*): past t = n_w - gval - i
+    a bottom row, and up to it a row of C, at least n + 1 - deg_n(g_w)
+    >= 1 as deg_n(g_w) = n_w - gval <= dist(w) <= n.  So the rows t > n
+    of T(w) are B's plus bottom rows, whatever g_w is.  Per n_w, bottom
+    holds the kernel rows K of the bottom rows and B's rows t > n (row i
+    has 1 at the free column f_i of their reduced echelon form, 0 at the
+    other free columns, nothing past f_i), B' K^t for B' the rows t <= n
+    of B, and C K^t.  T(w) K^t is zero past row n, and up to it B' K^t
+    minus a Toeplitz matrix of g_w's coefficients (built once per call,
+    for each distinct target) times C K^t, one F_q product for the
+    piece, and one elimination of it gives y, x = y K for every solution
+    x.  The piece keeps the rows of K up to its widest kernel; a zero row of
     a system's K among them is a zero column of T(w) K^t, whose kernel
     row maps to x = 0, dropped.  Only the systems with a kernel row are
     mapped back through their K.
@@ -619,14 +672,16 @@ def hom_stack(alg: AlgebraData, stacks) -> list[StackHoms]:
     maps to the system's own for f_i.  It is unique, so the piece does
     not change it.
 
-    A target nearer the base vertex than the level's farthest gets the
-    basis of its own bound nm_w: every solution has height <= nm_w
-    (asserted by _assert_solution), so the columns j > nm_w are pivot
-    columns, and the reduced echelon basis is unique.
+    A pair (v, w) with d_v + d_w < 2D, a target nearer the base vertex
+    than the level's farthest or the source itself, gets the basis of
+    its own height (d_v + d_w)/2: every solution vanishes on the columns
+    j > (d_v + d_w)/2 + o_k (asserted by _assert_solution), which the
+    columns of D add, and the reduced echelon basis does not change when
+    they are dropped (module docstring).
     """
     # row indices of one call's parts point into that call's arrays only
-    n, _, parts = stacks[0][2]
-    if any(bottom[2] is not parts for _, _, bottom in stacks):
+    n, D, _, parts = stacks[0][2]
+    if any(bottom[3] is not parts for _, _, bottom in stacks):
         raise AssertionError("hom stacks of two bottom_kernels calls")
     if any((v.n - w.n) % 2 for v, targets, _ in stacks for w in targets):
         raise AssertionError("hom stack asked across parities of n")
@@ -634,9 +689,14 @@ def hom_stack(alg: AlgebraData, stacks) -> list[StackHoms]:
     index: dict = {}
     at = [index.setdefault(w, len(index))
           for _, targets, _ in stacks for w in targets]
-    if max(w.dist_to_base() for w in index) > n:
+    dist = np.array([w.dist_to_base() for w in index])
+    if dist.max() > n:
         raise AssertionError("hom stack target farther than its bottom "
                              "kernels' bound from the base vertex")
+    if (dist[at] + np.repeat([v.dist_to_base() for v, _, _ in stacks],
+                             [len(t) for _, t, _ in stacks])).max() > 2 * D:
+        raise AssertionError("hom stack pair beyond its bottom kernels' "
+                             "height")
     # G[t, u] = -c_i for u = n + t + gval + i - n_w (see above)
     G = alg.F.tables()[2][_toeplitz(list(index),
                                     [n - w.degn() for w in index], n)]
@@ -655,14 +715,12 @@ def _solve_piece(alg: AlgebraData, stacks, G) -> list[StackHoms]:
     Toeplitz matrix of each system's target."""
     F = alg.F
     add = F.tables()[0]
-    n, _, (Ks, BKs, CKs, kdims) = stacks[0][2]
-    sel = np.array([rows[w.n] for _, targets, (_, rows, _) in stacks
+    _, D, _, (Ks, BKs, CKs, kdims) = stacks[0][2]
+    sel = np.array([rows[w.n] for _, targets, (_, _, rows, _) in stacks
                     for w in targets])
     # a kernel's nonzero rows come first: the piece needs d of them
     d = int(kdims[sel].max())
-    TK = BKs[sel, ..., :d]
-    TK[:, :, :n] = add[TK[:, :, :n],
-                       _fq_matmul(F, G[:, None], CKs[sel, ..., :d])]
+    TK = add[BKs[sel, ..., :d], _fq_matmul(F, G[:, None], CKs[sel, ..., :d])]
     Y = _kernel_rows(F, TK.reshape(len(sel), -1, d), d)
     # only systems with a kernel row are mapped back through their K
     hit = np.flatnonzero(Y.any(axis=(1, 2)))
@@ -673,7 +731,8 @@ def _solve_piece(alg: AlgebraData, stacks, G) -> list[StackHoms]:
         raise AssertionError(f"hom space has impossible dimension "
                              f"{dims.max()}")
     first = itertools.accumulate((len(t) for _, t, _ in stacks), initial=0)
-    return [StackHoms(F, v, targets, n + alg.m, X[lo:lo + len(targets)],
+    widths = _widths(alg, D)
+    return [StackHoms(F, v, targets, widths, X[lo:lo + len(targets)],
                       dims[lo:lo + len(targets)].tolist())
             for (v, targets, _), lo in zip(stacks, first)]
 
@@ -681,12 +740,14 @@ def _solve_piece(alg: AlgebraData, stacks, G) -> list[StackHoms]:
 def hom(alg: AlgebraData, v: Vertex, w: Vertex) -> HomSet:
     """The set {gamma in Gamma : gamma.v = w} as a HomSet, the only
     single-pair solve: empty across parities of n, else hom_stack on one
-    stack, of w over the bottom kernels of v alone at the pair's height
-    bound, every basis element asserted (_assert_solution)."""
+    stack, of w over the bottom kernels of v alone at the level bound
+    max(d_v, d_w) and the pair's height (d_v + d_w)/2, every basis
+    element asserted (_assert_solution)."""
     if (v.n - w.n) % 2:
         return HomSet(alg.F, v, w, ())
-    bottom = bottom_kernels(alg, [v], max(v.dist_to_base(),
-                                          w.dist_to_base()), [[w.n]])[0]
+    dv, dw = v.dist_to_base(), w.dist_to_base()
+    bottom = bottom_kernels(alg, [v], max(dv, dw), [[w.n]],
+                            (dv + dw) // 2)[0]
     hs = hom_stack(alg, [(v, [w], bottom)])[0][0]
     for gamma in hs.basis:
         _assert_solution(alg, gamma, v, w)

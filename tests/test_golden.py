@@ -57,13 +57,23 @@ def case_algebra(case):
                                                     *CASES[case]])).alg
 
 
+def golden_solutions(case):
+    """The algebra of a golden case and the units its graph stores, each
+    with the source and target it maps: (unit, v, w) for the pairing
+    units, then the End basis elements."""
+    alg = case_algebra(case)
+    G = graph_from_json((GOLDEN / f"{case}.json").read_text(), alg)
+    return alg, [(e.elem, e.direction, G.vertices[e.dst])
+                 for e in map(G.edges.__getitem__, G.pairings)] + [
+        (b, G.vertices[i], G.vertices[i])
+        for i, bs in G.end_basis.items() for b in bs]
+
+
 def golden_units(case):
     """The algebra of a golden case and the units its graph stores: the
     pairing units, then the End basis elements."""
-    alg = case_algebra(case)
-    G = graph_from_json((GOLDEN / f"{case}.json").read_text(), alg)
-    return alg, [G.edges[k].elem for k in G.pairings] + [
-        b for bs in G.end_basis.values() for b in bs]
+    alg, solutions = golden_solutions(case)
+    return alg, [g for g, _, _ in solutions]
 
 # artifact suffix -> subcommand arguments (before the case arguments)
 ARTIFACTS = {

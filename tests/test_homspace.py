@@ -17,13 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btquot import quotient
+from btquot import homspace, quotient
 from btquot.algebra import (field, parse_poly, poly_add, poly_mul,
                             poly_scale, poly_trim)
 from btquot.homspace import (HomSet, _assert_solution, _fq_matmul,
                              _kernel_rows, _level_rows, _monic,
-                             _vector_to_quat, bottom_kernels, hom, hom_stack,
-                             stability, transport)
+                             _vector_to_quat, _widths, bottom_kernels, hom,
+                             hom_stack, stability, transport)
 from btquot.laurent import (INF, InsufficientPrecisionError, Laurent, Mat2,
                             from_packed)
 from btquot.quaternion import QUAT_ONE, AlgebraData, QuatElem, build_algebra
@@ -31,7 +31,8 @@ from btquot.serialize import graph_from_json, graph_to_json
 from btquot.tree import (BASE_VERTEX, Vertex, act, distance, neighbors,
                          retry_with_precision)
 from laurent_helpers import inv, pi_power, scale, vertex_matrix
-from test_golden import CASES, GOLDEN, case_algebra, golden_units
+from test_golden import (CASES, GOLDEN, case_algebra, golden_solutions,
+                         golden_units)
 
 ALG3 = build_algebra(field(3), [(0, 1), (1, 1)])
 ALG5 = build_algebra(field(5), [(0, 1), (1, 1), (2, 1), (3, 1)])
@@ -285,17 +286,67 @@ class TestHomProperties:
             assert next(c for c in flat if c) == 1
 
     def test_height_bound_on_bases(self):
-        from btquot.quaternion import height
-        from btquot.tree import distance
-        F = ALG5.F
+        # deg lam_k <= (d_v + d_w)/2 + o_k, o = (0, m - 1, 0, m), m = 2
+        assert ALG5.m == 2
         cases = [(BASE_VERTEX, BASE_VERTEX),
                  (Vertex.make(2, 0, ()), Vertex.make(2, 1, (4,))),
-                 (Vertex.make(2, 1, (1,)), Vertex.make(2, 1, (3,)))]
+                 (Vertex.make(2, 1, (1,)), Vertex.make(2, 1, (3,))),
+                 (BASE_VERTEX, Vertex.make(4, 0, ()))]
         for v, w in cases:
-            n = max(distance(v, BASE_VERTEX),
-                    distance(w, BASE_VERTEX))
+            D = (distance(v, BASE_VERTEX) + distance(w, BASE_VERTEX)) // 2
             for b in hom(ALG5, v, w).basis:
-                assert height(b) <= n + ALG5.m
+                assert all(len(lam) - 1 <= c for lam, c in
+                           zip(b.lam, (D, D + 1, D, D + 2))), (v, w, b)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stored_units_reach_the_height_bound(case):
+    """Every stored pairing unit and End basis element gamma, mapping v
+    to w, has deg lam_k <= (d_v + d_w)/2 + o_k, and some reach that
+    bound exactly for lam_1, for lam_3 and for lam_4: a bound one lower
+    on any of them would lose a stored unit."""
+    alg, solutions = golden_solutions(case)
+    reached = set()
+    for g, v, w in solutions:
+        bound = _widths(alg, (v.dist_to_base() + w.dist_to_base()) // 2)
+        assert all(len(lam) <= c for lam, c in zip(g.lam, bound)), (g, v, w)
+        reached.update(k for k, (lam, c) in enumerate(zip(g.lam, bound))
+                       if len(lam) == c)
+    assert {0, 2, 3} <= reached, reached
+
+
+def test_hom_of_a_far_pair_holds_a_product_of_pairing_units(monkeypatch):
+    """On q5-worked, a product g of 3 to 6 stored pairing units moves a
+    vertex v within distance 2 of the base vertex to w = transport(g, v),
+    farther than the radius-4 balls of the acceptance test: g lies in
+    the span of hom(v, w), whose system has sum_k (D + o_k + 1) columns,
+    D = (d_v + d_w)/2 and o = (0, m - 1, 0, m)."""
+    alg, solutions = golden_solutions("q5-worked")
+    pairing = [g for g, v, w in solutions if v != w]
+    near = neighbors(alg.F, BASE_VERTEX)
+    ball = [BASE_VERTEX, *near, *{u: 0 for v in near
+                                  for u in neighbors(alg.F, v)
+                                  if u != BASE_VERTEX}]
+    built = []
+
+    def level_rows(alg, sources, n, ns, D):
+        A = real(alg, sources, n, ns, D)
+        built.append((D, A.shape[-1]))
+        return A
+    real = homspace._level_rows
+    monkeypatch.setattr(homspace, "_level_rows", level_rows)
+    rng = random.Random(31)
+    far = []
+    for _ in range(12):
+        g = functools.reduce(alg.mul, rng.choices(pairing,
+                                                  k=rng.randint(3, 6)))
+        v = rng.choice(ball)
+        w = transport(alg, g, v)
+        assert g in set(hom(alg, v, w).elements()), (g, v, w)
+        D = (v.dist_to_base() + w.dist_to_base()) // 2
+        assert built.pop() == (D, 4 * D + 4 + (alg.m - 1) + alg.m)
+        far.append(distance(BASE_VERTEX, w))
+    assert min(far) > 4 and max(far) > 16, far
 
 
 # ---------------------------------------------------------------------------
@@ -382,21 +433,21 @@ def kernel_basis(F, A, ncols):
             for K in _monic(F, _kernel_rows(F, A, ncols)).tolist()]
 
 
-def system_stack(alg, v, ws, nm):
+def system_stack(alg, v, ws, n):
     """The F_q-linear equations of Hom(v, w) for every w in ws, as one
-    (len(ws), 4 tmax, 4(nm + 1)) stack, rows keyed (rho, t): each
-    target's top rows, then its bottom rows, padded with zero rows to
-    tmax.  Both come from the level builder (_level_rows) at the bound
-    n = nm - m, at the precision it computes, with B and D = Eq(pi^(s -
-    n) P2*) as in hom_stack: the bottom rows are D's rows t > n, and the
-    top rows B - G D, G the Toeplitz matrix of g_w's coefficients over
-    all of D's rows (row t, column n + t + gval + i - n_w holds c_i).  Unprojected, so not only
-    C's rows count.  These are the systems the two stages of hom_stack
-    solve."""
-    F, n = alg.F, nm - alg.m
+    (len(ws), 4 tmax, sum(_widths(alg, n))) stack, rows keyed (rho, t):
+    each target's top rows, then its bottom rows, padded with zero rows
+    to tmax.  Both come from the level builder (_level_rows) at the
+    level bound and height n, at the precision it computes, with B and
+    D = Eq(pi^(s - n) P2*) as in hom_stack: the bottom rows are D's rows
+    t > n, and the top rows B - G D, G the Toeplitz matrix of g_w's
+    coefficients over all of D's rows (row t, column n + t + gval + i -
+    n_w holds c_i).  Unprojected, so not only C's rows count.  These are
+    the systems the two stages of hom_stack solve."""
+    F = alg.F
     add, _, neg, _ = F.tables()
     ns = sorted({u.n for u in ws})
-    A = _level_rows(alg, [v], n, [ns])
+    A = _level_rows(alg, [v], n, [ns], n)
     tmax = A.shape[3]
     out = []
     for w in ws:
@@ -520,11 +571,11 @@ def test_stacked_systems_hold_their_own_equations():
         for v in sphere[:4]:
             ws = [v] + [w for w in sphere[:12]
                         if w != v and (w.n - v.n) % 2 == 0]
-            nm = max(u.dist_to_base() for u in ws) + ALG5.m
-            stack = system_stack(ALG5, v, ws, nm)
+            n = max(u.dist_to_base() for u in ws)
+            stack = system_stack(ALG5, v, ws, n)
             assert len(stack) == len(ws)
             for A, w in zip(stack, ws):
-                (alone,) = system_stack(ALG5, v, [w], nm)
+                (alone,) = system_stack(ALG5, v, [w], n)
                 assert np.array_equal(A[A.any(axis=1)],
                                       alone[alone.any(axis=1)])
                 extra += (A.any(axis=1) & ~stack[0].any(axis=1)).any()
@@ -573,16 +624,21 @@ def test_stack_rejects_a_target_of_the_other_parity():
 
 def test_stack_rejects_a_target_outside_its_level():
     """A target farther from the base vertex than the bottom kernels'
-    bound n, whose Toeplitz band would not fit, and stacks whose bottom
-    kernels come from two bottom_kernels calls, whose row indices point
-    into different arrays, are refused; a target that is not a source of
-    the call is solved."""
+    bound n, whose Toeplitz band would not fit, a pair with d_v + d_w
+    above twice their height D, whose solutions may need a column they
+    leave out, and stacks whose bottom kernels come from two
+    bottom_kernels calls, whose row indices point into different arrays,
+    are refused; a target that is not a source of the call is solved."""
     v, w, u = (Vertex.make(2, 0, ()), Vertex.make(2, 1, (4,)),
                Vertex.make(4, 0, ()))
     bottom = bottom_kernels(ALG5, [v], 2, [[2]])[0]
     assert hom_stack(ALG5, [(v, [w], bottom)])[0].dims == [1]
     with pytest.raises(AssertionError, match="target farther than"):
         hom_stack(ALG5, [(v, [v, u], bottom)])
+    low = bottom_kernels(ALG5, [v], 2, [[2]], 1)[0]
+    with pytest.raises(AssertionError, match="beyond its bottom kernels' "
+                       "height"):
+        hom_stack(ALG5, [(v, [w], low)])
     other = bottom_kernels(ALG5, [v], 2, [[2]])[0]
     with pytest.raises(AssertionError, match="two bottom_kernels calls"):
         hom_stack(ALG5, [(v, [v], bottom), (v, [v], other)])
@@ -590,23 +646,33 @@ def test_stack_rejects_a_target_outside_its_level():
         bottom_kernels(ALG5, [v, Vertex.make(4, 0, ())], 2, [[2], []])
 
 
-def reference_system(alg, v, w, nm, prec):
+def reference_system(alg, v, w, widths, prec):
     """The equations of Hom(v, w) from Mat2 products: row (rho, t), column
-    (k, j) holds the pi^(j - t) coefficient of entry rho of
-    pi^s * Mw^(-1) * iota(b_k) * Mv, s = (n_w - n_v)/2, for t = 1, 2, ...
-    down to the lowest exponent any lam_k * T^j can reach; zero rows
+    (k, j), j < widths[k], holds the pi^(j - t) coefficient of entry rho
+    of pi^s * Mw^(-1) * iota(b_k) * Mv, s = (n_w - n_v)/2, for t = 1, 2,
+    ... down to the lowest exponent any lam_k * T^j can reach; zero rows
     dropped."""
     F = alg.F
     left = scale(inv(vertex_matrix(F, w)),
                  pi_power(F, (w.n - v.n) // 2, INF))
     Ys = [left * B * vertex_matrix(F, v)
           for B in alg.basis_embedding(prec)]
-    low = min(x.val for Y in Ys for x in Y.entries() if x.coeffs) - nm
-    rows = [[Y.entries()[rho].coeff(j - t) for Y in Ys
-             for j in range(nm + 1)]
-            for rho in range(4) for t in range(1, nm - low + 1)]
+    top = max(widths) - 1
+    low = min(x.val for Y in Ys for x in Y.entries() if x.coeffs) - top
+    rows = [[Y.entries()[rho].coeff(j - t) for Y, c in zip(Ys, widths)
+             for j in range(c)]
+            for rho in range(4) for t in range(1, top - low + 1)]
     A = np.array(rows, dtype=np.int64)
     return A[A.any(axis=1)]
+
+
+def full_width(basis, widths, top):
+    """Each vector of basis, on the columns of widths, spread onto the
+    columns j <= top of every coordinate, zero on the others."""
+    ends = list(itertools.accumulate(widths))
+    return [tuple(x for c, e in zip(widths, ends)
+                  for x in (*b[e - c:e], *(0,) * (top + 1 - c)))
+            for b in basis]
 
 
 def oracle_vertices(q):
@@ -637,25 +703,31 @@ def test_system_stack_matches_mat2_reference(monkeypatch, q):
     precision the level builder computes), is the one built from a basis
     embedded at 4 times that precision, and has the nonzero equations
     and the kernel basis of the Mat2 reference, for every source against
-    every vertex of its parity.  Some system reads C's deepest row: n_w
-    - gval = n, the row n + 1 - deg_n(g_w) = 1 (see hom_stack)."""
+    every vertex of its parity.  On the columns j <= n + m of every
+    coordinate, the reference has the same kernel basis, zero on the
+    columns past n + o_k: no solution needs a column the build leaves
+    out.  Some system reads C's deepest row: n_w - gval = n, the row n +
+    1 - deg_n(g_w) = 1 (see hom_stack)."""
     alg = build_algebra(field(q), [(0, 1), (1, 1)])
     F, vs = alg.F, oracle_vertices(q)
     systems = deepest = 0
     for v in vs:
         ws = [w for w in vs if (w.n - v.n) % 2 == 0]
         n = max(u.dist_to_base() for u in ws)
-        nm = n + alg.m
-        stack = system_stack(alg, v, ws, nm)
+        nm, widths = n + alg.m, _widths(alg, n)
+        stack = system_stack(alg, v, ws, n)
         with monkeypatch.context() as mp:
             wider_basis(mp, alg)
-            assert np.array_equal(system_stack(alg, v, ws, nm), stack), v
-        ncols = 4 * (nm + 1)
+            assert np.array_equal(system_stack(alg, v, ws, n), stack), v
+        ncols = sum(widths)
         for A, w, basis in zip(stack, ws, kernel_basis(F, stack, ncols)):
-            ref = retry_with_precision(
-                lambda prec: reference_system(alg, v, w, nm, prec), 4 * nm)
+            ref, wide = (retry_with_precision(functools.partial(
+                reference_system, alg, v, w, c), 4 * nm)
+                for c in (widths, (nm + 1,) * 4))
             assert np.array_equal(A[A.any(axis=1)], ref), (v, w)
             assert basis == kernel_of_one(F, ref, ncols), (v, w)
+            assert full_width(basis, widths, nm) == \
+                kernel_of_one(F, wide, 4 * (nm + 1)), (v, w)
             systems += 1
             deepest += bool(w.gcoeffs) and w.degn() == n
     assert systems == sum(sum((w.n - v.n) % 2 == 0 for w in vs) for v in vs)
@@ -671,11 +743,12 @@ def stack_bases(alg, stacks):
 def one_stage(alg, v, targets):
     """The bases of hom_stack on the stack (v, targets, bottom) from one
     elimination of each target's whole system (system_stack), top and
-    bottom rows together, at the stack's own height bound."""
-    nm = max(u.dist_to_base() for u in (v, *targets)) + alg.m
-    stack = system_stack(alg, v, targets, nm)
-    return [tuple(_vector_to_quat(x, nm) for x in vecs)
-            for vecs in kernel_basis(alg.F, stack, 4 * (nm + 1))]
+    bottom rows together, at the stack's own largest distance to the
+    base vertex."""
+    widths = _widths(alg, max(u.dist_to_base() for u in (v, *targets)))
+    stack = system_stack(alg, v, targets, widths[0] - 1)
+    return [tuple(_vector_to_quat(x, widths) for x in vecs)
+            for vecs in kernel_basis(alg.F, stack, sum(widths))]
 
 
 ALG9 = build_algebra(field(9), [parse_poly(field(9), t)
@@ -1058,12 +1131,12 @@ class TestComputedPrecision:
             hom(alg, V, W)
 
     def test_hom_system_agrees_with_a_wider_basis(self, monkeypatch):
-        nm = max(V.dist_to_base(), W.dist_to_base()) + ALG5.m
-        got = system_stack(ALG5, V, [W], nm)
+        n = max(V.dist_to_base(), W.dist_to_base())
+        got = system_stack(ALG5, V, [W], n)
         wider_basis(monkeypatch, ALG5)
-        wide = system_stack(ALG5, V, [W], nm)
+        wide = system_stack(ALG5, V, [W], n)
         assert np.array_equal(got, wide)
-        ncols = 4 * (nm + 1)
+        ncols = sum(_widths(ALG5, n))
         assert kernel_basis(ALG5.F, got, ncols) == \
             kernel_basis(ALG5.F, wide, ncols)
 
@@ -1071,15 +1144,15 @@ class TestComputedPrecision:
         # End(V) and targets of one height bound, built as one stack
         ws = [V, W, Vertex.make(12, 1, (3, 0, 3, 2)),
               Vertex.make(10, 0, (1, 1))]
-        nm = max(u.dist_to_base() for u in ws) + ALG5.m
-        assert all(max(V.dist_to_base(), u.dist_to_base()) + ALG5.m == nm
+        n = max(u.dist_to_base() for u in ws)
+        assert all(max(V.dist_to_base(), u.dist_to_base()) == n
                    for u in ws)
         dims = [hom(ALG5, V, u).dim for u in ws]
-        got = system_stack(ALG5, V, ws, nm)
+        got = system_stack(ALG5, V, ws, n)
         wider_basis(monkeypatch, ALG5)
-        wide = system_stack(ALG5, V, ws, nm)
+        wide = system_stack(ALG5, V, ws, n)
         assert np.array_equal(got, wide)
-        ncols = 4 * (nm + 1)
+        ncols = sum(_widths(ALG5, n))
         bases = kernel_basis(ALG5.F, got, ncols)
         assert bases == kernel_basis(ALG5.F, wide, ncols)
         assert [len(b) for b in bases] == dims
@@ -1093,13 +1166,13 @@ class TestComputedPrecision:
         got = bottom_kernels(ALG5, level, n, ns)
         wider_basis(monkeypatch, ALG5)
         wide = bottom_kernels(ALG5, level, n, ns)
-        for (_, x, xs), (_, y, ys) in zip(got, wide):
+        for (*_, x, xs), (*_, y, ys) in zip(got, wide):
             assert x == y
             assert all(np.array_equal(a, b) for a, b in zip(xs, ys))
         assert stack_bases(ALG5, [(W, level[:2], wide[1])]) == [want]
 
     def test_basis_short_of_the_precision_raises(self, monkeypatch):
-        # End(V) reads a, b, c, d below pi^(nm + n) = pi^26; the basis
+        # End(V) reads a, b, c, d below pi^(n + m + n) = pi^26; the basis
         # embedded at 4 is known below pi^16 only
         real = ALG5.basis_entries
         assert min(e.prec for row in real(4) for e in row) < 26
