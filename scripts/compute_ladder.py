@@ -27,6 +27,14 @@ with more rounds.  The larger rung q3-deg10 (1664 vertices, about half a
 minute of CPU per compute) runs only when named with --case, so the
 default ladder's wall time does not change; its process also makes one
 warm-up and COMPUTES timed computes.
+
+The far-reduce rungs reduce-d504, reduce-d1004 and reduce-d2004 also
+run only when named with --case.  Each process makes one CLI call,
+`reduce --q 5 --primes T,T+1,T+2,T+3 --no-cache` of the vertex (4;
+1@-250), (4; 1@-500) or (4; 1@-1000), at distance 504, 1004 or 2004
+from the base vertex, and prints the sha256 of the call's stdout, its
+CPU seconds (the call alone, without start-up and imports) and the
+process's peak RSS; the rung compares them as it does a compute.
 """
 
 from __future__ import annotations
@@ -49,8 +57,14 @@ CASES = {
     "q7-deg6": (7, "T^2+1,T^2+2,T,T+1"),
     "q3-deg10": (3, "T,T+1,T+2,T^2+1,T^2+T+2,T^3+2*T^2+1"),
 }
+# far-reduce rungs: the vertex that reduce moves into q5-worked's domain
+REDUCES = {
+    "reduce-d504": "(4; 1@-250)",
+    "reduce-d1004": "(4; 1@-500)",
+    "reduce-d2004": "(4; 1@-1000)",
+}
 # run only when named with --case
-OPT_IN = {"q3-deg10"}
+OPT_IN = {"q3-deg10", *REDUCES}
 
 # timed computes per process, after the warm-up
 COMPUTES = 3
@@ -76,14 +90,35 @@ print(json.dumps({"sha256": " ".join(sorted(digests)),
 """
 
 
+REDUCE_CHILD = """
+import contextlib, hashlib, io, json, resource, sys, time
+from btquot.cli import main
+out = io.StringIO()
+start = time.process_time()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+cpu = time.process_time() - start
+if code:
+    sys.exit(code)
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"sha256": hashlib.sha256(out.getvalue().encode()
+                                           ).hexdigest(),
+                  "cpu_s": cpu, "rss_mb": rss_mb}))
+"""
+
+
 def run_once(checkout: Path, case: str) -> dict:
-    """One warm-up and COMPUTES timed computes of case in a fresh
-    process on checkout's src."""
-    q, primes = CASES[case]
+    """One warm-up and COMPUTES timed computes of case, or one reduce
+    call of a far-reduce rung, in a fresh process on checkout's src."""
+    if case in REDUCES:
+        argv = [REDUCE_CHILD, "reduce", "--q", "5", "--primes",
+                CASES["q5-worked"][1], "--no-cache", REDUCES[case]]
+    else:
+        q, primes = CASES[case]
+        argv = [CHILD, str(q), primes, str(COMPUTES)]
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    out = subprocess.run([sys.executable, "-c", CHILD, str(q), primes,
-                          str(COMPUTES)], cwd=checkout, env=env,
-                         capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", *argv], cwd=checkout,
+                         env=env, capture_output=True, text=True)
     if out.returncode != 0:
         raise SystemExit(f"{case} in {checkout} failed "
                          f"(exit {out.returncode}):\n{out.stderr}")
@@ -96,7 +131,8 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--rounds", type=int, default=1,
                     help="fresh processes per case and side")
-    ap.add_argument("--case", action="append", choices=list(CASES),
+    ap.add_argument("--case", action="append",
+                    choices=[*CASES, *REDUCES],
                     help="run only this case (repeatable; default: all "
                     "but " + ", ".join(sorted(OPT_IN)) + ")")
     args = ap.parse_args(argv)
@@ -117,10 +153,10 @@ def main(argv=None) -> int:
         same = len(digests["parent"] | digests["change"]) == 1
         ok &= same
         for side in sides:
-            print(f"{case if side == 'parent' else '':10} {side:6} "
+            print(f"{case if side == 'parent' else '':12} {side:6} "
                   f"{' '.join(sorted(digests[side]))} {cpu[side]:8.3f} s "
                   f"{rss[side]:7.1f} MB", flush=True)
-        print(f"{'':10} ratio  {cpu['change'] / cpu['parent']:.2f} cpu  "
+        print(f"{'':12} ratio  {cpu['change'] / cpu['parent']:.2f} cpu  "
               f"{rss['change'] / rss['parent']:.2f} rss"
               f"{'' if same else '  DIGEST MISMATCH'}", flush=True)
     return 0 if ok else 1

@@ -124,7 +124,8 @@ def transport(alg: AlgebraData, g: QuatElem, v: Vertex) -> Vertex:
     A M_v = [[a pi^n, a g_v + b], [c pi^n, c g_v + d]], A = iota(g), is
     one pass over embed_packed's sums, packed with g_v: two shifts, two
     products (x g_v + y known below min(prec_x + gval, prec_y)), one
-    unpack; tree.column_vertex reads g . v off its pivot column.
+    unpack; tree.column_vertex reads g . v off its pivot column, by a
+    series inverse and one product on its code tuples.
 
     A, known below pi^P, has entries of valuation >= -(h + beta), h =
     height(g), beta = max(m, deg r) (from sqrt(alpha) and r in the

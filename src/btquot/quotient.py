@@ -58,9 +58,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
+from types import MappingProxyType
 
 from .algebra import poly_deg, product
 from .homspace import (HomSet, StabilizerField, _assert_solution,
@@ -106,7 +108,9 @@ class QuotientGraph:
     the ``pairing`` edges in creation order.  Computed and loaded graphs
     alike are built by _add_vertex, _add_tree_pair and _add_pairing,
     which assert every rule of the construction.  ``_stabilizers`` and
-    ``_moves`` memoize stabilizer and move on first use.
+    ``_moves`` memoize stabilizer and move on first use, ``_names`` the
+    generator names (reset when a terminal vertex or a pairing is
+    added).
     """
 
     alg: AlgebraData
@@ -120,6 +124,7 @@ class QuotientGraph:
         default_factory=dict, repr=False, compare=False)
     _moves: dict[tuple[int, Vertex], tuple] = field(
         default_factory=dict, repr=False, compare=False)
+    _names: Mapping | None = field(default=None, repr=False, compare=False)
 
     @property
     def q(self) -> int:
@@ -186,14 +191,18 @@ class QuotientGraph:
         self._moves[i, u] = step
         return step
 
-    def generator_names(self) -> dict:
+    def generator_names(self) -> Mapping:
         """The presentation's generator names but g0: gv1, gv2, ... of
         the terminal vertices i and g1, g2, ... of the pairing edges k, in
-        order, keyed ("stab", i) and ("pairing", k) as in move."""
-        names = {("stab", i): f"gv{t + 1}"
-                 for t, i in enumerate(self.terminal_ids())}
-        return names | {("pairing", k): f"g{t + 1}"
-                        for t, k in enumerate(self.pairings)}
+        order, keyed ("stab", i) and ("pairing", k) as in move.  Built on
+        first use; a read-only view."""
+        if self._names is None:
+            names = {("stab", i): f"gv{t + 1}"
+                     for t, i in enumerate(self.terminal_ids())}
+            self._names = MappingProxyType(
+                names | {("pairing", k): f"g{t + 1}"
+                         for t, k in enumerate(self.pairings)})
+        return self._names
 
     def undirected_multiplicities(self) -> Counter:
         """Number of undirected edges per unordered vertex pair."""
@@ -218,6 +227,7 @@ class QuotientGraph:
             for b in basis:
                 _assert_solution(self.alg, b, v, v)
             self.end_basis[i] = tuple(basis)
+            self._names = None
         self.vertices.append(v)
         self.vid[v] = i
         self.out_edges[i] = []
@@ -262,6 +272,7 @@ class QuotientGraph:
         self._add_edge(QuotientEdge(dst, src, idx, "pairing_opposite",
                                     back, g))
         self.pairings.append(k)
+        self._names = None
         return back
 
 

@@ -9,10 +9,10 @@ vertices can key dicts and sets directly.
 
 One rule reads a vertex off a matrix whose determinant's valuation is
 known (column_vertex): n from it and the pivot (the bottom entry of
-smaller valuation), g from one quotient cut at pi^n.  vnf, act and
-homspace.transport use it.  An InsufficientPrecisionError escapes when
-the working precision cannot certify the determinant's valuation (vnf),
-the pivot or a digit of g.
+smaller valuation), g from one quotient cut at pi^n, taken on the code
+tuples of the pivot column.  vnf, act and homspace.transport use it.
+An InsufficientPrecisionError escapes when the working precision cannot
+certify the determinant's valuation (vnf), the pivot or a digit of g.
 distance and toward_base are closed forms in (n, gval, gcoeffs).
 """
 
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .algebra import GF
-from .laurent import INF, InsufficientPrecisionError, Laurent, Mat2
+from .laurent import (INF, InsufficientPrecisionError, Laurent, Mat2,
+                      _series_inverse)
 
 
 DEFAULT_PRECISION_CAP = 1 << 14
@@ -113,7 +114,11 @@ def column_vertex(x1: Laurent, y1: Laurent, x2: Laurent, y2: Laurent,
     det_val.  The pivot column (x, y) is the first if v(y1) < v(y2), else
     the second.  Clearing the other bottom entry with it and scaling by
     1/y gives [[det/y^2, x/y], [0, 1]] up to a column unit, so n =
-    det_val - 2 v(y) and g = x/y mod pi^n, cut to its digits below pi^n."""
+    det_val - 2 v(y) and g = x/y mod pi^n, cut to its digits below pi^n.
+    Those digits of g, from pi^(v(x) - v(y)), are the first digits of
+    the code product of x's digits and 1/y's (laurent._series_inverse),
+    so x and y must each be known to that many digits past their
+    valuation; one fewer raises InsufficientPrecisionError."""
     x, y = (x1, y1) if y1.val < y2.val else (x2, y2)
     if y.is_exact_zero:
         raise ZeroDivisionError("matrix has zero bottom row")
@@ -123,11 +128,12 @@ def column_vertex(x1: Laurent, y1: Laurent, x2: Laurent, y2: Laurent,
     digits = n - (x.val - y.val)  # of x/y below pi^n
     if digits <= 0:
         return Vertex.make(n, 0, ())
-    g = x.truncate(n + y.val) * y.truncate(y.val + digits).inv()
-    if g.prec < n:
+    if min(x.prec - x.val, y.prec - y.val) < digits:
         raise InsufficientPrecisionError(
             f"top-right entry not determined modulo pi^{n}")
-    return Vertex.make(n, g.val, g.coeffs)
+    F = y.F
+    return Vertex.make(n, x.val - y.val, F.conv(
+        x.coeffs[:digits], _series_inverse(F, y.coeffs, digits)))
 
 
 # ---------------------------------------------------------------------

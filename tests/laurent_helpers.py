@@ -76,6 +76,14 @@ def general_act(A: Mat2, v: Vertex) -> Vertex:
                     shifted(A.c), A.c * g + A.d))
 
 
+def pivot_quotient(x: Laurent, y: Laurent, n: int) -> Laurent:
+    """g = x/y read to its digits below pi^n as a Laurent product and
+    inverse, the form tree.column_vertex took before it divided on code
+    tuples; its precision is below n when x or y has too few digits."""
+    digits = n - (x.val - y.val)
+    return x.truncate(n + y.val) * y.truncate(y.val + digits).inv()
+
+
 def add(M: Mat2, N: Mat2) -> Mat2:
     return Mat2(M.a + N.a, M.b + N.b, M.c + N.c, M.d + N.d)
 

@@ -9,6 +9,7 @@ precision and truncating.
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +17,11 @@ from hypothesis import strategies as st
 
 from btquot.algebra import field, parse_poly, poly_trim
 from btquot.laurent import (
+    INVERSE_BASE,
     InsufficientPrecisionError,
     Laurent,
     Mat2,
+    _series_inverse,
     newton_sqrt,
 )
 from laurent_helpers import (constant, det, identity, inv, min_val,
@@ -315,6 +318,21 @@ def school_inv(x):
             acc = F.add(acc, F.mul(c[j], b[k - j]))
         b.append(F.neg(F.mul(acc, b[0])))
     return Laurent(F, -x.val, b, x.prec - 2 * x.val)
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_series_inverse_matches_schoolbook_across_its_base(q):
+    # the term-by-term base and the Newton steps after it
+    F, K = field(q), INVERSE_BASE
+    rng = random.Random(q)
+    for n in (1, 2, K - 1, K, K + 1, 2 * K - 1, 2 * K, 2 * K + 1, 3 * K + 7):
+        for length in (1, n // 3 + 1, n):
+            a = [rng.randrange(1, q)] + [rng.randrange(q)
+                                         for _ in range(length - 1)]
+            x = Laurent(F, 0, a, n)
+            b = _series_inverse(F, a, n)
+            assert len(b) == n
+            assert Laurent(F, 0, b, n) == school_inv(x), (n, length)
 
 
 @st.composite

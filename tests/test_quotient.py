@@ -560,6 +560,32 @@ class TestMoves:
                 count += 1
         assert count == 2 * len(G.pairings) + G.q * len(G.terminal_ids())
 
+    @GOLDEN_CASES
+    def test_generator_names_are_built_once_and_kept_current(
+            self, monkeypatch, case):
+        # asked for after every vertex and pairing while a golden graph
+        # loads or is computed (three of the six add a terminal vertex
+        # after their last pairing), the memoized names still equal
+        # those built fresh from the finished graph, and are read-only
+        for name in ("_add_vertex", "_add_pairing"):
+            def asking(G, *args, add=getattr(QuotientGraph, name)):
+                out = add(G, *args)
+                G.generator_names()
+                return out
+            monkeypatch.setattr(QuotientGraph, name, asking)
+        alg = case_algebra(case)
+        for G in (graph_from_json((GOLDEN / f"{case}.json").read_text(),
+                                  alg), compute_quotient(alg)):
+            names = G.generator_names()
+            assert G.generator_names() is names
+            fresh = {("stab", i): f"gv{t + 1}"
+                     for t, i in enumerate(G.terminal_ids())}
+            fresh |= {("pairing", k): f"g{t + 1}"
+                      for t, k in enumerate(G.pairings)}
+            assert list(names.items()) == list(fresh.items())
+            with pytest.raises(TypeError):
+                names["stab", 0] = "g0"
+
     def test_direction_of_a_tree_edge_has_no_move(self):
         G, _ = golden_graph("q5-worked")
         i = next(i for i in range(len(G.vertices)) if i not in G.end_basis)

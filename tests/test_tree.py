@@ -24,12 +24,13 @@ from btquot.laurent import InsufficientPrecisionError, Laurent, Mat2
 from btquot.quaternion import QUAT_ONE, QuatElem, build_algebra, height
 from btquot.quotient import compute_quotient, presentation
 from laurent_helpers import (constant, det, from_polys, general_act,
-                             identity, inv, min_val, pi_power, scale,
-                             valuation, vertex_matrix)
+                             identity, inv, min_val, pi_power, pivot_quotient,
+                             scale, valuation, vertex_matrix)
 from btquot.tree import (
     BASE_VERTEX,
     Vertex,
     act,
+    column_vertex,
     distance,
     format_vertex,
     neighbors,
@@ -257,6 +258,75 @@ def test_vnf_insufficient_precision_recoverable():
         vnf(near_singular(4))
     got = retry_with_precision(lambda p: vnf(near_singular(p)), 4)
     assert got == Vertex.make(5, 0, (1,))
+
+
+def _unit_series(F, rng, val, digits, prec):
+    """A series from pi^val with a nonzero leading digit and about
+    digits more, some of them trailing zeros, known below prec."""
+    cs = [rng.randrange(1, F.q)] + [rng.randrange(F.q)
+                                    for _ in range(rng.randint(0, digits))]
+    return Laurent(F, val, cs + [0] * rng.randint(0, 3), prec)
+
+
+# digits of g = x/y, on both sides of laurent.INVERSE_BASE = 32
+QUOTIENT_DIGITS = (1, 2, 3, 5, 8, 13, 22, 31, 32, 33, 47, 63, 64, 65, 129,
+                   257, 600)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49])
+def test_pivot_quotient_on_codes_matches_the_laurent_form(q):
+    # column_vertex divides x by y on their code tuples; the Laurent
+    # product and inverse it replaced give the same vertex, on exact
+    # inputs and on inputs known to 0-2 digits more than g needs, and
+    # g y = x below pi^(n + v(y)), a check with no inverse in it
+    F = field(q)
+    rng = random.Random(3200 + q)
+    far = Laurent.zero(F)  # second column: never the pivot
+    for digits in (0, *QUOTIENT_DIGITS):
+        xval, yval = rng.randint(-6, 6), rng.randint(-6, 6)
+        n = digits + xval - yval
+        for exact in (False, True):
+            x, y = (_unit_series(F, rng, val, digits, math.inf) if exact
+                    else _unit_series(F, rng, val, rng.randint(0, digits),
+                                      val + max(digits, 1)
+                                      + rng.randint(0, 2))
+                    for val in (xval, yval))
+            v = column_vertex(x, y, far, far, n + 2 * yval)
+            if digits == 0:
+                assert v == Vertex.make(n, 0, ()), (q, x, y)
+                continue
+            g = pivot_quotient(x, y, n)
+            assert g.prec >= n
+            assert v == Vertex.make(n, g.val, g.coeffs), (q, digits, exact)
+            rest = Laurent(F, v.gval, v.gcoeffs, n) * y - x
+            assert rest.prec == n + yval and not rest.coeffs
+
+
+@pytest.mark.parametrize("q", [3, 9, 49])
+@pytest.mark.parametrize("digits", [1, 2, 32, 33, 100])
+def test_pivot_quotient_refuses_one_digit_short(q, digits):
+    # x and y must each be known to digits relative digits; one fewer in
+    # either refuses (a y with no digit left has no valuation), exactly
+    # enough gives the vertex of more precision
+    F = field(q)
+    rng = random.Random(q * 1000 + digits)
+    xval, yval = rng.randint(-4, 4), rng.randint(-4, 4)
+    n, far = digits + xval - yval, Laurent.zero(F)
+    x, y = (_unit_series(F, rng, val, digits + 4, math.inf)
+            for val in (xval, yval))
+    want = column_vertex(x, y, far, far, n + 2 * yval)
+    for short in (False, True):
+        for which in "xy":
+            cut = {c: z.truncate(z.val + digits - (short and c == which))
+                   for c, z in zip("xy", (x, y))}
+            args = (cut["x"], cut["y"], far, far, n + 2 * yval)
+            if short:
+                with pytest.raises(InsufficientPrecisionError,
+                                   match="not determined modulo|"
+                                   "valuations undetermined"):
+                    column_vertex(*args)
+            else:
+                assert column_vertex(*args) == want
 
 
 @pytest.mark.parametrize("start,cap,tried", [
