@@ -45,6 +45,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 CASES = {
@@ -63,8 +64,10 @@ REDUCES = {
     "reduce-d1004": "(4; 1@-500)",
     "reduce-d2004": "(4; 1@-1000)",
 }
+# load rungs: the replay of each case's stored graph
+LOADS = {f"load-{case}": case for case in CASES}
 # run only when named with --case
-OPT_IN = {"q3-deg10", *REDUCES}
+OPT_IN = {"q3-deg10", *REDUCES, *LOADS}
 
 # timed computes per process, after the warm-up
 COMPUTES = 3
@@ -107,22 +110,71 @@ print(json.dumps({"sha256": hashlib.sha256(out.getvalue().encode()
 """
 
 
-def run_once(checkout: Path, case: str) -> dict:
-    """One warm-up and COMPUTES timed computes of case, or one reduce
-    call of a far-reduce rung, in a fresh process on checkout's src."""
-    if case in REDUCES:
-        argv = [REDUCE_CHILD, "reduce", "--q", "5", "--primes",
-                CASES["q5-worked"][1], "--no-cache", REDUCES[case]]
-    else:
-        q, primes = CASES[case]
-        argv = [CHILD, str(q), primes, str(COMPUTES)]
+LOAD_CHILD = """
+import hashlib, json, resource, statistics, sys, time
+from pathlib import Path
+from btquot.algebra import field, parse_poly
+from btquot.cli import _split_primes
+from btquot.quaternion import build_algebra
+from btquot.serialize import graph_from_json, graph_to_json
+F = field(int(sys.argv[1]))
+primes = [parse_poly(F, t) for t in _split_primes(sys.argv[2])]
+text = Path(sys.argv[4]).read_text(encoding="utf-8")
+digests, cpus = set(), []
+for _ in range(int(sys.argv[3])):
+    alg = build_algebra(F, primes)
+    start = time.process_time()
+    G = graph_from_json(text, alg)
+    cpus.append(time.process_time() - start)
+    digests.add(hashlib.sha256(graph_to_json(G).encode()).hexdigest())
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"sha256": " ".join(sorted(digests)),
+                  "cpu_s": statistics.median(cpus), "rss_mb": rss_mb}))
+"""
+
+# writes a case's graph JSON to a file, for the load rungs
+WRITE_CHILD = """
+import sys
+from pathlib import Path
+from btquot.algebra import field, parse_poly
+from btquot.cli import _split_primes
+from btquot.quaternion import build_algebra
+from btquot.quotient import compute_quotient
+from btquot.serialize import graph_to_json
+F = field(int(sys.argv[1]))
+alg = build_algebra(F, [parse_poly(F, t) for t in _split_primes(sys.argv[2])])
+Path(sys.argv[3]).write_text(graph_to_json(compute_quotient(alg)),
+                             encoding="utf-8")
+"""
+
+
+def child(checkout: Path, case: str, argv) -> str:
+    """The stdout of python -c argv in a fresh process on checkout's
+    src; a failure stops the script."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     out = subprocess.run([sys.executable, "-c", *argv], cwd=checkout,
                          env=env, capture_output=True, text=True)
     if out.returncode != 0:
         raise SystemExit(f"{case} in {checkout} failed "
                          f"(exit {out.returncode}):\n{out.stderr}")
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    return out.stdout
+
+
+def run_once(checkout: Path, case: str, stored: Path) -> dict:
+    """One warm-up and COMPUTES timed computes of case, one reduce call
+    of a far-reduce rung, or COMPUTES timed loads of the JSON file
+    stored for a load rung, in a fresh process on checkout's src."""
+    if case in REDUCES:
+        argv = [REDUCE_CHILD, "reduce", "--q", "5", "--primes",
+                CASES["q5-worked"][1], "--no-cache", REDUCES[case]]
+    elif case in LOADS:
+        q, primes = CASES[LOADS[case]]
+        argv = [LOAD_CHILD, str(q), primes, str(COMPUTES),
+                str(stored / f"{case}.json")]
+    else:
+        q, primes = CASES[case]
+        argv = [CHILD, str(q), primes, str(COMPUTES)]
+    return json.loads(child(checkout, case, argv).strip().splitlines()[-1])
 
 
 def main(argv=None) -> int:
@@ -132,19 +184,31 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=1,
                     help="fresh processes per case and side")
     ap.add_argument("--case", action="append",
-                    choices=[*CASES, *REDUCES],
+                    choices=[*CASES, *REDUCES, *LOADS],
                     help="run only this case (repeatable; default: all "
                     "but " + ", ".join(sorted(OPT_IN)) + ")")
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    with tempfile.TemporaryDirectory() as stored:
+        return run_cases(sides, args.case or [c for c in CASES
+                                              if c not in OPT_IN],
+                         args.rounds, Path(stored))
+
+
+def run_cases(sides, cases, rounds: int, stored: Path) -> int:
+    """Run and print every case, the JSON of a load rung written to
+    stored first; 1 if any digest differs, else 0."""
     ok = True
-    cases = args.case or [c for c in CASES if c not in OPT_IN]
     for k, case in enumerate(dict.fromkeys(cases)):
+        if case in LOADS:
+            q, primes = CASES[LOADS[case]]
+            child(sides["parent"], case, [WRITE_CHILD, str(q), primes,
+                                          str(stored / f"{case}.json")])
         runs = {side: [] for side in sides}
-        for r in range(args.rounds):
+        for r in range(rounds):
             order = list(sides) if (k + r) % 2 == 0 else list(sides)[::-1]
             for side in order:
-                runs[side].append(run_once(sides[side], case))
+                runs[side].append(run_once(sides[side], case, stored))
         digests = {side: {x["sha256"] for x in xs}
                    for side, xs in runs.items()}
         cpu, rss = ({side: statistics.median(x[key] for x in xs)
@@ -153,10 +217,10 @@ def main(argv=None) -> int:
         same = len(digests["parent"] | digests["change"]) == 1
         ok &= same
         for side in sides:
-            print(f"{case if side == 'parent' else '':12} {side:6} "
+            print(f"{case if side == 'parent' else '':15} {side:6} "
                   f"{' '.join(sorted(digests[side]))} {cpu[side]:8.3f} s "
                   f"{rss[side]:7.1f} MB", flush=True)
-        print(f"{'':12} ratio  {cpu['change'] / cpu['parent']:.2f} cpu  "
+        print(f"{'':15} ratio  {cpu['change'] / cpu['parent']:.2f} cpu  "
               f"{rss['change'] / rss['parent']:.2f} rss"
               f"{'' if same else '  DIGEST MISMATCH'}", flush=True)
     return 0 if ok else 1

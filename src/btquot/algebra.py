@@ -324,12 +324,14 @@ def poly_divmod(F: GF, f, g):
     dg = len(g) - 1
     lead_inv = F.inv(g[-1])
     quot = [0] * max(0, len(r) - dg)
+    add, mul = F._add, F._mul
     for k in range(len(r) - 1 - dg, -1, -1):
-        c = F.mul(r[k + dg], lead_inv)
+        c = mul[r[k + dg]][lead_inv]
         if c:
             quot[k] = c
+            times = mul[F.neg(c)]  # r -= c g, one table row
             for j in range(dg + 1):
-                r[k + j] = F.sub(r[k + j], F.mul(c, g[j]))
+                r[k + j] = add[r[k + j]][times[g[j]]]
     return poly_trim(quot), poly_trim(r)
 
 
@@ -457,20 +459,30 @@ def legendre(F: GF, a, varpi) -> int:
     """Legendre symbol of a at the monic irreducible varpi: 0 or +-1.
 
     0 iff varpi divides a; +1 iff a is a nonzero square in A/(varpi);
-    -1 otherwise.  Computed as a^((q^deg - 1)/2) in the residue field.
+    -1 otherwise.  Computed as the Jacobi symbol (a/b), b = varpi, by
+    Euclid's steps and quadratic reciprocity in F_q[T] (Rosen, Number
+    Theory in Function Fields, GTM 210, ch. 3): reduce a mod b; strip
+    the leading coefficient c of a, with the factor chi(c)^deg b, chi
+    the quadratic character of F_q; then for monic a, b coprime, (a/b) =
+    (-1)^((q-1)/2 deg a deg b) (b/a), so swap them and repeat until a is
+    1, or 0 when b divides the first a.  No power in A/(varpi) is taken.
     """
     if not is_irreducible(F, varpi) or varpi[-1] != 1:
         raise ValueError("varpi must be monic irreducible")
-    am = poly_mod(F, a, varpi)
-    if not am:
+    a, b = poly_mod(F, a, varpi), varpi
+    if not a:
         return 0
-    d = poly_deg(varpi)
-    s = poly_pow_mod(F, am, (F.q ** d - 1) // 2, varpi)
-    if s == ONE_POLY:
-        return 1
-    if s == (F.neg(1),):
-        return -1
-    raise AssertionError("Euler criterion produced a non-unit value")
+    half, sign = (F.q - 1) // 2, 1
+    while True:
+        c = a[-1]
+        if len(b) % 2 == 0 and F.pow(c, half) != 1:  # chi(c)^deg b = -1
+            sign = -sign
+        if len(a) == 1:
+            return sign
+        a = poly_scale(F, F.inv(c), a)
+        if half * (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+        a, b = poly_mod(F, b, a), a
 
 
 def hilbert_symbol(F: GF, a, b, varpi) -> int:

@@ -125,22 +125,26 @@ def _write_atomically(path: Path, text: str) -> None:
         raise
 
 
-def _build_graph(cfg: JobConfig) -> QuotientGraph:
+def _build_graph(cfg: JobConfig) -> tuple[QuotientGraph, str | None]:
     """The graph from the cache, replayed on cfg.alg, or computed on
-    cfg.alg (and cached).  A cached file that graph_from_json rejects,
-    the graph of another field or another list of primes among them, is
-    a cache miss, and is overwritten."""
+    cfg.alg (and cached), with the JSON text written to the cache, or
+    None if nothing was written.  A cached file that graph_from_json
+    rejects, the graph of another field or another list of primes among
+    them, is a cache miss, and is overwritten."""
     path = _cache_path(cfg)
     if cfg.use_cache and path.is_file():
         try:
-            return graph_from_json(path.read_text(encoding="utf-8"), cfg.alg)
+            return graph_from_json(path.read_text(encoding="utf-8"),
+                                   cfg.alg), None
         except ValueError:
             pass
     G = compute_quotient(cfg.alg)
-    if cfg.use_cache:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomically(path, graph_to_json(G))
-    return G
+    if not cfg.use_cache:
+        return G, None
+    text = graph_to_json(G)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_atomically(path, text)
+    return G, text
 
 
 def _emit(cfg: JobConfig, text: str) -> None:
@@ -161,8 +165,10 @@ def _render(G: QuotientGraph, fmt: str) -> str:
 
 
 def cmd_compute(cfg: JobConfig) -> int:
-    G = _build_graph(cfg)
-    _emit(cfg, _render(G, cfg.fmt))
+    G, written = _build_graph(cfg)
+    # a miss wrote the graph's JSON text to the cache: emit that text
+    _emit(cfg, written if written and cfg.fmt == "json"
+          else _render(G, cfg.fmt))
     if not cfg.verify:
         return EXIT_OK
     rep = verify_structure(G.alg, G)
@@ -172,7 +178,7 @@ def cmd_compute(cfg: JobConfig) -> int:
 
 
 def cmd_verify(cfg: JobConfig) -> int:
-    G = _build_graph(cfg)
+    G, _ = _build_graph(cfg)
     rep = verify_structure(G.alg, G)
     print("\n".join(rep.lines()))
     print(f"vertices={rep.vertex_count} edges={rep.undirected_edge_count} "
@@ -182,7 +188,7 @@ def cmd_verify(cfg: JobConfig) -> int:
 
 
 def cmd_export(cfg: JobConfig) -> int:
-    G = _build_graph(cfg)
+    G, _ = _build_graph(cfg)
     _emit(cfg, _render(G, cfg.fmt))
     return EXIT_OK
 
@@ -209,7 +215,7 @@ def cmd_reduce(cfg: JobConfig) -> int:
         raise ValueError("reduce takes exactly one vertex argument, "
                          "e.g. \"(4; 0)\"")
     v = _vertex(cfg, cfg.extra[0])
-    G = _build_graph(cfg)
+    G, _ = _build_graph(cfg)
     w, g = reduce(G, v)  # self-checks v = g . w
     print(f"w = {format_vertex(w)}")
     print(f"gamma = {format_quat(cfg.alg.F, g)}")
@@ -217,7 +223,7 @@ def cmd_reduce(cfg: JobConfig) -> int:
 
 
 def cmd_present(cfg: JobConfig) -> int:
-    G = _build_graph(cfg)
+    G, _ = _build_graph(cfg)
     pres = presentation(G)
     print(f"generators ({len(pres.names)}):")
     for name, g in pres.generator_items():
@@ -237,7 +243,7 @@ def cmd_word(cfg: JobConfig) -> int:
     _check_start(cfg, f"element {cfg.extra[0].strip()}",
                  max(map(len, gamma.lam)) - 1, 0)
     # rejects a non-unit with ValueError and verifies the word
-    print(str(express_in_generators(_build_graph(cfg), gamma)))
+    print(str(express_in_generators(_build_graph(cfg)[0], gamma)))
     return EXIT_OK
 
 

@@ -82,10 +82,16 @@ with the right action is forced); both are asserted (_assert_solution),
 never used as filters, once per kept basis: by hom, and by
 QuotientGraph's builders on every End element and pairing unit,
 computed or loaded, exactly and apart from the solver: by the
-integrality of one matrix, whose reduction mod pi also gives the unit's
-images of the source's neighbours.  A stable vertex keeps no End basis;
-stability asserts it is exactly (1,).  A scalar unit lies in F_q^*, the
-kernel of the action, so the check embeds none.
+integrality of one matrix Y, whose reduction mod pi also gives the
+unit's images of the source's neighbours.  An integral Y is itself the
+proof of a unit: det Y = nrd(gamma) then lies in O_infinity and in
+F_q[T], so in F_q, and is nonzero for gamma != 0 in a division algebra.
+So the check computes no reduced norm unless it refuses, and reads Y
+straight off embed_packed's sums, packed beside g_v, -g_w and their
+product: one pack and one unpack, and no Laurent entry.  A stable
+vertex keeps no End basis; stability asserts it is exactly (1,).  A
+scalar unit lies in F_q^*, the kernel of the action, so the check
+embeds none.
 
 Reduction and the word problem act by a unit g on any vertex v through
 transport: the pivot column of iota(g) M_v from the packed embedding,
@@ -107,8 +113,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (GF, ZERO_POLY, has_order, poly_add, poly_scale,
-                      poly_trim, power, slot_bytes)
+from .algebra import (GF, ZERO_POLY, has_order, poly_add, poly_mul,
+                      poly_scale, poly_trim, power)
 from .laurent import INF, InsufficientPrecisionError, from_packed
 from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
 from .tree import (Vertex, column_vertex, down_neighbor, neighbors,
@@ -146,7 +152,7 @@ def transport(alg: AlgebraData, g: QuatElem, v: Vertex) -> Vertex:
     n, gv, k = v.n, v.gval, min(v.n, v.gval, 0)
     prec = _within_cap(alg, height(g) + max(alg.m, alg.ram.d) + max(
         n - 2 * k, (n + v.dist_to_base()) // 2 + 1 - k), "transport")
-    w, (a, b, c, d), G = alg.embed_packed(g, prec, v.gcoeffs)
+    w, (a, b, c, d), (G,) = alg.embed_packed(g, prec, (v.gcoeffs,))
     bits = 8 * w * alg.F.fold.shape[1]
     cols = [(o + n, p + n, X) for o, p, X in (a, c)]
     for (ox, px, X), (oy, py, Y) in ((a, b), (c, d)):
@@ -479,72 +485,101 @@ def _assert_solution(alg: AlgebraData, gamma: QuatElem, v: Vertex,
                      w: Vertex, *more: Vertex) -> list[Vertex]:
     """Assert that gamma is a unit within the height bound mapping v to
     w, deg lam_k <= (d_v + d_w)/2 + o_k (the module docstring's); return
-    its images of the vertices more, each asserted a tree neighbour of v
-    (a scalar unit embeds none and returns more as is).
+    its images of the vertices more, each asserted a tree neighbour of v.
 
-    gamma.v = w exactly when Y = pi^s Mw^(-1) iota(gamma) Mv, s = (n_w -
-    n_v)/2, is integral: det Y = nrd(gamma) in F_q^* puts an integral Y
-    in GL_2(O_infinity), and iota(gamma) Mv = lambda Mw U, U in there,
-    forces 2 v(lambda) = n_v - n_w and Y = pi^s lambda U.  Ybar = Y mod
+    A scalar is a unit exactly when it is a nonzero constant, and it
+    fixes every vertex, so it embeds none and returns more as is.  Any
+    other gamma maps v to w as a unit exactly when Y = pi^s Mw^(-1)
+    iota(gamma) Mv, s = (n_w - n_v)/2, is integral (_reduction), and no
+    reduced norm is computed: det Y = nrd(gamma) is then in O_infinity
+    and in F_q[T], so in F_q, and it is nonzero because gamma != 0 lies
+    in a division algebra (Serre, Trees, ch. II.1).  So Y lies in
+    GL_2(O_infinity), and iota(gamma) Mv = lambda Mw U, U in there,
+    forces 2 v(lambda) = n_v - n_w and Y = pi^s lambda U.  det Ybar =
+    det Y != 0 is asserted, a free check of the reduction.  Ybar = Y mod
     pi maps the line of a neighbour of v in L_v / pi L_v = P^1(F_q), on
     Mv's columns (1, 0) up and (alpha, 1) down with alpha, to the line
-    of its image next to w (Serre, Trees, ch. II.1).  Y is iota(gamma)
-    Mv by columns, then row operations, from iota(gamma) at the least
-    precision that knows Y below pi^1,
-    P = 1 - s - min(n_v, g-_v) - min(0, g-_w - n_w), g- = min(0, v(g)):
-    each entry of Y a sum of products of a, b, c, d, g_v and -g_w, all
-    in one pass of GF's packed kernel, one pack and one unpack."""
-    if not alg.is_unit(gamma):
-        raise AssertionError("hom solution is not a unit of the order")
-    bound = _widths(alg, (v.dist_to_base() + w.dist_to_base()) // 2)
-    if any(len(lam) > c for lam, c in zip(gamma.lam, bound)):
-        raise AssertionError("hom solution violates the height bound")
-    if (v.n - w.n) % 2 or not any(gamma.lam[1:]):
-        if (v.n - w.n) % 2 or v != w:
+    of its image next to w.  Only a refusal computes nrd(gamma)
+    (is_unit), to name a non-unit as such before any other fault."""
+    F = alg.F
+    try:
+        bound = _widths(alg, (v.dist_to_base() + w.dist_to_base()) // 2)
+        if any(len(lam) > c for lam, c in zip(gamma.lam, bound)):
+            raise AssertionError("hom solution violates the height bound")
+        if (v.n - w.n) % 2 or not any(gamma.lam[1:]):
+            if (v.n - w.n) % 2 or v != w or len(gamma.lam[0]) != 1:
+                raise AssertionError(
+                    "hom solution does not map source to target")
+            return list(more)
+        Ybar = _reduction(alg, gamma, v, w)
+        if Ybar is None:
             raise AssertionError("hom solution does not map source to target")
-        return list(more)
+        (y11, y12), (y21, y22) = Ybar
+        if F.mul(y11, y22) == F.mul(y12, y21):
+            raise AssertionError("Y mod pi is singular, but its determinant "
+                                 "is nrd(gamma) in F_q^*")
+        up, images = up_neighbor(v), []
+        for u in more:
+            # u's line: (1, 0) up, (alpha, 1) for alpha its pi^n_v digit
+            x, y = (1, 0) if u == up else \
+                (dict(enumerate(u.gcoeffs, u.gval)).get(v.n, 0), 1)
+            if y and u != down_neighbor(v, x):
+                raise AssertionError(
+                    "vertex and source are not tree neighbours")
+            top, bottom = (F.add(F.mul(r, x), F.mul(t, y)) for r, t in Ybar)
+            images.append(down_neighbor(w, F.mul(top, F.inv(bottom)))
+                          if bottom else up_neighbor(w))
+        return images
+    except (AssertionError, InsufficientPrecisionError):
+        if not alg.is_unit(gamma):
+            raise AssertionError(
+                "hom solution is not a unit of the order") from None
+        raise
+
+
+def _reduction(alg: AlgebraData, gamma: QuatElem, v: Vertex, w: Vertex):
+    """Ybar = Y mod pi as its rows ((y11, y12), (y21, y22)) for a
+    quaternion gamma of the parity of v and w, or None if Y = pi^s Mw^(-1)
+    iota(gamma) Mv, s = (n_w - n_v)/2, is not integral.
+
+    Y is iota(gamma) Mv by columns, then row operations, from iota(gamma)
+    at the least precision that knows Y below pi^1, P = 1 - s - min(n_v,
+    g-_v) - min(0, g-_w - n_w), g- = min(0, v(g)): each entry of Y a sum
+    of products of embed_packed's sums a, b, c, d with the exact g_v,
+    -g_w and g_v (-g_w), the last folded first (poly_mul), so that no
+    product has more than the three factors a packed slot holds, for
+    every q.  One pass of GF's packed kernel, one pack and one unpack;
+    sums known below less than P are refused, a P above alg's cap
+    raises InsufficientPrecisionError."""
     F, s = alg.F, (w.n - v.n) // 2
     prec = _within_cap(alg, 1 - s - min(v.n, v.gval, 0)
                        - min(0, w.gval - w.n, -w.n), "check")
-    ents = alg.embed(gamma, prec).entries()
-    lo = min(x.val for x in ents if x.coeffs)
-    w8 = slot_bytes(4 * F.e ** 2 * (F.p - 1) ** 3 * (prec - lo)
-                    * (len(v.gcoeffs) + 1) * (len(w.gcoeffs) + 1))
-    bits = 8 * w8 * F.fold.shape[1]
-    # a, b, c, d from pi^lo, known below pi^prec; g_v and -g_w, exact
-    A, B, C, D, G, H = F.pack([*((0,) * (x.val - lo) + x.coeffs[:prec - x.val]
-                                 if x.val < prec else () for x in ents),
-                               v.gcoeffs, [F.neg(t) for t in w.gcoeffs]], w8)
-    gv, gw = v.gval, w.gval
-    # Y_11, Y_21, Y_12, Y_22: pi^(lo + k) times a sum of terms t from
-    # pi^f, so known below pi^(prec + k + f) for the least f; each read
-    # from pi^e, e that exponent or 0 if lower
-    Y = [(s - w.n + v.n, [(A, 0), (H * C, gw)]), (s + v.n, [(C, 0)]),
-         (s - w.n, [(A * G, gv), (B, 0), (H * C * G, gv + gw), (H * D, gw)]),
-         (s, [(C * G, gv), (D, 0)])]
-    es = [min(0, lo + k + min(f for _, f in ts)) for k, ts in Y]
-    if min(prec - lo + e for e in es) < 1:
+    hw = [F.neg(t) for t in w.gcoeffs]
+    w8, sums, (G, H, GH) = alg.embed_packed(
+        gamma, prec, (v.gcoeffs, hw, poly_mul(F, v.gcoeffs, hw)))
+    if min((p for _, p, S in sums if S), default=INF) < prec:
         raise AssertionError("solution check short of precision")
+    (va, _, A), (vb, _, B), (vc, _, C), (vd, _, D) = sums
+    gv, gw = v.gval, w.gval
+    # Y_11, Y_21, Y_12, Y_22: pi^k times a sum of nonzero terms t, each a
+    # series from pi^f; each read from pi^e, the least k + f or 0 if lower
+    Y = [(s - w.n + v.n, [(va, A), (vc + gw, C * H)]),
+         (s + v.n, [(vc, C)]),
+         (s - w.n, [(va + gv, A * G), (vb, B), (vc + gv + gw, C * GH),
+                    (vd + gw, D * H)]),
+         (s, [(vc + gv, C * G), (vd, D)])]
+    Y = [(k, [(f, t) for f, t in ts if t]) for k, ts in Y]
+    es = [min(0, k + min((f for f, _ in ts), default=0)) for k, ts in Y]
     # row i of an entry holds its pi^(e + i) coefficient, e in es
-    n = max(1 - e for e in es)
-    rows = F.unpack([sum(t << bits * (lo + k + f - e) for t, f in ts)
+    n = 1 - min(es)
+    bits = 8 * w8 * F.fold.shape[1]
+    rows = F.unpack([sum(t << bits * (k + f - e) for f, t in ts)
                      & (1 << bits * n) - 1 for (k, ts), e in zip(Y, es)],
                     n, w8).tolist()
     if any(any(r[:-e]) for r, e in zip(rows, es)):
-        raise AssertionError("hom solution does not map source to target")
-    ys = [r[-e] for r, e in zip(rows, es)]
-    Ybar = (ys[0::2], ys[1::2])
-    up, images = up_neighbor(v), []
-    for u in more:
-        # u's line: (1, 0) up, (alpha, 1) for alpha its pi^n_v digit
-        x, y = (1, 0) if u == up else \
-            (dict(enumerate(u.gcoeffs, u.gval)).get(v.n, 0), 1)
-        if y and u != down_neighbor(v, x):
-            raise AssertionError("vertex and source are not tree neighbours")
-        top, bottom = (F.add(F.mul(r, x), F.mul(t, y)) for r, t in Ybar)
-        images.append(down_neighbor(w, F.mul(top, F.inv(bottom)))
-                      if bottom else up_neighbor(w))
-    return images
+        return None
+    y11, y21, y12, y22 = (r[-e] for r, e in zip(rows, es))
+    return (y11, y12), (y21, y22)
 
 
 def has_solver_shape(basis) -> bool:

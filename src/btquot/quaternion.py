@@ -23,8 +23,10 @@ ints with a fixed-width slot per F_p digit, are multiplied and added as
 big integers, and are unpacked once per output.  Each states its own
 bound on every slot sum, from which slot_bytes picks the slot width.
 The packed rows of the embedded order basis (packed_basis) serve
-embed_packed, whose sums embed unpacks and homspace.transport carries
-on to the action; the hom systems read its entries (basis_entries).
+embed_packed, whose sums homspace.transport and the solution check
+(homspace._assert_solution) carry on, packed beside exact code
+polynomials, and embed unpacks as Laurent entries for the tests; the
+hom systems read its entries (basis_entries).
 
 The unit group Gamma consists of the elements whose reduced norm lies
 in F_q^*.  The reduced norm x * conj(x) is the norm form read off the
@@ -399,58 +401,69 @@ class AlgebraData:
 
     def packed_basis(self, prec: int, glen: int = 0):
         """basis_embedding(prec) packed row by row, memoized per
-        precision and width: (w, rows), rows[x] = (val, [(prec_k, int_k)])
-        the entry x in (a, b, c, d) of iota(b_k), k = 0..3, as series
-        from pi^val, the lowest valuation of the four (an exact zero is 0
-        at precision INF).  Slots hold single digits, at the width w =
-        slot_bytes(4 e (p-1)^2 N (e (p-1) glen + 1)), N the longest entry:
-        embed_packed's sums, times glen digits, plus another such sum.
+        precision, with N the longest entry, and per width: (w, rows),
+        rows[x] = (val, [(prec_k, int_k)]) the entry x in (a, b, c, d) of
+        iota(b_k), k = 0..3, as series from pi^val, the lowest valuation
+        of the four (an exact zero is 0 at precision INF).  Slots hold
+        single digits, at the width w = slot_bytes(4 e (p-1)^2 N (e (p-1)
+        glen + 1)): a slot of one of embed_packed's sums is at most 4 e
+        (p-1)^2 N, so this bounds such a sum plus its products with code
+        polynomials of glen digits in all.
         """
-        F, by_entry = self.F, self.basis_entries(prec)
-        n = max(len(e.coeffs) for row in by_entry for e in row)
+        F = self.F
+        if prec not in self._packed_basis:
+            self._packed_basis[prec] = (max(
+                len(e.coeffs) for row in self.basis_entries(prec)
+                for e in row), {})
+        n, by_width = self._packed_basis[prec]
         w = slot_bytes(4 * F.e * (F.p - 1) ** 2 * n
                        * (F.e * (F.p - 1) * glen + 1))
-        if (prec, w) not in self._packed_basis:
-            rows = self._packed_basis[prec, w] = []
-            for entries in by_entry:
+        if w not in by_width:
+            rows = by_width[w] = []
+            for entries in self.basis_entries(prec):
                 vb = min((e.val for e in entries if e.coeffs), default=0)
                 packed = F.pack([(0,) * (e.val - vb) + e.coeffs
                                  if e.coeffs else () for e in entries], w)
                 rows.append((vb, list(zip((e.prec for e in entries),
                                           packed))))
-        return w, self._packed_basis[prec, w]
+        return w, by_width[w]
 
-    def embed_packed(self, x: QuatElem, prec: int, g=()):
+    def embed_packed(self, x: QuatElem, prec: int, gs=()):
         """iota(x), known below pi^prec, as packed sums: (w, [(val,
-        prec_x, S_x)] for x in (a, b, c, d), G), S_x = sum_k lam_k
+        prec_x, S_x)] for x in (a, b, c, d), Gs), S_x = sum_k lam_k
         iota(b_k)_x a series from pi^val known below pi^prec_x >= prec,
-        and G the codes g, packed with the coordinates at the width that
-        holds S_x g + S_y.  A coordinate of degree D costs D digits, so
-        the basis is taken at precision prec + max deg(lam_k), rounded
-        up to a multiple of 16 so that a long session memoizes only a
+        and Gs the exact code polynomials gs, packed beside the
+        coordinates.  The width w holds a sum S_y plus one product S_x G
+        for each G in Gs (packed_basis, glen their total length): a
+        product S_x G has three factors (lam_k, the basis entry and G),
+        as many as the E = 3e - 2 slots of a packed coefficient hold,
+        for every q.  A coordinate of degree D costs D digits, so the
+        basis is taken at precision prec + max deg(lam_k), rounded up to
+        a multiple of 16 so that a long-running process memoizes only a
         few of them.  A sum is at most four big-int products.
         """
         D = max(map(len, x.lam)) - 1
         w, rows = self.packed_basis(-(-(prec + max(0, D)) // 16) * 16,
-                                    len(g))
+                                    sum(map(len, gs)))
         # pi^D lam_k as a series in pi, all four starting at pi^0
-        *lam, G = self.F.pack([(0,) * (D + 1 - len(f)) + f[::-1]
-                               for f in x.lam] + [g], w)
+        packed = self.F.pack([(0,) * (D + 1 - len(f)) + f[::-1]
+                              for f in x.lam] + list(gs), w)
         sums = []
         for vb, row in rows:
             # an exact zero (all terms 0 at precision INF) stays exact
             terms = [(pr - len(f) + 1, c * b)
-                     for f, c, (pr, b) in zip(x.lam, lam, row) if c]
+                     for f, c, (pr, b) in zip(x.lam, packed, row) if c]
             pr = min(terms, default=(INF,))[0]
             if pr < prec:
                 raise AssertionError(
                     "embedding lost more precision than budgeted")
             sums.append((vb - D, pr, sum(t[1] for t in terms)))
-        return w, sums, G
+        return w, sums, packed[4:]
 
     def embed(self, x: QuatElem, prec: int) -> Mat2:
         """iota(x) in M_2(K_infinity), entries at precision >= prec: the
-        sums of embed_packed, unpacked once (from_packed)."""
+        sums of embed_packed, unpacked once (from_packed).  The program
+        reads the sums themselves; tests compare against this form."""
         w, sums, _ = self.embed_packed(x, prec)
         return Mat2(*from_packed(self.F, sums, w))
 

@@ -9,6 +9,10 @@ machinery; the only shared code is the embedding and the normal form.
 The action is the general one, vnf of the full matrix product and its
 determinant, not the unit action the package uses.
 
+laurent_check is the solution check of homspace as it was when it read
+iota(gamma) as four Laurent entries and asserted the reduced norm
+first: the reference for the packed check's images and refusals.
+
 The reduced norm of a + b*i + c*j + d*k (k the integral generator
 (eps*i + ij)/alpha) is
 
@@ -27,9 +31,11 @@ from collections import defaultdict
 
 import numpy as np
 
-from btquot.laurent import Laurent, newton_sqrt
+from btquot.algebra import slot_bytes
+from btquot.laurent import InsufficientPrecisionError, Laurent, newton_sqrt
 from btquot.quaternion import QuatElem, height
-from btquot.tree import BASE_VERTEX, neighbors, retry_with_precision
+from btquot.tree import (BASE_VERTEX, down_neighbor, neighbors,
+                         retry_with_precision, up_neighbor)
 from laurent_helpers import constant, general_act, vertex_matrix
 
 
@@ -257,3 +263,65 @@ def ball(F, radius: int):
         out.extend(nxt)
         frontier = nxt
     return out
+
+
+def laurent_check(alg, gamma, v, w, *more):
+    """homspace._assert_solution as it was before it read iota(gamma) off
+    embed_packed's sums, kept as its reference: the same refusals in the
+    same order, and the same images of the vertices more.
+
+    It asserts is_unit first, by the reduced norm, then the height
+    bound, then reads iota(gamma) as four Laurent entries
+    (AlgebraData.embed) cut to the precision P the check needs, packs
+    them again beside g_v and -g_w, and forms every entry of Y = pi^s
+    Mw^(-1) iota(gamma) Mv with products of up to four factors, H C G
+    among them, at a slot width bounded by the product of the lengths."""
+    if not alg.is_unit(gamma):
+        raise AssertionError("hom solution is not a unit of the order")
+    D, m = (v.dist_to_base() + w.dist_to_base()) // 2, alg.m
+    bound = (D + 1, D + max(m - 1, 0) + 1, D + 1, D + m + 1)
+    if any(len(lam) > c for lam, c in zip(gamma.lam, bound)):
+        raise AssertionError("hom solution violates the height bound")
+    if (v.n - w.n) % 2 or not any(gamma.lam[1:]):
+        if (v.n - w.n) % 2 or v != w:
+            raise AssertionError("hom solution does not map source to target")
+        return list(more)
+    F, s = alg.F, (w.n - v.n) // 2
+    prec = 1 - s - min(v.n, v.gval, 0) - min(0, w.gval - w.n, -w.n)
+    if prec > alg.precision_cap:
+        raise InsufficientPrecisionError(f"check needs precision {prec}, "
+                                         f"above the cap {alg.precision_cap}")
+    ents = alg.embed(gamma, prec).entries()
+    lo = min(x.val for x in ents if x.coeffs)
+    w8 = slot_bytes(4 * F.e ** 2 * (F.p - 1) ** 3 * (prec - lo)
+                    * (len(v.gcoeffs) + 1) * (len(w.gcoeffs) + 1))
+    bits = 8 * w8 * F.fold.shape[1]
+    # a, b, c, d from pi^lo, known below pi^prec; g_v and -g_w, exact
+    A, B, C, D, G, H = F.pack([*((0,) * (x.val - lo) + x.coeffs[:prec - x.val]
+                                 if x.val < prec else () for x in ents),
+                               v.gcoeffs, [F.neg(t) for t in w.gcoeffs]], w8)
+    gv, gw = v.gval, w.gval
+    Y = [(s - w.n + v.n, [(A, 0), (H * C, gw)]), (s + v.n, [(C, 0)]),
+         (s - w.n, [(A * G, gv), (B, 0), (H * C * G, gv + gw), (H * D, gw)]),
+         (s, [(C * G, gv), (D, 0)])]
+    es = [min(0, lo + k + min(f for _, f in ts)) for k, ts in Y]
+    if min(prec - lo + e for e in es) < 1:
+        raise AssertionError("solution check short of precision")
+    n = max(1 - e for e in es)
+    rows = F.unpack([sum(t << bits * (lo + k + f - e) for t, f in ts)
+                     & (1 << bits * n) - 1 for (k, ts), e in zip(Y, es)],
+                    n, w8).tolist()
+    if any(any(r[:-e]) for r, e in zip(rows, es)):
+        raise AssertionError("hom solution does not map source to target")
+    ys = [r[-e] for r, e in zip(rows, es)]
+    Ybar = (ys[0::2], ys[1::2])
+    up, images = up_neighbor(v), []
+    for u in more:
+        x, y = (1, 0) if u == up else \
+            (dict(enumerate(u.gcoeffs, u.gval)).get(v.n, 0), 1)
+        if y and u != down_neighbor(v, x):
+            raise AssertionError("vertex and source are not tree neighbours")
+        top, bottom = (F.add(F.mul(r, x), F.mul(t, y)) for r, t in Ybar)
+        images.append(down_neighbor(w, F.mul(top, F.inv(bottom)))
+                      if bottom else up_neighbor(w))
+    return images

@@ -39,6 +39,7 @@ from btquot.algebra import (
     poly_mod,
     poly_mul,
     poly_neg,
+    poly_pow_mod,
     poly_sort_key,
     poly_trim,
     sqrt_mod_irreducible,
@@ -81,6 +82,18 @@ def legendre_oracle(F, a, f):
     if not am:
         return 0
     return 1 if am in squares_mod(F, f) else -1
+
+
+def legendre_euler(F, a, varpi):
+    """Euler's criterion, the form legendre took before it used
+    reciprocity: a^((q^deg - 1)/2) in A/(varpi) is 1 or -1, or a is 0
+    there."""
+    am = poly_mod(F, a, varpi)
+    if not am:
+        return 0
+    s = poly_pow_mod(F, am, (F.q ** poly_deg(varpi) - 1) // 2, varpi)
+    assert s in (ONE_POLY, (F.neg(1),)), s
+    return 1 if s == ONE_POLY else -1
 
 
 def hilbert_oracle(F, a, b, varpi):
@@ -594,6 +607,29 @@ def test_quadratic_reciprocity(q):
         lhs = legendre(F, p1, p2) * legendre(F, p2, p1)
         rhs = (-1) ** (eps * poly_deg(p1) * poly_deg(p2))
         assert lhs == rhs, (p1, p2)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49])
+def test_legendre_by_reciprocity_matches_euler(q):
+    """For two seeded monic irreducibles varpi of each degree 1 to 4:
+    every constant, multiples of varpi and seeded a of degree up to 3
+    deg varpi give Euler's criterion's symbol."""
+    F, rng = field(q), random.Random(q)
+    for d in (1, 2, 3, 4):
+        monic = iter(lambda: tuple(rng.randrange(q) for _ in range(d))
+                     + (1,), None)
+        irreducibles = (f for f in monic if is_irreducible(F, f))
+        for varpi in (next(irreducibles), next(irreducibles)):
+            def poly(deg):
+                return poly_trim([rng.randrange(q) for _ in range(deg)]
+                                 + [rng.randrange(1, q)])
+            tests = [(c,) for c in range(1, q)]
+            tests += [poly_mul(F, varpi, poly(rng.randint(0, d)))
+                      for _ in range(3)]
+            tests += [poly(rng.randint(1, 3 * d)) for _ in range(12)]
+            for a in tests:
+                assert legendre(F, a, varpi) == legendre_euler(F, a, varpi), \
+                    (a, varpi)
 
 
 def test_hilbert_symbol_examples():

@@ -142,6 +142,24 @@ class TestCompute:
         assert code == EXIT_OK
         assert out == cached[0].read_text()
 
+    def test_cold_json_compute_renders_the_graph_once(self, capsys, cache,
+                                                      tmp_path, monkeypatch):
+        # a miss writes the graph's JSON text to the cache and emits that
+        # same text; --no-cache and a hit each render it once too
+        calls, real = [], cli.graph_to_json
+        monkeypatch.setattr(cli, "graph_to_json",
+                            lambda G: calls.append(G) or real(G))
+        golden = (Path(__file__).parent / "golden" / "q5-worked.json"
+                  ).read_text()
+        for extra in ([], ["--no-cache"], []):
+            code, out, _ = run(capsys, ["compute", *Q5, *cache, *extra,
+                                        "--format", "json", "--no-verify"])
+            assert (code, out) == (EXIT_OK, golden)
+            assert len(calls) == 1, extra
+            calls.clear()
+        (path,) = tmp_path.glob("graph-*.json")
+        assert path.read_text() == golden
+
     def test_no_temp_file_left_behind(self, capsys, cache, tmp_path):
         assert run(capsys, ["compute", *Q3, *cache, "--no-verify"])[0] \
             == EXIT_OK

@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btquot import homspace, quotient
+from btquot import homspace, laurent, quaternion, quotient
 from btquot.algebra import (field, parse_poly, poly_add, poly_mul,
                             poly_scale, poly_trim)
 from btquot.homspace import (HomSet, _assert_solution, _fq_matmul,
-                             _kernel_rows, _level_rows, _monic,
+                             _kernel_rows, _level_rows, _monic, _reduction,
                              _vector_to_quat, _widths, bottom_kernels, hom,
                              hom_stack, stability, transport)
 from btquot.laurent import (INF, InsufficientPrecisionError, Laurent, Mat2,
@@ -31,6 +31,7 @@ from btquot.serialize import graph_from_json, graph_to_json
 from btquot.tree import (BASE_VERTEX, Vertex, act, distance, neighbors,
                          retry_with_precision)
 from laurent_helpers import inv, pi_power, scale, vertex_matrix
+from oracle_units import laurent_check
 from test_golden import (CASES, GOLDEN, case_algebra, golden_solutions,
                          golden_units)
 
@@ -420,6 +421,183 @@ class TestSolutionCheckRejects:
         with pytest.raises(InsufficientPrecisionError, match="^check "
                            "needs precision 18, above the cap 16$"):
             _assert_solution(alg, self.unit(), self.V, far)
+
+
+# ---------------------------------------------------------------------------
+# the packed check against its Laurent form (oracle_units.laurent_check)
+# ---------------------------------------------------------------------------
+
+T_ELEM = QuatElem(((0, 1), (), (), ()))
+NOT_A_UNIT = (AssertionError, "hom solution is not a unit of the order")
+
+
+def outcome(check, alg, gamma, v, w, *more):
+    """check's images of the vertices more, or its refusal's class and
+    text."""
+    try:
+        return check(alg, gamma, v, w, *more)
+    except (AssertionError, InsufficientPrecisionError) as exc:
+        return type(exc), str(exc)
+
+
+def same_outcome(alg, gamma, v, w, *more):
+    """The outcome of _assert_solution, asserted equal to laurent_check's."""
+    got = outcome(_assert_solution, alg, gamma, v, w, *more)
+    assert got == outcome(laurent_check, alg, gamma, v, w, *more), \
+        (gamma, v, w)
+    return got
+
+
+@functools.cache
+def check_units(q):
+    """An algebra over F_q and units of it: a golden graph's stored units
+    for q = 5 and 9, the End basis elements of the two vertices of the
+    quotient for T, T + 1 otherwise; then seeded products of 2 to 4 of
+    them, of larger height."""
+    if q in (5, 9):
+        alg, units = golden_units({5: "q5-worked", 9: "q9-deg4"}[q])
+    else:
+        alg = build_algebra(field(q), [(0, 1), (1, 1)])
+        G = quotient.compute_quotient(alg)
+        units = [b for bs in G.end_basis.values() for b in bs]
+    rng = random.Random(q)
+    return alg, units + [functools.reduce(alg.mul, rng.choices(
+        units, k=rng.randint(2, 4))) for _ in range(12)]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_packed_check_agrees_with_the_laurent_check_on_golden_units(case):
+    """On every stored unit, with all neighbours of its source as the
+    further vertices, the same images as laurent_check and as
+    transport; and the same refusal against three other stored
+    vertices as targets, and for T times the unit."""
+    alg, solutions = golden_solutions(case)
+    F, rng = alg.F, random.Random(case)
+    stored = sorted({x for _, v, w in solutions for x in (v, w)}, key=repr)
+    refusals = Counter()
+    for g, v, w in solutions:
+        nbrs = neighbors(F, v)
+        assert same_outcome(alg, g, v, w, *nbrs) == \
+            [transport(alg, g, u) for u in nbrs]
+        for x in rng.sample([x for x in stored if x != w], 3):
+            refusals[same_outcome(alg, g, v, x)[1]] += 1
+        assert same_outcome(alg, alg.mul(T_ELEM, g), v, w) == NOT_A_UNIT
+    assert refusals["hom solution does not map source to target"], refusals
+
+
+def walk(F, rng, steps):
+    """The end of a seeded walk of the given number of steps from the
+    base vertex, each to a random neighbour."""
+    v = BASE_VERTEX
+    for _ in range(steps):
+        v = rng.choice(neighbors(F, v))
+    return v
+
+
+@pytest.mark.parametrize("q", [5, 9, 25])
+def test_packed_check_agrees_with_the_laurent_check_on_a_ball(q):
+    """Seeded (unit, vertex) pairs on the radius-3 ball of F_q: the same
+    images of all neighbours of v under the unit's target, and the same
+    refusal of another target of its parity, of T times the unit, and
+    of a further vertex that is no neighbour of v."""
+    alg, units = check_units(q)
+    F, rng = alg.F, random.Random(3 * q)
+    refusals = Counter()
+    for _ in range(40):
+        g, v = rng.choice(units), walk(F, rng, rng.randint(0, 3))
+        w, nbrs = transport(alg, g, v), neighbors(F, v)
+        assert same_outcome(alg, g, v, w, *nbrs) == \
+            [transport(alg, g, u) for u in nbrs]
+        # another target of w's parity, and a vertex two steps from v
+        x = walk(F, rng, 2 * rng.randint(0, 1) + w.n % 2)
+        x = x if x != w else neighbors(F, neighbors(F, w)[0])[1]
+        far = neighbors(F, rng.choice(nbrs[1:]))[1]
+        for args in ((v, x), (v, w, *nbrs, far)):
+            got = same_outcome(alg, g, *args)
+            if isinstance(got, tuple):
+                refusals[got[1]] += 1
+        assert same_outcome(alg, alg.mul(T_ELEM, g), v, w) == NOT_A_UNIT
+    assert refusals["hom solution does not map source to target"] and \
+        refusals["vertex and source are not tree neighbours"], refusals
+
+
+@pytest.mark.parametrize("q", [9, 27])
+def test_packed_check_at_the_largest_g_digits(q):
+    """Sources and wrong targets whose g digits are all q - 1, every
+    coordinate p - 1, so that g_v, -g_w and their product fill the slots
+    the check's width is sized for: the same outcome as laurent_check,
+    and transport's images."""
+    alg, units = check_units(q)
+    F = alg.F
+    for g in random.Random(q).sample(units, 8):
+        for n, gval in ((2, -1), (5, -6), (9, -20), (-3, -12)):
+            v = Vertex.make(n, gval, [q - 1] * (n - gval))
+            w, nbrs = transport(alg, g, v), neighbors(F, v)
+            assert same_outcome(alg, g, v, w, *nbrs) == \
+                [transport(alg, g, u) for u in nbrs]
+            x = Vertex.make(w.n + 2, gval, [q - 1] * (w.n + 2 - gval))
+            assert isinstance(same_outcome(alg, g, v, x), tuple)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_check_reads_its_sums_to_exactly_its_precision(monkeypatch, case):
+    """Every stored non-scalar unit passes with embed_packed's sums cut
+    to the check's precision P, and is refused with them cut to P - 1."""
+    alg, solutions = golden_solutions(case)
+    real, precs = alg.embed_packed, []
+    checked = 0
+    for g, v, w in solutions:
+        if not any(g.lam[1:]):
+            continue
+        nbrs = neighbors(alg.F, v)
+        want = [transport(alg, g, u) for u in nbrs]
+        monkeypatch.setattr(alg, "embed_packed",
+                            truncating(alg, real, 0, precs))
+        assert _assert_solution(alg, g, v, w, *nbrs) == want
+        assert len(precs) == 1
+        precs.clear()
+        monkeypatch.setattr(alg, "embed_packed", truncating(alg, real, 1))
+        with pytest.raises(AssertionError,
+                           match="^solution check short of precision$"):
+            _assert_solution(alg, g, v, w)
+        monkeypatch.setattr(alg, "embed_packed", real)
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_reduction_mod_pi_has_determinant_nrd(case):
+    """det(Y mod pi) = det Y = nrd(gamma) for every stored non-scalar
+    unit: the constant the check's proof of a unit rests on."""
+    alg, solutions = golden_solutions(case)
+    F = alg.F
+    dets = [(F.sub(F.mul(a, d), F.mul(b, c)),) == alg.nrd(g)
+            for g, v, w in solutions if any(g.lam[1:])
+            for (a, b), (c, d) in [_reduction(alg, g, v, w)]]
+    assert dets and all(dets)
+
+
+def test_check_success_path_takes_no_norm_and_no_laurent_embedding(
+        monkeypatch):
+    """On every golden's stored units, with all neighbours of the source,
+    the check computes no reduced norm and builds no Laurent embedding
+    or series: nrd, AlgebraData.embed and from_packed all raise."""
+    checks = []
+    for case in sorted(CASES):
+        alg, solutions = golden_solutions(case)
+        for g, v, w in solutions:
+            nbrs = neighbors(alg.F, v)
+            checks.append((alg, g, v, w, nbrs,
+                           [transport(alg, g, u) for u in nbrs]))
+
+    def called(*args, **kwargs):
+        raise RuntimeError("called on the check's success path")
+    monkeypatch.setattr(AlgebraData, "nrd", called)
+    monkeypatch.setattr(AlgebraData, "embed", called)
+    for module in (homspace, quaternion, laurent):
+        monkeypatch.setattr(module, "from_packed", called)
+    for alg, g, v, w, nbrs, want in checks:
+        assert _assert_solution(alg, g, v, w, *nbrs) == want
 
 
 # ---------------------------------------------------------------------------
@@ -978,13 +1156,13 @@ def truncating(alg, real, drop=0, precs=None):
     prec - drop for a request at prec, each prec recorded in precs.
     embed_packed rounds its basis up, so the real sums know more: the
     cut keeps transport from reading digits its bound does not grant."""
-    def embed_packed(x, prec, g=()):
+    def embed_packed(x, prec, gs=()):
         if precs is not None:
             precs.append(prec)
-        w, sums, G = real(x, prec, g)
+        w, sums, Gs = real(x, prec, gs)
         bits, cut = 8 * w * alg.F.fold.shape[1], prec - drop
         return w, [(o, min(p, cut), S & (1 << bits * max(0, cut - o)) - 1)
-                   for o, p, S in sums], G
+                   for o, p, S in sums], Gs
     return embed_packed
 
 

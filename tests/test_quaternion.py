@@ -8,6 +8,7 @@ structure constants can be checked against it wholesale.
 """
 
 import itertools
+import json
 import random
 
 import pytest
@@ -45,9 +46,11 @@ from btquot.quaternion import (
     norm_form,
     parse_quat,
 )
+from btquot import quaternion
 from btquot.homspace import transport
 from btquot.tree import Vertex, act
-from test_golden import CASES, golden_units
+from test_algebra import legendre_euler
+from test_golden import CASES, GOLDEN, golden_units
 
 T = (0, 1)
 
@@ -271,6 +274,19 @@ class TestFindAlpha:
                 ram = RamificationSet.make(F, [lin(c) for c in pair])
                 a = find_alpha(F, ram)
                 assert poly_deg(a) <= alpha_degree_bound(q, 2, ram.d)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_find_alpha_returns_every_goldens_alpha(self, case, monkeypatch):
+        """The alpha each golden file stores, found again with legendre
+        by reciprocity and with Euler's criterion in its place."""
+        text = json.loads((GOLDEN / f"{case}.json").read_text())
+        F = field(text["q"])
+        ram = RamificationSet.make(F, [parse_poly(F, p)
+                                       for p in text["primes"]])
+        alpha = parse_poly(F, text["alpha"])
+        assert find_alpha(F, ram) == alpha
+        monkeypatch.setattr(quaternion, "legendre", legendre_euler)
+        assert find_alpha(F, ram) == alpha
 
     def test_legendre_r_alpha_is_plus_one(self, alg3, alg5):
         from btquot.algebra import legendre
@@ -785,6 +801,26 @@ class TestPackedKernel:
         assert alg.mul(zero, x) == alg.mul(x, zero) == zero
         M = alg.embed(zero, 20)
         assert all(e.is_exact_zero for e in M.entries())
+
+    @pytest.mark.parametrize("q", [5, 9])
+    def test_packed_basis_reads_its_longest_entry_once(self, q,
+                                                       monkeypatch):
+        # N, the longest basis entry, sets the width: read once per
+        # precision, then from the memo, for every width asked for
+        alg = build_algebra(field(q), [lin(0), lin(1)])
+        F, real, read = alg.F, alg.basis_entries, []
+        monkeypatch.setattr(alg, "basis_entries",
+                            lambda prec: read.append(prec) or real(prec))
+        n = max(len(e.coeffs) for row in real(48) for e in row)
+        widths = set()
+        for glen in (0, 7, 3000, 0, 7):
+            w, rows = alg.packed_basis(48, glen)
+            assert w == slot_bytes(4 * F.e * (F.p - 1) ** 2 * n
+                                   * (F.e * (F.p - 1) * glen + 1))
+            widths.add(w)
+        # the entries once for N, then once per new width for the rows
+        assert len(widths) > 1 and read == [48] * (1 + len(widths))
+        assert alg.packed_basis(48, 7)[1] is rows
 
     def test_slot_width_is_the_narrowest_that_holds_the_bound(self):
         assert [slot_bytes(b) for b in (0, 255, 256, (1 << 32) - 1,
