@@ -1,25 +1,27 @@
 """Command-line front end.
 
-Subcommands: compute (build, verify and export the quotient graph),
-reduce (move a tree vertex into the domain), present (print the
-generators and relations), word (express a unit in the generators),
-hom (print a basis of the hom space between two vertices), verify
-(run the structural checks), export (re-emit a cached graph in another
-format).
+One table, _COMMANDS, names each subcommand (`btquot -h` lists them)
+with its function, help line and options: every subcommand takes --q,
+--primes and --precision-cap; all but hom --cache-dir and --no-cache;
+compute and export (compute with the checks off) --format and --output;
+compute --no-verify.  A call parses argv[1:] with the parser of its
+subcommand alone, so any other flag is a usage error.
 
 Exit codes: 0 success, 1 verification failure, 2 user error (a bad
-argument, including --q above algebra.MAX_Q = 127, a term above
-T^algebra.MAX_DEGREE = T^4096, and an input budget above --precision-cap:
-4 (m + d + 4) for a vertex at distance d from the base vertex and 4
-(height + m + 4) for a unit given to word), 3 a computed series precision
-above --precision-cap (default 16384; nothing runs above it or is
-retried), 70 internal assertion failure.  Each failure prints one line on
-stderr.  Output is deterministic: repeated runs with the same arguments
-produce identical bytes, and computed graphs are cached on disk keyed by
-the field, the ramified primes, and the serialization format version; a
-cached file that graph_from_json rejects is recomputed.  Each call builds
-one algebra, JobConfig.alg, which carries --precision-cap (never a module
-global); a cached graph is replayed on it, a miss computed on it.
+argument or usage, including --q above algebra.MAX_Q = 127, a term
+above T^algebra.MAX_DEGREE = T^4096, and an input budget above
+--precision-cap: 4 (m + d + 4) for a vertex at distance d from the base
+vertex and 4 (height + m + 4) for a unit given to word), 3 a computed
+series precision above --precision-cap (default 16384; nothing runs
+above it or is retried), 70 internal assertion failure.  Each failure
+prints one line on stderr.  Output is deterministic: repeated runs with
+the same arguments produce identical bytes, and computed graphs are
+cached on disk keyed by the field, the ramified primes, and the
+serialization format version; a cached file that graph_from_json
+rejects is recomputed.  Each call builds one algebra, which carries
+--precision-cap (never a module global), and hands it with the parsed
+arguments to its subcommand; a cached graph is replayed on it, a miss
+computed on it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import hashlib
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 from . import tree
@@ -51,19 +52,6 @@ EXIT_PRECISION = 3
 EXIT_INTERNAL = 70
 
 
-@dataclass
-class JobConfig:
-    """Everything a subcommand needs to know, parsed and validated."""
-
-    alg: AlgebraData
-    fmt: str = "text"
-    output: str | None = None
-    verify: bool = True
-    cache_dir: str | None = None
-    use_cache: bool = True
-    extra: list[str] = dataclass_field(default_factory=list)
-
-
 def _split_primes(text: str) -> list[str]:
     """Split at the commas outside [...], so that coordinate vectors like
     T+[0,1] stay whole."""
@@ -78,9 +66,16 @@ def _split_primes(text: str) -> list[str]:
     return [t for t in parts + [cur] if t.strip()]
 
 
-def _parse_config(args) -> JobConfig:
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError: main prints one line, exit 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _algebra(args) -> AlgebraData:
     F = field(args.q)
-    raw = _split_primes(args.primes or "")
+    raw = _split_primes(args.primes)
     if not raw:
         raise ValueError("--primes must list at least two polynomials")
     primes = []
@@ -91,20 +86,15 @@ def _parse_config(args) -> JobConfig:
             raise ValueError(f"bad prime {tok.strip()!r}: {exc}") from None
     if args.precision_cap < 4:
         raise ValueError("--precision-cap must be at least 4")
-    return JobConfig(
-        alg=build_algebra(F, primes, precision_cap=args.precision_cap),
-        fmt=args.format, output=args.output, verify=not args.no_verify,
-        cache_dir=args.cache_dir, use_cache=not args.no_cache,
-        extra=getattr(args, "args", []))
+    return build_algebra(F, primes, precision_cap=args.precision_cap)
 
 
-def _cache_path(cfg: JobConfig) -> Path:
-    root = Path(cfg.cache_dir) if cfg.cache_dir else \
+def _cache_path(alg: AlgebraData, args) -> Path:
+    root = Path(args.cache_dir) if args.cache_dir else \
         Path(os.environ.get("BTQUOT_CACHE_DIR",
                             Path.home() / ".cache" / "btquot"))
-    F = cfg.alg.F
-    key = f"v{FORMAT_VERSION}|q{F.q}|" + \
-        ",".join(format_poly(F, p) for p in cfg.alg.ram.primes)
+    key = f"v{FORMAT_VERSION}|q{alg.F.q}|" + \
+        ",".join(format_poly(alg.F, p) for p in alg.ram.primes)
     name = hashlib.sha256(key.encode()).hexdigest()[:20]
     return root / f"graph-{name}.json"
 
@@ -125,21 +115,22 @@ def _write_atomically(path: Path, text: str) -> None:
         raise
 
 
-def _build_graph(cfg: JobConfig) -> tuple[QuotientGraph, str | None]:
-    """The graph from the cache, replayed on cfg.alg, or computed on
-    cfg.alg (and cached), with the JSON text written to the cache, or
-    None if nothing was written.  A cached file that graph_from_json
-    rejects, the graph of another field or another list of primes among
-    them, is a cache miss, and is overwritten."""
-    path = _cache_path(cfg)
-    if cfg.use_cache and path.is_file():
+def _build_graph(alg: AlgebraData,
+                 args) -> tuple[QuotientGraph, str | None]:
+    """The graph from the cache, replayed on alg, or computed on alg
+    (and cached), with the JSON text written to the cache, or None if
+    nothing was written.  A cached file that graph_from_json rejects,
+    the graph of another field or another list of primes among them, is
+    a cache miss, and is overwritten."""
+    path = _cache_path(alg, args)
+    if not args.no_cache and path.is_file():
         try:
             return graph_from_json(path.read_text(encoding="utf-8"),
-                                   cfg.alg), None
+                                   alg), None
         except ValueError:
             pass
-    G = compute_quotient(cfg.alg)
-    if not cfg.use_cache:
+    G = compute_quotient(alg)
+    if args.no_cache:
         return G, None
     text = graph_to_json(G)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -147,29 +138,18 @@ def _build_graph(cfg: JobConfig) -> tuple[QuotientGraph, str | None]:
     return G, text
 
 
-def _emit(cfg: JobConfig, text: str) -> None:
-    if cfg.output:
-        Path(cfg.output).write_text(text)
+def cmd_compute(alg: AlgebraData, args) -> int:
+    """compute, and export: compute with no_verify fixed."""
+    G, written = _build_graph(alg, args)
+    # a miss wrote the graph's JSON text to the cache: emit that text
+    render = {"json": graph_to_json, "dot": graph_to_dot,
+              "text": graph_to_text}[args.format]
+    text = written if written and args.format == "json" else render(G)
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _render(G: QuotientGraph, fmt: str) -> str:
-    if fmt == "json":
-        return graph_to_json(G)
-    if fmt == "dot":
-        return graph_to_dot(G)
-    if fmt == "text":
-        return graph_to_text(G)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def cmd_compute(cfg: JobConfig) -> int:
-    G, written = _build_graph(cfg)
-    # a miss wrote the graph's JSON text to the cache: emit that text
-    _emit(cfg, written if written and cfg.fmt == "json"
-          else _render(G, cfg.fmt))
-    if not cfg.verify:
+    if args.no_verify:
         return EXIT_OK
     rep = verify_structure(G.alg, G)
     for line in rep.lines():
@@ -177,8 +157,8 @@ def cmd_compute(cfg: JobConfig) -> int:
     return EXIT_OK if rep.passed else EXIT_VERIFY
 
 
-def cmd_verify(cfg: JobConfig) -> int:
-    G, _ = _build_graph(cfg)
+def cmd_verify(alg: AlgebraData, args) -> int:
+    G, _ = _build_graph(alg, args)
     rep = verify_structure(G.alg, G)
     print("\n".join(rep.lines()))
     print(f"vertices={rep.vertex_count} edges={rep.undirected_edge_count} "
@@ -187,138 +167,138 @@ def cmd_verify(cfg: JobConfig) -> int:
     return EXIT_OK if rep.passed else EXIT_VERIFY
 
 
-def cmd_export(cfg: JobConfig) -> int:
-    G, _ = _build_graph(cfg)
-    _emit(cfg, _render(G, cfg.fmt))
-    return EXIT_OK
-
-
-def _check_start(cfg: JobConfig, what: str, h: int, n: int) -> None:
+def _check_start(alg: AlgebraData, what: str, h: int, n: int) -> None:
     """Refuse what, of height h at distance n from the base vertex, before
     any work if its input budget 4 (h + m + n + 4) is above the cap."""
-    budget = 4 * (h + cfg.alg.m + n + 4)
-    if budget > cfg.alg.precision_cap:
+    budget = 4 * (h + alg.m + n + 4)
+    if budget > alg.precision_cap:
         raise ValueError(f"{what} needs precision {budget} or more, above "
-                         f"--precision-cap {cfg.alg.precision_cap}")
+                         f"--precision-cap {alg.precision_cap}")
 
 
-def _vertex(cfg: JobConfig, text: str):
+def _vertex(alg: AlgebraData, text: str):
     """parse_vertex, refusing a vertex whose input budget, at its
     distance to the base vertex, is above the precision cap."""
-    v = parse_vertex(cfg.alg.F, text)
-    _check_start(cfg, f"vertex {text.strip()}", 0, v.dist_to_base())
+    v = parse_vertex(alg.F, text)
+    _check_start(alg, f"vertex {text.strip()}", 0, v.dist_to_base())
     return v
 
 
-def cmd_reduce(cfg: JobConfig) -> int:
-    if len(cfg.extra) != 1:
+def cmd_reduce(alg: AlgebraData, args) -> int:
+    if len(args.args) != 1:
         raise ValueError("reduce takes exactly one vertex argument, "
                          "e.g. \"(4; 0)\"")
-    v = _vertex(cfg, cfg.extra[0])
-    G, _ = _build_graph(cfg)
+    v = _vertex(alg, args.args[0])
+    G, _ = _build_graph(alg, args)
     w, g = reduce(G, v)  # self-checks v = g . w
     print(f"w = {format_vertex(w)}")
-    print(f"gamma = {format_quat(cfg.alg.F, g)}")
+    print(f"gamma = {format_quat(alg.F, g)}")
     return EXIT_OK
 
 
-def cmd_present(cfg: JobConfig) -> int:
-    G, _ = _build_graph(cfg)
+def cmd_present(alg: AlgebraData, args) -> int:
+    G, _ = _build_graph(alg, args)
     pres = presentation(G)
     print(f"generators ({len(pres.names)}):")
     for name, g in pres.generator_items():
-        print(f"  {name} = {format_quat(cfg.alg.F, g)}")
+        print(f"  {name} = {format_quat(alg.F, g)}")
     print("relations:")
     for rel in pres.relation_strings():
         print(f"  {rel}")
     return EXIT_OK
 
 
-def cmd_word(cfg: JobConfig) -> int:
-    if len(cfg.extra) != 1:
+def cmd_word(alg: AlgebraData, args) -> int:
+    if len(args.args) != 1:
         raise ValueError("word takes exactly one element argument, "
                          "e.g. \"1\" or \"T + (1)*i + (0)*j + (0)*k\"")
-    gamma = parse_quat(cfg.alg.F, cfg.extra[0])
+    gamma = parse_quat(alg.F, args.args[0])
     # its height, or -1 for zero, which express_in_generators refuses
-    _check_start(cfg, f"element {cfg.extra[0].strip()}",
+    _check_start(alg, f"element {args.args[0].strip()}",
                  max(map(len, gamma.lam)) - 1, 0)
     # rejects a non-unit with ValueError and verifies the word
-    print(str(express_in_generators(_build_graph(cfg)[0], gamma)))
+    print(str(express_in_generators(_build_graph(alg, args)[0], gamma)))
     return EXIT_OK
 
 
-def cmd_hom(cfg: JobConfig) -> int:
-    if len(cfg.extra) != 2:
+def cmd_hom(alg: AlgebraData, args) -> int:
+    if len(args.args) != 2:
         raise ValueError("hom takes exactly two vertex arguments")
-    v, w = (_vertex(cfg, x) for x in cfg.extra)
-    hs = hom(cfg.alg, v, w)
+    v, w = (_vertex(alg, x) for x in args.args)
+    hs = hom(alg, v, w)
     print(f"dim = {hs.dim}, cardinality = {hs.cardinality}")
     for b in hs.basis:
-        print(f"  {format_quat(cfg.alg.F, b)}")
+        print(f"  {format_quat(alg.F, b)}")
     return EXIT_OK
 
 
+# add_argument keywords of every flag (and of the positional "args")
+_OPTIONS = {
+    "--q": {"type": int, "required": True,
+            "help": f"field size (odd prime power, at most {MAX_Q})"},
+    "--primes": {"required": True, "help": "comma-separated monic "
+                 "irreducibles, e.g. T,T+1,T+2,T+3"},
+    "--precision-cap": {"type": int, "default": tree.DEFAULT_PRECISION_CAP,
+                        "help": "largest series precision any computation "
+                        "may run at (default %(default)s)"},
+    "--cache-dir": {"help": "graph cache directory"},
+    "--no-cache": {"action": "store_true",
+                   "help": "neither read nor write the graph cache"},
+    "--format": {"choices": ["json", "dot", "text"], "default": "text"},
+    "--output": {"help": "write the artifact here instead of stdout"},
+    "--no-verify": {"action": "store_true",
+                    "help": "skip the structural checks after compute"},
+    "args": {"nargs": "*", "help": "positional arguments of the subcommand"},
+}
+_CACHE = ("--cache-dir", "--no-cache")
+_RENDER = ("--format", "--output")
+
+# subcommand: (function, help line, options besides --q, --primes and
+# --precision-cap, settings fixed without a flag)
 _COMMANDS = {
-    "compute": cmd_compute,
-    "reduce": cmd_reduce,
-    "present": cmd_present,
-    "word": cmd_word,
-    "hom": cmd_hom,
-    "verify": cmd_verify,
-    "export": cmd_export,
+    "compute": (cmd_compute, "build, verify and export the quotient graph",
+                (*_CACHE, *_RENDER, "--no-verify"), {}),
+    "export": (cmd_compute, "re-emit the (cached) graph in a format",
+               (*_CACHE, *_RENDER), {"no_verify": True}),
+    "verify": (cmd_verify, "run the structural verification", _CACHE, {}),
+    "present": (cmd_present, "print the generators and relations", _CACHE,
+                {}),
+    "reduce": (cmd_reduce, "move a tree vertex into the fundamental domain",
+               (*_CACHE, "args"), {}),
+    "word": (cmd_word, "express a unit as a word in the generators",
+             (*_CACHE, "args"), {}),
+    "hom": (cmd_hom, "print a basis of the hom space of two vertices",
+            ("args",), {}),
 }
 
 
-def _make_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--q", type=int, required=True,
-                        help=f"field size (odd prime power, at most {MAX_Q})")
-    common.add_argument("--primes", required=True,
-                        help="comma-separated monic irreducibles, "
-                             "e.g. T,T+1,T+2,T+3")
-    common.add_argument("--format", choices=["json", "dot", "text"],
-                        default="text")
-    common.add_argument("--output", help="write the artifact here "
-                                         "instead of stdout")
-    common.add_argument("--no-verify", action="store_true",
-                        help="skip the structural checks after compute")
-    common.add_argument("--precision-cap", type=int, help="largest series "
-                        "precision any computation may run at (default "
-                        "%(default)s)", default=tree.DEFAULT_PRECISION_CAP)
-    common.add_argument("--cache-dir", help="graph cache directory")
-    common.add_argument("--no-cache", action="store_true",
-                        help="neither read nor write the graph cache")
-    ap = argparse.ArgumentParser(
-        prog="btquot",
-        description="Quotient graphs for unit groups of quaternion "
-                    "orders over F_q[T] acting on the tree at infinity.")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-            ("compute", "build, verify and export the quotient graph"),
-            ("reduce", "move a tree vertex into the fundamental domain"),
-            ("present", "print the generators and relations"),
-            ("word", "express a unit as a word in the generators"),
-            ("hom", "print a basis of the hom space of two vertices"),
-            ("verify", "run the structural verification"),
-            ("export", "re-emit the (cached) graph in a format")]:
-        p = sub.add_parser(name, help=help_text, parents=[common])
-        if name in ("reduce", "word", "hom"):
-            p.add_argument("args", nargs="*",
-                           help="positional arguments of the subcommand")
-    return ap
+def _parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, holding only its options."""
+    _, help_text, options, fixed = _COMMANDS[name]
+    p = _Parser(prog=f"btquot {name}", description=help_text)
+    for flag in ("--q", "--primes", "--precision-cap", *options):
+        p.add_argument(flag, **_OPTIONS[flag])
+    p.set_defaults(**fixed)
+    return p
 
 
 def main(argv=None) -> int:
-    ap = _make_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    usage = ("usage: btquot {" + ",".join(_COMMANDS) + "} --q Q --primes "
+             "PRIMES ... (btquot <subcommand> -h lists its options)")
+    if argv[:1] in (["-h"], ["--help"]):
+        print(usage)
+        return EXIT_OK
     try:
-        cfg = _parse_config(args)
-        return _COMMANDS[args.command](cfg)
+        if not argv or argv[0] not in _COMMANDS:
+            raise ValueError(usage)
+        args = _parser(argv[0]).parse_args(argv[1:])
+        return _COMMANDS[argv[0]][0](_algebra(args), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except InsufficientPrecisionError as exc:
-        print(f"error: precision cap {cfg.alg.precision_cap} reached "
+        print(f"error: precision cap {args.precision_cap} reached "
               f"({exc}); raise --precision-cap", file=sys.stderr)
         return EXIT_PRECISION
     except (AssertionError, RuntimeError) as exc:

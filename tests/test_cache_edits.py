@@ -112,24 +112,25 @@ def test_every_cache_edit_is_a_miss_or_the_golden_graph(
     text = (GOLDEN / f"{case}.json").read_text()
     golden = {suffix: (GOLDEN / f"{case}.{suffix}").read_text()
               for suffix in ARTIFACTS}
-    args = [*CASES[case], "--cache-dir", str(tmp_path), "--no-verify"]
-    cfg = cli._parse_config(cli._make_parser().parse_args(["export", *args]))
-    path = cli._cache_path(cfg)
+    args = [*CASES[case], "--cache-dir", str(tmp_path)]
+    call = cli._parser("export").parse_args(args)
+    alg = cli._algebra(call)
+    path = cli._cache_path(alg, call)
     path.parent.mkdir(parents=True, exist_ok=True)
 
     def miss(alg):
         raise Miss
     # a miss goes on to compute the graph: stop it there; every load
-    # replays on cfg.alg
+    # replays on alg
     monkeypatch.setattr(cli, "compute_quotient", miss)
 
     path.write_text(text)
-    cli._build_graph(cfg)
+    cli._build_graph(alg, call)
     assert all(_stdout([*ARTIFACTS[suffix], *args]) == golden[suffix]
                for suffix in ARTIFACTS)
 
     families = {}
-    for family, where, value in edits(text, cfg.alg):
+    for family, where, value in edits(text, alg):
         families.setdefault(family, []).append((where, value))
     if SAMPLE[case] is not None:
         rng = random.Random(18)
@@ -140,7 +141,7 @@ def test_every_cache_edit_is_a_miss_or_the_golden_graph(
         for where, value in sample:
             path.write_text(_replace(text, where, value))
             try:
-                cli._build_graph(cfg)
+                cli._build_graph(alg, call)
             except Miss:
                 counts[family] += 1
             else:

@@ -4,6 +4,7 @@ Each test drives main() in-process with a temporary cache directory,
 checking output, exit codes, and byte-level determinism.
 """
 
+import argparse
 import json
 import os
 import sys
@@ -14,12 +15,11 @@ import pytest
 
 from btquot import cli, tree
 from btquot.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PRECISION, EXIT_USER,
-                        EXIT_VERIFY, JobConfig, _make_parser, _parse_config,
-                        main)
+                        EXIT_VERIFY, main)
 from btquot.algebra import MAX_DEGREE, MAX_Q, field, parse_poly
 from btquot.homspace import transport
 from btquot.laurent import InsufficientPrecisionError
-from btquot.quaternion import AlgebraData, build_algebra, parse_quat
+from btquot.quaternion import AlgebraData, parse_quat
 from btquot.tree import parse_vertex
 from worked_edits import (END_BASIS_AND_INITIAL, far_candidate,
                           pairing_entry as _pairing, swap_tree_targets)
@@ -142,23 +142,27 @@ class TestCompute:
         assert code == EXIT_OK
         assert out == cached[0].read_text()
 
-    def test_cold_json_compute_renders_the_graph_once(self, capsys, cache,
+    def test_cold_json_compute_renders_the_graph_once(self, capsys,
                                                       tmp_path, monkeypatch):
         # a miss writes the graph's JSON text to the cache and emits that
-        # same text; --no-cache and a hit each render it once too
+        # same text; --no-cache and a hit each render it once too, and so
+        # does export, which is compute with the checks off
         calls, real = [], cli.graph_to_json
         monkeypatch.setattr(cli, "graph_to_json",
                             lambda G: calls.append(G) or real(G))
         golden = (Path(__file__).parent / "golden" / "q5-worked.json"
                   ).read_text()
-        for extra in ([], ["--no-cache"], []):
-            code, out, _ = run(capsys, ["compute", *Q5, *cache, *extra,
-                                        "--format", "json", "--no-verify"])
-            assert (code, out) == (EXIT_OK, golden)
-            assert len(calls) == 1, extra
-            calls.clear()
-        (path,) = tmp_path.glob("graph-*.json")
-        assert path.read_text() == golden
+        for command in (["compute", "--no-verify"], ["export"]):
+            cache = tmp_path / command[0]
+            for extra in ([], ["--no-cache"], []):
+                code, out, _ = run(capsys, [*command, *Q5, "--cache-dir",
+                                            str(cache), *extra,
+                                            "--format", "json"])
+                assert (code, out) == (EXIT_OK, golden)
+                assert len(calls) == 1, (command, extra)
+                calls.clear()
+            (path,) = cache.glob("graph-*.json")
+            assert path.read_text() == golden
 
     def test_no_temp_file_left_behind(self, capsys, cache, tmp_path):
         assert run(capsys, ["compute", *Q3, *cache, "--no-verify"])[0] \
@@ -345,8 +349,7 @@ class TestReduce:
         code, _, err = run(capsys, ["reduce", *Q5, *cache,
                                     "--precision-cap", "39", "(4; 0)"])
         assert code == EXIT_USER and "needs precision 40 or more" in err
-        code, _, err = run(capsys, ["hom", *Q5, *cache, "(0; 0)",
-                                    "(-9000; 0)"])
+        code, _, err = run(capsys, ["hom", *Q5, "(0; 0)", "(-9000; 0)"])
         assert code == EXIT_USER and "(-9000; 0) needs precision" in err
 
     def test_vertex_far_from_the_base_at_small_n(self, capsys, cache):
@@ -354,8 +357,8 @@ class TestReduce:
         # 200004 from the base vertex: 4 * (2 + 200004 + 4) = 800040
         vertex = "(4; 1@-100000)"
         for argv in (["reduce", *Q5, *cache, vertex],
-                     ["hom", *Q5, *cache, vertex, "(0; 0)"],
-                     ["hom", *Q5, *cache, "(0; 0)", vertex]):
+                     ["hom", *Q5, vertex, "(0; 0)"],
+                     ["hom", *Q5, "(0; 0)", vertex]):
             start = time.perf_counter()
             code, out, err = run(capsys, argv)
             assert time.perf_counter() - start < 1, argv
@@ -369,8 +372,7 @@ class TestReduce:
         code, out, err = run(capsys, ["reduce", *Q5, *cache, vertex])
         assert code == EXIT_OK, err
         w_line, g_line = out.splitlines()
-        alg = _parse_config(_make_parser().parse_args(
-            ["reduce", *Q5, vertex])).alg
+        alg = cli._algebra(cli._parser("reduce").parse_args([*Q5, vertex]))
         w = parse_vertex(alg.F, w_line.removeprefix("w = "))
         g = parse_quat(alg.F, g_line.removeprefix("gamma = "))
         assert transport(alg, g, w) == parse_vertex(alg.F, vertex)
@@ -433,15 +435,13 @@ class TestPresentAndWord:
 
 
 class TestHomAndVerify:
-    def test_hom_basis(self, capsys, cache):
-        code, out, _ = run(capsys, ["hom", *Q5, *cache,
-                                    "(2; 0)", "(2; 4@1)"])
+    def test_hom_basis(self, capsys):
+        code, out, _ = run(capsys, ["hom", *Q5, "(2; 0)", "(2; 4@1)"])
         assert code == EXIT_OK
         assert "dim = 1, cardinality = 4" in out
 
-    def test_hom_empty(self, capsys, cache):
-        code, out, _ = run(capsys, ["hom", *Q5, *cache,
-                                    "(2; 0)", "(1; 0)"])
+    def test_hom_empty(self, capsys):
+        code, out, _ = run(capsys, ["hom", *Q5, "(2; 0)", "(1; 0)"])
         assert code == EXIT_OK
         assert "dim = 0" in out
 
@@ -514,20 +514,14 @@ class TestPrecisionCap:
         outs = {}
         for argv in (["compute"], ["verify"], ["present"],
                      ["reduce", "(4; 0)"], ["hom", "(2; 0)", "(2; 4@1)"]):
-            code, outs[argv[0]], err = run(capsys, [argv[0], *Q5, *cache,
+            where = [] if argv[0] == "hom" else cache
+            code, outs[argv[0]], err = run(capsys, [argv[0], *Q5, *where,
                                                     *cap, *argv[1:]])
             assert code == EXIT_OK, (argv, err)
         g3 = next(ln.split(" = ", 1)[1] for ln in outs["present"].splitlines()
                   if ln.strip().startswith("g3 = "))
         code, out, err = run(capsys, ["word", *Q5, *cache, *cap, g3])
         assert (code, out) == (EXIT_OK, "g3\n"), err
-
-
-class TestJobConfig:
-    def test_fields(self):
-        cfg = JobConfig(alg=build_algebra(field(5), [(0, 1), (1, 1)]))
-        assert cfg.alg.F.q == 5
-        assert cfg.verify and cfg.use_cache
 
 
 class TestOneAlgebraPerCall:
@@ -546,7 +540,7 @@ class TestOneAlgebraPerCall:
             "cold compute": ["compute", *Q5, *cache, "--no-verify"],
             "warm export": ["export", *Q5, *cache],
             "warm reduce": ["reduce", *Q5, *cache, "(4; 0)"],
-            "hom": ["hom", *Q5, *cache, "(2; 0)", "(2; 4@1)"],
+            "hom": ["hom", *Q5, "(2; 0)", "(2; 4@1)"],
         }
         counts = {}
         for name, argv in calls.items():
@@ -575,32 +569,148 @@ class TestPrimesArgument:
     Q9 = ["--q", "9", "--primes", "T,T+1,T+2,T+[0,1]"]
 
     def test_commas_inside_brackets_do_not_split(self):
-        args = _make_parser().parse_args(["hom", *self.Q9, "(0; 0)",
-                                          "(0; 0)"])
-        cfg = _parse_config(args)
-        assert len(cfg.alg.ram.primes) == 4
-        assert cfg.alg.ram.primes[3] == (cfg.alg.F.from_coords([0, 1]), 1)
+        alg = cli._algebra(cli._parser("hom").parse_args(
+            [*self.Q9, "(0; 0)", "(0; 0)"]))
+        assert len(alg.ram.primes) == 4
+        assert alg.ram.primes[3] == (alg.F.from_coords([0, 1]), 1)
 
-    def test_hom_over_q9_with_bracketed_prime(self, capsys, cache):
-        code, out, err = run(capsys, ["hom", *self.Q9, *cache,
-                                      "(0; 0)", "(0; 0)"])
+    def test_hom_over_q9_with_bracketed_prime(self, capsys):
+        code, out, err = run(capsys, ["hom", *self.Q9, "(0; 0)", "(0; 0)"])
         assert code == EXIT_OK, err
         assert out.startswith("dim = ")
 
 
 class TestPrecisionExhaustion:
-    def test_exit_code_and_one_line_message(self, capsys, cache,
-                                            monkeypatch):
+    def test_exit_code_and_one_line_message(self, capsys, monkeypatch):
         def exhausted(alg, v, w):
             raise InsufficientPrecisionError("forced for the test")
 
         monkeypatch.setattr(cli, "hom", exhausted)
-        code, out, err = run(capsys, ["hom", *Q5, *cache,
-                                      "(2; 0)", "(2; 4@1)"])
+        code, out, err = run(capsys, ["hom", *Q5, "(2; 0)", "(2; 4@1)",
+                                      "--precision-cap", "512"])
         assert code == EXIT_PRECISION
         assert out == ""
-        assert err.startswith("error: precision cap ")
+        assert err.startswith("error: precision cap 512 reached ")
         assert "forced for the test" in err
         assert "Traceback" not in err and err.count("\n") == 1
         assert EXIT_PRECISION not in (EXIT_OK, EXIT_VERIFY, EXIT_USER,
                                       EXIT_INTERNAL)
+
+
+# the flags a subcommand refuses: --no-verify on export; --format,
+# --output and --no-verify on verify, present, reduce and word; and every
+# flag but --q, --primes and --precision-cap on hom
+REFUSED = [("export", "--no-verify"),
+           *((command, flag)
+             for command in ("verify", "present", "reduce", "word")
+             for flag in ("--format", "--output", "--no-verify")),
+           *(("hom", flag) for flag in ("--format", "--output", "--no-verify",
+                                        "--cache-dir", "--no-cache"))]
+# the positional arguments of a valid call on Q3's two-vertex domain
+POSITIONAL = {"reduce": ["(0; 0)"], "word": ["1"],
+              "hom": ["(0; 0)", "(0; 0)"]}
+
+
+def accepted(command: str) -> set[str]:
+    """The flags the parser of command takes, -h aside."""
+    return {action.option_strings[0]
+            for action in cli._parser(command)._actions
+            if action.option_strings and action.dest != "help"}
+
+
+class _Recording(argparse.Namespace):
+    """A namespace that records the names of the attributes read."""
+
+    def __init__(self):
+        super().__init__(reads=set())
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__")["reads"]
+        reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        [], ["frobnicate", *Q3], ["present", "--primes", "T,T+1"],
+        ["present", "--q", "x", "--primes", "T,T+1"],
+        ["present", *Q3, "--frobnicate"]], ids=[
+        "no arguments", "unknown subcommand", "missing --q", "--q x",
+        "unknown flag"])
+    def test_usage_error_is_one_line_and_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (EXIT_USER, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_lists_the_subcommands(self, capsys, flag):
+        code, out, err = run(capsys, [flag])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.count("\n") == 1
+        assert all(command in out for command in cli._COMMANDS)
+        # the line a first argument that is not a subcommand gets
+        assert run(capsys, ["frobnicate"])[2] == f"error: {out}"
+
+    def test_refused_pairs_are_the_flags_a_subcommand_lacks(self):
+        flags = set().union(*map(accepted, cli._COMMANDS))
+        assert len(flags) == 8
+        assert sum(len(accepted(command)) for command in cli._COMMANDS) == 38
+        assert {(command, flag) for command in cli._COMMANDS
+                for flag in flags - accepted(command)} == set(REFUSED)
+
+    @pytest.mark.parametrize("command,flag", REFUSED)
+    def test_refused_flag_is_a_usage_error(self, capsys, tmp_path, command,
+                                           flag):
+        value = {"--format": ["json"], "--output": [str(tmp_path / "out")],
+                 "--cache-dir": [str(tmp_path / "cache")]}.get(flag, [])
+        code, out, err = run(capsys, [command, *Q3, flag, *value,
+                                      *POSITIONAL.get(command, [])])
+        assert (code, out) == (EXIT_USER, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_accepted_option_is_read(self, capsys, tmp_path,
+                                           monkeypatch):
+        # a flag that no code path reads fails here
+        parsed, real = [], cli._parser
+
+        def recording(command):
+            parser = real(command)
+            parse = parser.parse_args
+
+            def parse_args(args):
+                namespace = parse(args, _Recording())
+                namespace.reads.clear()  # argparse's own reads
+                parsed.append((parser, namespace))
+                return namespace
+
+            parser.parse_args = parse_args
+            return parser
+
+        monkeypatch.setattr(cli, "_parser", recording)
+        for command in cli._COMMANDS:
+            cache = ["--cache-dir", str(tmp_path)] \
+                if "--cache-dir" in accepted(command) else []
+            code, _, err = run(capsys, [command, *Q3, *cache,
+                                        *POSITIONAL.get(command, [])])
+            assert code == EXIT_OK, (command, err)
+            parser, namespace = parsed.pop()
+            dests = {action.dest for action in parser._actions
+                     if action.dest != "help"}
+            assert dests <= namespace.reads, (command,
+                                              dests - namespace.reads)
+
+    @pytest.mark.parametrize("fmt,suffix", [("json", "json"), ("dot", "dot"),
+                                            ("text", "txt")])
+    def test_export_is_compute_without_the_checks(self, capsys, tmp_path,
+                                                  fmt, suffix):
+        golden = (Path(__file__).resolve().parent / "golden"
+                  / f"q5-worked.{suffix}").read_text()
+        for command in (["compute", "--no-verify"], ["export"]):
+            cache = ["--cache-dir", str(tmp_path / command[0])]
+            for state in ("miss", "hit"):
+                code, out, err = run(capsys, [*command, *Q5, *cache,
+                                              "--format", fmt])
+                assert (code, out, err) == (EXIT_OK, golden, ""), \
+                    (command, state)
