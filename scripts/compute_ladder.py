@@ -72,15 +72,23 @@ OPT_IN = {"q3-deg10", *REDUCES, *LOADS}
 # timed computes per process, after the warm-up
 COMPUTES = 3
 
-CHILD = """
+# the prime-list split, which a checkout older than its move to algebra
+# keeps in cli
+SPLIT = """
+try:
+    from btquot.algebra import split_polys
+except ImportError:
+    from btquot.cli import _split_primes as split_polys
+"""
+
+CHILD = SPLIT + """
 import hashlib, json, resource, statistics, sys, time
 from btquot.algebra import field, parse_poly
-from btquot.cli import _split_primes
 from btquot.quaternion import build_algebra
 from btquot.quotient import compute_quotient
 from btquot.serialize import graph_to_json
 F = field(int(sys.argv[1]))
-alg = build_algebra(F, [parse_poly(F, t) for t in _split_primes(sys.argv[2])])
+alg = build_algebra(F, [parse_poly(F, t) for t in split_polys(sys.argv[2])])
 digests, cpus = set(), []
 for _ in range(1 + int(sys.argv[3])):
     start = time.process_time()
@@ -110,15 +118,14 @@ print(json.dumps({"sha256": hashlib.sha256(out.getvalue().encode()
 """
 
 
-LOAD_CHILD = """
+LOAD_CHILD = SPLIT + """
 import hashlib, json, resource, statistics, sys, time
 from pathlib import Path
 from btquot.algebra import field, parse_poly
-from btquot.cli import _split_primes
 from btquot.quaternion import build_algebra
 from btquot.serialize import graph_from_json, graph_to_json
 F = field(int(sys.argv[1]))
-primes = [parse_poly(F, t) for t in _split_primes(sys.argv[2])]
+primes = [parse_poly(F, t) for t in split_polys(sys.argv[2])]
 text = Path(sys.argv[4]).read_text(encoding="utf-8")
 digests, cpus = set(), []
 for _ in range(int(sys.argv[3])):
@@ -133,16 +140,15 @@ print(json.dumps({"sha256": " ".join(sorted(digests)),
 """
 
 # writes a case's graph JSON to a file, for the load rungs
-WRITE_CHILD = """
+WRITE_CHILD = SPLIT + """
 import sys
 from pathlib import Path
 from btquot.algebra import field, parse_poly
-from btquot.cli import _split_primes
 from btquot.quaternion import build_algebra
 from btquot.quotient import compute_quotient
 from btquot.serialize import graph_to_json
 F = field(int(sys.argv[1]))
-alg = build_algebra(F, [parse_poly(F, t) for t in _split_primes(sys.argv[2])])
+alg = build_algebra(F, [parse_poly(F, t) for t in split_polys(sys.argv[2])])
 Path(sys.argv[3]).write_text(graph_to_json(compute_quotient(alg)),
                              encoding="utf-8")
 """

@@ -31,6 +31,16 @@ coefficient vector read from the constant term up, entries compared in
 the element order.  Every deterministic tie-break in this package (the
 search for the auxiliary irreducible alpha, square-root branch picks,
 label picks in the quotient graph) refers back to these two orders.
+
+Text form.  parse_poly reads a sum of terms in any order, each after
+the first led by a run of signs (an odd number of `-` negates it).  A
+term is a coefficient, T^k, or a coefficient, an optional `*` and T^k,
+with ^1 omissible; a coefficient is decimal digits, read mod p, or a
+coordinate vector of 1 to e of them, `[1,2]*T^3`.  Whitespace may stand
+between tokens, not inside a number.  Anything else, an empty term
+too, is a ValueError.  split_polys splits a list of them at the commas
+outside [...].  Both scan by one regex whose quantified parts never
+match the same characters, so they are linear in the text.
 """
 
 from __future__ import annotations
@@ -569,74 +579,46 @@ def sqrt_mod_irreducible(F: GF, a, f):
 # ---------------------------------------------------------------------
 
 _TERM_RE = re.compile(
-    r"^(?:(\[[^\]]*\]|\d+)\s*\*?\s*)?(T)?(?:\^(\d+))?$")
+    r"((?:[-+]\s*)*)"
+    r"(?:(?:(\d+)|\[(\s*\d+(?:\s*,\s*\d+)*)\s*\])\s*(?:\*\s*(?=T))?)?"
+    r"(?:(T)(?:\s*\^\s*(\d+))?)?\s*")
+_ITEM_RE = re.compile(r"(?:\[[^\]]*\]?|[^,\[])+")
 
 
 def parse_poly(F: GF, text: str):
-    """Parse the `c*T^k` sum syntax into a polynomial.
-
-    Accepts omitted `*`, omitted `^1`, arbitrary term order, and (for
-    e > 1) bracketed coordinate vectors like `[1,2]*T^3`.
-    """
+    """Read the `c*T^k` sum syntax (see the module docstring)."""
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial string")
-    # split into signed terms at top-level + and -
-    terms: list[tuple[int, str]] = []
-    depth = 0
-    sign = 1
-    cur = ""
-    for ch in s:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if depth == 0 and ch in "+-" and cur.strip():
-            terms.append((sign, cur.strip()))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif depth == 0 and ch in "+-" and not cur.strip():
-            # leading or repeated sign
-            if ch == "-":
-                sign = -sign
-        else:
-            cur += ch
-    if depth != 0:
-        raise ValueError(f"unbalanced brackets in {text!r}")
-    if cur.strip():
-        terms.append((sign, cur.strip()))
-    if not terms:
-        raise ValueError(f"cannot parse polynomial {text!r}")
-
     acc: dict[int, int] = {}
-    for sgn, term in terms:
-        m = _TERM_RE.match(term.replace(" ", ""))
-        if not m or not (m.group(1) or m.group(2)):
-            raise ValueError(f"cannot parse term {term!r} in {text!r}")
-        coeff_s, tvar, exp_s = m.groups()
-        if exp_s is not None and tvar is None:
-            raise ValueError(f"exponent without T in term {term!r}")
-        if coeff_s is None:
-            coeff = 1
-        elif coeff_s.startswith("["):
-            parts = coeff_s[1:-1].split(",")
-            cs = [int(x) for x in parts if x.strip() != ""]
-            if len(cs) > F.e:
-                raise ValueError(f"coordinate vector too long in {term!r}")
-            coeff = F.from_coords(cs + [0] * (F.e - len(cs)))
+    pos = 0
+    while pos < len(s):
+        m = _TERM_RE.match(s, pos)
+        signs, digits, coords, tvar, exp_s = m.groups()
+        if not (digits or coords or tvar) or (pos and not signs):
+            raise ValueError(f"cannot parse {s[pos:pos + 20]!r} in "
+                             f"polynomial {text!r}")
+        pos = m.end()
+        if coords is None:
+            coeff = F.from_int(int(digits or 1))
+        elif coords.count(",") >= F.e:
+            raise ValueError(f"coordinate vector too long in {text!r}")
         else:
-            coeff = F.from_int(int(coeff_s))
-        if sgn < 0:
-            coeff = F.neg(coeff)
-        k = 0 if tvar is None else (1 if exp_s is None else int(exp_s))
+            coeff = F.from_coords([int(c) for c in coords.split(",")])
+        k = 0 if tvar is None else int(exp_s or 1)
         if k > MAX_DEGREE:
             raise ValueError(f"exponent {k} in {text!r} is above the "
                              f"supported maximum {MAX_DEGREE}")
+        if signs.count("-") % 2:
+            coeff = F.neg(coeff)
         acc[k] = F.add(acc.get(k, 0), coeff)
-    if not acc:
-        return ZERO_POLY
-    top = max(acc)
-    return poly_trim([acc.get(k, 0) for k in range(top + 1)])
+    return poly_trim([acc.get(k, 0) for k in range(max(acc) + 1)])
+
+
+def split_polys(text: str) -> list[str]:
+    """The items, stripped, of a comma-separated list of polynomials,
+    with empty ones dropped; commas inside [...] do not split."""
+    return [t.strip() for t in _ITEM_RE.findall(text) if t.strip()]
 
 
 def format_poly(F: GF, f) -> str:

@@ -35,7 +35,7 @@ import tempfile
 from pathlib import Path
 
 from . import tree
-from .algebra import MAX_Q, field, format_poly, parse_poly
+from .algebra import MAX_Q, field, format_poly, parse_poly, split_polys
 from .homspace import hom
 from .laurent import InsufficientPrecisionError
 from .quaternion import AlgebraData, build_algebra, format_quat, parse_quat
@@ -52,20 +52,6 @@ EXIT_PRECISION = 3
 EXIT_INTERNAL = 70
 
 
-def _split_primes(text: str) -> list[str]:
-    """Split at the commas outside [...], so that coordinate vectors like
-    T+[0,1] stay whole."""
-    parts, depth, cur = [], 0, ""
-    for ch in text:
-        depth += (ch == "[") - (ch == "]")
-        if ch == "," and depth == 0:
-            parts.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    return [t for t in parts + [cur] if t.strip()]
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ValueError: main prints one line, exit 2."""
 
@@ -75,15 +61,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _algebra(args) -> AlgebraData:
     F = field(args.q)
-    raw = _split_primes(args.primes)
+    raw = split_polys(args.primes)
     if not raw:
         raise ValueError("--primes must list at least two polynomials")
     primes = []
     for tok in raw:
         try:
-            primes.append(parse_poly(F, tok.strip()))
+            primes.append(parse_poly(F, tok))
         except ValueError as exc:
-            raise ValueError(f"bad prime {tok.strip()!r}: {exc}") from None
+            raise ValueError(f"bad prime {tok!r}: {exc}") from None
     if args.precision_cap < 4:
         raise ValueError("--precision-cap must be at least 4")
     return build_algebra(F, primes, precision_cap=args.precision_cap)

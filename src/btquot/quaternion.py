@@ -36,10 +36,16 @@ conj(x) scalar for every x.
 The embedding into M_2(K_infinity) sends i to diag(s, -s) with
 s = sqrt(alpha) (1-unit branch), j to [[0, 1], [r, 0]], and khat to
 (1/s) [[epsilon, 1], [-r, -epsilon]].
+
+Text form.  format_quat writes `l1 + (l2)*i + (l3)*j + (l4)*k`, and
+parse_quat reads it back by one regex: a scalar part, which may hold
+'+', then the parts of i, j and k, each optional, in that order, each
+read by parse_poly; anything else is a ValueError.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .algebra import (
@@ -147,31 +153,21 @@ def format_quat(F: GF, x: QuatElem) -> str:
     return f"{l1} + ({l2})*i + ({l3})*j + ({l4})*k"
 
 
+_QUAT_RE = re.compile(r"(.*?)" + "".join(
+    rf"(?:\+\s*\(([^()]*)\)\s*\*\s*{name}\s*)?" for name in "ijk"),
+    re.DOTALL)
+
+
 def parse_quat(F: GF, text: str) -> QuatElem:
-    """Inverse of format_quat.  The scalar part may contain '+', so the
-    three bracketed components are peeled off from the right; absent
-    components are zero, so plain polynomials parse as scalars."""
-    comps = {}
-    rest = text.strip()
-    for name in ("k", "j", "i"):
-        if not rest.replace(" ", "").endswith(f")*{name}"):
-            comps[name] = ZERO_POLY
-            continue
-        idx = rest.rfind("(")
-        if idx < 0:
-            raise ValueError(f"cannot parse quaternion element {text!r}")
-        inner = rest[idx + 1:rest.rfind(")")]
-        comps[name] = parse_poly(F, inner)
-        rest = rest[:idx].rstrip()
-        if not rest.endswith("+"):
-            raise ValueError(f"cannot parse quaternion element {text!r}")
-        rest = rest[:-1].strip()
+    """Inverse of format_quat (see the module docstring).  Absent parts
+    are zero, so plain polynomials parse as scalars."""
+    parts = _QUAT_RE.fullmatch(text).groups()
     try:
-        scalar = parse_poly(F, rest)
-    except ValueError:
-        raise ValueError(f"cannot parse quaternion element {text!r}") \
-            from None
-    return QuatElem((scalar, comps["i"], comps["j"], comps["k"]))
+        return QuatElem(tuple(ZERO_POLY if p is None else parse_poly(F, p)
+                              for p in parts))
+    except ValueError as exc:
+        raise ValueError(f"cannot parse quaternion element {text!r}: "
+                         f"{exc}") from None
 
 
 def norm_form(F: GF, W) -> list:

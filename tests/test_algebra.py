@@ -42,6 +42,7 @@ from btquot.algebra import (
     poly_pow_mod,
     poly_sort_key,
     poly_trim,
+    split_polys,
     sqrt_mod_irreducible,
 )
 
@@ -760,6 +761,14 @@ def test_parse_poly_accepts_variants():
     assert P(F5, "-T+1") == poly_trim([1, 4])
     assert P(F5, "T - T") == ZERO_POLY
     assert P(F5, "7") == P(F5, "2")
+    # signs runs, and whitespace around *, ^ and before T
+    assert P(F5, "T - -1") == P(F5, "T+1")
+    assert P(F5, "--T") == T_POLY
+    assert P(F5, "2 T") == P(F5, "2*T")
+    assert P(F5, "T ^ 2") == P(F5, "T^2")
+    assert P(F5, "-[1]") == (4,)
+    F9 = field(9)
+    assert P(F9, "[1, 2]*T") == (0, F9.from_coords([1, 2]))
 
 
 def test_parse_poly_extension_coeffs():
@@ -770,9 +779,15 @@ def test_parse_poly_extension_coeffs():
 
 
 def test_parse_poly_rejects_garbage():
-    for bad in ["", "x+1", "T^", "^2", "[1,2", "T^-1"]:
+    # the last five were once misread as 12, 3*T, T, T and 2
+    for bad in ["", "x+1", "T^", "^2", "[1,2", "T^-1",
+                "1 2", "1 2 3 T", "T+", "T+-", "2*"]:
         with pytest.raises(ValueError):
             parse_poly(F5, bad)
+    # once misread as 0, 1 and 1
+    for bad in ["[]", "[,1]", "[1,]"]:
+        with pytest.raises(ValueError):
+            parse_poly(field(9), bad)
 
 
 def test_format_poly_canonical():
@@ -787,3 +802,18 @@ def test_format_poly_canonical():
 def test_format_parse_roundtrip(coeffs):
     f = poly_trim(coeffs)
     assert parse_poly(F7, format_poly(F7, f)) == f
+
+
+@pytest.mark.parametrize("q", [9, 25, 27])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_format_parse_roundtrip_non_prime(q, data):
+    F = field(q)
+    polys = data.draw(st.lists(
+        st.lists(st.integers(0, q - 1), max_size=5).map(poly_trim),
+        min_size=1, max_size=4))
+    for f in polys:
+        assert parse_poly(F, format_poly(F, f)) == f
+    # a --primes list: the commas inside coordinate vectors do not split
+    joined = ",".join(format_poly(F, f) for f in polys)
+    assert [parse_poly(F, t) for t in split_polys(joined)] == polys

@@ -5,10 +5,12 @@ checking output, exit codes, and byte-level determinism.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ import pytest
 from btquot import cli, tree
 from btquot.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PRECISION, EXIT_USER,
                         EXIT_VERIFY, main)
-from btquot.algebra import MAX_DEGREE, MAX_Q, field, parse_poly
+from btquot.algebra import MAX_DEGREE, MAX_Q, field, parse_poly, split_polys
 from btquot.homspace import transport
 from btquot.laurent import InsufficientPrecisionError
 from btquot.quaternion import AlgebraData, parse_quat
@@ -578,6 +580,64 @@ class TestPrimesArgument:
         code, out, err = run(capsys, ["hom", *self.Q9, "(0; 0)", "(0; 0)"])
         assert code == EXIT_OK, err
         assert out.startswith("dim = ")
+
+
+# texts of about 2*10^5 characters, and numbers of 5000 digits, above the
+# 4300 digits at which int() raises ValueError
+_N = 10 ** 5
+_DIGITS = "9" * 5000
+LONG_TEXTS = {
+    "long sum": "T+" * _N + "1",
+    "nested [ and ,": "[" * _N + "," * _N,
+    "[, repeated": "[," * _N,
+    "+ ( repeated": "+ (" * (2 * _N // 3),
+    "unit part repeated": "+ (1)*i " * (_N // 4),
+    "spaces before garbage": "1" + " " * (2 * _N) + "x",
+    "sign run": "T" + " -" * _N,
+    "vertex of 10^5 coefficients":
+        f"({_N + 4}; " + ",".join(["1"] * _N) + "@0)",
+    "5000-digit code": _DIGITS,
+    "5000-digit exponent": "T^" + _DIGITS,
+    "5000-digit coordinate": f"[{_DIGITS}]",
+    "5000-digit vertex code": f"(4; {_DIGITS}@0)",
+}
+
+
+class TestTextInputs:
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--q", "3", "--primes", "T,T+1 2"],
+        ["word", *Q3, "T+"]])
+    def test_misread_text_is_refused(self, capsys, cache, argv):
+        code, out, err = run(capsys, [*argv, *cache])
+        assert (code, out) == (EXIT_USER, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", LONG_TEXTS)
+    def test_every_parser_ends_within_a_second(self, name):
+        # a scan quadratic in the length would take minutes
+        F = field(9)
+        for parse in (partial(parse_poly, F), partial(parse_quat, F),
+                      partial(parse_vertex, F), split_polys):
+            start = time.perf_counter()
+            with contextlib.suppress(ValueError):
+                parse(LONG_TEXTS[name])
+            assert time.perf_counter() - start < 1, parse
+
+    @pytest.mark.parametrize("command, name", [
+        ("--primes", "long sum"), ("--primes", "nested [ and ,"),
+        ("--primes", "5000-digit exponent"), ("word", "long sum"),
+        ("word", "+ ( repeated"), ("word", "5000-digit code"),
+        ("reduce", "vertex of 10^5 coefficients"),
+        ("reduce", "5000-digit vertex code")])
+    def test_cli_exits_0_or_2(self, capsys, cache, command, name):
+        text = LONG_TEXTS[name]
+        argv = (["compute", "--q", "3", "--primes", f"T,{text}"]
+                if command == "--primes" else [command, *Q3, text])
+        code, _, err = run(capsys, [*argv, *cache])
+        assert code in (EXIT_OK, EXIT_USER)
+        assert "Traceback" not in err
+        if code == EXIT_USER:
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestPrecisionExhaustion:

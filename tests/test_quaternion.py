@@ -868,6 +868,14 @@ class TestHeightAndText:
         for x in xs:
             assert parse_quat(F, format_quat(F, x)) == x
 
+    @pytest.mark.parametrize("q", [9, 25, 27])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_parse_roundtrip_non_prime(self, q, data):
+        F = field(q)
+        x = data.draw(quat_strategy(q))
+        assert parse_quat(F, format_quat(F, x)) == x
+
     def test_parse_scalar_with_plus(self):
         F = field(3)
         x = parse_quat(F, "T^2+2 + (1)*i + (T)*j + (0)*k")
@@ -876,8 +884,9 @@ class TestHeightAndText:
     def test_parse_garbage_rejected(self):
         F = field(3)
         for bad in ["T + 1*i + (2)*j + (0)*k", "", "(2)*j + (0)*k",
-                    "x + (1)*i + (2)*j + (0)*k"]:
-            with pytest.raises(ValueError):
+                    "x + (1)*i + (2)*j + (0)*k", "T + (1)*i +"]:
+            with pytest.raises(ValueError,
+                               match="cannot parse quaternion element"):
                 parse_quat(F, bad)
 
     def test_parse_short_forms(self):
