@@ -154,6 +154,11 @@ class GF:
         self._slot_weights = p ** np.arange(E, dtype=np.int64)
         self._unfold = (np.arange(p ** E)[:, None] // self._slot_weights
                         % p @ self.fold.T % p @ self.place)
+        # the canonical order and its first generator of F_q^*, once
+        self._elements = tuple(sorted(range(q), key=self.coords))
+        self._primitive_root = next(
+            a for a in self._elements
+            if a and has_order(self.mul, a, q - 1, 1))
 
     # -- element coding ------------------------------------------------
 
@@ -171,9 +176,9 @@ class GF:
         """The image of the integer n in F_q (via the prime subfield)."""
         return n % self.p
 
-    def elements(self) -> list[int]:
+    def elements(self) -> tuple[int, ...]:
         """All element codes in canonical order, that of their coords."""
-        return sorted(range(self.q), key=self.coords)
+        return self._elements
 
     # -- arithmetic ----------------------------------------------------
 
@@ -202,8 +207,7 @@ class GF:
 
     def primitive_root(self) -> int:
         """First generator of F_q^* in canonical element order."""
-        return next(a for a in self.elements()
-                    if a and has_order(self.mul, a, self.q - 1, 1))
+        return self._primitive_root
 
     def conv(self, a, b) -> list[int]:
         """Product of two polynomials over F_q given as nonempty code
@@ -585,6 +589,15 @@ _TERM_RE = re.compile(
 _ITEM_RE = re.compile(r"(?:\[[^\]]*\]?|[^,\[])+")
 
 
+def excerpt(text: str, limit: int = 60) -> str:
+    """text as an error message shows it: whole up to limit characters,
+    else its first limit characters, `...` and its length, so that a
+    message stays one short line whatever the input."""
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
+
+
 def parse_poly(F: GF, text: str):
     """Read the `c*T^k` sum syntax (see the module docstring)."""
     s = text.strip()
@@ -597,18 +610,19 @@ def parse_poly(F: GF, text: str):
         signs, digits, coords, tvar, exp_s = m.groups()
         if not (digits or coords or tvar) or (pos and not signs):
             raise ValueError(f"cannot parse {s[pos:pos + 20]!r} in "
-                             f"polynomial {text!r}")
+                             f"polynomial {excerpt(text)!r}")
         pos = m.end()
         if coords is None:
             coeff = F.from_int(int(digits or 1))
         elif coords.count(",") >= F.e:
-            raise ValueError(f"coordinate vector too long in {text!r}")
+            raise ValueError(f"coordinate vector too long in "
+                             f"{excerpt(text)!r}")
         else:
             coeff = F.from_coords([int(c) for c in coords.split(",")])
         k = 0 if tvar is None else int(exp_s or 1)
         if k > MAX_DEGREE:
-            raise ValueError(f"exponent {k} in {text!r} is above the "
-                             f"supported maximum {MAX_DEGREE}")
+            raise ValueError(f"exponent {k} in {excerpt(text)!r} is above "
+                             f"the supported maximum {MAX_DEGREE}")
         if signs.count("-") % 2:
             coeff = F.neg(coeff)
         acc[k] = F.add(acc.get(k, 0), coeff)

@@ -35,7 +35,8 @@ import tempfile
 from pathlib import Path
 
 from . import tree
-from .algebra import MAX_Q, field, format_poly, parse_poly, split_polys
+from .algebra import (MAX_Q, excerpt, field, format_poly, parse_poly,
+                      split_polys)
 from .homspace import hom
 from .laurent import InsufficientPrecisionError
 from .quaternion import AlgebraData, build_algebra, format_quat, parse_quat
@@ -69,7 +70,7 @@ def _algebra(args) -> AlgebraData:
         try:
             primes.append(parse_poly(F, tok))
         except ValueError as exc:
-            raise ValueError(f"bad prime {tok!r}: {exc}") from None
+            raise ValueError(f"bad prime {excerpt(tok)!r}: {exc}") from None
     if args.precision_cap < 4:
         raise ValueError("--precision-cap must be at least 4")
     return build_algebra(F, primes, precision_cap=args.precision_cap)
@@ -166,7 +167,8 @@ def _vertex(alg: AlgebraData, text: str):
     """parse_vertex, refusing a vertex whose input budget, at its
     distance to the base vertex, is above the precision cap."""
     v = parse_vertex(alg.F, text)
-    _check_start(alg, f"vertex {text.strip()}", 0, v.dist_to_base())
+    _check_start(alg, f"vertex {excerpt(text.strip())}", 0,
+                 v.dist_to_base())
     return v
 
 
@@ -200,7 +202,7 @@ def cmd_word(alg: AlgebraData, args) -> int:
                          "e.g. \"1\" or \"T + (1)*i + (0)*j + (0)*k\"")
     gamma = parse_quat(alg.F, args.args[0])
     # its height, or -1 for zero, which express_in_generators refuses
-    _check_start(alg, f"element {args.args[0].strip()}",
+    _check_start(alg, f"element {excerpt(args.args[0].strip())}",
                  max(map(len, gamma.lam)) - 1, 0)
     # rejects a non-unit with ValueError and verifies the word
     print(str(express_in_generators(_build_graph(alg, args)[0], gamma)))

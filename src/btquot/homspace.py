@@ -220,19 +220,31 @@ class StabilizerField:
     """End(v) = Hom(v, v) plus zero, for an unstable vertex v, as the
     field F_{q^2}, with its action on the q+1 tree neighbours of v.
 
-    The element c1*b1 + c2*b2 of the basis (b1, b2) of ends is coded by
-    (c1, c2), read off any element at the echelon pivots of the basis
-    (where one basis element has coefficient 1 and the other 0).  A
-    quaternion whose pivot coefficients do not recombine to it is not
-    in End(v).  The table is built once, from four products and one
-    solution check of the generator (_assert_solution):
+    The basis.  The solver's basis (b1, b2) of ends is always (1, x).
+    Its elements' last nonzero (k, j) coordinates, their pivots, strictly
+    increase, and each is zero in the later element (has_solver_shape),
+    so c1*b1 + c2*b2 ends at the pivot of the last b_s it uses.  1 lies
+    in the span, and its only nonzero coordinate, (0, 0), is the least:
+    so 1 = c1*b1, and b1 = 1, since b1's first coefficient is 1.
+    Asserted.  So c1 + c2*x is coded (c1, c2), read off any element at
+    (0, 0), which is zero in x, and at x's first nonzero coordinate,
+    where x has 1 and 1 has 0.  A quaternion whose two coefficients
+    there do not recombine to it is not in End(v).
 
-    * the multiplication constants, the codes of b_s * b_t;
-    * gen, the first element in HomSet.elements() order with (q+1)-st
-      power the scalar F.primitive_root(), so gen^(q^2 - 1) = 1, and of
-      order q^2 - 1, by algebra.power and algebra.has_order on codes;
-    * the code of gen^s for every s, each a product by gen and none by
-      1, and its inverse, the discrete log;
+    The arithmetic.  One product, x*x = s + t*x, gives End(v) as
+    F_q[x]/(x^2 - t*x - s), and a product of codes costs 5 F.mul
+    (_mul).  The conjugate of x is t - x, so the norm of c1 + c2*x is
+    c1^2 + t*c1*c2 - s*c2^2, and it equals c^(q+1), since the Frobenius
+    c -> c^q of F_{q^2} is the conjugation.  The table is built from
+    that product and one solution check of the generator
+    (_assert_solution):
+
+    * gen, the first code in HomSet.elements() order with norm
+      F.primitive_root() and of order q^2 - 1 (algebra.has_order): so
+      its (q+1)-st power is that scalar, asserted by algebra.power;
+    * the code of gen^s for every s, each from the last by the fixed
+      2x2 matrix over F_q of the product by gen, and its inverse, the
+      discrete log;
     * the cycle that gen induces on the neighbours of v (by Y mod pi of
       the check).  The scalars fix every vertex, and End(v)^*/F_q^*
       (cyclic of order q+1) acts simply transitively on the neighbours,
@@ -246,26 +258,36 @@ class StabilizerField:
         n = q * q - 1
         self.field = F
         self.ends = ends
-        b1, b2 = ({(k, j): c for k, f in enumerate(b.lam)
-                   for j, c in enumerate(f) if c} for b in ends.basis)
-        self._pivots = [next(p for p, c in x.items() if c == 1 and p not in y)
-                        for x, y in ((b1, b2), (b2, b1))]
-        codes = [self._code(x) for x in (*(alg.mul(x, y) for x in ends.basis
-                                           for y in ends.basis), QUAT_ONE)]
-        if None in codes:
+        one_b, x = ends.basis
+        if one_b != QUAT_ONE:
+            raise AssertionError("the End basis must start with 1")
+        self._pivot = next((k, j) for k, f in enumerate(x.lam)
+                           for j, c in enumerate(f) if c)
+        rel = self._code(alg.mul(x, x))
+        if rel is None:
             raise AssertionError("End(v) must be a ring containing 1")
-        *self._consts, one = codes
-        central = tuple(F.mul(F.primitive_root(), c) for c in one)
+        s, t = self._rel = rel
+        one, prim = (1, 0), F.primitive_root()
         gen = next((c for c in itertools.product(F.elements(), repeat=2)
-                    if power(self._mul, c, q + 1, one) == central
+                    if F.sub(F.mul(c[0], F.add(c[0], F.mul(t, c[1]))),
+                             F.mul(s, F.mul(c[1], c[1]))) == prim
                     and has_order(self._mul, c, n, one)), None)
         if gen is None:
             raise RuntimeError(
                 "no stabilizer generator with the prescribed central "
                 "power; this indicates an arithmetic bug")
-        self._powers = [one, *itertools.accumulate(
-            itertools.repeat(gen, n - 1), self._mul)]
-        self._log = {c: s for s, c in enumerate(self._powers)}
+        if power(self._mul, gen, q + 1, one) != (prim, 0):
+            raise AssertionError("the generator's (q+1)-st power is not "
+                                 "its norm F.primitive_root()")
+        # c * gen = (g1 c1 + s g2 c2, g2 c1 + (g1 + t g2) c2)
+        g1, g2 = gen
+        m11, m12, m21, m22 = g1, F.mul(s, g2), g2, F.add(g1, F.mul(t, g2))
+        self._powers = [one]
+        for _ in range(n - 1):
+            c1, c2 = self._powers[-1]
+            self._powers.append((F.add(F.mul(m11, c1), F.mul(m12, c2)),
+                                 F.add(F.mul(m21, c1), F.mul(m22, c2))))
+        self._log = {c: k for k, c in enumerate(self._powers)}
         self.gen = ends.combination(gen)
 
         v = ends.source
@@ -281,23 +303,26 @@ class StabilizerField:
         rank = {a: r for r, a in enumerate(F.elements())}
         self._first = [
             min(range(s0, n, q + 1),
-                key=lambda s: [rank[c] for c in self._powers[s]])
+                key=lambda k: [rank[c] for c in self._powers[k]])
             for s0 in range(q + 1)]
 
-    def _code(self, x: QuatElem):
-        """(c1, c2) with x = c1*b1 + c2*b2, or None if x is not in End(v)."""
-        c = tuple(x.lam[k][j] if j < len(x.lam[k]) else 0
-                  for k, j in self._pivots)
-        return c if self.ends.combination(c) == x else None
+    def _code(self, y: QuatElem):
+        """(c1, c2) with y = c1 + c2*x, or None if y is not in End(v)."""
+        k, j = self._pivot
+        c = (y.lam[0][0] if y.lam[0] else 0,
+             y.lam[k][j] if j < len(y.lam[k]) else 0)
+        return c if self.ends.combination(c) == y else None
 
     def _mul(self, a, b):
+        """The code of a*b: with x^2 = s + t*x and the products u = a1 b1,
+        w = a2 b2, (a1 + a2)(b1 + b2), it is (u + s w, (a1 + a2)(b1 + b2)
+        - u + (t - 1) w)."""
         F = self.field
-        out = (0, 0)
-        for (s, t), (k1, k2) in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
-                                    self._consts):
-            w = F.mul(a[s], b[t])
-            out = (F.add(out[0], F.mul(w, k1)), F.add(out[1], F.mul(w, k2)))
-        return out
+        s, t = self._rel
+        u, w = F.mul(a[0], b[0]), F.mul(a[1], b[1])
+        mid = F.mul(F.add(a[0], a[1]), F.add(b[0], b[1]))
+        return (F.add(u, F.mul(s, w)),
+                F.add(F.sub(mid, u), F.mul(F.sub(t, 1), w)))
 
     def power(self, s: int) -> QuatElem:
         """gen^s, for 0 <= s < q^2 - 1."""

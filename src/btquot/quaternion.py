@@ -53,6 +53,7 @@ from .algebra import (
     ONE_POLY,
     ZERO_POLY,
     enumerate_monic_polys,
+    excerpt,
     format_poly,
     hilbert_symbol,
     is_irreducible,
@@ -166,8 +167,8 @@ def parse_quat(F: GF, text: str) -> QuatElem:
         return QuatElem(tuple(ZERO_POLY if p is None else parse_poly(F, p)
                               for p in parts))
     except ValueError as exc:
-        raise ValueError(f"cannot parse quaternion element {text!r}: "
-                         f"{exc}") from None
+        raise ValueError(f"cannot parse quaternion element "
+                         f"{excerpt(text)!r}: {exc}") from None
 
 
 def norm_form(F: GF, W) -> list:

@@ -191,6 +191,17 @@ class QuotientGraph:
         self._moves[i, u] = step
         return step
 
+    def generator(self, key) -> QuatElem:
+        """The unit of a generator of the presentation by its key: "g0"
+        the canonical primitive scalar, and, as keyed in
+        generator_names, ("stab", i) the generator of the terminal
+        vertex i's stabilizer (built on first use) and ("pairing", k)
+        the unit of the pairing edge k."""
+        if key == "g0":
+            return QuatElem(((self.alg.F.primitive_root(),), (), (), ()))
+        kind, i = key
+        return self.stabilizer(i).gen if kind == "stab" else self.edges[i].elem
+
     def generator_names(self) -> Mapping:
         """The presentation's generator names but g0: gv1, gv2, ... of
         the terminal vertices i and g1, g2, ... of the pairing edges k, in
@@ -455,11 +466,10 @@ def presentation(G: QuotientGraph) -> Presentation:
     """Generators of the unit group read off the domain, with the
     defining relations checked by exact arithmetic."""
     alg = G.alg
-    F = alg.F
-    q = F.q
-    g0 = QuatElem(((F.primitive_root(),), (), (), ()))
-    vertex_gens = [(i, G.stabilizer(i).gen) for i in G.terminal_ids()]
-    edge_gens = [(k, G.edges[k].elem) for k in G.pairings]
+    q = alg.F.q
+    g0 = G.generator("g0")
+    vertex_gens = [(i, G.generator(("stab", i))) for i in G.terminal_ids()]
+    edge_gens = [(k, G.generator(("pairing", k))) for k in G.pairings]
 
     held = [alg.power(g0, q - 1) == QUAT_ONE,
             *(alg.power(gv, q + 1) == g0 for _, gv in vertex_gens),
@@ -494,8 +504,12 @@ def evaluate_word(alg: AlgebraData, pres: Presentation,
     """The unit a word spells: its letters' powers, folded left to
     right by algebra.product (1 only for the empty word)."""
     gens = dict(pres.generator_items())
-    return product(alg.mul, [alg.power(gens[name], e)
-                             for name, e in word.letters], QUAT_ONE)
+    return _spell(alg, [(gens[name], e) for name, e in word.letters])
+
+
+def _spell(alg: AlgebraData, letters) -> QuatElem:
+    """The product of the powers u^e of the (unit, exponent) letters."""
+    return product(alg.mul, [alg.power(u, e) for u, e in letters], QUAT_ONE)
 
 
 def express_in_generators(G: QuotientGraph, gamma: QuatElem,
@@ -507,26 +521,27 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
     its steps, and the residual h . gamma (gamma when the walk takes no
     step) stabilizes v0 and is a power of g0 (or of the initial vertex's
     own stabilizer generator in the two-vertex degenerate case).
+
+    The word is checked to multiply back to gamma: by evaluate_word on
+    pres when given, else on its own letters' units (G.generator), so
+    that only the stabilizers the walk visits are built and no relation
+    of the presentation is checked.
     """
     alg = G.alg
     if not alg.is_unit(gamma):
         raise ValueError("element is not a unit of the order "
                          "(nrd not in F_q^*)")
-    if pres is None:
-        pres = presentation(G)
 
-    names = G.generator_names()
     base = G.vertices[0]
     w, h, steps = _reduction_walk(G, transport(alg, gamma, base))
     if w != base:
         raise AssertionError("a unit must carry the initial vertex to an "
                              "equivalent vertex, and labels are pairwise "
                              "inequivalent")
-    letters = [(names[key], e) for key, e in steps]
     residual = alg.mul(h, gamma) if steps else gamma
     if 0 not in G.end_basis:
         # End(v0) is F_q, so the residual is a power of the scalar g0
-        g0 = pres.g0.lam[0][0]
+        g0 = alg.F.primitive_root()
         logs = {QuatElem(((alg.F.pow(g0, s),), (), (), ())): s
                 for s in range(G.q - 1)}
         t = logs.get(residual)
@@ -534,14 +549,18 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
             raise AssertionError(
                 "element is not a power of the stabilizer generator")
         if t:
-            letters.append(("g0", t))
+            steps.append(("g0", t))
     else:
         s = G.stabilizer(0).log(residual)
         if s:
-            letters.append((names["stab", 0], s))
+            steps.append((("stab", 0), s))
 
-    word = Word(tuple(letters))
-    if evaluate_word(alg, pres, word) != gamma:
+    names = G.generator_names()
+    word = Word(tuple((key if key == "g0" else names[key], e)
+                      for key, e in steps))
+    back = (evaluate_word(alg, pres, word) if pres is not None else
+            _spell(alg, [(G.generator(key), e) for key, e in steps]))
+    if back != gamma:
         raise AssertionError("word does not multiply back to the element")
     return word
 

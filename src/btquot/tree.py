@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .algebra import GF
+from .algebra import GF, excerpt
 from .laurent import (INF, InsufficientPrecisionError, Laurent, Mat2,
                       _series_inverse)
 
@@ -211,7 +211,7 @@ def parse_vertex(F: GF, text: str) -> Vertex:
     0..q-1, written without a sign."""
     m = _VERTEX_RE.match(text.strip())
     if not m:
-        raise ValueError(f"cannot parse vertex {text!r}")
+        raise ValueError(f"cannot parse vertex {excerpt(text)!r}")
     n = int(m.group(1))
     body = m.group(2)
     if body == "0":

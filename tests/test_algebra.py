@@ -301,6 +301,15 @@ def test_primitive_root_matches_bruteforce(q, root):
     assert root in (None, g)
 
 
+def test_elements_and_primitive_root_are_computed_once(monkeypatch):
+    # GF is immutable: both are read off its construction, no search
+    F = GF(25)
+    els, g = F.elements(), F.primitive_root()
+    monkeypatch.setattr(algebra, "has_order", None)
+    monkeypatch.setattr(GF, "coords", None)
+    assert F.elements() is els and F.primitive_root() == g
+
+
 def test_prime_divisors_match_bruteforce():
     primes = [p for p in range(2, 2001) if all(p % k for k in range(2, p))]
     for n in range(1, 2001):

@@ -623,6 +623,17 @@ class TestTextInputs:
                 parse(LONG_TEXTS[name])
             assert time.perf_counter() - start < 1, parse
 
+    @pytest.mark.parametrize("name", LONG_TEXTS)
+    def test_every_parser_error_is_short(self, name):
+        # each quotes at most 60 characters of its text, and its length
+        F = field(9)
+        for parse in (partial(parse_poly, F), partial(parse_quat, F),
+                      partial(parse_vertex, F)):
+            try:
+                parse(LONG_TEXTS[name])
+            except ValueError as exc:
+                assert len(str(exc)) < 300, (parse, len(str(exc)))
+
     @pytest.mark.parametrize("command, name", [
         ("--primes", "long sum"), ("--primes", "nested [ and ,"),
         ("--primes", "5000-digit exponent"), ("word", "long sum"),
@@ -637,7 +648,19 @@ class TestTextInputs:
         assert code in (EXIT_OK, EXIT_USER)
         assert "Traceback" not in err
         if code == EXIT_USER:
+            # a message quotes at most 60 characters of each input text
             assert err.startswith("error: ") and err.count("\n") == 1
+            assert len(err) < 300, len(err)
+
+    def test_long_text_above_the_cap_quotes_its_start(self, capsys, cache):
+        # g2 of TestPresentAndWord, padded by 10^5 zero terms: its budget
+        # refusal quotes the first 60 characters and the length
+        g2 = "4*T+1" + "+0" * _N + " + (0)*i + (0)*j + (2)*k"
+        code, out, err = run(capsys, ["word", *Q5, *cache,
+                                      "--precision-cap", "27", g2])
+        assert (code, out) == (EXIT_USER, "")
+        assert err == f"error: element {g2[:60]}... ({len(g2)} characters) " \
+            "needs precision 28 or more, above --precision-cap 27\n"
 
 
 class TestPrecisionExhaustion:

@@ -32,7 +32,7 @@ from btquot.quotient import (Presentation, QuotientGraph, Word,
                              predicted_invariants, presentation, reduce,
                              transport, two_cycle_counts,
                              verify_structure)
-from btquot.serialize import graph_from_json
+from btquot.serialize import graph_from_json, graph_to_json
 from btquot.tree import BASE_VERTEX, Vertex, distance, neighbors, parse_vertex
 from test_golden import CASES, GOLDEN, case_algebra
 
@@ -67,10 +67,13 @@ def _multiplicative_order_is(alg, x, n):
                     for d in _prime_divisors(n)))
 
 
-def random_unit(alg, pres, rng, max_letters=6):
+def random_unit(alg, pres, rng, max_letters=6, letters=None):
+    """A product of generators and inverses: letters of them, or a
+    seeded number up to max_letters."""
     gens = [g for _, g in pres.generator_items()]
     out = QUAT_ONE
-    for _ in range(rng.randrange(max_letters + 1)):
+    for _ in range(rng.randrange(max_letters + 1) if letters is None
+                   else letters):
         g = rng.choice(gens)
         if rng.random() < 0.5:
             g = alg.inverse_unit(g)
@@ -800,6 +803,45 @@ class TestStabilizerField:
         i = G5.terminal_ids()[0]
         assert G5.stabilizer(i) is G5.stabilizer(i)
 
+    @GRAPHS
+    def test_norm_form_is_the_q_plus_1_power(self, G):
+        # c^(q+1) = N(c) = c1^2 + t c1 c2 - s c2^2 for x^2 = s + t x
+        F, q = G.alg.F, G.q
+        for i in G.terminal_ids():
+            stab = G.stabilizer(i)
+            s, t = stab._rel
+            for c1, c2 in itertools.product(F.elements(), repeat=2):
+                norm = F.sub(F.add(F.mul(c1, c1), F.mul(t, F.mul(c1, c2))),
+                             F.mul(s, F.mul(c2, c2)))
+                assert algebra.power(stab._mul, (c1, c2), q + 1, (1, 0)) \
+                    == (norm, 0)
+
+    def test_end_basis_not_starting_with_one_raises(self):
+        i = G5.terminal_ids()[0]
+        v = G5.vertices[i]
+        one, x = G5.end_basis[i]
+        two = QuatElem(((2,), (), (), ()))
+        for basis in ((x, one), (two, x)):
+            with pytest.raises(AssertionError, match="start with 1"):
+                homspace.StabilizerField(ALG5, HomSet(F5, v, v, basis))
+
+    @GRAPHS
+    def test_one_algebra_product_per_build(self, G, monkeypatch):
+        calls = []
+        mul = AlgebraData.mul
+
+        def counted(self, x, y):
+            calls.append((x, y))
+            return mul(self, x, y)
+
+        monkeypatch.setattr(AlgebraData, "mul", counted)
+        for i in G.terminal_ids():
+            v = G.vertices[i]
+            calls.clear()
+            homspace.StabilizerField(
+                G.alg, HomSet(G.alg.F, v, v, G.end_basis[i]))
+            assert calls == [(G.end_basis[i][1],) * 2]
+
 
 class TestWordProblem:
     def test_identity_is_empty_word(self):
@@ -880,6 +922,44 @@ class TestWordProblem:
             reduce(G5, v)
         assert operands and QUAT_ONE not in operands
 
+    @pytest.mark.parametrize("case", ["g3", *sorted(CASES)])
+    def test_word_without_presentation_builds_only_visited_stabilizers(
+            self, case):
+        """Without a presentation, a freshly loaded graph gives the word
+        the graph with its presentation gives, for units of 1 to 4
+        letters, and builds the stabilizers of the terminal vertices the
+        walk visits and of vertex 0 if terminal (the degenerate q=3
+        domain, "g3"), and no other."""
+        if case == "g3":
+            G, pres = G3, PRES3
+            text, alg = graph_to_json(G3), ALG3
+        else:
+            G, pres = golden_graph(case)
+            text, alg = (GOLDEN / f"{case}.json").read_text(), G.alg
+        rng = random.Random(3601)
+        fewer = 0
+        for letters in (1, 2, 3, 4) * 3:
+            gamma = random_unit(alg, pres, rng, letters=letters)
+            H = graph_from_json(text, alg)
+            word = express_in_generators(H, gamma)
+            assert word == express_in_generators(G, gamma, pres)
+            _, _, steps = _reduction_walk(
+                G, transport(alg, gamma, G.vertices[0]))
+            visited = {i for (kind, i), _ in steps if kind == "stab"}
+            visited |= {0} & set(G.end_basis)
+            assert set(H._stabilizers) == visited, word
+            fewer += len(visited) < len(G.end_basis)
+        assert fewer or not G.end_basis
+
+    def test_word_without_presentation_checks_its_letters(self,
+                                                          monkeypatch):
+        # the units of the word's own letters are what it multiplies back
+        gamma = G5.edges[G5.pairings[0]].elem
+        H = graph_from_json(graph_to_json(G5), ALG5)
+        monkeypatch.setattr(QuotientGraph, "generator",
+                            lambda self, key: QUAT_ONE)
+        with pytest.raises(AssertionError, match="multiply back"):
+            express_in_generators(H, gamma)
 
     def test_word_check_holds_under_python_O(self):
         """The check that a word multiplies back to its unit is a raise,
