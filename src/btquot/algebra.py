@@ -589,13 +589,13 @@ _TERM_RE = re.compile(
 _ITEM_RE = re.compile(r"(?:\[[^\]]*\]?|[^,\[])+")
 
 
-def excerpt(text: str, limit: int = 60) -> str:
-    """text as an error message shows it: whole up to limit characters,
-    else its first limit characters, `...` and its length, so that a
+def excerpt(text: str) -> str:
+    """text as an error message shows it: whole up to 60 characters,
+    else its first 60 characters, `...` and its length, so that a
     message stays one short line whatever the input."""
-    if len(text) <= limit:
+    if len(text) <= 60:
         return text
-    return f"{text[:limit]}... ({len(text)} characters)"
+    return f"{text[:60]}... ({len(text)} characters)"
 
 
 def parse_poly(F: GF, text: str):

@@ -242,9 +242,8 @@ class StabilizerField:
     * gen, the first code in HomSet.elements() order with norm
       F.primitive_root() and of order q^2 - 1 (algebra.has_order): so
       its (q+1)-st power is that scalar, asserted by algebra.power;
-    * the code of gen^s for every s, each from the last by the fixed
-      2x2 matrix over F_q of the product by gen, and its inverse, the
-      discrete log;
+    * the code of gen^s for every s, each the last times gen by _mul,
+      and its inverse, the discrete log;
     * the cycle that gen induces on the neighbours of v (by Y mod pi of
       the check).  The scalars fix every vertex, and End(v)^*/F_q^*
       (cyclic of order q+1) acts simply transitively on the neighbours,
@@ -279,14 +278,8 @@ class StabilizerField:
         if power(self._mul, gen, q + 1, one) != (prim, 0):
             raise AssertionError("the generator's (q+1)-st power is not "
                                  "its norm F.primitive_root()")
-        # c * gen = (g1 c1 + s g2 c2, g2 c1 + (g1 + t g2) c2)
-        g1, g2 = gen
-        m11, m12, m21, m22 = g1, F.mul(s, g2), g2, F.add(g1, F.mul(t, g2))
-        self._powers = [one]
-        for _ in range(n - 1):
-            c1, c2 = self._powers[-1]
-            self._powers.append((F.add(F.mul(m11, c1), F.mul(m12, c2)),
-                                 F.add(F.mul(m21, c1), F.mul(m22, c2))))
+        self._powers = [one, *itertools.accumulate(
+            itertools.repeat(gen, n - 1), self._mul)]
         self._log = {c: k for k, c in enumerate(self._powers)}
         self.gen = ends.combination(gen)
 

@@ -522,10 +522,10 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
     step) stabilizes v0 and is a power of g0 (or of the initial vertex's
     own stabilizer generator in the two-vertex degenerate case).
 
-    The word is checked to multiply back to gamma: by evaluate_word on
-    pres when given, else on its own letters' units (G.generator), so
-    that only the stabilizers the walk visits are built and no relation
-    of the presentation is checked.
+    The word is checked to multiply back to gamma on its own letters'
+    units (G.generator, from which presentation also takes its units),
+    so that only the stabilizers the walk visits are built and no
+    relation of the presentation is checked; pres is not needed.
     """
     alg = G.alg
     if not alg.is_unit(gamma):
@@ -558,9 +558,7 @@ def express_in_generators(G: QuotientGraph, gamma: QuatElem,
     names = G.generator_names()
     word = Word(tuple((key if key == "g0" else names[key], e)
                       for key, e in steps))
-    back = (evaluate_word(alg, pres, word) if pres is not None else
-            _spell(alg, [(G.generator(key), e) for key, e in steps]))
-    if back != gamma:
+    if _spell(alg, [(G.generator(key), e) for key, e in steps]) != gamma:
         raise AssertionError("word does not multiply back to the element")
     return word
 

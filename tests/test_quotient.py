@@ -963,8 +963,8 @@ class TestWordProblem:
 
     def test_word_check_holds_under_python_O(self):
         """The check that a word multiplies back to its unit is a raise,
-        not an assert, so python -O keeps it: with evaluate_word patched
-        to return 1, express_in_generators raises."""
+        not an assert, so python -O keeps it: with QuotientGraph.generator
+        patched to return 1, express_in_generators raises."""
         code = textwrap.dedent("""
             from btquot import quotient
             from btquot.algebra import field
@@ -972,7 +972,7 @@ class TestWordProblem:
             alg = build_algebra(field(5), [(0, 1), (1, 1), (2, 1), (3, 1)])
             G = quotient.compute_quotient(alg)
             pres = quotient.presentation(G)
-            quotient.evaluate_word = lambda alg, pres, word: QUAT_ONE
+            quotient.QuotientGraph.generator = lambda G, key: QUAT_ONE
             print(__debug__)
             try:
                 quotient.express_in_generators(
