@@ -92,10 +92,10 @@ class GF:
     coordinate kernels (digits, place, fold) and from them the (add,
     mul, neg, inv) tables; every operation is a lookup in those tables.
     For e > 1 the defining polynomial is the first monic irreducible of
-    degree e over F_p in canonical order, unless modulus names another.
+    degree e over F_p in canonical order.
     """
 
-    def __init__(self, q: int, modulus: tuple[int, ...] | None = None):
+    def __init__(self, q: int):
         if q > MAX_Q:
             raise ValueError(f"q={q} is above the supported maximum "
                              f"{MAX_Q}")
@@ -105,17 +105,8 @@ class GF:
         self.q = q
         self.p = p
         self.e = e
-        if e == 1:
-            self.modulus = None
-        else:
-            if modulus is None:
-                modulus = next(enumerate_monic_irreducibles(GF(p), e))
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != e + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree e over F_p")
-            self.modulus = modulus
-            if not self._modulus_irreducible():
-                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+        self.modulus = None if e == 1 else next(
+            enumerate_monic_irreducibles(GF(p), e))
         # coordinate-array kernels: digits[a] is the coordinate row of
         # the code a, place the weights that turn coordinates back into
         # a code, and column k of the (e, 3e-2) matrix fold (enough for
@@ -252,10 +243,6 @@ class GF:
         set to 0.  They back the linear algebra of the hom solver for
         every q."""
         return self._tables
-
-    def _modulus_irreducible(self) -> bool:
-        base = GF(self.p)
-        return is_irreducible(base, self.modulus)
 
     def __repr__(self):
         return f"GF({self.q})"

@@ -11,17 +11,18 @@ Exit codes: 0 success, 1 verification failure, 2 user error (a bad
 argument or usage, including --q above algebra.MAX_Q = 127, a term
 above T^algebra.MAX_DEGREE = T^4096, and an input budget above
 --precision-cap: 4 (m + d + 4) for a vertex at distance d from the base
-vertex and 4 (height + m + 4) for a unit given to word), 3 a computed
-series precision above --precision-cap (default 16384; nothing runs
-above it or is retried), 70 internal assertion failure.  Each failure
-prints one line on stderr.  Output is deterministic: repeated runs with
-the same arguments produce identical bytes, and computed graphs are
-cached on disk keyed by the field, the ramified primes, and the
-serialization format version; a cached file that graph_from_json
-rejects is recomputed.  Each call builds one algebra, which carries
---precision-cap (never a module global), and hands it with the parsed
-arguments to its subcommand; a cached graph is replayed on it, a miss
-computed on it.
+vertex and 4 (height + m + 4) for a unit given to word), 3 a precision
+that a transport, a solution check or a hom system computes above
+--precision-cap (default 16384; nothing is retried; the embedded basis
+behind such a precision runs higher, see quaternion.AlgebraData), 70
+internal assertion failure.  Each failure prints one line on stderr.
+Output is deterministic: repeated runs with the same arguments produce
+identical bytes, and computed graphs are cached on disk keyed by the
+field, the ramified primes, and the serialization format version; a
+cached file that graph_from_json rejects is recomputed.  Each call
+builds one algebra, which carries --precision-cap (never a module
+global), and hands it with the parsed arguments to its subcommand; a
+cached graph is replayed on it, a miss computed on it.
 """
 
 from __future__ import annotations

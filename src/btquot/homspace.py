@@ -359,7 +359,7 @@ def _level_rows(alg: AlgebraData, sources, n: int, ns, D: int):
     for j <= D + o_k only.  With top = D + m, the largest j, they read
     a, b, c, d below prec = top - min(s - n_w, s - n) - min(0, n_v,
     gval), the largest over the systems: the basis entries, taken at
-    prec rounded up to 16 as embed rounds and asserted known to it, go
+    prec (basis_entries rounds it up) and asserted known to it, go
     on one grid of codes below it, on which pi^n_v and the shifts are
     offsets of the exponent and g_v a, g_v c one F_q product by a
     Toeplitz matrix of g_v's coefficients; one gather puts the entries
@@ -371,8 +371,7 @@ def _level_rows(alg: AlgebraData, sources, n: int, ns, D: int):
                for i, (v, us) in enumerate(zip(sources, ns)) for u in us]
     prec = _within_cap(alg, max(top - min(s - u, s - n) - min(0, v.n, v.gval)
                                 for _, v, u, s in systems), "hom system")
-    entries = [e for row in alg.basis_entries(-(-prec // 16) * 16)
-               for e in row]
+    entries = [e for row in alg.basis_entries(prec)[0] for e in row]
     if min(e.prec for e in entries) < prec:
         raise AssertionError("basis embedding short of the hom systems' "
                              "precision")

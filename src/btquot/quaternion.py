@@ -22,11 +22,13 @@ kernel of GF (GF.pack, GF.unpack): coefficient sequences become Python
 ints with a fixed-width slot per F_p digit, are multiplied and added as
 big integers, and are unpacked once per output.  Each states its own
 bound on every slot sum, from which slot_bytes picks the slot width.
-The packed rows of the embedded order basis (packed_basis) serve
-embed_packed, whose sums homspace.transport and the solution check
-(homspace._assert_solution) carry on, packed beside exact code
-polynomials, and embed unpacks as Laurent entries for the tests; the
-hom systems read its entries (basis_entries).
+The embedded order basis is one memo entry per precision rounded up
+to a multiple of 16 (basis_entries): its entries, which the hom
+systems read, its longest entry, and its rows packed per slot width,
+which serve embed_packed, whose sums homspace.transport and the
+solution check (homspace._assert_solution) carry on, packed beside
+exact code polynomials, and embed unpacks as Laurent entries for the
+tests.
 
 The unit group Gamma consists of the elements whose reduced norm lies
 in F_q^*.  The reduced norm x * conj(x) is the norm form read off the
@@ -196,12 +198,16 @@ def norm_form(F: GF, W) -> list:
 class AlgebraData:
     """The algebra (alpha, r / K) with its maximal order and embedding.
 
-    Immutable after construction.  No series computation on the algebra
-    runs above precision_cap.  sqrt(alpha) is memoized at the highest
-    precision requested so far, the embedded order basis (with
-    1/sqrt(alpha) inside it) once per precision (basis_entries), packed
-    once per precision and slot width (packed_basis), and the packed
-    product table and norm form once per slot width.
+    Immutable after construction.  precision_cap bounds the precision P
+    that a transport, a solution check or a build of hom systems
+    computes from its inputs: a P above it raises
+    InsufficientPrecisionError before any series work.  The series
+    behind P run higher: the order basis is embedded at P + max
+    deg(lam_k) (P for the hom systems) rounded up to a multiple of 16,
+    and sqrt(alpha) and its inverse are taken 2m + deg(r) + 4 digits
+    beyond that (basis_entries).  The embedded basis is memoized once
+    per rounded precision, with its rows packed once per slot width,
+    and the packed product table and norm form once per slot width.
     The memos are plain dicts: the package runs single-threaded.
     """
 
@@ -221,9 +227,7 @@ class AlgebraData:
         self._tensor = self._structure_constants()
         self._tensor_len = max(len(w) for row in self._tensor
                                for ws in row for w in ws)
-        self._sqrt_cache = None
-        self._packed_tensor, self._packed_basis = {}, {}
-        self._basis_entries = {}
+        self._packed_tensor, self._basis = {}, {}
         self._verify_ramification()
         self._verify_product_table()
         form = norm_form(F, self._tensor)
@@ -361,92 +365,72 @@ class AlgebraData:
 
     # -- embedding into M_2(K_infinity) ----------------------------------
 
-    def sqrt_alpha(self, prec: int) -> Laurent:
-        """sqrt(alpha) on the 1-unit branch, memoized by precision."""
-        if self._sqrt_cache is None or self._sqrt_cache.prec < prec:
-            self._sqrt_cache = newton_sqrt(self.F, self.alpha, prec)
-        return self._sqrt_cache.truncate(prec)
-
-    def basis_embedding(self, prec: int) -> tuple:
-        """(iota(1), iota(i), iota(j), iota(khat)), every entry at
-        precision >= prec.
+    def basis_entries(self, prec: int) -> tuple:
+        """The embedded order basis at prec rounded up to a multiple of
+        16, memoized per rounded precision, so that a long-running
+        process keeps only a few: (E, N, packed), E[x][k] the entry x in
+        (a, b, c, d) of iota(b_k), every entry at precision >= prec, N
+        the longest entry's coefficient count and packed embed_packed's
+        rows of E per slot width.  The hom systems read E.
 
         sqrt(alpha) and its inverse are taken at the working precision
-        prec + 2m + deg(r) + 4, and the polynomial constants are lifted
-        at it, so every nonzero entry has finite precision.
+        P + 2m + deg(r) + 4 (P the rounded prec), and the polynomial
+        constants are lifted at it, so every nonzero entry has finite
+        precision.
         """
-        F = self.F
-        work = prec + 2 * self.m + poly_deg(self.r) + 4
-        s = self.sqrt_alpha(work)
-        si = s.inv()
-        one = Laurent.from_poly(F, ONE_POLY, work)
-        r = Laurent.from_poly(F, self.r, work)
-        zero = Laurent.zero(F)
-        es = Laurent.from_poly(F, self.epsilon, work) * si
-        rs = r * si
-        return (Mat2(one, zero, zero, one), Mat2(s, zero, zero, -s),
-                Mat2(zero, one, r, zero), Mat2(es, si, -rs, -es))
-
-    def basis_entries(self, prec: int) -> list:
-        """basis_embedding(prec) by matrix entry, memoized per precision:
-        [x][k] is the entry x in (a, b, c, d) of iota(b_k).  The hom
-        systems read it."""
-        if prec not in self._basis_entries:
-            self._basis_entries[prec] = list(zip(*(
-                M.entries() for M in self.basis_embedding(prec))))
-        return self._basis_entries[prec]
-
-    def packed_basis(self, prec: int, glen: int = 0):
-        """basis_embedding(prec) packed row by row, memoized per
-        precision, with N the longest entry, and per width: (w, rows),
-        rows[x] = (val, [(prec_k, int_k)]) the entry x in (a, b, c, d) of
-        iota(b_k), k = 0..3, as series from pi^val, the lowest valuation
-        of the four (an exact zero is 0 at precision INF).  Slots hold
-        single digits, at the width w = slot_bytes(4 e (p-1)^2 N (e (p-1)
-        glen + 1)): a slot of one of embed_packed's sums is at most 4 e
-        (p-1)^2 N, so this bounds such a sum plus its products with code
-        polynomials of glen digits in all.
-        """
-        F = self.F
-        if prec not in self._packed_basis:
-            self._packed_basis[prec] = (max(
-                len(e.coeffs) for row in self.basis_entries(prec)
-                for e in row), {})
-        n, by_width = self._packed_basis[prec]
-        w = slot_bytes(4 * F.e * (F.p - 1) ** 2 * n
-                       * (F.e * (F.p - 1) * glen + 1))
-        if w not in by_width:
-            rows = by_width[w] = []
-            for entries in self.basis_entries(prec):
-                vb = min((e.val for e in entries if e.coeffs), default=0)
-                packed = F.pack([(0,) * (e.val - vb) + e.coeffs
-                                 if e.coeffs else () for e in entries], w)
-                rows.append((vb, list(zip((e.prec for e in entries),
-                                          packed))))
-        return w, by_width[w]
+        prec = -(-prec // 16) * 16
+        if prec not in self._basis:
+            F = self.F
+            work = prec + 2 * self.m + poly_deg(self.r) + 4
+            s = newton_sqrt(F, self.alpha, work).truncate(work)
+            si = s.inv()
+            one, r, eps = (Laurent.from_poly(F, f, work)
+                           for f in (ONE_POLY, self.r, self.epsilon))
+            zero = Laurent.zero(F)
+            es, rs = eps * si, r * si
+            E = [(one, s, zero, es), (zero, zero, one, si),
+                 (zero, zero, r, -rs), (one, -s, zero, -es)]
+            self._basis[prec] = (E, max(len(e.coeffs) for row in E
+                                        for e in row), {})
+        return self._basis[prec]
 
     def embed_packed(self, x: QuatElem, prec: int, gs=()):
         """iota(x), known below pi^prec, as packed sums: (w, [(val,
         prec_x, S_x)] for x in (a, b, c, d), Gs), S_x = sum_k lam_k
         iota(b_k)_x a series from pi^val known below pi^prec_x >= prec,
         and Gs the exact code polynomials gs, packed beside the
-        coordinates.  The width w holds a sum S_y plus one product S_x G
-        for each G in Gs (packed_basis, glen their total length): a
-        product S_x G has three factors (lam_k, the basis entry and G),
-        as many as the E = 3e - 2 slots of a packed coefficient hold,
-        for every q.  A coordinate of degree D costs D digits, so the
-        basis is taken at precision prec + max deg(lam_k), rounded up to
-        a multiple of 16 so that a long-running process memoizes only a
-        few of them.  A sum is at most four big-int products.
+        coordinates.  A coordinate of degree D costs D digits, so the
+        basis is taken at precision prec + max deg(lam_k) (basis_entries
+        rounds it up).  A sum is at most four big-int products.
+
+        The basis rows are packed once per slot width, in basis_entries'
+        memo: rows[x] = (val, [(prec_k, int_k)]) the entry x of iota(b_k),
+        k = 0..3, as series from pi^val, the lowest valuation of the four
+        (an exact zero is 0 at precision INF).  Slots hold single digits,
+        at the width w = slot_bytes(4 e (p-1)^2 N (e (p-1) glen + 1)),
+        glen the total length of gs: a slot of a sum S_y is at most 4 e
+        (p-1)^2 N, so w holds S_y plus one product S_x G for each G in
+        Gs.  A product S_x G has three factors (lam_k, the basis entry
+        and G), as many as the E = 3e - 2 slots of a packed coefficient
+        hold, for every q.
         """
-        D = max(map(len, x.lam)) - 1
-        w, rows = self.packed_basis(-(-(prec + max(0, D)) // 16) * 16,
-                                    sum(map(len, gs)))
+        F, D = self.F, max(map(len, x.lam)) - 1
+        E, n, by_width = self.basis_entries(prec + max(0, D))
+        w = slot_bytes(4 * F.e * (F.p - 1) ** 2 * n
+                       * (F.e * (F.p - 1) * sum(map(len, gs)) + 1))
+        if w not in by_width:
+            rows = by_width[w] = []
+            for entries in E:
+                vb = min((e.val for e in entries if e.coeffs), default=0)
+                packed = F.pack([(0,) * (e.val - vb) + e.coeffs
+                                 if e.coeffs else () for e in entries], w)
+                rows.append((vb, list(zip((e.prec for e in entries),
+                                          packed))))
         # pi^D lam_k as a series in pi, all four starting at pi^0
-        packed = self.F.pack([(0,) * (D + 1 - len(f)) + f[::-1]
-                              for f in x.lam] + list(gs), w)
+        packed = F.pack([(0,) * (D + 1 - len(f)) + f[::-1]
+                         for f in x.lam] + list(gs), w)
         sums = []
-        for vb, row in rows:
+        for vb, row in by_width[w]:
             # an exact zero (all terms 0 at precision INF) stays exact
             terms = [(pr - len(f) + 1, c * b)
                      for f, c, (pr, b) in zip(x.lam, packed, row) if c]

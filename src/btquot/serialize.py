@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 
 from .algebra import field, format_poly, parse_poly
+from .laurent import InsufficientPrecisionError
 from .quaternion import AlgebraData, build_algebra, format_quat, parse_quat
 from .quotient import QuotientGraph
 from .tree import format_vertex, parse_vertex
@@ -87,7 +88,8 @@ def graph_from_json(text: str, alg: AlgebraData | None = None
     out-degrees are 1 (terminal) and q+1 (internal).  ValueError
     otherwise: for a file of another algebra, undecodable JSON, a
     missing key, a value of the wrong type, a non-string label, an edge
-    endpoint outside the integer vertex ids or an unknown label."""
+    endpoint outside the integer vertex ids, an unknown label, or a
+    replay check that fails or needs a precision above alg's cap."""
     try:
         data = json.loads(text)
     except RecursionError:
@@ -127,7 +129,7 @@ def graph_from_json(text: str, alg: AlgebraData | None = None
                                parsed(parse_quat, label["pairing"]))
             elif label != "opposite":
                 raise ValueError(f"unknown edge label {label!r}")
-    except AssertionError as exc:
+    except (AssertionError, InsufficientPrecisionError) as exc:
         raise ValueError(f"a construction check fails: {exc}") from None
     except (KeyError, TypeError) as exc:
         raise ValueError("a stored graph has the wrong shape: "

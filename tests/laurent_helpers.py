@@ -31,6 +31,13 @@ def identity(F, prec: int) -> Mat2:
     return Mat2(one, zero, zero, one)
 
 
+def basis_matrices(alg, prec: int) -> list:
+    """(iota(1), iota(i), iota(j), iota(khat)) as Mat2, from the entries
+    of alg.basis_entries(prec)."""
+    E, _, _ = alg.basis_entries(prec)
+    return [Mat2(*entries) for entries in zip(*E)]
+
+
 def from_polys(F, rows, prec: int) -> Mat2:
     (fa, fb), (fc, fd) = rows
     return Mat2(*(Laurent.from_poly(F, f, prec) if f else Laurent.zero(F)

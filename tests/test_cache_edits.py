@@ -8,7 +8,8 @@ cli._build_graph catches).  The edit families:
 
 * each quaternion string (End basis element, pairing unit) scaled by
   every c not in {0, 1}, and replaced by its conjugate;
-* each vertex label replaced by each of its tree neighbours;
+* each vertex label replaced by each of its tree neighbours, and by
+  FAR, whose replay checks need a precision above the default cap;
 * each bool flipped;
 * each int moved by -1 and by +1;
 * each list entry dropped, and duplicated in place;
@@ -34,7 +35,7 @@ import pytest
 
 from btquot import cli
 from btquot.quaternion import format_quat, parse_quat
-from btquot.tree import format_vertex, neighbors, parse_vertex
+from btquot.tree import Vertex, format_vertex, neighbors, parse_vertex
 from test_golden import ARTIFACTS, CASES, GOLDEN, _stdout
 
 # edits per family on q9-deg4; None sweeps every edit
@@ -43,6 +44,8 @@ QUATERNION_KEYS = ("pairing", "end_basis")
 VERTEX_KEYS = ("nf", "initial_vertex", "tree_edge")
 # one value of each JSON type, put in place of a key's first two values
 JSON_TYPES = (None, True, 7, 2.5, "x", [], {})
+# a vertex at distance 40000 from the base vertex
+FAR = format_vertex(Vertex.make(40000, 0, ()))
 
 
 class Miss(Exception):
@@ -93,6 +96,7 @@ def edits(text: str, alg):
         elif isinstance(x, str) and key in VERTEX_KEYS:
             new += [("vertex label moved to a neighbour", format_vertex(u))
                     for u in neighbors(F, parse_vertex(F, x))]
+            new.append(("vertex label moved beyond the cap", FAR))
         elif isinstance(x, list):
             for i in range(len(x)):
                 new.append(("list entry dropped", x[:i] + x[i + 1:]))
@@ -147,4 +151,4 @@ def test_every_cache_edit_is_a_miss_or_the_golden_graph(
             else:
                 loaded.append((family, where, value))
     assert not loaded, loaded
-    assert set(counts) == set(families) and len(families) == 9, counts
+    assert set(counts) == set(families) and len(families) == 10, counts

@@ -22,6 +22,7 @@ from btquot.algebra import MAX_DEGREE, MAX_Q, field, parse_poly, split_polys
 from btquot.homspace import transport
 from btquot.laurent import InsufficientPrecisionError
 from btquot.quaternion import AlgebraData, parse_quat
+from btquot.serialize import graph_from_json
 from btquot.tree import parse_vertex
 from worked_edits import (END_BASIS_AND_INITIAL, far_candidate,
                           pairing_entry as _pairing, swap_tree_targets)
@@ -198,6 +199,42 @@ class TestCompute:
         golden = (Path(__file__).resolve().parent / "golden"
                   / "q5-worked.json").read_bytes()
         assert out.encode() == golden
+        assert path.read_bytes() == golden
+
+    @pytest.mark.parametrize("where", ["tree_edge", "nf"])
+    def test_far_vertex_cache_is_a_miss_and_is_overwritten(
+            self, capsys, cache, tmp_path, where):
+        # its replay check needs a precision above the cap: a miss, not
+        # exit 3 on every call
+        args = ["present", *Q5, *cache]
+        assert run(capsys, args)[0] == EXIT_OK
+        (path,) = tmp_path.glob("graph-*.json")
+        here = Path(__file__).resolve().parent / "golden"
+        want = (here / "q5-worked.present.txt").read_text()
+        golden = (here / "q5-worked.json").read_bytes()
+        assert path.read_bytes() == golden
+        data = json.loads(golden)
+        if where == "tree_edge":
+            _pairing(data)["label"]["tree_edge"][1] = "(40000; 0)"
+        else:
+            data["vertices"][-1]["nf"] = "(40000; 0)"
+        path.write_text(json.dumps(data, indent=2) + "\n")
+        alg = cli._algebra(cli._parser("present").parse_args(Q5))
+        with pytest.raises(ValueError, match="above the cap 16384"):
+            graph_from_json(path.read_text(), alg)
+        code, out, err = run(capsys, args)
+        assert (code, out) == (EXIT_OK, want), err
+        assert path.read_bytes() == golden
+
+    def test_cap_below_an_honest_cache_recomputes_and_exits_3(
+            self, capsys, cache, tmp_path):
+        args = ["present", *Q5, *cache]
+        assert run(capsys, args)[0] == EXIT_OK
+        (path,) = tmp_path.glob("graph-*.json")
+        golden = path.read_bytes()
+        code, out, err = run(capsys, [*args, "--precision-cap", "4"])
+        assert (code, out) == (EXIT_PRECISION, "")
+        assert err.startswith("error: precision cap 4 reached")
         assert path.read_bytes() == golden
 
     @pytest.mark.parametrize("where", ["pairing", "end_basis"])

@@ -18,19 +18,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btquot import homspace, laurent, quaternion, quotient
-from btquot.algebra import (field, parse_poly, poly_add, poly_mul,
-                            poly_scale, poly_trim)
+from btquot.algebra import (field, parse_poly, poly_add, poly_deg,
+                            poly_mul, poly_scale, poly_trim)
 from btquot.homspace import (HomSet, _assert_solution, _fq_matmul,
                              _kernel_rows, _level_rows, _monic, _reduction,
                              _vector_to_quat, _widths, bottom_kernels, hom,
                              hom_stack, stability, transport)
 from btquot.laurent import (INF, InsufficientPrecisionError, Laurent, Mat2,
                             from_packed)
-from btquot.quaternion import QUAT_ONE, AlgebraData, QuatElem, build_algebra
+from btquot.quaternion import (QUAT_ONE, AlgebraData, QuatElem,
+                               build_algebra, height)
 from btquot.serialize import graph_from_json, graph_to_json
 from btquot.tree import (BASE_VERTEX, Vertex, act, distance, neighbors,
                          retry_with_precision)
-from laurent_helpers import inv, pi_power, scale, vertex_matrix
+from laurent_helpers import (basis_matrices, inv, pi_power, scale,
+                             vertex_matrix)
 from oracle_units import laurent_check
 from test_golden import (CASES, GOLDEN, case_algebra, golden_solutions,
                          golden_units)
@@ -833,8 +835,7 @@ def reference_system(alg, v, w, widths, prec):
     F = alg.F
     left = scale(inv(vertex_matrix(F, w)),
                  pi_power(F, (w.n - v.n) // 2, INF))
-    Ys = [left * B * vertex_matrix(F, v)
-          for B in alg.basis_embedding(prec)]
+    Ys = [left * B * vertex_matrix(F, v) for B in basis_matrices(alg, prec)]
     top = max(widths) - 1
     low = min(x.val for Y in Ys for x in Y.entries() if x.coeffs) - top
     rows = [[Y.entries()[rho].coeff(j - t) for Y, c in zip(Ys, widths)
@@ -1309,6 +1310,38 @@ class TestComputedPrecision:
                            match="^hom system needs precision"):
             hom(alg, V, W)
 
+    def test_the_cap_bounds_the_computed_precision_not_the_basis(
+            self, monkeypatch):
+        # cap 3 admits khat's transport of the base vertex, at P = 3; the
+        # basis behind a transport at P of a unit of height h is embedded
+        # at P + h rounded up to 16, one memo entry, and sqrt(alpha) runs
+        # 2m + deg(r) + 4 digits above that
+        sqrt, precs = quaternion.newton_sqrt, []
+        monkeypatch.setattr(quaternion, "newton_sqrt",
+                            lambda F, f, p: precs.append(p) or sqrt(F, f, p))
+        g = QuatElem(((1,), (), (), (0, 1)))  # 1 + T khat, height 1
+        Ps = []
+        for base, cap, x, v in ((ALG3, 3, KHAT, BASE_VERTEX),
+                                (ALG5, 1 << 14, g, V)):
+            alg = build_algebra(base.F, base.ram.primes, precision_cap=cap)
+            embed, asked = alg.embed_packed, []
+            monkeypatch.setattr(alg, "embed_packed", lambda x, p, gs=():
+                                asked.append(p) or embed(x, p, gs))
+            precs.clear()
+            transport(alg, x, v)
+            (P,) = asked
+            basis = -(-(P + height(x)) // 16) * 16
+            assert P <= cap and list(alg._basis) == [basis]
+            assert precs == [basis + 2 * alg.m + poly_deg(alg.r) + 4]
+            Ps.append(P)
+        # cap 3 admits P = 3, and the second P is rounded up
+        assert Ps[0] == 3 and Ps[1] % 16
+        # the rounding is basis_entries' own
+        E = alg.basis_entries(basis)
+        assert alg.basis_entries(basis - 15) is E
+        assert alg.basis_entries(basis + 1) is not E
+        assert list(alg._basis) == [basis, basis + 16]
+
     def test_hom_system_agrees_with_a_wider_basis(self, monkeypatch):
         n = max(V.dist_to_base(), W.dist_to_base())
         got = system_stack(ALG5, V, [W], n)
@@ -1352,10 +1385,11 @@ class TestComputedPrecision:
 
     def test_basis_short_of_the_precision_raises(self, monkeypatch):
         # End(V) reads a, b, c, d below pi^(n + m + n) = pi^26; the basis
-        # embedded at 4 is known below pi^16 only
-        real = ALG5.basis_entries
-        assert min(e.prec for row in real(4) for e in row) < 26
-        monkeypatch.setattr(ALG5, "basis_entries", lambda prec: real(4))
+        # entries truncated at 16 are known below pi^16 only
+        E, n, _ = ALG5.basis_entries(16)
+        short = [[e.truncate(16) for e in row] for row in E], n, {}
+        assert min(e.prec for row in short[0] for e in row) < 26
+        monkeypatch.setattr(ALG5, "basis_entries", lambda prec: short)
         with pytest.raises(AssertionError, match="short of"):
             bottom_kernels(ALG5, [V], 12, [[12]])
         with pytest.raises(AssertionError, match="short of"):

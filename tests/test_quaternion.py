@@ -32,7 +32,7 @@ from btquot.algebra import (
     slot_bytes,
 )
 from btquot.laurent import INF, Laurent, Mat2
-from laurent_helpers import add as mat_add, constant, det
+from laurent_helpers import add as mat_add, basis_matrices, constant, det
 from btquot.quaternion import (
     QUAT_ONE,
     AlgebraData,
@@ -48,6 +48,7 @@ from btquot.quaternion import (
 )
 from btquot import quaternion
 from btquot.homspace import transport
+from btquot.quotient import compute_quotient, verify_structure
 from btquot.tree import Vertex, act
 from test_algebra import legendre_euler
 from test_golden import CASES, GOLDEN, golden_units
@@ -340,7 +341,7 @@ class TestBuildAlgebra:
         # even q cannot even be constructed as a coefficient field
         from btquot.algebra import GF
         with pytest.raises(ValueError):
-            GF(4, modulus=(1, 1, 1))
+            GF(4)
         with pytest.raises(ValueError):
             GF(2)
 
@@ -691,7 +692,7 @@ def embed_reference(alg, x, prec):
     the basis images at the precision embed packs."""
     F = alg.F
     maxdeg = max((poly_deg(c) for c in x.lam), default=0)
-    B = alg.basis_embedding(-(-(prec + max(0, maxdeg)) // 16) * 16)
+    B = basis_matrices(alg, prec + max(0, maxdeg))
     entries = [Laurent.zero(F)] * 4
     for f, Bk in zip(x.lam, B):
         if not f:
@@ -803,24 +804,39 @@ class TestPackedKernel:
         assert all(e.is_exact_zero for e in M.entries())
 
     @pytest.mark.parametrize("q", [5, 9])
-    def test_packed_basis_reads_its_longest_entry_once(self, q,
-                                                       monkeypatch):
-        # N, the longest basis entry, sets the width: read once per
-        # precision, then from the memo, for every width asked for
+    def test_packed_basis_reads_its_longest_entry_once(self, q):
+        # N, the longest basis entry, sets the width: stored with the
+        # entries in their one memo entry, beside the rows packed per
+        # width, for every width asked for
         alg = build_algebra(field(q), [lin(0), lin(1)])
-        F, real, read = alg.F, alg.basis_entries, []
-        monkeypatch.setattr(alg, "basis_entries",
-                            lambda prec: read.append(prec) or real(prec))
-        n = max(len(e.coeffs) for row in real(48) for e in row)
-        widths = set()
+        F, widths = alg.F, set()
         for glen in (0, 7, 3000, 0, 7):
-            w, rows = alg.packed_basis(48, glen)
+            gs = ((1,) * glen,) if glen else ()
+            w, _, _ = alg.embed_packed(QUAT_ONE, 40, gs)
+            widths.add(w)
+            (E, n, rows), = alg._basis.values()
+            assert n == max(len(e.coeffs) for row in E for e in row)
             assert w == slot_bytes(4 * F.e * (F.p - 1) ** 2 * n
                                    * (F.e * (F.p - 1) * glen + 1))
-            widths.add(w)
-        # the entries once for N, then once per new width for the rows
-        assert len(widths) > 1 and read == [48] * (1 + len(widths))
-        assert alg.packed_basis(48, 7)[1] is rows
+        assert list(alg._basis) == [48] and alg.basis_entries(48)[0] is E
+        assert len(widths) > 1 and set(rows) == widths
+        assert all(len(r) == 4 for r in rows.values())
+
+    def test_a_compute_takes_one_sqrt_per_rounded_precision(self,
+                                                            monkeypatch):
+        # q7-72, compute and verify: one memo entry per precision, each a
+        # multiple of 16, each with one newton_sqrt at it plus the working
+        # margin 2m + deg(r) + 4
+        F = field(7)
+        alg = build_algebra(F, [parse_poly(F, t) for t in _KERNEL_PRIMES[7]])
+        sqrt, precs = quaternion.newton_sqrt, []
+        monkeypatch.setattr(quaternion, "newton_sqrt",
+                            lambda F, f, p: precs.append(p) or sqrt(F, f, p))
+        G = compute_quotient(alg)
+        assert len(G.vertices) == 72 and verify_structure(alg, G).passed
+        keys = list(alg._basis)
+        assert keys and all(k % 16 == 0 for k in keys)
+        assert precs == [k + 2 * alg.m + poly_deg(alg.r) + 4 for k in keys]
 
     def test_slot_width_is_the_narrowest_that_holds_the_bound(self):
         assert [slot_bytes(b) for b in (0, 255, 256, (1 << 32) - 1,
