@@ -35,17 +35,32 @@ run only when named with --case.  Each process makes one CLI call,
 from the base vertex, and prints the sha256 of the call's stdout, its
 CPU seconds (the call alone, without start-up and imports) and the
 process's peak RSS; the rung compares them as it does a compute.
+
+The warm-CLI rungs cli-CASE-CALL, for CASE one of q5-worked,
+q7-linear (q = 7, T,T+1,T+2,T+3) and q9-20 (q = 9, T,T+1,T+2,T+[0,1]),
+also run only when named with --case.  Each side first makes one cold
+`compute` of CASE into a temporary cache; then each round starts one
+fresh interpreter, `python -m btquot.cli`, for CALL: `export --format
+text`, `present`, `reduce` of the vertex (8; 1,2,3@-2), `word` of the
+last generator the parent's `present` prints, all cache hits, or
+`compute --no-cache --format json`.  The rung prints the sha256 of the
+call's stdout, its wall seconds from process start to exit, timed by
+this script, and its peak RSS, and compares them as it does a compute;
+perfbench calls the CLI in-process, so only these rungs time a whole
+warm invocation.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 CASES = {
@@ -66,8 +81,21 @@ REDUCES = {
 }
 # load rungs: the replay of each case's stored graph
 LOADS = {f"load-{case}": case for case in CASES}
+# warm-CLI rungs: (case, call) for each case the CLI can name and each
+# call, made on the cache of one cold compute; word's unit is filled in
+# from the parent's present
+CLI_CASES = {"q5-worked": CASES["q5-worked"],
+             "q7-linear": (7, "T,T+1,T+2,T+3"),
+             "q9-20": (9, "T,T+1,T+2,T+[0,1]")}
+CLI_CALLS = {"export": ["export", "--format", "text"],
+             "present": ["present"],
+             "reduce": ["reduce", "--", "(8; 1,2,3@-2)"],
+             "word": ["word", "--"],
+             "nocache": ["compute", "--no-cache", "--format", "json"]}
+WARM = {f"cli-{case}-{call}": (case, call)
+        for case in CLI_CASES for call in CLI_CALLS}
 # run only when named with --case
-OPT_IN = {"q3-deg10", *REDUCES, *LOADS}
+OPT_IN = {"q3-deg10", *REDUCES, *LOADS, *WARM}
 
 # timed computes per process, after the warm-up
 COMPUTES = 3
@@ -166,6 +194,54 @@ def child(checkout: Path, case: str, argv) -> str:
     return out.stdout
 
 
+def cli_call(checkout: Path, case: str, argv) -> tuple[dict, str]:
+    """One CLI call in a fresh interpreter on checkout's src: ({sha256
+    of its stdout, wall seconds from process start to exit, peak RSS},
+    stdout); a failure stops the script."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "btquot.cli", *argv],
+                                cwd=checkout, env=env, stdout=out,
+                                stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        text = out.read().decode()
+        if proc.returncode != 0:
+            raise SystemExit(f"{case} in {checkout} failed (exit "
+                             f"{proc.returncode}):\n{err.read().decode()}")
+    return ({"sha256": hashlib.sha256(text.encode()).hexdigest(),
+             "wall_s": wall, "rss_mb": usage.ru_maxrss / 1024}, text)
+
+
+def warm_argv(sides, case: str, stored: Path) -> dict:
+    """Per side, the argv of a warm-CLI rung: a cache call on its case's
+    cache, filled by one cold compute per side and script run, with
+    word's unit read off the parent's present."""
+    name, call = WARM[case]
+    q, primes = CLI_CASES[name]
+    args = ["--q", str(q), "--primes", primes]
+    if call == "nocache":
+        return {side: [*CLI_CALLS[call][:1], *args, *CLI_CALLS[call][1:]]
+                for side in sides}
+    caches = {side: ["--cache-dir", str(stored / side / name)]
+              for side in sides}
+    for side, checkout in sides.items():
+        if not (stored / side / name).exists():
+            cli_call(checkout, case, ["compute", *args, *caches[side]])
+    tail = CLI_CALLS[call][1:]
+    if call == "word":
+        text = cli_call(sides["parent"], case,
+                        ["present", *args, *caches["parent"]])[1]
+        gens = text.split("relations:")[0].splitlines()[1:]
+        tail = [*tail, gens[-1].split(" = ", 1)[1]]
+    return {side: [CLI_CALLS[call][0], *args, *caches[side], *tail]
+            for side in sides}
+
+
 def run_once(checkout: Path, case: str, stored: Path) -> dict:
     """One warm-up and COMPUTES timed computes of case, one reduce call
     of a far-reduce rung, or COMPUTES timed loads of the JSON file
@@ -190,7 +266,7 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=1,
                     help="fresh processes per case and side")
     ap.add_argument("--case", action="append",
-                    choices=[*CASES, *REDUCES, *LOADS],
+                    choices=[*CASES, *REDUCES, *LOADS, *WARM],
                     help="run only this case (repeatable; default: all "
                     "but " + ", ".join(sorted(OPT_IN)) + ")")
     args = ap.parse_args(argv)
@@ -210,23 +286,30 @@ def run_cases(sides, cases, rounds: int, stored: Path) -> int:
             q, primes = CASES[LOADS[case]]
             child(sides["parent"], case, [WRITE_CHILD, str(q), primes,
                                           str(stored / f"{case}.json")])
+        if case in WARM:
+            argv = warm_argv(sides, case, stored)
         runs = {side: [] for side in sides}
         for r in range(rounds):
             order = list(sides) if (k + r) % 2 == 0 else list(sides)[::-1]
             for side in order:
-                runs[side].append(run_once(sides[side], case, stored))
+                if case in WARM:
+                    runs[side].append(cli_call(sides[side], case,
+                                               argv[side])[0])
+                else:
+                    runs[side].append(run_once(sides[side], case, stored))
         digests = {side: {x["sha256"] for x in xs}
                    for side, xs in runs.items()}
+        kind = "wall" if case in WARM else "cpu"
         cpu, rss = ({side: statistics.median(x[key] for x in xs)
                      for side, xs in runs.items()}
-                    for key in ("cpu_s", "rss_mb"))
+                    for key in (f"{kind}_s", "rss_mb"))
         same = len(digests["parent"] | digests["change"]) == 1
         ok &= same
         for side in sides:
             print(f"{case if side == 'parent' else '':15} {side:6} "
                   f"{' '.join(sorted(digests[side]))} {cpu[side]:8.3f} s "
                   f"{rss[side]:7.1f} MB", flush=True)
-        print(f"{'':15} ratio  {cpu['change'] / cpu['parent']:.2f} cpu  "
+        print(f"{'':15} ratio  {cpu['change'] / cpu['parent']:.2f} {kind}  "
               f"{rss['change'] / rss['parent']:.2f} rss"
               f"{'' if same else '  DIGEST MISMATCH'}", flush=True)
     return 0 if ok else 1

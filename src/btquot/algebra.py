@@ -6,8 +6,10 @@ modulo the defining polynomial of the field) is coded as the integer
 c_0 + c_1*p + ... + c_{e-1}*p^{e-1}.  For prime q the code is just the
 residue itself.  All arithmetic on codes goes through a GF instance,
 which knows p, e and the defining modulus.  Every F_q operation is a
-lookup in the (add, mul, neg, inv) tables that the instance builds once,
-from its coordinate kernels, when it is created.
+lookup in the (add, mul, neg, inv) tables, lists that the instance
+builds once when it is created: add digit by digit, mul and inv from
+the discrete logarithm to the first generator of F_q^*.  No numpy is
+imported for them; only the unpack of an extension field loads it.
 
 Polynomials over F_q are tuples of element codes, constant coefficient
 first, with no trailing zeros; the zero polynomial is the empty tuple.
@@ -17,7 +19,7 @@ everywhere else in the package.
 Code sequences are multiplied by one packed-integer kernel of GF
 (Kronecker substitution: pack, unpack, slot_bytes), under GF.conv and
 under the quaternion product and embedding; the hom systems multiply
-by F_q products of code arrays (homspace), and poly_mul keeps its
+by F_q products of code arrays (solver), and poly_mul keeps its
 scalar loop for the short polynomials of the residue-field arithmetic.
 
 Every group the package multiplies in (F_q^*, A/(f), the units of the
@@ -46,10 +48,9 @@ match the same characters, so they are linear in the text.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from functools import lru_cache, reduce
-
-import numpy as np
 
 #: Largest field size GF accepts.  A field holds O(q^2) table entries
 #: (its unpacking table p^(3e-2) < q^3) and the hom solver's elimination
@@ -88,11 +89,10 @@ class GF:
 
     Elements are ints in range(q), coded as described in the module
     docstring.  The instance carries the arithmetic; elements carry no
-    reference back to their field.  The constructor builds the
-    coordinate kernels (digits, place, fold) and from them the (add,
-    mul, neg, inv) tables; every operation is a lookup in those tables.
-    For e > 1 the defining polynomial is the first monic irreducible of
-    degree e over F_p in canonical order.
+    reference back to their field.  The constructor builds the (add,
+    mul, neg, inv) tables as lists; every operation is a lookup in
+    them.  For e > 1 the defining polynomial is the first monic
+    irreducible of degree e over F_p in canonical order.
     """
 
     def __init__(self, q: int):
@@ -107,49 +107,72 @@ class GF:
         self.e = e
         self.modulus = None if e == 1 else next(
             enumerate_monic_irreducibles(GF(p), e))
-        # coordinate-array kernels: digits[a] is the coordinate row of
-        # the code a, place the weights that turn coordinates back into
-        # a code, and column k of the (e, 3e-2) matrix fold (enough for
-        # three factors) holds the coordinates of x^k modulo the defining
-        # polynomial (x^(k-1) shifted up by one place, overflow reduced)
-        self.place = p ** np.arange(e, dtype=np.int64)
-        self.digits = np.arange(q, dtype=np.int64)[:, None] // self.place % p
-        col = [1] + [0] * (e - 1)
-        cols = [col]
-        for _ in range(3 * e - 3):
-            col = [(c - col[-1] * m) % p
-                   for c, m in zip([0] + col[:-1], self.modulus)]
-            cols.append(col)
-        self.fold = np.array(cols, dtype=np.int64).T
-        # (add, mul, neg, inv) tables: mul folds the outer product of the
-        # coordinate rows (fold_products[:, i, j], the coordinates of
-        # x^i * x^j, is column i + j of fold), and inv[0] = 0 is a
-        # placeholder
-        self.fold_products = self.fold[:, np.add.outer(range(e), range(e))]
-        d = self.digits
-        add = (d[:, None] + d[None]) % p @ self.place
-        mul = np.einsum("ai,bj,kij->abk", d, d,
-                        self.fold_products) % p @ self.place
-        neg = (-d % p) @ self.place
-        inv = np.argmax(mul == 1, axis=1)
-        self._tables = (add, mul, neg, inv)
-        self._add, self._mul, self._neg, self._inv = (
-            t.tolist() for t in self._tables)
-        self._coords = [tuple(row) for row in d.tolist()]
-        # packing: byte translations code -> coordinate u; unpacking:
-        # the residues r_t < p of the 3e-2 slots of one coefficient read
-        # as the index sum r_t p^t into unfold, the code of sum r_t x^t
-        self._planes = [bytes(d[:, u].tolist() + [0] * (256 - q))
-                        for u in range(e)]
-        E = self.fold.shape[1]
-        self._slot_weights = p ** np.arange(E, dtype=np.int64)
-        self._unfold = (np.arange(p ** E)[:, None] // self._slot_weights
-                        % p @ self.fold.T % p @ self.place)
-        # the canonical order and its first generator of F_q^*, once
+        # xpow[k], k < slots = 3e-2 (the packed slots of one coefficient,
+        # room for the digit sums of three factors), the coordinates of
+        # x^k modulo the defining polynomial: x^(k-1) shifted up by one
+        # place, the overflow reduced
+        self.slots = 3 * e - 2
+        col = (1,) + (0,) * (e - 1)
+        self.xpow = [col]
+        for _ in range(self.slots - 1):
+            col = tuple((c - col[-1] * m) % p
+                        for c, m in zip((0,) + col[:-1], self.modulus))
+            self.xpow.append(col)
+        self._coords = [tuple(a // p ** i % p for i in range(e))
+                        for a in range(q)]
         self._elements = tuple(sorted(range(q), key=self.coords))
-        self._primitive_root = next(
-            a for a in self._elements
-            if a and has_order(self.mul, a, q - 1, 1))
+        # add: the table of the codes a0 + m a1, m = p^i, from that of
+        # the codes a0 < m, row by row a rotation of p blocks
+        add = [[0]]
+        for i in range(e):
+            m = p ** i
+            blocks = [[[x + m * c for x in row] for c in range(p)]
+                      for row in add]
+            add = [list(itertools.chain.from_iterable(b[a1:] + b[:a1]))
+                   for a1 in range(p) for b in blocks]
+        self._add = add
+        # mul and inv: exp holds the powers of the canonical first
+        # generator of F_q^*, the first nonzero element in element order
+        # whose powers, by coordinate products, reach 1 only at q - 1
+        exp = next(c for c in map(self._cycle, self._elements[1:])
+                   if len(c) == q - 1)
+        log = [0] * q
+        for k, a in enumerate(exp):
+            log[a] = k
+        take, exp2 = operator.itemgetter(*log[1:]), exp * 2
+        self._mul = [[0] * q] + [[0, *take(exp2[log[a]:])]
+                                 for a in range(1, q)]
+        self._neg = [self.from_coords([-c for c in cs])
+                     for cs in self._coords]
+        self._inv = [0] + [exp[-log[a] % (q - 1)] for a in range(1, q)]
+        self._primitive_root = exp[1]
+        # packing: byte translations code -> coordinate u
+        self._planes = [bytes([cs[u] for cs in self._coords]
+                              + [0] * (256 - q)) for u in range(e)]
+        if e == 1:
+            # unpacking a prime field: lane k maps the byte b of a slot
+            # to b 256^k mod p
+            self._lanes = [bytes((b << 8 * k) % p for b in range(256))
+                           for k in range(8)]
+        else:
+            # the gather of an extension field's unpack, built (and numpy
+            # imported) by the first unpack
+            self._unfold = None
+
+    def _cycle(self, a: int) -> list[int]:
+        """1, a, a^2, ... up to the last power before 1, for a nonzero
+        code a: ord(a) codes, each the last times a by coordinates (the
+        digit products of x^i x^j folded by xpow)."""
+        out, x = [1], a
+        while x != 1:
+            out.append(x)
+            cs = [0] * self.e
+            for i, s in enumerate(self._coords[x]):
+                for j, t in enumerate(self._coords[a]):
+                    for k, c in enumerate(self.xpow[i + j]):
+                        cs[k] += s * t * c
+            x = self.from_coords(cs)
+        return out
 
     # -- element coding ------------------------------------------------
 
@@ -207,17 +230,16 @@ class GF:
         e * min(len a, len b) products of two digits, each below p^2."""
         w = slot_bytes(self.e * (self.p - 1) ** 2 * min(len(a), len(b)))
         x, y = self.pack((a, b), w)
-        return self.unpack((x * y,), len(a) + len(b) - 1, w)[0].tolist()
+        return self.unpack((x * y,), len(a) + len(b) - 1, w)[0]
 
     # -- the packed-integer kernel (Kronecker substitution) -------------
 
     def pack(self, polys, w: int) -> list[int]:
         """Each code sequence f (a tuple, list or int64 array) as one int:
-        digit u of f[i] in slot i*E + u, w bytes per slot, E = 3e-2 slots
-        per coefficient (room for the digit sums of three factors).
-        Codes fit a byte, since q <= MAX_Q; the sequences are read element
-        by element, never as raw memory."""
-        E = self.fold.shape[1]
+        digit u of f[i] in slot i*E + u, w bytes per slot, E = slots
+        per coefficient.  Codes fit a byte, since q <= MAX_Q; the
+        sequences are read element by element, never as raw memory."""
+        E = self.slots
         raw = bytes(itertools.chain.from_iterable(polys))
         buf = bytearray(len(raw) * E * w)
         for u, plane in enumerate(self._planes):
@@ -228,21 +250,41 @@ class GF:
             i += len(f) * E * w
         return out
 
-    def unpack(self, packed, n: int, w: int) -> np.ndarray:
-        """The first n coefficients of each packed sum as codes, one
-        int64 row per sum: slots reduced mod p, each coefficient's slots
-        folded by the modulus (one lookup in unfold)."""
-        E = self.fold.shape[1]
+    def unpack(self, packed, n: int, w: int) -> list[list[int]]:
+        """The first n coefficients of each packed sum as codes, one list
+        per sum.  For prime q a coefficient is one slot, reduced mod p
+        byte lane by byte lane: lane k translated to its residues (b
+        256^k mod p), the lanes added as big ints, each partial sum
+        below 2p, so no byte carries into the next, and the sum
+        translated back below p.  For e > 1 numpy, imported here,
+        reduces the slots mod p and folds each coefficient's slots by
+        the modulus, one lookup in unfold."""
+        E = self.slots
         raw = b"".join(v.to_bytes(n * E * w, "little") for v in packed)
-        slots = np.frombuffer(raw, dtype=f"<u{w}").reshape(-1, E) % self.p
-        return self._unfold[slots.astype(np.int64) @ self._slot_weights
-                            ].reshape(len(packed), n)
+        if self.e > 1:
+            if self._unfold is None:
+                import numpy as np
+                p = self.p
+                weights = p ** np.arange(E, dtype=np.int64)
+                table = (np.arange(p ** E)[:, None] // weights % p
+                         @ np.array(self.xpow) % p
+                         @ p ** np.arange(self.e, dtype=np.int64))
 
-    def tables(self):
-        """The (add, mul, neg, inv) tables as numpy arrays, with inv[0]
-        set to 0.  They back the linear algebra of the hom solver for
-        every q."""
-        return self._tables
+                def unfold(raw, rows, n, w):
+                    slots = np.frombuffer(raw, dtype=f"<u{w}") \
+                        .reshape(-1, E) % p
+                    return table[slots.astype(np.int64) @ weights].reshape(
+                        rows, n).tolist()
+                self._unfold = unfold
+            return self._unfold(raw, len(packed), n, w)
+        mod = self._lanes[0]
+        codes = raw[::w].translate(mod)
+        for k in range(1, w):
+            lane = raw[k::w].translate(self._lanes[k])
+            codes = (int.from_bytes(codes, "little")
+                     + int.from_bytes(lane, "little")).to_bytes(
+                         len(codes), "little").translate(mod)
+        return [list(codes[i * n:i * n + n]) for i in range(len(packed))]
 
     def __repr__(self):
         return f"GF({self.q})"

@@ -319,7 +319,7 @@ class AlgebraData:
                     out[k] += c * wk
         n = lx + ly + self._tensor_len - 2
         return QuatElem(tuple(map(poly_trim,
-                                  F.unpack(out, n, w).tolist())))
+                                  F.unpack(out, n, w))))
 
     def scale(self, c: int, x: QuatElem) -> QuatElem:
         return QuatElem(tuple(poly_scale(self.F, c, a) for a in x.lam))
@@ -343,7 +343,7 @@ class AlgebraData:
                                      F.pack([c for _, c in form], w)))
         X = F.pack(x.lam, w)
         total = sum(c * X[s] * X[t] for (s, t), c in Q)
-        return poly_trim(F.unpack((total,), 2 * lx + lq - 2, w)[0].tolist())
+        return poly_trim(F.unpack((total,), 2 * lx + lq - 2, w)[0])
 
     def is_unit(self, x: QuatElem) -> bool:
         """Membership in Gamma: reduced norm in F_q^*."""

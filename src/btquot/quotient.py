@@ -24,8 +24,8 @@ bipartite (Serre, *Trees*, ch. II) and a vertex's distance to the base
 vertex has the parity of its n, so a level, one distance from the
 initial vertex, has one parity of n and is solved at its largest
 distance to the base vertex.  The candidates of one frontier vertex, a
-sibling group, are solved by one hom_stack call, on the first stage
-that homspace.bottom_kernels builds for a batch of whole groups, each
+sibling group, are solved by one solver.hom_stack call, on the first
+stage that solver.bottom_kernels builds for a batch of whole groups, each
 against End and every candidate live as the group starts or earlier in
 it; the group is then replayed in candidate order, reading
 only the candidates still live at each turn.  Every system's basis is
@@ -66,8 +66,7 @@ from types import MappingProxyType
 
 from .algebra import poly_deg, product
 from .homspace import (HomSet, StabilizerField, _assert_solution,
-                       bottom_kernels, has_solver_shape, hom, hom_stack,
-                       stability, transport)
+                       has_solver_shape, hom, stability, transport)
 from .quaternion import QUAT_ONE, AlgebraData, QuatElem, height
 from .tree import (BASE_VERTEX, Vertex, distance, neighbors, toward_base,
                    up_neighbor)
@@ -301,6 +300,7 @@ _CHUNK = 16
 
 def compute_quotient(alg: AlgebraData) -> QuotientGraph:
     """Breadth-first construction of the enhanced fundamental domain."""
+    from .solver import bottom_kernels, hom_stack
     F = alg.F
     q = F.q
     G = QuotientGraph(alg)

@@ -295,7 +295,7 @@ def laurent_check(alg, gamma, v, w, *more):
     lo = min(x.val for x in ents if x.coeffs)
     w8 = slot_bytes(4 * F.e ** 2 * (F.p - 1) ** 3 * (prec - lo)
                     * (len(v.gcoeffs) + 1) * (len(w.gcoeffs) + 1))
-    bits = 8 * w8 * F.fold.shape[1]
+    bits = 8 * w8 * F.slots
     # a, b, c, d from pi^lo, known below pi^prec; g_v and -g_w, exact
     A, B, C, D, G, H = F.pack([*((0,) * (x.val - lo) + x.coeffs[:prec - x.val]
                                  if x.val < prec else () for x in ents),
@@ -310,7 +310,7 @@ def laurent_check(alg, gamma, v, w, *more):
     n = max(1 - e for e in es)
     rows = F.unpack([sum(t << bits * (lo + k + f - e) for t, f in ts)
                      & (1 << bits * n) - 1 for (k, ts), e in zip(Y, es)],
-                    n, w8).tolist()
+                    n, w8)
     if any(any(r[:-e]) for r, e in zip(rows, es)):
         raise AssertionError("hom solution does not map source to target")
     ys = [r[-e] for r, e in zip(rows, es)]

@@ -8,7 +8,9 @@ product formula over all places), not by the code under test.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 
 import numpy as np
@@ -269,11 +271,12 @@ def test_field_codes_match_schoolbook_reference(F):
             assert schoolbook_mul(F, a, F.inv(a)) == 1
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
-    # column k of fold holds the coordinates of x^k (x has the code p)
+    # xpow[k] holds the coordinates of x^k (x has the code p)
     powers = [1]
-    for _ in range(3 * F.e - 3):
+    for _ in range(F.slots - 1):
         powers.append(schoolbook_mul(F, powers[-1], F.p))
-    assert F.fold.T.tolist() == [list(F.coords(c)) for c in powers]
+    assert F.slots == 3 * F.e - 2
+    assert F.xpow == [F.coords(c) for c in powers]
 
 
 def brute_order(mul, x, one):
@@ -286,6 +289,84 @@ def brute_order(mul, x, one):
 
 ODD_PRIME_POWERS = [q for q in range(3, MAX_Q + 1, 2)
                     if len(_prime_divisors(q)) == 1]
+
+
+# sha256 of each field's tables, coordinates, byte planes, element order
+# and primitive root (field_digest), recorded when the tables were built
+# with numpy from the coordinate kernels; the list-built field must
+# match them byte for byte
+FIELD_SHA256 = {
+    3: "a8e694aa1c4b1acaa484cb170115b40c2baa8ee85cdfb8cebe2983ed721fe49d",
+    5: "f3aadf97841590b8a4df5b10efc5a6b1ca0d76ed35cfdbe389214552e9e147c4",
+    7: "493048067de0d5c5c0ec17d02d92f909645389a63a03daf16a935c96a601bfdc",
+    9: "e1b1cb9113aa44630b4a82683664425ad165ac7c24243ab2ffbcdc3a47698abe",
+    11: "67b445ab948748e4b90e6f659e6d208dd12901e88aa19de8a3c57ce5420b54df",
+    13: "1338e560db179e7ea59b06ac830f5cfeece2ab13f044e2b1d5dd022530e57ffb",
+    17: "f007d0cd8c303d4a06b08c8da422a18d22ce9d885b9fa0072c0603a63dbed3bc",
+    19: "7636690c1f04011701d664a490afdd28014e84e232541e99aa8a9aff54c3cd66",
+    23: "e91e4142177fc5819b772ef78caa2f964145ebbc1e70dbdca9c826e26ab28e70",
+    25: "f954b9a2c64d1167682663e71410ab039fdc37728d86b0d4f2fc151a61a89aa7",
+    27: "12ac01e7cf55c5c40544032ef9947e541a6be3a8ac6b7341fa4a09b855c38b9f",
+    29: "48cceaba8dc6f41ae5ebab60b0fe2d6d51d326dbb222d816df531467d2df320a",
+    31: "a362ab91e8cd32a2c7619ff4b374f432637ab37e9d647a269fabe215c7a666d5",
+    37: "94626171b1b92af0fd9ffb87a9389aeca82acb5fc2e0760299a1518ac6e993be",
+    41: "8bda0bd54db4cdb195618e1cbfd3e897d88e970c6c52fb00d2e14e6f9612d87d",
+    43: "320b97eca32226995c26856bbc4c9da744a0b11aec22637e3a6ded33000fa8a8",
+    47: "8df70d06f5dfb4d78143cb2d5a05580d4902a3d919e07eb0b33329cfb7126884",
+    49: "ff8196b4f0c4dcd84ae713c287588b57f8b8149363e7bc2158224d1892deec5f",
+    53: "bf629ec6c4dd2481270703377bf51386846f2f09693699ac6bcac903a2976a1a",
+    59: "489e7437c434485d7a6a7cf2e75fe83b01b28518a1a4c4f9c3940194f99b171b",
+    61: "34d6cd3dc7b6003eb516554e79107621a0b83de126a85515071f2190d1e37ec5",
+    67: "8a4f028132987768321738e1005eafba617cab1c337141cc191bc60026be383e",
+    71: "9c97915200ea7ffa575eef4655b7f69effbdf8130e6deaf9d1337ca957b5b7ab",
+    73: "1594403a7c718d39b27441792c8131516c42c16fd352d8aa01edc48d109244dd",
+    79: "fa43e1edb77e0006bbefaf15b8f4015dbd78c9a5f6f015b68a25b548bf5b03bd",
+    81: "c2cf1638b6b7ac551bc28399d8a0266dd2d92ded68ae7d8770480a741b2018d2",
+    83: "bc3fcdd7436ed1170c127c3c17fa2e6e12eb82587d32ef53f1686ccea6e6ef89",
+    89: "574ab312fc8ccf0d94aec6ed18d18bdfe7d27e1d3d81a262931580ea47b9a1ca",
+    97: "b8ced9962f13cb3e3046d9cd0a604e88a85bd2a3d34b6654b9f313618ac2e9cd",
+    101: "fc213cf3ac2fe050e8f04f4c8a97f32cfe6ce062465bfe375677c072bafcc46b",
+    103: "50a9039137adbc675b6621e3c401cf9045246d0d3ffcc8c4746d76059cf832db",
+    107: "8c4cf3d389cc82d82be31f279e5e1fd1d5057fefecf952e9652729b089dc6410",
+    109: "e90cdfe510e29e4fdf9fde61351c30792d43f038cdb9f329a44639c224a667a4",
+    113: "db339aa60d674d1b350cf2661490bdc286d0fcae1c25fa4a8a966067943a62b7",
+    121: "9f8819556f3bb1984bec7f933a1d5f4d09392df6baec770be66cec4a880ae7be",
+    125: "cff379d502b3a338851ca4ca56ee2caca35c1ef1f06a2f015420432f52328699",
+    127: "89cfe5405bc115c959b042cce33ef7d556dccf5aecd941a734d58b7ef668fcba",
+}
+
+
+def field_digest(F) -> str:
+    data = [F._add, F._mul, F._neg, F._inv, [list(c) for c in F._coords],
+            [p.hex() for p in F._planes], list(F._elements),
+            F._primitive_root]
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS)
+def test_field_matches_its_recorded_digest(q):
+    assert field_digest(GF(q)) == FIELD_SHA256[q]
+
+
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS)
+@pytest.mark.parametrize("w", [1, 2, 4, 8])
+def test_unpack_matches_a_direct_decode(q, w):
+    """unpack against each slot read as an integer, reduced mod p and
+    folded by xpow: first with every slot at its width's maximum, the
+    largest residue in every byte lane, then with seeded slots."""
+    F = field(q)
+    E, top = F.slots, (1 << 8 * w) - 1
+    rng = random.Random(q * 10 + w)
+    for n, sums in [(5, [[top] * 5 * E] * 3),
+                    (7, [[rng.randint(0, top) for _ in range(7 * E)]
+                         for _ in range(2)]), (0, [[]])]:
+        packed = [sum(s << 8 * w * i for i, s in enumerate(slots))
+                  for slots in sums]
+        expect = [[F.from_coords(
+            [sum(s % F.p * x[u] for s, x in zip(slots[i * E:i * E + E],
+                                                F.xpow))
+             for u in range(F.e)]) for i in range(n)] for slots in sums]
+        assert F.unpack(packed, n, w) == expect
 
 
 # the first three roots by hand; for every other odd prime power up to

@@ -1,13 +1,16 @@
 """End-to-end tests of the command-line interface.
 
 Each test drives main() in-process with a temporary cache directory,
-checking output, exit codes, and byte-level determinism.
+checking output, exit codes, and byte-level determinism; the cache-hit
+calls also run in fresh interpreters, which must not load numpy.
 """
 
 import argparse
 import contextlib
+import io
 import json
 import os
+import subprocess
 import sys
 import time
 from functools import partial
@@ -834,3 +837,60 @@ class TestUsage:
                                               "--format", fmt])
                 assert (code, out, err) == (EXIT_OK, golden, ""), \
                     (command, state)
+
+
+# main(argv) in a fresh interpreter on this checkout's src, its last
+# stderr line whether numpy was loaded
+NUMPY_PROBE = """
+import sys
+from btquot.cli import main
+code = main(sys.argv[1:])
+print("numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def fresh_cli(argv) -> tuple[int, str, bool]:
+    """(exit code, stdout, numpy loaded) of one CLI call in a fresh
+    interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv],
+                          env=env, capture_output=True, text=True)
+    return (proc.returncode, proc.stdout,
+            proc.stderr.splitlines()[-1] == "True")
+
+
+class TestNumpyOffTheCacheHitPath:
+    """Over a prime field every call that reads a cached graph runs
+    without numpy, which only the hom solver loads."""
+
+    def test_cache_hits_never_load_numpy(self, tmp_path):
+        cache = ["--cache-dir", str(tmp_path)]
+        assert fresh_cli(["compute", *Q5, *cache])[::2] == (EXIT_OK, True)
+        code, out, numpy = fresh_cli(["present", *Q5, *cache])
+        assert (code, numpy) == (EXIT_OK, False)
+        g3 = next(ln for ln in out.splitlines()
+                  if ln.strip().startswith("g3 = ")).split(" = ", 1)[1]
+        for argv in (["export", "--format", "json"],
+                     ["export", "--format", "dot"],
+                     ["export", "--format", "text"], ["verify"],
+                     ["reduce", "--", "(4; 1@-3)"], ["word", "--", g3]):
+            code, out, numpy = fresh_cli([*argv[:1], *Q5, *cache,
+                                          *argv[1:]])
+            assert (code, numpy) == (EXIT_OK, False), argv
+            assert out == run_in_process(argv, cache), argv
+
+    def test_solves_load_numpy(self):
+        for argv in (["compute", *Q5, "--no-cache"],
+                     ["hom", *Q5, "(2; 0)", "(2; 0)"]):
+            assert fresh_cli(argv)[::2] == (EXIT_OK, True), argv
+
+
+def run_in_process(argv, cache) -> str:
+    """The stdout of the same call made by main() in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv[:1], *Q5, *cache, *argv[1:]]) == EXIT_OK
+    return out.getvalue()

@@ -17,23 +17,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btquot import homspace, laurent, quaternion, quotient
+from btquot import homspace, laurent, quaternion, quotient, solver
 from btquot.algebra import (field, parse_poly, poly_add, poly_deg,
                             poly_mul, poly_scale, poly_trim)
-from btquot.homspace import (HomSet, _assert_solution, _fq_matmul,
-                             _kernel_rows, _level_rows, _monic, _reduction,
-                             _vector_to_quat, _widths, bottom_kernels, hom,
-                             hom_stack, stability, transport)
+from btquot.homspace import (HomSet, _assert_solution, _reduction,
+                             _widths, hom, stability, transport)
 from btquot.laurent import (INF, InsufficientPrecisionError, Laurent, Mat2,
                             from_packed)
 from btquot.quaternion import (QUAT_ONE, AlgebraData, QuatElem,
                                build_algebra, height)
 from btquot.serialize import graph_from_json, graph_to_json
+from btquot.solver import (_fq_matmul, _kernel_rows, _level_rows, _monic,
+                           _vector_to_quat, bottom_kernels, field_arrays,
+                           hom_stack)
 from btquot.tree import (BASE_VERTEX, Vertex, act, distance, neighbors,
                          retry_with_precision)
 from laurent_helpers import (basis_matrices, inv, pi_power, scale,
                              vertex_matrix)
 from oracle_units import laurent_check
+from search_spy import patch_search
 from test_golden import (CASES, GOLDEN, case_algebra, golden_solutions,
                          golden_units)
 
@@ -336,8 +338,8 @@ def test_hom_of_a_far_pair_holds_a_product_of_pairing_units(monkeypatch):
         A = real(alg, sources, n, ns, D)
         built.append((D, A.shape[-1]))
         return A
-    real = homspace._level_rows
-    monkeypatch.setattr(homspace, "_level_rows", level_rows)
+    real = solver._level_rows
+    monkeypatch.setattr(solver, "_level_rows", level_rows)
     rng = random.Random(31)
     far = []
     for _ in range(12):
@@ -625,7 +627,7 @@ def system_stack(alg, v, ws, n):
     n_w holds c_i).  Unprojected, so not only C's rows count.  These are
     the systems the two stages of hom_stack solve."""
     F = alg.F
-    add, _, neg, _ = F.tables()
+    add, _, neg, *_ = field_arrays(F)
     ns = sorted({u.n for u in ws})
     A = _level_rows(alg, [v], n, [ns], n)
     tmax = A.shape[3]
@@ -1004,8 +1006,7 @@ def recorded_search(monkeypatch, case):
                       [[homs[k].basis for k in range(len(homs.targets))]
                        for homs in out]))
         return out
-    monkeypatch.setattr(quotient, "bottom_kernels", batch)
-    monkeypatch.setattr(quotient, "hom_stack", stack)
+    patch_search(monkeypatch, bottom_kernels=batch, hom_stack=stack)
     G = quotient.compute_quotient(alg)
 
     def level(b):
@@ -1161,7 +1162,7 @@ def truncating(alg, real, drop=0, precs=None):
         if precs is not None:
             precs.append(prec)
         w, sums, Gs = real(x, prec, gs)
-        bits, cut = 8 * w * alg.F.fold.shape[1], prec - drop
+        bits, cut = 8 * w * alg.F.slots, prec - drop
         return w, [(o, min(p, cut), S & (1 << bits * max(0, cut - o)) - 1)
                    for o, p, S in sums], Gs
     return embed_packed

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btquot import algebra, homspace, quotient
+from btquot import algebra, homspace, quotient, solver
 from btquot.algebra import _prime_divisors, field, parse_poly
 from btquot.homspace import HomSet, _assert_solution, hom
 from btquot.quaternion import (QUAT_ONE, AlgebraData, QuatElem,
@@ -34,6 +34,7 @@ from btquot.quotient import (Presentation, QuotientGraph, Word,
                              verify_structure)
 from btquot.serialize import graph_from_json, graph_to_json
 from btquot.tree import BASE_VERTEX, Vertex, distance, neighbors, parse_vertex
+from search_spy import patch_search
 from test_golden import CASES, GOLDEN, case_algebra
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -310,7 +311,7 @@ class TestBuilders:
         another terminal vertex in a stack's answer fails there, at the
         first such stack, in the last hom_stack call made."""
         ends = {G5.vertices[i]: G5.end_basis[i] for i in G5.terminal_ids()}
-        solve, swapped, calls = quotient.hom_stack, [], []
+        solve, swapped, calls = solver.hom_stack, [], []
 
         class SwappedEnd:
             """A stack's answer with End(source) replaced."""
@@ -331,7 +332,7 @@ class TestBuilders:
                     out[s] = SwappedEnd(homs, HomSet(alg.F, v, v, next(
                         b for u, b in ends.items() if u != v)))
             return out
-        monkeypatch.setattr(quotient, "hom_stack", stack)
+        patch_search(monkeypatch, hom_stack=stack)
         with pytest.raises(AssertionError,
                            match="does not map source") as exc:
             compute_quotient(ALG5)
@@ -394,7 +395,7 @@ def recorded_groups(monkeypatch, alg):
     """compute_quotient(alg), with each of its hom_stack calls: the
     stacks' sources, their system counts, and the sizes of the stage-2
     eliminations the call made."""
-    solve, eliminate = quotient.hom_stack, homspace._kernel_rows
+    solve, eliminate = solver.hom_stack, solver._kernel_rows
     calls, active = [], []
 
     def stack(alg, stacks):
@@ -410,22 +411,21 @@ def recorded_groups(monkeypatch, alg):
         if active:
             active[-1].append(len(A))
         return eliminate(F, A, ncols)
-    monkeypatch.setattr(quotient, "hom_stack", stack)
-    monkeypatch.setattr(homspace, "_kernel_rows", kernel_rows)
+    patch_search(monkeypatch, hom_stack=stack, _kernel_rows=kernel_rows)
     return compute_quotient(alg), calls
 
 
 class TestSiblingGroups:
     """The search solves a sibling group, the candidates of one frontier
     vertex, in one hom_stack call, and each piece of it (consecutive
-    stacks within homspace._PIECE systems) in one elimination."""
+    stacks within solver._PIECE systems) in one elimination."""
 
     @pytest.mark.parametrize("piece", [None, 8])
     @pytest.mark.parametrize("G", [G3B, G5, G7], ids=["g3b", "g5", "g7"])
     def test_one_stage2_elimination_per_piece_of_each_group(
             self, monkeypatch, G, piece):
         if piece:
-            monkeypatch.setattr(homspace, "_PIECE", piece)
+            monkeypatch.setattr(solver, "_PIECE", piece)
         F = G.alg.F
         H, calls = recorded_groups(monkeypatch, G.alg)
         assert (H.vertices, H.edges, H.end_basis, H.pairings) == \
@@ -446,7 +446,7 @@ class TestSiblingGroups:
                     if parent == v0 or u != up(parent)]
             assert sources == [u for u in kids if u in sources]
             prev = parent
-            assert eliminations == _pieces(sizes, homspace._PIECE)
+            assert eliminations == _pieces(sizes, solver._PIECE)
             split += len(eliminations) > 1
         # every candidate is a vertex but the first, or a pairing
         assert sum(len(sources) for sources, _, _ in calls) == \
@@ -456,7 +456,7 @@ class TestSiblingGroups:
     def test_homsets_built_for_end_and_pairing_hits_only(self, monkeypatch):
         built, real = [], homspace.HomSet
         singles, stacks = [], []
-        hom_one, solve = quotient.hom, quotient.hom_stack
+        solve = solver.hom_stack
 
         def counted(*args):
             built.append(real(*args))
@@ -470,8 +470,10 @@ class TestSiblingGroups:
             stacks.extend(v for v, _, _ in group)
             return solve(alg, group)
         monkeypatch.setattr(homspace, "HomSet", counted)
+        monkeypatch.setattr(solver, "HomSet", counted)
+        patch_search(monkeypatch, hom_stack=stack)
+        hom_one = quotient.hom
         monkeypatch.setattr(quotient, "hom", one)
-        monkeypatch.setattr(quotient, "hom_stack", stack)
         G = compute_quotient(ALG5)
         ends = [h.source for h in built if h.source == h.target]
         hits = [h for h in built if h.source != h.target]

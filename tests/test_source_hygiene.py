@@ -4,8 +4,11 @@ No linter ships with the package, so these checks stand in for one:
 every imported name is used in its module (a deletion that leaves an
 import behind fails here), no line is longer than 79 columns, every
 attribute stored on self is read somewhere in the repository, every
-module-level private function is named somewhere in src or tests, and
-no check is an assert statement, which python -O strips.
+module-level private function is named somewhere in src or tests, no
+check is an assert statement, which python -O strips, and numpy is
+imported only where it pays: by the solver module and by GF's unpack
+for extension fields, so that a process that reads a stored graph over
+a prime field never loads it.
 """
 
 import ast
@@ -136,3 +139,39 @@ def test_attribute_and_function_checks_find_leftovers():
     assert stored == {"_one", "gen", "_powers"}
     assert stored - loaded_attributes([tree]) == {"_one"}
     assert private_functions(tree) - named([tree]) == {"_pow"}
+
+
+def numpy_imports(tree) -> list[str]:
+    """Where tree imports numpy: the dotted name of the enclosing
+    classes and functions, or "<module>"."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            names = [a.name for a in child.names] \
+                if isinstance(child, ast.Import) else \
+                [child.module or ""] if isinstance(child, ast.ImportFrom) \
+                else []
+            if any(n.split(".")[0] == "numpy" for n in names):
+                out.append(".".join(scope) or "<module>")
+            visit(child, scope)
+    visit(tree, [])
+    return out
+
+
+def test_numpy_only_in_the_solver_and_extension_field_unpack():
+    found = {path.name: numpy_imports(ast.parse(path.read_text()))
+             for path in SOURCES}
+    assert {k: v for k, v in found.items() if v} == {
+        "algebra.py": ["GF.unpack"], "solver.py": ["<module>"]}
+
+
+def test_numpy_import_check_finds_each_import():
+    source = ("import numpy as np\n"
+              "class G:\n    def f(self):\n"
+              "        if self:\n            from numpy import take\n"
+              "def g():\n    import numpy.linalg\n    import json\n")
+    assert numpy_imports(ast.parse(source)) == ["<module>", "G.f", "g"]
